@@ -1,71 +1,119 @@
-// Cross-tree forest certification and the earliest-clean-offset
-// admission primitive.
+// Tree and forest certification on the window kernel (kernel.hpp), and
+// the earliest-clean-offset admission primitive.
 //
-// lint_forest mirrors MulticastRuntime::run_concurrent symbolically: one
-// software timeline per node shared by every tree, persistent per-node NI
-// injection engines, and delivery events replayed in the simulator's
-// handler order — (delivered cycle, ejection channel id), the router/port
-// sweep order of Simulator::transfer.  Per node the posted ready times
-// are nondecreasing in post order (each post advances the shared timeline
-// by t_hold >= t_send), so the FIFO NI drains in post order and the
-// earliest-free-engine assignment below is exact.  A clean forest report
-// is therefore a proof: the simulator follows this exact timeline, and
-// conversely the earliest static overlap is the first dynamic block.
+// lint_forest mirrors MulticastRuntime::run_concurrent: every source is
+// activated in member order at its start offset, then deliveries are
+// replayed in the kernel's (the simulator's) order, each receive
+// occupying its node's CPU before the node activates.  lint_tree and
+// lint_schedule are a forest of one with cfg.send_engines engines per
+// node, mirroring MulticastRuntime::run: within a tree every node but the
+// source receives exactly once, before it ever sends, so the shared CPU
+// never delays a receive.  A clean report is a proof — the simulator
+// follows this exact timeline — and conversely the earliest static
+// overlap is the first dynamic block.
 #include <algorithm>
-#include <queue>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
-#include "lint/lint.hpp"
+#include "lint/kernel.hpp"
 
 namespace pcm::lint {
 namespace {
 
-/// One hold window tagged with its (tree, send) for the forest sweep.
-struct ForestHold {
-  sim::ChannelId ch = -1;
-  Time begin = 0;
-  Time end = 0;
-  int tree = -1;
-  int send = -1;
+using kernel::SendPlan;
+
+/// One tree of a forest, by reference (lint_tree times its tree in place).
+struct TreeRef {
+  const MulticastTree* tree = nullptr;
+  Bytes payload = 0;
+  Time start = 0;
 };
 
-/// Simulator delivery order: cycle first, then the router/port sweep
-/// (ejection channel id), then (tree, send) — the last two never tie for
-/// distinct messages but keep the queue strict-weak-ordered.
-struct Delivery {
-  Time delivered = 0;
-  sim::ChannelId eject = -1;
-  int tree = -1;
-  int send = -1;
-  bool operator>(const Delivery& o) const {
-    if (delivered != o.delivered) return delivered > o.delivered;
-    if (eject != o.eject) return eject > o.eject;
-    if (tree != o.tree) return tree > o.tree;
-    return send > o.send;
+/// The kernel's timeline of a forest: per-member plans, windows (path and
+/// reserve still empty) and makespans.
+struct Timeline {
+  std::vector<std::vector<SendPlan>> plans;
+  std::vector<std::vector<SendWindow>> sched;
+  std::vector<Time> tree_makespan;
+};
+
+Timeline derive(std::span<const TreeRef> members, const sim::Topology& topo,
+                const rt::RuntimeConfig& cfg, const sim::SimConfig& sim_cfg,
+                int engines) {
+  Timeline tl;
+  for (const TreeRef& m : members) {
+    tl.plans.push_back(kernel::plan_sends(*m.tree, topo, cfg, m.payload));
+    tl.sched.emplace_back(m.tree->sends.size());
   }
-};
+  tl.tree_makespan.assign(members.size(), 0);
+  kernel::WindowKernel kern(topo.num_nodes(), engines, topo.ports_per_node(),
+                            sim_cfg.router_delay);
 
-}  // namespace
+  auto activate = [&](int t, int pos, Time at) {
+    const MulticastTree& tree = *members[static_cast<size_t>(t)].tree;
+    const std::vector<SendPlan>& plan = tl.plans[static_cast<size_t>(t)];
+    const NodeId node = tree.node(pos);
+    for (const kernel::Placement& p :
+         kern.activate(t, node, at, tree.out[static_cast<size_t>(pos)], plan)) {
+      SendWindow& w = tl.sched[static_cast<size_t>(t)][static_cast<size_t>(p.send)];
+      w.send = p.send;
+      w.src = node;
+      w.dst = tree.node(plan[static_cast<size_t>(p.send)].receiver_pos);
+      w.flits = plan[static_cast<size_t>(p.send)].flits;
+      w.op_start = p.op_start;
+      w.ready = p.ready;
+      w.inject_start = p.inject_start;
+      w.delivered = p.delivered;
+    }
+  };
 
-ForestReport lint_forest(std::span<const ForestMember> members,
-                         const sim::Topology& topo, const rt::RuntimeConfig& cfg,
-                         const sim::SimConfig& sim_cfg,
-                         const ForestOptions& opts) {
-  validate_lint_config(sim_cfg, "lint_forest");
+  // run_concurrent activates every source before the first simulated
+  // cycle, in member order: at a shared source a later member queues
+  // behind an earlier one even when its start offset is smaller.
+  for (size_t t = 0; t < members.size(); ++t)
+    activate(static_cast<int>(t), members[t].tree->chain.source_pos,
+             members[t].start);
+  while (!kern.idle()) {
+    const kernel::Delivery d = kern.pop();
+    const auto t = static_cast<size_t>(d.tree);
+    const SendPlan& p = tl.plans[t][static_cast<size_t>(d.send)];
+    // Receive processing occupies the node's CPU (engine 0).
+    Time& cpu = kern.engine(members[t].tree->node(p.receiver_pos), 0);
+    cpu = std::max(d.delivered, cpu) + p.t_recv;
+    tl.sched[t][static_cast<size_t>(d.send)].recv_done = cpu;
+    tl.tree_makespan[t] = std::max(tl.tree_makespan[t], cpu);
+    activate(d.tree, p.receiver_pos, cpu);
+  }
+  return tl;
+}
+
+/// Completes member t's windows with their paths and reserve times.
+std::vector<SendWindow> take_windows(Timeline& tl, size_t t, Time rd) {
+  std::vector<SendWindow> windows = std::move(tl.sched[t]);
+  for (size_t idx = 0; idx < windows.size(); ++idx) {
+    SendWindow& w = windows[idx];
+    w.path = std::move(tl.plans[t][idx].path);
+    w.reserve.resize(w.path.size());
+    for (size_t i = 0; i < w.path.size(); ++i)
+      w.reserve[i] = kernel::reserve_time(w.inject_start, i, rd);
+  }
+  return windows;
+}
+
+ForestReport certify(std::span<const TreeRef> members, const sim::Topology& topo,
+                     const rt::RuntimeConfig& cfg, const sim::SimConfig& sim_cfg,
+                     int engines, int max_diagnostics, bool check_deadlock,
+                     bool keep_schedules) {
   ForestReport rep;
   rep.trees = static_cast<int>(members.size());
   rep.tree_makespan.assign(members.size(), 0);
-
   for (size_t t = 0; t < members.size(); ++t) {
-    if (members[t].start < 0)
-      throw std::invalid_argument("lint_forest: negative start offset");
-    rep.sends += static_cast<int>(members[t].tree.sends.size());
-    const std::string structure = check_tree(members[t].tree);
+    rep.sends += static_cast<int>(members[t].tree->sends.size());
+    const std::string structure = check_tree(*members[t].tree);
     if (!structure.empty()) {
       rep.structure_ok = false;
-      ForestDiagnostic d;
+      LintDiagnostic d;
       d.kind = DiagKind::kStructure;
       d.tree_a = static_cast<int>(t);
       d.detail = structure;
@@ -74,192 +122,120 @@ ForestReport lint_forest(std::span<const ForestMember> members,
   }
   if (!rep.structure_ok) return rep;  // timing malformed trees is meaningless
 
-  const MachineParams& mp = cfg.machine;
-  const rt::MulticastRuntime runtime(cfg);
+  Timeline tl = derive(members, topo, cfg, sim_cfg, engines);
+  rep.tree_makespan = tl.tree_makespan;
+  for (const Time t : rep.tree_makespan) rep.makespan = std::max(rep.makespan, t);
+
   const Time rd = sim_cfg.router_delay;
-  const int ni_ports = topo.ports_per_node();
-
-  std::vector<std::vector<SendWindow>> sched(members.size());
-  for (size_t t = 0; t < members.size(); ++t)
-    sched[t].resize(members[t].tree.sends.size());
-
-  // Shared state, one entry per *node* (not per tree): run_concurrent's
-  // single CPU timeline plus the simulator's NI injection engines.
-  std::vector<Time> next_free(static_cast<size_t>(topo.num_nodes()), 0);
-  std::vector<std::vector<Time>> ni_free(
-      static_cast<size_t>(topo.num_nodes()),
-      std::vector<Time>(static_cast<size_t>(ni_ports), 0));
-
-  std::priority_queue<Delivery, std::vector<Delivery>, std::greater<>> pending;
-
-  // Posts every send of `pos`; the caller has already advanced
-  // next_free[node] to the activation time (run_concurrent's activate).
-  auto issue = [&](int t, int pos) {
-    const ForestMember& m = members[static_cast<size_t>(t)];
-    const NodeId node = m.tree.node(pos);
-    for (int idx : m.tree.out[static_cast<size_t>(pos)]) {
-      const SendEvent& ev = m.tree.sends[static_cast<size_t>(idx)];
-      const int interval = ev.sub_hi - ev.sub_lo + 1;
-      const Bytes wire = runtime.wire_bytes(m.payload, interval);
-      const int n = runtime.wire_flits(m.payload, interval);
-
-      SendWindow& w = sched[static_cast<size_t>(t)][static_cast<size_t>(idx)];
-      w.send = idx;
-      w.src = node;
-      w.dst = m.tree.node(ev.receiver_pos);
-      w.flits = n;
-      w.op_start = next_free[node];
-      w.ready = w.op_start + mp.t_send(wire);
-      next_free[node] += mp.t_hold(wire);
-
-      auto& ports = ni_free[node];
-      size_t p = 0;
-      for (size_t q = 1; q < ports.size(); ++q)
-        if (ports[q] < ports[p]) p = q;
-      w.inject_start = std::max(w.ready, ports[p]);
-      ports[p] = w.inject_start + n;
-
-      topo.append_path(w.src, w.dst, w.path);
-      w.reserve.resize(w.path.size());
-      for (size_t i = 0; i < w.path.size(); ++i)
-        w.reserve[i] = w.inject_start + static_cast<Time>(i + 1) * rd;
-      w.delivered =
-          w.inject_start + static_cast<Time>(w.path.size()) * rd + n - 1;
-      pending.push(Delivery{w.delivered, w.path.back(), t, idx});
-    }
-  };
-
-  // run_concurrent activates every source before the first simulated
-  // cycle, in member order: at a shared source a later member queues
-  // behind an earlier one even when its start offset is smaller.
-  for (size_t t = 0; t < members.size(); ++t) {
-    const int src_pos = members[t].tree.chain.source_pos;
-    const NodeId src = members[t].tree.node(src_pos);
-    next_free[src] = std::max(next_free[src], members[t].start);
-    issue(static_cast<int>(t), src_pos);
-  }
-  while (!pending.empty()) {
-    const Delivery d = pending.top();
-    pending.pop();
-    const ForestMember& m = members[static_cast<size_t>(d.tree)];
-    const SendEvent& ev = m.tree.sends[static_cast<size_t>(d.send)];
-    const NodeId node = m.tree.node(ev.receiver_pos);
-    const int interval = ev.sub_hi - ev.sub_lo + 1;
-    // Receive processing occupies the shared CPU.
-    const Time begin = std::max(d.delivered, next_free[node]);
-    const Time done = begin + mp.t_recv(runtime.wire_bytes(m.payload, interval));
-    next_free[node] = done;
-    sched[static_cast<size_t>(d.tree)][static_cast<size_t>(d.send)].recv_done =
-        done;
-    rep.tree_makespan[static_cast<size_t>(d.tree)] =
-        std::max(rep.tree_makespan[static_cast<size_t>(d.tree)], done);
-    issue(d.tree, ev.receiver_pos);
-  }
-  for (Time t : rep.tree_makespan) rep.makespan = std::max(rep.makespan, t);
-
-  // Flatten every hold window and sweep per channel, as lint_tree does,
-  // but classify overlapping pairs as intra- vs cross-tree.
-  std::vector<ForestHold> holds;
-  for (size_t t = 0; t < sched.size(); ++t)
-    for (const SendWindow& w : sched[t])
-      for (size_t i = 0; i < w.path.size(); ++i)
-        holds.push_back(ForestHold{w.path[i], w.reserve[i],
-                                   w.reserve[i] + w.flits,
-                                   static_cast<int>(t), w.send});
-  std::sort(holds.begin(), holds.end(),
-            [](const ForestHold& a, const ForestHold& b) {
-              if (a.ch != b.ch) return a.ch < b.ch;
-              if (a.begin != b.begin) return a.begin < b.begin;
-              if (a.tree != b.tree) return a.tree < b.tree;
-              return a.send < b.send;
-            });
-
-  std::vector<ForestDiagnostic> contention;
-  constexpr size_t kRawPairCap = 4096;  // verdict stays exact; listing capped
-  for (size_t lo = 0; lo < holds.size();) {
-    size_t hi = lo;
-    while (hi < holds.size() && holds[hi].ch == holds[lo].ch) ++hi;
-    rep.channels_used++;
-    rep.max_channel_windows =
-        std::max(rep.max_channel_windows, static_cast<int>(hi - lo));
-    for (size_t j = lo; j < hi; ++j) {
-      for (size_t k = j + 1; k < hi && holds[k].begin < holds[j].end; ++k) {
-        rep.contention_free = false;
-        if (contention.size() >= kRawPairCap) continue;
-        ForestDiagnostic d;
-        d.kind = DiagKind::kContention;
-        d.tree_a = holds[j].tree;  // reserves first (ties: lower indices)
-        d.send_a = holds[j].send;
-        d.tree_b = holds[k].tree;
-        d.send_b = holds[k].send;
-        d.channel = holds[j].ch;
-        d.overlap_begin = holds[k].begin;
-        d.overlap_end = std::min(holds[j].end, holds[k].end);
-        contention.push_back(std::move(d));
+  std::vector<kernel::Hold> holds;
+  for (size_t t = 0; t < tl.sched.size(); ++t)
+    for (size_t idx = 0; idx < tl.sched[t].size(); ++idx) {
+      const SendWindow& w = tl.sched[t][idx];
+      const std::vector<sim::ChannelId>& path = tl.plans[t][idx].path;
+      for (size_t i = 0; i < path.size(); ++i) {
+        const Time b = kernel::reserve_time(w.inject_start, i, rd);
+        holds.push_back({path[i], b, b + w.flits, static_cast<int>(t), w.send});
       }
     }
-    lo = hi;
+  kernel::sweep_holds(holds, max_diagnostics, rep);
+
+  if (check_deadlock) {
+    std::vector<std::pair<int, int>> edges;
+    for (const std::vector<SendPlan>& plan : tl.plans)
+      for (const SendPlan& p : plan) kernel::add_path_edges(p.path, edges);
+    kernel::find_deadlock(edges, topo, max_diagnostics, rep.deadlock_free,
+                          rep.diagnostics);
   }
 
-  // One diagnostic per (tree, send) pair, keeping the earliest overlap,
-  // then chronological order — the first listed overlap is the first
-  // cycle run_concurrent charges a blocked head.
-  std::sort(contention.begin(), contention.end(),
-            [](const ForestDiagnostic& a, const ForestDiagnostic& b) {
-              if (a.tree_a != b.tree_a) return a.tree_a < b.tree_a;
-              if (a.send_a != b.send_a) return a.send_a < b.send_a;
-              if (a.tree_b != b.tree_b) return a.tree_b < b.tree_b;
-              if (a.send_b != b.send_b) return a.send_b < b.send_b;
-              if (a.overlap_begin != b.overlap_begin)
-                return a.overlap_begin < b.overlap_begin;
-              return a.channel < b.channel;
-            });
-  contention.erase(
-      std::unique(contention.begin(), contention.end(),
-                  [](const ForestDiagnostic& a, const ForestDiagnostic& b) {
-                    return a.tree_a == b.tree_a && a.send_a == b.send_a &&
-                           a.tree_b == b.tree_b && a.send_b == b.send_b;
-                  }),
-      contention.end());
-  for (const ForestDiagnostic& d : contention) {
-    if (d.tree_a == d.tree_b)
-      rep.intra_pairs++;
-    else
-      rep.cross_pairs++;
-  }
-  std::sort(contention.begin(), contention.end(),
-            [](const ForestDiagnostic& a, const ForestDiagnostic& b) {
-              if (a.overlap_begin != b.overlap_begin)
-                return a.overlap_begin < b.overlap_begin;
-              if (a.tree_a != b.tree_a) return a.tree_a < b.tree_a;
-              if (a.send_a != b.send_a) return a.send_a < b.send_a;
-              if (a.tree_b != b.tree_b) return a.tree_b < b.tree_b;
-              return a.send_b < b.send_b;
-            });
-  if (contention.size() > static_cast<size_t>(opts.max_diagnostics))
-    contention.resize(static_cast<size_t>(opts.max_diagnostics));
-  for (ForestDiagnostic& d : contention) rep.diagnostics.push_back(std::move(d));
-
-  if (opts.check_deadlock) {
-    std::vector<SendWindow> all;
-    all.reserve(static_cast<size_t>(rep.sends));
-    for (const std::vector<SendWindow>& s : sched)
-      all.insert(all.end(), s.begin(), s.end());
-    std::vector<sim::ChannelId> cycle =
-        channel_dependency_cycle(all, topo.num_channels());
-    if (!cycle.empty()) {
-      rep.deadlock_free = false;
-      if (rep.diagnostics.size() < static_cast<size_t>(opts.max_diagnostics)) {
-        ForestDiagnostic d;
-        d.kind = DiagKind::kDeadlock;
-        d.cycle = std::move(cycle);
-        rep.diagnostics.push_back(std::move(d));
-      }
-    }
-  }
-
-  if (opts.keep_schedules) rep.schedules = std::move(sched);
+  if (keep_schedules)
+    for (size_t t = 0; t < members.size(); ++t)
+      rep.schedules.push_back(take_windows(tl, t, rd));
   return rep;
+}
+
+}  // namespace
+
+std::vector<SendWindow> lint_schedule(const MulticastTree& tree,
+                                      const sim::Topology& topo,
+                                      const rt::RuntimeConfig& cfg,
+                                      const sim::SimConfig& sim_cfg,
+                                      Bytes payload, Time t0) {
+  validate_lint_config(sim_cfg, "lint_schedule");
+  const TreeRef one{&tree, payload, t0};
+  Timeline tl = derive({&one, 1}, topo, cfg, sim_cfg, std::max(1, cfg.send_engines));
+  return take_windows(tl, 0, sim_cfg.router_delay);
+}
+
+LintReport lint_tree(const MulticastTree& tree, const sim::Topology& topo,
+                     const rt::RuntimeConfig& cfg, const sim::SimConfig& sim_cfg,
+                     Bytes payload, const LintOptions& opts) {
+  validate_lint_config(sim_cfg, "lint_tree");
+  const TreeRef one{&tree, payload, 0};
+  ForestReport f = certify({&one, 1}, topo, cfg, sim_cfg,
+                           std::max(1, cfg.send_engines), opts.max_diagnostics,
+                           opts.check_deadlock, opts.keep_schedule);
+  LintReport rep;
+  rep.diagnostics = std::move(f.diagnostics);
+  if (!f.schedules.empty()) rep.schedule = std::move(f.schedules.front());
+  rep.structure_ok = f.structure_ok;
+  rep.contention_free = f.contention_free;
+  rep.deadlock_free = f.deadlock_free;
+  rep.sends = f.sends;
+  rep.channels_used = f.channels_used;
+  rep.max_channel_windows = f.max_channel_windows;
+  rep.makespan = f.makespan;
+  return rep;
+}
+
+ForestReport lint_forest(std::span<const ForestMember> members,
+                         const sim::Topology& topo, const rt::RuntimeConfig& cfg,
+                         const sim::SimConfig& sim_cfg,
+                         const ForestOptions& opts) {
+  validate_lint_config(sim_cfg, "lint_forest");
+  std::vector<TreeRef> refs;
+  refs.reserve(members.size());
+  for (const ForestMember& m : members) {
+    if (m.start < 0)
+      throw std::invalid_argument("lint_forest: negative start offset");
+    refs.push_back(TreeRef{&m.tree, m.payload, m.start});
+  }
+  return certify(refs, topo, cfg, sim_cfg, 1, opts.max_diagnostics,
+                 opts.check_deadlock, opts.keep_schedules);
+}
+
+std::string LintReport::describe(const MulticastTree& tree,
+                                 const sim::Topology& topo) const {
+  std::ostringstream os;
+  if (clean()) {
+    os << "clean: " << sends << " send(s), " << channels_used
+       << " channel(s), makespan " << makespan;
+    return os.str();
+  }
+  os << diagnostics.size() << " diagnostic(s)";
+  for (const LintDiagnostic& d : diagnostics) {
+    os << "\n  ";
+    switch (d.kind) {
+      case DiagKind::kStructure:
+        os << "structure: " << d.detail;
+        break;
+      case DiagKind::kContention: {
+        const SendEvent& a = tree.sends[static_cast<size_t>(d.send_a)];
+        const SendEvent& b = tree.sends[static_cast<size_t>(d.send_b)];
+        os << "contention: send#" << d.send_a << " " << tree.node(a.sender_pos)
+           << "->" << tree.node(a.receiver_pos) << " (chain " << a.sender_pos
+           << "->" << a.receiver_pos << ") vs send#" << d.send_b << " "
+           << tree.node(b.sender_pos) << "->" << tree.node(b.receiver_pos)
+           << " (chain " << b.sender_pos << "->" << b.receiver_pos << ") on "
+           << kernel::channel_name(topo, d.channel) << " during ["
+           << d.overlap_begin << ", " << d.overlap_end << ")";
+        break;
+      }
+      case DiagKind::kDeadlock:
+        os << kernel::describe_cycle(topo, d.cycle);
+        break;
+    }
+  }
+  return os.str();
 }
 
 std::string ForestReport::describe(std::span<const ForestMember> members,
@@ -271,7 +247,7 @@ std::string ForestReport::describe(std::span<const ForestMember> members,
     return os.str();
   }
   os << diagnostics.size() << " diagnostic(s)";
-  for (const ForestDiagnostic& d : diagnostics) {
+  for (const LintDiagnostic& d : diagnostics) {
     os << "\n  ";
     switch (d.kind) {
       case DiagKind::kStructure:
@@ -287,18 +263,13 @@ std::string ForestReport::describe(std::span<const ForestMember> members,
            << " " << ta.node(a.sender_pos) << "->" << ta.node(a.receiver_pos)
            << " vs tree#" << d.tree_b << " send#" << d.send_b << " "
            << tb.node(b.sender_pos) << "->" << tb.node(b.receiver_pos)
-           << " on "
-           << topo.channel_name(d.channel / topo.radix(),
-                                d.channel % topo.radix())
-           << " during [" << d.overlap_begin << ", " << d.overlap_end << ")";
+           << " on " << kernel::channel_name(topo, d.channel) << " during ["
+           << d.overlap_begin << ", " << d.overlap_end << ")";
         break;
       }
-      case DiagKind::kDeadlock: {
-        os << "deadlock: cyclic channel wait:";
-        for (sim::ChannelId c : d.cycle)
-          os << " " << topo.channel_name(c / topo.radix(), c % topo.radix());
+      case DiagKind::kDeadlock:
+        os << kernel::describe_cycle(topo, d.cycle);
         break;
-      }
     }
   }
   return os.str();

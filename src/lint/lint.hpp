@@ -15,24 +15,22 @@
 // reserved.  Conversely the earliest reported overlap is the first
 // dynamic block, so for single-candidate routing the static verdict and
 // the simulator + InvariantAuditor verdict coincide (tests enforce both
-// directions on randomized scenarios).  For adaptive or multi-NI-port
-// configurations the analyzer stays *sound* (clean implies clean) but may
-// report false positives, since hardware may route around an overlap.
+// directions on randomized scenarios).
+//
+// One window kernel (kernel.hpp) writes the per-send algebra once and
+// every entry point drives it: lint_forest (N trees on one shared
+// timeline, one engine per node, as MulticastRuntime::run_concurrent),
+// lint_tree / lint_schedule (a forest of one with cfg.send_engines
+// engines, as MulticastRuntime::run), earliest_clean_offset (the
+// admission primitive) and lint_stream (the windowed stream as a
+// periodic forest; one send engine only).  Each activation's sends enter
+// the NI in (ready, post order), the simulator's release order.
 //
 // A separate pass builds the channel-dependency graph of all message
 // paths (edge c_i -> c_{i+1} per consecutive path hop) and reports any
 // cycle: a cyclic channel wait is the classic necessary condition for
 // wormhole deadlock.  Dimension-ordered mesh routing and BMIN turnaround
 // routing are acyclic; custom topologies may not be.
-//
-// v2 adds cross-tree *forest* certification (lint_forest: N trees with
-// start offsets on one shared channel timeline, mirroring
-// MulticastRuntime::run_concurrent), an admission primitive
-// (earliest_clean_offset: minimal start offset keeping a new tree off an
-// admitted set's channel reservations), and steady-state *stream*
-// analysis (lint_stream: the windowed streaming schedule as a periodic
-// extension of the per-send windows, with the exact per-slot pipeline
-// interval extracted from the detected period).
 #pragma once
 
 #include <span>
@@ -74,15 +72,20 @@ enum class DiagKind {
   kDeadlock,    ///< the channel-dependency graph has a cycle
 };
 
-/// One structured finding.  For kContention, `send_a` issues strictly
-/// first (earlier reserve on the shared channel; ties broken by index)
-/// and [overlap_begin, overlap_end) is the half-open intersection of the
-/// two hold windows — its start is the first cycle the simulator charges
-/// a blocked head.  For kDeadlock, `cycle` lists the channel-wait loop.
-/// For kStructure, `detail` carries the check_tree diagnostic.
+/// One structured finding.  For kContention, (tree_a, send_a) reserves
+/// the shared channel first (ties broken by tree then send index) and
+/// [overlap_begin, overlap_end) is the half-open intersection of the two
+/// hold windows — its start is the first cycle the simulator charges a
+/// blocked head.  tree_a/tree_b index the forest members (0 in a
+/// lint_tree report; unused by lint_stream, whose send_a/send_b carry the
+/// streaming tag).  For kDeadlock, `cycle` lists the channel-wait loop.
+/// For kStructure, `detail` carries the check_tree diagnostic and tree_a
+/// the offending member.
 struct LintDiagnostic {
   DiagKind kind = DiagKind::kContention;
+  int tree_a = -1;
   int send_a = -1;
+  int tree_b = -1;
   int send_b = -1;
   sim::ChannelId channel = -1;
   Time overlap_begin = 0;
@@ -123,9 +126,11 @@ struct LintReport {
 };
 
 /// Derives the exact uncontended timeline of every send of `tree`
-/// carrying `payload` bytes, mirroring MulticastRuntime::run posting
-/// semantics (per-node software engines spaced t_hold apart, FIFO NI
-/// engine assignment) and the simulator's injection/reservation timing.
+/// carrying `payload` bytes and starting at t0 — the kernel run on a
+/// forest of one — mirroring MulticastRuntime::run posting semantics
+/// (cfg.send_engines software engines per node, round-robin, t_hold
+/// apart; sends enter the NI in (ready, post order) and take the
+/// earliest-free port) and the simulator's injection/reservation timing.
 /// Throws std::invalid_argument when sim_cfg.router_delay < 1 (the
 /// simulator's sub-cycle sweep order would decide ties) or when the
 /// FIFO depth cannot sustain a bubble-free pipeline
@@ -137,9 +142,10 @@ std::vector<SendWindow> lint_schedule(const MulticastTree& tree,
                                       const sim::SimConfig& sim_cfg,
                                       Bytes payload, Time t0 = 0);
 
-/// Full static analysis: structure check, schedule derivation, pairwise
-/// channel-overlap scan, and (optionally) the channel-dependency-graph
-/// deadlock check.
+/// Full static analysis of one tree — lint_forest's certification of a
+/// forest of one, with cfg.send_engines engines per node: structure
+/// check, schedule derivation, pairwise channel-overlap scan, and
+/// (optionally) the channel-dependency-graph deadlock check.
 LintReport lint_tree(const MulticastTree& tree, const sim::Topology& topo,
                      const rt::RuntimeConfig& cfg, const sim::SimConfig& sim_cfg,
                      Bytes payload, const LintOptions& opts = {});
@@ -148,13 +154,6 @@ LintReport lint_tree(const MulticastTree& tree, const sim::Topology& topo,
 /// >= 1, fifo_capacity >= router_delay + 1); throws std::invalid_argument
 /// naming `who` otherwise.  Every lint entry point calls this.
 void validate_lint_config(const sim::SimConfig& sim_cfg, const char* who);
-
-/// Finds one cycle in the channel-dependency graph of the schedules'
-/// paths (edge c -> c' when some message traverses c' immediately after
-/// c), or returns empty when acyclic.  Exposed so forest/stream analyses
-/// reuse the same deterministic DFS as lint_tree.
-std::vector<sim::ChannelId> channel_dependency_cycle(
-    std::span<const SendWindow> sched, int num_channels);
 
 // ---------------------------------------------------------------------------
 // Forest analysis: N concurrent trees on one shared channel timeline.
@@ -166,22 +165,6 @@ struct ForestMember {
   Time start = 0;  ///< activation offset relative to the forest origin
 };
 
-/// A forest finding.  Like LintDiagnostic but each send is qualified by
-/// its tree; for kContention, (tree_a, send_a) reserves the shared
-/// channel first (ties broken by tree then send index).
-struct ForestDiagnostic {
-  DiagKind kind = DiagKind::kContention;
-  int tree_a = -1;
-  int send_a = -1;
-  int tree_b = -1;
-  int send_b = -1;
-  sim::ChannelId channel = -1;
-  Time overlap_begin = 0;
-  Time overlap_end = 0;
-  std::vector<sim::ChannelId> cycle;
-  std::string detail;
-};
-
 struct ForestOptions {
   int max_diagnostics = 64;
   bool check_deadlock = true;
@@ -189,7 +172,7 @@ struct ForestOptions {
 };
 
 struct ForestReport {
-  std::vector<ForestDiagnostic> diagnostics;
+  std::vector<LintDiagnostic> diagnostics;
   /// Per-member exact timelines (absolute times); empty unless
   /// keep_schedules.
   std::vector<std::vector<SendWindow>> schedules;
@@ -212,20 +195,20 @@ struct ForestReport {
                                      const sim::Topology& topo) const;
 };
 
-/// Derives the exact uncontended timeline of every send of every tree on
-/// the *shared* per-node CPU and NI state — mirroring
-/// MulticastRuntime::run_concurrent, including its quirks: one software
-/// timeline per node (send_engines is not consulted), all sources
-/// activated in member order before the first cycle (so at a shared
-/// source a later member queues behind an earlier one even with a smaller
-/// start offset), and receive processing serialized on the shared CPU
-/// (recv begins at max(delivered, cpu free)).  Delivery events are
-/// replayed in the simulator's handler order — (delivered cycle, ejection
-/// channel id) — so the derivation is exact whenever the dynamic run is
-/// contention-free, and the earliest static overlap is the first dynamic
-/// block (tests enforce verdict equivalence on randomized forests).
-/// Then overlap-scans the combined channel holds and (optionally) checks
-/// the union channel-dependency graph for cycles.
+/// Runs the window kernel over every tree on the *shared* per-node CPU
+/// and NI state — mirroring MulticastRuntime::run_concurrent, including
+/// its quirks: one software engine per node (send_engines is not
+/// consulted), all sources activated in member order before the first
+/// cycle (so at a shared source a later member queues behind an earlier
+/// one even with a smaller start offset), and receive processing
+/// serialized on the shared CPU (recv begins at max(delivered, cpu
+/// free)).  Delivery events are replayed in the simulator's handler order
+/// — (delivered cycle, ejection channel id) — so the derivation is exact
+/// whenever the dynamic run is contention-free, and the earliest static
+/// overlap is the first dynamic block (tests enforce verdict equivalence
+/// on randomized forests).  Then overlap-scans the combined channel holds
+/// and (optionally) checks the union channel-dependency graph for cycles.
+/// lint_tree is this certification applied to a forest of one.
 ForestReport lint_forest(std::span<const ForestMember> members,
                          const sim::Topology& topo, const rt::RuntimeConfig& cfg,
                          const sim::SimConfig& sim_cfg,
@@ -285,10 +268,10 @@ struct StreamLintReport {
   Time slot_latency = 0;       ///< commit time of slot 0
   Time makespan = 0;           ///< commit time of the last slot
   double slots_per_kcycle = 0.0;  ///< 1000 * slots / makespan
-  /// Analytic lower bounds on the interval: the busiest per-(node,
-  /// engine) software time per slot (sum of t_hold over its sends — the
-  /// objective a throughput-targeted split-table DP minimizes) and the
-  /// busiest channel's flit occupancy per slot.
+  /// Analytic lower bounds on the interval: the busiest node's software
+  /// time per slot (sum of t_hold over its sends — the objective a
+  /// throughput-targeted split-table DP minimizes) and the busiest
+  /// channel's flit occupancy per slot.
   Time busy_bound = 0;
   NodeId busy_node = kInvalidNode;
   Time channel_bound = 0;
@@ -305,17 +288,20 @@ struct StreamLintReport {
 };
 
 /// Statically replays StreamRuntime's fault-free windowed pipeline
-/// (stream_fast): per-slot activations through the persistent per-node
-/// engine timelines, window backpressure off the cumulative commit
-/// frontier, and the full-drain resynchronization — as a symbolic event
-/// loop in the simulator's delivery order.  Detects the steady state by
+/// (stream_fast) as a periodic forest: each slot's activations are placed
+/// by the window kernel on persistent per-node engine timelines, with
+/// window backpressure off the cumulative commit frontier and the
+/// full-drain resynchronization, in the kernel's delivery order.  Detects the steady state by
 /// state matching (relative per-node timelines + open-window ring +
 /// pending deliveries), reports the exact per-slot pipeline interval
 /// T / d, and extrapolates the remaining commit times by the recurrence
 /// commit[s] = commit[s - d] + T once every distinct pair class of
 /// channel holds has been overlap-checked.  Exact (bit-identical commit
 /// times, and verdict-equivalent to channel_conflicts == 0) under the
-/// single-candidate-routing caveats documented above.
+/// single-candidate-routing caveats documented above.  Requires one send
+/// engine: throws std::invalid_argument when cfg.send_engines > 1, since
+/// a later slot's post may then be ready before an earlier slot's and the
+/// per-activation NI order no longer matches the simulator's.
 StreamLintReport lint_stream(const MulticastTree& tree, const sim::Topology& topo,
                              const rt::RuntimeConfig& cfg,
                              const sim::SimConfig& sim_cfg, Bytes payload,

@@ -1,13 +1,17 @@
 // Steady-state analysis of the windowed streaming schedule.
 //
 // lint_stream replays StreamRuntime's fault-free pipeline (stream_fast)
-// as a symbolic event loop: the same per-slot activations through
-// persistent per-node engine timelines, the same window backpressure off
-// the cumulative commit frontier, the same full-drain resynchronization,
-// with delivery events processed in the simulator's handler order —
-// (delivered cycle, ejection channel id).  On a contention-free run the
-// derived commit times are bit-identical to stream_fast's (tests enforce
-// it), and the earliest static hold overlap is the first dynamic block.
+// as a periodic forest on the window kernel (kernel.hpp): every slot's
+// activations are placed by the kernel on persistent per-node engine
+// timelines, with the same window backpressure off the cumulative commit
+// frontier and the same full-drain resynchronization, and deliveries pop
+// from the kernel's queue in the simulator's handler order — (delivered
+// cycle, ejection channel id).  One send engine is required: with more, a
+// later slot's post can be ready before an earlier slot's at the same
+// node, and the simulator's global release order would interleave them.
+// On a contention-free run the derived commit times are bit-identical to
+// stream_fast's (tests enforce it), and the earliest static hold overlap
+// is the first dynamic block.
 //
 // The pipeline reaches a *steady state*: activation times and window
 // occupancy are driven by a finite amount of relative state, so the
@@ -26,39 +30,18 @@
 // has been checked, then extrapolates.
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 
-#include "lint/lint.hpp"
+#include "lint/kernel.hpp"
 
 namespace pcm::lint {
 namespace {
 
-/// Per-send constants of the (slot-invariant) tree schedule.
-struct SendPlan {
-  int receiver_pos = -1;
-  int flits = 0;
-  Time t_send = 0;
-  Time t_hold = 0;
-  Time t_recv = 0;
-  std::vector<sim::ChannelId> path;
-};
-
-/// Simulator delivery order: cycle, then the router/port sweep (ejection
-/// channel id); the tag never ties but keeps the ordering strict.
-struct Delivery {
-  Time delivered = 0;
-  sim::ChannelId eject = -1;
-  int tag = -1;  ///< slot * sends_per_slot + send index
-  bool operator>(const Delivery& o) const {
-    if (delivered != o.delivered) return delivered > o.delivered;
-    if (eject != o.eject) return eject > o.eject;
-    return tag > o.tag;
-  }
-};
+using kernel::Delivery;
 
 /// In-flight hold windows of one channel, sorted by begin.  Eviction is
 /// garbage collection only: a stale window (end <= now) can never overlap
@@ -71,14 +54,6 @@ struct ChannelBuffer {
   };
   std::vector<Hold> holds;
   size_t head = 0;
-};
-
-struct RawDiag {
-  int tag_a = -1;  ///< earlier begin
-  int tag_b = -1;
-  sim::ChannelId ch = -1;
-  Time overlap_begin = 0;
-  Time overlap_end = 0;
 };
 
 std::uint64_t fnv1a(const std::vector<long long>& v) {
@@ -102,6 +77,11 @@ StreamLintReport lint_stream(const MulticastTree& tree,
                              int slots, int window,
                              const StreamLintOptions& opts) {
   validate_lint_config(sim_cfg, "lint_stream");
+  if (cfg.send_engines > 1)
+    throw std::invalid_argument(
+        "lint_stream: send_engines must be 1 (with more, a later slot's post "
+        "can be ready before an earlier slot's and the NI order is the "
+        "simulator's global release order)");
   if (slots < 1) throw std::invalid_argument("lint_stream: slots must be >= 1");
   if (window < 1)
     throw std::invalid_argument("lint_stream: window must be >= 1");
@@ -123,50 +103,29 @@ StreamLintReport lint_stream(const MulticastTree& tree,
     return rep;
   }
 
-  const MachineParams& mp = cfg.machine;
-  const rt::MulticastRuntime runtime(cfg);
   const int k = tree.num_nodes();
   const int src = tree.chain.source_pos;
-  const int engines = std::max(1, cfg.send_engines);
   const int n_sends = rep.sends_per_slot;
-  const int ni_ports = topo.ports_per_node();
   const Time rd = sim_cfg.router_delay;
 
   // Slot-invariant per-send constants, incl. the routed path.
-  std::vector<SendPlan> plan(static_cast<size_t>(n_sends));
-  for (int idx = 0; idx < n_sends; ++idx) {
-    const SendEvent& ev = tree.sends[static_cast<size_t>(idx)];
-    const int interval = ev.sub_hi - ev.sub_lo + 1;
-    const Bytes wire = runtime.wire_bytes(payload, interval);
-    SendPlan& p = plan[static_cast<size_t>(idx)];
-    p.receiver_pos = ev.receiver_pos;
-    p.flits = runtime.wire_flits(payload, interval);
-    p.t_send = mp.t_send(wire);
-    p.t_hold = mp.t_hold(wire);
-    p.t_recv = mp.t_recv(wire);
-    topo.append_path(tree.node(ev.sender_pos), tree.node(ev.receiver_pos),
-                     p.path);
-  }
+  const std::vector<kernel::SendPlan> plan =
+      kernel::plan_sends(tree, topo, cfg, payload);
 
-  // Analytic per-slot bounds: busiest (node, engine) software time (the
-  // round-robin t_hold sum — the throughput DP objective) and busiest
-  // channel flit occupancy.
+  // Analytic per-slot bounds: busiest node's software time (the t_hold
+  // sum — the throughput DP objective) and busiest channel flit occupancy.
   for (int pos = 0; pos < k; ++pos) {
-    std::vector<Time> busy(static_cast<size_t>(engines), 0);
-    int e = 0;
-    for (int idx : tree.out[static_cast<size_t>(pos)]) {
-      busy[static_cast<size_t>(e)] += plan[static_cast<size_t>(idx)].t_hold;
-      e = (e + 1) % engines;
+    Time busy = 0;
+    for (int idx : tree.out[static_cast<size_t>(pos)])
+      busy += plan[static_cast<size_t>(idx)].t_hold;
+    if (busy > rep.busy_bound) {
+      rep.busy_bound = busy;
+      rep.busy_node = tree.node(pos);
     }
-    for (Time b : busy)
-      if (b > rep.busy_bound) {
-        rep.busy_bound = b;
-        rep.busy_node = tree.node(pos);
-      }
   }
   {
     std::vector<Time> occupancy(static_cast<size_t>(topo.num_channels()), 0);
-    for (const SendPlan& p : plan)
+    for (const kernel::SendPlan& p : plan)
       for (sim::ChannelId ch : p.path) {
         occupancy[static_cast<size_t>(ch)] += p.flits;
         rep.channel_bound =
@@ -175,10 +134,8 @@ StreamLintReport lint_stream(const MulticastTree& tree,
   }
 
   // ---- symbolic replay of stream_fast ------------------------------------
-  std::vector<std::vector<Time>> next_op(
-      static_cast<size_t>(k), std::vector<Time>(static_cast<size_t>(engines), 0));
-  std::vector<std::vector<Time>> ni_free(
-      static_cast<size_t>(k), std::vector<Time>(static_cast<size_t>(ni_ports), 0));
+  // Nodes are keyed by chain position; each slot is a forest member.
+  kernel::WindowKernel kern(k, 1, topo.ports_per_node(), rd);
 
   struct Ring {
     int remaining = 0;
@@ -189,12 +146,8 @@ StreamLintReport lint_stream(const MulticastTree& tree,
   int frontier = 0;
   rep.commit_time.assign(static_cast<size_t>(slots), -1);
 
-  // Min-heap kept as a plain vector so snapshots can walk it.
-  std::vector<Delivery> heap;
-  const auto heap_cmp = std::greater<>{};
-
   std::vector<ChannelBuffer> buffers(static_cast<size_t>(topo.num_channels()));
-  std::vector<RawDiag> raw;
+  std::vector<LintDiagnostic> raw;  // send_a/send_b: tags, send_a begins first
   constexpr size_t kRawPairCap = 4096;  // verdict stays exact; listing capped
   Time now = 0;            // current event time (eviction + clamp floor)
   Time max_lookahead = 0;  // max hold end minus its creation event time
@@ -215,8 +168,12 @@ StreamLintReport lint_stream(const MulticastTree& tree,
       if (raw.size() >= kRawPairCap) continue;
       const ChannelBuffer::Hold& h = buf.holds[j];
       const bool old_first = h.begin <= b;
-      raw.push_back(RawDiag{old_first ? h.tag : tag, old_first ? tag : h.tag,
-                            ch, std::max(b, h.begin), std::min(e, h.end)});
+      LintDiagnostic& d = raw.emplace_back();
+      d.send_a = old_first ? h.tag : tag;
+      d.send_b = old_first ? tag : h.tag;
+      d.channel = ch;
+      d.overlap_begin = std::max(b, h.begin);
+      d.overlap_end = std::min(e, h.end);
     }
     const auto it = std::upper_bound(
         buf.holds.begin() + static_cast<long>(buf.head), buf.holds.end(), b,
@@ -225,34 +182,16 @@ StreamLintReport lint_stream(const MulticastTree& tree,
     max_lookahead = std::max(max_lookahead, e - now);
   };
 
-  // Identical to stream_fast's activate, plus the NI assignment, path
-  // expansion and delivery scheduling the simulator performs.
+  // stream_fast's activate through the kernel, plus the online hold check.
   auto activate = [&](int slot, int pos, Time at) {
-    auto& ops = next_op[static_cast<size_t>(pos)];
-    for (Time& t : ops) t = std::max(t, at);
-    int e = 0;
-    for (int idx : tree.out[static_cast<size_t>(pos)]) {
-      const SendPlan& p = plan[static_cast<size_t>(idx)];
-      const Time ready = ops[static_cast<size_t>(e)] + p.t_send;
-      ops[static_cast<size_t>(e)] += p.t_hold;
-      e = (e + 1) % engines;
-
-      auto& ports = ni_free[static_cast<size_t>(pos)];
-      size_t port = 0;
-      for (size_t q = 1; q < ports.size(); ++q)
-        if (ports[q] < ports[port]) port = q;
-      const Time inject_start = std::max(ready, ports[port]);
-      ports[port] = inject_start + p.flits;
-
-      const int tag = slot * n_sends + idx;
+    for (const kernel::Placement& pl :
+         kern.activate(slot, pos, at, tree.out[static_cast<size_t>(pos)], plan)) {
+      const kernel::SendPlan& p = plan[static_cast<size_t>(pl.send)];
+      const int tag = slot * n_sends + pl.send;
       for (size_t i = 0; i < p.path.size(); ++i) {
-        const Time b = inject_start + static_cast<Time>(i + 1) * rd;
+        const Time b = kernel::reserve_time(pl.inject_start, i, rd);
         add_hold(p.path[i], b, b + p.flits, tag);
       }
-      heap.push_back(Delivery{
-          inject_start + static_cast<Time>(p.path.size()) * rd + p.flits - 1,
-          p.path.back(), tag});
-      std::push_heap(heap.begin(), heap.end(), heap_cmp);
     }
   };
 
@@ -287,27 +226,20 @@ StreamLintReport lint_stream(const MulticastTree& tree,
     snap.commit = c;
     std::vector<long long>& st = snap.state;
     st.push_back(injected - frontier);
-    for (const auto& ops : next_op)
-      for (Time t : ops) st.push_back(std::max(t, now) - c);
-    for (const auto& ports : ni_free)
-      for (Time t : ports) st.push_back(std::max(t, now) - c);
+    for (const Time t : kern.engines()) st.push_back(std::max(t, now) - c);
+    for (const Time t : kern.ni()) st.push_back(std::max(t, now) - c);
     for (int s2 = frontier; s2 < injected; ++s2) {
       const Ring& r = ring[static_cast<size_t>(s2 % window)];
       st.push_back(r.remaining);
       st.push_back(r.max_done - c);
     }
-    std::vector<Delivery> pend = heap;
-    std::sort(pend.begin(), pend.end(),
-              [](const Delivery& a, const Delivery& b) {
-                if (a.delivered != b.delivered) return a.delivered < b.delivered;
-                if (a.eject != b.eject) return a.eject < b.eject;
-                return a.tag < b.tag;
-              });
+    std::vector<Delivery> pend(kern.queue().begin(), kern.queue().end());
+    std::sort(pend.begin(), pend.end());
     for (const Delivery& d : pend) {
       st.push_back(d.delivered - c);
       st.push_back(d.eject);
-      st.push_back(d.tag / n_sends - s);
-      st.push_back(d.tag % n_sends);
+      st.push_back(d.tree - s);
+      st.push_back(d.send);
     }
     const std::uint64_t h = fnv1a(st);
     for (size_t i : by_hash[h]) {
@@ -332,13 +264,11 @@ StreamLintReport lint_stream(const MulticastTree& tree,
   };
 
   inject(0);
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), heap_cmp);
-    const Delivery d = heap.back();
-    heap.pop_back();
+  while (!kern.idle()) {
+    const Delivery d = kern.pop();
     now = d.delivered;
-    const int slot = d.tag / n_sends;
-    const SendPlan& p = plan[static_cast<size_t>(d.tag % n_sends)];
+    const int slot = d.tree;
+    const kernel::SendPlan& p = plan[static_cast<size_t>(d.send)];
     const Time done = d.delivered + p.t_recv;
     activate(slot, p.receiver_pos, done);
     Ring& rg = ring[static_cast<size_t>(slot % window)];
@@ -354,7 +284,7 @@ StreamLintReport lint_stream(const MulticastTree& tree,
       committed = true;
     }
     if (frontier == injected)
-      for (auto& ops : next_op) std::fill(ops.begin(), ops.end(), Time{0});
+      std::ranges::fill(kern.engines(), Time{0});
     inject(at);
     if (committed && period_d == 0 && frontier < slots) maybe_snapshot();
     if (period_d > 0 && frontier >= stop_after) break;
@@ -386,59 +316,37 @@ StreamLintReport lint_stream(const MulticastTree& tree,
   // steady-state overlap repeats every period and would drown the
   // listing.  Keep the earliest instance of each pattern, listed
   // chronologically.
-  auto pattern = [n_sends](const RawDiag& r) {
-    const long long sa = r.tag_a % n_sends;
-    const long long sb = r.tag_b % n_sends;
-    const long long dist = r.tag_b / n_sends - r.tag_a / n_sends;
+  auto pattern = [n_sends](const LintDiagnostic& d) {
+    const long long sa = d.send_a % n_sends;
+    const long long sb = d.send_b % n_sends;
+    const long long dist = d.send_b / n_sends - d.send_a / n_sends;
     return (dist * n_sends + sa) * n_sends + sb;
   };
-  std::sort(raw.begin(), raw.end(), [&](const RawDiag& a, const RawDiag& b) {
-    const long long pa = pattern(a), pb = pattern(b);
-    if (pa != pb) return pa < pb;
-    if (a.overlap_begin != b.overlap_begin)
-      return a.overlap_begin < b.overlap_begin;
-    return a.ch < b.ch;
-  });
+  std::sort(raw.begin(), raw.end(),
+            [&](const LintDiagnostic& a, const LintDiagnostic& b) {
+              return std::tuple(pattern(a), a.overlap_begin, a.channel) <
+                     std::tuple(pattern(b), b.overlap_begin, b.channel);
+            });
   raw.erase(std::unique(raw.begin(), raw.end(),
-                        [&](const RawDiag& a, const RawDiag& b) {
+                        [&](const LintDiagnostic& a, const LintDiagnostic& b) {
                           return pattern(a) == pattern(b);
                         }),
             raw.end());
-  std::sort(raw.begin(), raw.end(), [](const RawDiag& a, const RawDiag& b) {
-    if (a.overlap_begin != b.overlap_begin)
-      return a.overlap_begin < b.overlap_begin;
-    if (a.tag_a != b.tag_a) return a.tag_a < b.tag_a;
-    return a.tag_b < b.tag_b;
-  });
+  std::sort(raw.begin(), raw.end(),
+            [](const LintDiagnostic& a, const LintDiagnostic& b) {
+              return std::tie(a.overlap_begin, a.send_a, a.send_b) <
+                     std::tie(b.overlap_begin, b.send_a, b.send_b);
+            });
   if (raw.size() > static_cast<size_t>(opts.max_diagnostics))
     raw.resize(static_cast<size_t>(opts.max_diagnostics));
-  for (const RawDiag& r : raw) {
-    LintDiagnostic d;
-    d.kind = DiagKind::kContention;
-    d.send_a = r.tag_a;
-    d.send_b = r.tag_b;
-    d.channel = r.ch;
-    d.overlap_begin = r.overlap_begin;
-    d.overlap_end = r.overlap_end;
-    rep.diagnostics.push_back(std::move(d));
-  }
+  rep.diagnostics = std::move(raw);
 
   if (opts.check_deadlock) {
     // The channel-dependency graph is slot-invariant: one slot decides it.
-    std::vector<SendWindow> proto(static_cast<size_t>(n_sends));
-    for (int idx = 0; idx < n_sends; ++idx)
-      proto[static_cast<size_t>(idx)].path = plan[static_cast<size_t>(idx)].path;
-    std::vector<sim::ChannelId> cycle =
-        channel_dependency_cycle(proto, topo.num_channels());
-    if (!cycle.empty()) {
-      rep.deadlock_free = false;
-      if (rep.diagnostics.size() < static_cast<size_t>(opts.max_diagnostics)) {
-        LintDiagnostic d;
-        d.kind = DiagKind::kDeadlock;
-        d.cycle = std::move(cycle);
-        rep.diagnostics.push_back(std::move(d));
-      }
-    }
+    std::vector<std::pair<int, int>> edges;
+    for (const kernel::SendPlan& p : plan) kernel::add_path_edges(p.path, edges);
+    kernel::find_deadlock(edges, topo, opts.max_diagnostics, rep.deadlock_free,
+                          rep.diagnostics);
   }
   return rep;
 }
@@ -470,18 +378,13 @@ std::string StreamLintReport::describe(const MulticastTree& tree,
            << tree.node(a.receiver_pos) << " vs slot#"
            << d.send_b / sends_per_slot << " send#" << sb << " "
            << tree.node(b.sender_pos) << "->" << tree.node(b.receiver_pos)
-           << " on "
-           << topo.channel_name(d.channel / topo.radix(),
-                                d.channel % topo.radix())
-           << " during [" << d.overlap_begin << ", " << d.overlap_end << ")";
+           << " on " << kernel::channel_name(topo, d.channel) << " during ["
+           << d.overlap_begin << ", " << d.overlap_end << ")";
         break;
       }
-      case DiagKind::kDeadlock: {
-        os << "deadlock: cyclic channel wait:";
-        for (sim::ChannelId c : d.cycle)
-          os << " " << topo.channel_name(c / topo.radix(), c % topo.radix());
+      case DiagKind::kDeadlock:
+        os << kernel::describe_cycle(topo, d.cycle);
         break;
-      }
     }
   }
   return os.str();

@@ -17,6 +17,29 @@ int MulticastRuntime::wire_flits(Bytes payload, int interval_nodes) const {
   return std::max<int>(1, static_cast<int>(f));
 }
 
+RetryDeadlines::RetryDeadlines(const FtConfig& ft, const MachineParams& mp,
+                               Bytes wire1, const SplitTable& repair)
+    : scale_(ft.timeout_scale),
+      slack_(ft.timeout_slack),
+      mp_(mp),
+      repair_(repair),
+      retry_budget_((ft.max_retries + 1) * (scaled(mp.t_end(wire1)) + slack_) +
+                    ((Time{1} << ft.max_retries) - 1) * mp.t_hold(wire1)) {}
+
+Time RetryDeadlines::scaled(Time model) const {
+  return static_cast<Time>(scale_ * static_cast<double>(model));
+}
+
+Time RetryDeadlines::ack(Time op_start, Bytes wire, int attempt) const {
+  const Time backoff = ((Time{1} << attempt) - 1) * mp_.t_hold(wire);
+  return op_start + scaled(mp_.t_end(wire)) + slack_ + backoff;
+}
+
+Time RetryDeadlines::subtree(Time from, int n) const {
+  const Time model = repair_.latency(std::min(n, repair_.size()));
+  return from + scaled(model) + slack_ + retry_budget_;
+}
+
 McastResult MulticastRuntime::run(sim::Simulator& sim, const MulticastTree& tree,
                                   Bytes payload, Time t0) const {
   if (!sim.idle()) throw std::logic_error("MulticastRuntime::run: simulator busy");
@@ -134,30 +157,7 @@ McastResult MulticastRuntime::run_reliable(sim::Simulator& sim,
   };
   std::vector<Pending> recs;
 
-  // Per-attempt fuel for the subtree budget: one full retry ladder.
-  const Bytes wire1 = wire_bytes(payload, 1);
-  const Time retry_budget =
-      (ft.max_retries + 1) * (static_cast<Time>(ft.timeout_scale *
-                                                static_cast<double>(mp.t_end(wire1))) +
-                              ft.timeout_slack) +
-      ((Time{1} << ft.max_retries) - 1) * mp.t_hold(wire1);
-
-  // The model promises the receiver is done t_end after the send op
-  // starts; scale it, pad it, and back off (2^attempt - 1) holds.
-  auto ack_deadline_for = [&](Time op_start, Bytes wire, int attempt) {
-    const Time bound =
-        static_cast<Time>(ft.timeout_scale * static_cast<double>(mp.t_end(wire)));
-    const Time backoff = ((Time{1} << attempt) - 1) * mp.t_hold(wire);
-    return op_start + bound + ft.timeout_slack + backoff;
-  };
-
-  // Once acked, the receiver owes us its whole interval: model time of a
-  // multicast among n nodes, scaled, plus fuel for one retry ladder.
-  auto subtree_deadline_for = [&](Time from, int n) {
-    const Time model = repair_table.latency(std::min(n, repair_table.size()));
-    return from + static_cast<Time>(ft.timeout_scale * static_cast<double>(model)) +
-           ft.timeout_slack + retry_budget;
-  };
+  const RetryDeadlines deadlines(ft, mp, wire_bytes(payload, 1), repair_table);
 
   auto trace = [&](AckEvent::Kind kind, Time t, std::size_t ri, int attempt,
                    int recv_pos) {
@@ -190,7 +190,7 @@ McastResult MulticastRuntime::run_reliable(sim::Simulator& sim,
     m.tag = static_cast<int>(ri);
     sim.post(m);
     ++res.messages;
-    rec.ack_deadline = ack_deadline_for(op, wire, rec.attempt);
+    rec.ack_deadline = deadlines.ack(op, wire, rec.attempt);
     op += mp.t_hold(wire);
     e = (e + 1) % engines;
   };
@@ -273,7 +273,7 @@ McastResult MulticastRuntime::run_reliable(sim::Simulator& sim,
       ++res.duplicate_deliveries;
       if (!recs[ri].acked) {
         recs[ri].acked = true;
-        recs[ri].subtree_deadline = subtree_deadline_for(done, n);
+        recs[ri].subtree_deadline = deadlines.subtree(done, n);
         trace(AckEvent::Kind::kAck, done, ri, recs[ri].attempt, pos);
       }
       return;
@@ -298,7 +298,7 @@ McastResult MulticastRuntime::run_reliable(sim::Simulator& sim,
       recs[ri].closed = true;
       return;
     }
-    recs[ri].subtree_deadline = subtree_deadline_for(done, n);
+    recs[ri].subtree_deadline = deadlines.subtree(done, n);
     if (primary) {
       activate(pos, done);
     } else {
@@ -356,7 +356,7 @@ McastResult MulticastRuntime::run_reliable(sim::Simulator& sim,
           // Served via another record; keep watching the interval.
           rec.acked = true;
           rec.subtree_deadline =
-              subtree_deadline_for(now, static_cast<int>(rec.interval.size()));
+              deadlines.subtree(now, static_cast<int>(rec.interval.size()));
           trace(AckEvent::Kind::kAck, now, ri, rec.attempt, rec.recv_pos);
           continue;
         }

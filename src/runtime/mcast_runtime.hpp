@@ -19,6 +19,7 @@
 #include "core/algorithms.hpp"
 #include "core/model.hpp"
 #include "core/multicast_tree.hpp"
+#include "core/opt_tree.hpp"
 #include "obs/recorder.hpp"
 #include "sim/simulator.hpp"
 
@@ -105,6 +106,32 @@ struct FtConfig {
   /// slot payload -1 for one-shot multicasts).  Not owned; nullptr (the
   /// default) records nothing.
   obs::FlightRecorder* recorder = nullptr;
+};
+
+/// The retry-deadline formula of every reliable protocol (run_reliable
+/// and the reliable stream).  An ack is due timeout_scale * t_end(wire) +
+/// timeout_slack after its send op starts, backed off (2^attempt - 1)
+/// holds.  Once acked, a receiver owes its whole interval of n nodes
+/// within the scaled model latency of a multicast among n nodes (from the
+/// repair split table), plus the slack and fuel for one full retry ladder
+/// of single-address messages.
+class RetryDeadlines {
+ public:
+  /// `repair` must outlive this object.
+  RetryDeadlines(const FtConfig& ft, const MachineParams& mp, Bytes wire1,
+                 const SplitTable& repair);
+
+  [[nodiscard]] Time ack(Time op_start, Bytes wire, int attempt) const;
+  [[nodiscard]] Time subtree(Time from, int n) const;
+
+ private:
+  [[nodiscard]] Time scaled(Time model) const;
+
+  double scale_;
+  Time slack_;
+  MachineParams mp_;
+  const SplitTable& repair_;
+  Time retry_budget_;
 };
 
 class MulticastRuntime {

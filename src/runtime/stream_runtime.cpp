@@ -341,26 +341,8 @@ StreamResult stream_reliable(const MulticastRuntime& rtm, sim::Simulator& sim,
 
   const SplitTable repair_table =
       opt_split_table(tp.t_hold, tp.t_end, std::max(2, k));
-  const Bytes wire1 = rtm.wire_bytes(payload, 1);
-  const Time retry_budget =
-      (ft.max_retries + 1) *
-          (static_cast<Time>(ft.timeout_scale *
-                             static_cast<double>(mp.t_end(wire1))) +
-           ft.timeout_slack) +
-      ((Time{1} << ft.max_retries) - 1) * mp.t_hold(wire1);
-
-  auto ack_deadline_for = [&](Time op_start, Bytes wire, int attempt) {
-    const Time bound =
-        static_cast<Time>(ft.timeout_scale * static_cast<double>(mp.t_end(wire)));
-    const Time backoff = ((Time{1} << attempt) - 1) * mp.t_hold(wire);
-    return op_start + bound + ft.timeout_slack + backoff;
-  };
-  auto subtree_deadline_for = [&](Time from, int n) {
-    const Time model = repair_table.latency(std::min(n, repair_table.size()));
-    return from +
-           static_cast<Time>(ft.timeout_scale * static_cast<double>(model)) +
-           ft.timeout_slack + retry_budget;
-  };
+  const RetryDeadlines deadlines(ft, mp, rtm.wire_bytes(payload, 1),
+                                 repair_table);
 
   auto issue = [&](std::size_t ri, Time base) {
     Rec& rec = recs[ri];
@@ -383,7 +365,7 @@ StreamResult stream_reliable(const MulticastRuntime& rtm, sim::Simulator& sim,
       cfg.recorder->record(obs::EventKind::kSendAttempt, op,
                            static_cast<std::int32_t>(ri), rec.attempt,
                            rec.recv, rec.slot);
-    rec.ack_deadline = ack_deadline_for(op, wire, rec.attempt);
+    rec.ack_deadline = deadlines.ack(op, wire, rec.attempt);
     op += mp.t_hold(wire);
     e = (e + 1) % engines;
   };
@@ -665,7 +647,7 @@ StreamResult stream_reliable(const MulticastRuntime& rtm, sim::Simulator& sim,
       ++res.duplicate_deliveries;
       if (!recs[ri].acked) {
         recs[ri].acked = true;
-        recs[ri].subtree_deadline = subtree_deadline_for(done, n);
+        recs[ri].subtree_deadline = deadlines.subtree(done, n);
         if (cfg.recorder != nullptr)
           cfg.recorder->record(obs::EventKind::kSendAcked, done,
                                static_cast<std::int32_t>(ri),
@@ -693,7 +675,7 @@ StreamResult stream_reliable(const MulticastRuntime& rtm, sim::Simulator& sim,
     if (n <= 1) {
       recs[ri].closed = true;
     } else {
-      recs[ri].subtree_deadline = subtree_deadline_for(done, n);
+      recs[ri].subtree_deadline = deadlines.subtree(done, n);
       if (primary) {
         activate(slot, recv_cur, done);
       } else {
@@ -796,7 +778,7 @@ StreamResult stream_reliable(const MulticastRuntime& rtm, sim::Simulator& sim,
           // Served via another record; keep watching the interval.
           rec.acked = true;
           rec.subtree_deadline =
-              subtree_deadline_for(now, static_cast<int>(rec.interval.size()));
+              deadlines.subtree(now, static_cast<int>(rec.interval.size()));
           continue;
         }
         if (now < rec.ack_deadline) continue;

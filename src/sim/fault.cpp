@@ -5,6 +5,7 @@
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "sim/topology.hpp"
 
@@ -16,10 +17,13 @@ namespace {
   throw std::invalid_argument("bad --faults clause '" + clause + "': " + why);
 }
 
-long long parse_ll(const std::string& clause, std::string_view v, const char* what) {
-  long long out = 0;
+/// Non-negative integer of type Int (times and ids as long long, the rate
+/// seed as the full uint64_t range that to_spec() prints).
+template <class Int = long long>
+Int parse_int(const std::string& clause, std::string_view v, const char* what) {
+  Int out = 0;
   const auto [ptr, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
-  if (ec != std::errc{} || ptr != v.data() + v.size() || out < 0)
+  if (ec != std::errc{} || ptr != v.data() + v.size() || std::cmp_less(out, 0))
     bad_spec(clause, (std::string(what) + " must be a non-negative integer").c_str());
   return out;
 }
@@ -98,10 +102,10 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
         bad_spec(clause, "expected ROUTER,PORT@CYCLE");
       LinkEvent ev;
       ev.router = static_cast<int>(
-          parse_ll(clause, std::string_view(args).substr(0, comma), "router"));
-      ev.port = static_cast<int>(parse_ll(
+          parse_int(clause, std::string_view(args).substr(0, comma), "router"));
+      ev.port = static_cast<int>(parse_int(
           clause, std::string_view(args).substr(comma + 1, at - comma - 1), "port"));
-      ev.cycle = parse_ll(clause, std::string_view(args).substr(at + 1), "cycle");
+      ev.cycle = parse_int(clause, std::string_view(args).substr(at + 1), "cycle");
       ev.up = (kind == "linkup");
       plan.link_events.push_back(ev);
     } else if (kind == "partition" || kind == "heal") {
@@ -110,7 +114,7 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
         bad_spec(clause, "expected R,P|R,P|...@CYCLE");
       CutEvent ev;
       ev.up = (kind == "heal");
-      ev.cycle = parse_ll(clause, std::string_view(args).substr(at + 1), "cycle");
+      ev.cycle = parse_int(clause, std::string_view(args).substr(at + 1), "cycle");
       const std::string list = args.substr(0, at);
       std::size_t begin = 0;
       while (begin <= list.size()) {
@@ -124,9 +128,9 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
           bad_spec(clause, "expected ROUTER,PORT channel");
         CutChannel ch;
         ch.router = static_cast<int>(
-            parse_ll(clause, std::string_view(chan).substr(0, comma), "router"));
+            parse_int(clause, std::string_view(chan).substr(0, comma), "router"));
         ch.port = static_cast<int>(
-            parse_ll(clause, std::string_view(chan).substr(comma + 1), "port"));
+            parse_int(clause, std::string_view(chan).substr(comma + 1), "port"));
         ev.channels.push_back(ch);
       }
       if (ev.channels.empty()) bad_spec(clause, "cut lists no channels");
@@ -136,15 +140,15 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
       if (at == std::string::npos) bad_spec(clause, "expected NODE@CYCLE");
       NodeEvent ev;
       ev.node = static_cast<NodeId>(
-          parse_ll(clause, std::string_view(args).substr(0, at), "node"));
-      ev.cycle = parse_ll(clause, std::string_view(args).substr(at + 1), "cycle");
+          parse_int(clause, std::string_view(args).substr(0, at), "node"));
+      ev.cycle = parse_int(clause, std::string_view(args).substr(at + 1), "cycle");
       plan.node_events.push_back(ev);
     } else if (kind == "drop") {
       plan.drop_rate = parse_rate(clause, args);
     } else if (kind == "corrupt") {
       plan.corrupt_rate = parse_rate(clause, args);
     } else if (kind == "seed") {
-      plan.seed = static_cast<std::uint64_t>(parse_ll(clause, args, "seed"));
+      plan.seed = parse_int<std::uint64_t>(clause, args, "seed");
     } else {
       bad_spec(clause,
                "unknown kind (link|linkup|node|partition|heal|drop|corrupt|seed)");

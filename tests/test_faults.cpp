@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 
 #include "analysis/sampling.hpp"
 #include "harness/thread_pool.hpp"
@@ -90,6 +92,24 @@ TEST(FaultPlan, SpecRoundTripsExactly) {
   // The empty plan serializes to the empty string (parse rejects "",
   // matching "no --faults flag at all").
   EXPECT_EQ(sim::FaultPlan{}.to_spec(), "");
+}
+
+TEST(FaultPlan, SeedsRoundTripOverTheFullUnsignedRange) {
+  // to_spec() prints the seed as an unsigned 64-bit decimal, so parse must
+  // accept every such value, including those >= 2^63.
+  for (const std::uint64_t seed :
+       {std::uint64_t{1} << 63, std::numeric_limits<std::uint64_t>::max()}) {
+    sim::FaultPlan plan;
+    plan.drop_rate = 0.01;
+    plan.seed = seed;
+    const sim::FaultPlan back = sim::FaultPlan::parse(plan.to_spec());
+    EXPECT_EQ(back.seed, seed) << plan.to_spec();
+    EXPECT_TRUE(back == plan) << plan.to_spec();
+  }
+  // One past the range, and negative seeds, stay malformed.
+  EXPECT_THROW(sim::FaultPlan::parse("drop:0.1;seed:18446744073709551616"),
+               std::invalid_argument);
+  EXPECT_THROW(sim::FaultPlan::parse("drop:0.1;seed:-1"), std::invalid_argument);
 }
 
 TEST(FaultPlan, PartitionAndHealSpecsRoundTripExactly) {

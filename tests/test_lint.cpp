@@ -196,6 +196,31 @@ TEST(LintFidelity, OddFlitCountsAndHypercube) {
   }
 }
 
+// Two send engines on a single-port NI: with carry_address_list the
+// second engine's shorter message is ready before the first engine's, and
+// the simulator releases posts in (ready, post order), so the NI takes
+// them in that order rather than in the tree's out order.
+TEST(LintFidelity, TwoSendEnginesFollowTheNiReleaseOrder) {
+  mesh::MeshTopology topo(MeshShape::square2d(8), mesh::RouteOrder::kHighestFirst,
+                          1);
+  rt::RuntimeConfig cfg;
+  cfg.send_engines = 2;
+  const rt::MulticastRuntime rtm(cfg);
+  int compared = 0;
+  for (const analysis::Placement& p : analysis::sample_placements(46, 64, 16, 8)) {
+    const MulticastTree tree =
+        tree_for(McastAlgorithm::kOptMesh, p, rtm, 1024, &topo.shape(), false, 0);
+    Time latency = 0;
+    if (simulate_conflicts(topo, tree, rtm, 1024, &latency) != 0) continue;
+    expect_schedule_matches_sim(topo, cfg, sim::SimConfig{}, tree, 1024);
+    const LintReport rep = lint::lint_tree(tree, topo, cfg, sim::SimConfig{}, 1024);
+    EXPECT_TRUE(rep.contention_free);
+    EXPECT_EQ(rep.makespan, latency);
+    ++compared;
+  }
+  EXPECT_GT(compared, 0);
+}
+
 TEST(LintSchedule, RejectsUnanalyzableSimConfigs) {
   mesh::MeshTopology topo(MeshShape::square2d(4));
   const rt::RuntimeConfig cfg;
@@ -675,7 +700,7 @@ TEST(LintForest, CrossTreeDiagnosticNamesTheWitness) {
       lint::lint_forest(members, topo, cfg, sim::SimConfig{});
   ASSERT_FALSE(rep.contention_free);
   EXPECT_GT(rep.cross_pairs, 0);
-  const lint::ForestDiagnostic& d = rep.diagnostics.front();
+  const LintDiagnostic& d = rep.diagnostics.front();
   EXPECT_EQ(d.kind, DiagKind::kContention);
   EXPECT_NE(d.tree_a, d.tree_b);  // the earliest overlap here is cross-tree
   EXPECT_GE(d.send_a, 0);
@@ -897,6 +922,29 @@ TEST(LintStream, ExactAgainstStreamRuntime) {
     }
   }
   EXPECT_GT(compared, 20);
+}
+
+// The stream analysis assumes one send engine per node: with more, a
+// later slot's post can be ready before an earlier slot's, so it refuses.
+TEST(LintStream, RejectsMultipleSendEngines) {
+  mesh::MeshTopology topo(MeshShape::square2d(8));
+  rt::RuntimeConfig cfg;
+  const rt::MulticastRuntime rtm(cfg);
+  const TwoParam tp = cfg.machine.two_param(rtm.wire_bytes(256, 1));
+  const auto placements = analysis::sample_placements(78, 64, 8, 1);
+  const MulticastTree tree =
+      build_multicast(McastAlgorithm::kOptMesh, placements[0].source,
+                      placements[0].dests, tp, &topo.shape());
+  EXPECT_TRUE(
+      lint::lint_stream(tree, topo, cfg, sim::SimConfig{}, 256, 8, 2).clean());
+  cfg.send_engines = 2;
+  try {
+    (void)lint::lint_stream(tree, topo, cfg, sim::SimConfig{}, 256, 8, 2);
+    ADD_FAILURE() << "send_engines = 2 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("lint_stream: send_engines", 0), 0u)
+        << e.what();
+  }
 }
 
 TEST(LintStream, StaticallyReproducesE19) {

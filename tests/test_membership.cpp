@@ -6,7 +6,9 @@
 //     deterministic;
 //   * failover acceptance: a mid-stream source fail-stop on the 16x16
 //     mesh completes via deterministic succession with every survivor's
-//     prefix intact, bit-identically across repeated runs;
+//     prefix intact, bit-identically across repeated runs, and the
+//     successor is the survivor with the highest delivered prefix (ties
+//     to the lowest id), not simply the lowest id;
 //   * healing acceptance: a partition that outlives the confirm ladder
 //     evicts the minority receivers, and the heal re-admits every one of
 //     them at the current epoch with a full catch-up;
@@ -222,6 +224,65 @@ TEST(StreamFailover, WithoutFailoverTheDeadSourceEndsTheStream) {
   EXPECT_EQ(r.failovers, 0);
   EXPECT_LT(r.committed, 32) << "no succession: the stream halts";
   EXPECT_FALSE(r.complete);
+  EXPECT_NO_THROW(verify::InvariantAuditor::audit_stream(r));
+}
+
+// Succession rule: the plurality member with the highest delivered prefix
+// at the failover instant takes over, ties to the lowest node id — not
+// simply the lowest surviving id.  In this scenario (no partition, so
+// every survivor is in the plurality) the two rules disagree: the
+// lowest-id survivor has the shorter prefix.
+TEST(StreamFailover, SuccessorHasTheHighestPrefixNotTheLowestId) {
+  const auto topo = mesh::make_mesh2d(16);
+  const auto p = analysis::sample_placements(6, topo->num_nodes(), 12, 1)[0];
+  const int slots = 32;
+  rt::MulticastRuntime rtm(rt::RuntimeConfig{});
+  const rt::StreamRuntime srt(rtm);
+  rt::StreamConfig cfg =
+      membership_config(&static_cast<const mesh::MeshTopology&>(*topo).shape(),
+                        8, slots, 600, 256);
+  cfg.failover = true;
+  std::vector<NodeId> chain;  // original chain: position -> node id
+  cfg.on_reconfigure = [&](const MulticastTree& t) {
+    if (chain.empty()) chain = t.chain.nodes;
+  };
+  sim::Simulator sim(*topo);
+  sim::FaultPlan plan;
+  plan.node_events.push_back({8000, p.source});
+  sim.set_fault_plan(plan);
+  const rt::StreamResult r = srt.run(sim, p.source, p.dests, cfg);
+  ASSERT_EQ(r.failovers, 1);
+
+  // Replay the trace up to the failover: per-position delivered slots.
+  std::vector<std::vector<char>> got(chain.size(),
+                                     std::vector<char>(slots, 0));
+  const rt::StreamEvent* failover = nullptr;
+  for (const rt::StreamEvent& ev : r.trace) {
+    if (ev.kind == Kind::kFailover) {
+      failover = &ev;
+      break;
+    }
+    if (ev.kind == Kind::kDeliver)
+      got[static_cast<std::size_t>(ev.pos)][static_cast<std::size_t>(ev.slot)] = 1;
+  }
+  ASSERT_NE(failover, nullptr);
+  auto prefix = [&](std::size_t pos) {
+    int n = 0;
+    while (n < slots && got[pos][static_cast<std::size_t>(n)]) ++n;
+    return n;
+  };
+  std::size_t best = chain.size(), lowest = chain.size();
+  for (std::size_t pos = 0; pos < chain.size(); ++pos) {
+    if (chain[pos] == p.source) continue;
+    if (best == chain.size() || prefix(pos) > prefix(best) ||
+        (prefix(pos) == prefix(best) && chain[pos] < chain[best]))
+      best = pos;
+    if (lowest == chain.size() || chain[pos] < chain[lowest]) lowest = pos;
+  }
+  EXPECT_EQ(failover->pos, static_cast<int>(best));
+  EXPECT_EQ(failover->slot, prefix(best));
+  EXPECT_LT(prefix(lowest), prefix(best))
+      << "the scenario must separate the two rules";
   EXPECT_NO_THROW(verify::InvariantAuditor::audit_stream(r));
 }
 
