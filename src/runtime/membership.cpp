@@ -42,12 +42,12 @@ MembershipService::MembershipService(const sim::Simulator& sim,
   }
   const int routers = topo.num_routers();
   const int radix = topo.radix();
-  rev_.assign(static_cast<std::size_t>(routers), {});
+  down_.assign(static_cast<std::size_t>(topo.num_channels()), -1);
   for (int r = 0; r < routers; ++r) {
     for (int q = 0; q < radix; ++q) {
       const sim::ChannelId c = topo.channel_id(r, q);
       const sim::PortRef dst = topo.link(r, q);
-      if (dst.valid()) rev_[static_cast<std::size_t>(dst.router)].push_back(c);
+      if (dst.valid()) down_[static_cast<std::size_t>(c)] = dst.router;
       const NodeId ej = topo.ejector(r, q);
       if (ej == kInvalidNode) continue;
       for (std::size_t m = 0; m < n; ++m)
@@ -57,49 +57,73 @@ MembershipService::MembershipService(const sim::Simulator& sim,
   for (std::size_t m = 0; m < n; ++m)
     if (eject_of_[m] < 0)
       throw std::invalid_argument("MembershipService: member has no ejector");
+  scc_.assign(static_cast<std::size_t>(routers), -1);
+  relabel();
 }
 
 bool MembershipService::member_up(int m) const {
   return !sim_.node_failed(members_[static_cast<std::size_t>(m)]);
 }
 
-void MembershipService::reach_sets(int from_router, std::vector<char>& fwd,
-                                   std::vector<char>& bwd) const {
-  const sim::Topology& topo = sim_.topology();
-  const int routers = topo.num_routers();
-  const int radix = topo.radix();
-  fwd.assign(static_cast<std::size_t>(routers), 0);
-  bwd.assign(static_cast<std::size_t>(routers), 0);
-  std::vector<int> queue;
-  queue.reserve(static_cast<std::size_t>(routers));
-  // Forward: where can a probe from `from_router` get to over live channels?
-  fwd[static_cast<std::size_t>(from_router)] = 1;
-  queue.push_back(from_router);
-  for (std::size_t h = 0; h < queue.size(); ++h) {
-    const int r = queue[h];
-    for (int q = 0; q < radix; ++q) {
-      const sim::ChannelId c = topo.channel_id(r, q);
-      if (!sim_.channel_live(c)) continue;
-      const sim::PortRef dst = topo.link(r, q);
-      if (!dst.valid() || fwd[static_cast<std::size_t>(dst.router)]) continue;
-      fwd[static_cast<std::size_t>(dst.router)] = 1;
-      queue.push_back(dst.router);
+void MembershipService::relabel() const {
+  // Tarjan's strongly-connected components over the live channel graph,
+  // iterative: `call` is the DFS path, `next_port` each router's resume
+  // point, `stack` the routers not yet assigned a component.
+  const std::size_t routers = scc_.size();
+  const int radix = sim_.topology().radix();
+  std::vector<int> index(routers, -1), low(routers, 0), next_port(routers, 0);
+  std::vector<char> on_stack(routers, 0);
+  std::vector<int> stack, call;
+  int counter = 0, comps = 0;
+  auto visit = [&](int r) {
+    const std::size_t u = static_cast<std::size_t>(r);
+    index[u] = low[u] = counter++;
+    stack.push_back(r);
+    on_stack[u] = 1;
+    call.push_back(r);
+  };
+  for (std::size_t root = 0; root < routers; ++root) {
+    if (index[root] >= 0) continue;
+    visit(static_cast<int>(root));
+    while (!call.empty()) {
+      const std::size_t u = static_cast<std::size_t>(call.back());
+      if (next_port[u] < radix) {
+        const sim::ChannelId c = static_cast<int>(u) * radix + next_port[u]++;
+        const int d = down_[static_cast<std::size_t>(c)];
+        if (d < 0 || !sim_.channel_live(c)) continue;
+        const std::size_t v = static_cast<std::size_t>(d);
+        if (index[v] < 0)
+          visit(d);
+        else if (on_stack[v])
+          low[u] = std::min(low[u], index[v]);
+        continue;
+      }
+      call.pop_back();
+      if (!call.empty()) {
+        const std::size_t parent = static_cast<std::size_t>(call.back());
+        low[parent] = std::min(low[parent], low[u]);
+      }
+      if (low[u] != index[u]) continue;
+      int w = -1;
+      do {
+        w = stack.back();
+        stack.pop_back();
+        on_stack[static_cast<std::size_t>(w)] = 0;
+        scc_[static_cast<std::size_t>(w)] = comps;
+      } while (static_cast<std::size_t>(w) != u);
+      ++comps;
     }
   }
-  // Backward: from which routers can an answer get back to `from_router`?
-  queue.clear();
-  bwd[static_cast<std::size_t>(from_router)] = 1;
-  queue.push_back(from_router);
-  for (std::size_t h = 0; h < queue.size(); ++h) {
-    const int r = queue[h];
-    for (const sim::ChannelId c : rev_[static_cast<std::size_t>(r)]) {
-      if (!sim_.channel_live(c)) continue;
-      const int src = c / radix;
-      if (bwd[static_cast<std::size_t>(src)]) continue;
-      bwd[static_cast<std::size_t>(src)] = 1;
-      queue.push_back(src);
-    }
-  }
+  labeled_version_ = sim_.liveness_version();
+}
+
+bool MembershipService::linked(int a, int b) const {
+  if (labeled_version_ != sim_.liveness_version()) relabel();
+  const std::size_t ua = static_cast<std::size_t>(a);
+  const std::size_t ub = static_cast<std::size_t>(b);
+  return scc_[static_cast<std::size_t>(router_of_[ua])] ==
+             scc_[static_cast<std::size_t>(router_of_[ub])] &&
+         sim_.channel_live(eject_of_[ua]) && sim_.channel_live(eject_of_[ub]);
 }
 
 bool MembershipService::round_trip_reachable(NodeId from, NodeId to) const {
@@ -110,13 +134,7 @@ bool MembershipService::round_trip_reachable(NodeId from, NodeId to) const {
   }
   if (fi < 0 || ti < 0)
     throw std::invalid_argument("round_trip_reachable: not a member");
-  if (fi == ti) return sim_.channel_live(eject_of_[static_cast<std::size_t>(fi)]);
-  std::vector<char> fwd, bwd;
-  reach_sets(router_of_[static_cast<std::size_t>(fi)], fwd, bwd);
-  return fwd[static_cast<std::size_t>(router_of_[static_cast<std::size_t>(ti)])] &&
-         bwd[static_cast<std::size_t>(router_of_[static_cast<std::size_t>(ti)])] &&
-         sim_.channel_live(eject_of_[static_cast<std::size_t>(ti)]) &&
-         sim_.channel_live(eject_of_[static_cast<std::size_t>(fi)]);
+  return linked(fi, ti);
 }
 
 std::vector<int> MembershipService::plurality_members() const {
@@ -129,19 +147,14 @@ std::vector<int> MembershipService::plurality_members() const {
                   member_up(static_cast<int>(m));
   std::vector<int> label(n, -1);
   std::vector<std::vector<int>> comps;
-  std::vector<char> fwd, bwd;
   for (std::size_t m = 0; m < n; ++m) {
     if (!eligible[m] || label[m] != -1) continue;
     const int id = static_cast<int>(comps.size());
     comps.emplace_back();
-    reach_sets(router_of_[m], fwd, bwd);
-    const bool self_ok = sim_.channel_live(eject_of_[m]);
     for (std::size_t m2 = m; m2 < n; ++m2) {
       if (!eligible[m2] || label[m2] != -1) continue;
-      const std::size_t r2 = static_cast<std::size_t>(router_of_[m2]);
-      const bool reach = (m2 == m) || (self_ok && fwd[r2] && bwd[r2] &&
-                                       sim_.channel_live(eject_of_[m2]));
-      if (!reach) continue;
+      if (m2 != m && !linked(static_cast<int>(m), static_cast<int>(m2)))
+        continue;
       label[m2] = id;
       comps[static_cast<std::size_t>(id)].push_back(static_cast<int>(m2));
     }
@@ -173,16 +186,6 @@ std::vector<MembershipEvent> MembershipService::sweep(NodeId observer) {
   for (std::size_t m = 0; m < n; ++m)
     if (members_[m] == observer) oi = static_cast<int>(m);
   if (oi < 0) throw std::invalid_argument("sweep: observer is not a member");
-  std::vector<char> fwd, bwd;
-  reach_sets(router_of_[static_cast<std::size_t>(oi)], fwd, bwd);
-  const bool observer_eject_ok =
-      sim_.channel_live(eject_of_[static_cast<std::size_t>(oi)]);
-  auto reach = [&](int m) {
-    if (m == oi) return observer_eject_ok;
-    const std::size_t r = static_cast<std::size_t>(router_of_[static_cast<std::size_t>(m)]);
-    return observer_eject_ok && fwd[r] != 0 && bwd[r] != 0 &&
-           sim_.channel_live(eject_of_[static_cast<std::size_t>(m)]);
-  };
   const std::vector<int> plur = plurality_members();
   const bool observer_plural =
       std::find(plur.begin(), plur.end(), oi) != plur.end();
@@ -194,7 +197,7 @@ std::vector<MembershipEvent> MembershipService::sweep(NodeId observer) {
     if (state_[m] == MemberState::kUnreachable) {
       // Heal watch: an evicted-as-partitioned member that answers probes
       // again is offered back; the runtime decides whether to readmit.
-      if (member_up(mi) && reach(mi))
+      if (member_up(mi) && linked(oi, mi))
         out.push_back({MembershipEvent::Kind::kHealed, mi});
       continue;
     }
@@ -209,7 +212,7 @@ std::vector<MembershipEvent> MembershipService::sweep(NodeId observer) {
       // run its own detector after failover.
       continue;
     } else {
-      renewed = member_up(mi) && reach(mi);
+      renewed = member_up(mi) && linked(oi, mi);
     }
     if (renewed) {
       misses_[m] = 0;
@@ -231,7 +234,7 @@ std::vector<MembershipEvent> MembershipService::sweep(NodeId observer) {
       if (mi == oi)
         crashed = !member_up(mi);
       else
-        crashed = reach(mi);
+        crashed = linked(oi, mi);
       state_[m] = crashed ? MemberState::kCrashed : MemberState::kUnreachable;
       out.push_back({crashed ? MembershipEvent::Kind::kCrashed
                              : MembershipEvent::Kind::kUnreachable,

@@ -30,8 +30,15 @@
 // observationally equivalent to real probes with a period-long timeout: a
 // fail-stopped node never answers, and a probe whose every route crosses a
 // dead channel never returns.
+//
+// Round-trip reachability is a labeling, not a search: two routers reach
+// each other both ways exactly when they lie in the same strongly-connected
+// component of the live channel graph.  The service labels every router
+// once and relabels only when the simulator's liveness_version() moves
+// (a link event applied), so a sweep costs a label comparison per member.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "core/types.hpp"
@@ -110,8 +117,13 @@ class MembershipService {
   [[nodiscard]] bool round_trip_reachable(NodeId from, NodeId to) const;
 
  private:
-  void reach_sets(int from_router, std::vector<char>& fwd,
-                  std::vector<char>& bwd) const;
+  /// Recomputes scc_ from the simulator's live channel set.
+  void relabel() const;
+  /// True when members `a` and `b` sit in one strongly-connected component
+  /// of live channels and both ejection channels are live (a == b: its
+  /// own ejection channel is live).  Relabels first if a link event
+  /// applied since the last labeling.
+  [[nodiscard]] bool linked(int a, int b) const;
   [[nodiscard]] bool member_up(int m) const;
 
   const sim::Simulator& sim_;
@@ -121,7 +133,13 @@ class MembershipService {
   std::vector<int> misses_;
   std::vector<int> router_of_;               ///< attach router per member
   std::vector<sim::ChannelId> eject_of_;     ///< ejection channel per member
-  std::vector<std::vector<sim::ChannelId>> rev_;  ///< reverse adjacency
+  std::vector<int> down_;  ///< per channel id: downstream router, or -1
+  // Round-trip reachability cache: strongly-connected component label per
+  // router of the live channel graph, valid while the simulator's
+  // liveness_version() equals labeled_version_.  Refreshed lazily from
+  // const queries, so one service must not be queried from two threads.
+  mutable std::vector<int> scc_;
+  mutable std::uint64_t labeled_version_ = 0;
   obs::FlightRecorder* recorder_ = nullptr;
 };
 

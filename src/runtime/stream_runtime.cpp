@@ -333,6 +333,16 @@ StreamResult stream_reliable(const MulticastRuntime& rtm, sim::Simulator& sim,
     Time subtree_deadline = kTimeInfinity;
   };
   std::vector<Rec> recs;
+  // Indices of the records not yet known closed, ascending: new records
+  // are appended, the wait loop drops closed ones as it meets them, and
+  // the epoch transitions close and clear them all.  Visiting only these
+  // keeps each wake-up proportional to the open records, in the same
+  // ascending order a scan of every record would use.
+  std::vector<std::size_t> open_recs;
+  auto close_open_recs = [&]() {
+    for (const std::size_t ri : open_recs) recs[ri].closed = true;
+    open_recs.clear();
+  };
 
   std::vector<std::vector<Time>> next_op(
       static_cast<std::size_t>(k),
@@ -381,6 +391,7 @@ StreamResult stream_reliable(const MulticastRuntime& rtm, sim::Simulator& sim,
     rec.interval = std::move(interval);
     rec.primary = primary;
     recs.push_back(std::move(rec));
+    open_recs.push_back(recs.size() - 1);
     issue(recs.size() - 1, base);
   };
 
@@ -508,7 +519,7 @@ StreamResult stream_reliable(const MulticastRuntime& rtm, sim::Simulator& sim,
     ++epoch;
     trace(partitioned ? StreamEvent::Kind::kPartition : StreamEvent::Kind::kEpoch,
           now, -1, epoch, dpos);
-    for (Rec& r : recs) r.closed = true;
+    close_open_recs();
     for (int s = frontier; s < injected; ++s) {
       Ring& rg = ring[static_cast<std::size_t>(s % window)];
       if (!delivered[static_cast<std::size_t>(dpos)][static_cast<std::size_t>(s)])
@@ -547,7 +558,7 @@ StreamResult stream_reliable(const MulticastRuntime& rtm, sim::Simulator& sim,
     ++epoch;
     ++res.failovers;
     trace(StreamEvent::Kind::kFailover, now, best, epoch, succ);
-    for (Rec& r : recs) r.closed = true;
+    close_open_recs();
     // The successor stops gating in-flight commits (it regenerates any
     // slot it lacks from its replicated ring / the deterministic payload).
     for (int s = frontier; s < injected; ++s) {
@@ -576,7 +587,7 @@ StreamResult stream_reliable(const MulticastRuntime& rtm, sim::Simulator& sim,
            delivered[static_cast<std::size_t>(p)][static_cast<std::size_t>(prefix)])
       ++prefix;
     trace(StreamEvent::Kind::kRejoin, now, prefix, epoch, p);
-    for (Rec& r : recs) r.closed = true;
+    close_open_recs();
     for (int s = frontier; s < injected; ++s) {
       Ring& rg = ring[static_cast<std::size_t>(s % window)];
       if (!delivered[static_cast<std::size_t>(p)][static_cast<std::size_t>(s)])
@@ -714,14 +725,13 @@ StreamResult stream_reliable(const MulticastRuntime& rtm, sim::Simulator& sim,
         64 + static_cast<long>((heal_horizon - t0) / std::max<Time>(1, hb_period));
   for (;;) {
     Time horizon = kTimeInfinity;
-    bool open = false;
-    for (const Rec& rec : recs) {
-      if (rec.closed) continue;
-      open = true;
+    std::erase_if(open_recs, [&](std::size_t ri) { return recs[ri].closed; });
+    for (const std::size_t ri : open_recs) {
+      const Rec& rec = recs[ri];
       horizon =
           std::min(horizon, rec.acked ? rec.subtree_deadline : rec.ack_deadline);
     }
-    if (!open) {
+    if (open_recs.empty()) {
       // With rejoin enabled, a drained stream still waits out the heal
       // horizon while evicted-as-unreachable members might come back.
       const bool heal_pending =
@@ -769,7 +779,7 @@ StreamResult stream_reliable(const MulticastRuntime& rtm, sim::Simulator& sim,
     };
     std::vector<Job> jobs;
     int death = -1;
-    for (std::size_t ri = 0; ri < recs.size(); ++ri) {
+    for (const std::size_t ri : open_recs) {
       Rec& rec = recs[ri];
       if (rec.closed) continue;
       if (!rec.acked) {

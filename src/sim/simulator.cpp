@@ -133,6 +133,7 @@ void Simulator::set_fault_plan(FaultPlan plan) {
   plan_ = std::move(plan);
   next_link_event_ = 0;
   next_node_event_ = 0;
+  ++liveness_version_;
 }
 
 void Simulator::advance_idle_to(Time cycle) {
@@ -507,6 +508,7 @@ void Simulator::apply_due_faults() {
     const std::size_t c =
         static_cast<std::size_t>(ev.router) * radix_ + ev.port;
     channel_dead_[c] = ev.up ? 0 : 1;
+    ++liveness_version_;
     if (!ev.up && channel_msg_[c] != kInvalidMsg)
       purge_message(channel_msg_[c], DropReason::kLinkDown);
     ++stats_.fault_events;

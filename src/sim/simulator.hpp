@@ -171,6 +171,15 @@ class Simulator {
     return channel_dead_[static_cast<std::size_t>(c)] == 0;
   }
 
+  /// Monotone counter of channel_live() changes: bumped by every applied
+  /// link event (cut events are lowered into link events) and by
+  /// set_fault_plan.  Node events leave it alone, as they leave
+  /// channel_live() alone.  Readers cache anything derived from the live
+  /// channel set and recompute only when this moves.
+  [[nodiscard]] std::uint64_t liveness_version() const {
+    return liveness_version_;
+  }
+
   /// Advances the clock to `cycle` while the simulator is idle, applying
   /// any fault-plan events that fall due in the jumped-over span.  Lets a
   /// runtime observe link heals scheduled after all traffic has drained
@@ -277,6 +286,7 @@ class Simulator {
   std::vector<char> channel_dead_;  ///< per channel id (link events)
   std::vector<char> node_dead_;     ///< per node (fail-stop)
   std::vector<MsgId> channel_msg_;  ///< reservation holder per channel id
+  std::uint64_t liveness_version_ = 0;  ///< see liveness_version()
 
   // --- immutable wiring caches (avoid virtual topology calls per flit) ---
   std::vector<PortRef> link_cache_;    ///< per channel id

@@ -16,14 +16,23 @@
 //     suspicion confirm, no eviction, no epoch bump;
 //   * the stream auditor rejects forged traces: split-brain injections,
 //     failover prefix regressions, rejoin prefix discontinuities, and
-//     rejoins of crashed (non-partitioned) members.
+//     rejoins of crashed (non-partitioned) members;
+//   * the cached component labeling answers every reachability and
+//     plurality query exactly as forward/backward walks would, across
+//     seeded link failures and heals on a mesh and a BMIN, and
+//     Simulator::liveness_version() moves on link events only;
+//   * a golden run pins the reliable wait loop's retransmission order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <random>
 #include <vector>
 
 #include "analysis/sampling.hpp"
+#include "bmin/bmin_topology.hpp"
 #include "mesh/mesh_topology.hpp"
+#include "obs/recorder.hpp"
 #include "runtime/mcast_runtime.hpp"
 #include "runtime/membership.hpp"
 #include "runtime/stream_runtime.hpp"
@@ -161,7 +170,239 @@ TEST(MembershipService, SuspicionClearsWhenTheLeaseRenews) {
   EXPECT_EQ(svc.state(1), rt::MemberState::kAlive);
 }
 
-// --- failover acceptance (ISSUE: 16x16 mesh, mid-stream source kill) ------
+// --- reachability labeling vs. the two-walk oracle -------------------------
+
+// The reference the component labeling replaced: for each query, a forward
+// and a backward breadth-first walk over live channels from one router.
+// Two members are round-trip reachable when each walk reaches the other's
+// router and both ejection channels are live.
+class ReachOracle {
+ public:
+  ReachOracle(const sim::Simulator& sim, std::vector<NodeId> members)
+      : sim_(sim), topo_(sim.topology()), members_(std::move(members)) {
+    const int routers = topo_.num_routers();
+    rev_.assign(static_cast<std::size_t>(routers), {});
+    eject_.assign(members_.size(), -1);
+    for (int r = 0; r < routers; ++r) {
+      for (int q = 0; q < topo_.radix(); ++q) {
+        const sim::ChannelId c = topo_.channel_id(r, q);
+        const sim::PortRef dst = topo_.link(r, q);
+        if (dst.valid()) rev_[static_cast<std::size_t>(dst.router)].push_back(c);
+        for (std::size_t m = 0; m < members_.size(); ++m)
+          if (topo_.ejector(r, q) == members_[m] && eject_[m] < 0) eject_[m] = c;
+      }
+    }
+    for (const NodeId v : members_) router_.push_back(topo_.node_attach(v).router);
+  }
+
+  /// Entry b: is member b round-trip reachable from member a?
+  [[nodiscard]] std::vector<char> round_trip_from(int a) const {
+    std::vector<char> fwd, bwd;
+    walks(router_[static_cast<std::size_t>(a)], fwd, bwd);
+    std::vector<char> out(members_.size(), 0);
+    for (std::size_t b = 0; b < members_.size(); ++b) {
+      const std::size_t rb = static_cast<std::size_t>(router_[b]);
+      out[b] = static_cast<int>(b) == a
+                   ? eject_live(a)
+                   : fwd[rb] && bwd[rb] && eject_live(a) &&
+                         eject_live(static_cast<int>(b));
+    }
+    return out;
+  }
+
+  // Largest set of up members grouped by round-trip reachability from the
+  // lowest unlabeled member; ties to the lowest node id.  Every member is
+  // unadjudicated here (the service under test never sweeps).
+  [[nodiscard]] std::vector<int> plurality() const {
+    const std::size_t n = members_.size();
+    std::vector<int> label(n, -1);
+    std::vector<std::vector<int>> comps;
+    for (std::size_t m = 0; m < n; ++m) {
+      if (sim_.node_failed(members_[m]) || label[m] != -1) continue;
+      comps.emplace_back();
+      const std::vector<char> reach = round_trip_from(static_cast<int>(m));
+      for (std::size_t m2 = m; m2 < n; ++m2) {
+        if (sim_.node_failed(members_[m2]) || label[m2] != -1) continue;
+        if (m2 != m && !reach[m2]) continue;
+        label[m2] = static_cast<int>(comps.size()) - 1;
+        comps.back().push_back(static_cast<int>(m2));
+      }
+    }
+    auto low = [&](const std::vector<int>& comp) {
+      NodeId v = members_[static_cast<std::size_t>(comp.front())];
+      for (const int m : comp) v = std::min(v, members_[static_cast<std::size_t>(m)]);
+      return v;
+    };
+    const std::vector<int>* best = nullptr;
+    for (const std::vector<int>& c : comps) {
+      if (best == nullptr || c.size() > best->size() ||
+          (c.size() == best->size() && low(c) < low(*best)))
+        best = &c;
+    }
+    return best == nullptr ? std::vector<int>{} : *best;
+  }
+
+ private:
+  [[nodiscard]] bool eject_live(int m) const {
+    return sim_.channel_live(eject_[static_cast<std::size_t>(m)]);
+  }
+
+  void walks(int from, std::vector<char>& fwd, std::vector<char>& bwd) const {
+    const std::size_t routers = static_cast<std::size_t>(topo_.num_routers());
+    fwd.assign(routers, 0);
+    bwd.assign(routers, 0);
+    std::vector<int> queue{from};
+    fwd[static_cast<std::size_t>(from)] = 1;
+    for (std::size_t h = 0; h < queue.size(); ++h) {
+      const int r = queue[h];
+      for (int q = 0; q < topo_.radix(); ++q) {
+        const sim::PortRef dst = topo_.link(r, q);
+        if (!sim_.channel_live(topo_.channel_id(r, q)) || !dst.valid() ||
+            fwd[static_cast<std::size_t>(dst.router)])
+          continue;
+        fwd[static_cast<std::size_t>(dst.router)] = 1;
+        queue.push_back(dst.router);
+      }
+    }
+    queue.assign(1, from);
+    bwd[static_cast<std::size_t>(from)] = 1;
+    for (std::size_t h = 0; h < queue.size(); ++h) {
+      for (const sim::ChannelId c : rev_[static_cast<std::size_t>(queue[h])]) {
+        const int src = c / topo_.radix();
+        if (!sim_.channel_live(c) || bwd[static_cast<std::size_t>(src)]) continue;
+        bwd[static_cast<std::size_t>(src)] = 1;
+        queue.push_back(src);
+      }
+    }
+  }
+
+  const sim::Simulator& sim_;
+  const sim::Topology& topo_;
+  std::vector<NodeId> members_;
+  std::vector<int> router_;
+  std::vector<sim::ChannelId> eject_;
+  std::vector<std::vector<sim::ChannelId>> rev_;
+};
+
+// Channels a random fault may take down: router-to-router links and
+// ejection channels.
+std::vector<sim::ChannelId> fault_candidates(const sim::Topology& topo) {
+  std::vector<sim::ChannelId> out;
+  for (int r = 0; r < topo.num_routers(); ++r)
+    for (int q = 0; q < topo.radix(); ++q)
+      if (topo.link(r, q).valid() || topo.ejector(r, q) != kInvalidNode)
+        out.push_back(topo.channel_id(r, q));
+  return out;
+}
+
+// Seeded rounds of random link-down sets, each healed link by link, on one
+// simulator and one MembershipService: the cached labeling must follow
+// every change in both directions and agree with the oracle at each step.
+void expect_labeling_matches_oracle(const sim::Topology& topo,
+                                    std::uint64_t seed) {
+  std::vector<NodeId> members;
+  for (NodeId v = 0; v < topo.num_nodes(); ++v) members.push_back(v);
+  const std::vector<sim::ChannelId> candidates = fault_candidates(topo);
+  std::mt19937_64 rng(seed);
+  sim::FaultPlan plan;
+  std::vector<Time> steps;
+  for (int round = 0; round < 8; ++round) {
+    const Time down = 1000 * (round + 1);
+    std::vector<sim::ChannelId> cut = candidates;
+    std::shuffle(cut.begin(), cut.end(), rng);
+    cut.resize(1 + rng() % (round < 4 ? 6 : candidates.size() / 4));
+    // Plus every link out of (even rounds) or into (odd rounds) one
+    // member's router, so each round separates routers in one direction.
+    const int victim =
+        topo.node_attach(static_cast<NodeId>(rng() % members.size())).router;
+    for (const sim::ChannelId c : candidates) {
+      const sim::PortRef dst = topo.link(c / topo.radix(), c % topo.radix());
+      if (dst.valid() && (round % 2 == 0 ? c / topo.radix() : dst.router) == victim)
+        cut.push_back(c);
+    }
+    std::sort(cut.begin(), cut.end());
+    cut.erase(std::unique(cut.begin(), cut.end()), cut.end());
+    steps.push_back(down);
+    for (const sim::ChannelId c : cut) {
+      const int r = c / topo.radix(), q = c % topo.radix();
+      const Time up = down + 100 * static_cast<Time>(1 + rng() % 4);
+      plan.link_events.push_back({down, r, q, false});
+      plan.link_events.push_back({up, r, q, true});
+      steps.push_back(up);
+    }
+  }
+  std::sort(steps.begin(), steps.end());
+  steps.erase(std::unique(steps.begin(), steps.end()), steps.end());
+  sim::Simulator sim(topo);
+  sim.set_fault_plan(plan);
+
+  const ReachOracle oracle(sim, members);
+  const rt::MembershipService svc(sim, members, {.heartbeat_period = 100});
+  const int n = static_cast<int>(members.size());
+  // Steps where two members with live ejection channels are apart: only
+  // the router labeling (not the ejection checks) can get these right.
+  int split_steps = 0;
+  for (const Time t : steps) {
+    const std::uint64_t before = sim.liveness_version();
+    sim.advance_idle_to(t);
+    ASSERT_GT(sim.liveness_version(), before) << "link events at cycle " << t;
+    std::vector<std::vector<char>> want;
+    for (int a = 0; a < n; ++a) want.push_back(oracle.round_trip_from(a));
+    bool split = false;
+    for (std::size_t a = 0; a < members.size(); ++a) {
+      for (std::size_t b = 0; b < members.size(); ++b) {
+        split = split || (want[a][a] && want[b][b] && !want[a][b]);
+        ASSERT_EQ(svc.round_trip_reachable(members[a], members[b]),
+                  want[a][b] != 0)
+            << "cycle " << t << ": members " << a << " -> " << b;
+      }
+    }
+    ASSERT_EQ(svc.plurality_members(), oracle.plurality()) << "cycle " << t;
+    split_steps += split;
+  }
+  EXPECT_GE(split_steps, 8) << "a round's cut failed to separate routers";
+  EXPECT_LT(split_steps, static_cast<int>(steps.size()))
+      << "the links never all came back";
+}
+
+TEST(MembershipLabeling, MatchesTwoWalkOracleOnMesh) {
+  const auto topo = mesh::make_mesh2d(8);
+  expect_labeling_matches_oracle(*topo, 1997);
+}
+
+TEST(MembershipLabeling, MatchesTwoWalkOracleOnBmin) {
+  const auto topo = bmin::make_bmin(64);
+  expect_labeling_matches_oracle(*topo, 1997);
+}
+
+TEST(MembershipLabeling, LivenessVersionMovesOnLinkEventsOnly) {
+  const auto topo = mesh::make_mesh2d(4);
+  const int n = topo->num_nodes();
+  sim::Simulator sim(*topo);
+  const std::uint64_t fresh = sim.liveness_version();
+  sim::FaultPlan plan =
+      sim::FaultPlan::partition(*topo, lower_half(n), upper_half(n), 300, 400);
+  plan.link_events.push_back({100, 0, 0, false});
+  plan.node_events.push_back({200, 5});
+  sim.set_fault_plan(plan);
+  std::uint64_t v = sim.liveness_version();
+  EXPECT_GT(v, fresh) << "installing a plan must invalidate cached labels";
+  sim.advance_idle_to(100);  // link down
+  EXPECT_GT(sim.liveness_version(), v);
+  v = sim.liveness_version();
+  sim.advance_idle_to(200);  // node death: channel_live() is unaffected
+  EXPECT_TRUE(sim.node_failed(5));
+  EXPECT_EQ(sim.liveness_version(), v);
+  sim.advance_idle_to(300);  // cut
+  EXPECT_GT(sim.liveness_version(), v);
+  v = sim.liveness_version();
+  sim.advance_idle_to(350);  // nothing due
+  EXPECT_EQ(sim.liveness_version(), v);
+  sim.advance_idle_to(400);  // heal
+  EXPECT_GT(sim.liveness_version(), v);
+}
+
+// --- failover acceptance (16x16 mesh, mid-stream source kill) -------------
 
 rt::StreamResult run_source_kill(Time heartbeat, bool failover,
                                  const sim::Topology& topo,
@@ -495,6 +736,81 @@ TEST(StreamChaos, ReproCommandNamesMembershipFlags) {
     return;
   }
   FAIL() << "no generated scenario enables heartbeat+failover+rejoin";
+}
+
+// --- golden: the reliable wait loop's retransmission order ----------------
+
+// FNV-1a over the flight recorder's kSendAttempt records, in record order.
+std::uint64_t send_attempt_hash(const obs::FlightRecorder& rec) {
+  std::uint64_t h = 1469598103934665603ULL;
+  auto mix = [&](std::int64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= static_cast<std::uint64_t>(v >> (8 * i)) & 0xffU;
+      h *= 1099511628211ULL;
+    }
+  };
+  for (const obs::TraceEvent& ev : rec.snapshot()) {
+    if (ev.event_kind() != obs::EventKind::kSendAttempt) continue;
+    mix(ev.cycle);
+    mix(ev.a);
+    mix(ev.b);
+    mix(ev.c);
+    mix(ev.d);
+  }
+  return h;
+}
+
+TEST(StreamGolden, ReliableLoopKeepsItsRetransmissionOrder) {
+  // Heavy drops, a receiver kill, two receivers cut off and healed, and a
+  // source kill, under the lease detector with failover and rejoin: every
+  // path of the reliable wait loop runs (batched retries, subtree
+  // repairs, all three epoch transitions, stale acks).  The constants pin
+  // the exact order in which the loop retransmits and repairs: visiting
+  // the open records in any other order changes the hash, the retry
+  // count and the commit times.
+  const auto topo = mesh::make_mesh2d(8);
+  const int n = topo->num_nodes();
+  const auto p = analysis::sample_placements(13, n, 16, 1)[0];
+  rt::MulticastRuntime rtm(rt::RuntimeConfig{});
+  const rt::StreamRuntime srt(rtm);
+  rt::StreamConfig cfg = membership_config(&topo->shape(), 8, 48, 800, 256);
+  cfg.failover = true;
+  cfg.rejoin = true;
+  obs::FlightRecorder rec(obs::RecorderConfig{std::size_t{1} << 16});
+  cfg.recorder = &rec;
+  const std::vector<NodeId> cut_off = {p.dests[0], p.dests[1]};
+  std::vector<NodeId> rest;
+  for (NodeId v = 0; v < n; ++v)
+    if (std::find(cut_off.begin(), cut_off.end(), v) == cut_off.end())
+      rest.push_back(v);
+  sim::FaultPlan plan = sim::FaultPlan::partition(*topo, rest, cut_off, 9000, 16000);
+  plan.drop_rate = 2e-2;
+  plan.seed = 5;
+  plan.node_events.push_back({4000, p.dests[3]});
+  plan.node_events.push_back({30000, p.source});
+  sim::Simulator sim(*topo);
+  sim.set_fault_plan(plan);
+  const rt::StreamResult r = srt.run(sim, p.source, p.dests, cfg);
+  ASSERT_EQ(rec.events_dropped(), 0u);
+  EXPECT_NO_THROW(verify::InvariantAuditor::audit_stream(r));
+
+  const std::vector<Time> commit_time = {
+       34051,  35654,  36842,  55383,  55383,  55383,  55383,  56225,
+       56225,  56225,  56225,  58093,  60200,  80827,  80827,  80827,
+       80827,  80827,  80827,  80827,  80827, 101764, 101764, 101764,
+      101764, 101764, 101764, 101764, 101764, 119381, 121329, 121329,
+      121329, 121329, 122249, 122249, 122249, 126966, 126966, 127651,
+      129758, 131865, 133972, 137846, 138267, 146192, 146192, 146192};
+  std::vector<int> prefix(16, 48);
+  prefix[6] = 2;  // the receiver killed at cycle 4000
+  EXPECT_EQ(r.commit_time, commit_time);
+  EXPECT_EQ(r.retries, 36);
+  EXPECT_EQ(r.stale_acks, 44);
+  EXPECT_EQ(r.epoch, 6);
+  EXPECT_EQ(r.failovers, 1);
+  EXPECT_EQ(r.rejoins, 2);
+  EXPECT_EQ(r.delivered_prefix, prefix);
+  EXPECT_EQ(send_attempt_hash(rec), 0xe273e9676d5ff63cULL);
 }
 
 }  // namespace

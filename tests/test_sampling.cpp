@@ -75,6 +75,21 @@ TEST(Sampling, SeedReproducesPlacements) {
   }
 }
 
+TEST(Sampling, RepeatedDrawsMatchOneShotDraws) {
+  // sample_placements reuses one id buffer across reps; each draw must
+  // equal a sample_placement call on a freshly built identity, fed the
+  // same random stream (placements, and hence every digest, unchanged).
+  for (const int k : {2, 32, 128}) {
+    Rng rng(77);
+    const auto batch = sample_placements(77, 128, k, 24);
+    for (const Placement& want : batch) {
+      const Placement got = sample_placement(rng, 128, k);
+      EXPECT_EQ(got.source, want.source);
+      EXPECT_EQ(got.dests, want.dests);
+    }
+  }
+}
+
 TEST(Sampling, ReplicationsDiffer) {
   const auto ps = sample_placements(1, 256, 32, 16);
   int distinct = 0;
