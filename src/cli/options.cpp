@@ -457,6 +457,9 @@ struct RunOutcome {
   int retries = 0;
   int repairs = 0;
   int dead = 0;
+  // cycle-engine internals, for the JSON envelope only
+  long long leaps = 0;
+  long long leaped_cycles = 0;
 };
 
 RunOutcome run_one(const MeshShape* shape, const rt::CollectiveRuntime& coll,
@@ -515,6 +518,8 @@ RunOutcome run_one(const MeshShape* shape, const rt::CollectiveRuntime& coll,
     out = RunOutcome{r.latency, r.reduce.model_latency + r.bcast.model_latency,
                      r.reduce.channel_conflicts + r.bcast.channel_conflicts};
   }
+  out.leaps = sim.leaps();
+  out.leaped_cycles = sim.leaped_cycles();
   return out;
 }
 
@@ -719,6 +724,8 @@ int run_stream_cli(const CliOptions& opt, std::ostream& os, std::ostream& err) {
   if (!opt.json.empty()) {
     harness::JsonReport report("pcmcast", 1);
     report.set_meta("engine", harness::engine_label(opt.engine, fell_back));
+    report.set_meta("leaps", std::to_string(sim.leaps()));
+    report.set_meta("leaped_cycles", std::to_string(sim.leaped_cycles()));
     report.set_meta("seed", std::to_string(opt.seed));
     report.set_meta("makespan", std::to_string(r.makespan));
     report.set_meta("committed", std::to_string(r.committed));
@@ -813,6 +820,7 @@ int run_cli(const CliOptions& opt, std::ostream& os, std::ostream& err) {
   analysis::Table rows(row_cols);
   harness::ThreadPool pool(opt.jobs);
   double min_delivered = 1.0;
+  long long leaps = 0, leaped_cycles = 0;
 
   // --trace/--metrics: one master trace merged from per-run rings in
   // placement order (bit-identical at any --jobs).  Off = no recorder
@@ -893,6 +901,8 @@ int run_cli(const CliOptions& opt, std::ostream& os, std::ostream& err) {
       retries += r.retries;
       repairs += r.repairs;
       dead += r.dead;
+      leaps += r.leaps;
+      leaped_cycles += r.leaped_cycles;
       std::vector<std::string> row = {std::string(algorithm_name(alg)),
                                       std::to_string(i), std::to_string(r.latency),
                                       std::to_string(r.model),
@@ -962,6 +972,8 @@ int run_cli(const CliOptions& opt, std::ostream& os, std::ostream& err) {
   if (!opt.json.empty()) {
     harness::JsonReport report("pcmcast", pool.jobs());
     report.set_meta("engine", harness::engine_label(opt.engine, fell_back));
+    report.set_meta("leaps", std::to_string(leaps));
+    report.set_meta("leaped_cycles", std::to_string(leaped_cycles));
     report.set_meta("seed", std::to_string(opt.seed));
     report.add_table("summary", opt.csv, summary);
     report.add_table("per-rep", opt.csv, rows);

@@ -9,12 +9,7 @@ FlitFifo::FlitFifo(int capacity) : capacity_(capacity) {
   slots_.resize(capacity);
 }
 
-void FlitFifo::push(const Flit& f, Time now) {
-  if (full()) throw std::logic_error("FlitFifo::push on full buffer (flow-control bug)");
-  const int pos = (head_ + size_) % capacity_;
-  slots_[pos] = Slot{f, now};
-  ++size_;
-}
+void FlitFifo::fail(const char* what) { throw std::logic_error(what); }
 
 int FlitFifo::remove_msg(MsgId msg) {
   int kept = 0;
@@ -29,13 +24,19 @@ int FlitFifo::remove_msg(MsgId msg) {
   return removed;
 }
 
-Flit FlitFifo::pop(Time now) {
-  if (empty()) throw std::logic_error("FlitFifo::pop on empty buffer");
-  Flit f = slots_[head_].flit;
-  head_ = (head_ + 1) % capacity_;
-  --size_;
-  last_pop_ = now;
-  return f;
+bool FlitFifo::body_run_ending(Time last) const noexcept {
+  const MsgId msg = front().msg;
+  for (int i = 0; i < size_; ++i) {
+    const Slot& s = slots_[(head_ + i) % capacity_];
+    if (s.flit.msg != msg || s.flit.head || s.flit.tail) return false;
+    if (s.entry != last - (size_ - 1 - i)) return false;
+  }
+  return true;
+}
+
+void FlitFifo::shift_time(Time d) noexcept {
+  for (int i = 0; i < size_; ++i) slots_[(head_ + i) % capacity_].entry += d;
+  last_pop_ += d;
 }
 
 }  // namespace pcm::sim

@@ -30,9 +30,32 @@ class FlitFifo {
   /// Oldest flit; FIFO must be non-empty.
   [[nodiscard]] const Flit& front() const noexcept { return slots_[head_].flit; }
   [[nodiscard]] Time front_entry() const noexcept { return slots_[head_].entry; }
+  /// Newest flit's arrival cycle; FIFO must be non-empty.
+  [[nodiscard]] Time back_entry() const noexcept {
+    return slots_[(head_ + size_ - 1) % capacity_].entry;
+  }
+  /// Cycle of the most recent pop, -1 before the first.
+  [[nodiscard]] Time last_pop() const noexcept { return last_pop_; }
 
-  void push(const Flit& f, Time now);
-  Flit pop(Time now);
+  // Inline, and wrapping without a division: one push and one pop per
+  // flit hop, on the cycle engine's hottest path.
+  void push(const Flit& f, Time now) {
+    if (full()) [[unlikely]]
+      fail("FlitFifo::push on full buffer (flow-control bug)");
+    int pos = head_ + size_;
+    if (pos >= capacity_) pos -= capacity_;
+    slots_[pos] = Slot{f, now};
+    ++size_;
+  }
+  Flit pop(Time now) {
+    if (empty()) [[unlikely]]
+      fail("FlitFifo::pop on empty buffer");
+    const Flit f = slots_[head_].flit;
+    if (++head_ == capacity_) head_ = 0;
+    --size_;
+    last_pop_ = now;
+    return f;
+  }
 
   /// Flit at logical index `i` (0 == front); for fault purging and
   /// forensic dumps only.
@@ -45,6 +68,15 @@ class FlitFifo {
   /// order and entry times of the rest.  Returns the number removed.
   /// Fault path only — never called on healthy runs.
   int remove_msg(MsgId msg);
+
+  /// Steady-state leap only (Simulator::leap): true when every buffered
+  /// flit is a body flit of one message and the arrival cycles are
+  /// consecutive, ending at `last`.  FIFO must be non-empty.
+  [[nodiscard]] bool body_run_ending(Time last) const noexcept;
+  /// Steady-state leap only: moves every arrival cycle and the pop stamp
+  /// `d` cycles later, the state `d` more cycles of one-in-one-out
+  /// streaming would leave.
+  void shift_time(Time d) noexcept;
 
   /// Flow control against start-of-cycle occupancy: a flit popped earlier
   /// in the same cycle has not yet freed its slot for same-cycle pushes
@@ -59,6 +91,8 @@ class FlitFifo {
     Flit flit;
     Time entry = 0;
   };
+  [[noreturn]] static void fail(const char* what);
+
   std::vector<Slot> slots_;
   int capacity_ = 0;
   int head_ = 0;

@@ -227,6 +227,10 @@ void EventEngine::commit_xfers(Time t) {
       auto it = std::find(live_.begin(), live_.end(), wi);
       *it = live_.back();
       live_.pop_back();
+      // No calendar entry outlives the ejection release (every other
+      // release and the inject-done fall strictly earlier), so the slot
+      // is free for the next pull.
+      free_worms_.push_back(wi);
     }
   }
 }
@@ -280,14 +284,20 @@ void EventEngine::do_pulls(NodeId n, Time t) {
     eng.flits_sent = 0;
     Message& m = sim_.messages_.at(id);
     m.inject_start = t;
-    const int wi = static_cast<int>(worms_.size());
     Worm w;
     w.id = id;
     w.flits = m.flits;
     w.t0 = t;
     w.nic_engine = static_cast<int>(base) + e;
     w.head_at = sim_.attach_cache_[base + static_cast<std::size_t>(e)];
-    worms_.push_back(std::move(w));
+    int wi = static_cast<int>(worms_.size());
+    if (free_worms_.empty()) {
+      worms_.push_back(std::move(w));
+    } else {
+      wi = free_worms_.back();
+      free_worms_.pop_back();
+      worms_[static_cast<std::size_t>(wi)] = std::move(w);
+    }
     live_.push_back(wi);
     sched(t + r_, Ev::kArb, wi);
     sched(t + m.flits - 1, Ev::kInjectDone, wi);

@@ -159,8 +159,9 @@ class EventEngine {
   const Time r_;  ///< cfg_.router_delay (>= 1 in event mode)
   int ports_per_node_ = 1;
 
-  std::vector<Worm> worms_;
+  std::vector<Worm> worms_;  ///< slots, reused once a worm is delivered
   std::vector<int> live_;  ///< indices of in-flight worms (unordered)
+  std::vector<int> free_worms_;  ///< delivered slots, reused LIFO
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> calendar_;
   std::vector<Time> eng_free_from_;  ///< per node * ports_per_node + engine
   std::vector<RrAcct> rr_;           ///< per router

@@ -31,18 +31,6 @@ void Router::release(int in_port, int out_port) {
   if (!in_[in_port].empty()) ++pending_;
 }
 
-void Router::accept(int port, const Flit& f, Time now) {
-  FlitFifo& fifo = in_[port];
-  if (fifo.empty() && in_assigned_[port] == -1) ++pending_;
-  fifo.push(f, now);
-  ++activity_;
-}
-
-Flit Router::take(int port, Time now) {
-  --activity_;
-  return in_[port].pop(now);
-}
-
 int Router::purge_msg(MsgId msg) {
   int removed = 0;
   for (FlitFifo& fifo : in_) removed += fifo.remove_msg(msg);

@@ -51,16 +51,24 @@ class Router {
   void release(int in_port, int out_port);
 
   /// Buffers an arriving flit on `port` (injection or upstream transfer).
-  void accept(int port, const Flit& f, Time now);
+  void accept(int port, const Flit& f, Time now) {
+    FlitFifo& fifo = in_[port];
+    if (fifo.empty() && in_assigned_[port] == -1) ++pending_;
+    fifo.push(f, now);
+    ++activity_;
+  }
   /// Removes and returns the front flit of `port`; the port must be
   /// assigned (wormhole flits only advance along reserved paths).
-  Flit take(int port, Time now);
+  Flit take(int port, Time now) {
+    --activity_;
+    return in_[port].pop(now);
+  }
 
   /// Rotating arbitration start index; call bump() after each cycle that
   /// performed arbitration so priority rotates.
   [[nodiscard]] int rr_start() const noexcept { return rr_start_; }
   [[gnu::always_inline]] void bump() noexcept {
-    rr_start_ = (rr_start_ + 1) % radix();
+    if (++rr_start_ == radix()) rr_start_ = 0;
   }
   /// Event-engine materialization only: restores the priority the rotating
   /// arbiter would have after the reconstructed bump history.

@@ -204,6 +204,7 @@ Time Simulator::run_until_idle(Time max_cycles) {
       stalled = 0;
     }
     progress_ = false;
+    quiet_ = true;
     step();
     stalled = progress_ ? 0 : stalled + 1;
     if (stalled > cfg_.watchdog_cycles) {
@@ -217,6 +218,7 @@ Time Simulator::run_until_idle(Time max_cycles) {
                          std::to_string(cycle_) + "\n" + report.to_string();
       throw WatchdogError(std::move(what), std::move(report));
     }
+    if (quiet_ && progress_ && cfg_.router_delay >= 1) leap(max_cycles);
   }
   if (event_ && !event_disabled_) event_->finish_run();
   stats_.cycles = cycle_;
@@ -229,6 +231,7 @@ void Simulator::release_due_posts() {
   while (!posts_.empty() && posts_.top().ready <= cycle_) {
     const MsgId id = posts_.top().id;
     posts_.pop();
+    quiet_ = false;
     const NodeId src = messages_.at(id).src;
     if (faults_active_ && node_dead_[static_cast<std::size_t>(src)]) {
       // A fail-stopped node issues no sends: the post dies at the NI.
@@ -253,8 +256,8 @@ void Simulator::release_due_posts() {
 
 void Simulator::arbitrate(int r) {
   Router& router = routers_[r];
-  for (int i = 0; i < radix_; ++i) {
-    const int p = (router.rr_start() + i) % radix_;
+  for (int i = 0, p = router.rr_start(); i < radix_;
+       ++i, p = p + 1 == radix_ ? 0 : p + 1) {
     if (router.assigned_out(p) != -1) continue;
     const FlitFifo& fifo = router.in(p);
     if (fifo.empty()) continue;
@@ -284,6 +287,7 @@ void Simulator::arbitrate(int r) {
       any_live = true;
       if (router.out_holder(q) == -1) {
         router.reserve(p, q);
+        quiet_ = false;
         channel_msg_[static_cast<std::size_t>(r) * radix_ + q] = front.msg;
         if (observer_ != nullptr) observer_->on_reserve(r, q, front.msg, cycle_);
         granted = true;
@@ -334,6 +338,7 @@ void Simulator::transfer(int r) {
       progress_ = true;
       if (flit.tail) {
         router.release(p, q);
+        quiet_ = false;
         channel_msg_[static_cast<std::size_t>(base) + q] = kInvalidMsg;
         if (observer_ != nullptr) observer_->on_release(r, q, flit.msg, cycle_);
         Message& msg = messages_.at(flit.msg);
@@ -371,6 +376,7 @@ void Simulator::transfer(int r) {
     progress_ = true;
     if (flit.tail) {
       router.release(p, q);
+      quiet_ = false;
       channel_msg_[static_cast<std::size_t>(base) + q] = kInvalidMsg;
       if (observer_ != nullptr) observer_->on_release(r, q, flit.msg, cycle_);
     }
@@ -387,6 +393,7 @@ void Simulator::inject(NodeId n) {
       eng.active = nic.queue.front();
       nic.queue.pop_front();
       eng.flits_sent = 0;
+      quiet_ = false;
     }
     Message& msg = messages_.at(eng.active);
     const PortRef a = attach_cache_[base + e];
@@ -396,7 +403,10 @@ void Simulator::inject(NodeId n) {
     flit.msg = eng.active;
     flit.head = (eng.flits_sent == 0);
     flit.tail = (eng.flits_sent == msg.flits - 1);
-    if (flit.head) msg.inject_start = cycle_;
+    if (flit.head) {
+      msg.inject_start = cycle_;
+      quiet_ = false;
+    }
     router.accept(a.port, flit, cycle_);
     mark_router_active(a.router);
     ++inflight_flits_;
@@ -406,6 +416,7 @@ void Simulator::inject(NodeId n) {
     if (flit.tail) {
       msg.inject_done = cycle_;
       eng.active = kInvalidMsg;
+      quiet_ = false;
     }
   }
   if (!nic.busy()) {
@@ -501,10 +512,123 @@ void Simulator::step() {
   }
 }
 
+void Simulator::leap(Time max_cycles) {
+  // The quiet cycle t just stepped leaves every touched FIFO either
+  // streaming (one pop and one push of body flits) or standing still with
+  // a front that was already residency-eligible at t — a head that lost
+  // arbitration, or a flit backed up behind one.  Nothing standing can
+  // change until a channel is released, and only a tail releases; no
+  // tail moves while every streaming worm's tail is still in its NI.  So
+  // cycle t+1 repeats t up to the first absolute-time trigger: a post
+  // becoming ready, a fault event, a tail injection, or the horizon.
+  const Time t = cycle_ - 1;
+  Time d = max_cycles - cycle_;
+  if (!posts_.empty()) d = std::min(d, posts_.top().ready - cycle_);
+  if (next_link_event_ < plan_.link_events.size())
+    d = std::min(d, plan_.link_events[next_link_event_].cycle - cycle_);
+  if (next_node_event_ < plan_.node_events.size())
+    d = std::min(d, plan_.node_events[next_node_event_].cycle - cycle_);
+  if (d < 2) return;  // a one-cycle leap costs a scan to save one step
+
+  // Injecting engines stream body flits until a tail is due; checked
+  // first because short messages fail here most often.
+  leap_engines_.clear();
+  const std::size_t ports = nics_.empty() ? 0 : nics_.front().engines.size();
+  for (std::size_t wi = 0; wi < nic_words_.size(); ++wi) {
+    for (std::uint64_t w = nic_words_[wi]; w != 0; w &= w - 1) {
+      const std::size_t n =
+          (wi << 6) | static_cast<unsigned>(std::countr_zero(w));
+      for (std::size_t e = 0; e < ports; ++e) {
+        Nic::Engine& eng = nics_[n].engines[e];
+        if (eng.active == kInvalidMsg) continue;
+        const PortRef a = attach_cache_[n * ports + e];
+        const FlitFifo& fifo = routers_[a.router].in(a.port);
+        if (fifo.empty() || fifo.back_entry() != t) continue;  // backed up
+        d = std::min<Time>(
+            d, messages_.at(eng.active).flits - 1 - eng.flits_sent);
+        leap_engines_.push_back(&eng);
+      }
+    }
+  }
+  if (d < 2) return;
+
+  const Time rd = cfg_.router_delay;
+  leap_fifos_.clear();
+  leap_blocked_.clear();
+  for (std::size_t wi = 0; wi < active_words_.size(); ++wi) {
+    for (std::uint64_t w = active_words_[wi]; w != 0; w &= w - 1) {
+      const int r = static_cast<int>((wi << 6) |
+                                     static_cast<unsigned>(std::countr_zero(w)));
+      Router& router = routers_[r];
+      if (router.activity() == 0) continue;
+      for (int p = 0; p < radix_; ++p) {
+        FlitFifo& fifo = router.in(p);
+        const bool popped = fifo.last_pop() == t;
+        if (fifo.empty()) {
+          if (popped) return;  // drained: the next cycle differs
+          continue;
+        }
+        if (popped != (fifo.back_entry() == t)) return;  // filling/draining
+        if (popped) {
+          // Consecutive arrivals make the shifted state exact; size >= rd
+          // keeps the new front eligible next cycle.
+          if (fifo.size() < rd || !fifo.body_run_ending(t)) return;
+          leap_fifos_.push_back(&fifo);
+        } else {
+          if (t - fifo.front_entry() < rd) return;  // residency still pending
+          if (router.assigned_out(p) == -1)
+            leap_blocked_.push_back(LeapBlock{r, p, fifo.front().msg});
+        }
+      }
+    }
+  }
+  if (leap_fifos_.empty()) return;
+
+  for (FlitFifo* fifo : leap_fifos_) fifo->shift_time(d);
+  for (Nic::Engine* eng : leap_engines_) eng->flits_sent += static_cast<int>(d);
+  stats_.flit_hops += d * static_cast<long long>(leap_fifos_.size());
+  for (const LeapBlock& b : leap_blocked_)
+    messages_.at(b.msg).block_cycles += d;
+  stats_.channel_conflicts += d * static_cast<long long>(leap_blocked_.size());
+  if (observer_ != nullptr && !leap_blocked_.empty()) {
+    // Replay each skipped cycle's arbitration losses in sweep order:
+    // routers ascending, then ports from that cycle's rotating start
+    // (leap_blocked_ is router-major, ports ascending).
+    for (Time j = 0; j < d; ++j) {
+      for (std::size_t g = 0, end = 0; g < leap_blocked_.size(); g = end) {
+        const int r = leap_blocked_[g].router;
+        while (end < leap_blocked_.size() && leap_blocked_[end].router == r)
+          ++end;
+        const int rr = static_cast<int>((routers_[r].rr_start() + j) % radix_);
+        std::size_t k = g;
+        while (k < end && leap_blocked_[k].port < rr) ++k;
+        for (std::size_t i = k; i < end; ++i)
+          observer_->on_blocked(r, leap_blocked_[i].port, leap_blocked_[i].msg,
+                                cycle_ + j);
+        for (std::size_t i = g; i < k; ++i)
+          observer_->on_blocked(r, leap_blocked_[i].port, leap_blocked_[i].msg,
+                                cycle_ + j);
+      }
+    }
+  }
+  for (std::size_t wi = 0; wi < active_words_.size(); ++wi) {
+    for (std::uint64_t w = active_words_[wi]; w != 0; w &= w - 1) {
+      Router& router =
+          routers_[(wi << 6) | static_cast<unsigned>(std::countr_zero(w))];
+      if (router.activity() > 0)
+        router.set_rr_start(static_cast<int>((router.rr_start() + d) % radix_));
+    }
+  }
+  cycle_ += d;
+  ++leaps_;
+  leaped_cycles_ += d;
+}
+
 void Simulator::apply_due_faults() {
   while (next_link_event_ < plan_.link_events.size() &&
          plan_.link_events[next_link_event_].cycle <= cycle_) {
     const FaultPlan::LinkEvent& ev = plan_.link_events[next_link_event_++];
+    quiet_ = false;
     const std::size_t c =
         static_cast<std::size_t>(ev.router) * radix_ + ev.port;
     channel_dead_[c] = ev.up ? 0 : 1;
@@ -517,6 +641,7 @@ void Simulator::apply_due_faults() {
   while (next_node_event_ < plan_.node_events.size() &&
          plan_.node_events[next_node_event_].cycle <= cycle_) {
     const FaultPlan::NodeEvent& ev = plan_.node_events[next_node_event_++];
+    quiet_ = false;
     if (!node_dead_[static_cast<std::size_t>(ev.node)]) fail_node(ev.node);
     ++stats_.fault_events;
     if (observer_ != nullptr) observer_->on_fault_event(cycle_);
@@ -541,6 +666,7 @@ void Simulator::fail_node(NodeId n) {
 void Simulator::purge_message(MsgId id, DropReason reason) {
   Message& msg = messages_.at(id);
   if (msg.finished()) return;
+  quiet_ = false;
   // 1. Release every channel the worm holds (the simulator tracks holder
   //    identity; the router only tracks port pairings).
   const std::size_t channels = channel_msg_.size();

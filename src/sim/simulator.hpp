@@ -25,6 +25,15 @@
 // same head flit waits there.  All of this is observationally equivalent
 // to the naive full scan: per-cycle event order, conflict counters, and
 // observer callbacks are bit-identical.
+//
+// Steady-state leap (DESIGN.md §6.1): after a *quiet* cycle — flits moved,
+// but nothing was granted, released, injected as a head or tail, pulled,
+// posted, faulted or purged — in which every touched input FIFO made one
+// pop and one push of body flits, the next cycles are the same cycle
+// shifted in time.  The engine then jumps straight to the first cycle
+// that can differ (next post, fault event, tail injection, or the run's
+// horizon), applying exactly the counters, stamps and on_blocked calls
+// the skipped cycles would have produced.
 #pragma once
 
 #include <cstdint>
@@ -197,6 +206,13 @@ class Simulator {
   [[nodiscard]] const MessageTable& messages() const { return messages_; }
   [[nodiscard]] const SimStats& stats() const { return stats_; }
 
+  /// Engine-internal counters: steady-state leaps taken by the cycle
+  /// engine and the cycles they skipped.  Deliberately not in SimStats —
+  /// they differ between engines and with run_until_idle horizons, while
+  /// every workload observable stays bit-identical.
+  [[nodiscard]] long long leaps() const { return leaps_; }
+  [[nodiscard]] long long leaped_cycles() const { return leaped_cycles_; }
+
  private:
   struct Nic {
     /// One injection engine per NI port (one-port machines have one).
@@ -236,6 +252,9 @@ class Simulator {
   };
 
   void step();
+  /// Called after a quiet step(): jumps the clock over the steady
+  /// streaming cycles that follow, if the network is in such a state.
+  void leap(Time max_cycles);
   void release_due_posts();
   void arbitrate(int r);
   void transfer(int r);
@@ -307,6 +326,21 @@ class Simulator {
   int busy_nics_ = 0;
   int undelivered_ = 0;
   bool progress_ = false;
+  /// Cleared by every step() branch that makes a cycle unlike its
+  /// successor (grant, tail move, head/tail injection, NI pull, post
+  /// release, fault event, purge); see leap().
+  bool quiet_ = false;
+  long long leaps_ = 0;
+  long long leaped_cycles_ = 0;
+  // leap() scratch, reused across attempts
+  struct LeapBlock {
+    int router;
+    int port;
+    MsgId msg;
+  };
+  std::vector<FlitFifo*> leap_fifos_;
+  std::vector<Nic::Engine*> leap_engines_;
+  std::vector<LeapBlock> leap_blocked_;
   RunStatus run_status_ = RunStatus::kCompleted;
   SimStats stats_;
 };

@@ -484,6 +484,30 @@ TEST(CliRun, FaultedEventEngineFallsBackWithNotice) {
       << json;
 }
 
+TEST(CliRun, JsonReportsLeapCountersOutsideTheTables) {
+  // Contended OPT-Tree runs stream long worms past blocked heads, which
+  // the cycle engine leaps over; the counters are engine internals, so
+  // they go to the JSON envelope and never to stdout.
+  CliOptions o;
+  o.topology = "mesh:16";
+  o.algorithm = "opt-tree";
+  o.bytes = 16384;
+  o.reps = 2;
+  o.jobs = 1;
+  o.json = testing::TempDir() + "pcm_leap_counters.json";
+  std::ostringstream os;
+  EXPECT_EQ(run_cli(o, os), 0) << os.str();
+  EXPECT_EQ(os.str().find("leaps"), std::string::npos) << os.str();
+  EXPECT_EQ(os.str().find("leaped"), std::string::npos) << os.str();
+  std::ifstream f(o.json);
+  const std::string json((std::istreambuf_iterator<char>(f)),
+                         std::istreambuf_iterator<char>());
+  const std::size_t at = json.find("\"leaps\": \"");
+  ASSERT_NE(at, std::string::npos) << json;
+  EXPECT_NE(json[at + 10], '0') << json;
+  EXPECT_NE(json.find("\"leaped_cycles\": \""), std::string::npos) << json;
+}
+
 TEST(CliRun, StreamPartialDeliveryFailsUnlessAllowed) {
   // A destination dies before its first delivery; the reliable stream
   // finishes over the survivors and reports the per-receiver prefix.
