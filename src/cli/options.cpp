@@ -495,7 +495,12 @@ RunOutcome run_one(const MeshShape* shape, const rt::CollectiveRuntime& coll,
     sim.set_fault_plan(*plan);
     rt::FtConfig ft;
     ft.max_retries = opt.max_retries;
-    ft.record_ack_trace = opt.audit;
+    // --audit replays the send lifecycle: from the run's recorder under
+    // --trace (unbounded when audited), else from one detached from the
+    // simulator that records the protocol events only.
+    std::optional<obs::FlightRecorder> audit_log;
+    if (opt.audit && recorder == nullptr)
+      recorder = &audit_log.emplace(obs::RecorderConfig{obs::kUnbounded});
     ft.recorder = recorder;
     const rt::McastResult r = rtm.run_reliable(sim, tree, opt.bytes, ft, sim.now());
     out = RunOutcome{r.latency,           r.model_latency,
@@ -504,7 +509,8 @@ RunOutcome run_one(const MeshShape* shape, const rt::CollectiveRuntime& coll,
                      static_cast<int>(r.dead_nodes.size())};
     if (auditor) {
       auditor->finalize(sim);
-      verify::InvariantAuditor::audit_result(r);
+      verify::InvariantAuditor::audit_result(r, recorder->snapshot(),
+                                             recorder->events_dropped());
     }
   } else if (opt.collective == "multicast") {
     const rt::McastResult r = rtm.run(sim, tree, opt.bytes, sim.now());
@@ -525,8 +531,8 @@ RunOutcome run_one(const MeshShape* shape, const rt::CollectiveRuntime& coll,
 
 /// `pcmcast --stream N`: one explicit placement pushed through the
 /// windowed StreamRuntime.  Faults switch on reliable mode; --audit adds
-/// the channel-level auditor plus the stream-trace replay
-/// (InvariantAuditor::audit_stream).
+/// the channel-level auditor plus the replay of the stream's recorded
+/// protocol events (InvariantAuditor::audit_stream).
 int run_stream_cli(const CliOptions& opt, std::ostream& os, std::ostream& err) {
   const auto topo = make_topology(opt.topology);
   const MeshShape* shape = mesh_shape_of(*topo);
@@ -561,7 +567,6 @@ int run_stream_cli(const CliOptions& opt, std::ostream& os, std::ostream& err) {
   scfg.shape = shape;
   scfg.reliable = plan.has_value() || opt.heartbeat > 0;
   scfg.ft.max_retries = opt.max_retries;
-  scfg.record_trace = opt.audit;
   scfg.membership.heartbeat_period = opt.heartbeat;
   scfg.failover = opt.failover;
   scfg.rejoin = opt.rejoin;
@@ -614,16 +619,22 @@ int run_stream_cli(const CliOptions& opt, std::ostream& os, std::ostream& err) {
     sim.set_observer(&*auditor);
   }
   // A stream is one run: a single recorder, no per-placement fan-out.
-  // Under --audit --trace it front-runs the auditor so a violation's
-  // trace ends exactly at the offending event.
+  // --audit replays it, so an audited recorder never wraps; without
+  // --trace/--metrics it stays detached from the simulator and records
+  // the protocol events only.  Under --audit --trace it front-runs the
+  // auditor so a violation's trace ends exactly at the offending event.
+  const bool traced = !opt.trace.empty() || opt.metrics;
   std::unique_ptr<obs::FlightRecorder> recorder;
-  if (!opt.trace.empty() || opt.metrics) {
-    recorder = std::make_unique<obs::FlightRecorder>();
+  if (traced || opt.audit) {
+    recorder = std::make_unique<obs::FlightRecorder>(
+        opt.audit ? obs::RecorderConfig{obs::kUnbounded} : obs::RecorderConfig{});
     recorder->record(obs::EventKind::kRunBegin, 0, 0,
                      static_cast<std::int32_t>(alg));
+    scfg.recorder = recorder.get();
+  }
+  if (traced) {
     recorder->chain(auditor ? &*auditor : nullptr);
     sim.set_observer(recorder.get());
-    scfg.recorder = recorder.get();
   }
   if (plan) sim.set_fault_plan(*plan);
 
@@ -647,7 +658,8 @@ int run_stream_cli(const CliOptions& opt, std::ostream& os, std::ostream& err) {
     r = srt.run(sim, p.source, p.dests, scfg, sim.now());
     if (auditor) {
       auditor->finalize(sim);
-      verify::InvariantAuditor::audit_stream(r);
+      verify::InvariantAuditor::audit_stream(r, recorder->snapshot(),
+                                             recorder->events_dropped());
     }
   } catch (const verify::InvariantViolation& v) {
     if (recorder) {
@@ -878,8 +890,9 @@ int run_cli(const CliOptions& opt, std::ostream& os, std::ostream& err) {
       sim::Simulator sim(*topo, sim::SimConfig{.engine = engine});
       obs::FlightRecorder* rec = nullptr;
       if (master) {
-        cur_runs[i] = std::make_unique<obs::FlightRecorder>(
-            obs::RecorderConfig{obs::kRunRingCapacity});
+        // An audited run replays its ring, which therefore never wraps.
+        cur_runs[i] = std::make_unique<obs::FlightRecorder>(obs::RecorderConfig{
+            opt.audit ? obs::kUnbounded : obs::kRunRingCapacity});
         rec = cur_runs[i].get();
         rec->record(obs::EventKind::kRunBegin, 0,
                     static_cast<std::int32_t>(run_counter + i),

@@ -1,5 +1,6 @@
 #include "obs/export.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -56,10 +57,15 @@ TraceFile read_binary_trace(std::istream& is) {
   TraceFile tf;
   const std::uint64_t count = get_u64(is);
   tf.dropped = get_u64(is);
-  tf.events.resize(count);
-  if (count > 0) {
-    is.read(reinterpret_cast<char*>(tf.events.data()),
-            static_cast<std::streamsize>(count * sizeof(TraceEvent)));
+  // The header count is untrusted: read in bounded chunks so memory only
+  // grows as records actually arrive (and count * 32 is never formed).
+  constexpr std::uint64_t kChunk = std::uint64_t{1} << 16;
+  while (tf.events.size() < count) {
+    const std::size_t have = tf.events.size();
+    const auto n = static_cast<std::size_t>(std::min(kChunk, count - have));
+    tf.events.resize(have + n);
+    is.read(reinterpret_cast<char*>(tf.events.data() + have),
+            static_cast<std::streamsize>(n * sizeof(TraceEvent)));
     if (!is) throw std::runtime_error("pcmtrace: truncated trace payload");
   }
   return tf;

@@ -31,7 +31,8 @@ void write_binary_trace(std::ostream& os, std::span<const TraceEvent> events,
                         std::uint64_t dropped);
 
 /// Reads a binary trace; throws std::runtime_error on a bad magic,
-/// version, or truncated payload.
+/// version, or truncated payload.  Memory grows with the records read,
+/// never with the header's claimed count.
 [[nodiscard]] TraceFile read_binary_trace(std::istream& is);
 
 /// Writes Chrome trace-event JSON ({"traceEvents":[...]}).  Spans are

@@ -42,7 +42,7 @@ FlightRecorder::FlightRecorder(RecorderConfig cfg) : capacity_(cfg.capacity) {
     throw std::invalid_argument("FlightRecorder: capacity must be > 0");
   // Reserve without touching: pages fault in as events arrive, so a
   // short run never pays a memset of the full capacity.
-  ring_.reserve(capacity_);
+  if (capacity_ != kUnbounded) ring_.reserve(capacity_);
 }
 
 void FlightRecorder::record(EventKind k, Time t, std::int32_t a, std::int32_t b,
@@ -55,7 +55,7 @@ void FlightRecorder::record(EventKind k, Time t, std::int32_t a, std::int32_t b,
   ev.d = d;
   ev.kind = static_cast<std::uint16_t>(k);
   if (ring_.size() < capacity_) {
-    ring_.push_back(ev);  // reserved in the ctor: never reallocates
+    ring_.push_back(ev);  // reallocates only when unbounded
   } else {
     ring_[head_] = ev;
     head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;

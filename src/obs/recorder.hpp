@@ -10,6 +10,8 @@
 // arrive (short runs never fault in the full capacity); once full, the
 // ring overwrites its oldest entries (events_dropped() counts them), so
 // a recorder never reallocates and never slows down over a long run.
+// A recorder an audit replays is built with kUnbounded instead: it never
+// overwrites, and grows like a vector (nothing is reserved up front).
 //
 // Determinism: every event is keyed on simulated time and recorded from
 // single-threaded per-run code, so a run's event sequence is a pure
@@ -24,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "obs/trace_event.hpp"
@@ -31,9 +34,13 @@
 
 namespace pcm::obs {
 
+/// Capacity of a recorder that never overwrites (see RecorderConfig).
+inline constexpr std::size_t kUnbounded = std::numeric_limits<std::size_t>::max();
+
 struct RecorderConfig {
   /// Ring capacity in events (32 bytes each).  The default keeps the last
   /// ~1M events (32 MB); fan-out drivers use a smaller per-run ring.
+  /// kUnbounded keeps every event (events_dropped() stays 0).
   std::size_t capacity = std::size_t{1} << 20;
 };
 

@@ -159,19 +159,6 @@ McastResult MulticastRuntime::run_reliable(sim::Simulator& sim,
 
   const RetryDeadlines deadlines(ft, mp, wire_bytes(payload, 1), repair_table);
 
-  auto trace = [&](AckEvent::Kind kind, Time t, std::size_t ri, int attempt,
-                   int recv_pos) {
-    if (ft.record_ack_trace)
-      res.ack_trace.push_back(
-          AckEvent{kind, t, static_cast<int>(ri), attempt, recv_pos});
-    if (ft.recorder != nullptr)
-      ft.recorder->record(kind == AckEvent::Kind::kIssue
-                              ? obs::EventKind::kSendAttempt
-                              : obs::EventKind::kSendAcked,
-                          t, static_cast<std::int32_t>(ri), attempt, recv_pos,
-                          -1);
-  };
-
   // Posts one attempt of recs[ri]; `base` lower-bounds the send-op start.
   auto issue = [&](std::size_t ri, Time base) {
     Pending& rec = recs[ri];
@@ -181,7 +168,10 @@ McastResult MulticastRuntime::run_reliable(sim::Simulator& sim,
     int& e = engine_rr[s];
     Time& op = next_op[s][static_cast<std::size_t>(e)];
     op = std::max(op, base);
-    trace(AckEvent::Kind::kIssue, op, ri, rec.attempt, rec.recv_pos);
+    if (ft.recorder != nullptr)
+      ft.recorder->record(obs::EventKind::kSendAttempt, op,
+                          static_cast<std::int32_t>(ri), rec.attempt,
+                          rec.recv_pos, -1);
     sim::Message m;
     m.src = tree.node(s);
     m.dst = tree.node(rec.recv_pos);
@@ -274,7 +264,10 @@ McastResult MulticastRuntime::run_reliable(sim::Simulator& sim,
       if (!recs[ri].acked) {
         recs[ri].acked = true;
         recs[ri].subtree_deadline = deadlines.subtree(done, n);
-        trace(AckEvent::Kind::kAck, done, ri, recs[ri].attempt, pos);
+        if (ft.recorder != nullptr)
+          ft.recorder->record(obs::EventKind::kSendAcked, done,
+                              static_cast<std::int32_t>(ri), recs[ri].attempt,
+                              pos, -1);
       }
       return;
     }
@@ -292,7 +285,10 @@ McastResult MulticastRuntime::run_reliable(sim::Simulator& sim,
           res.dead_nodes.end());
     }
     recs[ri].acked = true;
-    trace(AckEvent::Kind::kAck, done, ri, recs[ri].attempt, pos);
+    if (ft.recorder != nullptr)
+      ft.recorder->record(obs::EventKind::kSendAcked, done,
+                          static_cast<std::int32_t>(ri), recs[ri].attempt, pos,
+                          -1);
     const bool primary = recs[ri].primary;
     if (n <= 1) {
       recs[ri].closed = true;
@@ -357,7 +353,10 @@ McastResult MulticastRuntime::run_reliable(sim::Simulator& sim,
           rec.acked = true;
           rec.subtree_deadline =
               deadlines.subtree(now, static_cast<int>(rec.interval.size()));
-          trace(AckEvent::Kind::kAck, now, ri, rec.attempt, rec.recv_pos);
+          if (ft.recorder != nullptr)
+            ft.recorder->record(obs::EventKind::kSendAcked, now,
+                                static_cast<std::int32_t>(ri), rec.attempt,
+                                rec.recv_pos, -1);
           continue;
         }
         if (now < rec.ack_deadline) continue;

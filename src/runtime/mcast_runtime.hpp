@@ -40,24 +40,6 @@ struct RuntimeConfig {
   int send_engines = 1;
 };
 
-/// One entry of the ack-epoch trace run_reliable records when
-/// FtConfig::record_ack_trace is set.  Every tracked send record carries
-/// a monotonically increasing attempt counter (its "epoch"); the
-/// InvariantAuditor checks the trace for epoch regressions, acks without
-/// a matching issue, and double-counted acks.
-struct AckEvent {
-  enum class Kind {
-    kIssue,  ///< attempt `attempt` of record `rec` was posted
-    kAck,    ///< record `rec` was acknowledged (receiver finished, or
-             ///< observed served through an overlapping record)
-  };
-  Kind kind = Kind::kIssue;
-  Time t = 0;        ///< software completion time of the event
-  int rec = 0;       ///< tracked-send record index (stable, append-only)
-  int attempt = 0;   ///< epoch: 0 for the first attempt of a record
-  int recv_pos = 0;  ///< chain position of the receiver
-};
-
 /// Outcome of one multicast execution.
 struct McastResult {
   Time latency = 0;          ///< source start -> last destination finishes receiving
@@ -86,9 +68,6 @@ struct McastResult {
   /// timeouts, and repair traffic (also non-zero on contended trees).
   Time added_latency = 0;
   bool complete = true;      ///< every destination received
-  /// Issue/ack events in protocol order (empty unless
-  /// FtConfig::record_ack_trace was set).
-  std::vector<AckEvent> ack_trace;
 };
 
 /// Tunables of the ack/timeout/retransmit + tree-repair protocol.
@@ -99,12 +78,10 @@ struct FtConfig {
   /// exponential backoff in t_hold units: attempt a adds (2^a - 1) holds.
   double timeout_scale = 2.0;
   Time timeout_slack = 128;
-  /// Record every issue and ack into McastResult::ack_trace (cheap; a few
-  /// entries per tracked send) so auditors can check epoch monotonicity.
-  bool record_ack_trace = false;
   /// Flight recorder for the send lifecycle (kSendAttempt / kSendAcked,
-  /// slot payload -1 for one-shot multicasts).  Not owned; nullptr (the
-  /// default) records nothing.
+  /// slot payload -1 for one-shot multicasts), which
+  /// InvariantAuditor::audit_result replays to check ack epochs.  Not
+  /// owned; nullptr (the default) records nothing.
   obs::FlightRecorder* recorder = nullptr;
 };
 

@@ -98,8 +98,10 @@ class MembershipService {
   void readmit(int member);
 
   /// Flight recorder for detector activity: each sweep records a
-  /// kHeartbeat (observer node, #transitions) plus one event per verdict.
-  /// Not owned; nullptr (the default) records nothing.
+  /// kHeartbeat (observer node, #transitions) plus one event per verdict,
+  /// all before the runtime applies any (InvariantAuditor::audit_stream
+  /// relies on this grouping).  Not owned; nullptr (the default) records
+  /// nothing.
   void set_recorder(obs::FlightRecorder* rec) { recorder_ = rec; }
 
   [[nodiscard]] MemberState state(int member) const {

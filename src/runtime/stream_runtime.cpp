@@ -48,25 +48,6 @@ StreamResult stream_fast(const MulticastRuntime& rtm, sim::Simulator& sim,
   const long long base_hops = sim.stats().flit_hops;
   const Time base_cycles = sim.stats().cycles;
 
-  auto trace = [&](StreamEvent::Kind kind, Time t, int slot, int pos) {
-    if (cfg.record_trace) res.trace.push_back(StreamEvent{kind, t, slot, 0, pos});
-    if (obs::FlightRecorder* rec = cfg.recorder) {
-      switch (kind) {
-        case StreamEvent::Kind::kInject:
-          rec->record(obs::EventKind::kSlotInject, t, slot, 0, pos);
-          break;
-        case StreamEvent::Kind::kDeliver:
-          rec->record(obs::EventKind::kSlotDeliver, t, slot, 0, pos);
-          break;
-        case StreamEvent::Kind::kFrontier:
-          rec->record(obs::EventKind::kSlotCommit, t, slot, 0);
-          break;
-        default:
-          break;
-      }
-    }
-  };
-
   std::vector<std::vector<Time>> next_op(
       static_cast<std::size_t>(k),
       std::vector<Time>(static_cast<std::size_t>(engines), 0));
@@ -108,7 +89,8 @@ StreamResult stream_fast(const MulticastRuntime& rtm, sim::Simulator& sim,
     while (injected < slots && injected - frontier < window) {
       const int slot = injected++;
       ring[static_cast<std::size_t>(slot % window)] = Ring{k - 1, at};
-      trace(StreamEvent::Kind::kInject, at, slot, src);
+      if (cfg.recorder != nullptr)
+        cfg.recorder->record(obs::EventKind::kSlotInject, at, slot, 0, src);
       res.max_window_occupancy =
           std::max(res.max_window_occupancy, injected - frontier);
       activate(slot, src, at);
@@ -124,7 +106,8 @@ StreamResult stream_fast(const MulticastRuntime& rtm, sim::Simulator& sim,
     if (cfg.record_slot_times)
       res.slot_recv[static_cast<std::size_t>(slot)][static_cast<std::size_t>(pos)] =
           done;
-    trace(StreamEvent::Kind::kDeliver, done, slot, pos);
+    if (cfg.recorder != nullptr)
+      cfg.recorder->record(obs::EventKind::kSlotDeliver, done, slot, 0, pos);
     activate(slot, pos, done);
     Ring& rg = ring[static_cast<std::size_t>(slot % window)];
     rg.max_done = std::max(rg.max_done, done);
@@ -137,7 +120,8 @@ StreamResult stream_fast(const MulticastRuntime& rtm, sim::Simulator& sim,
            ring[static_cast<std::size_t>(frontier % window)].remaining == 0) {
       at = ring[static_cast<std::size_t>(frontier % window)].max_done;
       res.commit_time[static_cast<std::size_t>(frontier)] = at;
-      trace(StreamEvent::Kind::kFrontier, at, frontier, -1);
+      if (cfg.recorder != nullptr)
+        cfg.recorder->record(obs::EventKind::kSlotCommit, at, frontier, 0);
       ++frontier;
     }
     if (frontier == injected) {
@@ -210,42 +194,6 @@ StreamResult stream_reliable(const MulticastRuntime& rtm, sim::Simulator& sim,
   const Time base_cycles = sim.stats().cycles;
 
   int epoch = 0;
-  auto trace = [&](StreamEvent::Kind kind, Time t, int slot, int ep, int pos) {
-    if (cfg.record_trace)
-      res.trace.push_back(StreamEvent{kind, t, slot, ep, pos});
-    if (obs::FlightRecorder* rec = cfg.recorder) {
-      switch (kind) {
-        case StreamEvent::Kind::kInject:
-          rec->record(obs::EventKind::kSlotInject, t, slot, ep, pos);
-          break;
-        case StreamEvent::Kind::kDeliver:
-          rec->record(obs::EventKind::kSlotDeliver, t, slot, ep, pos);
-          break;
-        case StreamEvent::Kind::kStaleAck:
-          rec->record(obs::EventKind::kStaleAck, t, slot, ep, pos);
-          break;
-        case StreamEvent::Kind::kFrontier:
-          rec->record(obs::EventKind::kSlotCommit, t, slot, ep);
-          break;
-        case StreamEvent::Kind::kEpoch:
-          rec->record(obs::EventKind::kEpochBump, t, ep, pos, 0);
-          break;
-        case StreamEvent::Kind::kPartition:
-          rec->record(obs::EventKind::kEpochBump, t, ep, pos, 1);
-          break;
-        case StreamEvent::Kind::kFailover:
-          rec->record(obs::EventKind::kFailover, t, ep, pos, slot);
-          break;
-        case StreamEvent::Kind::kRejoin:
-          rec->record(obs::EventKind::kRejoin, t, ep, pos, slot);
-          break;
-        case StreamEvent::Kind::kSuspect:
-        case StreamEvent::Kind::kClear:
-          break;  // the MembershipService records detector verdicts itself
-      }
-    }
-  };
-
   // All protocol state is keyed by *original* chain positions; the
   // current tree (rebuilt per epoch) maps into them via orig_of_cur.
   std::vector<int> orig_pos_of(
@@ -466,14 +414,18 @@ StreamResult stream_reliable(const MulticastRuntime& rtm, sim::Simulator& sim,
         const Ring& rg = ring[static_cast<std::size_t>(frontier % window)];
         last_commit = std::max(last_commit, rg.max_done);
         res.commit_time[static_cast<std::size_t>(frontier)] = last_commit;
-        trace(StreamEvent::Kind::kFrontier, last_commit, frontier, epoch, -1);
+        if (cfg.recorder != nullptr)
+          cfg.recorder->record(obs::EventKind::kSlotCommit, last_commit, frontier,
+                               epoch);
         ++frontier;
       }
       if (injected >= slots || injected - frontier >= window) break;
       const int slot = injected++;
       ring[static_cast<std::size_t>(slot % window)] =
           Ring{slot, survivors_count(), std::max(at, t0)};
-      trace(StreamEvent::Kind::kInject, std::max(at, t0), slot, epoch, acting);
+      if (cfg.recorder != nullptr)
+        cfg.recorder->record(obs::EventKind::kSlotInject, std::max(at, t0), slot,
+                             epoch, acting);
       res.max_window_occupancy =
           std::max(res.max_window_occupancy, injected - frontier);
       activate(slot, cur.chain.source_pos, std::max(at, t0));
@@ -517,8 +469,9 @@ StreamResult stream_reliable(const MulticastRuntime& rtm, sim::Simulator& sim,
     else
       res.dead_nodes.push_back(orig.node(dpos));
     ++epoch;
-    trace(partitioned ? StreamEvent::Kind::kPartition : StreamEvent::Kind::kEpoch,
-          now, -1, epoch, dpos);
+    if (cfg.recorder != nullptr)
+      cfg.recorder->record(obs::EventKind::kEpochBump, now, epoch, dpos,
+                           partitioned ? 1 : 0);
     close_open_recs();
     for (int s = frontier; s < injected; ++s) {
       Ring& rg = ring[static_cast<std::size_t>(s % window)];
@@ -557,7 +510,8 @@ StreamResult stream_reliable(const MulticastRuntime& rtm, sim::Simulator& sim,
     if (succ < 0) return false;
     ++epoch;
     ++res.failovers;
-    trace(StreamEvent::Kind::kFailover, now, best, epoch, succ);
+    if (cfg.recorder != nullptr)
+      cfg.recorder->record(obs::EventKind::kFailover, now, epoch, succ, best);
     close_open_recs();
     // The successor stops gating in-flight commits (it regenerates any
     // slot it lacks from its replicated ring / the deterministic payload).
@@ -586,7 +540,8 @@ StreamResult stream_reliable(const MulticastRuntime& rtm, sim::Simulator& sim,
     while (prefix < slots &&
            delivered[static_cast<std::size_t>(p)][static_cast<std::size_t>(prefix)])
       ++prefix;
-    trace(StreamEvent::Kind::kRejoin, now, prefix, epoch, p);
+    if (cfg.recorder != nullptr)
+      cfg.recorder->record(obs::EventKind::kRejoin, now, epoch, p, prefix);
     close_open_recs();
     for (int s = frontier; s < injected; ++s) {
       Ring& rg = ring[static_cast<std::size_t>(s % window)];
@@ -611,14 +566,9 @@ StreamResult stream_reliable(const MulticastRuntime& rtm, sim::Simulator& sim,
       const int p = ev.member;
       switch (ev.kind) {
         case MembershipEvent::Kind::kSuspect:
-          if (!dead[static_cast<std::size_t>(p)]) {
-            ++res.suspects;
-            trace(StreamEvent::Kind::kSuspect, now, -1, epoch, p);
-          }
+          if (!dead[static_cast<std::size_t>(p)]) ++res.suspects;
           break;
         case MembershipEvent::Kind::kClear:
-          if (!dead[static_cast<std::size_t>(p)])
-            trace(StreamEvent::Kind::kClear, now, -1, epoch, p);
           break;
         case MembershipEvent::Kind::kCrashed:
           if (p == acting) return do_failover(now);
@@ -651,7 +601,9 @@ StreamResult stream_reliable(const MulticastRuntime& rtm, sim::Simulator& sim,
       // world no longer exists.  Reject the ack so old-tree deliveries
       // can never advance new-epoch state.
       ++res.stale_acks;
-      trace(StreamEvent::Kind::kStaleAck, done, slot, rec_epoch, pos);
+      if (cfg.recorder != nullptr)
+        cfg.recorder->record(obs::EventKind::kStaleAck, done, slot, rec_epoch,
+                             pos);
       return;
     }
     if (delivered[static_cast<std::size_t>(pos)][static_cast<std::size_t>(slot)]) {
@@ -670,7 +622,8 @@ StreamResult stream_reliable(const MulticastRuntime& rtm, sim::Simulator& sim,
     if (cfg.record_slot_times)
       res.slot_recv[static_cast<std::size_t>(slot)][static_cast<std::size_t>(pos)] =
           done;
-    trace(StreamEvent::Kind::kDeliver, done, slot, epoch, pos);
+    if (cfg.recorder != nullptr)
+      cfg.recorder->record(obs::EventKind::kSlotDeliver, done, slot, epoch, pos);
     if (slot >= frontier) {
       Ring& rg = ring[static_cast<std::size_t>(slot % window)];
       --rg.need;

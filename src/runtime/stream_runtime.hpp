@@ -55,8 +55,6 @@ struct StreamConfig {
   /// plan; the fault-free fast path refuses to run under one).
   bool reliable = false;
   FtConfig ft;  ///< retransmission policy (reliable mode only)
-  /// Record the StreamEvent trace for InvariantAuditor::audit_stream.
-  bool record_trace = false;
   /// Keep per-slot per-position receive-completion times (slot_recv);
   /// memory is slots x group size, so leave off for long streams.
   bool record_slot_times = false;
@@ -75,40 +73,10 @@ struct StreamConfig {
   /// Theorem-1 contention-freedom is re-checked on every re-split.
   std::function<void(const MulticastTree&)> on_reconfigure;
   /// Flight recorder for the protocol-level trace (send lifecycles, slot
-  /// frontier, epoch bumps, membership verdicts).  Not owned; nullptr
-  /// (the default) records nothing and allocates nothing.
+  /// frontier, epoch bumps, membership verdicts), which
+  /// InvariantAuditor::audit_stream replays.  Not owned; nullptr (the
+  /// default) records nothing and allocates nothing.
   obs::FlightRecorder* recorder = nullptr;
-};
-
-/// One entry of the stream trace (enabled by StreamConfig::record_trace).
-/// The auditor replays the trace to machine-check the stream invariants:
-/// in-order per-receiver delivery, gap-free prefixes below the cumulative
-/// ack frontier, epoch monotonicity, and window occupancy.  Entries are in
-/// *protocol order* (the order the state machine processed them); the
-/// software times `t` may interleave, since t_recv varies with the
-/// forwarded interval width.
-struct StreamEvent {
-  enum class Kind {
-    kInject,    ///< source activated `slot` (pos = source position)
-    kDeliver,   ///< receiver `pos` finished receiving `slot` (first copy)
-    kStaleAck,  ///< a delivery from epoch `epoch` arrived after a newer
-                ///< epoch began and was rejected (never advances state)
-    kFrontier,  ///< cumulative ack frontier advanced past `slot`
-    kEpoch,     ///< epoch bumped to `epoch` (pos = chain position declared dead)
-    kSuspect,   ///< failure detector suspects `pos` (informational)
-    kClear,     ///< suspicion of `pos` cleared by a renewed lease
-    kPartition, ///< epoch bumped to `epoch`: `pos` confirmed unreachable
-                ///< (evicted but rejoinable, unlike kEpoch's fail-stop)
-    kRejoin,    ///< epoch bumped to `epoch`: healed `pos` re-admitted with
-                ///< delivered prefix `slot` (delta catch-up covers the rest)
-    kFailover,  ///< epoch bumped to `epoch`: `pos` is the new source; its
-                ///< committed prefix `slot` never regresses the frontier
-  };
-  Kind kind = Kind::kInject;
-  Time t = 0;     ///< software time of the event
-  int slot = -1;  ///< stream slot; -1 where not applicable
-  int epoch = 0;  ///< epoch the event belongs to (kStaleAck: the stale one)
-  int pos = -1;   ///< original chain position; -1 where not applicable
 };
 
 /// Outcome of one stream execution.  All positions are indices into the
@@ -147,7 +115,6 @@ struct StreamResult {
   bool complete = true;  ///< every *original* receiver holds every slot
   /// Delivered (receiver, slot) pairs over all requested pairs.
   double delivered_fraction = 1.0;
-  std::vector<StreamEvent> trace;          ///< see StreamConfig::record_trace
   std::vector<std::vector<Time>> slot_recv;  ///< see record_slot_times
 };
 

@@ -15,6 +15,7 @@
 #include "harness/thread_pool.hpp"
 #include "lint/lint.hpp"
 #include "mesh/mesh_topology.hpp"
+#include "obs/recorder.hpp"
 #include "runtime/mcast_runtime.hpp"
 #include "runtime/stream_runtime.hpp"
 #include "verify/invariant_auditor.hpp"
@@ -258,7 +259,7 @@ namespace {
 
 /// Streaming scenarios run through StreamRuntime, audited both at the
 /// channel level (InvariantAuditor observer) and at the protocol level
-/// (audit_stream over the recorded StreamEvent trace).
+/// (audit_stream over the run's flight-recorder trace).
 ScenarioOutcome run_stream_scenario(const ChaosScenario& s) {
   const BuiltTopology t = build_topology(s.topology);
   const rt::MulticastRuntime rtm{rt::RuntimeConfig{}};
@@ -285,7 +286,9 @@ ScenarioOutcome run_stream_scenario(const ChaosScenario& s) {
   scfg.shape = t.shape;
   scfg.reliable = !s.plan.empty() || s.heartbeat > 0;
   scfg.ft.max_retries = s.max_retries;
-  scfg.record_trace = true;
+  // Detached from the simulator: records the protocol events only.
+  obs::FlightRecorder rec(obs::RecorderConfig{obs::kUnbounded});
+  scfg.recorder = &rec;
   scfg.membership.heartbeat_period = s.heartbeat;
   scfg.failover = s.failover;
   scfg.rejoin = s.rejoin;
@@ -318,7 +321,7 @@ ScenarioOutcome run_stream_scenario(const ChaosScenario& s) {
     out.failovers = r.failovers;
     out.rejoins = r.rejoins;
     auditor.finalize(sim);
-    InvariantAuditor::audit_stream(r);
+    InvariantAuditor::audit_stream(r, rec.snapshot(), rec.events_dropped());
   } catch (const sim::WatchdogError& e) {
     out.violated = true;
     out.watchdog = true;
@@ -371,13 +374,14 @@ ScenarioOutcome run_scenario(const ChaosScenario& s) {
     } else {
       rt::FtConfig ft;
       ft.max_retries = s.max_retries;
-      ft.record_ack_trace = true;
+      obs::FlightRecorder rec(obs::RecorderConfig{obs::kUnbounded});
+      ft.recorder = &rec;
       const rt::McastResult r = rtm.run_reliable(sim, tree, s.bytes, ft);
       out.delivered = r.delivered_fraction;
       out.retries = r.retries;
       out.repairs = r.repairs;
       auditor.finalize(sim);
-      InvariantAuditor::audit_result(r);
+      InvariantAuditor::audit_result(r, rec.snapshot(), rec.events_dropped());
     }
   } catch (const sim::WatchdogError& e) {
     out.violated = true;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <stdexcept>
 
 namespace pcm::verify {
 
@@ -16,6 +17,15 @@ std::string make_what(Invariant inv, const std::string& detail, Time cycle,
   if (router >= 0) os << ", channel " << router << ":" << port;
   if (cycle >= 0 || msg != sim::kInvalidMsg || router >= 0) os << ")";
   return os.str();
+}
+
+/// An audit replays every protocol event of a run; a trace that lost
+/// events to ring wrap could pass or fail for the wrong reason.
+void require_whole_trace(std::uint64_t dropped) {
+  if (dropped > 0)
+    throw std::invalid_argument(
+        "audit: the trace lost " + std::to_string(dropped) +
+        " events to ring wrap (record audited runs with obs::kUnbounded)");
 }
 
 }  // namespace
@@ -249,7 +259,10 @@ void InvariantAuditor::finalize(const sim::Simulator& sim) const {
   }
 }
 
-void InvariantAuditor::audit_result(const rt::McastResult& res) {
+void InvariantAuditor::audit_result(const rt::McastResult& res,
+                                    std::span<const obs::TraceEvent> events,
+                                    std::uint64_t dropped) {
+  require_whole_trace(dropped);
   if (res.expected_dests <= 0) return;  // not a run_reliable result
   const int k = static_cast<int>(res.recv_complete.size());
   if (res.expected_dests != k - 1)
@@ -280,55 +293,68 @@ void InvariantAuditor::audit_result(const rt::McastResult& res) {
     throw InvariantViolation(Invariant::kResultConsistency,
                              "dead_nodes not sorted/unique");
 
-  // Ack-epoch audit over the recorded trace.
+  // Ack-epoch audit over the recorded send lifecycle (kSendAttempt /
+  // kSendAcked: a = record, b = attempt).
+  auto is_send = [](const obs::TraceEvent& ev) {
+    return ev.event_kind() == obs::EventKind::kSendAttempt ||
+           ev.event_kind() == obs::EventKind::kSendAcked;
+  };
   int max_rec = -1;
-  for (const rt::AckEvent& ev : res.ack_trace) max_rec = std::max(max_rec, ev.rec);
+  for (const obs::TraceEvent& ev : events)
+    if (is_send(ev)) max_rec = std::max(max_rec, ev.a);
   std::vector<int> last_attempt(static_cast<std::size_t>(max_rec + 1), -1);
   std::vector<char> acked(static_cast<std::size_t>(max_rec + 1), 0);
-  for (const rt::AckEvent& ev : res.ack_trace) {
-    if (ev.rec < 0)
-      throw InvariantViolation(Invariant::kAckEpoch, "negative record index", ev.t);
-    int& last = last_attempt[static_cast<std::size_t>(ev.rec)];
-    char& got = acked[static_cast<std::size_t>(ev.rec)];
-    if (ev.kind == rt::AckEvent::Kind::kIssue) {
-      if (ev.attempt != last + 1)
+  for (const obs::TraceEvent& ev : events) {
+    if (!is_send(ev)) continue;
+    const int rec = ev.a;
+    const int attempt = ev.b;
+    if (rec < 0)
+      throw InvariantViolation(Invariant::kAckEpoch, "negative record index",
+                               ev.cycle);
+    int& last = last_attempt[static_cast<std::size_t>(rec)];
+    char& got = acked[static_cast<std::size_t>(rec)];
+    if (ev.event_kind() == obs::EventKind::kSendAttempt) {
+      if (attempt != last + 1)
         throw InvariantViolation(Invariant::kAckEpoch,
-                                 "record " + std::to_string(ev.rec) +
-                                     " issued attempt " + std::to_string(ev.attempt) +
+                                 "record " + std::to_string(rec) +
+                                     " issued attempt " + std::to_string(attempt) +
                                      " after attempt " + std::to_string(last) +
                                      " (epoch not monotonic)",
-                                 ev.t);
+                                 ev.cycle);
       if (got)
         throw InvariantViolation(Invariant::kAckEpoch,
-                                 "record " + std::to_string(ev.rec) +
+                                 "record " + std::to_string(rec) +
                                      " re-issued after its ack",
-                                 ev.t);
-      last = ev.attempt;
+                                 ev.cycle);
+      last = attempt;
     } else {
       if (last < 0)
         throw InvariantViolation(Invariant::kAckEpoch,
-                                 "ack for record " + std::to_string(ev.rec) +
+                                 "ack for record " + std::to_string(rec) +
                                      " with no issued attempt",
-                                 ev.t);
-      if (ev.attempt > last)
+                                 ev.cycle);
+      if (attempt > last)
         throw InvariantViolation(Invariant::kAckEpoch,
-                                 "ack for attempt " + std::to_string(ev.attempt) +
-                                     " of record " + std::to_string(ev.rec) +
+                                 "ack for attempt " + std::to_string(attempt) +
+                                     " of record " + std::to_string(rec) +
                                      " which only reached attempt " +
                                      std::to_string(last),
-                                 ev.t);
+                                 ev.cycle);
       if (got)
         throw InvariantViolation(Invariant::kAckEpoch,
-                                 "record " + std::to_string(ev.rec) +
+                                 "record " + std::to_string(rec) +
                                      " acked twice (dropped-ack double count)",
-                                 ev.t);
+                                 ev.cycle);
       got = 1;
     }
   }
 }
 
-void InvariantAuditor::audit_stream(const rt::StreamResult& res) {
-  using Kind = rt::StreamEvent::Kind;
+void InvariantAuditor::audit_stream(const rt::StreamResult& res,
+                                    std::span<const obs::TraceEvent> events,
+                                    std::uint64_t dropped) {
+  using obs::EventKind;
+  require_whole_trace(dropped);
   const int k = static_cast<int>(res.delivered_prefix.size());
   const int slots = res.slots;
   if (slots < 1 || res.window_size < 1 || k < 2)
@@ -367,8 +393,6 @@ void InvariantAuditor::audit_stream(const rt::StreamResult& res) {
                                "delivered_prefix outside [0, slots] at pos " +
                                    std::to_string(p));
   }
-  if (res.trace.empty()) return;
-
   // --- full trace replay ---
   // Per position: delivered slot set, last first-delivery slot.
   std::vector<std::vector<char>> got(
@@ -386,225 +410,237 @@ void InvariantAuditor::audit_stream(const rt::StreamResult& res) {
   int rejoins_seen = 0;
   int suspects_seen = 0;
   // The position currently allowed to produce (inject) slots: pinned by
-  // the first kInject, reassigned only by kFailover.  At most one active
-  // source per epoch — an inject from anyone else is split brain.
+  // the first kSlotInject, reassigned only by kFailover.  At most one
+  // active source per epoch — an inject from anyone else is split brain.
   int producer = -1;
+  // Membership sweeps: a kHeartbeat opens a sweep of `b` verdicts, all
+  // recorded before the stream applies any.  The stream applies them in
+  // order up to a confirm of its acting source; the failover (or halt)
+  // ends the sweep, so the verdicts after that confirm were never applied.
+  int sweep_left = 0;
+  bool sweep_cut = false;
   auto replayed_prefix = [&](int p) {
     int pre = 0;
     while (pre < slots && got[static_cast<std::size_t>(p)][static_cast<std::size_t>(pre)])
       ++pre;
     return pre;
   };
+  // Every epoch transition steps the epoch by exactly one.
+  auto next_epoch = [&](int ep, Time t) {
+    if (ep != epoch + 1)
+      throw InvariantViolation(Invariant::kStreamEpoch,
+                               "epoch stepped from " + std::to_string(epoch) +
+                                   " to " + std::to_string(ep),
+                               t);
+    epoch = ep;
+    ++epochs_seen;
+  };
   // The trace is replayed in *protocol order* (the order the runtime's
   // state machine processed the events).  Timestamps are software
   // completion times and may legally interleave: a retransmitted slot's
-  // delivery can carry an earlier `done` than an event traced before it
-  // (t_recv varies with the forwarded interval width).
-  for (const rt::StreamEvent& ev : res.trace) {
-    switch (ev.kind) {
-      case Kind::kInject:
-        if (ev.pos < 0 || ev.pos >= k)
+  // delivery can carry an earlier `done` than an event recorded before it
+  // (t_recv varies with the forwarded interval width).  Payloads follow
+  // obs::EventKind; simulator and send-lifecycle events are skipped.
+  for (const obs::TraceEvent& ev : events) {
+    const Time t = ev.cycle;
+    switch (ev.event_kind()) {
+      case EventKind::kSlotInject: {
+        const int slot = ev.a, ep = ev.b, pos = ev.c;
+        if (pos < 0 || pos >= k)
           throw InvariantViolation(Invariant::kResultConsistency,
-                                   "injection from outside the group", ev.t);
-        if (producer < 0) producer = ev.pos;
-        if (ev.pos != producer)
+                                   "injection from outside the group", t);
+        if (producer < 0) producer = pos;
+        if (pos != producer)
           throw InvariantViolation(
               Invariant::kStreamEpoch,
-              "injection from pos " + std::to_string(ev.pos) +
+              "injection from pos " + std::to_string(pos) +
                   " but the acting source is pos " + std::to_string(producer) +
                   " (split brain / deposed source)",
-              ev.t);
-        if (ev.slot != injected)
+              t);
+        if (slot != injected)
           throw InvariantViolation(Invariant::kStreamOrder,
-                                   "slot " + std::to_string(ev.slot) +
+                                   "slot " + std::to_string(slot) +
                                        " injected out of order (expected " +
                                        std::to_string(injected) + ")",
-                                   ev.t);
-        if (ev.epoch != epoch)
+                                   t);
+        if (ep != epoch)
           throw InvariantViolation(Invariant::kStreamEpoch,
-                                   "injection under epoch " +
-                                       std::to_string(ev.epoch) +
+                                   "injection under epoch " + std::to_string(ep) +
                                        " while the group is at " +
                                        std::to_string(epoch),
-                                   ev.t);
+                                   t);
         ++injected;
         if (injected - frontier > res.window_size)
           throw InvariantViolation(
               Invariant::kStreamWindow,
               "occupancy " + std::to_string(injected - frontier) +
                   " exceeds window " + std::to_string(res.window_size) +
-                  " at slot " + std::to_string(ev.slot),
-              ev.t);
-        break;
-      case Kind::kDeliver: {
-        if (ev.epoch != epoch)
-          throw InvariantViolation(
-              Invariant::kStreamEpoch,
-              "delivery of slot " + std::to_string(ev.slot) + " under epoch " +
-                  std::to_string(ev.epoch) +
-                  " advanced state while the group is at " +
-                  std::to_string(epoch) + " (stale-epoch ack accepted)",
-              ev.t);
-        if (ev.pos < 0 || ev.pos >= k || ev.slot < 0 || ev.slot >= slots)
-          throw InvariantViolation(Invariant::kResultConsistency,
-                                   "delivery outside the group/stream", ev.t);
-        char& cell = got[static_cast<std::size_t>(ev.pos)]
-                        [static_cast<std::size_t>(ev.slot)];
-        if (cell)
-          throw InvariantViolation(Invariant::kStreamOrder,
-                                   "slot " + std::to_string(ev.slot) +
-                                       " first-delivered twice at pos " +
-                                       std::to_string(ev.pos),
-                                   ev.t);
-        cell = 1;
-        last_slot[static_cast<std::size_t>(ev.pos)] = ev.slot;
+                  " at slot " + std::to_string(slot),
+              t);
         break;
       }
-      case Kind::kStaleAck:
-        if (ev.epoch >= epoch)
+      case EventKind::kSlotDeliver: {
+        const int slot = ev.a, ep = ev.b, pos = ev.c;
+        if (ep != epoch)
+          throw InvariantViolation(
+              Invariant::kStreamEpoch,
+              "delivery of slot " + std::to_string(slot) + " under epoch " +
+                  std::to_string(ep) +
+                  " advanced state while the group is at " +
+                  std::to_string(epoch) + " (stale-epoch ack accepted)",
+              t);
+        if (pos < 0 || pos >= k || slot < 0 || slot >= slots)
+          throw InvariantViolation(Invariant::kResultConsistency,
+                                   "delivery outside the group/stream", t);
+        char& cell =
+            got[static_cast<std::size_t>(pos)][static_cast<std::size_t>(slot)];
+        if (cell)
+          throw InvariantViolation(Invariant::kStreamOrder,
+                                   "slot " + std::to_string(slot) +
+                                       " first-delivered twice at pos " +
+                                       std::to_string(pos),
+                                   t);
+        cell = 1;
+        last_slot[static_cast<std::size_t>(pos)] = slot;
+        break;
+      }
+      case EventKind::kStaleAck:
+        if (ev.b >= epoch)
           throw InvariantViolation(Invariant::kStreamEpoch,
                                    "stale ack carries epoch " +
-                                       std::to_string(ev.epoch) +
+                                       std::to_string(ev.b) +
                                        " but the group is only at " +
                                        std::to_string(epoch),
-                                   ev.t);
+                                   t);
         ++stale_seen;
         break;
-      case Kind::kFrontier:
-        if (ev.slot != frontier)
+      case EventKind::kSlotCommit: {
+        const int slot = ev.a;
+        if (slot != frontier)
           throw InvariantViolation(Invariant::kStreamGap,
                                    "frontier advanced past slot " +
-                                       std::to_string(ev.slot) +
-                                       " but stands at " +
+                                       std::to_string(slot) + " but stands at " +
                                        std::to_string(frontier),
-                                   ev.t);
-        if (ev.slot >= injected)
+                                   t);
+        if (slot >= injected)
           throw InvariantViolation(Invariant::kStreamGap,
-                                   "slot committed before it was injected",
-                                   ev.t);
+                                   "slot committed before it was injected", t);
         // Commit means every *surviving* receiver holds the slot.
         for (int p = 0; p < k; ++p) {
           if (dead[static_cast<std::size_t>(p)]) continue;
           // The acting source is not a receiver (any committed slot was
           // injected first, so `producer` is pinned by now).
           if (p == producer) continue;
-          if (!got[static_cast<std::size_t>(p)][static_cast<std::size_t>(ev.slot)])
+          if (!got[static_cast<std::size_t>(p)][static_cast<std::size_t>(slot)])
             throw InvariantViolation(Invariant::kStreamGap,
-                                     "slot " + std::to_string(ev.slot) +
+                                     "slot " + std::to_string(slot) +
                                          " committed below surviving pos " +
                                          std::to_string(p) + "'s delivery",
-                                     ev.t);
+                                     t);
         }
         ++frontier;
         break;
-      case Kind::kEpoch:
-        if (ev.epoch != epoch + 1)
-          throw InvariantViolation(Invariant::kStreamEpoch,
-                                   "epoch stepped from " + std::to_string(epoch) +
-                                       " to " + std::to_string(ev.epoch),
-                                   ev.t);
-        if (ev.pos < 0 || ev.pos >= k || dead[static_cast<std::size_t>(ev.pos)])
-          throw InvariantViolation(Invariant::kStreamEpoch,
-                                   "epoch bump names an invalid or already-dead "
-                                   "position",
-                                   ev.t);
-        dead[static_cast<std::size_t>(ev.pos)] = 1;
-        epoch = ev.epoch;
-        ++epochs_seen;
+      }
+      case EventKind::kEpochBump: {
+        // c = 1: evicted as unreachable (rejoinable), else fail-stop.
+        const int pos = ev.b;
+        const bool partition = ev.c != 0;
+        next_epoch(ev.a, t);
+        if (pos < 0 || pos >= k || dead[static_cast<std::size_t>(pos)])
+          throw InvariantViolation(
+              Invariant::kStreamEpoch,
+              partition ? "partition eviction names an invalid or already-dead "
+                          "position"
+                        : "epoch bump names an invalid or already-dead position",
+              t);
+        dead[static_cast<std::size_t>(pos)] = 1;
+        if (partition) parted[static_cast<std::size_t>(pos)] = 1;
         break;
-      case Kind::kPartition:
-        if (ev.epoch != epoch + 1)
-          throw InvariantViolation(Invariant::kStreamEpoch,
-                                   "epoch stepped from " + std::to_string(epoch) +
-                                       " to " + std::to_string(ev.epoch),
-                                   ev.t);
-        if (ev.pos < 0 || ev.pos >= k || dead[static_cast<std::size_t>(ev.pos)])
-          throw InvariantViolation(Invariant::kStreamEpoch,
-                                   "partition eviction names an invalid or "
-                                   "already-dead position",
-                                   ev.t);
-        dead[static_cast<std::size_t>(ev.pos)] = 1;
-        parted[static_cast<std::size_t>(ev.pos)] = 1;
-        epoch = ev.epoch;
-        ++epochs_seen;
-        break;
-      case Kind::kRejoin: {
-        if (ev.epoch != epoch + 1)
-          throw InvariantViolation(Invariant::kStreamEpoch,
-                                   "epoch stepped from " + std::to_string(epoch) +
-                                       " to " + std::to_string(ev.epoch),
-                                   ev.t);
-        if (ev.pos < 0 || ev.pos >= k ||
-            !parted[static_cast<std::size_t>(ev.pos)])
+      }
+      case EventKind::kRejoin: {
+        const int pos = ev.b, prefix = ev.c;
+        next_epoch(ev.a, t);
+        if (pos < 0 || pos >= k || !parted[static_cast<std::size_t>(pos)])
           throw InvariantViolation(
               Invariant::kStreamEpoch,
               "rejoin of a position never evicted as unreachable (crashed "
               "members must not rejoin)",
-              ev.t);
+              t);
         // Prefix continuity: the rejoiner resumes exactly where it stood.
-        const int pre = replayed_prefix(ev.pos);
-        if (ev.slot != pre)
+        const int pre = replayed_prefix(pos);
+        if (prefix != pre)
           throw InvariantViolation(
               Invariant::kStreamGap,
-              "rejoin of pos " + std::to_string(ev.pos) + " claims prefix " +
-                  std::to_string(ev.slot) + " but the trace shows " +
+              "rejoin of pos " + std::to_string(pos) + " claims prefix " +
+                  std::to_string(prefix) + " but the trace shows " +
                   std::to_string(pre),
-              ev.t);
-        dead[static_cast<std::size_t>(ev.pos)] = 0;
-        parted[static_cast<std::size_t>(ev.pos)] = 0;
-        epoch = ev.epoch;
-        ++epochs_seen;
+              t);
+        dead[static_cast<std::size_t>(pos)] = 0;
+        parted[static_cast<std::size_t>(pos)] = 0;
         ++rejoins_seen;
         break;
       }
-      case Kind::kFailover: {
-        if (ev.epoch != epoch + 1)
-          throw InvariantViolation(Invariant::kStreamEpoch,
-                                   "epoch stepped from " + std::to_string(epoch) +
-                                       " to " + std::to_string(ev.epoch),
-                                   ev.t);
-        if (ev.pos < 0 || ev.pos >= k || dead[static_cast<std::size_t>(ev.pos)])
+      case EventKind::kFailover: {
+        const int pos = ev.b, prefix = ev.c;
+        next_epoch(ev.a, t);
+        if (pos < 0 || pos >= k || dead[static_cast<std::size_t>(pos)])
           throw InvariantViolation(Invariant::kStreamEpoch,
                                    "failover elects an invalid or dead successor",
-                                   ev.t);
+                                   t);
         // Committed prefixes never regress across failover: the successor
         // must hold at least everything the group already committed.
-        if (ev.slot < frontier)
+        if (prefix < frontier)
           throw InvariantViolation(
               Invariant::kStreamGap,
-              "failover successor prefix " + std::to_string(ev.slot) +
+              "failover successor prefix " + std::to_string(prefix) +
                   " regresses the committed frontier " +
                   std::to_string(frontier),
-              ev.t);
-        const int pre = replayed_prefix(ev.pos);
-        if (ev.slot != pre)
+              t);
+        const int pre = replayed_prefix(pos);
+        if (prefix != pre)
           throw InvariantViolation(
               Invariant::kStreamGap,
-              "failover claims successor prefix " + std::to_string(ev.slot) +
+              "failover claims successor prefix " + std::to_string(prefix) +
                   " but the trace shows " + std::to_string(pre),
-              ev.t);
+              t);
         // The deposed source leaves the group; at most one active source
         // per epoch from here on.
         if (producer >= 0) dead[static_cast<std::size_t>(producer)] = 1;
-        producer = ev.pos;
-        epoch = ev.epoch;
-        ++epochs_seen;
+        producer = pos;
         ++failovers_seen;
         break;
       }
-      case Kind::kSuspect:
-        if (ev.pos < 0 || ev.pos >= k || dead[static_cast<std::size_t>(ev.pos)])
-          throw InvariantViolation(Invariant::kResultConsistency,
-                                   "suspicion of an invalid or dead position",
-                                   ev.t);
-        ++suspects_seen;
+      case EventKind::kHeartbeat:
+        sweep_left = ev.b;
+        sweep_cut = false;
         break;
-      case Kind::kClear:
-        if (ev.pos < 0 || ev.pos >= k || dead[static_cast<std::size_t>(ev.pos)])
+      case EventKind::kSuspect:
+      case EventKind::kClear:
+      case EventKind::kConfirmCrashed:
+      case EventKind::kConfirmUnreachable:
+      case EventKind::kHealed: {
+        if (sweep_left-- <= 0)
           throw InvariantViolation(Invariant::kResultConsistency,
-                                   "suspicion cleared on an invalid or dead "
-                                   "position",
-                                   ev.t);
+                                   "membership verdict outside a heartbeat sweep",
+                                   t);
+        if (sweep_cut) break;
+        const EventKind kind = ev.event_kind();
+        const int pos = ev.a;  // member index == original chain position
+        if (kind == EventKind::kConfirmCrashed ||
+            kind == EventKind::kConfirmUnreachable)
+          sweep_cut = pos == producer;
+        if (kind != EventKind::kSuspect && kind != EventKind::kClear) break;
+        if (pos < 0 || pos >= k || dead[static_cast<std::size_t>(pos)])
+          throw InvariantViolation(
+              Invariant::kResultConsistency,
+              kind == EventKind::kSuspect
+                  ? "suspicion of an invalid or dead position"
+                  : "suspicion cleared on an invalid or dead position",
+              t);
+        if (kind == EventKind::kSuspect) ++suspects_seen;
+        break;
+      }
+      default:
         break;
     }
   }

@@ -28,7 +28,8 @@
 //     head-blocking is legal (chaos found exactly this: U-min + drops);
 //   * monotonic ack epochs   — run_reliable's per-record attempt
 //     counters only ever step forward, acks match an issued attempt, and
-//     no record's ack is counted twice (see audit_result);
+//     no record's ack is counted twice (audit_result, replaying the
+//     flight recorder's send lifecycle);
 //   * watchdog consistency   — a WatchdogReport's reservation table and
 //     stalled-message set must agree with the auditor's ledger.
 //
@@ -36,11 +37,14 @@
 // message, and channel, so a chaos driver can minimize and replay them.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/algorithms.hpp"
+#include "obs/trace_event.hpp"
 #include "runtime/mcast_runtime.hpp"
 #include "runtime/stream_runtime.hpp"
 #include "sim/fault.hpp"
@@ -129,22 +133,32 @@ class InvariantAuditor final : public sim::SimObserver {
   /// freedom of every delivered message.  Callable after every run.
   void finalize(const sim::Simulator& sim) const;
 
+  /// The protocol audits replay the run's flight-recorder trace:
+  /// `events` is everything one run recorded (other kinds are skipped)
+  /// and `dropped` its events_dropped().  Both throw std::invalid_argument
+  /// when dropped > 0 — a wrapped ring is never audited — so record
+  /// audited runs with obs::kUnbounded.
+
   /// Checks a run_reliable result for internal consistency: delivered
   /// counts vs recv_complete, delivered_fraction arithmetic, dead-node
-  /// accounting, and — when an ack trace was recorded — monotonic ack
-  /// epochs with no double-counted acks.
-  static void audit_result(const rt::McastResult& res);
+  /// accounting, and, over the kSendAttempt / kSendAcked events,
+  /// monotonic ack epochs with no double-counted acks.
+  static void audit_result(const rt::McastResult& res,
+                           std::span<const obs::TraceEvent> events,
+                           std::uint64_t dropped);
 
   /// Checks a StreamResult for the streaming invariants (DESIGN.md §6.6):
   /// result-field arithmetic (committed/commit_time/occupancy bounds),
-  /// and — when a StreamEvent trace was recorded — a full replay
+  /// and a full replay of the slot, epoch and membership events
   /// asserting per-receiver in-order delivery (on reconfiguration-free
   /// streams), no delivery gaps below the cumulative-ack frontier for any
   /// surviving receiver, epoch monotonicity (an epoch only ever steps
   /// forward by one, state-advancing events carry the current epoch, and
-  /// stale acks carry an older one), and window occupancy never exceeding
-  /// window_size.
-  static void audit_stream(const rt::StreamResult& res);
+  /// stale acks carry an older one), window occupancy never exceeding
+  /// window_size, and result counters matching the replay.
+  static void audit_stream(const rt::StreamResult& res,
+                           std::span<const obs::TraceEvent> events,
+                           std::uint64_t dropped);
 
   [[nodiscard]] int posted() const { return posted_; }
   [[nodiscard]] int delivered() const { return delivered_; }

@@ -441,7 +441,7 @@ TEST(CliRun, StreamAuditedStopAndWaitPasses) {
   EXPECT_NE(os.str().find("audited"), std::string::npos);
 }
 
-TEST(CliRun, StreamEventEngineFallsBackWithNotice) {
+TEST(CliRun, StreamOnTheEventEngineFallsBackWithNotice) {
   CliOptions o;
   o.topology = "mesh:8";
   o.source = 0;

@@ -33,6 +33,7 @@
 #include "bmin/bmin_topology.hpp"
 #include "mesh/mesh_topology.hpp"
 #include "obs/recorder.hpp"
+#include "recorded_stream.hpp"
 #include "runtime/mcast_runtime.hpp"
 #include "runtime/membership.hpp"
 #include "runtime/stream_runtime.hpp"
@@ -44,7 +45,7 @@
 namespace pcm {
 namespace {
 
-using Kind = rt::StreamEvent::Kind;
+using EK = obs::EventKind;
 using MKind = rt::MembershipEvent::Kind;
 
 std::vector<NodeId> lower_half(int n) {
@@ -68,7 +69,6 @@ rt::StreamConfig membership_config(const MeshShape* shape, int window,
   cfg.alg = McastAlgorithm::kOptMesh;
   cfg.shape = shape;
   cfg.reliable = true;
-  cfg.record_trace = true;
   cfg.membership.heartbeat_period = heartbeat;
   return cfg;
 }
@@ -404,9 +404,9 @@ TEST(MembershipLabeling, LivenessVersionMovesOnLinkEventsOnly) {
 
 // --- failover acceptance (16x16 mesh, mid-stream source kill) -------------
 
-rt::StreamResult run_source_kill(Time heartbeat, bool failover,
-                                 const sim::Topology& topo,
-                                 const analysis::Placement& p, int slots) {
+RecordedStream run_source_kill(Time heartbeat, bool failover,
+                               const sim::Topology& topo,
+                               const analysis::Placement& p, int slots) {
   rt::MulticastRuntime rtm(rt::RuntimeConfig{});
   const rt::StreamRuntime srt(rtm);
   rt::StreamConfig cfg = membership_config(
@@ -417,14 +417,15 @@ rt::StreamResult run_source_kill(Time heartbeat, bool failover,
   sim::FaultPlan plan;
   plan.node_events.push_back({6000, p.source});
   sim.set_fault_plan(plan);
-  return srt.run(sim, p.source, p.dests, cfg);
+  return run_recorded(srt, sim, p.source, p.dests, cfg);
 }
 
 TEST(StreamFailover, MidStreamSourceKillCompletesViaSuccession) {
   const auto topo = mesh::make_mesh2d(16);
   const auto p = analysis::sample_placements(41, topo->num_nodes(), 12, 1)[0];
   const int slots = 32;
-  const rt::StreamResult r = run_source_kill(600, true, *topo, p, slots);
+  const RecordedStream run = run_source_kill(600, true, *topo, p, slots);
+  const rt::StreamResult& r = run.res;
 
   EXPECT_EQ(r.failovers, 1) << "exactly one succession";
   EXPECT_GE(r.epoch, 1);
@@ -440,32 +441,32 @@ TEST(StreamFailover, MidStreamSourceKillCompletesViaSuccession) {
     }
   }
   EXPECT_TRUE(r.complete) << "commit is defined over surviving receivers";
-  EXPECT_NO_THROW(verify::InvariantAuditor::audit_stream(r));
+  EXPECT_NO_THROW(run.audit());
 
-  // The trace must witness the succession: a kFailover event whose
-  // successor prefix covers the committed frontier at that instant.
+  // The trace must witness the succession: a kFailover event (a = new
+  // epoch) whose successor prefix covers the committed frontier.
   const auto it = std::find_if(
-      r.trace.begin(), r.trace.end(),
-      [](const rt::StreamEvent& ev) { return ev.kind == Kind::kFailover; });
-  ASSERT_NE(it, r.trace.end());
-  EXPECT_EQ(it->epoch, 1);
+      run.events.begin(), run.events.end(),
+      [](const obs::TraceEvent& ev) { return ev.event_kind() == EK::kFailover; });
+  ASSERT_NE(it, run.events.end());
+  EXPECT_EQ(it->a, 1);
 
   // Determinism: the identical scenario replays bit-identically.
-  const rt::StreamResult r2 = run_source_kill(600, true, *topo, p, slots);
-  EXPECT_EQ(r.makespan, r2.makespan);
-  EXPECT_EQ(r.trace.size(), r2.trace.size());
-  EXPECT_EQ(r.retries, r2.retries);
-  EXPECT_EQ(r.delivered_prefix, r2.delivered_prefix);
+  const RecordedStream run2 = run_source_kill(600, true, *topo, p, slots);
+  EXPECT_EQ(r.makespan, run2.res.makespan);
+  EXPECT_EQ(run.events, run2.events);
+  EXPECT_EQ(r.retries, run2.res.retries);
+  EXPECT_EQ(r.delivered_prefix, run2.res.delivered_prefix);
 }
 
 TEST(StreamFailover, WithoutFailoverTheDeadSourceEndsTheStream) {
   const auto topo = mesh::make_mesh2d(16);
   const auto p = analysis::sample_placements(41, topo->num_nodes(), 12, 1)[0];
-  const rt::StreamResult r = run_source_kill(600, false, *topo, p, 32);
-  EXPECT_EQ(r.failovers, 0);
-  EXPECT_LT(r.committed, 32) << "no succession: the stream halts";
-  EXPECT_FALSE(r.complete);
-  EXPECT_NO_THROW(verify::InvariantAuditor::audit_stream(r));
+  const RecordedStream run = run_source_kill(600, false, *topo, p, 32);
+  EXPECT_EQ(run.res.failovers, 0);
+  EXPECT_LT(run.res.committed, 32) << "no succession: the stream halts";
+  EXPECT_FALSE(run.res.complete);
+  EXPECT_NO_THROW(run.audit());
 }
 
 // Succession rule: the plurality member with the highest delivered prefix
@@ -491,20 +492,21 @@ TEST(StreamFailover, SuccessorHasTheHighestPrefixNotTheLowestId) {
   sim::FaultPlan plan;
   plan.node_events.push_back({8000, p.source});
   sim.set_fault_plan(plan);
-  const rt::StreamResult r = srt.run(sim, p.source, p.dests, cfg);
-  ASSERT_EQ(r.failovers, 1);
+  const RecordedStream run = run_recorded(srt, sim, p.source, p.dests, cfg);
+  ASSERT_EQ(run.res.failovers, 1);
 
-  // Replay the trace up to the failover: per-position delivered slots.
+  // Replay the trace up to the failover: per-position delivered slots
+  // (kSlotDeliver: a = slot, c = position).
   std::vector<std::vector<char>> got(chain.size(),
                                      std::vector<char>(slots, 0));
-  const rt::StreamEvent* failover = nullptr;
-  for (const rt::StreamEvent& ev : r.trace) {
-    if (ev.kind == Kind::kFailover) {
+  const obs::TraceEvent* failover = nullptr;
+  for (const obs::TraceEvent& ev : run.events) {
+    if (ev.event_kind() == EK::kFailover) {
       failover = &ev;
       break;
     }
-    if (ev.kind == Kind::kDeliver)
-      got[static_cast<std::size_t>(ev.pos)][static_cast<std::size_t>(ev.slot)] = 1;
+    if (ev.event_kind() == EK::kSlotDeliver)
+      got[static_cast<std::size_t>(ev.c)][static_cast<std::size_t>(ev.a)] = 1;
   }
   ASSERT_NE(failover, nullptr);
   auto prefix = [&](std::size_t pos) {
@@ -520,11 +522,12 @@ TEST(StreamFailover, SuccessorHasTheHighestPrefixNotTheLowestId) {
       best = pos;
     if (lowest == chain.size() || chain[pos] < chain[lowest]) lowest = pos;
   }
-  EXPECT_EQ(failover->pos, static_cast<int>(best));
-  EXPECT_EQ(failover->slot, prefix(best));
+  // kFailover: b = successor position, c = its committed prefix.
+  EXPECT_EQ(failover->b, static_cast<int>(best));
+  EXPECT_EQ(failover->c, prefix(best));
   EXPECT_LT(prefix(lowest), prefix(best))
       << "the scenario must separate the two rules";
-  EXPECT_NO_THROW(verify::InvariantAuditor::audit_stream(r));
+  EXPECT_NO_THROW(run.audit());
 }
 
 // --- partition healing acceptance -----------------------------------------
@@ -547,7 +550,8 @@ TEST(StreamRejoin, PartitionThenHealReadmitsEveryEvictedReceiver) {
   sim.set_fault_plan(
       sim::FaultPlan::partition(*topo, lower_half(n), upper_half(n), 3000, 9000));
 
-  const rt::StreamResult r = srt.run(sim, source, dests, cfg);
+  const RecordedStream run = run_recorded(srt, sim, source, dests, cfg);
+  const rt::StreamResult& r = run.res;
   EXPECT_EQ(r.rejoins, 3) << "all three cut-off receivers must re-admit";
   EXPECT_TRUE(r.unreachable_nodes.empty())
       << "nobody is still unreachable at the end";
@@ -555,13 +559,14 @@ TEST(StreamRejoin, PartitionThenHealReadmitsEveryEvictedReceiver) {
   EXPECT_EQ(r.committed, 48);
   EXPECT_TRUE(r.complete) << "delta catch-up must backfill the missed slots";
   EXPECT_DOUBLE_EQ(r.delivered_fraction, 1.0);
-  EXPECT_NO_THROW(verify::InvariantAuditor::audit_stream(r));
+  EXPECT_NO_THROW(run.audit());
 
-  // Eviction then readmission, in that order, for each healed receiver.
+  // Eviction then readmission, in that order, for each healed receiver
+  // (a partition eviction is a kEpochBump with c = 1).
   int partitions = 0, rejoins = 0;
-  for (const rt::StreamEvent& ev : r.trace) {
-    if (ev.kind == Kind::kPartition) ++partitions;
-    if (ev.kind == Kind::kRejoin) ++rejoins;
+  for (const obs::TraceEvent& ev : run.events) {
+    if (ev.event_kind() == EK::kEpochBump && ev.c == 1) ++partitions;
+    if (ev.event_kind() == EK::kRejoin) ++rejoins;
   }
   EXPECT_EQ(partitions, 3);
   EXPECT_EQ(rejoins, 3);
@@ -589,7 +594,8 @@ TEST(StreamMembership, LinkBlipIsAbsorbedByRetriesWithoutEviction) {
     sim::Simulator sim(*topo);
     sim.set_fault_plan(
         sim::FaultPlan::partition(*topo, lower_half(n), upper_half(n), 1500, 2300));
-    const rt::StreamResult r = srt.run(sim, source, dests, cfg);
+    const RecordedStream run = run_recorded(srt, sim, source, dests, cfg);
+    const rt::StreamResult& r = run.res;
     EXPECT_EQ(r.epoch, 0) << "a blip must not reconfigure the group";
     EXPECT_EQ(r.failovers, 0);
     EXPECT_EQ(r.rejoins, 0);
@@ -597,7 +603,7 @@ TEST(StreamMembership, LinkBlipIsAbsorbedByRetriesWithoutEviction) {
     EXPECT_TRUE(r.unreachable_nodes.empty());
     EXPECT_EQ(r.committed, 24);
     EXPECT_TRUE(r.complete);
-    EXPECT_NO_THROW(verify::InvariantAuditor::audit_stream(r));
+    EXPECT_NO_THROW(run.audit());
     makespans.push_back(r.makespan);
   }
   EXPECT_EQ(makespans[0], makespans[1]) << "the blip run must be deterministic";
@@ -605,19 +611,19 @@ TEST(StreamMembership, LinkBlipIsAbsorbedByRetriesWithoutEviction) {
 
 // --- forged traces must be rejected ---------------------------------------
 
-rt::StreamResult failover_trace() {
+RecordedStream failover_trace() {
   const auto topo = mesh::make_mesh2d(16);
   const auto p = analysis::sample_placements(41, topo->num_nodes(), 12, 1)[0];
   return run_source_kill(600, true, *topo, p, 32);
 }
 
 template <typename Doctor>
-void expect_audit_rejects(rt::StreamResult r, verify::Invariant want,
+void expect_audit_rejects(RecordedStream run, verify::Invariant want,
                           Doctor&& doctor) {
-  ASSERT_NO_THROW(verify::InvariantAuditor::audit_stream(r));
-  ASSERT_TRUE(doctor(r)) << "the trace lacks the event to doctor";
+  ASSERT_NO_THROW(run.audit());
+  ASSERT_TRUE(doctor(run.events)) << "the trace lacks the event to doctor";
   try {
-    verify::InvariantAuditor::audit_stream(r);
+    run.audit();
     FAIL() << "the forged trace must be caught";
   } catch (const verify::InvariantViolation& v) {
     EXPECT_EQ(v.invariant(), want) << v.what();
@@ -629,15 +635,16 @@ TEST(StreamAuditor, CatchesInjectionFromTheDeposedSource) {
   // brain: two active sources in one epoch.
   expect_audit_rejects(
       failover_trace(), verify::Invariant::kStreamEpoch,
-      [](rt::StreamResult& r) {
+      [](std::vector<obs::TraceEvent>& events) {
+        // kSlotInject: c = the injecting (acting source) position.
         int old_producer = -1;
         bool failed_over = false;
-        for (rt::StreamEvent& ev : r.trace) {
-          if (ev.kind == Kind::kInject && old_producer < 0)
-            old_producer = ev.pos;
-          if (ev.kind == Kind::kFailover) failed_over = true;
-          if (failed_over && ev.kind == Kind::kInject) {
-            ev.pos = old_producer;
+        for (obs::TraceEvent& ev : events) {
+          if (ev.event_kind() == EK::kSlotInject && old_producer < 0)
+            old_producer = ev.c;
+          if (ev.event_kind() == EK::kFailover) failed_over = true;
+          if (failed_over && ev.event_kind() == EK::kSlotInject) {
+            ev.c = old_producer;
             return true;
           }
         }
@@ -649,17 +656,17 @@ TEST(StreamAuditor, CatchesFailoverPrefixRegression) {
   // A successor claiming less than the committed frontier would roll
   // back slots the group already acknowledged.
   expect_audit_rejects(failover_trace(), verify::Invariant::kStreamGap,
-                       [](rt::StreamResult& r) {
-                         for (rt::StreamEvent& ev : r.trace)
-                           if (ev.kind == Kind::kFailover) {
-                             ev.slot = 0;
+                       [](std::vector<obs::TraceEvent>& events) {
+                         for (obs::TraceEvent& ev : events)
+                           if (ev.event_kind() == EK::kFailover) {
+                             ev.c = 0;  // the successor's prefix
                              return true;
                            }
                          return false;
                        });
 }
 
-rt::StreamResult rejoin_trace() {
+RecordedStream rejoin_trace() {
   const auto topo = mesh::make_mesh2d(4);
   const int n = topo->num_nodes();
   rt::MulticastRuntime rtm(rt::RuntimeConfig{});
@@ -669,17 +676,18 @@ rt::StreamResult rejoin_trace() {
   sim::Simulator sim(*topo);
   sim.set_fault_plan(
       sim::FaultPlan::partition(*topo, lower_half(n), upper_half(n), 3000, 9000));
-  return srt.run(sim, 0, std::vector<NodeId>{1, 2, 5, 9, 10, 14}, cfg);
+  return run_recorded(srt, sim, 0, std::vector<NodeId>{1, 2, 5, 9, 10, 14},
+                      cfg);
 }
 
 TEST(StreamAuditor, CatchesRejoinPrefixDiscontinuity) {
   // A rejoiner must resume exactly at its delivered prefix; claiming one
   // slot more would leave a hole no catch-up ever fills.
   expect_audit_rejects(rejoin_trace(), verify::Invariant::kStreamGap,
-                       [](rt::StreamResult& r) {
-                         for (rt::StreamEvent& ev : r.trace)
-                           if (ev.kind == Kind::kRejoin) {
-                             ++ev.slot;
+                       [](std::vector<obs::TraceEvent>& events) {
+                         for (obs::TraceEvent& ev : events)
+                           if (ev.event_kind() == EK::kRejoin) {
+                             ++ev.c;  // the rejoiner's delivered prefix
                              return true;
                            }
                          return false;
@@ -687,22 +695,99 @@ TEST(StreamAuditor, CatchesRejoinPrefixDiscontinuity) {
 }
 
 TEST(StreamAuditor, CatchesRejoinOfACrashedMember) {
-  // Flip one eviction from kPartition (unreachable, rejoinable) to
-  // kEpoch (crashed): the later rejoin of that position must be rejected
+  // Flip one eviction from unreachable (rejoinable, kEpochBump c = 1) to
+  // crashed (c = 0): the later rejoin of that position must be rejected
   // — crashed members never come back.
   expect_audit_rejects(
       rejoin_trace(), verify::Invariant::kStreamEpoch,
-      [](rt::StreamResult& r) {
-        for (rt::StreamEvent& doomed : r.trace)
-          if (doomed.kind == Kind::kPartition) {
-            for (const rt::StreamEvent& ev : r.trace)
-              if (ev.kind == Kind::kRejoin && ev.pos == doomed.pos) {
-                doomed.kind = Kind::kEpoch;
+      [](std::vector<obs::TraceEvent>& events) {
+        for (obs::TraceEvent& doomed : events)
+          if (doomed.event_kind() == EK::kEpochBump && doomed.c == 1) {
+            for (const obs::TraceEvent& ev : events)
+              if (ev.event_kind() == EK::kRejoin && ev.b == doomed.b) {
+                doomed.c = 0;
                 return true;
               }
           }
         return false;
       });
+}
+
+// --- membership sweeps in the replay ---------------------------------------
+
+TEST(StreamAuditor, FailoverSweepVerdictsAfterTheSourceConfirmAreNotApplied) {
+  // Three receivers are cut off and evicted as unreachable; the cut heals
+  // but rejoin is off, so every later sweep repeats their kHealed
+  // verdicts.  The source dies at 12000: the sweep that confirms it
+  // fails over and never applies the verdicts recorded after the confirm.
+  // A sweep that confirms its own observer adjudicates nobody else, so
+  // only heal-watch verdicts can follow the confirm, and every raw
+  // kSuspect of this run is applied.
+  const auto topo = mesh::make_mesh2d(4);
+  const int n = topo->num_nodes();
+  rt::MulticastRuntime rtm(rt::RuntimeConfig{});
+  const rt::StreamRuntime srt(rtm);
+  rt::StreamConfig cfg = membership_config(&topo->shape(), 4, 48, 400, 256);
+  cfg.failover = true;
+  sim::Simulator sim(*topo);
+  sim::FaultPlan plan =
+      sim::FaultPlan::partition(*topo, lower_half(n), upper_half(n), 3000, 9000);
+  plan.node_events.push_back({12000, 0});
+  sim.set_fault_plan(plan);
+  const RecordedStream run = run_recorded(
+      srt, sim, 0, std::vector<NodeId>{1, 2, 5, 9, 10, 14}, cfg);
+  ASSERT_EQ(run.res.failovers, 1);
+  EXPECT_NO_THROW(run.audit());
+
+  // Locate the failover sweep: its kHeartbeat, the source's confirm, and
+  // the verdicts recorded after it.
+  std::size_t confirm = 0, sweep_end = 0;
+  int raw_suspects = 0;
+  for (std::size_t i = 0; i < run.events.size(); ++i) {
+    const obs::TraceEvent& ev = run.events[i];
+    if (ev.event_kind() == EK::kSuspect) ++raw_suspects;
+    if (ev.event_kind() == EK::kHeartbeat) sweep_end = i + 1 + ev.b;
+    if (ev.event_kind() == EK::kConfirmCrashed && ev.b == 0) {  // b = node
+      confirm = i;
+      break;
+    }
+  }
+  ASSERT_GT(confirm, 0u);
+  ASSERT_GT(sweep_end, confirm + 1) << "verdicts must follow the confirm";
+  for (std::size_t i = confirm + 1; i < sweep_end; ++i)
+    EXPECT_EQ(run.events[i].event_kind(), EK::kHealed);
+  for (std::size_t i = confirm + 1; i < run.events.size(); ++i)
+    raw_suspects += run.events[i].event_kind() == EK::kSuspect;
+  EXPECT_EQ(run.res.suspects, raw_suspects);
+
+  // A verdict after the confirm is never applied: forging it into a
+  // suspicion of an evicted (dead) position passes; the same forgery
+  // before the confirm is applied and caught.
+  const int evicted = run.events[confirm + 1].a;
+  RecordedStream late = run;
+  late.events[confirm + 1].kind = static_cast<std::uint16_t>(EK::kSuspect);
+  EXPECT_NO_THROW(late.audit());
+  RecordedStream early = run;
+  std::swap(early.events[confirm], early.events[confirm + 1]);
+  early.events[confirm].kind = static_cast<std::uint16_t>(EK::kSuspect);
+  early.events[confirm].a = evicted;
+  try {
+    early.audit();
+    ADD_FAILURE() << "a suspicion of an evicted position must be caught";
+  } catch (const verify::InvariantViolation& v) {
+    EXPECT_EQ(v.invariant(), verify::Invariant::kResultConsistency) << v.what();
+  }
+
+  // Dropping one applied kSuspect breaks the suspect count.
+  expect_audit_rejects(run, verify::Invariant::kResultConsistency,
+                       [](std::vector<obs::TraceEvent>& events) {
+                         for (auto it = events.begin(); it != events.end(); ++it)
+                           if (it->event_kind() == EK::kSuspect) {
+                             events.erase(it);
+                             return true;
+                           }
+                         return false;
+                       });
 }
 
 // --- chaos coverage --------------------------------------------------------
@@ -792,7 +877,8 @@ TEST(StreamGolden, ReliableLoopKeepsItsRetransmissionOrder) {
   sim.set_fault_plan(plan);
   const rt::StreamResult r = srt.run(sim, p.source, p.dests, cfg);
   ASSERT_EQ(rec.events_dropped(), 0u);
-  EXPECT_NO_THROW(verify::InvariantAuditor::audit_stream(r));
+  EXPECT_NO_THROW(verify::InvariantAuditor::audit_stream(r, rec.snapshot(),
+                                                         rec.events_dropped()));
 
   const std::vector<Time> commit_time = {
        34051,  35654,  36842,  55383,  55383,  55383,  55383,  56225,

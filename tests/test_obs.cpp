@@ -2,7 +2,8 @@
 // round-trips, metric derivation, and the end-to-end determinism
 // contracts the subsystem exists to enforce — byte-identical traces at
 // any --jobs value, cycle-vs-event equality modulo the fast-forwarded
-// flag, and zero behavioural change when tracing is off.
+// flag, zero behavioural change when tracing is off, and audits that
+// replay a recorded trace (never a wrapped one), from memory or a file.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -16,6 +17,9 @@
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
+#include "runtime/stream_runtime.hpp"
+#include "sim/fault.hpp"
+#include "verify/invariant_auditor.hpp"
 
 namespace pcm::obs {
 namespace {
@@ -89,6 +93,17 @@ TEST(Export, BinaryRejectsBadMagicAndTruncation) {
   payload.resize(payload.size() - 5);  // cut into the record
   std::stringstream cut(payload);
   EXPECT_THROW((void)read_binary_trace(cut), std::runtime_error);
+  // A forged header count over one real record: 2^26 must fail without
+  // allocating the claimed 2 GB, and 2^59 + 1 (count * 32 overflows) must
+  // fail the same way, not with std::length_error.
+  for (const std::uint64_t count :
+       {std::uint64_t{1} << 26, (std::uint64_t{1} << 59) + 1}) {
+    std::string forged = ss.str();
+    for (int i = 0; i < 8; ++i)
+      forged[8 + i] = static_cast<char>((count >> (8 * i)) & 0xff);
+    std::stringstream in(forged);
+    EXPECT_THROW((void)read_binary_trace(in), std::runtime_error) << count;
+  }
 }
 
 // --- diffing (the pcmtrace diff engine) -----------------------------------
@@ -293,6 +308,93 @@ TEST(TraceDeterminism, StreamTraceRecordsSlotLifecycle) {
   }
   EXPECT_EQ(injects, 8u);
   EXPECT_EQ(commits, 8u);
+}
+
+// --- the auditor replays the flight recorder -------------------------------
+
+TEST(TraceAudit, AuditedOneShotRunNeverWrapsItsRing) {
+  // ~96 k events in one fault run: more than a per-run ring
+  // (kRunRingCapacity) holds, so an unaudited trace would lose its start.
+  // An audited run records unbounded and exports every event.
+  cli::CliOptions opt;
+  opt.topology = "mesh:16";
+  opt.algorithm = "opt-tree";
+  opt.nodes = 256;
+  opt.bytes = 8192;
+  opt.reps = 1;
+  opt.faults = "drop:0.002;seed:1";
+  opt.allow_partial = true;
+  opt.audit = true;
+  TempPath tmp("audit_nowrap");
+  std::string out;
+  const TraceFile tf = run_traced(opt, tmp.path, &out);
+  EXPECT_EQ(tf.dropped, 0u);
+  EXPECT_GT(tf.events.size(), kRunRingCapacity);
+  EXPECT_EQ(out.find("dropped by ring wrap"), std::string::npos) << out;
+}
+
+TEST(TraceAudit, PostMortemAuditFromAFileMatchesTheInMemoryAudit) {
+  // A mid-stream source kill under failover, traced by pcmcast --audit
+  // --trace; the same stream rerun in-process gives the StreamResult.
+  // audit_stream over the file's events must reach the in-memory verdict:
+  // clean for the real result, the same violation for a doctored one.
+  cli::CliOptions opt;
+  opt.topology = "mesh:8";
+  opt.source = 0;
+  opt.dests = "9,18,27,36";
+  opt.bytes = 256;
+  opt.stream = 24;
+  opt.window = 4;
+  opt.heartbeat = 600;
+  opt.failover = true;
+  opt.faults = "node:0@5000";
+  opt.audit = true;
+  TempPath tmp("postmortem");
+  const TraceFile tf = run_traced(opt, tmp.path);
+  ASSERT_EQ(tf.dropped, 0u);
+
+  const auto topo = cli::make_topology(opt.topology);
+  const rt::MulticastRuntime rtm{rt::RuntimeConfig{}};
+  rt::StreamConfig scfg;
+  scfg.window_size = opt.window;
+  scfg.slots = opt.stream;
+  scfg.bytes = opt.bytes;
+  scfg.shape = cli::mesh_shape_of(*topo);
+  scfg.reliable = true;
+  scfg.membership.heartbeat_period = opt.heartbeat;
+  scfg.failover = true;
+  FlightRecorder rec(RecorderConfig{kUnbounded});
+  scfg.recorder = &rec;
+  sim::Simulator sim(*topo);
+  sim.set_fault_plan(sim::FaultPlan::parse(opt.faults));
+  const std::vector<NodeId> dests = {9, 18, 27, 36};
+  rt::StreamResult res = rt::StreamRuntime(rtm).run(sim, 0, dests, scfg);
+  ASSERT_EQ(res.failovers, 1);
+
+  // The file carries the run marker and the simulator's events as well;
+  // its protocol events are exactly the in-memory recorder's.
+  std::vector<TraceEvent> protocol;
+  for (const TraceEvent& ev : tf.events)
+    if (ev.kind >= static_cast<std::uint16_t>(EventKind::kSendAttempt) &&
+        ev.kind <= static_cast<std::uint16_t>(EventKind::kHealed))
+      protocol.push_back(ev);
+  EXPECT_EQ(protocol, rec.snapshot());
+
+  using verify::InvariantAuditor;
+  EXPECT_NO_THROW(InvariantAuditor::audit_stream(res, rec.snapshot(), 0));
+  EXPECT_NO_THROW(InvariantAuditor::audit_stream(res, tf.events, tf.dropped));
+  ++res.stale_acks;
+  auto verdict = [&](std::span<const TraceEvent> events) {
+    try {
+      InvariantAuditor::audit_stream(res, events, 0);
+    } catch (const verify::InvariantViolation& v) {
+      return std::string(v.what());
+    }
+    return std::string("clean");
+  };
+  const std::string in_memory = verdict(rec.snapshot());
+  EXPECT_NE(in_memory.find("stale-ack count"), std::string::npos) << in_memory;
+  EXPECT_EQ(verdict(tf.events), in_memory);
 }
 
 }  // namespace

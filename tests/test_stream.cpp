@@ -10,14 +10,15 @@
 //     prefix of the whole stream, stale-epoch acks are rejected, and the
 //     stream never wedges;
 //   * the stream auditor passes on seeded chaos-stream scenarios, catches
-//     a deliberately injected stale-epoch ack, and the chaos sweep is
-//     bit-identical at any thread fan-out.
+//     a deliberately injected stale-epoch ack, refuses a wrapped recorder,
+//     and the chaos sweep is bit-identical at any thread fan-out.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "analysis/sampling.hpp"
 #include "mesh/mesh_topology.hpp"
+#include "recorded_stream.hpp"
 #include "runtime/mcast_runtime.hpp"
 #include "runtime/stream_runtime.hpp"
 #include "sim/fault.hpp"
@@ -111,14 +112,14 @@ TEST(StreamRuntime, WindowOccupancyIsBoundedAndAuditClean) {
   rt::MulticastRuntime rtm(rt::RuntimeConfig{});
   const rt::StreamRuntime srt(rtm);
   const auto p = analysis::sample_placements(29, 64, 10, 1)[0];
-  rt::StreamConfig cfg = base_config(&topo->shape(), 4, 20);
-  cfg.record_trace = true;
   sim::Simulator sim(*topo);
-  const rt::StreamResult r = srt.run(sim, p.source, p.dests, cfg);
+  const RecordedStream run = run_recorded(srt, sim, p.source, p.dests,
+                                          base_config(&topo->shape(), 4, 20));
+  const rt::StreamResult& r = run.res;
   EXPECT_TRUE(r.complete);
   EXPECT_GT(r.max_window_occupancy, 1) << "the pipeline must actually fill";
   EXPECT_LE(r.max_window_occupancy, 4);
-  EXPECT_NO_THROW(verify::InvariantAuditor::audit_stream(r));
+  EXPECT_NO_THROW(run.audit());
 }
 
 TEST(StreamRuntime, BadConfigsAreRejected) {
@@ -161,7 +162,6 @@ TEST(StreamRuntime, MidStreamKillRecoversViaEpochBump) {
 
   rt::StreamConfig cfg = base_config(&topo->shape(), 4, slots, 512);
   cfg.reliable = true;
-  cfg.record_trace = true;
 
   const TwoParam tp = rtm.config().machine.two_param(rtm.wire_bytes(512, 1));
   const MulticastTree tree = build_multicast(McastAlgorithm::kOptMesh, p.source,
@@ -181,7 +181,8 @@ TEST(StreamRuntime, MidStreamKillRecoversViaEpochBump) {
   plan.node_events.push_back({4 * model_latency(tree, tp), victim});
   sim.set_fault_plan(plan);
 
-  const rt::StreamResult r = srt.run(sim, p.source, p.dests, cfg);
+  const RecordedStream run = run_recorded(srt, sim, p.source, p.dests, cfg);
+  const rt::StreamResult& r = run.res;
   EXPECT_EQ(r.epoch, 1) << "exactly one reconfiguration";
   ASSERT_EQ(r.dead_nodes.size(), 1u);
   EXPECT_EQ(r.dead_nodes[0], victim);
@@ -194,7 +195,7 @@ TEST(StreamRuntime, MidStreamKillRecoversViaEpochBump) {
     EXPECT_EQ(r.delivered_prefix[static_cast<std::size_t>(pos)], slots)
         << "survivor position " << pos << " must hold a gap-free prefix";
   }
-  EXPECT_NO_THROW(verify::InvariantAuditor::audit_stream(r));
+  EXPECT_NO_THROW(run.audit());
 }
 
 TEST(StreamRuntime, DropStormStreamIsAbsorbedByRetries) {
@@ -204,17 +205,28 @@ TEST(StreamRuntime, DropStormStreamIsAbsorbedByRetries) {
   const auto p = analysis::sample_placements(37, 64, 8, 1)[0];
   rt::StreamConfig cfg = base_config(&topo->shape(), 2, 12, 256);
   cfg.reliable = true;
-  cfg.record_trace = true;
   sim::Simulator sim(*topo);
   sim::FaultPlan plan;
   plan.drop_rate = 0.02;
   plan.seed = 17;
   sim.set_fault_plan(plan);
-  const rt::StreamResult r = srt.run(sim, p.source, p.dests, cfg);
-  EXPECT_TRUE(r.complete);
-  EXPECT_EQ(r.epoch, 0);
-  EXPECT_GT(r.retries, 0);
-  EXPECT_NO_THROW(verify::InvariantAuditor::audit_stream(r));
+  const RecordedStream run = run_recorded(srt, sim, p.source, p.dests, cfg);
+  EXPECT_TRUE(run.res.complete);
+  EXPECT_EQ(run.res.epoch, 0);
+  EXPECT_GT(run.res.retries, 0);
+  EXPECT_NO_THROW(run.audit());
+
+  // The same run recorded into a ring smaller than the run wraps; the
+  // audit refuses it rather than replay a trace missing its start.
+  obs::FlightRecorder ring(obs::RecorderConfig{64});
+  cfg.recorder = &ring;
+  sim::Simulator sim2(*topo);
+  sim2.set_fault_plan(plan);
+  const rt::StreamResult r2 = srt.run(sim2, p.source, p.dests, cfg);
+  ASSERT_GT(ring.events_dropped(), 0u);
+  EXPECT_THROW(verify::InvariantAuditor::audit_stream(r2, ring.snapshot(),
+                                                      ring.events_dropped()),
+               std::invalid_argument);
 }
 
 // --- the stream auditor ---------------------------------------------------
@@ -229,7 +241,6 @@ TEST(StreamAuditor, CatchesInjectedStaleEpochAck) {
   const auto p = analysis::sample_placements(31, 64, 10, 1)[0];
   rt::StreamConfig cfg = base_config(&topo->shape(), 4, 24, 512);
   cfg.reliable = true;
-  cfg.record_trace = true;
   const TwoParam tp = rtm.config().machine.two_param(rtm.wire_bytes(512, 1));
   const MulticastTree tree = build_multicast(McastAlgorithm::kOptMesh, p.source,
                                              p.dests, tp, &topo->shape());
@@ -245,24 +256,25 @@ TEST(StreamAuditor, CatchesInjectedStaleEpochAck) {
   sim::FaultPlan plan;
   plan.node_events.push_back({4 * model_latency(tree, tp), victim});
   sim.set_fault_plan(plan);
-  rt::StreamResult r = srt.run(sim, p.source, p.dests, cfg);
-  ASSERT_EQ(r.epoch, 1);
-  ASSERT_NO_THROW(verify::InvariantAuditor::audit_stream(r));
+  RecordedStream run = run_recorded(srt, sim, p.source, p.dests, cfg);
+  ASSERT_EQ(run.res.epoch, 1);
+  ASSERT_NO_THROW(run.audit());
 
   bool doctored = false;
   bool seen_epoch = false;
-  for (rt::StreamEvent& ev : r.trace) {
-    if (ev.kind == rt::StreamEvent::Kind::kEpoch) seen_epoch = true;
-    if (seen_epoch && ev.kind == rt::StreamEvent::Kind::kDeliver &&
-        ev.epoch == 1) {
-      ev.epoch = 0;  // an old-epoch delivery that advanced new-epoch state
+  for (obs::TraceEvent& ev : run.events) {
+    if (ev.event_kind() == obs::EventKind::kEpochBump) seen_epoch = true;
+    // kSlotDeliver: a = slot, b = epoch, c = receiver position.
+    if (seen_epoch && ev.event_kind() == obs::EventKind::kSlotDeliver &&
+        ev.b == 1) {
+      ev.b = 0;  // an old-epoch delivery that advanced new-epoch state
       doctored = true;
       break;
     }
   }
   ASSERT_TRUE(doctored) << "the kill must leave post-epoch deliveries to doctor";
   try {
-    verify::InvariantAuditor::audit_stream(r);
+    run.audit();
     FAIL() << "the stale-epoch ack must be caught";
   } catch (const verify::InvariantViolation& v) {
     EXPECT_EQ(v.invariant(), verify::Invariant::kStreamEpoch) << v.what();

@@ -7,7 +7,7 @@
 //     says so;
 //   * fabricated phantom deliveries, double drops, channel-exclusivity
 //     breaches, and double-counted acks are each caught with the right
-//     Invariant tag;
+//     Invariant tag, and a wrapped recorder is refused, never audited;
 //   * the chaos sweep is bit-deterministic at any thread fan-out and
 //     clean on the current builders;
 //   * the minimizer shrinks a known-bad scenario to a reproducer that
@@ -22,6 +22,7 @@
 #include "analysis/sampling.hpp"
 #include "cli/options.hpp"
 #include "mesh/mesh_topology.hpp"
+#include "obs/recorder.hpp"
 #include "runtime/mcast_runtime.hpp"
 #include "verify/chaos.hpp"
 #include "verify/invariant_auditor.hpp"
@@ -226,14 +227,38 @@ rt::McastResult healthy_two_node_result() {
   return res;
 }
 
+// One send-lifecycle record as run_reliable writes it to the flight
+// recorder: a = record, b = attempt, c = receiver position, d = -1.
+obs::TraceEvent send_event(obs::EventKind kind, Time t, int rec, int attempt) {
+  obs::TraceEvent ev;
+  ev.cycle = t;
+  ev.a = rec;
+  ev.b = attempt;
+  ev.c = 1;
+  ev.d = -1;
+  ev.kind = static_cast<std::uint16_t>(kind);
+  return ev;
+}
+obs::TraceEvent issue(Time t, int rec, int attempt) {
+  return send_event(obs::EventKind::kSendAttempt, t, rec, attempt);
+}
+obs::TraceEvent ack(Time t, int rec, int attempt) {
+  return send_event(obs::EventKind::kSendAcked, t, rec, attempt);
+}
+
+Invariant audit_result_verdict(const rt::McastResult& res,
+                               const std::vector<obs::TraceEvent>& events) {
+  return catch_invariant(
+      [&] { InvariantAuditor::audit_result(res, events, 0); });
+}
+
 TEST(Verify, DroppedAckDoubleCountCaught) {
-  rt::McastResult res = healthy_two_node_result();
-  using K = rt::AckEvent::Kind;
-  res.ack_trace = {{K::kIssue, 0, 0, 0, 1},
-                   {K::kAck, 90, 0, 0, 1},
-                   {K::kAck, 95, 0, 0, 1}};  // the dropped-ack double count
+  const rt::McastResult res = healthy_two_node_result();
+  const std::vector<obs::TraceEvent> events = {
+      issue(0, 0, 0), ack(90, 0, 0),
+      ack(95, 0, 0)};  // the dropped-ack double count
   try {
-    InvariantAuditor::audit_result(res);
+    InvariantAuditor::audit_result(res, events, 0);
     FAIL() << "expected InvariantViolation";
   } catch (const InvariantViolation& v) {
     EXPECT_EQ(v.invariant(), Invariant::kAckEpoch);
@@ -242,37 +267,28 @@ TEST(Verify, DroppedAckDoubleCountCaught) {
 }
 
 TEST(Verify, AckEpochRegressionsCaught) {
-  using K = rt::AckEvent::Kind;
+  const rt::McastResult res = healthy_two_node_result();
   // Re-issuing the same attempt: the epoch did not advance.
-  rt::McastResult res = healthy_two_node_result();
-  res.ack_trace = {{K::kIssue, 0, 0, 0, 1}, {K::kIssue, 50, 0, 0, 1}};
-  EXPECT_EQ(catch_invariant([&] { InvariantAuditor::audit_result(res); }),
+  EXPECT_EQ(audit_result_verdict(res, {issue(0, 0, 0), issue(50, 0, 0)}),
             Invariant::kAckEpoch);
   // An ack with no issued attempt.
-  res.ack_trace = {{K::kAck, 10, 0, 0, 1}};
-  EXPECT_EQ(catch_invariant([&] { InvariantAuditor::audit_result(res); }),
-            Invariant::kAckEpoch);
+  EXPECT_EQ(audit_result_verdict(res, {ack(10, 0, 0)}), Invariant::kAckEpoch);
   // An ack for an attempt beyond the last issued one.
-  res.ack_trace = {{K::kIssue, 0, 0, 0, 1}, {K::kAck, 10, 0, 3, 1}};
-  EXPECT_EQ(catch_invariant([&] { InvariantAuditor::audit_result(res); }),
+  EXPECT_EQ(audit_result_verdict(res, {issue(0, 0, 0), ack(10, 0, 3)}),
             Invariant::kAckEpoch);
   // A re-issue after the ack arrived.
-  res.ack_trace = {{K::kIssue, 0, 0, 0, 1},
-                   {K::kAck, 10, 0, 0, 1},
-                   {K::kIssue, 20, 0, 1, 1}};
-  EXPECT_EQ(catch_invariant([&] { InvariantAuditor::audit_result(res); }),
+  EXPECT_EQ(audit_result_verdict(
+                res, {issue(0, 0, 0), ack(10, 0, 0), issue(20, 0, 1)}),
             Invariant::kAckEpoch);
 }
 
 TEST(Verify, ResultConsistencyCaught) {
   rt::McastResult res = healthy_two_node_result();
   res.delivered_fraction = 0.5;  // contradicts recv_complete
-  EXPECT_EQ(catch_invariant([&] { InvariantAuditor::audit_result(res); }),
-            Invariant::kResultConsistency);
+  EXPECT_EQ(audit_result_verdict(res, {}), Invariant::kResultConsistency);
   res = healthy_two_node_result();
   res.dead_nodes = {3};  // dead + delivered > expected: an ack double count
-  EXPECT_EQ(catch_invariant([&] { InvariantAuditor::audit_result(res); }),
-            Invariant::kResultConsistency);
+  EXPECT_EQ(audit_result_verdict(res, {}), Invariant::kResultConsistency);
 }
 
 TEST(Verify, RealReliableRunTracePassesAudit) {
@@ -287,11 +303,38 @@ TEST(Verify, RealReliableRunTracePassesAudit) {
   sim::FaultPlan plan;
   plan.node_events.push_back({300, p.dests[5]});
   sim.set_fault_plan(plan);
+  obs::FlightRecorder rec(obs::RecorderConfig{obs::kUnbounded});
   rt::FtConfig ft;
-  ft.record_ack_trace = true;
+  ft.recorder = &rec;
   const rt::McastResult res = rtm.run_reliable(sim, tree, 4096, ft);
-  EXPECT_FALSE(res.ack_trace.empty());
-  InvariantAuditor::audit_result(res);  // must not throw
+  EXPECT_GT(rec.events_recorded(), 0u);
+  // must not throw
+  InvariantAuditor::audit_result(res, rec.snapshot(), rec.events_dropped());
+}
+
+TEST(Verify, AuditRefusesAWrappedRecorder) {
+  // A ring smaller than the run overwrote its oldest send events; the
+  // replay would see acks without their issues.  The audit refuses the
+  // trace instead of reporting a false violation.
+  const auto topo = mesh::make_mesh2d(8);
+  const rt::MulticastRuntime rtm{rt::RuntimeConfig{}};
+  const analysis::Placement p = analysis::sample_placements(5, 64, 16, 1)[0];
+  const TwoParam tp = rtm.config().machine.two_param(rtm.wire_bytes(256, 1));
+  const MulticastTree tree = build_multicast(McastAlgorithm::kOptMesh, p.source,
+                                             p.dests, tp, &topo->shape());
+  sim::Simulator sim(*topo);
+  sim::FaultPlan plan;
+  plan.drop_rate = 0.01;
+  plan.seed = 3;
+  sim.set_fault_plan(plan);
+  obs::FlightRecorder rec(obs::RecorderConfig{8});
+  rt::FtConfig ft;
+  ft.recorder = &rec;
+  const rt::McastResult res = rtm.run_reliable(sim, tree, 256, ft);
+  ASSERT_GT(rec.events_dropped(), 0u);
+  EXPECT_THROW(
+      InvariantAuditor::audit_result(res, rec.snapshot(), rec.events_dropped()),
+      std::invalid_argument);
 }
 
 // --- chaos sweep ----------------------------------------------------------
