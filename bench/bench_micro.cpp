@@ -1,13 +1,16 @@
 // E9 — Engineering microbenchmarks (google-benchmark): costs of the
 // building blocks — the O(k) DP, tree expansion, chain sorting, path
-// tracing, and raw simulator throughput.
+// tracing, raw simulator throughput, and the static analyzer's tree
+// certification and forest admission.
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <numeric>
 
 #include "analysis/sampling.hpp"
 #include "bmin/bmin_topology.hpp"
 #include "core/algorithms.hpp"
+#include "lint/lint.hpp"
 #include "mesh/mesh_topology.hpp"
 #include "runtime/mcast_runtime.hpp"
 
@@ -136,5 +139,65 @@ void BM_SimulatorContendedMulticast(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SimulatorContendedMulticast)->Unit(benchmark::kMillisecond);
+
+// lint_tree on the 64x64 mesh (OPT-Mesh, range 0 = 0) or the 4096-port
+// BMIN (OPT-Min, range 0 = 1) at k = range 1: one placement, 4 KiB.
+void BM_LintTree(benchmark::State& state) {
+  const bool bmin_fabric = state.range(0) != 0;
+  const int k = static_cast<int>(state.range(1));
+  const std::unique_ptr<sim::Topology> topo =
+      bmin_fabric ? std::unique_ptr<sim::Topology>(bmin::make_bmin(4096))
+                  : std::unique_ptr<sim::Topology>(mesh::make_mesh2d(64));
+  const rt::RuntimeConfig cfg;
+  const rt::MulticastRuntime rtm(cfg);
+  const Bytes bytes = 4096;
+  const TwoParam tp = cfg.machine.two_param(rtm.wire_bytes(bytes, 1));
+  const auto p = analysis::sample_placements(11, 4096, k, 1)[0];
+  const auto* grid = dynamic_cast<const mesh::MeshTopology*>(topo.get());
+  const MulticastTree tree = build_multicast(
+      bmin_fabric ? McastAlgorithm::kOptMin : McastAlgorithm::kOptMesh, p.source,
+      p.dests, tp, grid != nullptr ? &grid->shape() : nullptr);
+  lint::LintOptions opts;
+  opts.keep_schedule = false;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(
+        lint::lint_tree(tree, *topo, cfg, sim::SimConfig{}, bytes, opts).makespan);
+  state.SetItemsProcessed(state.iterations() * static_cast<long long>(tree.sends.size()));
+}
+BENCHMARK(BM_LintTree)
+    ->ArgsProduct({{0, 1}, {64, 256, 1024}})
+    ->ArgNames({"bmin", "k"})
+    ->Unit(benchmark::kMicrosecond);
+
+// Admission of 64 OPT-Mesh groups of 16 on the 32x32 mesh, each at its
+// earliest_clean_offset, then lint_forest over the admitted forest.
+void BM_LintForestAdmission(benchmark::State& state) {
+  const auto topo = mesh::make_mesh2d(32);
+  const rt::RuntimeConfig cfg;
+  const rt::MulticastRuntime rtm(cfg);
+  const sim::SimConfig sim_cfg;
+  const Bytes bytes = 4096;
+  const TwoParam tp = cfg.machine.two_param(rtm.wire_bytes(bytes, 1));
+  const auto groups = analysis::sample_placements(13, topo->num_nodes(), 16, 64);
+  std::vector<lint::ForestMember> members;
+  members.reserve(groups.size());
+  for (const auto& p : groups)
+    members.push_back({build_multicast(McastAlgorithm::kOptMesh, p.source, p.dests,
+                                       tp, &topo->shape()),
+                       bytes, 0});
+  lint::ForestOptions opts;
+  opts.keep_schedules = false;
+  for (auto _ : state) {
+    lint::ChannelReservations reserved;
+    for (lint::ForestMember& m : members) {
+      m.start = lint::earliest_clean_offset(m.tree, *topo, cfg, sim_cfg, bytes,
+                                            reserved);
+      reserved.add(lint::lint_schedule(m.tree, *topo, cfg, sim_cfg, bytes, m.start));
+    }
+    benchmark::DoNotOptimize(
+        lint::lint_forest(members, *topo, cfg, sim_cfg, opts).makespan);
+  }
+}
+BENCHMARK(BM_LintForestAdmission)->Unit(benchmark::kMillisecond);
 
 }  // namespace

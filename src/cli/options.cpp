@@ -4,6 +4,7 @@
 #include <charconv>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -32,6 +33,8 @@
 
 namespace pcm::cli {
 namespace {
+
+constexpr long long kMaxInt = std::numeric_limits<int>::max();
 
 long long parse_int(std::string_view key, std::string_view value) {
   long long out = 0;
@@ -97,11 +100,11 @@ CliOptions parse_args(std::span<const std::string_view> args) {
     } else if (a == "--algorithm") {
       opt.algorithm = std::string(value());
     } else if (a == "--nodes") {
-      opt.nodes = static_cast<int>(parse_int(a, value()));
+      opt.nodes = static_cast<int>(parse_uint_flag(a, value(), 2, kMaxInt));
     } else if (a == "--bytes") {
       opt.bytes = parse_int(a, value());
     } else if (a == "--reps") {
-      opt.reps = static_cast<int>(parse_int(a, value()));
+      opt.reps = static_cast<int>(parse_uint_flag(a, value(), 1, kMaxInt));
     } else if (a == "--seed") {
       opt.seed = static_cast<std::uint64_t>(parse_int(a, value()));
     } else if (a == "--csv") {
@@ -129,7 +132,7 @@ CliOptions parse_args(std::span<const std::string_view> args) {
     } else if (a == "--max-retries") {
       opt.max_retries = static_cast<int>(parse_uint_flag(a, value(), 0, 40));
     } else if (a == "--source") {
-      opt.source = static_cast<int>(parse_int(a, value()));
+      opt.source = static_cast<int>(parse_uint_flag(a, value(), 0, kMaxInt));
     } else if (a == "--dests") {
       opt.dests = std::string(value());
     } else if (a == "--forest") {
@@ -170,8 +173,6 @@ CliOptions parse_args(std::span<const std::string_view> args) {
   if (!opt.help) {
     if (!algorithm_from_name(opt.algorithm))
       throw std::invalid_argument("pcmcast: unknown algorithm '" + opt.algorithm + "'");
-    if (opt.nodes < 2) throw std::invalid_argument("pcmcast: --nodes must be >= 2");
-    if (opt.reps < 1) throw std::invalid_argument("pcmcast: --reps must be >= 1");
     if (opt.bytes < 0) throw std::invalid_argument("pcmcast: --bytes must be >= 0");
     if (opt.collective != "multicast" && opt.collective != "reduce" &&
         opt.collective != "barrier")
@@ -403,12 +404,12 @@ std::vector<analysis::Placement> make_placements(const CliOptions& opt,
     std::istringstream is(opt.dests);
     std::string tok;
     while (std::getline(is, tok, ','))
-      p.dests.push_back(static_cast<NodeId>(parse_int("--dests", tok)));
+      p.dests.push_back(static_cast<NodeId>(parse_uint_flag("--dests", tok, 0, kMaxInt)));
     if (p.dests.empty()) throw std::invalid_argument("pcmcast: empty --dests list");
     if (p.source < 0 || p.source >= topo.num_nodes())
       throw std::invalid_argument("pcmcast: --source outside the topology");
     for (const NodeId d : p.dests)
-      if (d < 0 || d >= topo.num_nodes())
+      if (d >= topo.num_nodes())
         throw std::invalid_argument("pcmcast: --dests node outside the topology");
     placements.push_back(std::move(p));
     return placements;
@@ -1024,9 +1025,7 @@ std::vector<lint::ForestMember> parse_forest_spec(
       throw std::invalid_argument("pcmcast: --forest member '" + g +
                                   "' must be START:ALG:SRC:D1,D2,...");
     lint::ForestMember m;
-    m.start = static_cast<Time>(parse_int("--forest start", f[0]));
-    if (m.start < 0)
-      throw std::invalid_argument("pcmcast: --forest start must be >= 0");
+    m.start = parse_uint_flag("--forest start", f[0], 0, lint::kMaxStartOffset);
     const auto alg = algorithm_from_name(f[1]);
     if (!alg)
       throw std::invalid_argument("pcmcast: --forest unknown algorithm '" +
@@ -1034,18 +1033,20 @@ std::vector<lint::ForestMember> parse_forest_spec(
     if (needs_mesh_shape(*alg) && shape == nullptr)
       throw std::invalid_argument("pcmcast: --forest algorithm " + f[1] +
                                   " requires a mesh/hypercube topology");
-    const NodeId src = static_cast<NodeId>(parse_int("--forest source", f[2]));
+    const auto src =
+        static_cast<NodeId>(parse_uint_flag("--forest source", f[2], 0, kMaxInt));
     std::vector<NodeId> dests;
     std::istringstream ds(f[3]);
     while (std::getline(ds, tok, ','))
-      dests.push_back(static_cast<NodeId>(parse_int("--forest dests", tok)));
+      dests.push_back(
+          static_cast<NodeId>(parse_uint_flag("--forest dests", tok, 0, kMaxInt)));
     if (dests.empty())
       throw std::invalid_argument("pcmcast: --forest member '" + g +
                                   "' has no destinations");
-    if (src < 0 || src >= topo.num_nodes())
+    if (src >= topo.num_nodes())
       throw std::invalid_argument("pcmcast: --forest source outside the topology");
     for (const NodeId d : dests)
-      if (d < 0 || d >= topo.num_nodes())
+      if (d >= topo.num_nodes())
         throw std::invalid_argument(
             "pcmcast: --forest destination outside the topology");
     m.tree = build_multicast(*alg, src, dests, tp, shape);

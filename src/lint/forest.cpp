@@ -127,23 +127,29 @@ ForestReport certify(std::span<const TreeRef> members, const sim::Topology& topo
   for (const Time t : rep.tree_makespan) rep.makespan = std::max(rep.makespan, t);
 
   const Time rd = sim_cfg.router_delay;
-  std::vector<kernel::Hold> holds;
-  for (size_t t = 0; t < tl.sched.size(); ++t)
-    for (size_t idx = 0; idx < tl.sched[t].size(); ++idx) {
-      const SendWindow& w = tl.sched[t][idx];
-      const std::vector<sim::ChannelId>& path = tl.plans[t][idx].path;
-      for (size_t i = 0; i < path.size(); ++i) {
-        const Time b = kernel::reserve_time(w.inject_start, i, rd);
-        holds.push_back({path[i], b, b + w.flits, static_cast<int>(t), w.send});
+  {
+    size_t hops = 0;
+    for (const std::vector<SendPlan>& plan : tl.plans)
+      for (const SendPlan& p : plan) hops += p.path.size();
+    std::vector<kernel::Hold> holds;
+    holds.reserve(hops);
+    for (size_t t = 0; t < tl.sched.size(); ++t)
+      for (size_t idx = 0; idx < tl.sched[t].size(); ++idx) {
+        const SendWindow& w = tl.sched[t][idx];
+        const std::vector<sim::ChannelId>& path = tl.plans[t][idx].path;
+        for (size_t i = 0; i < path.size(); ++i) {
+          const Time b = kernel::reserve_time(w.inject_start, i, rd);
+          holds.push_back({path[i], b, b + w.flits, static_cast<int>(t), w.send});
+        }
       }
-    }
-  kernel::sweep_holds(holds, max_diagnostics, rep);
+    kernel::sweep_holds(holds, max_diagnostics, rep);
+  }
 
   if (check_deadlock) {
-    std::vector<std::pair<int, int>> edges;
+    std::vector<std::span<const sim::ChannelId>> paths;
     for (const std::vector<SendPlan>& plan : tl.plans)
-      for (const SendPlan& p : plan) kernel::add_path_edges(p.path, edges);
-    kernel::find_deadlock(edges, topo, max_diagnostics, rep.deadlock_free,
+      for (const SendPlan& p : plan) paths.emplace_back(p.path);
+    kernel::find_deadlock(paths, max_diagnostics, rep.deadlock_free,
                           rep.diagnostics);
   }
 
@@ -197,6 +203,8 @@ ForestReport lint_forest(std::span<const ForestMember> members,
   for (const ForestMember& m : members) {
     if (m.start < 0)
       throw std::invalid_argument("lint_forest: negative start offset");
+    if (m.start > kMaxStartOffset)
+      throw std::invalid_argument("lint_forest: start offset above kMaxStartOffset");
     refs.push_back(TreeRef{&m.tree, m.payload, m.start});
   }
   return certify(refs, topo, cfg, sim_cfg, 1, opts.max_diagnostics,
@@ -276,10 +284,20 @@ std::string ForestReport::describe(std::span<const ForestMember> members,
 }
 
 void ChannelReservations::add(std::span<const SendWindow> sched) {
+  std::vector<HoldWindow> fresh;
   for (const SendWindow& w : sched)
     for (size_t i = 0; i < w.path.size(); ++i)
-      holds.push_back(
-          HoldWindow{w.path[i], w.reserve[i], w.reserve[i] + w.flits});
+      fresh.push_back(HoldWindow{w.path[i], w.reserve[i], w.reserve[i] + w.flits});
+  kernel::radix_sort(fresh, [](const HoldWindow& h) { return h.channel; });
+  // Merge from the back, so holds below the lowest fresh channel stay put
+  // and the fresh ones follow the admitted ones within a channel.
+  size_t i = holds_.size();
+  size_t j = fresh.size();
+  holds_.resize(i + j);
+  for (size_t k = holds_.size(); j > 0;)
+    holds_[--k] = i > 0 && holds_[i - 1].channel > fresh[j - 1].channel
+                      ? holds_[--i]
+                      : fresh[--j];
 }
 
 Time earliest_clean_offset(const MulticastTree& tree, const sim::Topology& topo,
@@ -293,12 +311,7 @@ Time earliest_clean_offset(const MulticastTree& tree, const sim::Topology& topo,
   // shift interval [r.begin - h.end + 1, r.end - h.begin - 1].
   const std::vector<SendWindow> cand =
       lint_schedule(tree, topo, cfg, sim_cfg, payload, 0);
-
-  std::vector<HoldWindow> res = existing.holds;
-  std::sort(res.begin(), res.end(), [](const HoldWindow& a, const HoldWindow& b) {
-    if (a.channel != b.channel) return a.channel < b.channel;
-    return a.begin < b.begin;
-  });
+  const std::vector<HoldWindow>& res = existing.holds();
 
   std::vector<std::pair<Time, Time>> forbidden;
   for (const SendWindow& w : cand) {

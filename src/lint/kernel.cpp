@@ -3,7 +3,9 @@
 #include "lint/kernel.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
+#include <numeric>
 #include <stdexcept>
 #include <tuple>
 #include <utility>
@@ -99,35 +101,49 @@ Delivery WindowKernel::pop() {
   return d;
 }
 
-void sweep_holds(std::vector<Hold>& holds, int max_diagnostics,
+void sweep_holds(std::span<const Hold> holds, int max_diagnostics,
                  ForestReport& rep) {
-  std::sort(holds.begin(), holds.end(), [](const Hold& a, const Hold& b) {
-    return std::tie(a.ch, a.begin, a.tree, a.send) <
-           std::tie(b.ch, b.begin, b.tree, b.send);
-  });
+  // (channel, hold index), grouped by channel.
+  std::vector<std::pair<sim::ChannelId, std::uint32_t>> order;
+  order.reserve(holds.size());
+  for (std::uint32_t i = 0; i < holds.size(); ++i) order.emplace_back(holds[i].ch, i);
+  radix_sort(order, [](const auto& o) { return o.first; });
+  auto by_begin = [&](const auto& a, const auto& b) {
+    const Hold& x = holds[a.second];
+    const Hold& y = holds[b.second];
+    return std::tie(x.begin, x.tree, x.send) < std::tie(y.begin, y.tree, y.send);
+  };
 
   std::vector<LintDiagnostic> contention;
   constexpr std::size_t kRawPairCap = 4096;  // verdict stays exact; listing capped
-  for (std::size_t lo = 0; lo < holds.size();) {
+  for (std::size_t lo = 0; lo < order.size();) {
+    const sim::ChannelId ch = order[lo].first;
     std::size_t hi = lo;
-    while (hi < holds.size() && holds[hi].ch == holds[lo].ch) ++hi;
+    while (hi < order.size() && order[hi].first == ch) ++hi;
     rep.channels_used++;
     rep.max_channel_windows =
         std::max(rep.max_channel_windows, static_cast<int>(hi - lo));
-    for (std::size_t j = lo; j < hi; ++j) {
-      for (std::size_t k = j + 1; k < hi && holds[k].begin < holds[j].end; ++k) {
-        rep.contention_free = false;
-        if (contention.size() >= kRawPairCap) continue;
-        LintDiagnostic d;
-        d.kind = DiagKind::kContention;
-        d.tree_a = holds[j].tree;  // reserves first (ties: lower indices)
-        d.send_a = holds[j].send;
-        d.tree_b = holds[k].tree;
-        d.send_b = holds[k].send;
-        d.channel = holds[j].ch;
-        d.overlap_begin = holds[k].begin;
-        d.overlap_end = std::min(holds[j].end, holds[k].end);
-        contention.push_back(std::move(d));
+    // Past the cap only the counters above are still needed.
+    if (hi - lo > 1 && contention.size() < kRawPairCap) {
+      const auto run = std::span(order).subspan(lo, hi - lo);
+      std::sort(run.begin(), run.end(), by_begin);
+      for (std::size_t j = 0; j < run.size() && contention.size() < kRawPairCap; ++j) {
+        const Hold& a = holds[run[j].second];
+        for (std::size_t k = j + 1; k < run.size(); ++k) {
+          const Hold& b = holds[run[k].second];
+          if (b.begin >= a.end) break;
+          rep.contention_free = false;
+          if (contention.size() >= kRawPairCap) break;
+          LintDiagnostic& d = contention.emplace_back();
+          d.kind = DiagKind::kContention;
+          d.tree_a = a.tree;  // reserves first (ties: lower indices)
+          d.send_a = a.send;
+          d.tree_b = b.tree;
+          d.send_b = b.send;
+          d.channel = ch;
+          d.overlap_begin = b.begin;
+          d.overlap_end = std::min(a.end, b.end);
+        }
       }
     }
     lo = hi;
@@ -160,38 +176,66 @@ void sweep_holds(std::vector<Hold>& holds, int max_diagnostics,
   for (LintDiagnostic& d : contention) rep.diagnostics.push_back(std::move(d));
 }
 
-void add_path_edges(std::span<const sim::ChannelId> path,
-                    std::vector<std::pair<int, int>>& edges) {
-  for (std::size_t i = 0; i + 1 < path.size(); ++i)
-    edges.emplace_back(path[i], path[i + 1]);
-}
-
 namespace {
 
-/// Iterative three-color DFS over the (deduplicated, sorted —
-/// deterministic) edge list.
+/// Iterative three-color DFS over the channel-dependency graph of
+/// `paths`, deterministic: roots and out-edges in ascending channel
+/// order.
 std::vector<sim::ChannelId> dependency_cycle(
-    std::vector<std::pair<int, int>>& edges, int num_channels) {
-  std::sort(edges.begin(), edges.end());
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-
-  // CSR adjacency over channel ids.
-  std::vector<int> head(static_cast<std::size_t>(num_channels) + 1, 0);
-  for (const auto& [u, v] : edges) head[static_cast<std::size_t>(u) + 1]++;
-  for (int c = 0; c < num_channels; ++c)
-    head[static_cast<std::size_t>(c) + 1] += head[static_cast<std::size_t>(c)];
-  std::vector<int> adj(edges.size());
-  {
-    std::vector<int> cursor(head.begin(), head.end() - 1);
-    for (const auto& [u, v] : edges)
-      adj[static_cast<std::size_t>(cursor[static_cast<std::size_t>(u)]++)] = v;
+    std::span<const std::span<const sim::ChannelId>> paths) {
+  // Every hop as (channel, hop number), grouped by channel: a channel's
+  // rank among the distinct ones is its compact id, so compact ids
+  // ascend with channel ids.
+  std::vector<std::pair<sim::ChannelId, std::uint32_t>> hops;
+  for (const std::span<const sim::ChannelId> path : paths)
+    for (const sim::ChannelId c : path)
+      hops.emplace_back(c, static_cast<std::uint32_t>(hops.size()));
+  radix_sort(hops, [](const auto& h) { return h.first; });
+  std::vector<sim::ChannelId> node;  // compact id -> channel
+  std::vector<int> id(hops.size());  // hop number -> compact id
+  for (const auto& [c, h] : hops) {
+    if (node.empty() || node.back() != c) node.push_back(c);
+    id[h] = static_cast<int>(node.size()) - 1;
   }
 
+  // CSR adjacency over compact ids: a counting pass places every
+  // hop-to-hop edge under its source, then each source's short list is
+  // sorted and deduplicated in place.
+  const auto for_each_edge = [&](auto&& visit) {
+    std::size_t h = 0;
+    for (const std::span<const sim::ChannelId> path : paths) {
+      for (std::size_t i = 0; i + 1 < path.size(); ++i)
+        visit(static_cast<std::size_t>(id[h + i]), id[h + i + 1]);
+      h += path.size();
+    }
+  };
+  const std::size_t nodes = node.size();
+  std::vector<int> head(nodes + 1, 0);
+  for_each_edge([&](std::size_t u, int) { ++head[u + 1]; });
+  std::partial_sum(head.begin(), head.end(), head.begin());
+  std::vector<int> adj(static_cast<std::size_t>(head[nodes]));
+  {
+    std::vector<int> cursor(head.begin(), head.end() - 1);
+    for_each_edge([&](std::size_t u, int v) {
+      adj[static_cast<std::size_t>(cursor[u]++)] = v;
+    });
+  }
+  int kept = 0;
+  for (std::size_t u = 0; u < nodes; ++u) {
+    const auto first = adj.begin() + head[u];
+    const auto last = adj.begin() + head[u + 1];
+    std::sort(first, last);
+    head[u] = kept;
+    for (auto it = first; it != last; ++it)
+      if (it == first || *it != it[-1]) adj[static_cast<std::size_t>(kept++)] = *it;
+  }
+  head[nodes] = kept;
+
   enum : char { kWhite = 0, kGray = 1, kBlack = 2 };
-  std::vector<char> color(static_cast<std::size_t>(num_channels), kWhite);
+  std::vector<char> color(nodes, kWhite);
   std::vector<int> stack;     // gray path
   std::vector<int> edge_pos;  // next out-edge to try per stack entry
-  for (int root = 0; root < num_channels; ++root) {
+  for (int root = 0; root < static_cast<int>(nodes); ++root) {
     if (color[static_cast<std::size_t>(root)] != kWhite) continue;
     stack.assign(1, root);
     edge_pos.assign(1, head[static_cast<std::size_t>(root)]);
@@ -208,8 +252,10 @@ std::vector<sim::ChannelId> dependency_cycle(
       const int v = adj[static_cast<std::size_t>(pos++)];
       if (color[static_cast<std::size_t>(v)] == kGray) {
         // Back edge: the cycle is the gray path from v to u, closed by u->v.
-        const auto it = std::find(stack.begin(), stack.end(), v);
-        return {it, stack.end()};
+        std::vector<sim::ChannelId> cycle;
+        for (auto it = std::find(stack.begin(), stack.end(), v); it != stack.end(); ++it)
+          cycle.push_back(node[static_cast<std::size_t>(*it)]);
+        return cycle;
       }
       if (color[static_cast<std::size_t>(v)] == kWhite) {
         color[static_cast<std::size_t>(v)] = kGray;
@@ -223,10 +269,10 @@ std::vector<sim::ChannelId> dependency_cycle(
 
 }  // namespace
 
-void find_deadlock(std::vector<std::pair<int, int>>& edges,
-                   const sim::Topology& topo, int max_diagnostics,
-                   bool& deadlock_free, std::vector<LintDiagnostic>& diags) {
-  std::vector<sim::ChannelId> cycle = dependency_cycle(edges, topo.num_channels());
+void find_deadlock(std::span<const std::span<const sim::ChannelId>> paths,
+                   int max_diagnostics, bool& deadlock_free,
+                   std::vector<LintDiagnostic>& diags) {
+  std::vector<sim::ChannelId> cycle = dependency_cycle(paths);
   if (cycle.empty()) return;
   deadlock_free = false;
   if (diags.size() >= static_cast<std::size_t>(max_diagnostics)) return;

@@ -28,8 +28,12 @@
 // Internal to src/lint; the public surface is lint.hpp.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <compare>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "lint/lint.hpp"
@@ -117,6 +121,36 @@ class WindowKernel {
   std::vector<Placement> batch_;
 };
 
+/// Stable LSD radix sort of `items` by `key(item)`, a non-negative int.
+/// Digits are about log2(items) bits wide (4 to 11), there are only as
+/// many passes as the largest key needs, and a pass whose digit is the
+/// same for every item is skipped.  The cost is linear in items.size()
+/// whatever the key range, so no pass needs an array sized by the
+/// topology.
+template <class T, class Key>
+void radix_sort(std::vector<T>& items, Key key) {
+  const unsigned width = std::clamp<unsigned>(
+      static_cast<unsigned>(std::bit_width(items.size())), 4, 11);
+  const unsigned mask = (1U << width) - 1;
+  unsigned bits = 0;
+  for (const T& x : items) bits |= static_cast<unsigned>(key(x));
+  std::vector<T> tmp;
+  std::array<std::size_t, 2048> at{};
+  const auto buckets = std::span(at).first(mask + 1);
+  for (unsigned shift = 0; shift < 32 && (bits >> shift) != 0; shift += width) {
+    std::fill(buckets.begin(), buckets.end(), 0);
+    for (const T& x : items) ++at[(static_cast<unsigned>(key(x)) >> shift) & mask];
+    if (std::find(buckets.begin(), buckets.end(), items.size()) != buckets.end())
+      continue;
+    std::size_t sum = 0;
+    for (std::size_t& a : buckets) sum += std::exchange(a, sum);
+    tmp.resize(items.size());
+    for (T& x : items)
+      tmp[at[(static_cast<unsigned>(key(x)) >> shift) & mask]++] = std::move(x);
+    items.swap(tmp);
+  }
+}
+
 /// One channel hold window, flattened for the offline sweep.
 struct Hold {
   sim::ChannelId ch = -1;
@@ -130,22 +164,26 @@ struct Hold {
 /// contention verdict, counts overlapping send pairs as intra- or
 /// cross-tree, and appends one kContention finding per pair (its earliest
 /// overlap, the first cycle the simulator charges a blocked head), listed
-/// chronologically and capped at `max_diagnostics`.  Sorts `holds`.
-void sweep_holds(std::vector<Hold>& holds, int max_diagnostics,
+/// chronologically and capped at `max_diagnostics`.  Groups the holds by
+/// channel with radix_sort and sorts only each channel's run by (begin,
+/// tree, send): O(holds) plus the short per-channel sorts.  Holds must be
+/// distinct in (ch, begin, tree, send), as a send's hops always are.
+void sweep_holds(std::span<const Hold> holds, int max_diagnostics,
                  ForestReport& rep);
 
-/// Appends the hop-to-hop edges of `path` to the channel-dependency graph
-/// `edges` (c -> c' when some message traverses c' right after c).
-void add_path_edges(std::span<const sim::ChannelId> path,
-                    std::vector<std::pair<int, int>>& edges);
-
-/// Deterministic DFS for a cycle in the graph `edges` (sorted and
-/// deduplicated here).  On a cycle clears `deadlock_free` and appends a
-/// kDeadlock finding listing the loop, unless `diags` already holds
-/// max_diagnostics.
-void find_deadlock(std::vector<std::pair<int, int>>& edges,
-                   const sim::Topology& topo, int max_diagnostics,
-                   bool& deadlock_free, std::vector<LintDiagnostic>& diags);
+/// Deterministic DFS for a cycle in the channel-dependency graph of
+/// `paths` (c -> c' when some message traverses c' right after c).  One
+/// radix_sort of every hop gives the channels compact ids in ascending
+/// channel order; a counting pass over those ids groups the edges by
+/// source, and each source's short list is sorted and deduplicated.  The
+/// DFS tries roots and out-edges in ascending channel order, so it finds
+/// the loop a DFS over every channel id would, in O(hops) plus the short
+/// per-source sorts whatever the topology size.  On a cycle clears
+/// `deadlock_free` and appends a kDeadlock finding listing the loop,
+/// unless `diags` already holds max_diagnostics.
+void find_deadlock(std::span<const std::span<const sim::ChannelId>> paths,
+                   int max_diagnostics, bool& deadlock_free,
+                   std::vector<LintDiagnostic>& diags);
 
 /// Name of channel `c` as the topology prints it.
 std::string channel_name(const sim::Topology& topo, sim::ChannelId c);

@@ -158,11 +158,16 @@ void validate_lint_config(const sim::SimConfig& sim_cfg, const char* who);
 // ---------------------------------------------------------------------------
 // Forest analysis: N concurrent trees on one shared channel timeline.
 
+/// Largest start offset lint_forest accepts: far past any schedule's
+/// makespan, and far enough inside Time's range that offset plus makespan
+/// cannot overflow.
+inline constexpr Time kMaxStartOffset = Time{1} << 40;
+
 /// One tree of a forest: what run_concurrent calls a GroupRun.
 struct ForestMember {
   MulticastTree tree;
   Bytes payload = 0;
-  Time start = 0;  ///< activation offset relative to the forest origin
+  Time start = 0;  ///< activation offset relative to the forest origin, <= kMaxStartOffset
 };
 
 struct ForestOptions {
@@ -222,10 +227,17 @@ struct HoldWindow {
   Time end = 0;  ///< half-open
 };
 
-struct ChannelReservations {
-  std::vector<HoldWindow> holds;
-  /// Flattens every hold window of `sched` (absolute times) into the set.
+class ChannelReservations {
+ public:
+  /// Flattens every hold window of `sched` (absolute times) into the set,
+  /// merging them into the channel order: O(set + sched).
   void add(std::span<const SendWindow> sched);
+  /// Every admitted hold window, sorted by channel (stable: in admission
+  /// order within a channel).
+  [[nodiscard]] const std::vector<HoldWindow>& holds() const { return holds_; }
+
+ private:
+  std::vector<HoldWindow> holds_;
 };
 
 /// Minimal start offset delta >= 0 at which `tree`, timed in isolation

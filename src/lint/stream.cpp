@@ -343,9 +343,10 @@ StreamLintReport lint_stream(const MulticastTree& tree,
 
   if (opts.check_deadlock) {
     // The channel-dependency graph is slot-invariant: one slot decides it.
-    std::vector<std::pair<int, int>> edges;
-    for (const kernel::SendPlan& p : plan) kernel::add_path_edges(p.path, edges);
-    kernel::find_deadlock(edges, topo, opts.max_diagnostics, rep.deadlock_free,
+    std::vector<std::span<const sim::ChannelId>> paths;
+    paths.reserve(plan.size());
+    for (const kernel::SendPlan& p : plan) paths.emplace_back(p.path);
+    kernel::find_deadlock(paths, opts.max_diagnostics, rep.deadlock_free,
                           rep.diagnostics);
   }
   return rep;

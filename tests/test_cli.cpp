@@ -8,7 +8,9 @@
 
 #include "bmin/bmin_topology.hpp"
 #include "butterfly/butterfly_topology.hpp"
+#include "core/algorithms.hpp"
 #include "cli/options.hpp"
+#include "lint/lint.hpp"
 #include "mesh/mesh_topology.hpp"
 
 namespace pcm::cli {
@@ -409,6 +411,61 @@ TEST(CliParse, StreamRejectionsNameTheFlag) {
                               "--stream", "4"})),
                std::invalid_argument);
   EXPECT_THROW(parse_args(sv({"--lint", "--offset-search"})),
+               std::invalid_argument);
+}
+
+TEST(CliParse, NarrowedFlagsRejectValuesPastInt) {
+  // Values past 2^31 must not wrap onto a valid node, size or count.
+  EXPECT_THROW(parse_args(sv({"--nodes", "4294967298"})), std::invalid_argument);
+  EXPECT_THROW(parse_args(sv({"--reps", "4294967297"})), std::invalid_argument);
+  EXPECT_THROW(parse_args(sv({"--source", "4294967296", "--dests", "1"})),
+               std::invalid_argument);
+  EXPECT_THROW(parse_args(sv({"--source", "-3", "--dests", "1"})),
+               std::invalid_argument);
+  EXPECT_EQ(parse_args(sv({"--nodes", "2147483647"})).nodes, 2147483647);
+
+  auto lint_run = [](const char* topology, const char* forest,
+                     const char* source, const char* dests) {
+    CliOptions o;
+    o.lint = true;
+    o.topology = topology;
+    if (forest != nullptr) o.forest = forest;
+    if (source != nullptr) {
+      o.source = std::stoi(source);
+      o.dests = dests;
+    }
+    std::ostringstream os;
+    return run_lint_cli(o, os);
+  };
+  EXPECT_THROW(lint_run("mesh:16", nullptr, "0", "4294967313,2"),
+               std::invalid_argument);
+  EXPECT_THROW(lint_run("mesh:16", "0:opt-mesh:4294967301:6", nullptr, nullptr),
+               std::invalid_argument);
+  EXPECT_THROW(lint_run("mesh:16", "0:opt-mesh:5:4294967302", nullptr, nullptr),
+               std::invalid_argument);
+  EXPECT_THROW(lint_run("mesh:16", "9223372036854775807:opt-mesh:5:6", nullptr,
+                        nullptr),
+               std::invalid_argument);
+  EXPECT_THROW(lint_run("mesh:16", "99999999999999999999:opt-mesh:5:6", nullptr,
+                        nullptr),
+               std::invalid_argument);
+  // The largest admitted start still certifies, exactly as at offset 0.
+  const std::string at_max =
+      std::to_string(lint::kMaxStartOffset) + ":opt-mesh:5:6";
+  EXPECT_EQ(lint_run("mesh:16", at_max.c_str(), nullptr, nullptr), 0);
+  const std::string past_max =
+      std::to_string(lint::kMaxStartOffset + 1) + ":opt-mesh:5:6";
+  EXPECT_THROW(lint_run("mesh:16", past_max.c_str(), nullptr, nullptr),
+               std::invalid_argument);
+  // lint_forest itself bounds the offset for library callers.
+  const mesh::MeshTopology topo(MeshShape::square2d(4));
+  std::vector<lint::ForestMember> members(1);
+  members[0].tree = build_multicast(McastAlgorithm::kOptMesh, 5,
+                                    std::vector<NodeId>{6}, TwoParam{10, 20},
+                                    &topo.shape());
+  members[0].start = lint::kMaxStartOffset + 1;
+  EXPECT_THROW(lint::lint_forest(members, topo, rt::RuntimeConfig{},
+                                 sim::SimConfig{}),
                std::invalid_argument);
 }
 
