@@ -1,8 +1,6 @@
 #include "cli/options.hpp"
 
 #include <algorithm>
-#include <charconv>
-#include <fstream>
 #include <iostream>
 #include <limits>
 #include <ostream>
@@ -11,76 +9,28 @@
 
 #include "analysis/sampling.hpp"
 #include "analysis/stats.hpp"
-#include "core/algorithms.hpp"
-#include "core/chain.hpp"
-#include "verify/chaos.hpp"
-#include "verify/invariant_auditor.hpp"
 #include "analysis/table.hpp"
 #include "analysis/timeline.hpp"
-#include "bmin/bmin_topology.hpp"
 #include "harness/harness.hpp"
 #include "lint/lint.hpp"
-#include "obs/export.hpp"
-#include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
-#include "butterfly/butterfly_topology.hpp"
-#include "mesh/mesh_topology.hpp"
 #include "runtime/collectives.hpp"
 #include "runtime/mcast_runtime.hpp"
 #include "runtime/param_probe.hpp"
 #include "runtime/stream_runtime.hpp"
 #include "sim/fault.hpp"
+#include "verify/invariant_auditor.hpp"
+#include "verify/run.hpp"
 
 namespace pcm::cli {
 namespace {
 
 constexpr long long kMaxInt = std::numeric_limits<int>::max();
 
-long long parse_int(std::string_view key, std::string_view value) {
-  long long out = 0;
-  const auto [ptr, ec] = std::from_chars(value.data(), value.data() + value.size(), out);
-  if (ec != std::errc{} || ptr != value.data() + value.size())
-    throw std::invalid_argument("pcmcast: " + std::string(key) +
-                                " expects an integer, got '" + std::string(value) + "'");
-  return out;
-}
-
-/// Shared numeric-flag parser: every range-checked integer option fails
-/// the same way — exit 2 with a message naming the flag and the accepted
-/// range — instead of each flag hand-rolling its own wording.
-long long parse_uint_flag(std::string_view flag, std::string_view value,
-                          long long lo, long long hi) {
-  const long long out = parse_int(flag, value);
-  if (out < lo || out > hi)
-    throw std::invalid_argument("pcmcast: " + std::string(flag) + " must be in [" +
-                                std::to_string(lo) + ", " + std::to_string(hi) +
-                                "], got " + std::to_string(out));
-  return out;
-}
-
-std::pair<std::string, std::vector<std::string>> split_spec(const std::string& spec) {
-  std::vector<std::string> parts;
-  std::string cur;
-  std::istringstream is(spec);
-  while (std::getline(is, cur, ':')) parts.push_back(cur);
-  if (parts.empty()) throw std::invalid_argument("pcmcast: empty topology spec");
-  const std::string kind = parts.front();
-  parts.erase(parts.begin());
-  return {kind, parts};
-}
+using harness::parse_int;
+using harness::parse_uint_flag;
 
 }  // namespace
-
-std::optional<McastAlgorithm> algorithm_from_name(std::string_view name) {
-  if (name == "opt-mesh") return McastAlgorithm::kOptMesh;
-  if (name == "u-mesh") return McastAlgorithm::kUMesh;
-  if (name == "opt-min") return McastAlgorithm::kOptMin;
-  if (name == "u-min") return McastAlgorithm::kUMin;
-  if (name == "opt-tree") return McastAlgorithm::kOptTree;
-  if (name == "binomial") return McastAlgorithm::kBinomial;
-  if (name == "sequential") return McastAlgorithm::kSequential;
-  return std::nullopt;
-}
 
 CliOptions parse_args(std::span<const std::string_view> args) {
   CliOptions opt;
@@ -263,50 +213,6 @@ CliOptions parse_args(std::span<const std::string_view> args) {
   return opt;
 }
 
-std::unique_ptr<sim::Topology> make_topology(const std::string& spec) {
-  const auto [kind, params] = split_spec(spec);
-  auto param_at = [&, &params = params](size_t i, long long fallback) -> long long {
-    if (i < params.size()) return parse_int("topology parameter", params[i]);
-    return fallback;
-  };
-  if (kind == "mesh") {
-    const int side = static_cast<int>(param_at(0, 16));
-    return std::make_unique<mesh::MeshTopology>(MeshShape::square2d(side));
-  }
-  if (kind == "hypercube") {
-    const int q = static_cast<int>(param_at(0, 7));
-    if (q < 1 || q > 20)
-      throw std::invalid_argument("pcmcast: hypercube dimension out of range");
-    return std::make_unique<mesh::MeshTopology>(MeshShape::hypercube(q));
-  }
-  if (kind == "bmin") {
-    const int n = static_cast<int>(param_at(0, 128));
-    bmin::UpPolicy policy = bmin::UpPolicy::kSourceAddress;
-    if (params.size() > 1) {
-      if (params[1] == "adaptive") {
-        policy = bmin::UpPolicy::kAdaptive;
-      } else if (params[1] == "dest") {
-        policy = bmin::UpPolicy::kDestAddress;
-      } else if (params[1] == "random") {
-        policy = bmin::UpPolicy::kRandomHash;
-      } else if (params[1] != "source") {
-        throw std::invalid_argument("pcmcast: unknown bmin policy '" + params[1] + "'");
-      }
-    }
-    return std::make_unique<bmin::BminTopology>(n, policy);
-  }
-  if (kind == "butterfly") {
-    const int n = static_cast<int>(param_at(0, 64));
-    return std::make_unique<butterfly::ButterflyTopology>(n);
-  }
-  throw std::invalid_argument("pcmcast: unknown topology kind '" + kind + "'");
-}
-
-const MeshShape* mesh_shape_of(const sim::Topology& topo) {
-  const auto* m = dynamic_cast<const mesh::MeshTopology*>(&topo);
-  return m != nullptr ? &m->shape() : nullptr;
-}
-
 std::string usage() {
   return "pcmcast — parameterized-model multicast experiments on a flit-level\n"
          "wormhole simulator (IPPS'97 reproduction)\n\n"
@@ -437,17 +343,56 @@ std::vector<McastAlgorithm> select_algorithms(const CliOptions& opt,
   return {*alg};
 }
 
-/// The tree run_one executes, including the --shuffle-chain self-test
-/// variant that deliberately voids the Theorem 1/2 precondition.
-MulticastTree build_cli_tree(const CliOptions& opt, McastAlgorithm alg,
-                             const analysis::Placement& p, TwoParam tp,
-                             const MeshShape* shape) {
-  if (opt.shuffle_chain) {
-    const std::vector<NodeId> dests = verify::shuffle_dests(p.dests, opt.seed);
-    const Chain chain = make_chain(p.source, dests, ChainOrder::kAsGiven);
-    return build_chain_split_tree(chain, split_table_for(alg, tp, chain.size()));
+/// The verify::PlacementRun `opt` asks for at one placement.
+verify::PlacementRun placement_run(const CliOptions& opt, McastAlgorithm alg,
+                                   const MeshShape* shape, const analysis::Placement& p,
+                                   const sim::FaultPlan* plan) {
+  verify::PlacementRun run;
+  run.alg = alg;
+  run.shape = shape;
+  run.source = p.source;
+  run.dests = p.dests;
+  run.bytes = opt.bytes;
+  run.max_retries = opt.max_retries;
+  run.audit = opt.audit;
+  run.shuffle_chain = opt.shuffle_chain;
+  run.shuffle_seed = opt.seed;
+  run.plan = plan;
+  run.slots = opt.stream;
+  run.window = opt.window > 0 ? opt.window : 8;
+  run.heartbeat = opt.heartbeat;
+  run.failover = opt.failover;
+  run.rejoin = opt.rejoin;
+  return run;
+}
+
+/// The tail of every CLI report (csv, metrics, trace, json lines).
+harness::ReportTail cli_tail(const CliOptions& opt, const analysis::Table& rows,
+                             const obs::FlightRecorder* recorder) {
+  harness::ReportTail tail;
+  tail.tool = "pcmcast";
+  tail.csv = opt.csv;
+  tail.csv_rows = &rows;
+  tail.recorder = recorder;
+  tail.metrics = opt.metrics;
+  tail.trace = opt.trace;
+  tail.json = opt.json;
+  return tail;
+}
+
+/// An --audit violation exits 3.  Under --trace it becomes the trace's
+/// last annotation, so `pcmtrace dump` shows the offending event in
+/// context.
+int report_violation(const CliOptions& opt, const verify::InvariantViolation& v,
+                     obs::FlightRecorder* trace, std::ostream& os, std::ostream& err) {
+  if (trace != nullptr) {
+    trace->record(obs::EventKind::kViolation, v.cycle(),
+                  static_cast<std::int32_t>(v.invariant()), v.msg(), v.router(),
+                  v.port());
+    harness::export_trace(*trace, opt.trace, os, err, "pcmcast");
   }
-  return build_multicast(alg, p.source, p.dests, tp, shape);
+  os << "pcmcast: AUDIT VIOLATION: " << v.what() << "\n";
+  return 3;
 }
 
 struct RunOutcome {
@@ -463,67 +408,29 @@ struct RunOutcome {
   long long leaped_cycles = 0;
 };
 
-RunOutcome run_one(const MeshShape* shape, const rt::CollectiveRuntime& coll,
-                   const CliOptions& opt, McastAlgorithm alg,
-                   const analysis::Placement& p, sim::Simulator& sim,
-                   const sim::FaultPlan* plan,
-                   obs::FlightRecorder* recorder = nullptr) {
-  const rt::MulticastRuntime& rtm = coll.multicast();
-  const TwoParam tp = rtm.config().machine.two_param(rtm.wire_bytes(opt.bytes, 1));
-  const MulticastTree tree = build_cli_tree(opt, alg, p, tp, shape);
-  std::optional<verify::InvariantAuditor> auditor;
-  if (opt.audit) {
-    verify::AuditConfig acfg;
-    // Strict Thm 1-2 contention freedom only holds for the healthy
-    // schedule; retransmissions may legally block inside a receiver's
-    // sub-network.
-    acfg.require_contention_free =
-        verify::guarantees_contention_free(alg) && plan == nullptr;
-    acfg.plan_known = plan != nullptr;
-    if (plan != nullptr) acfg.plan = *plan;
-    auditor.emplace(sim.topology(), acfg);
-    sim.set_observer(&*auditor);
-  }
-  // Under --audit --trace the recorder front-runs the auditor: it records
-  // each hook, then forwards, so a violation's trace ends exactly at the
-  // offending event.
-  if (recorder != nullptr) {
-    recorder->chain(auditor ? &*auditor : nullptr);
-    sim.set_observer(recorder);
-  }
+RunOutcome run_one(const rt::CollectiveRuntime& coll, const CliOptions& opt,
+                   const verify::PlacementRun& run, sim::Simulator& sim) {
   RunOutcome out;
-  if (plan != nullptr) {
-    sim.set_fault_plan(*plan);
-    rt::FtConfig ft;
-    ft.max_retries = opt.max_retries;
-    // --audit replays the send lifecycle: from the run's recorder under
-    // --trace (unbounded when audited), else from one detached from the
-    // simulator that records the protocol events only.
-    std::optional<obs::FlightRecorder> audit_log;
-    if (opt.audit && recorder == nullptr)
-      recorder = &audit_log.emplace(obs::RecorderConfig{obs::kUnbounded});
-    ft.recorder = recorder;
-    const rt::McastResult r = rtm.run_reliable(sim, tree, opt.bytes, ft, sim.now());
+  if (opt.collective == "multicast") {
+    verify::PlacementResult res;
+    verify::run_placement(coll.multicast(), sim, run, res);
+    const rt::McastResult& r = res.shot;
     out = RunOutcome{r.latency,           r.model_latency,
                      r.channel_conflicts, r.delivered_fraction,
                      r.retries,           r.repairs,
                      static_cast<int>(r.dead_nodes.size())};
-    if (auditor) {
-      auditor->finalize(sim);
-      verify::InvariantAuditor::audit_result(r, recorder->snapshot(),
-                                             recorder->events_dropped());
+  } else {
+    // Reduce and barrier run unaudited and fault-free (parse_args).
+    if (run.trace != nullptr) sim.set_observer(run.trace);
+    const MulticastTree tree = verify::placement_tree(run, coll.multicast());
+    if (opt.collective == "reduce") {
+      const rt::ReduceResult r = coll.run_reduce(sim, tree, opt.bytes, sim.now());
+      out = RunOutcome{r.latency, r.model_latency, r.channel_conflicts};
+    } else {
+      const rt::BarrierResult r = coll.run_barrier(sim, tree, opt.bytes);
+      out = RunOutcome{r.latency, r.reduce.model_latency + r.bcast.model_latency,
+                       r.reduce.channel_conflicts + r.bcast.channel_conflicts};
     }
-  } else if (opt.collective == "multicast") {
-    const rt::McastResult r = rtm.run(sim, tree, opt.bytes, sim.now());
-    out = RunOutcome{r.latency, r.model_latency, r.channel_conflicts};
-    if (auditor) auditor->finalize(sim);
-  } else if (opt.collective == "reduce") {
-    const rt::ReduceResult r = coll.run_reduce(sim, tree, opt.bytes, sim.now());
-    out = RunOutcome{r.latency, r.model_latency, r.channel_conflicts};
-  } else {  // barrier
-    const rt::BarrierResult r = coll.run_barrier(sim, tree, opt.bytes);
-    out = RunOutcome{r.latency, r.reduce.model_latency + r.bcast.model_latency,
-                     r.reduce.channel_conflicts + r.bcast.channel_conflicts};
   }
   out.leaps = sim.leaps();
   out.leaped_cycles = sim.leaped_cycles();
@@ -544,59 +451,24 @@ int run_stream_cli(const CliOptions& opt, std::ostream& os, std::ostream& err) {
   // Streams (and fault plans) are driven by software-time handlers that
   // re-activate the network mid-flight; the hybrid kernel would
   // materialize on the first contended cycle anyway, so downgrade up
-  // front and say so.  The notice goes to `err`: stdout may be consumed
-  // as a report (the JSON engine field records the fallback).
+  // front and say so (the JSON engine field records the fallback).
   sim::EngineKind engine = opt.engine;
-  bool fell_back = false;
-  if (engine == sim::EngineKind::kEvent) {
-    engine = sim::EngineKind::kCycle;
-    fell_back = true;
-    err << "pcmcast: streaming workloads run on the cycle engine "
-           "(--engine event downgraded)\n";
-  }
+  const bool fell_back = harness::downgrade_to_cycle(
+      engine, err,
+      "pcmcast: streaming workloads run on the cycle engine (--engine event "
+      "downgraded)");
 
   std::optional<sim::FaultPlan> plan;
   if (!opt.faults.empty()) plan = sim::FaultPlan::parse(opt.faults);
 
   rt::RuntimeConfig cfg;
   rt::CollectiveRuntime coll(cfg);
-  rt::StreamConfig scfg;
-  scfg.window_size = opt.window > 0 ? opt.window : 8;
-  scfg.slots = opt.stream;
-  scfg.bytes = opt.bytes;
-  scfg.alg = alg;
-  scfg.shape = shape;
-  scfg.reliable = plan.has_value() || opt.heartbeat > 0;
-  scfg.ft.max_retries = opt.max_retries;
-  scfg.membership.heartbeat_period = opt.heartbeat;
-  scfg.failover = opt.failover;
-  scfg.rejoin = opt.rejoin;
-  // Every epoch rebuild re-splits the chain; under --audit each adopted
-  // tree is statically re-certified (Theorem 1 over the survivor
-  // sub-chain) the same way chaos does, so a bad re-split exits 3.
-  if (opt.audit && verify::guarantees_contention_free(alg)) {
-    const sim::Topology* topo_ptr = topo.get();
-    scfg.on_reconfigure = [topo_ptr, &opt](const MulticastTree& tree) {
-      lint::LintOptions lopts;
-      lopts.max_diagnostics = 1;
-      lopts.keep_schedule = false;
-      const lint::LintReport lr =
-          lint::lint_tree(tree, *topo_ptr, rt::RuntimeConfig{}, sim::SimConfig{},
-                          opt.bytes, lopts);
-      if (!lr.clean()) {
-        std::string detail = lr.describe(tree, *topo_ptr);
-        if (const std::size_t nl = detail.find('\n'); nl != std::string::npos)
-          detail.resize(nl);
-        throw verify::InvariantViolation(verify::Invariant::kContentionFreedom,
-                                         "pcmlint rejects an epoch tree: " +
-                                             detail);
-      }
-    };
-  }
+  verify::PlacementRun run =
+      placement_run(opt, alg, shape, p, plan ? &*plan : nullptr);
 
   os << "pcmcast: stream " << opt.algorithm << " on " << opt.topology << ", k="
-     << p.dests.size() + 1 << ", " << opt.bytes << " B x " << scfg.slots
-     << " slots, window " << scfg.window_size;
+     << p.dests.size() + 1 << ", " << opt.bytes << " B x " << run.slots
+     << " slots, window " << run.window;
   if (opt.heartbeat > 0)
     os << ", heartbeat " << opt.heartbeat << (opt.failover ? ", failover" : "")
        << (opt.rejoin ? ", rejoin" : "");
@@ -607,71 +479,24 @@ int run_stream_cli(const CliOptions& opt, std::ostream& os, std::ostream& err) {
        << ")\n";
 
   sim::Simulator sim(*topo, sim::SimConfig{.engine = engine});
-  std::optional<verify::InvariantAuditor> auditor;
-  if (opt.audit) {
-    verify::AuditConfig acfg;
-    // Pipelined slots legally share channels; strict Thm 1-2 exclusivity
-    // only holds for the healthy stop-and-wait (window 1) stream.
-    acfg.require_contention_free = verify::guarantees_contention_free(alg) &&
-                                   !plan.has_value() && scfg.window_size == 1;
-    acfg.plan_known = plan.has_value();
-    if (plan) acfg.plan = *plan;
-    auditor.emplace(sim.topology(), acfg);
-    sim.set_observer(&*auditor);
-  }
-  // A stream is one run: a single recorder, no per-placement fan-out.
-  // --audit replays it, so an audited recorder never wraps; without
-  // --trace/--metrics it stays detached from the simulator and records
-  // the protocol events only.  Under --audit --trace it front-runs the
-  // auditor so a violation's trace ends exactly at the offending event.
-  const bool traced = !opt.trace.empty() || opt.metrics;
+  // A stream is one run: a single recorder, no per-placement fan-out;
+  // --audit replays it, so an audited recorder never wraps.
   std::unique_ptr<obs::FlightRecorder> recorder;
-  if (traced || opt.audit) {
+  if (!opt.trace.empty() || opt.metrics) {
     recorder = std::make_unique<obs::FlightRecorder>(
         opt.audit ? obs::RecorderConfig{obs::kUnbounded} : obs::RecorderConfig{});
     recorder->record(obs::EventKind::kRunBegin, 0, 0,
                      static_cast<std::int32_t>(alg));
-    scfg.recorder = recorder.get();
+    run.trace = recorder.get();
   }
-  if (traced) {
-    recorder->chain(auditor ? &*auditor : nullptr);
-    sim.set_observer(recorder.get());
-  }
-  if (plan) sim.set_fault_plan(*plan);
 
-  auto export_trace = [&] {
-    if (!recorder || opt.trace.empty()) return;
-    try {
-      const std::vector<obs::TraceEvent> events = recorder->snapshot();
-      obs::write_trace(opt.trace, events, recorder->events_dropped());
-      os << "trace:   " << opt.trace << " (" << events.size() << " events";
-      if (recorder->events_dropped() > 0)
-        os << ", " << recorder->events_dropped() << " dropped by ring wrap";
-      os << ")\n";
-    } catch (const std::exception& e) {
-      err << "pcmcast: " << e.what() << "\n";
-    }
-  };
-
-  const rt::StreamRuntime srt(coll.multicast());
-  rt::StreamResult r;
+  verify::PlacementResult res;
   try {
-    r = srt.run(sim, p.source, p.dests, scfg, sim.now());
-    if (auditor) {
-      auditor->finalize(sim);
-      verify::InvariantAuditor::audit_stream(r, recorder->snapshot(),
-                                             recorder->events_dropped());
-    }
+    verify::run_placement(coll.multicast(), sim, run, res);
   } catch (const verify::InvariantViolation& v) {
-    if (recorder) {
-      recorder->record(obs::EventKind::kViolation, v.cycle(),
-                       static_cast<std::int32_t>(v.invariant()), v.msg(),
-                       v.router(), v.port());
-      export_trace();
-    }
-    os << "pcmcast: AUDIT VIOLATION: " << v.what() << "\n";
-    return 3;
+    return report_violation(opt, v, recorder.get(), os, err);
   }
+  const rt::StreamResult& r = res.stream;
 
   const double kcycles = static_cast<double>(r.makespan) / 1000.0;
   analysis::Table summary(
@@ -694,9 +519,7 @@ int run_stream_cli(const CliOptions& opt, std::ostream& os, std::ostream& err) {
   // delivered_prefix is indexed by *chain position* (algorithms sort the
   // participant chain, so the source is not necessarily position 0);
   // rebuild the tree exactly as StreamRuntime::run does to label rows.
-  const MulticastTree label_tree = build_multicast(
-      alg, p.source, p.dests,
-      cfg.machine.two_param(coll.multicast().wire_bytes(opt.bytes, 1)), shape);
+  const MulticastTree label_tree = verify::placement_tree(run, coll.multicast());
   analysis::Table rows({"pos", "node", "delivered_prefix", "status"});
   for (size_t i = 0; i < r.delivered_prefix.size(); ++i) {
     const NodeId node = label_tree.chain.nodes[i];
@@ -715,41 +538,18 @@ int run_stream_cli(const CliOptions& opt, std::ostream& os, std::ostream& err) {
     os << "\nper-receiver delivered prefix:\n" << rows.to_string();
   }
 
-  if (!opt.csv.empty()) {
-    std::ofstream f(opt.csv);
-    if (!f) throw std::runtime_error("pcmcast: cannot open " + opt.csv);
-    f << rows.to_csv();
-    os << "csv:     " << opt.csv << "\n";
-  }
-  std::optional<analysis::Table> metrics_table;
-  if (recorder) {
-    if (opt.metrics) {
-      obs::MetricsRegistry reg;
-      obs::populate_metrics(recorder->snapshot(), reg);
-      metrics_table.emplace(std::vector<std::string>{"metric", "value"});
-      for (const obs::MetricSample& s : reg.snapshot())
-        metrics_table->add_row({s.name, s.value});
-      os << "\nmetrics (deterministic, from the flight recorder):\n"
-         << metrics_table->to_string();
-    }
-    export_trace();
-  }
-  if (!opt.json.empty()) {
-    harness::JsonReport report("pcmcast", 1);
-    report.set_meta("engine", harness::engine_label(opt.engine, fell_back));
-    report.set_meta("leaps", std::to_string(sim.leaps()));
-    report.set_meta("leaped_cycles", std::to_string(sim.leaped_cycles()));
-    report.set_meta("seed", std::to_string(opt.seed));
-    report.set_meta("makespan", std::to_string(r.makespan));
-    report.set_meta("committed", std::to_string(r.committed));
-    report.set_meta("failovers", std::to_string(r.failovers));
-    report.set_meta("rejoins", std::to_string(r.rejoins));
-    report.add_table("stream", opt.csv, summary);
-    report.add_table("per-receiver", opt.csv, rows);
-    if (metrics_table) report.add_table("metrics", "", *metrics_table);
-    report.write(opt.json);
-    os << "json:    " << opt.json << "\n";
-  }
+  harness::JsonReport report("pcmcast", 1);
+  report.set_meta("engine", harness::engine_label(opt.engine, fell_back));
+  report.set_meta("leaps", std::to_string(sim.leaps()));
+  report.set_meta("leaped_cycles", std::to_string(sim.leaped_cycles()));
+  report.set_meta("seed", std::to_string(opt.seed));
+  report.set_meta("makespan", std::to_string(r.makespan));
+  report.set_meta("committed", std::to_string(r.committed));
+  report.set_meta("failovers", std::to_string(r.failovers));
+  report.set_meta("rejoins", std::to_string(r.rejoins));
+  report.add_table("stream", opt.csv, summary);
+  report.add_table("per-receiver", opt.csv, rows);
+  harness::write_report_tail(cli_tail(opt, rows, recorder.get()), report, os, err);
   if (!r.complete && !opt.allow_partial) {
     os << "pcmcast: partial stream delivery ("
        << analysis::Table::num(r.delivered_fraction, 4)
@@ -799,16 +599,13 @@ int run_cli(const CliOptions& opt, std::ostream& os, std::ostream& err) {
 
   // Fault workloads re-activate the network from software-time handlers,
   // which forces the hybrid kernel to materialize immediately; downgrade
-  // up front with a notice on `err` instead (results are bit-identical
-  // anyway, and stdout may be consumed as a report).
+  // up front instead (results are bit-identical anyway).
   sim::EngineKind engine = opt.engine;
-  bool fell_back = false;
-  if (plan.has_value() && engine == sim::EngineKind::kEvent) {
-    engine = sim::EngineKind::kCycle;
-    fell_back = true;
-    err << "pcmcast: fault workloads run on the cycle engine "
-           "(--engine event downgraded)\n";
-  }
+  const bool fell_back =
+      plan.has_value() &&
+      harness::downgrade_to_cycle(engine, err,
+                                  "pcmcast: fault workloads run on the cycle engine "
+                                  "(--engine event downgraded)");
 
   if (opt.probe) {
     const rt::ProbeResult probe =
@@ -849,32 +646,9 @@ int run_cli(const CliOptions& opt, std::ostream& os, std::ostream& err) {
     run_counter += cur_runs.size();
     cur_runs.clear();
   };
-  auto export_trace = [&] {
-    if (!master || opt.trace.empty()) return;
-    try {
-      const std::vector<obs::TraceEvent> events = master->snapshot();
-      obs::write_trace(opt.trace, events, master->events_dropped());
-      os << "trace:   " << opt.trace << " (" << events.size() << " events";
-      if (master->events_dropped() > 0)
-        os << ", " << master->events_dropped() << " dropped by ring wrap";
-      os << ")\n";
-    } catch (const std::exception& e) {
-      err << "pcmcast: " << e.what() << "\n";
-    }
-  };
-
   auto audit_failure = [&](const verify::InvariantViolation& v) {
-    if (master) {
-      // The violation becomes the trace's last annotation, so `pcmtrace
-      // dump` shows the offending event in context.
-      merge_runs();
-      master->record(obs::EventKind::kViolation, v.cycle(),
-                     static_cast<std::int32_t>(v.invariant()), v.msg(),
-                     v.router(), v.port());
-      export_trace();
-    }
-    os << "pcmcast: AUDIT VIOLATION: " << v.what() << "\n";
-    return 3;
+    if (master) merge_runs();
+    return report_violation(opt, v, master.get(), os, err);
   };
   try {
   for (McastAlgorithm alg : algs) {
@@ -899,8 +673,10 @@ int run_cli(const CliOptions& opt, std::ostream& os, std::ostream& err) {
                     static_cast<std::int32_t>(run_counter + i),
                     static_cast<std::int32_t>(alg));
       }
-      outcomes[i] = run_one(shape, coll, opt, alg, placements[i], sim,
-                            ft ? &*plan : nullptr, rec);
+      verify::PlacementRun run = placement_run(opt, alg, shape, placements[i],
+                                               ft ? &*plan : nullptr);
+      run.trace = rec;
+      outcomes[i] = run_one(coll, opt, run, sim);
     });
     if (master) merge_runs();
     std::vector<double> lat, model, delivered;
@@ -952,8 +728,10 @@ int run_cli(const CliOptions& opt, std::ostream& os, std::ostream& err) {
   if (opt.gantt) {
     sim::Simulator sim(*topo, sim::SimConfig{.engine = engine});
     try {
-      (void)run_one(shape, coll, opt, algs.front(), placements.front(), sim,
-                    ft ? &*plan : nullptr);
+      (void)run_one(coll, opt,
+                    placement_run(opt, algs.front(), shape, placements.front(),
+                                  ft ? &*plan : nullptr),
+                    sim);
     } catch (const verify::InvariantViolation& v) {
       return audit_failure(v);
     }
@@ -961,40 +739,14 @@ int run_cli(const CliOptions& opt, std::ostream& os, std::ostream& err) {
        << analysis::timeline_gantt(analysis::message_timeline(sim.messages()));
   }
 
-  if (!opt.csv.empty()) {
-    std::ofstream f(opt.csv);
-    if (!f) throw std::runtime_error("pcmcast: cannot open " + opt.csv);
-    f << rows.to_csv();
-    os << "csv:     " << opt.csv << "\n";
-  }
-
-  std::optional<analysis::Table> metrics_table;
-  if (master) {
-    if (opt.metrics) {
-      obs::MetricsRegistry reg;
-      obs::populate_metrics(master->snapshot(), reg);
-      metrics_table.emplace(
-          std::vector<std::string>{"metric", "value"});
-      for (const obs::MetricSample& s : reg.snapshot())
-        metrics_table->add_row({s.name, s.value});
-      os << "\nmetrics (deterministic, from the flight recorder):\n"
-         << metrics_table->to_string();
-    }
-    export_trace();
-  }
-
-  if (!opt.json.empty()) {
-    harness::JsonReport report("pcmcast", pool.jobs());
-    report.set_meta("engine", harness::engine_label(opt.engine, fell_back));
-    report.set_meta("leaps", std::to_string(leaps));
-    report.set_meta("leaped_cycles", std::to_string(leaped_cycles));
-    report.set_meta("seed", std::to_string(opt.seed));
-    report.add_table("summary", opt.csv, summary);
-    report.add_table("per-rep", opt.csv, rows);
-    if (metrics_table) report.add_table("metrics", "", *metrics_table);
-    report.write(opt.json);
-    os << "json:    " << opt.json << "\n";
-  }
+  harness::JsonReport report("pcmcast", pool.jobs());
+  report.set_meta("engine", harness::engine_label(opt.engine, fell_back));
+  report.set_meta("leaps", std::to_string(leaps));
+  report.set_meta("leaped_cycles", std::to_string(leaped_cycles));
+  report.set_meta("seed", std::to_string(opt.seed));
+  report.add_table("summary", opt.csv, summary);
+  report.add_table("per-rep", opt.csv, rows);
+  harness::write_report_tail(cli_tail(opt, rows, master.get()), report, os, err);
   if (ft && min_delivered < 1.0 && !opt.allow_partial) {
     os << "pcmcast: partial delivery (min "
        << analysis::Table::num(min_delivered, 4)
@@ -1124,22 +876,13 @@ int run_lint_forest_cli(const CliOptions& opt, std::ostream& os) {
   os << "\n" << summary.to_string();
   os << "\nforest: " << rep.describe(members, *topo) << "\n";
 
-  if (!opt.csv.empty()) {
-    std::ofstream f(opt.csv);
-    if (!f) throw std::runtime_error("pcmcast: cannot open " + opt.csv);
-    f << rows.to_csv();
-    os << "csv:     " << opt.csv << "\n";
-  }
-  if (!opt.json.empty()) {
-    harness::JsonReport report("pcmlint", 1);
-    report.set_meta("engine", "static");
-    report.set_meta("seed", std::to_string(opt.seed));
-    report.set_meta("mode", "forest");
-    report.add_table("summary", opt.csv, summary);
-    report.add_table("per-tree", opt.csv, rows);
-    report.write(opt.json);
-    os << "json:    " << opt.json << "\n";
-  }
+  harness::JsonReport report("pcmlint", 1);
+  report.set_meta("engine", "static");
+  report.set_meta("seed", std::to_string(opt.seed));
+  report.set_meta("mode", "forest");
+  report.add_table("summary", opt.csv, summary);
+  report.add_table("per-tree", opt.csv, rows);
+  harness::write_report_tail(cli_tail(opt, rows, nullptr), report, os, std::cerr);
   // Cross-tree findings are never a theorem violation — Theorems 1-2
   // speak about one tree in isolation — so a flagged forest exits 1.
   return rep.clean() ? 0 : 1;
@@ -1202,23 +945,14 @@ int run_lint_stream_cli(const CliOptions& opt, std::ostream& os) {
   }
   os << summary.to_string();
 
-  if (!opt.csv.empty()) {
-    std::ofstream f(opt.csv);
-    if (!f) throw std::runtime_error("pcmcast: cannot open " + opt.csv);
-    f << summary.to_csv();
-    os << "csv:     " << opt.csv << "\n";
-  }
-  if (!opt.json.empty()) {
-    harness::JsonReport report("pcmlint", 1);
-    report.set_meta("engine", "static");
-    report.set_meta("seed", std::to_string(opt.seed));
-    report.set_meta("mode", "stream");
-    report.set_meta("slots", std::to_string(opt.stream));
-    report.set_meta("window", std::to_string(window));
-    report.add_table("stream", opt.csv, summary);
-    report.write(opt.json);
-    os << "json:    " << opt.json << "\n";
-  }
+  harness::JsonReport report("pcmlint", 1);
+  report.set_meta("engine", "static");
+  report.set_meta("seed", std::to_string(opt.seed));
+  report.set_meta("mode", "stream");
+  report.set_meta("slots", std::to_string(opt.stream));
+  report.set_meta("window", std::to_string(window));
+  report.add_table("stream", opt.csv, summary);
+  harness::write_report_tail(cli_tail(opt, summary, nullptr), report, os, std::cerr);
   if (exit_code == 3)
     os << "pcmlint: GUARANTEE VIOLATION: a Theorem 1-2 algorithm is not "
           "contention-free at window 1\n";
@@ -1245,7 +979,6 @@ int run_lint_cli(const CliOptions& opt, std::ostream& os) {
   const rt::RuntimeConfig cfg;
   const sim::SimConfig sim_cfg;
   const rt::MulticastRuntime rtm(cfg);
-  const TwoParam tp = cfg.machine.two_param(rtm.wire_bytes(opt.bytes, 1));
   lint::LintOptions lint_opts;
   lint_opts.keep_schedule = false;  // verdicts and diagnostics only
 
@@ -1266,8 +999,8 @@ int run_lint_cli(const CliOptions& opt, std::ostream& os) {
     long long pairs = 0;
     Time max_makespan = 0;
     for (size_t i = 0; i < placements.size(); ++i) {
-      const MulticastTree tree =
-          build_cli_tree(opt, alg, placements[i], tp, shape);
+      const MulticastTree tree = verify::placement_tree(
+          placement_run(opt, alg, shape, placements[i], nullptr), rtm);
       const lint::LintReport rep =
           lint::lint_tree(tree, *topo, cfg, sim_cfg, opt.bytes, lint_opts);
       clean += rep.clean() ? 1 : 0;
@@ -1298,23 +1031,14 @@ int run_lint_cli(const CliOptions& opt, std::ostream& os) {
   }
   os << "\n" << summary.to_string();
 
-  if (!opt.csv.empty()) {
-    std::ofstream f(opt.csv);
-    if (!f) throw std::runtime_error("pcmcast: cannot open " + opt.csv);
-    f << rows.to_csv();
-    os << "csv:     " << opt.csv << "\n";
-  }
-  if (!opt.json.empty()) {
-    harness::JsonReport report("pcmlint", 1);
-    // Same envelope keys as every dynamic report; lint simulates nothing,
-    // so the engine is "static".
-    report.set_meta("engine", "static");
-    report.set_meta("seed", std::to_string(opt.seed));
-    report.add_table("summary", opt.csv, summary);
-    report.add_table("per-placement", opt.csv, rows);
-    report.write(opt.json);
-    os << "json:    " << opt.json << "\n";
-  }
+  harness::JsonReport report("pcmlint", 1);
+  // Same envelope keys as every dynamic report; lint simulates nothing,
+  // so the engine is "static".
+  report.set_meta("engine", "static");
+  report.set_meta("seed", std::to_string(opt.seed));
+  report.add_table("summary", opt.csv, summary);
+  report.add_table("per-placement", opt.csv, rows);
+  harness::write_report_tail(cli_tail(opt, rows, nullptr), report, os, std::cerr);
   if (exit_code == 3)
     os << "pcmlint: GUARANTEE VIOLATION: a Theorem 1-2 algorithm is not "
           "contention-free on this input\n";

@@ -9,15 +9,13 @@
 #pragma once
 
 #include <iosfwd>
-#include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
 
 #include "core/algorithms.hpp"
+#include "harness/spec.hpp"
 #include "sim/simulator.hpp"
-#include "sim/topology.hpp"
 
 namespace pcm::cli {
 
@@ -66,17 +64,11 @@ struct CliOptions {
 /// std::invalid_argument with a user-facing message on bad input.
 CliOptions parse_args(std::span<const std::string_view> args);
 
-/// "opt-mesh" -> kOptMesh etc.; nullopt for unknown names.
-std::optional<McastAlgorithm> algorithm_from_name(std::string_view name);
-
-/// Topology factory: "mesh:S" (SxS 2-D mesh), "hypercube:Q",
-/// "bmin:N[:adaptive]", "butterfly:N".  Throws on unknown kinds or bad
-/// parameters.  The returned topology owns its shape; use mesh_shape_of to
-/// obtain the MeshShape pointer mesh-tuned algorithms need.
-std::unique_ptr<sim::Topology> make_topology(const std::string& spec);
-
-/// The MeshShape of a mesh/hypercube topology, or nullptr.
-const MeshShape* mesh_shape_of(const sim::Topology& topo);
+// The spec parsers live in harness/spec.hpp, shared with the chaos
+// harness; re-exported here as part of the CLI surface.
+using harness::algorithm_from_name;
+using harness::make_topology;
+using harness::mesh_shape_of;
 
 /// Usage text.
 std::string usage();
@@ -87,6 +79,15 @@ std::string usage();
 /// exit code: 0 on success, 1 when a fault run lost destinations and
 /// --allow-partial was not given, 3 when --audit caught an invariant
 /// violation.  (2 is the caller's catch-all for errors.)
+///
+/// Dispatches to one of three drivers: `--lint` (run_lint_cli), `--stream
+/// N` (one placement through the windowed stream runtime), or the
+/// one-shot sweep over the sampled or explicit placements, fanned out
+/// over --jobs.  Every multicast placement, one-shot or stream, runs
+/// through verify::run_placement, the function pcmchaos runs its
+/// scenarios with, so a chaos reproducer replays the same code.  Reduce
+/// and barrier runs build the same tree (verify::placement_tree).  Every
+/// driver ends its report with harness::write_report_tail.
 int run_cli(const CliOptions& opt, std::ostream& os, std::ostream& err);
 
 /// Convenience overload: diagnostics go to std::cerr.
@@ -100,7 +101,9 @@ int run_cli(const CliOptions& opt, std::ostream& os);
 /// Theorems 1–2 (guarantees_contention_free) is flagged — the same
 /// schedules on which --audit exits 3.  (2 stays the caller's catch-all.)
 ///
-/// Two v2 modes dispatch from here before the per-tree sweep:
+/// The per-tree sweep builds its trees with verify::placement_tree, the
+/// builder the dynamic drivers use (--shuffle-chain included).  Two v2
+/// modes dispatch from here before the per-tree sweep:
 ///  - `--forest SPEC` certifies N concurrent trees on a shared channel
 ///    timeline (lint::lint_forest); `--offset-search` additionally
 ///    computes each member's earliest contention-free start.  Forest

@@ -1,6 +1,7 @@
 #include "core/address.hpp"
 
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 
 namespace pcm {
@@ -8,13 +9,15 @@ namespace pcm {
 MeshShape::MeshShape(std::vector<int> dims) : dims_(std::move(dims)) {
   if (dims_.empty()) throw std::invalid_argument("MeshShape: need >= 1 dimension");
   strides_.resize(dims_.size());
-  int n = 1;
+  long long n = 1;
   for (size_t d = 0; d < dims_.size(); ++d) {
     if (dims_[d] < 1) throw std::invalid_argument("MeshShape: side must be >= 1");
-    strides_[d] = n;
+    strides_[d] = static_cast<int>(n);
     n *= dims_[d];
+    if (n > std::numeric_limits<int>::max())
+      throw std::invalid_argument("MeshShape: more than INT_MAX nodes");
   }
-  num_nodes_ = n;
+  num_nodes_ = static_cast<int>(n);
 }
 
 int MeshShape::digit(NodeId x, int d) const {

@@ -208,6 +208,64 @@ std::string engine_label(sim::EngineKind requested, bool fell_back) {
   return engine_name(requested);
 }
 
+bool downgrade_to_cycle(sim::EngineKind& engine, std::ostream& err,
+                        const std::string& notice) {
+  if (engine != sim::EngineKind::kEvent) return false;
+  engine = sim::EngineKind::kCycle;
+  err << notice << "\n";
+  return true;
+}
+
+void export_trace(const obs::FlightRecorder& recorder, const std::string& path,
+                  std::ostream& os, std::ostream& err, const std::string& tool) {
+  if (path.empty()) return;
+  try {
+    const std::vector<obs::TraceEvent> events = recorder.snapshot();
+    obs::write_trace(path, events, recorder.events_dropped());
+    os << "trace:   " << path << " (" << events.size() << " events";
+    if (recorder.events_dropped() > 0)
+      os << ", " << recorder.events_dropped() << " dropped by ring wrap";
+    os << ")\n";
+  } catch (const std::exception& e) {
+    err << tool << ": " << e.what() << "\n";
+  }
+}
+
+void write_report_tail(const ReportTail& tail, JsonReport& report, std::ostream& os,
+                       std::ostream& err) {
+  if (tail.csv_rows != nullptr && !tail.csv.empty()) {
+    std::ofstream f(tail.csv);
+    if (!f) throw std::runtime_error(tail.tool + ": cannot open " + tail.csv);
+    f << tail.csv_rows->to_csv();
+    os << "csv:     " << tail.csv << "\n";
+  }
+  if (tail.recorder != nullptr) {
+    if (tail.metrics) {
+      obs::MetricsRegistry reg;
+      obs::populate_metrics(tail.recorder->snapshot(), reg);
+      analysis::Table t({"metric", "value"});
+      for (const obs::MetricSample& s : reg.snapshot()) t.add_row({s.name, s.value});
+      const std::string title = "metrics (deterministic, from the flight recorder)";
+      if (tail.bench_start) {
+        os << "\n== " << title << " ==\n" << t.to_string();
+        report.add_table(title, "", t);
+      } else {
+        os << "\n" << title << ":\n" << t.to_string();
+        report.add_table("metrics", "", t);
+      }
+    }
+    export_trace(*tail.recorder, tail.trace, os, err, tail.tool);
+  }
+  if (tail.json.empty()) return;
+  if (tail.bench_start) {
+    const std::chrono::duration<double> wall =
+        std::chrono::steady_clock::now() - *tail.bench_start;
+    report.set_wall_seconds(wall.count());
+  }
+  report.write(tail.json);
+  os << "json:    " << tail.json << "\n";
+}
+
 Harness::Harness(std::string bench_name, const Options& opt)
     : bench_name_(std::move(bench_name)),
       opt_(opt),
@@ -221,11 +279,10 @@ Harness::Harness(std::string bench_name, const Options& opt)
 }
 
 void Harness::downgrade_engine(const std::string& reason) {
-  if (opt_.engine != sim::EngineKind::kEvent) return;
-  opt_.engine = sim::EngineKind::kCycle;
-  json_.set_meta("engine", engine_label(sim::EngineKind::kEvent, true));
-  std::cerr << bench_name_ << ": --engine event " << reason
-            << "; running on the cycle engine\n";
+  if (downgrade_to_cycle(opt_.engine, std::cerr,
+                         bench_name_ + ": --engine event " + reason +
+                             "; running on the cycle engine"))
+    json_.set_meta("engine", engine_label(sim::EngineKind::kEvent, true));
 }
 
 namespace {
@@ -264,37 +321,15 @@ Harness::Harness(std::string bench_name, int argc, char** argv)
     : Harness(bench_name, parse_or_exit(bench_name, argc, argv)) {}
 
 Harness::~Harness() {
-  if (recorder_) {
-    const std::vector<obs::TraceEvent> events = recorder_->snapshot();
-    if (opt_.metrics) {
-      obs::MetricsRegistry reg;
-      obs::populate_metrics(events, reg);
-      analysis::Table t({"metric", "value"});
-      for (const obs::MetricSample& s : reg.snapshot())
-        t.add_row({s.name, s.value});
-      report(t, "metrics (deterministic, from the flight recorder)");
-    }
-    if (!opt_.trace_path.empty()) {
-      try {
-        obs::write_trace(opt_.trace_path, events, recorder_->events_dropped());
-        std::cout << "trace:   " << opt_.trace_path << " (" << events.size()
-                  << " events";
-        if (recorder_->events_dropped() > 0)
-          std::cout << ", " << recorder_->events_dropped()
-                    << " dropped by ring wrap";
-        std::cout << ")\n";
-      } catch (const std::exception& e) {
-        std::cerr << bench_name_ << ": " << e.what() << "\n";
-      }
-    }
-  }
-  if (opt_.json_path.empty()) return;
-  const std::chrono::duration<double> wall =
-      std::chrono::steady_clock::now() - start_;
-  json_.set_wall_seconds(wall.count());
   try {
-    json_.write(opt_.json_path);
-    std::cout << "json:    " << opt_.json_path << "\n";
+    ReportTail tail;
+    tail.tool = bench_name_;
+    tail.recorder = recorder_.get();
+    tail.metrics = opt_.metrics;
+    tail.trace = opt_.trace_path;
+    tail.json = opt_.json_path;
+    tail.bench_start = start_;
+    write_report_tail(tail, json_, std::cout, std::cerr);
   } catch (const std::exception& e) {
     std::cerr << bench_name_ << ": " << e.what() << "\n";
   }

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include <memory>
+#include <optional>
 
 #include "analysis/sampling.hpp"
 #include "analysis/stats.hpp"
@@ -72,6 +73,13 @@ std::string engine_name(sim::EngineKind engine);
 /// "cycle(fallback)" when a fallback happened, else the plain name.
 std::string engine_label(sim::EngineKind requested, bool fell_back);
 
+/// For workloads only the cycle engine runs (streams, fault plans): turns
+/// a requested `--engine event` into the cycle engine up front and prints
+/// `notice` on `err` (stdout may be consumed as a report).  Returns
+/// whether it downgraded; reports then say engine_label(requested, true).
+bool downgrade_to_cycle(sim::EngineKind& engine, std::ostream& err,
+                        const std::string& notice);
+
 /// Parses bench arguments (excluding argv[0]); throws
 /// std::invalid_argument on unknown options or bad values.
 Options parse_options(std::span<const char* const> args);
@@ -111,6 +119,33 @@ class JsonReport {
   std::vector<Entry> entries_;
 };
 
+/// Writes `recorder`'s events to `path` (".json" = Chrome trace-event
+/// JSON, else the binary pcmtrace format) and prints the `trace:` line;
+/// does nothing when `path` is empty.  A write error goes to `err` as
+/// "<tool>: <what>" and does not fail the run.
+void export_trace(const obs::FlightRecorder& recorder, const std::string& path,
+                  std::ostream& os, std::ostream& err, const std::string& tool);
+
+/// The tail every pcmcast/pcmlint and bench report ends with.
+/// write_report_tail emits, in this order, each part whose path is set:
+/// `csv_rows` as CSV (`csv:` line), the metrics derived from `recorder`
+/// (printed and appended to the JSON report), export_trace, and the JSON
+/// report (`json:` line).  An unopenable CSV or JSON file throws.
+struct ReportTail {
+  std::string tool;  ///< prefix of error messages
+  std::string csv;
+  const analysis::Table* csv_rows = nullptr;
+  const obs::FlightRecorder* recorder = nullptr;
+  bool metrics = false;
+  std::string trace;
+  std::string json;
+  /// Set for benches: their metrics print as a titled bench table and
+  /// their JSON records the wall seconds since this start.
+  std::optional<std::chrono::steady_clock::time_point> bench_start;
+};
+void write_report_tail(const ReportTail& tail, JsonReport& report, std::ostream& os,
+                       std::ostream& err);
+
 /// Per-bench driver: owns the pool and the JSON report.
 class Harness {
  public:
@@ -118,7 +153,8 @@ class Harness {
   /// Convenience for bench main()s: parses argv, prints usage and exits 0
   /// on --help, prints the error and exits 2 on bad arguments.
   Harness(std::string bench_name, int argc, char** argv);
-  /// Writes the JSON report (if requested) on destruction.
+  /// Ends the report on destruction: write_report_tail (metrics, trace,
+  /// JSON).
   ~Harness();
 
   [[nodiscard]] ThreadPool& pool() { return pool_; }

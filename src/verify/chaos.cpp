@@ -8,57 +8,14 @@
 
 #include "analysis/rng.hpp"
 #include "analysis/sampling.hpp"
-#include "bmin/bmin_topology.hpp"
-#include "core/chain.hpp"
-#include "core/multicast_tree.hpp"
+#include "harness/spec.hpp"
 #include "harness/substream.hpp"
 #include "harness/thread_pool.hpp"
-#include "lint/lint.hpp"
-#include "mesh/mesh_topology.hpp"
-#include "obs/recorder.hpp"
-#include "runtime/mcast_runtime.hpp"
-#include "runtime/stream_runtime.hpp"
 #include "verify/invariant_auditor.hpp"
 
 namespace pcm::verify {
 
 namespace {
-
-struct BuiltTopology {
-  std::unique_ptr<sim::Topology> topo;
-  const MeshShape* shape = nullptr;  ///< non-null for meshes
-};
-
-/// The chaos scenario space only spans meshes and BMINs (the paper's two
-/// tuned architectures); kept independent of the CLI's richer factory so
-/// pcm_cli can depend on pcm_verify without a cycle.
-BuiltTopology build_topology(const std::string& spec) {
-  const std::size_t colon = spec.find(':');
-  if (colon != std::string::npos) {
-    const std::string kind = spec.substr(0, colon);
-    const int param = std::stoi(spec.substr(colon + 1));
-    if (kind == "mesh") {
-      auto mesh = mesh::make_mesh2d(param);
-      const MeshShape* shape = &mesh->shape();
-      return {std::move(mesh), shape};
-    }
-    if (kind == "bmin") return {std::make_unique<bmin::BminTopology>(param), nullptr};
-  }
-  throw std::invalid_argument("chaos: unknown topology spec '" + spec + "'");
-}
-
-const char* cli_algorithm_name(McastAlgorithm a) {
-  switch (a) {
-    case McastAlgorithm::kOptMesh: return "opt-mesh";
-    case McastAlgorithm::kUMesh: return "u-mesh";
-    case McastAlgorithm::kOptMin: return "opt-min";
-    case McastAlgorithm::kUMin: return "u-min";
-    case McastAlgorithm::kOptTree: return "opt-tree";
-    case McastAlgorithm::kBinomial: return "binomial";
-    case McastAlgorithm::kSequential: return "sequential";
-  }
-  return "?";
-}
 
 std::string first_line(const std::string& text) {
   const std::size_t nl = text.find('\n');
@@ -66,12 +23,6 @@ std::string first_line(const std::string& text) {
 }
 
 }  // namespace
-
-std::vector<NodeId> shuffle_dests(std::vector<NodeId> dests, std::uint64_t seed) {
-  analysis::Rng rng(seed);
-  rng.shuffle(dests);
-  return dests;
-}
 
 ChaosScenario make_scenario(std::uint64_t root_seed, int index) {
   analysis::Rng rng(
@@ -81,9 +32,9 @@ ChaosScenario make_scenario(std::uint64_t root_seed, int index) {
   static constexpr const char* kTopologies[] = {"mesh:4",  "mesh:8", "mesh:8",
                                                 "mesh:16", "bmin:32", "bmin:64"};
   s.topology = kTopologies[rng.below(6)];
-  const BuiltTopology t = build_topology(s.topology);
-  const int n = t.topo->num_nodes();
-  const bool is_mesh = t.shape != nullptr;
+  const std::unique_ptr<sim::Topology> topo = harness::make_topology(s.topology);
+  const int n = topo->num_nodes();
+  const bool is_mesh = harness::mesh_shape_of(*topo) != nullptr;
 
   const std::uint64_t pick = rng.below(10);
   if (is_mesh) {
@@ -121,8 +72,8 @@ ChaosScenario make_scenario(std::uint64_t root_seed, int index) {
   if (rng.below(100) < 40) {
     const int cuts = 1 + (rng.below(100) < 30 ? 1 : 0);
     for (int i = 0; i < cuts; ++i) {
-      const int router = static_cast<int>(rng.below(t.topo->num_routers()));
-      const int port = static_cast<int>(rng.below(t.topo->radix()));
+      const int router = static_cast<int>(rng.below(topo->num_routers()));
+      const int port = static_cast<int>(rng.below(topo->radix()));
       const Time down = static_cast<Time>(50 + rng.below(3000));
       plan.link_events.push_back({down, router, port, false});
       if (rng.below(100) < 50)
@@ -144,9 +95,9 @@ ForestScenario make_forest_scenario(std::uint64_t root_seed, int index) {
   static constexpr const char* kTopologies[] = {"mesh:4",  "mesh:8", "mesh:8",
                                                 "mesh:16", "bmin:32", "bmin:64"};
   s.topology = kTopologies[rng.below(6)];
-  const BuiltTopology t = build_topology(s.topology);
-  const int n = t.topo->num_nodes();
-  const bool is_mesh = t.shape != nullptr;
+  const std::unique_ptr<sim::Topology> topo = harness::make_topology(s.topology);
+  const int n = topo->num_nodes();
+  const bool is_mesh = harness::mesh_shape_of(*topo) != nullptr;
 
   const int trees = 2 + static_cast<int>(rng.below(3));
   static constexpr Bytes kSizes[] = {64, 512, 1024, 4096};
@@ -186,9 +137,9 @@ ChaosScenario make_stream_scenario(std::uint64_t root_seed, int index) {
   static constexpr const char* kTopologies[] = {"mesh:4", "mesh:8", "mesh:8",
                                                 "bmin:32"};
   s.topology = kTopologies[rng.below(4)];
-  const BuiltTopology t = build_topology(s.topology);
-  const int n = t.topo->num_nodes();
-  const bool is_mesh = t.shape != nullptr;
+  const std::unique_ptr<sim::Topology> topo = harness::make_topology(s.topology);
+  const int n = topo->num_nodes();
+  const bool is_mesh = harness::mesh_shape_of(*topo) != nullptr;
 
   const std::uint64_t pick = rng.below(10);
   if (is_mesh) {
@@ -238,7 +189,7 @@ ChaosScenario make_stream_scenario(std::uint64_t root_seed, int index) {
     for (NodeId v = 0; v < n; ++v) (v < n / 2 ? lo : hi).push_back(v);
     const Time down = static_cast<Time>(400 + rng.below(4000));
     const Time span = s.heartbeat * static_cast<Time>(3 + rng.below(6));
-    s.plan = sim::FaultPlan::partition(*t.topo, lo, hi, down, down + span);
+    s.plan = sim::FaultPlan::partition(*topo, lo, hi, down, down + span);
   } else {
     if (rng.below(100) < 55) {
       const int kills = 1 + (rng.below(100) < 25 ? 1 : 0);
@@ -255,134 +206,31 @@ ChaosScenario make_stream_scenario(std::uint64_t root_seed, int index) {
   return s;
 }
 
-namespace {
-
-/// Streaming scenarios run through StreamRuntime, audited both at the
-/// channel level (InvariantAuditor observer) and at the protocol level
-/// (audit_stream over the run's flight-recorder trace).
-ScenarioOutcome run_stream_scenario(const ChaosScenario& s) {
-  const BuiltTopology t = build_topology(s.topology);
-  const rt::MulticastRuntime rtm{rt::RuntimeConfig{}};
-  const rt::StreamRuntime srt(rtm);
-
-  sim::Simulator sim(*t.topo);
-  AuditConfig acfg;
-  // Theorems 1-2 cover one tree at a time: with window > 1 consecutive
-  // slots legally share channels, so strict contention-freedom is only
-  // demanded for fault-free stop-and-wait streams.
-  acfg.require_contention_free =
-      guarantees_contention_free(s.alg) && s.plan.empty() && s.stream_window == 1;
-  acfg.plan_known = !s.plan.empty();
-  acfg.plan = s.plan;
-  InvariantAuditor auditor(*t.topo, acfg);
-  sim.set_observer(&auditor);
-  if (!s.plan.empty()) sim.set_fault_plan(s.plan);
-
-  rt::StreamConfig scfg;
-  scfg.window_size = s.stream_window;
-  scfg.slots = s.stream_len;
-  scfg.bytes = s.bytes;
-  scfg.alg = s.alg;
-  scfg.shape = t.shape;
-  scfg.reliable = !s.plan.empty() || s.heartbeat > 0;
-  scfg.ft.max_retries = s.max_retries;
-  // Detached from the simulator: records the protocol events only.
-  obs::FlightRecorder rec(obs::RecorderConfig{obs::kUnbounded});
-  scfg.recorder = &rec;
-  scfg.membership.heartbeat_period = s.heartbeat;
-  scfg.failover = s.failover;
-  scfg.rejoin = s.rejoin;
-  // Theorem 1 is re-checked statically on every tree the stream adopts:
-  // epoch rebuilds re-split the chain, and a guaranteed algorithm must
-  // stay contention-free over any sorted sub-chain (pcmlint proves it
-  // without simulating a flit).
-  if (guarantees_contention_free(s.alg)) {
-    scfg.on_reconfigure = [&](const MulticastTree& tree) {
-      lint::LintOptions lopts;
-      lopts.max_diagnostics = 1;
-      lopts.keep_schedule = false;
-      const lint::LintReport lr = lint::lint_tree(
-          tree, *t.topo, rtm.config(), sim::SimConfig{}, s.bytes, lopts);
-      if (!lr.clean())
-        throw InvariantViolation(
-            Invariant::kContentionFreedom,
-            "pcmlint rejects an epoch tree: " +
-                first_line(lr.describe(tree, *t.topo)));
-    };
-  }
-
-  ScenarioOutcome out;
-  try {
-    const rt::StreamResult r = srt.run(sim, s.source, s.dests, scfg);
-    out.delivered = r.delivered_fraction;
-    out.retries = r.retries;
-    out.epochs = r.epoch;
-    out.stale_acks = r.stale_acks;
-    out.failovers = r.failovers;
-    out.rejoins = r.rejoins;
-    auditor.finalize(sim);
-    InvariantAuditor::audit_stream(r, rec.snapshot(), rec.events_dropped());
-  } catch (const sim::WatchdogError& e) {
-    out.violated = true;
-    out.watchdog = true;
-    out.violation = first_line(e.what());
-  } catch (const InvariantViolation& e) {
-    out.violated = true;
-    out.violation = e.what();
-  }
-  out.dropped = sim.stats().messages_dropped;
-  return out;
-}
-
-}  // namespace
-
 ScenarioOutcome run_scenario(const ChaosScenario& s) {
-  if (s.stream_len > 0) return run_stream_scenario(s);
-  const BuiltTopology t = build_topology(s.topology);
-  // Same runtime defaults as pcmcast, so repro_command replays bit-exactly.
+  const std::unique_ptr<sim::Topology> topo = harness::make_topology(s.topology);
   const rt::MulticastRuntime rtm{rt::RuntimeConfig{}};
-  const TwoParam tp = rtm.config().machine.two_param(rtm.wire_bytes(s.bytes, 1));
-
-  MulticastTree tree;
-  if (s.shuffle_chain) {
-    // The split rule of `alg` over the *unsorted* (shuffled caller-order)
-    // chain: exactly what --shuffle-chain does in the CLI.
-    const std::vector<NodeId> dests = shuffle_dests(s.dests, s.shuffle_seed);
-    const Chain chain = make_chain(s.source, dests, ChainOrder::kAsGiven);
-    tree = build_chain_split_tree(chain, split_table_for(s.alg, tp, chain.size()));
-  } else {
-    tree = build_multicast(s.alg, s.source, s.dests, tp, t.shape);
-  }
-
-  sim::Simulator sim(*t.topo);
-  AuditConfig acfg;
-  // Theorems 1-2 cover the healthy schedule only: a retransmission to a
-  // receiver whose own forwards are in flight shares that receiver's
-  // sub-network, so under faults head-blocking is legal.
-  acfg.require_contention_free = guarantees_contention_free(s.alg) && s.plan.empty();
-  acfg.plan_known = !s.plan.empty();
-  acfg.plan = s.plan;
-  InvariantAuditor auditor(*t.topo, acfg);
-  sim.set_observer(&auditor);
-  if (!s.plan.empty()) sim.set_fault_plan(s.plan);
+  sim::Simulator sim(*topo);
+  PlacementRun run;
+  run.alg = s.alg;
+  run.shape = harness::mesh_shape_of(*topo);
+  run.source = s.source;
+  run.dests = s.dests;
+  run.bytes = s.bytes;
+  run.max_retries = s.max_retries;
+  run.audit = true;
+  run.shuffle_chain = s.shuffle_chain;
+  run.shuffle_seed = s.shuffle_seed;
+  run.plan = s.plan.empty() ? nullptr : &s.plan;
+  run.slots = s.stream_len;
+  run.window = s.stream_window;
+  run.heartbeat = s.heartbeat;
+  run.failover = s.failover;
+  run.rejoin = s.rejoin;
 
   ScenarioOutcome out;
+  PlacementResult res;
   try {
-    if (s.plan.empty()) {
-      (void)rtm.run(sim, tree, s.bytes);
-      auditor.finalize(sim);
-    } else {
-      rt::FtConfig ft;
-      ft.max_retries = s.max_retries;
-      obs::FlightRecorder rec(obs::RecorderConfig{obs::kUnbounded});
-      ft.recorder = &rec;
-      const rt::McastResult r = rtm.run_reliable(sim, tree, s.bytes, ft);
-      out.delivered = r.delivered_fraction;
-      out.retries = r.retries;
-      out.repairs = r.repairs;
-      auditor.finalize(sim);
-      InvariantAuditor::audit_result(r, rec.snapshot(), rec.events_dropped());
-    }
+    run_placement(rtm, sim, run, res);
   } catch (const sim::WatchdogError& e) {
     out.violated = true;
     out.watchdog = true;
@@ -390,6 +238,18 @@ ScenarioOutcome run_scenario(const ChaosScenario& s) {
   } catch (const InvariantViolation& e) {
     out.violated = true;
     out.violation = e.what();
+  }
+  if (s.stream_len > 0) {
+    out.delivered = res.stream.delivered_fraction;
+    out.retries = res.stream.retries;
+    out.epochs = res.stream.epoch;
+    out.stale_acks = res.stream.stale_acks;
+    out.failovers = res.stream.failovers;
+    out.rejoins = res.stream.rejoins;
+  } else if (run.plan != nullptr) {
+    out.delivered = res.shot.delivered_fraction;
+    out.retries = res.shot.retries;
+    out.repairs = res.shot.repairs;
   }
   out.dropped = sim.stats().messages_dropped;
   return out;
@@ -508,7 +368,7 @@ MinimizeResult minimize(const ChaosScenario& s) {
 std::string repro_command(const ChaosScenario& s) {
   std::ostringstream os;
   os << "pcmcast --topology " << s.topology << " --algorithm "
-     << cli_algorithm_name(s.alg) << " --source " << s.source << " --dests ";
+     << harness::algorithm_spec_name(s.alg) << " --source " << s.source << " --dests ";
   for (std::size_t i = 0; i < s.dests.size(); ++i)
     os << (i ? "," : "") << s.dests[i];
   os << " --bytes " << s.bytes << " --max-retries " << s.max_retries;

@@ -8,7 +8,9 @@
 // any thread fan-out.  On a violation the minimizer greedily strips plan
 // events, rates, and destinations while the violation persists, then
 // serializes the survivor as a `pcmcast --audit` command line whose
-// `--faults` spec (FaultPlan::to_spec) replays it deterministically.
+// `--faults` spec (FaultPlan::to_spec) replays it deterministically:
+// scenarios and pcmcast placements both execute verify::run_placement,
+// on topologies built by the one spec parser (harness/spec.hpp).
 #pragma once
 
 #include <iosfwd>
@@ -17,13 +19,14 @@
 
 #include "core/algorithms.hpp"
 #include "sim/fault.hpp"
+#include "verify/run.hpp"
 
 namespace pcm::verify {
 
 /// One chaos scenario, fully self-describing and replayable.
 struct ChaosScenario {
   int index = 0;                  ///< substream index it was generated from
-  std::string topology;           ///< "mesh:S" | "bmin:N"
+  std::string topology;           ///< "mesh:S" | "bmin:N" (harness::make_topology)
   McastAlgorithm alg = McastAlgorithm::kOptMesh;
   NodeId source = 0;
   std::vector<NodeId> dests;      ///< execution order (pre-shuffled if any)
@@ -98,15 +101,11 @@ struct ScenarioOutcome {
   int rejoins = 0;     ///< healed receivers re-admitted (streaming)
 };
 
-/// Executes one scenario under a strict-as-applicable auditor (contention
-/// freedom demanded for the chain-sorted algorithms on fault-free plans;
-/// under faults retransmissions may legally block).  Uses the same
-/// runtime defaults as `pcmcast`, so reproducers replay bit-exactly.
+/// Executes one scenario under the auditor through run_placement, the
+/// run `pcmcast` executes too, so repro_command replays it bit-exactly.
+/// Only a non-empty plan counts as given (repro_command omits an empty
+/// one), so fault-free scenarios get the strict audit.
 ScenarioOutcome run_scenario(const ChaosScenario& s);
-
-/// Applies the scenario's shuffle to a destination list (exposed so the
-/// CLI's --shuffle-chain replays the identical permutation).
-std::vector<NodeId> shuffle_dests(std::vector<NodeId> dests, std::uint64_t seed);
 
 struct MinimizeResult {
   ChaosScenario scenario;  ///< minimal still-violating scenario

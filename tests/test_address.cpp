@@ -26,6 +26,10 @@ TEST(MeshShape, CoordsRoundTrip) {
 TEST(MeshShape, RejectsBadInput) {
   EXPECT_THROW(MeshShape(std::vector<int>{}), std::invalid_argument);
   EXPECT_THROW(MeshShape({4, 0}), std::invalid_argument);
+  // A node count past INT_MAX is refused before the int product wraps.
+  EXPECT_THROW(MeshShape::square2d(50000), std::invalid_argument);
+  EXPECT_THROW(MeshShape({65536, 32768}), std::invalid_argument);
+  EXPECT_EQ(MeshShape({65536, 32767}).num_nodes(), 65536 * 32767);
   const MeshShape s({4, 4});
   EXPECT_THROW((void)s.node_at({1}), std::invalid_argument);
   EXPECT_THROW((void)s.node_at({4, 0}), std::out_of_range);

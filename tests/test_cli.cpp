@@ -146,6 +146,18 @@ TEST(CliTopology, RejectsUnknown) {
   EXPECT_THROW(make_topology("torus:8"), std::invalid_argument);
   EXPECT_THROW(make_topology(""), std::invalid_argument);
   EXPECT_THROW(make_topology("mesh:abc"), std::invalid_argument);
+  // Sizes past 2^31 must not wrap onto a valid topology (mesh:4, bmin:64,
+  // hypercube:3), and a mesh past INT_MAX nodes must not overflow its
+  // node count; each message names the spec.
+  for (const char* spec : {"mesh:4294967300", "bmin:4294967360",
+                           "hypercube:4294967299", "mesh:50000"}) {
+    try {
+      (void)make_topology(spec);
+      ADD_FAILURE() << spec << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(spec), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(CliShape, MeshShapeOnlyForMeshes) {

@@ -410,5 +410,54 @@ TEST(Chaos, MinimizerShrinksToReplayableRepro) {
   EXPECT_NE(os.str().find("AUDIT VIOLATION"), std::string::npos);
 }
 
+// --- replay fidelity -----------------------------------------------------
+
+/// Runs a repro_command line through pcmcast's parser and driver.
+int replay(const std::string& cmd, std::string* out) {
+  std::vector<std::string> tokens;
+  std::istringstream is(cmd);
+  for (std::string tok; is >> tok;) {
+    if (tok.size() >= 2 && tok.front() == '"' && tok.back() == '"')
+      tok = tok.substr(1, tok.size() - 2);
+    tokens.push_back(tok);
+  }
+  EXPECT_EQ(tokens.front(), "pcmcast");
+  const std::vector<std::string_view> args(tokens.begin() + 1, tokens.end());
+  std::ostringstream os, err;
+  const int code = cli::run_cli(cli::parse_args(args), os, err);
+  *out = os.str();
+  return code;
+}
+
+TEST(Chaos, ReproCommandsReplayThroughPcmcast) {
+  // Every reproducer must exit as its scenario ran: 3 on a violation, 1
+  // on partial delivery, 0 otherwise.  One-shot scenarios also replay a
+  // fault-free shuffled-chain copy, so the violation path is covered.
+  std::vector<verify::ChaosScenario> scenarios;
+  for (int i = 0; i < 40; ++i) {
+    scenarios.push_back(verify::make_scenario(1, i));
+    verify::ChaosScenario shuffled = scenarios.back();
+    shuffled.plan = {};
+    shuffled.shuffle_chain = true;
+    shuffled.shuffle_seed = static_cast<std::uint64_t>(i);
+    scenarios.push_back(shuffled);
+    scenarios.push_back(verify::make_stream_scenario(7, i));
+    scenarios.push_back(verify::make_stream_scenario(11, i));
+  }
+  int seen[4] = {0, 0, 0, 0};
+  for (const verify::ChaosScenario& s : scenarios) {
+    const verify::ScenarioOutcome o = verify::run_scenario(s);
+    const int expected = o.violated ? 3 : o.delivered < 1.0 ? 1 : 0;
+    const std::string cmd = verify::repro_command(s);
+    std::string out;
+    EXPECT_EQ(replay(cmd, &out), expected) << cmd << "\n" << out;
+    ++seen[expected];
+  }
+  // The sample exercises every exit code the contract defines.
+  EXPECT_GT(seen[0], 0);
+  EXPECT_GT(seen[1], 0);
+  EXPECT_GT(seen[3], 0);
+}
+
 }  // namespace
 }  // namespace pcm

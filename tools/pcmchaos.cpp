@@ -5,19 +5,24 @@
 // reproducer, and prints the `pcmcast --audit` command that replays it.
 // The report is bit-identical at any --jobs value.  Exits 0 when every
 // scenario is clean, 1 when any invariant was violated, 2 on bad usage.
-#include <charconv>
 #include <exception>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "analysis/table.hpp"
 #include "harness/harness.hpp"
+#include "harness/spec.hpp"
 #include "verify/chaos.hpp"
 
 namespace {
 
+using pcm::harness::parse_int;
+using pcm::harness::parse_uint_flag;
+
+constexpr std::string_view kTool = "pcmchaos";
 constexpr std::string_view kUsage =
     "pcmchaos — randomized fault-injection fuzzer with invariant auditing\n\n"
     "usage: pcmchaos [options]\n"
@@ -33,17 +38,6 @@ constexpr std::string_view kUsage =
     "                  (schema_version/engine/seed/jobs + summary table)\n"
     "  --quiet         only print the summary line\n"
     "  --help          this text\n";
-
-long long parse_int(std::string_view key, std::string_view value) {
-  long long out = 0;
-  const auto [ptr, ec] =
-      std::from_chars(value.data(), value.data() + value.size(), out);
-  if (ec != std::errc{} || ptr != value.data() + value.size())
-    throw std::invalid_argument("pcmchaos: " + std::string(key) +
-                                " expects an integer, got '" + std::string(value) +
-                                "'");
-  return out;
-}
 
 }  // namespace
 
@@ -65,19 +59,15 @@ int main(int argc, char** argv) {
         std::cout << kUsage;
         return 0;
       } else if (a == "--scenarios") {
-        cfg.scenarios = static_cast<int>(parse_int(a, value()));
-        if (cfg.scenarios < 0 || cfg.scenarios > 1'000'000)
-          throw std::invalid_argument("pcmchaos: --scenarios out of range");
+        cfg.scenarios =
+            static_cast<int>(parse_uint_flag(a, value(), 0, 1'000'000, kTool));
       } else if (a == "--seed") {
-        cfg.seed = static_cast<std::uint64_t>(parse_int(a, value()));
+        cfg.seed = static_cast<std::uint64_t>(parse_int(a, value(), kTool));
       } else if (a == "--jobs" || a == "-j") {
-        cfg.jobs = static_cast<int>(parse_int(a, value()));
-        if (cfg.jobs < 0 || cfg.jobs > 4096)
-          throw std::invalid_argument("pcmchaos: --jobs must be in [0, 4096]");
+        cfg.jobs = static_cast<int>(parse_uint_flag(a, value(), 0, 4096, kTool));
       } else if (a == "--minimize") {
-        cfg.max_minimized = static_cast<int>(parse_int(a, value()));
-        if (cfg.max_minimized < 0)
-          throw std::invalid_argument("pcmchaos: --minimize must be >= 0");
+        cfg.max_minimized = static_cast<int>(
+            parse_uint_flag(a, value(), 0, std::numeric_limits<int>::max(), kTool));
       } else if (a == "--stream") {
         cfg.streaming = true;
       } else if (a == "--json") {
