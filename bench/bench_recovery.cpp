@@ -147,8 +147,9 @@ void sweep(Harness& h, const sim::Topology& topo, const MeshShape* shape,
 
 int main(int argc, char** argv) {
   Harness h("bench_recovery", argc, argv);
-  // Streaming-with-faults is cycle-engine-only; downgrade up front so the
-  // JSON envelope reports the engine that actually ran.
+  // Streams with faults stay on the cycle engine for now, though the event
+  // engine runs them bit-identically; the JSON envelope reports the engine
+  // that actually ran.
   h.downgrade_engine("cannot drive streaming workloads");
   rt::RuntimeConfig cfg;
   rt::MulticastRuntime rtm(cfg);

@@ -75,9 +75,9 @@ void add_row(analysis::Table& t, McastAlgorithm alg, int window,
 
 int main(int argc, char** argv) {
   Harness h("bench_stream", argc, argv);
-  // Streaming is handler-driven and would immediately materialize out of
-  // the event engine; downgrade up front so the JSON envelope reports the
-  // engine that actually ran.
+  // Streams stay on the cycle engine for now, though the event engine runs
+  // them bit-identically; the JSON envelope reports the engine that
+  // actually ran.
   h.downgrade_engine("cannot drive streaming workloads");
   rt::RuntimeConfig cfg;
   rt::MulticastRuntime rtm(cfg);

@@ -448,10 +448,11 @@ int run_stream_cli(const CliOptions& opt, std::ostream& os, std::ostream& err) {
   const analysis::Placement& p = placements.front();
   const McastAlgorithm alg = select_algorithms(opt, shape).front();
 
-  // Streams (and fault plans) are driven by software-time handlers that
-  // re-activate the network mid-flight; the hybrid kernel would
-  // materialize on the first contended cycle anyway, so downgrade up
-  // front and say so (the JSON engine field records the fallback).
+  // Streams run on the cycle engine even under --engine event, and say so
+  // (the JSON engine field records the fallback).  The event engine would
+  // give bit-identical results, fault plans and horizons included; the
+  // downgrade stays only because the notice and the engine field are
+  // part of the pinned report output.
   sim::EngineKind engine = opt.engine;
   const bool fell_back = harness::downgrade_to_cycle(
       engine, err,
@@ -597,9 +598,11 @@ int run_cli(const CliOptions& opt, std::ostream& os, std::ostream& err) {
        << ")\n";
   }
 
-  // Fault workloads re-activate the network from software-time handlers,
-  // which forces the hybrid kernel to materialize immediately; downgrade
-  // up front instead (results are bit-identical anyway).
+  // Fault workloads run on the cycle engine even under --engine event.
+  // The event engine would give bit-identical results (it hands live
+  // worms to the cycle engine only around fault events and drops); the
+  // downgrade stays only because its notice and the JSON engine field are
+  // part of the pinned report output.
   sim::EngineKind engine = opt.engine;
   const bool fell_back =
       plan.has_value() &&

@@ -68,15 +68,16 @@ struct Options {
 std::string engine_name(sim::EngineKind engine);
 
 /// Report label when a driver downgraded the requested engine up front
-/// (e.g. `--engine event` with a fault plan or streaming workload, which
-/// the hybrid kernel would immediately materialize out of anyway):
+/// (`--engine event` with a fault plan or streaming workload):
 /// "cycle(fallback)" when a fallback happened, else the plain name.
 std::string engine_label(sim::EngineKind requested, bool fell_back);
 
-/// For workloads only the cycle engine runs (streams, fault plans): turns
-/// a requested `--engine event` into the cycle engine up front and prints
-/// `notice` on `err` (stdout may be consumed as a report).  Returns
-/// whether it downgraded; reports then say engine_label(requested, true).
+/// For the workloads the CLI and benches keep on the cycle engine
+/// (streams, fault plans; the event engine runs them bit-identically, but
+/// the reports pin this fallback): turns a requested `--engine event`
+/// into the cycle engine up front and prints `notice` on `err` (stdout
+/// may be consumed as a report).  Returns whether it downgraded; reports
+/// then say engine_label(requested, true).
 bool downgrade_to_cycle(sim::EngineKind& engine, std::ostream& err,
                         const std::string& notice);
 
@@ -174,7 +175,7 @@ class Harness {
     json_.set_meta(key, value);
   }
 
-  /// For benches whose workload only the cycle engine can run (streaming,
+  /// For benches whose workload stays on the cycle engine (streaming,
   /// fault plans): downgrade a requested `--engine event` up front.  The
   /// JSON meta reports "cycle(fallback)" and a notice goes to stderr, so
   /// the envelope never claims an engine that did not run.

@@ -8,16 +8,58 @@ EventEngine::EventEngine(Simulator& sim)
     : sim_(sim), r_(sim.cfg_.router_delay) {
   ports_per_node_ = sim.topo_.ports_per_node();
   rr_.resize(static_cast<std::size_t>(sim.topo_.num_routers()));
-  eng_free_from_.assign(static_cast<std::size_t>(sim.topo_.num_nodes()) *
-                            static_cast<std::size_t>(ports_per_node_),
-                        0);
-  settled_ = sim.cycle_ - 1;
+  windows_.resize(sim.channel_msg_.size());
+  seen_.assign(sim.channel_msg_.size(), 0);
+  eng_free_from_.resize(static_cast<std::size_t>(sim.topo_.num_nodes()) *
+                        static_cast<std::size_t>(ports_per_node_));
+  reset();
+}
+
+void EventEngine::reenter() {
+  reset();
+  ++sim_.reentries_;
+}
+
+void EventEngine::reset() {
+  // A quiescent network holds no flits and no reservations, so the only
+  // cycle-engine state the closed forms need is each arbiter's position.
+  calendar_ = {};  // materialize() leaves the entries it abandoned
+  worms_.clear();
+  live_.clear();
+  free_worms_.clear();
+  std::fill(eng_free_from_.begin(), eng_free_from_.end(), Time{0});
+  const Time now = sim_.cycle_;
+  for (std::size_t r = 0; r < rr_.size(); ++r) {
+    RrAcct& a = rr_[r];
+    a.accum = sim_.routers_[r].rr_start();
+    a.since = now;
+    a.refcnt = 0;
+    a.steps.clear();
+  }
+  for (std::vector<Window>& v : windows_) v.clear();
+  admitted_live_ = 0;
+  settled_ = now - 1;
+  inflight_ = 0;
 }
 
 bool EventEngine::advance(Time max_cycles) {
+  if (admitted_live_ > 0 && sim_.observer_ != nullptr) {
+    // An observer attached between runs must see every reserve and
+    // release, which admitted worms do not produce.
+    bail_out();
+    return false;
+  }
   Time t = kTimeInfinity;
   if (!calendar_.empty()) t = calendar_.top().cycle;
   if (!sim_.posts_.empty()) t = std::min(t, sim_.posts_.top().ready);
+  const bool quiescent = sim_.network_quiescent();
+  // A fault event under live worms changes the network mid-flight; on a
+  // quiescent network it applies at the next post release instead, as in
+  // the cycle engine's fast-forward.
+  const Time fault = sim_.faults_active_ && !quiescent ? sim_.next_fault_cycle()
+                                                       : kTimeInfinity;
+  const bool fault_due = fault <= t;
+  if (fault_due) t = fault;
   if (t == kTimeInfinity) {
     // Unreachable while the run loop's !idle() guard holds: a non-idle
     // network always has a future event.  Materialize defensively.
@@ -25,16 +67,18 @@ bool EventEngine::advance(Time max_cycles) {
     return false;
   }
   if (t < sim_.cycle_) t = sim_.cycle_;
-  if (t >= max_cycles && !sim_.network_quiescent()) {
-    // Truncation: the reference engine would tick silently (laminar flow
-    // emits nothing) up to max_cycles and stop mid-flight.  Hand over the
-    // exact microstate there so a later run — or inspection — continues
-    // identically.  A *quiescent* network instead replicates the cycle
-    // engine's fast-forward overshoot: the post-release cycle executes
-    // even at t >= max_cycles.
-    settle_window(max_cycles - 1);
-    settle_hops(max_cycles - 1);
-    materialize(max_cycles);
+  if (t >= max_cycles && !quiescent) {
+    // Horizon: the reference engine would tick silently (laminar flow
+    // emits nothing) up to max_cycles and stop mid-flight.  Stop there
+    // with the calendar intact; finish_run() settles the statistics, and
+    // a later run resumes the closed forms.  A *quiescent* network
+    // instead replicates the cycle engine's fast-forward overshoot: the
+    // post-release cycle executes even at t >= max_cycles.
+    sim_.cycle_ = max_cycles;
+    return true;
+  }
+  if (fault_due) {
+    materialize(t, Materialization::kFaultEvent);
     return false;
   }
   if (t > sim_.cycle_ && sim_.observer_ != nullptr)
@@ -48,9 +92,7 @@ void EventEngine::finish_run() {
 }
 
 void EventEngine::bail_out() {
-  settle_window(sim_.cycle_ - 1);
-  settle_hops(sim_.cycle_ - 1);
-  materialize(sim_.cycle_);
+  materialize(sim_.cycle_, Materialization::kBail);
 }
 
 void EventEngine::sched(Time cycle, Ev phase, int a, int b) {
@@ -77,14 +119,16 @@ bool EventEngine::process_cycle(Time t) {
   dones_.clear();
   pulls_.clear();
   touched_.clear();
+  sim_.cycle_ = t;
+  ++sim_.event_cycles_;
+  // Phase order mirrors Simulator::step(): faults (due here only on a
+  // quiescent network), post releases, arbitration, transfer, injection.
+  if (sim_.faults_active_) sim_.apply_due_faults();
+  sim_.release_due_posts(&pulls_);  // a free engine pulls this very cycle
   drain_due(t);
-  // Phase order mirrors Simulator::step(): arbitration, transfer,
-  // injection (post releases carry no observable and do not feed
-  // arbitration, so ordering them after the arb commit is equivalent).
   if (!commit_arbitrations(t)) return false;  // materialized at t
   drain_due(t);  // single-flit grants release (and deliver) this cycle
   commit_xfers(t);
-  release_posts_into_nics(t);
   commit_inject_dones(t);
   std::sort(pulls_.begin(), pulls_.end());
   pulls_.erase(std::unique(pulls_.begin(), pulls_.end()), pulls_.end());
@@ -98,7 +142,7 @@ bool EventEngine::process_cycle(Time t) {
   for (const NodeId n : touched_) recheck_nic_busy(n);
   settle_end_of_cycle(t);
   sim_.cycle_ = t + 1;
-  fire_delivery_handlers();
+  sim_.notify_finished();
   return true;
 }
 
@@ -120,7 +164,9 @@ bool EventEngine::commit_arbitrations(Time t) {
     const int router = worms_[arbs_[i]].head_at.router;
     std::size_t j = i;
     while (j < arbs_.size() && worms_[arbs_[j]].head_at.router == router) ++j;
-    const int rr0 = static_cast<int>(rr_bumps(router, t) % radix);
+    // The sweep start only orders several heads at one router.
+    const int rr0 =
+        j - i > 1 ? static_cast<int>(rr_bumps(router, t) % radix) : 0;
     for (int s = 0; s < radix; ++s) {
       const int p = (rr0 + s) % radix;
       int wi = -1;
@@ -138,29 +184,51 @@ bool EventEngine::commit_arbitrations(Time t) {
         // The reference engine throws from arbitrate() this cycle; replay
         // from the exact microstate so earlier grants in this sweep and
         // the error text come out verbatim.
-        materialize(t);
+        materialize(t, Materialization::kBail);
         return false;
       }
       int granted = -1;
       for (const int q : cand_) {
         const int cid = router * radix + q;
+        if (sim_.faults_active_ && sim_.channel_down(cid)) {
+          // The cycle engine skips the dead candidate, and purges the
+          // head if no live one remains.
+          materialize(t, Materialization::kDrop);
+          return false;
+        }
         if (sim_.channel_msg_[static_cast<std::size_t>(cid)] != kInvalidMsg)
           continue;
         if (std::find(tentative_.begin(), tentative_.end(), cid) !=
             tentative_.end())
           continue;
+        if (admitted_live_ > 0 && !window_clear(cid, t, t + w.flits - 1)) {
+          // An admitted worm holds this channel now or will reserve it
+          // before the grant would release it: the precomputed path and
+          // this head collide, and the cycle engine arbitrates them.
+          materialize(t, Materialization::kContention);
+          return false;
+        }
         granted = q;
         break;
       }
       if (granted < 0) {
-        materialize(t);  // contention: the cycle engine replays the block
+        // contention: the cycle engine replays the block
+        materialize(t, Materialization::kContention);
         return false;
       }
       const int cid = router * radix + granted;
-      if (sim_.eject_cache_[static_cast<std::size_t>(cid)] == kInvalidNode &&
-          !sim_.link_cache_[static_cast<std::size_t>(cid)].valid()) {
-        materialize(t);  // unwired channel: transfer() throws verbatim
-        return false;
+      if (sim_.eject_cache_[static_cast<std::size_t>(cid)] == kInvalidNode) {
+        const PortRef d = sim_.link_cache_[static_cast<std::size_t>(cid)];
+        if (!d.valid()) {
+          materialize(t, Materialization::kBail);  // transfer() throws verbatim
+          return false;
+        }
+        if (sim_.faults_active_ && plan_drops(sim_.plan_, w.id, d.router)) {
+          // The head is mangled crossing the link in this cycle's transfer
+          // phase; the cycle engine purges the worm there.
+          materialize(t, Materialization::kDrop);
+          return false;
+        }
       }
       tentative_.push_back(cid);
       grants_.emplace_back(wi, granted);
@@ -178,6 +246,7 @@ bool EventEngine::commit_arbitrations(Time t) {
     sim_.channel_msg_[static_cast<std::size_t>(cid)] = w.id;
     if (sim_.observer_ != nullptr)
       sim_.observer_->on_reserve(router, q, w.id, t);
+    add_window(cid, t, t + w.flits - 1);
     w.hops.push_back(Hop{router, w.head_at.port, q, t});
     sched(t + w.flits - 1, Ev::kXfer, wi,
           static_cast<int>(w.hops.size()) - 1);
@@ -187,7 +256,7 @@ bool EventEngine::commit_arbitrations(Time t) {
     } else {
       w.head_at = sim_.link_cache_[static_cast<std::size_t>(cid)];
       sched(t + r_, Ev::kArb, wi);
-      rr_begin(w.head_at.router, t + 1);
+      rr_step(w.head_at.router, t + 1, +1);
     }
   }
   return true;
@@ -207,13 +276,22 @@ void EventEngine::commit_xfers(Time t) {
   for (const auto& [wi, k] : xfers_) {
     Worm& w = worms_[wi];
     const Hop& h = w.hops[static_cast<std::size_t>(k)];
-    sim_.channel_msg_[static_cast<std::size_t>(h.router) * sim_.radix_ +
-                      h.out_port] = kInvalidMsg;
-    if (sim_.observer_ != nullptr)
-      sim_.observer_->on_release(h.router, h.out_port, w.id, t);
-    rr_end(h.router, t + 1);
+    if (!w.admitted) {
+      // An admitted worm's only entry is its delivery; it never marked
+      // its channels held and posted its arbiter steps at admission.
+      sim_.channel_msg_[static_cast<std::size_t>(h.router) * sim_.radix_ +
+                        h.out_port] = kInvalidMsg;
+      if (sim_.observer_ != nullptr)
+        sim_.observer_->on_release(h.router, h.out_port, w.id, t);
+      rr_step(h.router, t + 1, -1);
+    }
     if (w.ejecting && k == static_cast<int>(w.hops.size()) - 1) {
+      if (w.admitted) --admitted_live_;
       Message& m = sim_.messages_.at(w.id);
+      if (sim_.faults_active_ && plan_corrupts(sim_.plan_, w.id)) {
+        m.corrupted = true;
+        ++sim_.stats_.messages_corrupted;
+      }
       m.delivered = t;
       ++sim_.stats_.messages_delivered;
       --sim_.undelivered_;
@@ -232,21 +310,6 @@ void EventEngine::commit_xfers(Time t) {
       // is free for the next pull.
       free_worms_.push_back(wi);
     }
-  }
-}
-
-void EventEngine::release_posts_into_nics(Time t) {
-  while (!sim_.posts_.empty() && sim_.posts_.top().ready <= t) {
-    const MsgId id = sim_.posts_.top().id;
-    sim_.posts_.pop();
-    const NodeId src = sim_.messages_.at(id).src;
-    Simulator::Nic& nic = sim_.nics_[static_cast<std::size_t>(src)];
-    if (!nic.busy()) {
-      ++sim_.busy_nics_;
-      sim_.nic_words_[static_cast<std::size_t>(src) >> 6] |= 1ULL << (src & 63);
-    }
-    nic.queue.push_back(id);
-    pulls_.push_back(src);  // a free engine pulls this very cycle
   }
 }
 
@@ -284,25 +347,112 @@ void EventEngine::do_pulls(NodeId n, Time t) {
     eng.flits_sent = 0;
     Message& m = sim_.messages_.at(id);
     m.inject_start = t;
-    Worm w;
-    w.id = id;
-    w.flits = m.flits;
-    w.t0 = t;
-    w.nic_engine = static_cast<int>(base) + e;
-    w.head_at = sim_.attach_cache_[base + static_cast<std::size_t>(e)];
     int wi = static_cast<int>(worms_.size());
     if (free_worms_.empty()) {
-      worms_.push_back(std::move(w));
+      worms_.emplace_back();
     } else {
       wi = free_worms_.back();
       free_worms_.pop_back();
-      worms_[static_cast<std::size_t>(wi)] = std::move(w);
     }
+    Worm& w = worms_[static_cast<std::size_t>(wi)];
+    w.id = id;
+    w.flits = m.flits;
+    w.t0 = t;
+    w.eject_start = -1;
+    w.ejecting = false;
+    w.admitted = false;
+    w.nic_engine = static_cast<int>(base) + e;
+    w.head_at = sim_.attach_cache_[base + static_cast<std::size_t>(e)];
+    w.hops.clear();  // keeps the slot's capacity
+    w.hops_settled = 0;
     live_.push_back(wi);
-    sched(t + r_, Ev::kArb, wi);
     sched(t + m.flits - 1, Ev::kInjectDone, wi);
-    rr_begin(worms_[static_cast<std::size_t>(wi)].head_at.router, t + 1);
+    if (!try_admit(wi, t)) {
+      sched(t + r_, Ev::kArb, wi);
+      rr_step(w.head_at.router, t + 1, +1);
+    }
   }
+}
+
+bool EventEngine::try_admit(int wi, Time t0) {
+  if (sim_.observer_ != nullptr) return false;  // per-hop events wanted
+  Worm& w = worms_[static_cast<std::size_t>(wi)];
+  const Message& m = sim_.messages_.at(w.id);
+  const int radix = sim_.radix_;
+  const Time span = w.flits - 1;
+  // Hop k's window is [a_k, a_k + F - 1] with a_k = t0 + (k + 1) R: the
+  // lint kernel's reserve[i].  With every window free, the head wins its
+  // first candidate at each a_k whatever the sweep order, since any other
+  // head taking that channel would hold an overlapping window.  The first
+  // candidate is the only one tried: a skipped one would make the grant
+  // depend on same-cycle competitors.
+  ++stamp_;
+  PortRef at = w.head_at;
+  Time a = t0 + r_;
+  for (;;) {
+    cand_.clear();
+    sim_.topo_.route(at.router, at.port, m.src, m.dst, cand_);
+    if (cand_.empty()) break;
+    const int q = cand_.front();
+    const int cid = at.router * radix + q;
+    const auto c = static_cast<std::size_t>(cid);
+    // A revisited channel (a routing loop) would overlap itself.
+    if (seen_[c] == stamp_ || !window_clear(cid, a, a + span)) break;
+    if (sim_.faults_active_ && sim_.channel_down(cid)) break;
+    seen_[c] = stamp_;
+    w.hops.push_back(Hop{at.router, at.port, q, a});
+    if (sim_.eject_cache_[c] != kInvalidNode) {
+      w.ejecting = true;
+      break;
+    }
+    const PortRef d = sim_.link_cache_[c];
+    if (!d.valid()) break;
+    if (sim_.faults_active_ && plan_drops(sim_.plan_, w.id, d.router)) break;
+    at = d;
+    a += r_;
+  }
+  if (!w.ejecting) {
+    w.hops.clear();  // the per-hop path meets whatever stopped the walk
+    return false;
+  }
+  Time begin = t0 + 1;  // a_{-1} + 1
+  for (const Hop& h : w.hops) {
+    add_window(h.router * radix + h.out_port, h.reserve, h.reserve + span);
+    rr_step(h.router, begin, +1);
+    rr_step(h.router, h.reserve + w.flits, -1);
+    begin = h.reserve + 1;
+  }
+  w.admitted = true;
+  w.eject_start = w.hops.back().reserve;
+  sched(w.eject_start + span, Ev::kXfer, wi,
+        static_cast<int>(w.hops.size()) - 1);
+  ++admitted_live_;
+  ++sim_.admitted_worms_;
+  return true;
+}
+
+bool EventEngine::window_clear(int cid, Time s, Time e) {
+  std::vector<Window>& v = windows_[static_cast<std::size_t>(cid)];
+  const Time now = sim_.cycle_;
+  bool clear = true;
+  std::size_t keep = 0;
+  for (const Window& x : v) {
+    if (x.end < now) continue;  // released: cannot meet a window from now on
+    v[keep++] = x;
+    if (x.start <= e && x.end >= s) clear = false;
+  }
+  v.resize(keep);
+  return clear;
+}
+
+void EventEngine::add_window(int cid, Time s, Time e) {
+  std::vector<Window>& v = windows_[static_cast<std::size_t>(cid)];
+  const Time now = sim_.cycle_;
+  // Per-hop grants add windows nobody may check (no admission runs under
+  // an observer), so adding prunes too, once the oldest has expired.
+  if (!v.empty() && v.front().end < now)
+    std::erase_if(v, [now](const Window& x) { return x.end < now; });
+  v.push_back(Window{s, e});
 }
 
 void EventEngine::recheck_nic_busy(NodeId n) {
@@ -313,61 +463,68 @@ void EventEngine::recheck_nic_busy(NodeId n) {
   }
 }
 
-void EventEngine::fire_delivery_handlers() {
-  if (sim_.delivered_now_.empty()) return;
-  sim_.delivery_batch_.swap(sim_.delivered_now_);
-  if (sim_.on_delivery_)
-    for (const MsgId id : sim_.delivery_batch_)
-      sim_.on_delivery_(sim_.messages_.at(id));
-  sim_.delivery_batch_.clear();
-}
-
 void EventEngine::rr_flush(int router, Time upto) {
   RrAcct& a = rr_[static_cast<std::size_t>(router)];
+  std::size_t i = 0;
+  for (; i < a.steps.size() && a.steps[i].first <= upto; ++i) {
+    if (a.refcnt > 0) a.accum += a.steps[i].first - a.since;
+    a.since = a.steps[i].first;
+    a.refcnt += a.steps[i].second;
+  }
+  a.steps.erase(a.steps.begin(),
+                a.steps.begin() + static_cast<std::ptrdiff_t>(i));
   if (a.refcnt > 0) a.accum += upto - a.since;
   a.since = upto;
 }
 
-void EventEngine::rr_begin(int router, Time from) {
-  rr_flush(router, from);
-  ++rr_[static_cast<std::size_t>(router)].refcnt;
+void EventEngine::rr_step(int router, Time at, int delta) {
+  RrAcct& a = rr_[static_cast<std::size_t>(router)];
+  // Folding in the steps already past keeps the pending list short.
+  if (a.steps.size() >= 16 && a.steps.front().first <= sim_.cycle_)
+    rr_flush(router, sim_.cycle_);
+  auto it = a.steps.end();
+  while (it != a.steps.begin() && std::prev(it)->first > at) --it;
+  a.steps.insert(it, {at, delta});
 }
 
-void EventEngine::rr_end(int router, Time from) {
-  rr_flush(router, from);
-  --rr_[static_cast<std::size_t>(router)].refcnt;
-}
-
-long long EventEngine::rr_bumps(int router, Time at) const {
-  const RrAcct& a = rr_[static_cast<std::size_t>(router)];
-  return a.accum + (a.refcnt > 0 ? at - a.since : 0);
+long long EventEngine::rr_bumps(int router, Time at) {
+  rr_flush(router, at);
+  return rr_[static_cast<std::size_t>(router)].accum;
 }
 
 void EventEngine::settle_window(Time upto) {
-  if (upto <= settled_) return;
-  // No event lies in (settled_, upto], so the injecting/consuming worm
-  // sets are those of the first unsettled cycle and the count is linear.
-  const Time s = settled_ + 1;
-  long long rate = 0;
-  bool injecting = false;
-  for (const int wi : live_) {
-    const Worm& w = worms_[static_cast<std::size_t>(wi)];
-    if (s <= w.t0 + w.flits - 1) {
-      ++rate;
-      injecting = true;
+  while (settled_ < upto) {
+    // No event lies in (settled_, upto], so the injecting worm set is
+    // that of the first unsettled cycle.  Only an admitted worm's
+    // consumption can begin inside the window (its ejection reserve is no
+    // event), so the window splits there and each piece is linear.
+    const Time s = settled_ + 1;
+    Time end = upto;
+    long long rate = 0;
+    bool injecting = false;
+    for (const int wi : live_) {
+      const Worm& w = worms_[static_cast<std::size_t>(wi)];
+      if (s <= w.t0 + w.flits - 1) {
+        ++rate;
+        injecting = true;
+      }
+      if (w.eject_start < 0) continue;
+      if (w.eject_start <= s)
+        --rate;
+      else
+        end = std::min(end, w.eject_start - 1);
     }
-    if (w.eject_start >= 0) --rate;
+    if (injecting) {
+      // max_inflight samples only on injection cycles; on a linear stretch
+      // the peak is at whichever endpoint the slope favours.
+      const long long peak =
+          inflight_ + (rate > 0 ? rate * (end - settled_) : rate);
+      if (peak > sim_.stats_.max_inflight_flits)
+        sim_.stats_.max_inflight_flits = static_cast<int>(peak);
+    }
+    inflight_ += rate * (end - settled_);
+    settled_ = end;
   }
-  if (injecting) {
-    // max_inflight samples only on injection cycles; on a linear stretch
-    // the peak is at whichever endpoint the slope favours.
-    const long long peak =
-        inflight_ + (rate > 0 ? rate * (upto - settled_) : rate);
-    if (peak > sim_.stats_.max_inflight_flits)
-      sim_.stats_.max_inflight_flits = static_cast<int>(peak);
-  }
-  inflight_ += rate * (upto - settled_);
-  settled_ = upto;
   sim_.inflight_flits_ = static_cast<int>(inflight_);
 }
 
@@ -379,7 +536,7 @@ void EventEngine::settle_end_of_cycle(Time t) {
     const Time last = w.t0 + w.flits - 1;
     f += std::min(t, last) - w.t0 + 1;
     if (t <= last) injected = true;
-    if (w.eject_start >= 0)
+    if (w.eject_start >= 0 && w.eject_start <= t)
       f -= std::min(t, w.eject_start + w.flits - 1) - w.eject_start + 1;
   }
   inflight_ = f;
@@ -402,12 +559,15 @@ void EventEngine::settle_hops(Time upto) {
   }
 }
 
-void EventEngine::materialize(Time at) {
+void EventEngine::materialize(Time at, Materialization why) {
+  ++sim_.materializations_[static_cast<int>(why)];
   settle_window(at - 1);
   settle_hops(at - 1);
   // Rebuild the exact start-of-cycle `at` microstate from the closed
   // forms: flit i sits in stage s's FIFO iff a_{s-1}+i < at <= a_s+i
-  // (a_{-1} = t0; the stage past the last committed hop is unbounded).
+  // (a_{-1} = t0; the stage past the last reserved hop is unbounded).
+  // Hops reserved at or after `at` (an admitted worm's future) are not
+  // part of the state yet.
   struct Slot {
     int router;
     int port;
@@ -419,8 +579,19 @@ void EventEngine::materialize(Time at) {
   for (const int wi : live_) {
     const Worm& w = worms_[static_cast<std::size_t>(wi)];
     const int F = w.flits;
-    const int routed = static_cast<int>(w.hops.size());
-    const int stages = w.ejecting ? routed : routed + 1;
+    int routed = 0;
+    while (routed < static_cast<int>(w.hops.size()) &&
+           w.hops[static_cast<std::size_t>(routed)].reserve < at)
+      ++routed;
+    const bool ejecting =
+        w.ejecting && routed == static_cast<int>(w.hops.size());
+    const int stages = ejecting ? routed : routed + 1;
+    // The head waits at the input of the first unreserved hop.
+    const PortRef head =
+        routed < static_cast<int>(w.hops.size())
+            ? PortRef{w.hops[static_cast<std::size_t>(routed)].router,
+                      w.hops[static_cast<std::size_t>(routed)].in_port}
+            : w.head_at;
     if (w.t0 <= at - 1)
       lastp = std::max(lastp, std::min<Time>(at - 1, w.t0 + F - 1));
     for (const Hop& h : w.hops)
@@ -445,8 +616,8 @@ void EventEngine::materialize(Time at) {
         slot.router = w.hops[static_cast<std::size_t>(s)].router;
         slot.port = w.hops[static_cast<std::size_t>(s)].in_port;
       } else {
-        slot.router = w.head_at.router;
-        slot.port = w.head_at.port;
+        slot.router = head.router;
+        slot.port = head.port;
       }
       slot.entry =
           (s == 0 ? w.t0 : w.hops[static_cast<std::size_t>(s - 1)].reserve) + i;
@@ -478,10 +649,14 @@ void EventEngine::materialize(Time at) {
                                                              s.entry);
   for (const int wi : live_) {
     const Worm& w = worms_[static_cast<std::size_t>(wi)];
-    for (const Hop& h : w.hops)
-      if (h.reserve + w.flits - 1 >= at)
-        sim_.routers_[static_cast<std::size_t>(h.router)].reserve(h.in_port,
-                                                                  h.out_port);
+    for (const Hop& h : w.hops) {
+      if (h.reserve >= at || h.reserve + w.flits - 1 < at) continue;
+      sim_.routers_[static_cast<std::size_t>(h.router)].reserve(h.in_port,
+                                                                h.out_port);
+      // Admitted worms never marked their channels held.
+      sim_.channel_msg_[static_cast<std::size_t>(h.router) * sim_.radix_ +
+                        h.out_port] = w.id;
+    }
   }
   for (int r = 0; r < static_cast<int>(sim_.routers_.size()); ++r) {
     Router& router = sim_.routers_[static_cast<std::size_t>(r)];
@@ -492,7 +667,7 @@ void EventEngine::materialize(Time at) {
   sim_.cycle_ = at;
   handoff_stalled_ =
       lastp < 0 ? 0 : std::max<Time>(0, (at - 1) - lastp);
-  sim_.event_disabled_ = true;
+  sim_.event_mode_ = false;
   live_.clear();
 }
 

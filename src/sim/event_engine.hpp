@@ -18,18 +18,33 @@
 // cycle (deterministic tie-break, with per-phase sorts that mirror the
 // cycle engine's sweep orders) and executes event cycles only.
 //
-// Laminarity is self-sustaining: the only way a worm can deviate from
-// the closed forms is to lose an arbitration, and at that very cycle the
+// Whole-worm admission: at the NI pull the engine walks the worm's path
+// once (first routing candidate at every hop).  When no hop's window
+// [a_k, a_k + F - 1] overlaps a live or admitted window on its channel,
+// and no hop meets a dead channel or a plan drop, the worm is admitted:
+// it schedules only its injection end and its delivery, and its arbiter
+// activity is posted up front.  Otherwise — or when an observer wants
+// every reserve and release — it takes the per-hop path, one arbitration
+// event per hop.  A per-hop grant whose window reaches an admitted one
+// is a collision and materializes.
+//
+// Laminarity is self-sustaining: the only ways a worm can deviate from
+// the closed forms are to lose an arbitration, to meet a dead channel or
+// a plan drop, or to be hit by a fault event.  At that very cycle the
 // engine *materializes* the exact cycle-engine microstate (FIFO contents
 // with historical entry times, channel reservations, NI engine state,
 // rotating-arbiter positions reconstructed from activity intervals) and
-// permanently hands this Simulator to the cycle engine — which then
-// replays the contended cycle itself, emitting on_blocked / conflict
-// accounting at exactly the cycle the reference engine would.  Fault
-// plans and router_delay < 1 skip event mode entirely.  The result is
-// bit-identical SimStats, delivery times, observer streams, and watchdog
-// reports on every workload, with event-speed execution on the
-// contention-free schedules the paper's theorems produce.
+// hands this Simulator to the cycle engine — which replays the cycle
+// itself, emitting on_blocked / conflict accounting or purging the worm
+// at exactly the cycle the reference engine would.  Once a cycle-engine
+// step leaves the network quiescent, the Simulator re-enters event mode.
+// Fault events on a quiescent network apply in event mode, at the post
+// release the cycle engine's fast-forward would stop at; a run horizon
+// stops the clock with the calendar intact.  Only router_delay < 1 skips
+// event mode entirely.  The result is bit-identical SimStats, delivery
+// times, observer streams, and watchdog reports on every workload, with
+// event-speed execution on the contention-free schedules the paper's
+// theorems produce.
 #pragma once
 
 #include <queue>
@@ -46,21 +61,25 @@ class EventEngine {
   /// structures never diverge between the two engines.
   explicit EventEngine(Simulator& sim);
 
-  /// Processes the next event cycle.  Returns true when an event cycle
-  /// was executed; returns false when the engine instead materialized
-  /// the flit-level microstate and disabled itself (blocked head,
-  /// truncation at max_cycles, or defensive bail) — the caller's loop
-  /// then continues with the cycle engine from an exact state.
+  /// Processes the next event cycle, or stops the clock at a horizon
+  /// (max_cycles) that falls before it.  Returns false when the engine
+  /// instead materialized the flit-level microstate and left event mode
+  /// (blocked head, fault event under live worms, dead or dropping
+  /// channel, defensive bail) — the caller's loop then continues with the
+  /// cycle engine from an exact state.
   bool advance(Time max_cycles);
+
+  /// Resumes event mode on a quiescent network after a materialization.
+  void reenter();
 
   /// Settles lazily-accounted statistics (flit hops, in-flight peaks) up
   /// to the last executed cycle; call when run_until_idle exits while
   /// event mode is still active.
   void finish_run();
 
-  /// Materializes the microstate at the current cycle and permanently
-  /// disables event mode, so external inspection (stall_report) sees the
-  /// same network the cycle engine would show.
+  /// Materializes the microstate at the current cycle and leaves event
+  /// mode, so external inspection (stall_report) sees the same network
+  /// the cycle engine would show.
   void bail_out();
 
   /// True while worms are mid-flight (materialization would be needed
@@ -88,9 +107,12 @@ class EventEngine {
     int flits = 0;
     Time t0 = -1;           ///< first flit entered the attach FIFO
     Time eject_start = -1;  ///< ejection reserve: consumption begins
-    bool ejecting = false;  ///< last committed hop is the ejection channel
+    bool ejecting = false;  ///< last hop in `hops` is the ejection channel
+    bool admitted = false;  ///< whole path precomputed at the NI pull
     int nic_engine = -1;    ///< node * ports_per_node + engine index
-    PortRef head_at;        ///< input FIFO currently holding the head
+    PortRef head_at;        ///< input FIFO holding the head (per-hop worms)
+    /// Per-hop worms: the hops committed so far.  Admitted worms: every
+    /// hop through ejection, including ones reserved in the future.
     std::vector<Hop> hops;
     long long hops_settled = 0;  ///< flit pops already added to stats_
   };
@@ -98,12 +120,21 @@ class EventEngine {
   /// Rotating-arbiter reconstruction: the cycle engine bumps rr_start
   /// once per cycle a router has non-zero activity, and a laminar worm
   /// contributes activity to hop k's router exactly over
-  /// [a_{k-1} + 1, a_k + F - 1].  A refcount over these intervals,
-  /// flushed in event order, yields the exact bump count at any cycle.
+  /// [a_{k-1} + 1, a_k + F - 1].  A refcount over these intervals, fed
+  /// by time-ordered steps that may lie in the future (an admitted worm
+  /// posts all of its steps at once), yields the bump count at any cycle.
   struct RrAcct {
     long long accum = 0;  ///< active cycles before `since`
     Time since = 0;
     int refcnt = 0;
+    std::vector<std::pair<Time, int>> steps;  ///< pending, ascending time
+  };
+
+  /// A channel's hold window [start, end] (reserve through release) of a
+  /// live worm, committed or admitted.
+  struct Window {
+    Time start;
+    Time end;
   };
 
   enum class Ev : int {
@@ -131,16 +162,21 @@ class EventEngine {
   void drain_due(Time t);            ///< calendar entries at t -> buckets
   bool commit_arbitrations(Time t);  ///< false: non-laminar, materialized
   void commit_xfers(Time t);
-  void release_posts_into_nics(Time t);
   void commit_inject_dones(Time t);
   void do_pulls(NodeId n, Time t);
   void recheck_nic_busy(NodeId n);
-  void fire_delivery_handlers();
 
   void rr_flush(int router, Time upto);
-  void rr_begin(int router, Time from);
-  void rr_end(int router, Time from);
-  [[nodiscard]] long long rr_bumps(int router, Time at) const;
+  /// Schedules a refcount step of `delta` at cycle `at` (> now).
+  void rr_step(int router, Time at, int delta);
+  [[nodiscard]] long long rr_bumps(int router, Time at);
+
+  /// Walks a freshly pulled worm's whole path; when every hop's window
+  /// is free, commits it as admitted and returns true.
+  bool try_admit(int wi, Time t0);
+  /// True when [s, e] overlaps no live window on `cid` (prunes expired).
+  bool window_clear(int cid, Time s, Time e);
+  void add_window(int cid, Time s, Time e);
 
   /// Advances the in-flight accounting through end-of-cycle `upto`
   /// (exclusive of any event at a later cycle).  Between event cycles
@@ -153,7 +189,9 @@ class EventEngine {
   /// (idempotent via Worm::hops_settled).
   void settle_hops(Time upto);
 
-  void materialize(Time at);
+  /// Starts event mode afresh at the simulator's clock (network quiescent).
+  void reset();
+  void materialize(Time at, Materialization why);
 
   Simulator& sim_;
   const Time r_;  ///< cfg_.router_delay (>= 1 in event mode)
@@ -165,6 +203,10 @@ class EventEngine {
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> calendar_;
   std::vector<Time> eng_free_from_;  ///< per node * ports_per_node + engine
   std::vector<RrAcct> rr_;           ///< per router
+  std::vector<std::vector<Window>> windows_;  ///< per channel id
+  std::vector<unsigned> seen_;  ///< per channel id: last try_admit stamp
+  unsigned stamp_ = 0;
+  int admitted_live_ = 0;  ///< live worms with precomputed paths
 
   Time settled_ = -1;       ///< in-flight accounting done through this cycle
   long long inflight_ = 0;  ///< in-flight flits at end of `settled_`

@@ -168,19 +168,21 @@ bool Simulator::idle() const {
 }
 
 Time Simulator::run_until_idle(Time max_cycles) {
-  if (cfg_.engine == EngineKind::kEvent && !event_disabled_) {
-    if (faults_active_ || cfg_.router_delay < 1) {
-      // Fault plans mutate the network asynchronously and zero-delay
-      // routers forward within the arrival cycle; both void the event
-      // engine's closed forms, so such runs stay on the reference engine.
-      event_disabled_ = true;
-    } else if (!event_) {
-      event_ = std::make_unique<EventEngine>(*this);
-    }
+  if (cfg_.engine == EngineKind::kEvent && !event_ && cfg_.router_delay >= 1) {
+    // Zero-delay routers forward within the arrival cycle, which voids the
+    // event engine's closed forms; such runs stay on the reference engine.
+    event_ = std::make_unique<EventEngine>(*this);
+    event_mode_ = true;
   }
   Time stalled = 0;
   while (!idle() && cycle_ < max_cycles) {
-    if (event_ && !event_disabled_) {
+    if (event_ && !event_mode_ && network_quiescent()) {
+      // Nothing is in flight, so the closed forms describe the network
+      // again: hand the run back to the event engine.
+      event_->reenter();
+      event_mode_ = true;
+    }
+    if (event_mode_) {
       if (event_->advance(max_cycles)) {
         // Every executed event cycle moves flits, so the watchdog's
         // stalled count resets — fast-forwarded laminar spans are never
@@ -220,14 +222,14 @@ Time Simulator::run_until_idle(Time max_cycles) {
     }
     if (quiet_ && progress_ && cfg_.router_delay >= 1) leap(max_cycles);
   }
-  if (event_ && !event_disabled_) event_->finish_run();
+  if (event_mode_) event_->finish_run();
   stats_.cycles = cycle_;
   stats_.undelivered = undelivered_;
   run_status_ = idle() ? RunStatus::kCompleted : RunStatus::kTruncated;
   return cycle_;
 }
 
-void Simulator::release_due_posts() {
+void Simulator::release_due_posts(std::vector<NodeId>* released) {
   while (!posts_.empty() && posts_.top().ready <= cycle_) {
     const MsgId id = posts_.top().id;
     posts_.pop();
@@ -251,6 +253,28 @@ void Simulator::release_due_posts() {
       nic_words_[static_cast<std::size_t>(src) >> 6] |= 1ULL << (src & 63);
     }
     nic.queue.push_back(id);
+    if (released != nullptr) released->push_back(src);
+  }
+}
+
+void Simulator::notify_finished() {
+  if (!delivered_now_.empty()) {
+    // Deliveries fire after the cycle commits so handlers observe now() >
+    // delivery cycle and may immediately post follow-up messages.  The
+    // batch buffer is swapped, not reallocated, so steady-state cycles do
+    // not allocate.
+    delivery_batch_.swap(delivered_now_);
+    if (on_delivery_)
+      for (MsgId id : delivery_batch_) on_delivery_(messages_.at(id));
+    delivery_batch_.clear();
+  }
+  if (!dropped_now_.empty()) {
+    // Drop notifications follow the same post-commit discipline as
+    // deliveries, so handlers may post() retransmissions immediately.
+    delivery_batch_.swap(dropped_now_);
+    if (on_drop_)
+      for (MsgId id : delivery_batch_) on_drop_(messages_.at(id));
+    delivery_batch_.clear();
   }
 }
 
@@ -492,24 +516,7 @@ void Simulator::step() {
   }
 
   ++cycle_;
-  if (!delivered_now_.empty()) {
-    // Deliveries fire after the cycle commits so handlers observe now() >
-    // delivery cycle and may immediately post follow-up messages.  The
-    // batch buffer is swapped, not reallocated, so steady-state cycles do
-    // not allocate.
-    delivery_batch_.swap(delivered_now_);
-    if (on_delivery_)
-      for (MsgId id : delivery_batch_) on_delivery_(messages_.at(id));
-    delivery_batch_.clear();
-  }
-  if (!dropped_now_.empty()) {
-    // Drop notifications follow the same post-commit discipline as
-    // deliveries, so handlers may post() retransmissions immediately.
-    delivery_batch_.swap(dropped_now_);
-    if (on_drop_)
-      for (MsgId id : delivery_batch_) on_drop_(messages_.at(id));
-    delivery_batch_.clear();
-  }
+  notify_finished();
 }
 
 void Simulator::leap(Time max_cycles) {
@@ -524,10 +531,7 @@ void Simulator::leap(Time max_cycles) {
   const Time t = cycle_ - 1;
   Time d = max_cycles - cycle_;
   if (!posts_.empty()) d = std::min(d, posts_.top().ready - cycle_);
-  if (next_link_event_ < plan_.link_events.size())
-    d = std::min(d, plan_.link_events[next_link_event_].cycle - cycle_);
-  if (next_node_event_ < plan_.node_events.size())
-    d = std::min(d, plan_.node_events[next_node_event_].cycle - cycle_);
+  d = std::min(d, next_fault_cycle() - cycle_);
   if (d < 2) return;  // a one-cycle leap costs a scan to save one step
 
   // Injecting engines stream body flits until a tail is due; checked
@@ -663,24 +667,47 @@ void Simulator::fail_node(NodeId n) {
   // discover the dead consumer only at its doorstep.
 }
 
+Time Simulator::next_fault_cycle() const {
+  Time t = kTimeInfinity;
+  if (next_link_event_ < plan_.link_events.size())
+    t = plan_.link_events[next_link_event_].cycle;
+  if (next_node_event_ < plan_.node_events.size())
+    t = std::min(t, plan_.node_events[next_node_event_].cycle);
+  return t;
+}
+
 void Simulator::purge_message(MsgId id, DropReason reason) {
   Message& msg = messages_.at(id);
   if (msg.finished()) return;
   quiet_ = false;
+  // Only routers with activity hold channels or flits, and every one of
+  // them is on the active worklist; ascending router/port order keeps the
+  // on_release sequence of a full channel scan.
   // 1. Release every channel the worm holds (the simulator tracks holder
   //    identity; the router only tracks port pairings).
-  const std::size_t channels = channel_msg_.size();
-  for (std::size_t c = 0; c < channels; ++c) {
-    if (channel_msg_[c] != id) continue;
-    const int r = static_cast<int>(c) / radix_;
-    const int q = static_cast<int>(c) % radix_;
-    const int p = routers_[r].out_holder(q);
-    routers_[r].release(p, q);
-    channel_msg_[c] = kInvalidMsg;
-    if (observer_ != nullptr) observer_->on_release(r, q, id, cycle_);
+  for (std::size_t wi = 0; wi < active_words_.size(); ++wi) {
+    for (std::uint64_t w = active_words_[wi]; w != 0; w &= w - 1) {
+      const int r = static_cast<int>((wi << 6) |
+                                     static_cast<unsigned>(std::countr_zero(w)));
+      Router& router = routers_[static_cast<std::size_t>(r)];
+      if (router.held() == 0) continue;
+      for (int q = 0; q < radix_; ++q) {
+        const std::size_t c = static_cast<std::size_t>(r) * radix_ + q;
+        if (channel_msg_[c] != id) continue;
+        router.release(router.out_holder(q), q);
+        channel_msg_[c] = kInvalidMsg;
+        if (observer_ != nullptr) observer_->on_release(r, q, id, cycle_);
+      }
+    }
   }
   // 2. Remove its buffered flits everywhere.
-  for (Router& router : routers_) inflight_flits_ -= router.purge_msg(id);
+  for (std::size_t wi = 0; wi < active_words_.size(); ++wi) {
+    for (std::uint64_t w = active_words_[wi]; w != 0; w &= w - 1) {
+      Router& router =
+          routers_[(wi << 6) | static_cast<unsigned>(std::countr_zero(w))];
+      if (router.activity() > 0) inflight_flits_ -= router.purge_msg(id);
+    }
+  }
   // 3. Detach it from the source NI (mid-injection or still queued).
   Nic& nic = nics_[msg.src];
   const bool was_busy = nic.busy();
@@ -706,7 +733,7 @@ WatchdogReport Simulator::stall_report(Time stalled_cycles) const {
   // flits; force the flit-level state into the routers first so the
   // report matches the cycle engine's verbatim.  (Logically const: this
   // only realizes state the simulation already owns.)
-  if (event_ && !event_disabled_ && event_->live())
+  if (event_mode_ && event_->live())
     const_cast<Simulator*>(this)->event_->bail_out();
   WatchdogReport rep;
   rep.cycle = cycle_;

@@ -59,16 +59,28 @@ namespace pcm::sim {
 /// laminar (every head wins arbitration the first cycle it is eligible)
 /// all reserve/release/delivery times are closed-form affine functions of
 /// the injection start, so the engine only touches the event calendar.
-/// On the first non-laminar condition — a blocked head, a fault plan, a
-/// truncated run — it materializes the exact flit-level microstate of
-/// that cycle and permanently (for this Simulator) hands control to the
-/// cycle engine, which makes the two engines bit-identical by
-/// construction: SimStats, delivery times, observer callback sequences,
-/// and watchdog reports all match.
+/// On a non-laminar condition — a blocked head, a fault event falling due
+/// under live worms, a dead or dropping channel on a head's path — it
+/// materializes the exact flit-level microstate of that cycle and hands
+/// control to the cycle engine, which re-enters event mode as soon as a
+/// step leaves the network quiescent.  Fault plans and run horizons stay
+/// in event mode; only router_delay < 1 pins a run to the cycle engine.
+/// The two engines are bit-identical by construction: SimStats, delivery
+/// times, observer callback sequences, and watchdog reports all match.
 enum class EngineKind {
   kCycle,  ///< cycle-driven reference engine
-  kEvent,  ///< event calendar + closed-form fast-forward, cycle fallback
+  kEvent,  ///< event calendar + closed-form fast-forward, cycle hand-off
 };
+
+/// Why the event engine handed a run to the cycle engine (see
+/// Simulator::materializations()).
+enum class Materialization {
+  kContention,  ///< a head lost arbitration or met an admitted path
+  kFaultEvent,  ///< a link or node event fell due under live worms
+  kDrop,        ///< a head met a dead channel or a plan drop
+  kBail,        ///< defensive paths, stall_report(), a late observer
+};
+inline constexpr int kMaterializationKinds = 4;
 
 struct SimConfig {
   int fifo_capacity = 4;        ///< input buffer depth, flits
@@ -156,8 +168,8 @@ class Simulator {
   [[nodiscard]] Time now() const { return cycle_; }
 
   /// True when a non-empty fault plan is installed.  Drivers use this to
-  /// pick the reliable streaming path (and the cycle engine) up front
-  /// instead of discovering mid-run that messages can be lost.
+  /// pick the reliable streaming path up front instead of discovering
+  /// mid-run that messages can be lost.
   [[nodiscard]] bool fault_plan_active() const { return faults_active_; }
 
   /// The installed plan (normalized: cut events lowered into link events,
@@ -213,6 +225,16 @@ class Simulator {
   [[nodiscard]] long long leaps() const { return leaps_; }
   [[nodiscard]] long long leaped_cycles() const { return leaped_cycles_; }
 
+  /// Event-engine counters, kept out of SimStats for the same reason:
+  /// hand-offs to the cycle engine by trigger, returns to event mode,
+  /// event cycles executed, and worms admitted whole at injection.
+  [[nodiscard]] long long materializations(Materialization why) const {
+    return materializations_[static_cast<int>(why)];
+  }
+  [[nodiscard]] long long reentries() const { return reentries_; }
+  [[nodiscard]] long long event_cycles() const { return event_cycles_; }
+  [[nodiscard]] long long admitted_worms() const { return admitted_worms_; }
+
  private:
   struct Nic {
     /// One injection engine per NI port (one-port machines have one).
@@ -255,7 +277,11 @@ class Simulator {
   /// Called after a quiet step(): jumps the clock over the steady
   /// streaming cycles that follow, if the network is in such a state.
   void leap(Time max_cycles);
-  void release_due_posts();
+  /// Moves due posts into their NI queues (dropping a dead sender's);
+  /// appends each queued post's source to `released` when given.
+  void release_due_posts(std::vector<NodeId>* released = nullptr);
+  /// End-of-cycle callbacks: delivery handlers, then drop handlers.
+  void notify_finished();
   void arbitrate(int r);
   void transfer(int r);
   void inject(NodeId n);
@@ -266,6 +292,8 @@ class Simulator {
   void apply_due_faults();
   void fail_node(NodeId n);
   void purge_message(MsgId id, DropReason reason);
+  /// Cycle of the next unapplied link or node event (kTimeInfinity if none).
+  [[nodiscard]] Time next_fault_cycle() const;
   [[nodiscard]] bool channel_down(ChannelId c) const {
     if (channel_dead_[static_cast<std::size_t>(c)]) return true;
     const NodeId ej = eject_cache_[c];
@@ -319,7 +347,11 @@ class Simulator {
 
   // --- hybrid event engine (cfg_.engine == kEvent only) ---
   std::unique_ptr<EventEngine> event_;  ///< lazily created on the first run
-  bool event_disabled_ = false;  ///< permanent cycle fallback for this sim
+  bool event_mode_ = false;  ///< the event engine drives the next cycle
+  long long materializations_[kMaterializationKinds] = {};
+  long long reentries_ = 0;
+  long long event_cycles_ = 0;
+  long long admitted_worms_ = 0;
 
   Time cycle_ = 0;
   int inflight_flits_ = 0;

@@ -7,10 +7,15 @@
 // randomized sweep over mesh and BMIN, single-flit and deep-pipeline
 // router delays, fault-plan fallback, truncation + resume, and the
 // deadlocked-ring watchdog regression from the fast-forward accounting
-// fix.  The last section holds the cycle engine's steady-state leap to a
-// one-cycle-at-a-time reference on contended trees, deep pipelines,
-// small and large buffers, two-port NIs, fault plans and cut horizons,
-// down to the flight recorder's bytes.
+// fix.  Runs without an observer let the event engine admit worms whole;
+// those compare the delivery/drop handler log instead, and the engine
+// counters prove which path ran: reliable streams with receiver kills,
+// source failover and partitions, corrupt-rate plans, dead senders,
+// horizon cuts, and collisions with admitted paths.  The last section
+// holds the cycle engine's steady-state leap to a one-cycle-at-a-time
+// reference on contended trees, deep pipelines, small and large buffers,
+// two-port NIs, fault plans and cut horizons, down to the flight
+// recorder's bytes.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -26,6 +31,8 @@
 #include "obs/export.hpp"
 #include "obs/recorder.hpp"
 #include "runtime/mcast_runtime.hpp"
+#include "runtime/stream_runtime.hpp"
+#include "sim/fault.hpp"
 #include "sim/simulator.hpp"
 
 namespace pcm::sim {
@@ -75,17 +82,35 @@ struct RunCapture {
   std::string events;
   std::vector<Message> messages;
   std::string stall;
+  // Engine counters: which path the event engine took (not compared).
+  long long admitted = 0;
+  long long reentries = 0;
+  long long event_cycles = 0;
+  long long materialized[kMaterializationKinds] = {};
+  [[nodiscard]] long long materializations(Materialization why) const {
+    return materialized[static_cast<int>(why)];
+  }
 };
 
 /// Runs `drive` on a fresh simulator under `engine` and captures every
 /// observable.  `drive` posts traffic and calls run_until_idle itself.
+/// With `observe` the log holds every observer callback; without, it
+/// holds the delivery and drop handler calls (unless `drive` installs
+/// its own handlers), and the event engine may admit worms whole.
 RunCapture capture(const Topology& topo, SimConfig cfg, EngineKind engine,
                    const std::function<void(Simulator&)>& drive,
-                   bool take_stall_report = false) {
+                   bool take_stall_report = false, bool observe = true) {
   cfg.engine = engine;
   Simulator sim(topo, cfg);
   RecordingObserver obs;
-  sim.set_observer(&obs);
+  if (observe) {
+    sim.set_observer(&obs);
+  } else {
+    sim.set_delivery_handler(
+        [&](const Message& m) { obs.on_deliver(m, sim.now()); });
+    sim.set_drop_handler(
+        [&](const Message& m) { obs.on_drop(m.id, m.drop_reason, sim.now()); });
+  }
   drive(sim);
   RunCapture cap;
   cap.stats = sim.stats();
@@ -94,6 +119,11 @@ RunCapture capture(const Topology& topo, SimConfig cfg, EngineKind engine,
   cap.events = obs.text();
   cap.messages = sim.messages().all();
   if (take_stall_report) cap.stall = sim.stall_report().to_string();
+  cap.admitted = sim.admitted_worms();
+  cap.reentries = sim.reentries();
+  cap.event_cycles = sim.event_cycles();
+  for (int k = 0; k < kMaterializationKinds; ++k)
+    cap.materialized[k] = sim.materializations(static_cast<Materialization>(k));
   return cap;
 }
 
@@ -145,14 +175,25 @@ void expect_equivalent(const RunCapture& cyc, const RunCapture& evt) {
   }
 }
 
-void run_both(const Topology& topo, SimConfig cfg,
-              const std::function<void(Simulator&)>& drive,
-              bool take_stall_report = false) {
+/// Compares both engines; returns the event run for counter checks.
+RunCapture run_both(const Topology& topo, SimConfig cfg,
+                    const std::function<void(Simulator&)>& drive,
+                    bool take_stall_report = false, bool observe = true) {
   const RunCapture cyc =
-      capture(topo, cfg, EngineKind::kCycle, drive, take_stall_report);
+      capture(topo, cfg, EngineKind::kCycle, drive, take_stall_report, observe);
   const RunCapture evt =
-      capture(topo, cfg, EngineKind::kEvent, drive, take_stall_report);
+      capture(topo, cfg, EngineKind::kEvent, drive, take_stall_report, observe);
   expect_equivalent(cyc, evt);
+  EXPECT_EQ(cyc.admitted + cyc.reentries + cyc.event_cycles, 0)
+      << "the cycle engine never starts the event engine";
+  return evt;
+}
+
+/// run_both without an observer: worms may be admitted whole.
+RunCapture run_both_unobserved(const Topology& topo, SimConfig cfg,
+                               const std::function<void(Simulator&)>& drive,
+                               bool take_stall_report = false) {
+  return run_both(topo, cfg, drive, take_stall_report, /*observe=*/false);
 }
 
 Message mk(NodeId src, NodeId dst, int flits, Time ready = 0) {
@@ -288,7 +329,7 @@ TEST(EngineEquiv, BackToBackFromOneSource) {
   });
 }
 
-// --- fault plans fall back to the reference engine ---------------------
+// --- fault plans: events under live worms hand over to the cycle engine -
 
 TEST(EngineEquiv, FaultPlanFallsBackIdentically) {
   const auto topo = mesh::make_mesh2d(4);
@@ -360,6 +401,451 @@ TEST(EngineEquiv, DeliveryHandlersPostFollowUps) {
     sim.post(mk(0, 21, 12));
     sim.run_until_idle();
   });
+}
+
+// --- whole-worm admission and two-way hand-off (no observer) -----------
+
+TEST(EngineEquiv, RandomSweepAdmittedMeshAndBmin) {
+  // Without an observer laminar worms are admitted whole; random traffic
+  // collides with admitted paths, hands over, and re-enters.
+  const auto mesh8 = mesh::make_mesh2d(8);
+  const auto bmin64 = bmin::make_bmin(64, bmin::UpPolicy::kAdaptive);
+  long long admitted = 0;
+  long long reentries = 0;
+  long long collisions = 0;
+  for (const Topology* topo : {static_cast<const Topology*>(mesh8.get()),
+                               static_cast<const Topology*>(bmin64.get())}) {
+    for (unsigned seed = 1; seed <= 6; ++seed) {
+      SCOPED_TRACE(::testing::Message() << topo->num_routers() << " routers, seed "
+                                        << seed);
+      const RunCapture evt = run_both_unobserved(
+          *topo, SimConfig{}, [seed](Simulator& sim) { random_traffic(sim, 64, 48, seed); });
+      admitted += evt.admitted;
+      reentries += evt.reentries;
+      collisions += evt.materializations(Materialization::kContention);
+    }
+  }
+  EXPECT_GT(admitted, 0);
+  EXPECT_GT(reentries, 0);
+  EXPECT_GT(collisions, 0);
+}
+
+TEST(EngineEquiv, RandomSweepAdmittedDeepRouterDelay) {
+  const auto topo = mesh::make_mesh2d(8);
+  for (const Time delay : {Time{2}, Time{3}}) {
+    for (unsigned seed = 21; seed <= 23; ++seed) {
+      SCOPED_TRACE(::testing::Message() << "delay " << delay << " seed " << seed);
+      SimConfig cfg;
+      cfg.router_delay = delay;
+      const RunCapture evt = run_both_unobserved(
+          *topo, cfg, [seed](Simulator& sim) { random_traffic(sim, 64, 32, seed); });
+      EXPECT_GT(evt.admitted, 0);
+    }
+  }
+}
+
+TEST(EngineEquiv, AdmittedContentionFreeTreeNeverHandsOver) {
+  // A Theorem-1 schedule: every worm is admitted at its NI pull and the
+  // engine executes only pulls, injection ends and deliveries.
+  const auto topo = mesh::make_mesh2d(16);
+  const auto p = analysis::sample_placements(5, 256, 32, 1)[0];
+  const RunCapture evt = run_both_unobserved(*topo, SimConfig{}, [&](Simulator& sim) {
+    rt::MulticastRuntime rtm(rt::RuntimeConfig{});
+    rtm.run_algorithm(sim, McastAlgorithm::kOptMesh, p.source, p.dests, 4096,
+                      &topo->shape());
+  });
+  EXPECT_EQ(evt.admitted, 31);
+  EXPECT_EQ(evt.reentries, 0);
+  for (int k = 0; k < kMaterializationKinds; ++k) EXPECT_EQ(evt.materialized[k], 0);
+  EXPECT_LE(evt.event_cycles, 3 * 31);
+}
+
+TEST(EngineEquiv, AdmissionBminAdaptiveSameCycleTie) {
+  // Worms 0 -> 63 and 16 -> 48 climb the same number of stages and meet
+  // at one switch in the same cycle, both preferring the same up-port.
+  // The first pull is admitted; the second finds that window taken and
+  // keeps the per-hop path, and at the meeting cycle the cycle engine
+  // settles the tie in rotating-arbiter order.
+  const auto topo = bmin::make_bmin(64, bmin::UpPolicy::kAdaptive);
+  for (const bool observe : {false, true}) {
+    SCOPED_TRACE(observe ? "observed" : "unobserved");
+    const RunCapture evt = run_both(
+        *topo, SimConfig{},
+        [](Simulator& sim) {
+          sim.post(mk(0, 63, 24));
+          sim.post(mk(16, 48, 24));
+          sim.run_until_idle();
+        },
+        false, observe);
+    EXPECT_EQ(evt.admitted, observe ? 0 : 1);
+    EXPECT_EQ(evt.materializations(Materialization::kContention), 1);
+    EXPECT_GT(evt.stats.channel_conflicts, 0);
+  }
+}
+
+TEST(EngineEquiv, AdmissionLateWindowOnAnAdmittedChannel) {
+  // Worm A (0 -> 7) is admitted with its whole row path.  A later worm
+  // on a disjoint window of A's channels is admitted too; one whose
+  // window reaches A's — starting before A's head arrives, or while A
+  // holds the channel — keeps the per-hop path and hands over at the
+  // colliding grant.
+  const auto topo = mesh::make_mesh2d(8);
+  const RunCapture clear = run_both_unobserved(*topo, SimConfig{}, [](Simulator& sim) {
+    sim.post(mk(0, 7, 10));
+    sim.post(mk(3, 7, 6, 20));  // A released router 3's east channel at 13
+    sim.run_until_idle();
+  });
+  EXPECT_EQ(clear.admitted, 2);
+  EXPECT_EQ(clear.reentries, 0);
+  for (const Time ready : {Time{0}, Time{5}}) {
+    SCOPED_TRACE(ready);
+    const RunCapture hit = run_both_unobserved(*topo, SimConfig{}, [ready](Simulator& sim) {
+      sim.post(mk(0, 7, 10));
+      sim.post(mk(3, 7, 30, ready));
+      sim.post(mk(40, 47, 8, 200));  // after the hand-off: admitted again
+      sim.run_until_idle();
+    });
+    EXPECT_EQ(hit.admitted, 2);
+    EXPECT_EQ(hit.materializations(Materialization::kContention), 1);
+    EXPECT_EQ(hit.reentries, 1);
+    EXPECT_GT(hit.stats.channel_conflicts, 0);
+  }
+}
+
+TEST(EngineEquiv, AdmissionTwoPortNi) {
+  // Two injection engines per node pull two worms out of one NI in the
+  // same cycle, onto distinct attach ports.
+  mesh::MeshTopology topo(MeshShape::square2d(8), mesh::RouteOrder::kHighestFirst, 2);
+  const RunCapture evt = run_both_unobserved(topo, SimConfig{}, [](Simulator& sim) {
+    for (int i = 0; i < 6; ++i) sim.post(mk(0, 63 - 9 * i, 12, 0));
+    for (int i = 0; i < 6; ++i) sim.post(mk(63, 9 * i, 12, 3));
+    sim.run_until_idle();
+  });
+  EXPECT_GT(evt.admitted, 0);
+}
+
+TEST(EngineEquiv, DeadSenderPostReleasedInEventMode) {
+  // Node 5 dies while the network is quiescent: the event engine applies
+  // the event at the next post release without handing over, drops the
+  // dead sender's later posts at release, and fires drop handlers after
+  // that cycle's delivery handlers.
+  const auto topo = mesh::make_mesh2d(4);
+  FaultPlan plan;
+  plan.node_events.push_back(FaultPlan::NodeEvent{100, 5});
+  for (const bool observe : {true, false}) {
+    SCOPED_TRACE(observe ? "observed" : "unobserved");
+    const RunCapture evt = run_both(
+        *topo, SimConfig{},
+        [&](Simulator& sim) {
+          sim.set_fault_plan(plan);
+          sim.post(mk(0, 15, 8, 0));
+          sim.post(mk(5, 10, 8, 150));   // dropped at release
+          sim.post(mk(12, 3, 1, 143));   // delivered at 150
+          sim.post(mk(5, 0, 4, 150));    // dropped too, after the first
+          sim.post(mk(3, 12, 6, 300));
+          sim.run_until_idle();
+          EXPECT_EQ(sim.messages().at(1).drop_reason, DropReason::kSenderDead);
+          EXPECT_EQ(sim.messages().at(1).dropped, 150);
+          EXPECT_EQ(sim.messages().at(2).delivered, 150);
+        },
+        false, observe);
+    if (!observe) {
+      EXPECT_LT(evt.events.find("deliver 2 "), evt.events.find("drop m1 "));
+    }
+    EXPECT_EQ(evt.stats.fault_events, 1);
+    EXPECT_EQ(evt.stats.messages_dropped, 2);
+    for (int k = 0; k < kMaterializationKinds; ++k) EXPECT_EQ(evt.materialized[k], 0);
+  }
+}
+
+TEST(EngineEquiv, CorruptRatePlanStaysInEventMode) {
+  // Corruption marks deliveries inline; drops hand over at the head's
+  // grant and the engine re-enters once the network drains.
+  const auto topo = mesh::make_mesh2d(8);
+  FaultPlan plan;
+  plan.corrupt_rate = 0.2;
+  plan.drop_rate = 0.01;
+  plan.seed = 9;
+  for (const bool observe : {true, false}) {
+    SCOPED_TRACE(observe ? "observed" : "unobserved");
+    const RunCapture evt = run_both(
+        *topo, SimConfig{},
+        [&](Simulator& sim) {
+          sim.set_fault_plan(plan);
+          random_traffic(sim, 64, 60, 4);
+        },
+        false, observe);
+    EXPECT_GT(evt.stats.messages_corrupted, 0);
+    EXPECT_GT(evt.stats.messages_dropped, 0);
+    EXPECT_GT(evt.materializations(Materialization::kDrop), 0);
+    EXPECT_GT(evt.reentries, 0);
+    if (!observe) {
+      EXPECT_GT(evt.admitted, 0);
+    }
+  }
+}
+
+TEST(EngineEquiv, FaultEventsUnderLiveWormsHandOverAndReenter) {
+  // Events falling due mid-flight hand over at their cycle (the cut at 30
+  // under worm 0 -> 63, the kill at 500 under worm 3 -> 20); the ones
+  // landing on a quiescent network (the heal at 400, the kill at 5000)
+  // apply in event mode at the next post release.
+  const auto topo = mesh::make_mesh2d(8);
+  FaultPlan plan;
+  plan.link_events.push_back(FaultPlan::LinkEvent{30, 9, 1, false});
+  plan.link_events.push_back(FaultPlan::LinkEvent{400, 9, 1, true});
+  plan.node_events.push_back(FaultPlan::NodeEvent{500, 20});
+  plan.node_events.push_back(FaultPlan::NodeEvent{5000, 44});
+  for (const bool observe : {true, false}) {
+    SCOPED_TRACE(observe ? "observed" : "unobserved");
+    const RunCapture evt = run_both(
+        *topo, SimConfig{},
+        [&](Simulator& sim) {
+          sim.set_fault_plan(plan);
+          sim.post(mk(0, 63, 100, 0));
+          sim.post(mk(5, 50, 10, 450));
+          sim.post(mk(3, 20, 300, 460));   // purged at its dead ejector
+          sim.post(mk(44, 2, 10, 6000));   // dropped at release
+          sim.post(mk(2, 44, 10, 6000));   // purged at its dead ejector
+          sim.run_until_idle();
+          EXPECT_EQ(sim.messages().at(2).drop_reason, DropReason::kNodeDead);
+          EXPECT_EQ(sim.messages().at(3).drop_reason, DropReason::kSenderDead);
+        },
+        false, observe);
+    EXPECT_EQ(evt.stats.fault_events, 4);
+    EXPECT_EQ(evt.materializations(Materialization::kFaultEvent), 2);
+    EXPECT_EQ(evt.materializations(Materialization::kDrop), 1);
+    EXPECT_EQ(evt.reentries, 2);  // the run ends before a third is due
+    // The worm to the dead node 44 meets its dead ejector at admission.
+    if (!observe) {
+      EXPECT_EQ(evt.admitted, 3);
+    }
+  }
+}
+
+TEST(EngineEquiv, HorizonCutPostAtNowAndResume) {
+  // A horizon mid-flight stops the clock with worms still in the
+  // calendar; a post() at now() and the resumed run continue in event
+  // mode without a hand-off.
+  const auto topo = mesh::make_mesh2d(8);
+  for (const bool observe : {true, false}) {
+    SCOPED_TRACE(observe ? "observed" : "unobserved");
+    const RunCapture evt = run_both(
+        *topo, SimConfig{},
+        [](Simulator& sim) {
+          sim.post(mk(0, 63, 200));
+          sim.post(mk(7, 56, 120, 10));
+          sim.run_until_idle(57);
+          EXPECT_EQ(sim.run_status(), RunStatus::kTruncated);
+          EXPECT_EQ(sim.now(), 57);
+          EXPECT_FALSE(sim.idle());
+          sim.post(mk(9, 54, 40, sim.now()));
+          sim.run_until_idle(130);
+          EXPECT_EQ(sim.now(), 130);
+          sim.post(mk(18, 45, 3, sim.now()));
+          sim.run_until_idle();
+          EXPECT_EQ(sim.run_status(), RunStatus::kCompleted);
+        },
+        /*take_stall_report=*/false, observe);
+    for (int k = 0; k < kMaterializationKinds; ++k) EXPECT_EQ(evt.materialized[k], 0);
+    if (!observe) {
+      EXPECT_EQ(evt.admitted, 4);
+    }
+  }
+}
+
+TEST(EngineEquiv, HorizonCutThenStallReport) {
+  // stall_report() after a horizon materializes the admitted paths.
+  const auto topo = mesh::make_mesh2d(8);
+  const RunCapture evt = run_both_unobserved(
+      *topo, SimConfig{},
+      [](Simulator& sim) {
+        sim.post(mk(0, 63, 200));
+        sim.post(mk(7, 56, 120, 10));
+        sim.run_until_idle(40);
+      },
+      /*take_stall_report=*/true);
+  EXPECT_EQ(evt.admitted, 2);
+  EXPECT_EQ(evt.materializations(Materialization::kBail), 1);
+}
+
+TEST(EngineEquiv, ObserverAttachedBetweenRunsSeesTheRest) {
+  // Admitted worms produce no per-hop events, so attaching an observer
+  // mid-flight hands them to the cycle engine first.
+  const auto topo = mesh::make_mesh2d(8);
+  std::string logs[2];
+  for (const EngineKind engine : {EngineKind::kCycle, EngineKind::kEvent}) {
+    SimConfig cfg;
+    cfg.engine = engine;
+    Simulator sim(*topo, cfg);
+    RecordingObserver obs;
+    sim.post(mk(0, 63, 100));
+    sim.post(mk(9, 54, 40, 5));
+    sim.run_until_idle(30);
+    sim.set_observer(&obs);
+    sim.run_until_idle();
+    logs[engine == EngineKind::kCycle ? 0 : 1] = obs.text();
+    if (engine == EngineKind::kEvent) {
+      EXPECT_EQ(sim.admitted_worms(), 2);
+      EXPECT_EQ(sim.materializations(Materialization::kBail), 1);
+    }
+  }
+  expect_same_log(logs[0], logs[1]);
+}
+
+// --- reliable streams on the event engine -------------------------------
+
+void expect_same_stream(const rt::StreamResult& a, const rt::StreamResult& b) {
+  EXPECT_EQ(a.committed, b.committed);
+  EXPECT_EQ(a.makespan, b.makespan);
+  EXPECT_EQ(a.model_slot_latency, b.model_slot_latency);
+  EXPECT_EQ(a.messages, b.messages);
+  EXPECT_EQ(a.channel_conflicts, b.channel_conflicts);
+  EXPECT_EQ(a.flit_hops, b.flit_hops);
+  EXPECT_EQ(a.sim_cycles, b.sim_cycles);
+  EXPECT_EQ(a.epoch, b.epoch);
+  EXPECT_EQ(a.retries, b.retries);
+  EXPECT_EQ(a.stale_acks, b.stale_acks);
+  EXPECT_EQ(a.duplicate_deliveries, b.duplicate_deliveries);
+  EXPECT_EQ(a.max_window_occupancy, b.max_window_occupancy);
+  EXPECT_EQ(a.failovers, b.failovers);
+  EXPECT_EQ(a.rejoins, b.rejoins);
+  EXPECT_EQ(a.suspects, b.suspects);
+  EXPECT_EQ(a.dead_nodes, b.dead_nodes);
+  EXPECT_EQ(a.unreachable_nodes, b.unreachable_nodes);
+  EXPECT_EQ(a.delivered_prefix, b.delivered_prefix);
+  EXPECT_EQ(a.commit_time, b.commit_time);
+  EXPECT_EQ(a.complete, b.complete);
+  EXPECT_EQ(a.delivered_fraction, b.delivered_fraction);
+}
+
+/// Streams under both engines, observed (callback log) and unobserved
+/// (admission on); returns the unobserved event run and the observed
+/// event run for counter checks.
+std::pair<RunCapture, RunCapture> stream_both(const Topology& topo,
+                                              const FaultPlan& plan,
+                                              const rt::StreamConfig& scfg,
+                                              const analysis::Placement& p) {
+  RunCapture evts[2];
+  for (const bool observe : {true, false}) {
+    SCOPED_TRACE(observe ? "observed" : "unobserved");
+    rt::StreamResult res[2];
+    RunCapture caps[2];
+    for (const EngineKind engine : {EngineKind::kCycle, EngineKind::kEvent}) {
+      const int i = engine == EngineKind::kCycle ? 0 : 1;
+      caps[i] = capture(
+          topo, SimConfig{}, engine,
+          [&](Simulator& sim) {
+            if (!plan.empty()) sim.set_fault_plan(plan);
+            const rt::MulticastRuntime rtm(rt::RuntimeConfig{});
+            const rt::StreamRuntime srt(rtm);
+            res[i] = srt.run(sim, p.source, p.dests, scfg);
+          },
+          false, observe);
+    }
+    expect_equivalent(caps[0], caps[1]);
+    expect_same_stream(res[0], res[1]);
+    EXPECT_EQ(res[1].committed, scfg.slots);
+    evts[observe ? 1 : 0] = caps[1];
+  }
+  EXPECT_GT(evts[0].admitted, 0);
+  EXPECT_EQ(evts[1].admitted, 0);
+  return {evts[0], evts[1]};
+}
+
+rt::StreamConfig reliable_stream(const mesh::MeshTopology& topo, McastAlgorithm alg,
+                                 int window, int slots, Time heartbeat) {
+  rt::StreamConfig c;
+  c.window_size = window;
+  c.slots = slots;
+  c.bytes = 64;
+  c.alg = alg;
+  c.shape = &topo.shape();
+  c.reliable = true;
+  c.membership.heartbeat_period = heartbeat;
+  c.failover = heartbeat > 0;
+  c.rejoin = heartbeat > 0;
+  return c;
+}
+
+/// A fault-free run's makespan: the time scale fault events are placed on.
+Time clean_span(const mesh::MeshTopology& topo, rt::StreamConfig c,
+                const analysis::Placement& p) {
+  c.reliable = false;
+  c.membership.heartbeat_period = 0;
+  c.failover = c.rejoin = false;
+  Simulator sim(topo);
+  const rt::MulticastRuntime rtm(rt::RuntimeConfig{});
+  return rt::StreamRuntime(rtm).run(sim, p.source, p.dests, c).makespan;
+}
+
+TEST(EngineEquiv, ReliableStreamReceiverKillsWindows1And8) {
+  // E19's fault cell: two mid-stream receiver kills plus drop rate 1e-3,
+  // the lease detector at heartbeat 800.
+  const auto topo = mesh::make_mesh2d(16);
+  const auto places = analysis::sample_placements(1997, 256, 16, 2);
+  std::uint64_t seed = 1;
+  for (const McastAlgorithm alg : {McastAlgorithm::kOptMesh, McastAlgorithm::kUMesh}) {
+    for (const int window : {1, 8}) {
+      for (const analysis::Placement& p : places) {
+        SCOPED_TRACE(::testing::Message() << algorithm_name(alg) << " window " << window
+                                          << " source " << p.source);
+        const rt::StreamConfig c = reliable_stream(*topo, alg, window, 60, 800);
+        const Time span = clean_span(*topo, c, p);
+        FaultPlan plan;
+        plan.node_events.push_back({span / 3, p.dests.front()});
+        plan.node_events.push_back({2 * span / 3, p.dests.back()});
+        plan.drop_rate = 1e-3;
+        plan.seed = seed++;
+        const auto [quiet, observed] = stream_both(*topo, plan, c, p);
+        EXPECT_GT(quiet.reentries + observed.reentries, 0);
+        EXPECT_EQ(quiet.stats.fault_events, 2);
+      }
+    }
+  }
+}
+
+TEST(EngineEquiv, ReliableStreamSourceKillFailoverAndRejoin) {
+  // E20: the source dies a third of the way through a window-8 stream;
+  // the lease detector, failover and rejoin recover it.
+  const auto topo = mesh::make_mesh2d(16);
+  const auto p = analysis::sample_placements(41, 256, 16, 1)[0];
+  for (const Time hb : {Time{400}, Time{1600}}) {
+    SCOPED_TRACE(hb);
+    const rt::StreamConfig c = reliable_stream(*topo, McastAlgorithm::kOptMesh, 8, 60, hb);
+    FaultPlan plan;
+    plan.node_events.push_back({clean_span(*topo, c, p) / 3, p.source});
+    const auto [quiet, observed] = stream_both(*topo, plan, c, p);
+    EXPECT_GT(quiet.event_cycles, 0);
+    EXPECT_EQ(quiet.stats.fault_events, 1);
+  }
+}
+
+TEST(EngineEquiv, ReliableStreamCutAndHealPartition) {
+  // A partition cuts the group mid-stream and heals; evicted members
+  // rejoin with catch-up.
+  const auto topo = mesh::make_mesh2d(8);
+  std::vector<NodeId> lower, upper;
+  for (NodeId v = 0; v < 64; ++v) (v < 32 ? lower : upper).push_back(v);
+  const auto p = analysis::sample_placements(7, 64, 12, 1)[0];
+  const rt::StreamConfig c = reliable_stream(*topo, McastAlgorithm::kOptMesh, 4, 40, 300);
+  const Time span = clean_span(*topo, c, p);
+  const FaultPlan plan = FaultPlan::partition(*topo, lower, upper, span / 4, span / 2);
+  const auto [quiet, observed] = stream_both(*topo, plan, c, p);
+  EXPECT_GT(quiet.stats.fault_events, 2);
+  EXPECT_GT(quiet.reentries + observed.reentries, 0);
+}
+
+TEST(EngineEquiv, ReliableStreamCorruptRate) {
+  const auto topo = mesh::make_mesh2d(8);
+  const auto p = analysis::sample_placements(3, 64, 12, 1)[0];
+  const rt::StreamConfig c = reliable_stream(*topo, McastAlgorithm::kOptMesh, 8, 40, 0);
+  FaultPlan plan;
+  plan.corrupt_rate = 0.02;
+  plan.seed = 77;
+  const auto [quiet, observed] = stream_both(*topo, plan, c, p);
+  EXPECT_GT(quiet.stats.messages_corrupted, 0);
+  EXPECT_EQ(quiet.reentries, 0) << "corruption alone never hands over";
 }
 
 // --- watchdog: the deadlocked-ring regression (satellite fix) ----------
