@@ -47,7 +47,6 @@ struct Cell {
 
 int main(int argc, char** argv) {
   Harness h("bench_lint_stream", argc, argv);
-  h.downgrade_engine("cannot drive streaming workloads");
   rt::RuntimeConfig cfg;
   rt::MulticastRuntime rtm(cfg);
   const rt::StreamRuntime srt(rtm);
@@ -78,7 +77,8 @@ int main(int argc, char** argv) {
 
   std::vector<lint::StreamLintReport> predicted(cells.size());
   std::vector<rt::StreamResult> measured(cells.size());
-  h.parallel_for(cells.size(), [&](std::size_t i) {
+  const auto alg_of = [&](std::size_t i) { return cells[i].alg; };
+  h.traced_runs(cells.size(), alg_of, [&](std::size_t i, obs::FlightRecorder* trace) {
     const Cell& c = cells[i];
     const analysis::Placement& p = (c.shape != nullptr ? mesh_placements
                                                        : bmin_placements)
@@ -89,12 +89,14 @@ int main(int argc, char** argv) {
         lint::lint_stream(tree, *c.topo, cfg, sim::SimConfig{}, kBytes, kSlots,
                           c.window);
     sim::Simulator sim(*c.topo, h.sim_config());
+    sim.set_observer(trace);
     rt::StreamConfig scfg;
     scfg.window_size = c.window;
     scfg.slots = kSlots;
     scfg.bytes = kBytes;
     scfg.alg = c.alg;
     scfg.shape = c.shape;
+    scfg.recorder = trace;
     measured[i] = srt.run(sim, p.source, p.dests, scfg);
   });
 

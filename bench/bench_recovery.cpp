@@ -115,10 +115,12 @@ void sweep(Harness& h, const sim::Topology& topo, const MeshShape* shape,
 
   std::vector<rt::StreamResult> runs(cases.size());
   std::vector<Time> rec(cases.size());
-  h.parallel_for(cases.size(), [&](std::size_t i) {
+  const auto alg_of = [alg](std::size_t) { return alg; };
+  h.traced_runs(cases.size(), alg_of, [&](std::size_t i, obs::FlightRecorder* trace) {
     const Case& c = cases[i];
     const analysis::Placement& p = placements[static_cast<std::size_t>(c.rep)];
     sim::Simulator sim(topo, h.sim_config());
+    sim.set_observer(trace);
     sim::FaultPlan plan;
     plan.node_events.push_back({t_fault, victim_node(c.victim, p)});
     sim.set_fault_plan(plan);
@@ -132,6 +134,7 @@ void sweep(Harness& h, const sim::Topology& topo, const MeshShape* shape,
     scfg.membership.heartbeat_period = c.heartbeat;
     scfg.failover = true;
     scfg.rejoin = true;
+    scfg.recorder = trace;
     runs[i] = srt.run(sim, p.source, p.dests, scfg);
     rec[i] = recovery_time(runs[i], t_fault);
   });
@@ -147,10 +150,6 @@ void sweep(Harness& h, const sim::Topology& topo, const MeshShape* shape,
 
 int main(int argc, char** argv) {
   Harness h("bench_recovery", argc, argv);
-  // Streams with faults stay on the cycle engine for now, though the event
-  // engine runs them bit-identically; the JSON envelope reports the engine
-  // that actually ran.
-  h.downgrade_engine("cannot drive streaming workloads");
   rt::RuntimeConfig cfg;
   rt::MulticastRuntime rtm(cfg);
   const rt::StreamRuntime srt(rtm);

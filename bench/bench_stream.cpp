@@ -75,10 +75,6 @@ void add_row(analysis::Table& t, McastAlgorithm alg, int window,
 
 int main(int argc, char** argv) {
   Harness h("bench_stream", argc, argv);
-  // Streams stay on the cycle engine for now, though the event engine runs
-  // them bit-identically; the JSON envelope reports the engine that
-  // actually ran.
-  h.downgrade_engine("cannot drive streaming workloads");
   rt::RuntimeConfig cfg;
   rt::MulticastRuntime rtm(cfg);
   const rt::StreamRuntime srt(rtm);
@@ -105,17 +101,20 @@ int main(int argc, char** argv) {
       for (int rep = 0; rep < kReps; ++rep) cases.push_back({alg, w, rep});
 
   // --- fault-free sweep ---------------------------------------------------
+  const auto alg_of = [&](std::size_t i) { return cases[i].alg; };
   std::vector<rt::StreamResult> clean(cases.size());
-  h.parallel_for(cases.size(), [&](std::size_t i) {
+  h.traced_runs(cases.size(), alg_of, [&](std::size_t i, obs::FlightRecorder* trace) {
     const Case& c = cases[i];
     const analysis::Placement& p = placements[static_cast<std::size_t>(c.rep)];
     sim::Simulator sim(*topo, h.sim_config());
+    sim.set_observer(trace);
     rt::StreamConfig scfg;
     scfg.window_size = c.window;
     scfg.slots = kSlotsClean;
     scfg.bytes = kBytes;
     scfg.alg = c.alg;
     scfg.shape = shape;
+    scfg.recorder = trace;
     clean[i] = srt.run(sim, p.source, p.dests, scfg);
   });
   analysis::Table clean_table(columns());
@@ -126,10 +125,11 @@ int main(int argc, char** argv) {
 
   // --- faulty sweep: 2 mid-stream kills + 1e-3 drop rate ------------------
   std::vector<rt::StreamResult> faulty(cases.size());
-  h.parallel_for(cases.size(), [&](std::size_t i) {
+  h.traced_runs(cases.size(), alg_of, [&](std::size_t i, obs::FlightRecorder* trace) {
     const Case& c = cases[i];
     const analysis::Placement& p = placements[static_cast<std::size_t>(c.rep)];
     sim::Simulator sim(*topo, h.sim_config());
+    sim.set_observer(trace);
     sim::FaultPlan plan;
     // Kills land mid-stream: roughly 1/3 and 2/3 of the way through the
     // model-rate schedule, far enough apart to force two epoch bumps.
@@ -146,6 +146,7 @@ int main(int argc, char** argv) {
     scfg.alg = c.alg;
     scfg.shape = shape;
     scfg.reliable = true;
+    scfg.recorder = trace;
     faulty[i] = srt.run(sim, p.source, p.dests, scfg);
   });
   analysis::Table faulty_table(columns());

@@ -6,11 +6,12 @@
 # runs the tracked benches — bench_fig2_mesh_msgsize and
 # bench_fig3_mesh_nodes under the event engine, bench_lint, the E18
 # scale sweep (cycle vs event head-to-head; simulated cycles, wall-clock,
-# messages/second, per-engine speedup), and the reliable-stream benches
-# bench_recovery (E20) and bench_stream (E19) serially (--jobs 1, so
-# their wall times compare across machines with different core counts)
-# — each with --json, and composes the reports into BENCH_sim.json at
-# the repo root.  Commit the file to track perf across commits.
+# messages/second, per-engine speedup), and the stream benches
+# bench_recovery (E20), bench_stream (E19) and bench_lint_stream (E22)
+# under the event engine, serially (--jobs 1, so their wall times
+# compare across machines with different core counts) — each with
+# --json, and composes the reports into BENCH_sim.json at the repo root.
+# Commit the file to track perf across commits.
 #
 # Smoke mode:
 #   scripts/record_bench.sh --smoke [BUILD_DIR]
@@ -190,8 +191,9 @@ run bench_fig2_mesh_msgsize --engine event
 run bench_fig3_mesh_nodes --engine event
 run bench_lint
 run bench_scale
-run bench_recovery --jobs 1
-run bench_stream --jobs 1
+run bench_recovery --jobs 1 --engine event
+run bench_stream --jobs 1 --engine event
+run bench_lint_stream --jobs 1 --engine event
 
 out=BENCH_sim.json
 {
@@ -200,7 +202,7 @@ out=BENCH_sim.json
   printf '  "benches": [\n'
   first=1
   for name in bench_fig2_mesh_msgsize bench_fig3_mesh_nodes bench_lint \
-              bench_scale bench_recovery bench_stream; do
+              bench_scale bench_recovery bench_stream bench_lint_stream; do
     [ "$first" -eq 1 ] || printf ',\n'
     first=0
     # Each report is already a JSON object; indent it two spaces.

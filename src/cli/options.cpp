@@ -448,17 +448,6 @@ int run_stream_cli(const CliOptions& opt, std::ostream& os, std::ostream& err) {
   const analysis::Placement& p = placements.front();
   const McastAlgorithm alg = select_algorithms(opt, shape).front();
 
-  // Streams run on the cycle engine even under --engine event, and say so
-  // (the JSON engine field records the fallback).  The event engine would
-  // give bit-identical results, fault plans and horizons included; the
-  // downgrade stays only because the notice and the engine field are
-  // part of the pinned report output.
-  sim::EngineKind engine = opt.engine;
-  const bool fell_back = harness::downgrade_to_cycle(
-      engine, err,
-      "pcmcast: streaming workloads run on the cycle engine (--engine event "
-      "downgraded)");
-
   std::optional<sim::FaultPlan> plan;
   if (!opt.faults.empty()) plan = sim::FaultPlan::parse(opt.faults);
 
@@ -479,7 +468,7 @@ int run_stream_cli(const CliOptions& opt, std::ostream& os, std::ostream& err) {
     os << "faults:  " << plan->describe() << " (max-retries " << opt.max_retries
        << ")\n";
 
-  sim::Simulator sim(*topo, sim::SimConfig{.engine = engine});
+  sim::Simulator sim(*topo, sim::SimConfig{.engine = opt.engine});
   // A stream is one run: a single recorder, no per-placement fan-out;
   // --audit replays it, so an audited recorder never wraps.
   std::unique_ptr<obs::FlightRecorder> recorder;
@@ -540,7 +529,7 @@ int run_stream_cli(const CliOptions& opt, std::ostream& os, std::ostream& err) {
   }
 
   harness::JsonReport report("pcmcast", 1);
-  report.set_meta("engine", harness::engine_label(opt.engine, fell_back));
+  report.set_meta("engine", harness::engine_name(opt.engine));
   report.set_meta("leaps", std::to_string(sim.leaps()));
   report.set_meta("leaped_cycles", std::to_string(sim.leaped_cycles()));
   report.set_meta("seed", std::to_string(opt.seed));
@@ -598,18 +587,6 @@ int run_cli(const CliOptions& opt, std::ostream& os, std::ostream& err) {
        << ")\n";
   }
 
-  // Fault workloads run on the cycle engine even under --engine event.
-  // The event engine would give bit-identical results (it hands live
-  // worms to the cycle engine only around fault events and drops); the
-  // downgrade stays only because its notice and the JSON engine field are
-  // part of the pinned report output.
-  sim::EngineKind engine = opt.engine;
-  const bool fell_back =
-      plan.has_value() &&
-      harness::downgrade_to_cycle(engine, err,
-                                  "pcmcast: fault workloads run on the cycle engine "
-                                  "(--engine event downgraded)");
-
   if (opt.probe) {
     const rt::ProbeResult probe =
         rt::probe_parameters(*topo, cfg.machine, opt.bytes, 32, opt.seed);
@@ -665,7 +642,7 @@ int run_cli(const CliOptions& opt, std::ostream& os, std::ostream& err) {
       cur_runs.resize(placements.size());
     }
     pool.parallel_for(placements.size(), [&](std::size_t i) {
-      sim::Simulator sim(*topo, sim::SimConfig{.engine = engine});
+      sim::Simulator sim(*topo, sim::SimConfig{.engine = opt.engine});
       obs::FlightRecorder* rec = nullptr;
       if (master) {
         // An audited run replays its ring, which therefore never wraps.
@@ -729,7 +706,7 @@ int run_cli(const CliOptions& opt, std::ostream& os, std::ostream& err) {
   os << "\n" << summary.to_string();
 
   if (opt.gantt) {
-    sim::Simulator sim(*topo, sim::SimConfig{.engine = engine});
+    sim::Simulator sim(*topo, sim::SimConfig{.engine = opt.engine});
     try {
       (void)run_one(coll, opt,
                     placement_run(opt, algs.front(), shape, placements.front(),
@@ -743,7 +720,7 @@ int run_cli(const CliOptions& opt, std::ostream& os, std::ostream& err) {
   }
 
   harness::JsonReport report("pcmcast", pool.jobs());
-  report.set_meta("engine", harness::engine_label(opt.engine, fell_back));
+  report.set_meta("engine", harness::engine_name(opt.engine));
   report.set_meta("leaps", std::to_string(leaps));
   report.set_meta("leaped_cycles", std::to_string(leaped_cycles));
   report.set_meta("seed", std::to_string(opt.seed));

@@ -74,8 +74,8 @@ using harness::mesh_shape_of;
 std::string usage();
 
 /// Runs the experiment described by `opt` and writes the report to `os`;
-/// diagnostics that must not pollute machine-readable stdout (the
-/// --engine event downgrade notice) go to `err`.  Returns the process
+/// diagnostics that must not pollute machine-readable stdout (a trace
+/// that cannot be written) go to `err`.  Returns the process
 /// exit code: 0 on success, 1 when a fault run lost destinations and
 /// --allow-partial was not given, 3 when --audit caught an invariant
 /// violation.  (2 is the caller's catch-all for errors.)

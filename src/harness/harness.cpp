@@ -203,19 +203,6 @@ std::string engine_name(sim::EngineKind engine) {
   return engine == sim::EngineKind::kEvent ? "event" : "cycle";
 }
 
-std::string engine_label(sim::EngineKind requested, bool fell_back) {
-  if (fell_back && requested == sim::EngineKind::kEvent) return "cycle(fallback)";
-  return engine_name(requested);
-}
-
-bool downgrade_to_cycle(sim::EngineKind& engine, std::ostream& err,
-                        const std::string& notice) {
-  if (engine != sim::EngineKind::kEvent) return false;
-  engine = sim::EngineKind::kCycle;
-  err << notice << "\n";
-  return true;
-}
-
 void export_trace(const obs::FlightRecorder& recorder, const std::string& path,
                   std::ostream& os, std::ostream& err, const std::string& tool) {
   if (path.empty()) return;
@@ -278,13 +265,6 @@ Harness::Harness(std::string bench_name, const Options& opt)
     recorder_ = std::make_unique<obs::FlightRecorder>();
 }
 
-void Harness::downgrade_engine(const std::string& reason) {
-  if (downgrade_to_cycle(opt_.engine, std::cerr,
-                         bench_name_ + ": --engine event " + reason +
-                             "; running on the cycle engine"))
-    json_.set_meta("engine", engine_label(sim::EngineKind::kEvent, true));
-}
-
 namespace {
 
 Options parse_or_exit(const std::string& bench_name, int argc, char** argv) {
@@ -341,29 +321,17 @@ Point Harness::run_point(const sim::Topology& topo, const MeshShape* shape,
                          Bytes payload) {
   const std::size_t n = placements.size();
   std::vector<double> lat(n), model(n), conflicts(n);
-  // Tracing: each run records into its own ring and the rings are merged
-  // in placement order below, so the trace is bit-identical at any --jobs.
-  std::vector<std::unique_ptr<obs::FlightRecorder>> runs(recorder_ ? n : 0);
-  pool_.parallel_for(n, [&](std::size_t i) {
-    sim::Simulator sim(topo, sim_config());
-    if (recorder_) {
-      runs[i] = std::make_unique<obs::FlightRecorder>(
-          obs::RecorderConfig{obs::kRunRingCapacity});
-      runs[i]->record(obs::EventKind::kRunBegin, 0,
-                      static_cast<std::int32_t>(run_counter_ + i),
-                      static_cast<std::int32_t>(alg));
-      sim.set_observer(runs[i].get());
-    }
-    const rt::McastResult res = rtm.run_algorithm(
-        sim, alg, placements[i].source, placements[i].dests, payload, shape);
-    lat[i] = static_cast<double>(res.latency);
-    model[i] = static_cast<double>(res.model_latency);
-    conflicts[i] = static_cast<double>(res.channel_conflicts);
-  });
-  if (recorder_) {
-    for (const auto& run : runs) recorder_->append(*run);
-    run_counter_ += n;
-  }
+  traced_runs(
+      n, [alg](std::size_t) { return alg; },
+      [&](std::size_t i, obs::FlightRecorder* trace) {
+        sim::Simulator sim(topo, sim_config());
+        sim.set_observer(trace);
+        const rt::McastResult res = rtm.run_algorithm(
+            sim, alg, placements[i].source, placements[i].dests, payload, shape);
+        lat[i] = static_cast<double>(res.latency);
+        model[i] = static_cast<double>(res.model_latency);
+        conflicts[i] = static_cast<double>(res.channel_conflicts);
+      });
   Point pt;
   pt.latency = analysis::summarize(lat);
   pt.model = analysis::summarize(model);
@@ -373,6 +341,28 @@ Point Harness::run_point(const sim::Topology& topo, const MeshShape* shape,
   for (const double c : conflicts) total += c;
   pt.mean_conflicts = n > 0 ? total / static_cast<double>(n) : 0;
   return pt;
+}
+
+void Harness::traced_runs(
+    std::size_t n, const std::function<McastAlgorithm(std::size_t)>& alg_of,
+    const std::function<void(std::size_t, obs::FlightRecorder*)>& body) {
+  std::vector<std::unique_ptr<obs::FlightRecorder>> runs(recorder_ ? n : 0);
+  pool_.parallel_for(n, [&](std::size_t i) {
+    obs::FlightRecorder* trace = nullptr;
+    if (recorder_) {
+      runs[i] = std::make_unique<obs::FlightRecorder>(
+          obs::RecorderConfig{obs::kRunRingCapacity});
+      trace = runs[i].get();
+      trace->record(obs::EventKind::kRunBegin, 0,
+                    static_cast<std::int32_t>(run_counter_ + i),
+                    static_cast<std::int32_t>(alg_of(i)));
+    }
+    body(i, trace);
+  });
+  if (recorder_) {
+    for (const auto& run : runs) recorder_->append(*run);
+    run_counter_ += n;
+  }
 }
 
 void Harness::preamble(const std::string& what, const rt::RuntimeConfig& cfg,

@@ -67,20 +67,6 @@ struct Options {
 /// Canonical spelling for reports ("cycle" / "event").
 std::string engine_name(sim::EngineKind engine);
 
-/// Report label when a driver downgraded the requested engine up front
-/// (`--engine event` with a fault plan or streaming workload):
-/// "cycle(fallback)" when a fallback happened, else the plain name.
-std::string engine_label(sim::EngineKind requested, bool fell_back);
-
-/// For the workloads the CLI and benches keep on the cycle engine
-/// (streams, fault plans; the event engine runs them bit-identically, but
-/// the reports pin this fallback): turns a requested `--engine event`
-/// into the cycle engine up front and prints `notice` on `err` (stdout
-/// may be consumed as a report).  Returns whether it downgraded; reports
-/// then say engine_label(requested, true).
-bool downgrade_to_cycle(sim::EngineKind& engine, std::ostream& err,
-                        const std::string& notice);
-
 /// Parses bench arguments (excluding argv[0]); throws
 /// std::invalid_argument on unknown options or bad values.
 Options parse_options(std::span<const char* const> args);
@@ -175,24 +161,6 @@ class Harness {
     json_.set_meta(key, value);
   }
 
-  /// For benches whose workload stays on the cycle engine (streaming,
-  /// fault plans): downgrade a requested `--engine event` up front.  The
-  /// JSON meta reports "cycle(fallback)" and a notice goes to stderr, so
-  /// the envelope never claims an engine that did not run.
-  void downgrade_engine(const std::string& reason);
-
-  /// The flight recorder behind --trace/--metrics; nullptr when both are
-  /// off (tracing off = no recorder exists = zero overhead).  Benches with
-  /// custom run loops install it as the Simulator observer themselves (or
-  /// pass per-run recorders through merge_run()).
-  [[nodiscard]] obs::FlightRecorder* recorder() { return recorder_.get(); }
-
-  /// Appends a finished per-run recorder into the master trace; custom
-  /// bench loops call this in placement order after their fan-out.
-  void merge_run(const obs::FlightRecorder& run) {
-    if (recorder_) recorder_->append(run);
-  }
-
   /// Runs `alg` over the given placements (one Simulator per placement,
   /// fanned out over the pool) and summarizes in placement order.
   Point run_point(const sim::Topology& topo, const MeshShape* shape,
@@ -204,6 +172,16 @@ class Harness {
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body) {
     pool_.parallel_for(n, body);
   }
+
+  /// parallel_for over `n` simulated runs, traced under --trace/--metrics:
+  /// body(i, trace) installs `trace` as its Simulator's observer (nullptr
+  /// when tracing is off, so no recorder exists).  Run i records into its
+  /// own ring, opened by a kRunBegin marker (a = run index across the
+  /// bench, b = alg_of(i)); the rings merge into the bench trace in index
+  /// order, so it is bit-identical at any --jobs.
+  void traced_runs(std::size_t n,
+                   const std::function<McastAlgorithm(std::size_t)>& alg_of,
+                   const std::function<void(std::size_t, obs::FlightRecorder*)>& body);
 
   /// RNG substream for replication `i` (see substream_seed).
   [[nodiscard]] std::uint64_t run_seed(std::uint64_t i) const {
@@ -228,7 +206,7 @@ class Harness {
   JsonReport json_;
   std::chrono::steady_clock::time_point start_;
   std::unique_ptr<obs::FlightRecorder> recorder_;  ///< only under --trace/--metrics
-  std::size_t run_counter_ = 0;  ///< kRunBegin index across run_point calls
+  std::size_t run_counter_ = 0;  ///< kRunBegin index across traced_runs calls
 };
 
 /// The paper reports message sizes as "0k, 8k, ..., 64k".

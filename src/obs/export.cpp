@@ -129,9 +129,7 @@ void write_chrome_trace(std::ostream& os, std::span<const TraceEvent> events) {
              << track->second << R"(,"args":{"name":"router )" << ev.a
              << " port " << ev.b << R"("}})";
         }
-        args << R"("msg":)" << ev.c << R"(,"span":)" << ev.d
-             << R"(,"fast_forwarded":)"
-             << (((ev.flags & kFastForwarded) != 0) ? "true" : "false");
+        args << R"("msg":)" << ev.c << R"(,"span":)" << ev.d;
         emit_chrome_event(os, first, ("msg " + std::to_string(ev.c)).c_str(),
                           "X", begin, ev.cycle - begin, 1, track->second,
                           args.str());
@@ -172,22 +170,15 @@ std::string format_event(const TraceEvent& ev) {
   std::ostringstream os;
   os << "[" << ev.cycle << "] " << event_kind_name(ev.event_kind()) << " a="
      << ev.a << " b=" << ev.b << " c=" << ev.c << " d=" << ev.d;
-  if ((ev.flags & kFastForwarded) != 0) os << " ff";
   return os.str();
 }
 
 TraceDiff diff_traces(std::span<const TraceEvent> lhs,
-                      std::span<const TraceEvent> rhs, bool ignore_ff_flag) {
+                      std::span<const TraceEvent> rhs) {
   TraceDiff diff;
   const std::size_t n = std::min(lhs.size(), rhs.size());
   for (std::size_t i = 0; i < n; ++i) {
-    TraceEvent a = lhs[i];
-    TraceEvent b = rhs[i];
-    if (ignore_ff_flag) {
-      a.flags &= static_cast<std::uint16_t>(~kFastForwarded);
-      b.flags &= static_cast<std::uint16_t>(~kFastForwarded);
-    }
-    if (!(a == b)) {
+    if (!(lhs[i] == rhs[i])) {
       diff.identical = false;
       diff.first_divergence = i;
       diff.detail = "record " + std::to_string(i) + ": " + format_event(lhs[i]) +

@@ -5,8 +5,8 @@
 // per-channel tracks; everything else becomes instant events).
 //
 // The binary format is the comparison substrate: two runs are "the same"
-// iff their PCMT payloads are byte-identical (diff_traces offers a masked
-// mode that ignores the kFastForwarded flag for cycle-vs-event checks).
+// iff their PCMT payloads are byte-identical, also across the cycle and
+// event engines.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +36,7 @@ void write_binary_trace(std::ostream& os, std::span<const TraceEvent> events,
 [[nodiscard]] TraceFile read_binary_trace(std::istream& is);
 
 /// Writes Chrome trace-event JSON ({"traceEvents":[...]}).  Spans are
-/// emitted at the matching kRelease (args carry msg/span/fast_forwarded);
+/// emitted at the matching kRelease (args carry msg/span);
 /// all other kinds are instant events with per-kind args.
 void write_chrome_trace(std::ostream& os, std::span<const TraceEvent> events);
 
@@ -56,12 +56,9 @@ struct TraceDiff {
   std::string detail;                ///< human summary of the divergence
 };
 
-/// Compares two event sequences record-by-record.  With
-/// `ignore_ff_flag` the kFastForwarded bit is masked out first (the only
-/// sanctioned cycle-vs-event difference); everything else — count, order,
-/// timestamps, payloads — must match exactly.
+/// Compares two event sequences record-by-record: count, order,
+/// timestamps and payloads must match exactly.
 [[nodiscard]] TraceDiff diff_traces(std::span<const TraceEvent> lhs,
-                                    std::span<const TraceEvent> rhs,
-                                    bool ignore_ff_flag);
+                                    std::span<const TraceEvent> rhs);
 
 }  // namespace pcm::obs

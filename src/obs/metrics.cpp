@@ -114,11 +114,9 @@ void populate_metrics(std::span<const TraceEvent> events,
 
   // Channel busy cycles from closed reserve→release spans (kRelease.d).
   std::map<std::pair<std::int32_t, std::int32_t>, long long> busy;
-  long long ff_spans = 0;
   for (const TraceEvent& ev : events) {
     if (ev.event_kind() != EventKind::kRelease) continue;
     busy[{ev.a, ev.b}] += ev.d;
-    if ((ev.flags & kFastForwarded) != 0) ++ff_spans;
     reg.observe("hist.span_cycles", 16, ev.d);
   }
   if (!busy.empty() && window > 0) {
@@ -134,7 +132,6 @@ void populate_metrics(std::span<const TraceEvent> events,
     reg.gauge("channel.busy_frac.peak", peak);
     reg.count("channel.active", static_cast<long long>(busy.size()));
   }
-  reg.count("spans.fast_forwarded", ff_spans);
 
   // Retry depth: attempt index of every send attempt (0 = first try).
   for (const TraceEvent& ev : events)

@@ -104,15 +104,6 @@ void FlightRecorder::on_release(int router, int out_port, sim::MsgId msg,
          span <= std::numeric_limits<std::int32_t>::max()
              ? static_cast<std::int32_t>(span)
              : std::numeric_limits<std::int32_t>::max());
-  // The span crossed a clock jump exactly when the most recent jump began
-  // at or after the reserve (jumps start strictly before the cycle whose
-  // events they land on, so a span opened at the jump target is clean).
-  if (last_jump_from_ >= reserved_at) {
-    const std::size_t last = ring_.size() < capacity_
-                                 ? ring_.size() - 1
-                                 : (head_ == 0 ? capacity_ - 1 : head_ - 1);
-    ring_[last].flags |= kFastForwarded;
-  }
   if (next_ != nullptr) next_->on_release(router, out_port, msg, t);
 }
 
@@ -141,11 +132,9 @@ void FlightRecorder::on_watchdog(const sim::WatchdogReport& report) {
 }
 
 void FlightRecorder::on_fast_forward(Time from, Time to) {
-  // Not recorded as an event: the fast-forwarded interval is an engine
-  // artifact, not an observable of the workload.  It only arms the span
-  // flag, so cycle- and event-engine traces stay byte-identical modulo
-  // kFastForwarded.
-  last_jump_from_ = from;
+  // Not recorded: the fast-forwarded interval is an engine artifact, not
+  // an observable of the workload, so cycle- and event-engine traces stay
+  // byte-identical.
   if (next_ != nullptr) next_->on_fast_forward(from, to);
 }
 
@@ -181,7 +170,6 @@ void FlightRecorder::clear() {
   ring_.clear();
   head_ = 0;
   recorded_ = 0;
-  last_jump_from_ = -1;
   open_spans_.clear();
 }
 

@@ -19,10 +19,8 @@
 // pcmcast) give each run its own recorder and append() them in placement
 // order, which makes the merged trace bit-identical at any --jobs value.
 // Cross-engine: the event engine fires the same observer callbacks with
-// the same timestamps as the cycle engine while fast-forwarding, so the
-// two engines' traces differ only in the kFastForwarded span flag (set on
-// a kRelease whose span was in flight across a clock jump; masked
-// comparison is provided by export.hpp's diff).
+// the same timestamps as the cycle engine while fast-forwarding, and clock
+// jumps are not recorded, so the two engines' traces are byte-identical.
 #pragma once
 
 #include <cstdint>
@@ -97,7 +95,6 @@ class FlightRecorder final : public sim::SimObserver {
   std::vector<TraceEvent> ring_;
   std::size_t head_ = 0;       ///< overwrite cursor once the ring is full
   std::uint64_t recorded_ = 0;
-  Time last_jump_from_ = -1;   ///< start of the most recent clock jump
   std::vector<std::vector<Time>> open_spans_;  ///< [router][out_port]
   sim::SimObserver* next_ = nullptr;
 };

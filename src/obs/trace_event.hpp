@@ -4,8 +4,7 @@
 // runtime send lifecycles, membership verdicts, auditor violations — is
 // one 32-byte POD keyed on the *simulated* cycle it happened at, so a
 // trace is a pure function of the workload: bit-identical across
-// `--jobs` fan-outs and across the cycle/event engines (the engines
-// differ only in the kFastForwarded flag, see below).
+// `--jobs` fan-outs and across the cycle/event engines.
 //
 // The payload fields a..d are interpreted per kind (the table below);
 // unused fields are zero so serialized traces compare byte-for-byte.
@@ -28,7 +27,7 @@ enum class EventKind : std::uint16_t {
   kPost = 1,         ///< a=msg, b=src, c=dst, d=flits
   kReserve = 2,      ///< a=router, b=out_port, c=msg  (opens a channel span)
   kRelease = 3,      ///< a=router, b=out_port, c=msg, d=span cycles
-                     ///< (closes the span; kFastForwarded lives here)
+                     ///< (closes the span)
   kBlocked = 4,      ///< a=router, b=in_port, c=msg   (lost arbitration)
   kDeliver = 5,      ///< a=msg, b=src, c=dst, d=corrupted
   kDrop = 6,         ///< a=msg, b=DropReason
@@ -58,15 +57,6 @@ enum class EventKind : std::uint16_t {
 
 [[nodiscard]] const char* event_kind_name(EventKind k);
 
-/// TraceEvent::flags bits.
-enum : std::uint16_t {
-  /// The span this event closes was in flight across at least one
-  /// fast-forwarded interval (the event engine's closed-form jump over
-  /// laminar cycles).  Timestamps are still exact; the flag is the *only*
-  /// difference between a cycle-engine and an event-engine trace.
-  kFastForwarded = 1u << 0,
-};
-
 /// One recorded observable.  Exactly 32 bytes with no implicit padding,
 /// so serialized traces are memcmp-comparable.
 struct TraceEvent {
@@ -76,7 +66,7 @@ struct TraceEvent {
   std::int32_t c = 0;
   std::int32_t d = 0;
   std::uint16_t kind = 0;    ///< EventKind
-  std::uint16_t flags = 0;   ///< kFastForwarded, ...
+  std::uint16_t flags = 0;   ///< reserved; always zero
   std::uint32_t reserved = 0;  ///< explicit padding; always zero
 
   [[nodiscard]] EventKind event_kind() const {

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <iterator>
 #include <sstream>
+#include <string>
 
 #include "bmin/bmin_topology.hpp"
 #include "butterfly/butterfly_topology.hpp"
@@ -510,48 +511,41 @@ TEST(CliRun, StreamAuditedStopAndWaitPasses) {
   EXPECT_NE(os.str().find("audited"), std::string::npos);
 }
 
-TEST(CliRun, StreamOnTheEventEngineFallsBackWithNotice) {
+class CliEventEngine : public testing::TestWithParam<std::string> {};
+
+TEST_P(CliEventEngine, RunsSilentlyWithTheCycleStdout) {
+  // --engine event runs a stream or a fault plan on the event engine: no
+  // notice on stderr, "event" in the JSON, and the --engine cycle stdout.
   CliOptions o;
+  if (GetParam() == "stream") {
+    o.dests = "9,18";
+    o.stream = 4;
+  } else {
+    o.dests = "1,2,3";
+    o.faults = "drop:0.01;seed:4";
+  }
   o.topology = "mesh:8";
   o.source = 0;
-  o.dests = "9,18";
   o.bytes = 256;
-  o.stream = 4;
-  o.engine = sim::EngineKind::kEvent;
-  o.json = testing::TempDir() + "pcm_stream_fallback.json";
-  std::ostringstream os, err;
-  EXPECT_EQ(run_cli(o, os, err), 0) << os.str();
-  // The notice goes to stderr only: stdout may be piped into a report.
-  EXPECT_NE(err.str().find("cycle engine"), std::string::npos)
-      << "the downgrade must be announced on stderr";
-  EXPECT_EQ(os.str().find("cycle engine"), std::string::npos)
-      << "the notice must not pollute stdout";
+  o.json = testing::TempDir() + "pcm_event_engine_" + GetParam() + ".json";
+  std::string outs[2];
+  for (const sim::EngineKind engine : {sim::EngineKind::kCycle, sim::EngineKind::kEvent}) {
+    o.engine = engine;
+    std::ostringstream os, err;
+    EXPECT_EQ(run_cli(o, os, err), 0) << os.str();
+    EXPECT_EQ(err.str(), "");
+    outs[engine == sim::EngineKind::kEvent ? 1 : 0] = os.str();
+  }
   std::ifstream f(o.json);
   const std::string json((std::istreambuf_iterator<char>(f)),
                          std::istreambuf_iterator<char>());
-  EXPECT_NE(json.find("\"engine\": \"cycle(fallback)\""), std::string::npos)
-      << json;
+  EXPECT_NE(json.find("\"engine\": \"event\""), std::string::npos) << json;
+  EXPECT_EQ(outs[0], outs[1]);
 }
 
-TEST(CliRun, FaultedEventEngineFallsBackWithNotice) {
-  CliOptions o;
-  o.topology = "mesh:8";
-  o.source = 0;
-  o.dests = "1,2,3";
-  o.bytes = 256;
-  o.faults = "drop:0.01;seed:4";
-  o.engine = sim::EngineKind::kEvent;
-  o.json = testing::TempDir() + "pcm_fault_fallback.json";
-  std::ostringstream os, err;
-  EXPECT_EQ(run_cli(o, os, err), 0) << os.str();
-  EXPECT_NE(err.str().find("cycle engine"), std::string::npos);
-  EXPECT_EQ(os.str().find("cycle engine"), std::string::npos);
-  std::ifstream f(o.json);
-  const std::string json((std::istreambuf_iterator<char>(f)),
-                         std::istreambuf_iterator<char>());
-  EXPECT_NE(json.find("\"engine\": \"cycle(fallback)\""), std::string::npos)
-      << json;
-}
+INSTANTIATE_TEST_SUITE_P(Workloads, CliEventEngine,
+                         testing::Values("stream", "fault_plan"),
+                         [](const auto& p) { return p.param; });
 
 TEST(CliRun, JsonReportsLeapCountersOutsideTheTables) {
   // Contended OPT-Tree runs stream long worms past blocked heads, which
@@ -667,8 +661,8 @@ TEST(CliRun, StreamFailoverRunReportsSuccession) {
 
 TEST(CliRun, StreamBlipIsEngineInvariantOnStdout) {
   // A sub-threshold partition blip absorbed by retries: --engine event
-  // downgrades with a stderr-only notice, so stdout is byte-identical to
-  // the --engine cycle run (satellite pin for the notice routing).
+  // runs it on the event engine, silently, and its stdout is
+  // byte-identical to the --engine cycle run.
   CliOptions base;
   base.topology = "mesh:4";
   base.source = 0;
@@ -689,9 +683,7 @@ TEST(CliRun, StreamBlipIsEngineInvariantOnStdout) {
     EXPECT_EQ(os.str().find("epochs"), os.str().rfind("epochs"))
         << "summary table present exactly once";
     outs[i] = os.str();
-    if (i == 1) {
-      EXPECT_NE(err.str().find("cycle engine"), std::string::npos);
-    }
+    EXPECT_EQ(err.str(), "");
   }
   EXPECT_EQ(outs[0], outs[1]);
 }

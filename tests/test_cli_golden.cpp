@@ -96,8 +96,8 @@ TEST(CliGolden, OneShotSampled) {
       "oneshot", {"--topology", "mesh:8", "--algorithm", "opt-mesh", "--nodes", "8",
                   "--bytes", "512", "--reps", "3", "--seed", "5", "--jobs", "2"},
       ".pcmt");
-  EXPECT_EQ(g, (Golden{0, 0x7fef804f05ee4faeULL, 0xcbf29ce484222325ULL,
-                       0xc302cacd81305fcfULL, 0xbb94e6acc2098a97ULL, 0xb3fbfed0398e219fULL}))
+  EXPECT_EQ(g, (Golden{0, 0x11e48f3fe9145dc0ULL, 0xcbf29ce484222325ULL,
+                       0x4a4676af94df64c7ULL, 0xbb94e6acc2098a97ULL, 0xb3fbfed0398e219fULL}))
       << g;
 }
 
@@ -106,8 +106,8 @@ TEST(CliGolden, Compare) {
       "compare", {"--topology", "bmin:32", "--compare", "--nodes", "6", "--bytes",
                   "256", "--reps", "2", "--jobs", "1"},
       ".json");
-  EXPECT_EQ(g, (Golden{0, 0xe7873dc9d76ce251ULL, 0xcbf29ce484222325ULL,
-                       0x18161abd76623d40ULL, 0x4192f07ed554229cULL, 0xe448084f7bd114b0ULL}))
+  EXPECT_EQ(g, (Golden{0, 0xf7a4c530a9be672fULL, 0xcbf29ce484222325ULL,
+                       0x9afae95ebe9b0d36ULL, 0x4192f07ed554229cULL, 0x91aac02b54a973e4ULL}))
       << g;
 }
 
@@ -116,8 +116,8 @@ TEST(CliGolden, Reduce) {
       "reduce", {"--topology", "mesh:8", "--collective", "reduce", "--nodes", "6",
                  "--bytes", "256", "--reps", "2", "--jobs", "1"},
       ".pcmt");
-  EXPECT_EQ(g, (Golden{0, 0x125463c438d9507cULL, 0xcbf29ce484222325ULL,
-                       0x20c3d2f0f520362cULL, 0xba3cc9ae38b0d002ULL, 0xe0eaac8b6708014bULL}))
+  EXPECT_EQ(g, (Golden{0, 0xb754a2d445c79650ULL, 0xcbf29ce484222325ULL,
+                       0x8caa1b58333be9aaULL, 0xba3cc9ae38b0d002ULL, 0xe0eaac8b6708014bULL}))
       << g;
 }
 
@@ -126,8 +126,8 @@ TEST(CliGolden, Barrier) {
       "barrier", {"--topology", "mesh:8", "--collective", "barrier", "--nodes", "6",
                   "--bytes", "256", "--reps", "2", "--jobs", "1"},
       ".pcmt");
-  EXPECT_EQ(g, (Golden{0, 0x136864457702ccf5ULL, 0xcbf29ce484222325ULL,
-                       0xb508ed4a48af4d58ULL, 0x0906b05e668ef60bULL, 0xfb686f159bb5701cULL}))
+  EXPECT_EQ(g, (Golden{0, 0xdf6d925dacad9c57ULL, 0xcbf29ce484222325ULL,
+                       0xb760fde35e04936eULL, 0x0906b05e668ef60bULL, 0xfb686f159bb5701cULL}))
       << g;
 }
 
@@ -137,8 +137,8 @@ TEST(CliGolden, FaultsAuditGanttProbe) {
                  "2", "--jobs", "1", "--faults", "node:3@300;drop:0.001;seed:1",
                  "--audit", "--gantt", "--probe", "--engine", "event"},
       ".pcmt");
-  EXPECT_EQ(g, (Golden{0, 0xa4bbf0833869ceddULL, 0x6c0d26cfd77063b7ULL,
-                       0xcf2a8fc4b8838919ULL, 0x1711d920f4009178ULL, 0x5c79f6a7e9538ffbULL}))
+  EXPECT_EQ(g, (Golden{0, 0x04bdd3c3bcf64e83ULL, 0xcbf29ce484222325ULL,
+                       0x7d63b42f21e59592ULL, 0x1711d920f4009178ULL, 0x5c79f6a7e9538ffbULL}))
       << g;
 }
 
@@ -169,8 +169,8 @@ TEST(CliGolden, StreamPlain) {
                  "--bytes", "256", "--stream", "8", "--window", "2", "--engine",
                  "event"},
       ".pcmt");
-  EXPECT_EQ(g, (Golden{0, 0x4ef2238e0f6918bbULL, 0x4e4e316be3f4b0e7ULL,
-                       0x13af47e133725c0eULL, 0x2c2a5efc6b48e004ULL, 0xc7b5669caac2968eULL}))
+  EXPECT_EQ(g, (Golden{0, 0xf2c6959224a1dc67ULL, 0xcbf29ce484222325ULL,
+                       0xc84204282a82343fULL, 0x2c2a5efc6b48e004ULL, 0xc7b5669caac2968eULL}))
       << g;
 }
 
@@ -180,8 +180,8 @@ TEST(CliGolden, StreamFaults) {
                        "--bytes", "256", "--stream", "6", "--window", "2",
                        "--faults", "node:3@50"},
       ".pcmt");
-  EXPECT_EQ(g, (Golden{1, 0x7cef49ac7e9ef188ULL, 0xcbf29ce484222325ULL,
-                       0xb8f929c3f142f4edULL, 0x652ff881de650251ULL, 0xd8b9676274f88d85ULL}))
+  EXPECT_EQ(g, (Golden{1, 0x727033751377ffeaULL, 0xcbf29ce484222325ULL,
+                       0x7289470835d39fdbULL, 0x652ff881de650251ULL, 0xd8b9676274f88d85ULL}))
       << g;
 }
 
@@ -192,8 +192,8 @@ TEST(CliGolden, StreamMembershipAudit) {
        "256", "--stream", "16", "--window", "4", "--heartbeat", "600", "--failover",
        "--rejoin", "--faults", "node:0@4000", "--audit"},
       ".json");
-  EXPECT_EQ(g, (Golden{0, 0x49ae41fe728acc0cULL, 0xcbf29ce484222325ULL,
-                       0x85d8440452df97c3ULL, 0xfdc7fdbbfeee578fULL, 0x2285e06cee421c8eULL}))
+  EXPECT_EQ(g, (Golden{0, 0x2da3b0e9125cd636ULL, 0xcbf29ce484222325ULL,
+                       0xfdc776f7a3c95061ULL, 0xfdc7fdbbfeee578fULL, 0x809905568d5b1394ULL}))
       << g;
 }
 

@@ -15,7 +15,7 @@
 // holds the cycle engine's steady-state leap to a one-cycle-at-a-time
 // reference on contended trees, deep pipelines, small and large buffers,
 // two-port NIs, fault plans and cut horizons, down to the flight
-// recorder's bytes.
+// recorder's bytes on both engines.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -970,12 +970,8 @@ long long expect_leap_exact(
     SCOPED_TRACE(engine == EngineKind::kCycle ? "cycle" : "event");
     const LeapCapture got = capture_leap(topo, cfg, engine, drive, whole);
     expect_equivalent(ref.run, got.run);
-    if (engine == EngineKind::kCycle) {
-      // Byte-equal traces need equal fast-forward flags, which differ
-      // between engines by design (see SimObserver::on_fast_forward).
-      EXPECT_TRUE(ref.trace == got.trace) << "flight recorder bytes differ";
-      leaped = got.leaped_cycles;
-    }
+    EXPECT_TRUE(ref.trace == got.trace) << "flight recorder bytes differ";
+    if (engine == EngineKind::kCycle) leaped = got.leaped_cycles;
   }
   return leaped;
 }

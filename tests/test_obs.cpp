@@ -1,14 +1,18 @@
 // Tests for the flight recorder (src/obs): ring semantics, serialization
 // round-trips, metric derivation, and the end-to-end determinism
 // contracts the subsystem exists to enforce — byte-identical traces at
-// any --jobs value, cycle-vs-event equality modulo the fast-forwarded
-// flag, zero behavioural change when tracing is off, and audits that
-// replay a recorded trace (never a wrapped one), from memory or a file.
+// any --jobs value and on either engine, zero behavioural change when
+// tracing is off, and audits that replay a recorded trace (never a
+// wrapped one), from memory or a file.  The pcmtrace binary's flag
+// contract closes the file.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -74,7 +78,7 @@ TEST(Export, BinaryRoundTripIsExact) {
       make_event(EventKind::kReserve, 10, 3, 1, 42),
       make_event(EventKind::kRelease, 266, 3, 1, 42, 256),
   };
-  evs.back().flags = kFastForwarded;
+  evs.back().flags = 1;  // reserved, always written as 0; old traces set it
   std::stringstream ss;
   write_binary_trace(ss, evs, 9);
   const TraceFile tf = read_binary_trace(ss);
@@ -112,23 +116,17 @@ TEST(Diff, IdenticalMaskedAndDivergent) {
   std::vector<TraceEvent> a = {make_event(EventKind::kReserve, 5, 1, 2, 3),
                                make_event(EventKind::kRelease, 9, 1, 2, 3, 4)};
   std::vector<TraceEvent> b = a;
-  EXPECT_TRUE(diff_traces(a, b, false).identical);
+  EXPECT_TRUE(diff_traces(a, b).identical);
 
-  // The ff flag is the one sanctioned cycle-vs-event difference: strict
-  // diff flags it, masked diff does not.
-  b[1].flags = kFastForwarded;
-  EXPECT_FALSE(diff_traces(a, b, false).identical);
-  EXPECT_EQ(diff_traces(a, b, false).first_divergence, 1u);
-  EXPECT_TRUE(diff_traces(a, b, true).identical);
-
-  // Any payload difference survives the mask.
+  // Any payload difference diverges at its record.
   b[1].d = 5;
-  EXPECT_FALSE(diff_traces(a, b, true).identical);
+  EXPECT_FALSE(diff_traces(a, b).identical);
+  EXPECT_EQ(diff_traces(a, b).first_divergence, 1u);
 
   // Length mismatches diverge at the shorter length.
   b = a;
   b.pop_back();
-  const TraceDiff d = diff_traces(a, b, false);
+  const TraceDiff d = diff_traces(a, b);
   EXPECT_FALSE(d.identical);
   EXPECT_EQ(d.first_divergence, 1u);
 }
@@ -160,7 +158,6 @@ TEST(Metrics, PopulateDerivesSpansAndRates) {
       make_event(EventKind::kSendAttempt, 12, 0, 0, 1, -1),
       make_event(EventKind::kSendAttempt, 40, 0, 1, 1, -1),
   };
-  evs[2].flags = kFastForwarded;
   MetricsRegistry reg;
   populate_metrics(evs, reg);
   const std::vector<MetricSample> rows = reg.snapshot();
@@ -170,7 +167,6 @@ TEST(Metrics, PopulateDerivesSpansAndRates) {
     return "<missing>";
   };
   EXPECT_EQ(value_of("events.reserve"), "1");
-  EXPECT_EQ(value_of("spans.fast_forwarded"), "1");
   EXPECT_EQ(value_of("hist.span_cycles.count"), "1");
   EXPECT_EQ(value_of("hist.retry_depth.count"), "2");
   // One retry (attempt index 1) lands in the [1,2) bucket.
@@ -235,7 +231,7 @@ TEST(TraceDeterminism, GoldenFig2Shape) {
   // Re-running the identical workload reproduces the trace byte-for-byte.
   TempPath tmp2("golden2");
   const TraceFile again = run_traced(fig2_options(), tmp2.path);
-  EXPECT_TRUE(diff_traces(tf.events, again.events, false).identical);
+  EXPECT_TRUE(diff_traces(tf.events, again.events).identical);
 }
 
 TEST(TraceDeterminism, JobsFanOutIsByteIdentical) {
@@ -246,33 +242,79 @@ TEST(TraceDeterminism, JobsFanOutIsByteIdentical) {
   const TraceFile a = run_traced(opt, t1.path);
   opt.jobs = 4;
   const TraceFile b = run_traced(opt, t4.path);
-  const TraceDiff d = diff_traces(a.events, b.events, false);
+  const TraceDiff d = diff_traces(a.events, b.events);
   EXPECT_TRUE(d.identical) << d.detail;
 }
 
-TEST(TraceDeterminism, CycleVsEventEqualModuloFastForward) {
-  cli::CliOptions opt = fig2_options();
-  TempPath tc("cycle"), te("event");
-  opt.engine = sim::EngineKind::kCycle;
-  const TraceFile cycle = run_traced(opt, tc.path);
-  opt.engine = sim::EngineKind::kEvent;
-  const TraceFile event = run_traced(opt, te.path);
-
-  // Masked: identical timestamps, payloads, and order.
-  const TraceDiff masked = diff_traces(cycle.events, event.events, true);
-  EXPECT_TRUE(masked.identical) << masked.detail;
-
-  // The cycle engine only jumps a quiescent network, so it never flags;
-  // the event engine fast-forwards laminar flow and must flag spans.
-  std::size_t cycle_ff = 0, event_ff = 0;
-  for (const TraceEvent& ev : cycle.events)
-    cycle_ff += (ev.flags & kFastForwarded) != 0 ? 1u : 0u;
-  for (const TraceEvent& ev : event.events)
-    event_ff += (ev.flags & kFastForwarded) != 0 ? 1u : 0u;
-  EXPECT_EQ(cycle_ff, 0u);
-  EXPECT_GT(event_ff, 0u);
-  EXPECT_FALSE(diff_traces(cycle.events, event.events, false).identical);
+/// pcmcast workloads both engines must trace byte-identically: one-shot,
+/// streams (plain and audited under a partition blip), a fault plan, and
+/// the collectives.
+cli::CliOptions engine_workload(const std::string& name) {
+  if (name == "fig2") return fig2_options();
+  cli::CliOptions opt;
+  opt.topology = "mesh:8";
+  opt.bytes = 256;
+  if (name == "reduce" || name == "barrier") {
+    opt.collective = name;
+    opt.nodes = 6;
+    opt.reps = 2;
+    opt.jobs = 1;
+  } else if (name == "drop_oneshot") {
+    opt.source = 0;
+    opt.dests = "1,2,3";
+    opt.faults = "drop:0.01;seed:4";
+  } else if (name == "stream_window4") {
+    opt.source = 0;
+    opt.dests = "9,18,27";
+    opt.stream = 16;
+    opt.window = 4;
+  } else if (name == "stream_blip_audit") {
+    opt.topology = "mesh:4";
+    opt.source = 0;
+    opt.dests = "5,10,15";
+    opt.stream = 12;
+    opt.window = 4;
+    opt.heartbeat = 800;
+    opt.faults = "partition:4,1|5,1|6,1|7,1@1500;heal:4,1|5,1|6,1|7,1@2300";
+    opt.audit = true;
+  }
+  return opt;
 }
+
+class TraceEngines : public testing::TestWithParam<std::string> {};
+
+TEST_P(TraceEngines, CycleVsEventByteIdentical) {
+  // Same trace file, stdout and (empty) stderr on either engine: the
+  // event engine's clock jumps are not observables.
+  cli::CliOptions opt = engine_workload(GetParam());
+  TempPath tmp("engines_" + GetParam());
+  opt.trace = tmp.path;
+  std::string trace[2], out[2], err[2];
+  for (int i = 0; i < 2; ++i) {
+    opt.engine = i == 0 ? sim::EngineKind::kCycle : sim::EngineKind::kEvent;
+    std::ostringstream os, es;
+    EXPECT_EQ(cli::run_cli(opt, os, es), 0) << os.str() << es.str();
+    out[i] = os.str();
+    err[i] = es.str();
+    std::ifstream f(tmp.path, std::ios::binary);
+    trace[i].assign(std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>());
+  }
+  std::istringstream cycle_bytes(trace[0]), event_bytes(trace[1]);
+  const TraceFile cycle = read_binary_trace(cycle_bytes);
+  const TraceFile event = read_binary_trace(event_bytes);
+  EXPECT_GT(cycle.events.size(), 1u);
+  const TraceDiff d = diff_traces(cycle.events, event.events);
+  EXPECT_TRUE(d.identical) << d.detail;
+  EXPECT_TRUE(trace[0] == trace[1]) << "PCMT bytes differ";
+  EXPECT_EQ(out[0], out[1]);
+  EXPECT_EQ(err[1], "");
+}
+
+INSTANTIATE_TEST_SUITE_P(Workloads, TraceEngines,
+                         testing::Values("fig2", "stream_window4",
+                                         "stream_blip_audit", "drop_oneshot",
+                                         "reduce", "barrier"),
+                         [](const auto& p) { return p.param; });
 
 TEST(TraceDeterminism, TracingDoesNotPerturbResults) {
   const cli::CliOptions opt = fig2_options();
@@ -395,6 +437,60 @@ TEST(TraceAudit, PostMortemAuditFromAFileMatchesTheInMemoryAudit) {
   const std::string in_memory = verdict(rec.snapshot());
   EXPECT_NE(in_memory.find("stale-ack count"), std::string::npos) << in_memory;
   EXPECT_EQ(verdict(tf.events), in_memory);
+}
+
+// --- pcmtrace's flag contract ----------------------------------------------
+
+struct ToolRun {
+  int exit_code = -1;
+  std::string out;
+};
+
+/// Runs the pcmtrace binary with `args`; stderr is discarded.
+ToolRun pcmtrace(const std::string& args) {
+  TempPath out("pcmtrace_stdout");
+  const int status = std::system(
+      (std::string(PCMTRACE_BIN) + " " + args + " >" + out.path + " 2>/dev/null").c_str());
+  std::ifstream f(out.path);
+  ToolRun run;
+  run.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  run.out.assign(std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>());
+  return run;
+}
+
+std::size_t event_lines(const std::string& dump) {
+  std::size_t n = 0;
+  std::istringstream in(dump);
+  for (std::string line; std::getline(in, line);) n += line.starts_with("[") ? 1 : 0;
+  return n;
+}
+
+TEST(PcmtraceCli, IntegerFlagsAreRangeCheckedAndLimitIsExact) {
+  TempPath tmp("pcmtrace_in");
+  std::vector<TraceEvent> evs;
+  for (int m = 0; m < 5; ++m) evs.push_back(make_event(EventKind::kPost, 10 * m, m));
+  write_trace(tmp.path, evs, 0);
+  const std::string dump = "dump " + tmp.path + " ";
+
+  // Out-of-range or malformed integers are usage errors, never wrapped
+  // (--msg 2^32 must not dump msg 0).
+  for (const char* flags :
+       {"--msg 4294967296", "--msg -1", "--channel 4294967296,4294967299",
+        "--channel 0,-3", "--cycle-range -1:5", "--cycle-range 0:x",
+        "--limit -1", "--limit 9223372036854775808"})
+    EXPECT_EQ(pcmtrace(dump + flags).exit_code, 2) << flags;
+
+  const ToolRun msg = pcmtrace(dump + "--msg 3");
+  EXPECT_EQ(msg.exit_code, 0);
+  EXPECT_EQ(event_lines(msg.out), 1u) << msg.out;
+  EXPECT_EQ(event_lines(pcmtrace(dump + "--cycle-range 10:30").out), 3u);
+  // --limit N prints exactly N events, and says so only when it cut some.
+  for (const std::size_t limit : {0u, 1u, 5u, 6u}) {
+    const ToolRun run = pcmtrace(dump + "--limit " + std::to_string(limit));
+    EXPECT_EQ(run.exit_code, 0);
+    EXPECT_EQ(event_lines(run.out), std::min<std::size_t>(limit, 5)) << run.out;
+    EXPECT_EQ(run.out.find("reached") != std::string::npos, limit < 5) << run.out;
+  }
 }
 
 }  // namespace

@@ -3,17 +3,17 @@
 //
 //   pcmtrace dump FILE [--msg M] [--channel R,P] [--cycle-range A:B]
 //                      [--limit N]
-//   pcmtrace diff A B [--ignore-ff]
+//   pcmtrace diff A B
 //   pcmtrace stats FILE
 //
 // `dump` prints one line per event (oldest first) with optional filters;
-// `diff` compares two traces record-by-record (--ignore-ff masks the
-// kFastForwarded flag, the one sanctioned cycle-vs-event difference);
+// `diff` compares two traces record-by-record (traces of the same
+// workload are byte-identical at any --jobs and on either engine);
 // `stats` derives the deterministic metric registry from the trace.
 // Exit codes: dump/stats 0 on success; diff 0 identical, 1 different;
-// 2 usage or I/O error everywhere.
-#include <charconv>
+// 2 usage or I/O error everywhere (integer flags out of range too).
 #include <cstdint>
+#include <limits>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -23,6 +23,7 @@
 
 #include "analysis/table.hpp"
 #include "harness/harness.hpp"
+#include "harness/spec.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_event.hpp"
@@ -35,7 +36,7 @@ using pcm::obs::TraceEvent;
 constexpr std::string_view kUsage =
     "usage: pcmtrace dump FILE [--msg M] [--channel R,P] [--cycle-range A:B]\n"
     "                          [--limit N]\n"
-    "       pcmtrace diff A B [--ignore-ff]\n"
+    "       pcmtrace diff A B\n"
     "       pcmtrace stats FILE [--json PATH]\n"
     "\n"
     "  dump   print events oldest-first; filters compose (AND)\n"
@@ -43,22 +44,19 @@ constexpr std::string_view kUsage =
     "         --channel R,P    channel events on router R, output port P\n"
     "         --cycle-range A:B  events with A <= cycle <= B\n"
     "         --limit N        stop after N matching events\n"
-    "  diff   byte-compare two traces; --ignore-ff masks the\n"
-    "         fast-forwarded flag (cycle vs event engine checks).\n"
-    "         exit 0 identical, 1 different\n"
+    "  diff   byte-compare two traces; exit 0 identical, 1 different\n"
     "  stats  deterministic metrics derived from the trace (channel\n"
     "         occupancy, span/retry histograms, commit rate)\n"
     "         --json PATH      also write the metrics as the unified JSON\n"
     "                          report envelope (schema_version/engine/...)\n";
 
-long long parse_ll(std::string_view flag, std::string_view v) {
-  long long out = 0;
-  const auto [p, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
-  if (ec != std::errc{} || p != v.data() + v.size())
-    throw std::invalid_argument("pcmtrace: " + std::string(flag) +
-                                " expects an integer, got '" + std::string(v) +
-                                "'");
-  return out;
+/// Upper bound of --cycle-range and --limit (cycles and counts are int64).
+constexpr long long kInt64Max = std::numeric_limits<long long>::max();
+
+/// An integer flag value in [0, hi]; anything else is a usage error.
+long long parse_flag(std::string_view flag, std::string_view v,
+                     long long hi = std::numeric_limits<std::int32_t>::max()) {
+  return pcm::harness::parse_uint_flag(flag, v, 0, hi, "pcmtrace");
 }
 
 pcm::obs::TraceFile load(const std::string& path) {
@@ -116,23 +114,22 @@ int run_dump(const std::string& path, const DumpFilter& filt) {
     if (filt.channel && channel_of(ev) != filt.channel) continue;
     if (ev.cycle < filt.cycle_lo) continue;
     if (filt.cycle_hi >= 0 && ev.cycle > filt.cycle_hi) continue;
-    std::cout << pcm::obs::format_event(ev) << "\n";
-    if (filt.limit >= 0 && ++shown >= filt.limit) {
+    if (filt.limit >= 0 && shown == filt.limit) {
       std::cout << "... (limit " << filt.limit << " reached)\n";
       break;
     }
+    std::cout << pcm::obs::format_event(ev) << "\n";
+    ++shown;
   }
   return 0;
 }
 
-int run_diff(const std::string& a, const std::string& b, bool ignore_ff) {
+int run_diff(const std::string& a, const std::string& b) {
   const pcm::obs::TraceFile lhs = load(a);
   const pcm::obs::TraceFile rhs = load(b);
-  const pcm::obs::TraceDiff d =
-      pcm::obs::diff_traces(lhs.events, rhs.events, ignore_ff);
+  const pcm::obs::TraceDiff d = pcm::obs::diff_traces(lhs.events, rhs.events);
   if (d.identical) {
-    std::cout << "identical: " << lhs.events.size() << " events"
-              << (ignore_ff ? " (fast-forward flag masked)" : "") << "\n";
+    std::cout << "identical: " << lhs.events.size() << " events\n";
     return 0;
   }
   std::cout << "different at record " << d.first_divergence << ":\n"
@@ -179,7 +176,6 @@ int main(int argc, char** argv) {
     // argument after '=' -less flags.
     std::vector<std::string> pos;
     DumpFilter filt;
-    bool ignore_ff = false;
     std::string json_path;
     for (std::size_t i = 1; i < args.size(); ++i) {
       const std::string_view a = args[i];
@@ -190,29 +186,25 @@ int main(int argc, char** argv) {
         return args[++i];
       };
       if (a == "--msg") {
-        filt.msg = static_cast<std::int32_t>(parse_ll(a, value()));
+        filt.msg = static_cast<std::int32_t>(parse_flag(a, value()));
       } else if (a == "--channel") {
         const std::string_view v = value();
         const std::size_t comma = v.find(',');
         if (comma == std::string_view::npos)
           throw std::invalid_argument(
               "pcmtrace: --channel expects ROUTER,PORT");
-        filt.channel = {static_cast<std::int32_t>(
-                            parse_ll(a, v.substr(0, comma))),
-                        static_cast<std::int32_t>(
-                            parse_ll(a, v.substr(comma + 1)))};
+        filt.channel = {static_cast<std::int32_t>(parse_flag(a, v.substr(0, comma))),
+                        static_cast<std::int32_t>(parse_flag(a, v.substr(comma + 1)))};
       } else if (a == "--cycle-range") {
         const std::string_view v = value();
         const std::size_t colon = v.find(':');
         if (colon == std::string_view::npos)
           throw std::invalid_argument(
               "pcmtrace: --cycle-range expects LO:HI");
-        filt.cycle_lo = parse_ll(a, v.substr(0, colon));
-        filt.cycle_hi = parse_ll(a, v.substr(colon + 1));
+        filt.cycle_lo = parse_flag(a, v.substr(0, colon), kInt64Max);
+        filt.cycle_hi = parse_flag(a, v.substr(colon + 1), kInt64Max);
       } else if (a == "--limit") {
-        filt.limit = parse_ll(a, value());
-      } else if (a == "--ignore-ff") {
-        ignore_ff = true;
+        filt.limit = parse_flag(a, value(), kInt64Max);
       } else if (a == "--json") {
         json_path = std::string(value());
       } else if (a.substr(0, 2) == "--") {
@@ -223,8 +215,7 @@ int main(int argc, char** argv) {
       }
     }
     if (cmd == "dump" && pos.size() == 1) return run_dump(pos[0], filt);
-    if (cmd == "diff" && pos.size() == 2)
-      return run_diff(pos[0], pos[1], ignore_ff);
+    if (cmd == "diff" && pos.size() == 2) return run_diff(pos[0], pos[1]);
     if (cmd == "stats" && pos.size() == 1) return run_stats(pos[0], json_path);
     std::cerr << kUsage;
     return 2;
