@@ -1,7 +1,7 @@
 // E9 — Engineering microbenchmarks (google-benchmark): costs of the
 // building blocks — the O(k) DP, tree expansion, chain sorting, path
-// tracing, raw simulator throughput, and the static analyzer's tree
-// certification and forest admission.
+// tracing, simulator set-up and raw throughput, and the static analyzer's
+// tree certification and forest admission.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -77,6 +77,25 @@ void BM_TracePathBmin(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TracePathBmin);
+
+// Simulator set-up alone: the per-op fixed cost of a sweep of small
+// multicasts.  The topology's shared wiring is built before timing starts.
+void BM_SimulatorConstruct(benchmark::State& state) {
+  std::unique_ptr<sim::Topology> topo;
+  switch (state.range(0)) {
+    case 0: topo = mesh::make_mesh2d(16); state.SetLabel("mesh:16"); break;
+    case 1: topo = mesh::make_mesh2d(64); state.SetLabel("mesh:64"); break;
+    default: topo = bmin::make_bmin(128); state.SetLabel("bmin:128"); break;
+  }
+  (void)topo->wiring();
+  sim::SimConfig cfg;
+  cfg.engine = sim::EngineKind::kEvent;
+  for (auto _ : state) {
+    sim::Simulator sim(*topo, cfg);
+    benchmark::DoNotOptimize(&sim);
+  }
+}
+BENCHMARK(BM_SimulatorConstruct)->DenseRange(0, 2)->Unit(benchmark::kMicrosecond);
 
 void BM_SimulatorMulticast(benchmark::State& state) {
   // Full 32-node 4 KB OPT-mesh multicast on the 16x16 mesh; reports

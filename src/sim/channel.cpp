@@ -4,9 +4,8 @@
 
 namespace pcm::sim {
 
-FlitFifo::FlitFifo(int capacity) : capacity_(capacity) {
+FlitFifo::FlitFifo(Slot* slots, int capacity) : slots_(slots), capacity_(capacity) {
   if (capacity < 1) throw std::invalid_argument("FlitFifo: capacity must be >= 1");
-  slots_.resize(capacity);
 }
 
 void FlitFifo::fail(const char* what) { throw std::logic_error(what); }

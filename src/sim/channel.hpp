@@ -1,10 +1,11 @@
 // Flit buffer at a router input port: a small ring buffer that remembers
 // each flit's arrival cycle so the router pipeline delay can be modelled
-// as a minimum residency time.
+// as a minimum residency time.  The ring's slots live outside the FIFO
+// (the simulator's router arena, or a test's local array), so a FIFO is
+// a trivially copyable header and building a network allocates once.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "core/types.hpp"
 #include "sim/message.hpp"
@@ -19,8 +20,15 @@ struct Flit {
 
 class FlitFifo {
  public:
+  /// One buffered flit and its arrival cycle.
+  struct Slot {
+    Flit flit;
+    Time entry = 0;
+  };
+
   FlitFifo() = default;
-  explicit FlitFifo(int capacity);
+  /// Views `capacity` slots at `slots`, which must outlive the FIFO.
+  FlitFifo(Slot* slots, int capacity);
 
   [[nodiscard]] int capacity() const noexcept { return capacity_; }
   [[nodiscard]] int size() const noexcept { return size_; }
@@ -87,13 +95,9 @@ class FlitFifo {
   }
 
  private:
-  struct Slot {
-    Flit flit;
-    Time entry = 0;
-  };
   [[noreturn]] static void fail(const char* what);
 
-  std::vector<Slot> slots_;
+  Slot* slots_ = nullptr;
   int capacity_ = 0;
   int head_ = 0;
   int size_ = 0;

@@ -8,7 +8,6 @@ EventEngine::EventEngine(Simulator& sim)
     : sim_(sim), r_(sim.cfg_.router_delay) {
   ports_per_node_ = sim.topo_.ports_per_node();
   rr_.resize(static_cast<std::size_t>(sim.topo_.num_routers()));
-  windows_.resize(sim.channel_msg_.size());
   seen_.assign(sim.channel_msg_.size(), 0);
   eng_free_from_.resize(static_cast<std::size_t>(sim.topo_.num_nodes()) *
                         static_cast<std::size_t>(ports_per_node_));
@@ -34,9 +33,9 @@ void EventEngine::reset() {
     a.accum = sim_.routers_[r].rr_start();
     a.since = now;
     a.refcnt = 0;
-    a.steps.clear();
   }
-  for (std::vector<Window>& v : windows_) v.clear();
+  rr_steps_.reset(rr_.size());
+  windows_.reset(sim_.channel_msg_.size());
   admitted_live_ = 0;
   settled_ = now - 1;
   inflight_ = 0;
@@ -217,8 +216,8 @@ bool EventEngine::commit_arbitrations(Time t) {
         return false;
       }
       const int cid = router * radix + granted;
-      if (sim_.eject_cache_[static_cast<std::size_t>(cid)] == kInvalidNode) {
-        const PortRef d = sim_.link_cache_[static_cast<std::size_t>(cid)];
+      if (sim_.eject_[static_cast<std::size_t>(cid)] == kInvalidNode) {
+        const PortRef d = sim_.link_[static_cast<std::size_t>(cid)];
         if (!d.valid()) {
           materialize(t, Materialization::kBail);  // transfer() throws verbatim
           return false;
@@ -250,11 +249,11 @@ bool EventEngine::commit_arbitrations(Time t) {
     w.hops.push_back(Hop{router, w.head_at.port, q, t});
     sched(t + w.flits - 1, Ev::kXfer, wi,
           static_cast<int>(w.hops.size()) - 1);
-    if (sim_.eject_cache_[static_cast<std::size_t>(cid)] != kInvalidNode) {
+    if (sim_.eject_[static_cast<std::size_t>(cid)] != kInvalidNode) {
       w.ejecting = true;
       w.eject_start = t;
     } else {
-      w.head_at = sim_.link_cache_[static_cast<std::size_t>(cid)];
+      w.head_at = sim_.link_[static_cast<std::size_t>(cid)];
       sched(t + r_, Ev::kArb, wi);
       rr_step(w.head_at.router, t + 1, +1);
     }
@@ -309,6 +308,7 @@ void EventEngine::commit_xfers(Time t) {
       // release and the inject-done fall strictly earlier), so the slot
       // is free for the next pull.
       free_worms_.push_back(wi);
+      hop_hint_ = std::max(hop_hint_, w.hops.size());
     }
   }
 }
@@ -317,39 +317,39 @@ void EventEngine::commit_inject_dones(Time t) {
   for (const int wi : dones_) {
     Worm& w = worms_[wi];
     const NodeId node = static_cast<NodeId>(w.nic_engine / ports_per_node_);
-    const int e = w.nic_engine % ports_per_node_;
     Message& m = sim_.messages_.at(w.id);
     m.inject_done = t;
-    sim_.nics_[static_cast<std::size_t>(node)].engines[static_cast<std::size_t>(e)]
-        .active = kInvalidMsg;
+    sim_.nic_engines_[static_cast<std::size_t>(w.nic_engine)].active = kInvalidMsg;
     eng_free_from_[static_cast<std::size_t>(w.nic_engine)] = t + 1;
     // The freed engine re-pulls at the next injection sweep; the queue is
     // consulted *after* this cycle's post releases, mirroring step().
-    if (!sim_.nics_[static_cast<std::size_t>(node)].queue.empty())
+    if (!sim_.nic_queues_[static_cast<std::size_t>(node)].empty())
       sched(t + 1, Ev::kNicPull, node);
     touched_.push_back(node);
   }
 }
 
 void EventEngine::do_pulls(NodeId n, Time t) {
-  Simulator::Nic& nic = sim_.nics_[static_cast<std::size_t>(n)];
+  Simulator::NicQueue& queue = sim_.nic_queues_[static_cast<std::size_t>(n)];
   const std::size_t base =
       static_cast<std::size_t>(n) * static_cast<std::size_t>(ports_per_node_);
   for (int e = 0; e < ports_per_node_; ++e) {
-    if (nic.queue.empty()) break;
-    Simulator::Nic::Engine& eng = nic.engines[static_cast<std::size_t>(e)];
+    if (queue.empty()) break;
+    Simulator::NicEngine& eng = sim_.nic_engines_[base + static_cast<std::size_t>(e)];
     if (eng.active != kInvalidMsg ||
         eng_free_from_[base + static_cast<std::size_t>(e)] > t)
       continue;
-    const MsgId id = nic.queue.front();
-    nic.queue.pop_front();
+    const MsgId id = queue.front();
+    queue.pop();
     eng.active = id;
     eng.flits_sent = 0;
     Message& m = sim_.messages_.at(id);
     m.inject_start = t;
     int wi = static_cast<int>(worms_.size());
     if (free_worms_.empty()) {
-      worms_.emplace_back();
+      // A new slot starts with room for the longest path delivered so
+      // far, so it rarely regrows.
+      worms_.emplace_back().hops.reserve(hop_hint_);
     } else {
       wi = free_worms_.back();
       free_worms_.pop_back();
@@ -362,7 +362,7 @@ void EventEngine::do_pulls(NodeId n, Time t) {
     w.ejecting = false;
     w.admitted = false;
     w.nic_engine = static_cast<int>(base) + e;
-    w.head_at = sim_.attach_cache_[base + static_cast<std::size_t>(e)];
+    w.head_at = sim_.attach_[base + static_cast<std::size_t>(e)];
     w.hops.clear();  // keeps the slot's capacity
     w.hops_settled = 0;
     live_.push_back(wi);
@@ -401,11 +401,11 @@ bool EventEngine::try_admit(int wi, Time t0) {
     if (sim_.faults_active_ && sim_.channel_down(cid)) break;
     seen_[c] = stamp_;
     w.hops.push_back(Hop{at.router, at.port, q, a});
-    if (sim_.eject_cache_[c] != kInvalidNode) {
+    if (sim_.eject_[c] != kInvalidNode) {
       w.ejecting = true;
       break;
     }
-    const PortRef d = sim_.link_cache_[c];
+    const PortRef d = sim_.link_[c];
     if (!d.valid()) break;
     if (sim_.faults_active_ && plan_drops(sim_.plan_, w.id, d.router)) break;
     at = d;
@@ -432,7 +432,8 @@ bool EventEngine::try_admit(int wi, Time t0) {
 }
 
 bool EventEngine::window_clear(int cid, Time s, Time e) {
-  std::vector<Window>& v = windows_[static_cast<std::size_t>(cid)];
+  const auto c = static_cast<std::size_t>(cid);
+  const std::span<Window> v = windows_.view(c);
   const Time now = sim_.cycle_;
   bool clear = true;
   std::size_t keep = 0;
@@ -441,50 +442,51 @@ bool EventEngine::window_clear(int cid, Time s, Time e) {
     v[keep++] = x;
     if (x.start <= e && x.end >= s) clear = false;
   }
-  v.resize(keep);
+  windows_.truncate(c, keep);
   return clear;
 }
 
 void EventEngine::add_window(int cid, Time s, Time e) {
-  std::vector<Window>& v = windows_[static_cast<std::size_t>(cid)];
-  const Time now = sim_.cycle_;
+  const auto c = static_cast<std::size_t>(cid);
   // Per-hop grants add windows nobody may check (no admission runs under
   // an observer), so adding prunes too, once the oldest has expired.
-  if (!v.empty() && v.front().end < now)
-    std::erase_if(v, [now](const Window& x) { return x.end < now; });
-  v.push_back(Window{s, e});
+  const std::span<const Window> v = windows_.view(c);
+  if (!v.empty() && v.front().end < sim_.cycle_)
+    (void)window_clear(cid, s, e);  // for its pruning only
+  windows_.push_back(c, Window{s, e});
 }
 
 void EventEngine::recheck_nic_busy(NodeId n) {
-  Simulator::Nic& nic = sim_.nics_[static_cast<std::size_t>(n)];
-  if (!nic.busy()) {
+  if (!sim_.nic_busy(n)) {
     --sim_.busy_nics_;
     sim_.nic_words_[static_cast<std::size_t>(n) >> 6] &= ~(1ULL << (n & 63));
   }
 }
 
 void EventEngine::rr_flush(int router, Time upto) {
-  RrAcct& a = rr_[static_cast<std::size_t>(router)];
+  const auto r = static_cast<std::size_t>(router);
+  RrAcct& a = rr_[r];
+  const std::span<const std::pair<Time, int>> steps = rr_steps_.view(r);
   std::size_t i = 0;
-  for (; i < a.steps.size() && a.steps[i].first <= upto; ++i) {
-    if (a.refcnt > 0) a.accum += a.steps[i].first - a.since;
-    a.since = a.steps[i].first;
-    a.refcnt += a.steps[i].second;
+  for (; i < steps.size() && steps[i].first <= upto; ++i) {
+    if (a.refcnt > 0) a.accum += steps[i].first - a.since;
+    a.since = steps[i].first;
+    a.refcnt += steps[i].second;
   }
-  a.steps.erase(a.steps.begin(),
-                a.steps.begin() + static_cast<std::ptrdiff_t>(i));
+  rr_steps_.erase_front(r, i);
   if (a.refcnt > 0) a.accum += upto - a.since;
   a.since = upto;
 }
 
 void EventEngine::rr_step(int router, Time at, int delta) {
-  RrAcct& a = rr_[static_cast<std::size_t>(router)];
+  const auto r = static_cast<std::size_t>(router);
   // Folding in the steps already past keeps the pending list short.
-  if (a.steps.size() >= 16 && a.steps.front().first <= sim_.cycle_)
+  if (rr_steps_.size(r) >= 16 && rr_steps_.view(r).front().first <= sim_.cycle_)
     rr_flush(router, sim_.cycle_);
-  auto it = a.steps.end();
-  while (it != a.steps.begin() && std::prev(it)->first > at) --it;
-  a.steps.insert(it, {at, delta});
+  const std::span<const std::pair<Time, int>> steps = rr_steps_.view(r);
+  std::size_t i = steps.size();
+  while (i > 0 && steps[i - 1].first > at) --i;
+  rr_steps_.insert(r, i, {at, delta});
 }
 
 long long EventEngine::rr_bumps(int router, Time at) {
@@ -629,11 +631,8 @@ void EventEngine::materialize(Time at, Materialization why) {
     if (w.t0 + F - 1 >= at) {
       // Mid-injection: restore the NI engine's progress counter (the
       // active message id is already live in the simulator's NIC state).
-      const std::size_t node = static_cast<std::size_t>(w.nic_engine) /
-                               static_cast<std::size_t>(ports_per_node_);
-      const std::size_t e = static_cast<std::size_t>(w.nic_engine) %
-                            static_cast<std::size_t>(ports_per_node_);
-      sim_.nics_[node].engines[e].flits_sent = static_cast<int>(at - w.t0);
+      sim_.nic_engines_[static_cast<std::size_t>(w.nic_engine)].flits_sent =
+          static_cast<int>(at - w.t0);
     }
   }
   // FIFO pushes in global (router, port, entry) order: a FIFO shared by

@@ -48,8 +48,10 @@
 #pragma once
 
 #include <queue>
+#include <utility>
 #include <vector>
 
+#include "sim/pooled_vectors.hpp"
 #include "sim/simulator.hpp"
 
 namespace pcm::sim {
@@ -123,11 +125,11 @@ class EventEngine {
   /// [a_{k-1} + 1, a_k + F - 1].  A refcount over these intervals, fed
   /// by time-ordered steps that may lie in the future (an admitted worm
   /// posts all of its steps at once), yields the bump count at any cycle.
+  /// The pending steps live in rr_steps_, one list per router.
   struct RrAcct {
     long long accum = 0;  ///< active cycles before `since`
     Time since = 0;
     int refcnt = 0;
-    std::vector<std::pair<Time, int>> steps;  ///< pending, ascending time
   };
 
   /// A channel's hold window [start, end] (reserve through release) of a
@@ -200,10 +202,13 @@ class EventEngine {
   std::vector<Worm> worms_;  ///< slots, reused once a worm is delivered
   std::vector<int> live_;  ///< indices of in-flight worms (unordered)
   std::vector<int> free_worms_;  ///< delivered slots, reused LIFO
+  std::size_t hop_hint_ = 0;  ///< most hops of a delivered worm so far
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> calendar_;
   std::vector<Time> eng_free_from_;  ///< per node * ports_per_node + engine
   std::vector<RrAcct> rr_;           ///< per router
-  std::vector<std::vector<Window>> windows_;  ///< per channel id
+  /// Per router: pending (cycle, delta) steps, ascending cycle.
+  PooledVectors<std::pair<Time, int>> rr_steps_;
+  PooledVectors<Window> windows_;  ///< per channel id: live hold windows
   std::vector<unsigned> seen_;  ///< per channel id: last try_admit stamp
   unsigned stamp_ = 0;
   int admitted_live_ = 0;  ///< live worms with precomputed paths

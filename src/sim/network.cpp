@@ -11,6 +11,28 @@ std::string Topology::channel_name(int router, int out_port) const {
   return os.str();
 }
 
+const Wiring& Topology::wiring() const {
+  std::call_once(wiring_once_, [this] {
+    const int channels = num_channels();
+    wiring_.link.resize(static_cast<std::size_t>(channels));
+    wiring_.eject.resize(static_cast<std::size_t>(channels));
+    for (int r = 0; r < num_routers(); ++r) {
+      for (int q = 0; q < radix(); ++q) {
+        wiring_.link[static_cast<std::size_t>(channel_id(r, q))] = link(r, q);
+        wiring_.eject[static_cast<std::size_t>(channel_id(r, q))] = ejector(r, q);
+      }
+    }
+    const int ports = ports_per_node();
+    wiring_.attach.resize(static_cast<std::size_t>(num_nodes()) *
+                          static_cast<std::size_t>(ports));
+    for (NodeId n = 0; n < num_nodes(); ++n)
+      for (int p = 0; p < ports; ++p)
+        wiring_.attach[static_cast<std::size_t>(n) * ports + p] =
+            node_attach_port(n, p);
+  });
+  return wiring_;
+}
+
 void Topology::append_path(NodeId src, NodeId dst, std::vector<ChannelId>& out) const {
   const std::vector<ChannelId> path = trace_path(*this, src, dst);
   out.insert(out.end(), path.begin(), path.end());

@@ -20,9 +20,15 @@
 //                  counts exactly the inputs arbitration could serve;
 //   * held():      outputs currently reserved, i.e. the switch traversals
 //                  transfer could perform.
+//
+// A Router is a view: its input FIFOs, their slots and its two port tables
+// live in a RouterArena, one allocation for every router of a network, so
+// building a simulator costs the same few allocations at any size.
 #pragma once
 
-#include <vector>
+#include <cstddef>
+#include <memory>
+#include <span>
 
 #include "sim/channel.hpp"
 
@@ -31,9 +37,12 @@ namespace pcm::sim {
 class Router {
  public:
   Router() = default;
-  Router(int radix, int fifo_capacity);
+  /// Views `radix` input FIFOs and the per-port reservation tables
+  /// (entries -1 when free); the storage must outlive the router.
+  Router(FlitFifo* in, int* in_assigned, int* out_holder, int radix) noexcept
+      : in_(in), in_assigned_(in_assigned), out_holder_(out_holder), radix_(radix) {}
 
-  [[nodiscard]] int radix() const noexcept { return static_cast<int>(in_.size()); }
+  [[nodiscard]] int radix() const noexcept { return radix_; }
 
   [[nodiscard]] FlitFifo& in(int port) noexcept { return in_[port]; }
   [[nodiscard]] const FlitFifo& in(int port) const noexcept { return in_[port]; }
@@ -91,13 +100,30 @@ class Router {
   int purge_msg(MsgId msg);
 
  private:
-  std::vector<FlitFifo> in_;
-  std::vector<int> in_assigned_;
-  std::vector<int> out_holder_;
+  FlitFifo* in_ = nullptr;
+  int* in_assigned_ = nullptr;
+  int* out_holder_ = nullptr;
+  int radix_ = 0;
   int rr_start_ = 0;
   int activity_ = 0;
   int pending_ = 0;
   int held_ = 0;
+};
+
+/// Storage for every router of one network in a single allocation: the
+/// Router views, their input-FIFO headers and slots, and the in_assigned /
+/// out_holder tables.  Non-movable, like the simulator that owns it.
+class RouterArena {
+ public:
+  RouterArena(int routers, int radix, int fifo_capacity);
+  RouterArena(const RouterArena&) = delete;
+  RouterArena& operator=(const RouterArena&) = delete;
+
+  [[nodiscard]] std::span<Router> routers() const noexcept { return routers_; }
+
+ private:
+  std::unique_ptr<std::byte[]> mem_;
+  std::span<Router> routers_;
 };
 
 }  // namespace pcm::sim

@@ -46,45 +46,79 @@ std::string WatchdogReport::to_string() const {
   return os.str();
 }
 
-Simulator::Simulator(const Topology& topo, SimConfig cfg)
-    : topo_(topo), cfg_(cfg), radix_(topo.radix()) {
-  if (cfg_.fifo_capacity < cfg_.router_delay + 1) {
+namespace {
+
+SimConfig normalized(SimConfig cfg) {
+  if (cfg.fifo_capacity < cfg.router_delay + 1) {
     // A flit rests router_delay cycles in every buffer; keep enough slots
     // that residency does not throttle a fully pipelined channel.
-    cfg_.fifo_capacity = static_cast<int>(cfg_.router_delay) + 1;
+    cfg.fifo_capacity = static_cast<int>(cfg.router_delay) + 1;
   }
-  const int num_routers = topo.num_routers();
-  routers_.reserve(num_routers);
-  for (int r = 0; r < num_routers; ++r)
-    routers_.emplace_back(radix_, cfg_.fifo_capacity);
-  nics_.resize(topo.num_nodes());
-  for (Nic& nic : nics_) nic.engines.resize(topo.ports_per_node());
+  return cfg;
+}
 
-  // Snapshot the wiring: the topology is immutable for the simulator's
-  // lifetime, so every per-flit virtual lookup can be a table load.
-  const int channels = num_routers * radix_;
-  link_cache_.resize(channels);
-  eject_cache_.resize(channels);
-  route_memo_.resize(channels);
-  for (int r = 0; r < num_routers; ++r) {
-    for (int q = 0; q < radix_; ++q) {
-      link_cache_[r * radix_ + q] = topo.link(r, q);
-      eject_cache_[r * radix_ + q] = topo.ejector(r, q);
+}  // namespace
+
+std::vector<MsgId> first_wait_cycle(const std::vector<std::vector<MsgId>>& waits_on) {
+  // The recursive search, unrolled: `path` is the recursion stack (every
+  // grey message, root first) and `next_edge` each frame's loop index.
+  enum : char { kWhite, kGrey, kBlack };
+  std::vector<char> color(waits_on.size(), kWhite);
+  std::vector<MsgId> path;
+  std::vector<std::size_t> next_edge;
+  for (std::size_t root = 0; root < waits_on.size(); ++root) {
+    if (color[root] != kWhite || waits_on[root].empty()) continue;
+    color[root] = kGrey;
+    path.push_back(static_cast<MsgId>(root));
+    next_edge.push_back(0);
+    while (!path.empty()) {
+      const auto u = static_cast<std::size_t>(path.back());
+      if (next_edge.back() == waits_on[u].size()) {
+        color[u] = kBlack;
+        path.pop_back();
+        next_edge.pop_back();
+        continue;
+      }
+      const MsgId v = waits_on[u][next_edge.back()++];
+      if (color[static_cast<std::size_t>(v)] == kGrey)
+        return {std::find(path.begin(), path.end(), v), path.end()};
+      if (color[static_cast<std::size_t>(v)] == kWhite) {
+        color[static_cast<std::size_t>(v)] = kGrey;
+        path.push_back(v);
+        next_edge.push_back(0);
+      }
     }
   }
-  const int ports = topo.ports_per_node();
-  attach_cache_.resize(static_cast<std::size_t>(topo.num_nodes()) * ports);
-  for (NodeId n = 0; n < topo.num_nodes(); ++n)
-    for (int p = 0; p < ports; ++p)
-      attach_cache_[static_cast<std::size_t>(n) * ports + p] =
-          topo.node_attach_port(n, p);
+  return {};
+}
 
-  active_words_.resize((static_cast<std::size_t>(num_routers) + 63) / 64, 0);
-  nic_words_.resize((static_cast<std::size_t>(topo.num_nodes()) + 63) / 64, 0);
+Simulator::Simulator(const Topology& topo, SimConfig cfg)
+    : topo_(topo),
+      cfg_(normalized(cfg)),
+      radix_(topo.radix()),
+      ports_per_node_(topo.ports_per_node()),
+      arena_(topo.num_routers(), radix_, cfg_.fifo_capacity),
+      routers_(arena_.routers()) {
+  const auto nodes = static_cast<std::size_t>(topo.num_nodes());
+  const auto channels = static_cast<std::size_t>(topo.num_routers()) * radix_;
+  nic_queues_.resize(nodes);
+  nic_engines_.resize(nodes * static_cast<std::size_t>(ports_per_node_));
 
-  channel_dead_.assign(static_cast<std::size_t>(channels), 0);
-  node_dead_.assign(static_cast<std::size_t>(topo.num_nodes()), 0);
-  channel_msg_.assign(static_cast<std::size_t>(channels), kInvalidMsg);
+  // The topology is immutable for the simulator's lifetime, so every
+  // per-flit virtual lookup can be a load from its shared tables.
+  const Wiring& w = topo.wiring();
+  link_ = w.link.data();
+  eject_ = w.eject.data();
+  attach_ = w.attach.data();
+  route_memo_.resize(channels);
+  memo_cands_ = std::make_unique_for_overwrite<int[]>(channels * radix_);
+
+  active_words_.resize((routers_.size() + 63) / 64, 0);
+  nic_words_.resize((nodes + 63) / 64, 0);
+
+  channel_dead_.assign(channels, 0);
+  node_dead_.assign(nodes, 0);
+  channel_msg_.assign(channels, kInvalidMsg);
 
   // Per-cycle scratch: sized once here so steady-state cycles (and the
   // event engine's delivery batches) never reallocate.
@@ -161,6 +195,14 @@ MsgId Simulator::post(Message m) {
 
 bool Simulator::network_quiescent() const {
   return inflight_flits_ == 0 && busy_nics_ == 0;
+}
+
+bool Simulator::nic_busy(NodeId n) const {
+  if (!nic_queues_[static_cast<std::size_t>(n)].empty()) return true;
+  const std::size_t base = static_cast<std::size_t>(n) * ports_per_node_;
+  for (int e = 0; e < ports_per_node_; ++e)
+    if (nic_engines_[base + e].active != kInvalidMsg) return true;
+  return false;
 }
 
 bool Simulator::idle() const {
@@ -247,12 +289,11 @@ void Simulator::release_due_posts(std::vector<NodeId>* released) {
       if (observer_ != nullptr) observer_->on_drop(id, m.drop_reason, cycle_);
       continue;
     }
-    Nic& nic = nics_[src];
-    if (!nic.busy()) {
+    if (!nic_busy(src)) {
       ++busy_nics_;
       nic_words_[static_cast<std::size_t>(src) >> 6] |= 1ULL << (src & 63);
     }
-    nic.queue.push_back(id);
+    nic_queues_[static_cast<std::size_t>(src)].push(id);
     if (released != nullptr) released->push_back(src);
   }
 }
@@ -293,20 +334,30 @@ void Simulator::arbitrate(int r) {
     if (cycle_ - fifo.front_entry() < cfg_.router_delay) continue;
     Message& msg = messages_.at(front.msg);
     // Routing memo: recompute only when a new head reaches this input.
-    RouteMemo& memo = route_memo_[r * radix_ + p];
+    const std::size_t in_ch = static_cast<std::size_t>(r) * radix_ + p;
+    RouteMemo& memo = route_memo_[in_ch];
+    int* const cands = memo_cands_.get() + in_ch * radix_;
     if (memo.msg != front.msg) {
-      memo.candidates.clear();
-      topo_.route(r, p, msg.src, msg.dst, memo.candidates);
+      route_scratch_.clear();
+      topo_.route(r, p, msg.src, msg.dst, route_scratch_);
+      if (route_scratch_.size() > static_cast<std::size_t>(radix_))
+        throw std::logic_error(err_at(
+            ("routing returned more candidates than ports at " +
+             topo_.channel_name(r, p))
+                .c_str(),
+            cycle_, front.msg));
+      std::copy(route_scratch_.begin(), route_scratch_.end(), cands);
+      memo.count = static_cast<int>(route_scratch_.size());
       memo.msg = front.msg;
     }
-    if (memo.candidates.empty())
+    if (memo.count == 0)
       throw std::logic_error(
           err_at(("routing returned no candidates at " + topo_.channel_name(r, p))
                      .c_str(),
                  cycle_, front.msg));
     bool granted = false;
     bool any_live = false;
-    for (int q : memo.candidates) {
+    for (const int q : std::span<const int>(cands, static_cast<std::size_t>(memo.count))) {
       if (faults_active_ && channel_down(r * radix_ + q)) continue;
       any_live = true;
       if (router.out_holder(q) == -1) {
@@ -348,7 +399,7 @@ void Simulator::transfer(int r) {
     FlitFifo& fifo = router.in(p);
     if (fifo.empty()) continue;  // wormhole bubble: channel held, no flit yet
     if (cycle_ - fifo.front_entry() < cfg_.router_delay) continue;
-    const NodeId ej = eject_cache_[base + q];
+    const NodeId ej = eject_[base + q];
     if (ej != kInvalidNode) {
       if (faults_active_ && node_dead_[static_cast<std::size_t>(ej)]) {
         // Consumer fail-stopped mid-delivery: the rest of the worm has
@@ -378,7 +429,7 @@ void Simulator::transfer(int r) {
       }
       continue;
     }
-    const PortRef d = link_cache_[base + q];
+    const PortRef d = link_[base + q];
     if (!d.valid())
       throw std::logic_error(
           err_at(("message routed onto unwired channel " + topo_.channel_name(r, q))
@@ -408,19 +459,19 @@ void Simulator::transfer(int r) {
 }
 
 void Simulator::inject(NodeId n) {
-  Nic& nic = nics_[n];
-  const std::size_t base = static_cast<std::size_t>(n) * nic.engines.size();
-  for (std::size_t e = 0; e < nic.engines.size(); ++e) {
-    Nic::Engine& eng = nic.engines[e];
+  NicQueue& queue = nic_queues_[static_cast<std::size_t>(n)];
+  const std::size_t base = static_cast<std::size_t>(n) * ports_per_node_;
+  for (int e = 0; e < ports_per_node_; ++e) {
+    NicEngine& eng = nic_engines_[base + e];
     if (eng.active == kInvalidMsg) {
-      if (nic.queue.empty()) continue;
-      eng.active = nic.queue.front();
-      nic.queue.pop_front();
+      if (queue.empty()) continue;
+      eng.active = queue.front();
+      queue.pop();
       eng.flits_sent = 0;
       quiet_ = false;
     }
     Message& msg = messages_.at(eng.active);
-    const PortRef a = attach_cache_[base + e];
+    const PortRef a = attach_[base + e];
     Router& router = routers_[a.router];
     if (!router.in(a.port).can_accept(cycle_)) continue;
     Flit flit;
@@ -443,7 +494,7 @@ void Simulator::inject(NodeId n) {
       quiet_ = false;
     }
   }
-  if (!nic.busy()) {
+  if (!nic_busy(n)) {
     --busy_nics_;
     nic_words_[static_cast<std::size_t>(n) >> 6] &= ~(1ULL << (n & 63));
   }
@@ -537,15 +588,15 @@ void Simulator::leap(Time max_cycles) {
   // Injecting engines stream body flits until a tail is due; checked
   // first because short messages fail here most often.
   leap_engines_.clear();
-  const std::size_t ports = nics_.empty() ? 0 : nics_.front().engines.size();
+  const auto ports = static_cast<std::size_t>(ports_per_node_);
   for (std::size_t wi = 0; wi < nic_words_.size(); ++wi) {
     for (std::uint64_t w = nic_words_[wi]; w != 0; w &= w - 1) {
       const std::size_t n =
           (wi << 6) | static_cast<unsigned>(std::countr_zero(w));
       for (std::size_t e = 0; e < ports; ++e) {
-        Nic::Engine& eng = nics_[n].engines[e];
+        NicEngine& eng = nic_engines_[n * ports + e];
         if (eng.active == kInvalidMsg) continue;
-        const PortRef a = attach_cache_[n * ports + e];
+        const PortRef a = attach_[n * ports + e];
         const FlitFifo& fifo = routers_[a.router].in(a.port);
         if (fifo.empty() || fifo.back_entry() != t) continue;  // backed up
         d = std::min<Time>(
@@ -589,7 +640,7 @@ void Simulator::leap(Time max_cycles) {
   if (leap_fifos_.empty()) return;
 
   for (FlitFifo* fifo : leap_fifos_) fifo->shift_time(d);
-  for (Nic::Engine* eng : leap_engines_) eng->flits_sent += static_cast<int>(d);
+  for (NicEngine* eng : leap_engines_) eng->flits_sent += static_cast<int>(d);
   stats_.flit_hops += d * static_cast<long long>(leap_fifos_.size());
   for (const LeapBlock& b : leap_blocked_)
     messages_.at(b.msg).block_cycles += d;
@@ -656,11 +707,12 @@ void Simulator::fail_node(NodeId n) {
   node_dead_[static_cast<std::size_t>(n)] = 1;
   // Outgoing traffic dies with the NI: partially injected worms would
   // otherwise wedge the network waiting for flits that never come.
-  Nic& nic = nics_[n];
   std::vector<MsgId> victims;
-  for (const Nic::Engine& e : nic.engines)
+  for (const NicEngine& e : nic_engines(n))
     if (e.active != kInvalidMsg) victims.push_back(e.active);
-  victims.insert(victims.end(), nic.queue.begin(), nic.queue.end());
+  const std::span<const MsgId> queued =
+      nic_queues_[static_cast<std::size_t>(n)].queued();
+  victims.insert(victims.end(), queued.begin(), queued.end());
   for (const MsgId id : victims) purge_message(id, DropReason::kSenderDead);
   // Incoming worms are purged lazily when they reach the dead ejection
   // channel (arbitrate/transfer check node_dead_), as a real router would
@@ -709,12 +761,11 @@ void Simulator::purge_message(MsgId id, DropReason reason) {
     }
   }
   // 3. Detach it from the source NI (mid-injection or still queued).
-  Nic& nic = nics_[msg.src];
-  const bool was_busy = nic.busy();
-  for (Nic::Engine& e : nic.engines)
+  const bool was_busy = nic_busy(msg.src);
+  for (NicEngine& e : nic_engines(msg.src))
     if (e.active == id) e.active = kInvalidMsg;
-  std::erase(nic.queue, id);
-  if (was_busy && !nic.busy()) {
+  nic_queues_[static_cast<std::size_t>(msg.src)].erase(id);
+  if (was_busy && !nic_busy(msg.src)) {
     --busy_nics_;
     nic_words_[static_cast<std::size_t>(msg.src) >> 6] &=
         ~(1ULL << (msg.src & 63));
@@ -773,29 +824,7 @@ WatchdogReport Simulator::stall_report(Time stalled_cycles) const {
       }
     }
   }
-  // Iterative DFS for the first cycle.
-  enum : char { kWhite, kGrey, kBlack };
-  std::vector<char> color(waits_on.size(), kWhite);
-  std::vector<MsgId> stack;
-  std::function<bool(MsgId)> visit = [&](MsgId u) -> bool {
-    color[static_cast<std::size_t>(u)] = kGrey;
-    stack.push_back(u);
-    for (const MsgId v : waits_on[static_cast<std::size_t>(u)]) {
-      if (color[static_cast<std::size_t>(v)] == kGrey) {
-        const auto it = std::find(stack.begin(), stack.end(), v);
-        rep.deadlock_cycle.assign(it, stack.end());
-        return true;
-      }
-      if (color[static_cast<std::size_t>(v)] == kWhite && visit(v)) return true;
-    }
-    stack.pop_back();
-    color[static_cast<std::size_t>(u)] = kBlack;
-    return false;
-  };
-  for (MsgId u = 0; u < messages_.size() && rep.deadlock_cycle.empty(); ++u)
-    if (color[static_cast<std::size_t>(u)] == kWhite &&
-        !waits_on[static_cast<std::size_t>(u)].empty())
-      visit(u);
+  rep.deadlock_cycle = first_wait_cycle(waits_on);
   rep.channel_occupancy = stall_dump();
   return rep;
 }

@@ -20,11 +20,17 @@
 //
 // Fast path (see DESIGN.md §6): instead of rescanning every router and NI
 // each cycle, the engine keeps worklist bitmaps of routers with non-zero
-// activity and NIs with outstanding sends, caches the (immutable) channel
-// wiring, and memoizes each input port's routing candidates while the
-// same head flit waits there.  All of this is observationally equivalent
-// to the naive full scan: per-cycle event order, conflict counters, and
-// observer callbacks are bit-identical.
+// activity and NIs with outstanding sends, reads the topology's shared
+// wiring tables (Topology::wiring(), built once per topology) instead of
+// calling it virtually, and memoizes each input port's routing
+// candidates while the same head flit waits there.  All of this is
+// observationally equivalent to the naive full scan: per-cycle event
+// order, conflict counters, and observer callbacks are bit-identical.
+//
+// Set-up cost: every router, input FIFO, FIFO slot and port table sits in
+// one RouterArena, and the NI engines in one flat array, so construction
+// takes the same dozen-odd allocations on any topology.  A Simulator is
+// neither copyable nor movable (its routers view its own arena).
 //
 // Steady-state leap (DESIGN.md §6.1): after a *quiet* cycle — flits moved,
 // but nothing was granted, released, injected as a head or tail, pulled,
@@ -36,11 +42,12 @@
 // the skipped cycles would have produced.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <queue>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -122,6 +129,13 @@ class WatchdogError : public std::runtime_error {
   WatchdogReport report_;
 };
 
+/// The first cycle a depth-first search of the wait-for graph meets:
+/// `waits_on[m]` lists the messages m waits on, roots are tried in
+/// ascending id and edges in list order.  Returns the cycle from its first
+/// visited member, or an empty vector if the graph is acyclic.  Iterative,
+/// so a wait chain of any length costs heap, not stack.
+std::vector<MsgId> first_wait_cycle(const std::vector<std::vector<MsgId>>& waits_on);
+
 class EventEngine;
 
 class Simulator {
@@ -129,9 +143,11 @@ class Simulator {
   /// Called when a message's tail flit is consumed; handlers may post().
   using DeliveryHandler = std::function<void(const Message&)>;
 
-  /// `topo` must outlive the simulator and must not change while any
-  /// simulator references it (the wiring is cached at construction).
+  /// `topo` must outlive the simulator; its wiring() tables are shared
+  /// with every other simulator on it.
   Simulator(const Topology& topo, SimConfig cfg = {});
+  Simulator(const Simulator&) = delete;
+  Simulator& operator=(const Simulator&) = delete;
   ~Simulator();  // out of line: EventEngine is incomplete here
 
   /// Called when a message is purged by a fault; handlers may post().
@@ -236,19 +252,36 @@ class Simulator {
   [[nodiscard]] long long admitted_worms() const { return admitted_worms_; }
 
  private:
-  struct Nic {
-    /// One injection engine per NI port (one-port machines have one).
-    struct Engine {
-      MsgId active = kInvalidMsg;
-      int flits_sent = 0;
-    };
-    std::deque<MsgId> queue;  ///< released, awaiting an engine (FIFO)
-    std::vector<Engine> engines;
-    [[nodiscard]] bool busy() const {
-      if (!queue.empty()) return true;
-      for (const Engine& e : engines)
-        if (e.active != kInvalidMsg) return true;
-      return false;
+  /// One injection engine per NI port (one-port machines have one).
+  struct NicEngine {
+    MsgId active = kInvalidMsg;
+    int flits_sent = 0;
+  };
+
+  /// An NI's released messages awaiting an engine, FIFO: a vector read
+  /// from `head`, emptied whenever it drains, so it allocates on first
+  /// use and then reuses its capacity.
+  struct NicQueue {
+    std::vector<MsgId> ids;
+    std::size_t head = 0;
+    [[nodiscard]] bool empty() const { return head == ids.size(); }
+    [[nodiscard]] MsgId front() const { return ids[head]; }
+    void push(MsgId id) { ids.push_back(id); }
+    void pop() {
+      if (++head == ids.size()) clear();
+    }
+    [[nodiscard]] std::span<const MsgId> queued() const {
+      return std::span<const MsgId>(ids).subspan(head);
+    }
+    void erase(MsgId id) {
+      ids.erase(std::remove(ids.begin() + static_cast<std::ptrdiff_t>(head),
+                            ids.end(), id),
+                ids.end());
+      if (empty()) clear();
+    }
+    void clear() {
+      ids.clear();
+      head = 0;
     }
   };
 
@@ -268,9 +301,11 @@ class Simulator {
   /// against live state every cycle.  Keyed by message id: a released
   /// channel that reveals the next message's head misses the key and
   /// recomputes.
+  /// The list itself lives in memo_cands_, at most radix entries per
+  /// input channel.
   struct RouteMemo {
     MsgId msg = kInvalidMsg;
-    std::vector<int> candidates;
+    int count = 0;
   };
 
   void step();
@@ -286,6 +321,11 @@ class Simulator {
   void transfer(int r);
   void inject(NodeId n);
   [[nodiscard]] bool network_quiescent() const;
+  [[nodiscard]] bool nic_busy(NodeId n) const;
+  [[nodiscard]] std::span<NicEngine> nic_engines(NodeId n) {
+    return {nic_engines_.data() + static_cast<std::size_t>(n) * ports_per_node_,
+            static_cast<std::size_t>(ports_per_node_)};
+  }
   [[nodiscard]] std::string stall_dump() const;
 
   // --- fault machinery (inactive unless a non-empty plan is installed) ---
@@ -296,7 +336,7 @@ class Simulator {
   [[nodiscard]] Time next_fault_cycle() const;
   [[nodiscard]] bool channel_down(ChannelId c) const {
     if (channel_dead_[static_cast<std::size_t>(c)]) return true;
-    const NodeId ej = eject_cache_[c];
+    const NodeId ej = eject_[c];
     return ej != kInvalidNode && node_dead_[static_cast<std::size_t>(ej)];
   }
 
@@ -313,8 +353,11 @@ class Simulator {
   const Topology& topo_;
   SimConfig cfg_;
   int radix_ = 0;
-  std::vector<Router> routers_;
-  std::vector<Nic> nics_;
+  int ports_per_node_ = 1;
+  RouterArena arena_;
+  std::span<Router> routers_;  ///< views into arena_
+  std::vector<NicQueue> nic_queues_;    ///< per node
+  std::vector<NicEngine> nic_engines_;  ///< per node * ports_per_node + port
   MessageTable messages_;
   std::priority_queue<Post, std::vector<Post>, std::greater<>> posts_;
   long long post_seq_ = 0;
@@ -335,11 +378,15 @@ class Simulator {
   std::vector<MsgId> channel_msg_;  ///< reservation holder per channel id
   std::uint64_t liveness_version_ = 0;  ///< see liveness_version()
 
-  // --- immutable wiring caches (avoid virtual topology calls per flit) ---
-  std::vector<PortRef> link_cache_;    ///< per channel id
-  std::vector<NodeId> eject_cache_;    ///< per channel id
-  std::vector<PortRef> attach_cache_;  ///< per node * ports_per_node + port
+  // --- the topology's shared wiring tables (see Wiring) ---
+  const PortRef* link_ = nullptr;    ///< per channel id
+  const NodeId* eject_ = nullptr;    ///< per channel id
+  const PortRef* attach_ = nullptr;  ///< per node * ports_per_node + port
   std::vector<RouteMemo> route_memo_;  ///< per input channel id
+  /// Memoized candidates, radix slots per input channel id; only the
+  /// first RouteMemo::count of a channel's slots are meaningful.
+  std::unique_ptr<int[]> memo_cands_;
+  std::vector<int> route_scratch_;  ///< Topology::route output, reused
 
   // --- worklists ---
   std::vector<std::uint64_t> active_words_;  ///< routers with activity() > 0
@@ -371,7 +418,7 @@ class Simulator {
     MsgId msg;
   };
   std::vector<FlitFifo*> leap_fifos_;
-  std::vector<Nic::Engine*> leap_engines_;
+  std::vector<NicEngine*> leap_engines_;
   std::vector<LeapBlock> leap_blocked_;
   RunStatus run_status_ = RunStatus::kCompleted;
   SimStats stats_;

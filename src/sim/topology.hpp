@@ -11,8 +11,15 @@
 // message's (src, dst), a router enumerates candidate output ports in
 // preference order.  Deterministic routers return one candidate; adaptive
 // BMIN up-routing returns several and the arbiter takes the first free one.
+//
+// The wiring (link, ejector and attach tables) is immutable, so each
+// topology flattens it once, on the first wiring() call, and every
+// simulator on that topology reads the same tables.  The build is lazy
+// because static analysis never simulates: a pcmlint certification on a
+// 64x64 mesh must not pay for a walk it never reads.
 #pragma once
 
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -30,9 +37,22 @@ struct PortRef {
 /// Identifier of a directed channel: router * radix + out_port.
 using ChannelId = int;
 
+/// The flattened, immutable wiring of a topology: table loads instead of
+/// virtual calls on the simulator's per-flit-hop path.
+struct Wiring {
+  std::vector<PortRef> link;    ///< per channel id: Topology::link
+  std::vector<NodeId> eject;    ///< per channel id: Topology::ejector
+  std::vector<PortRef> attach;  ///< per node * ports_per_node + port
+};
+
 class Topology {
  public:
   virtual ~Topology() = default;
+
+  /// The wiring tables, built on the first call (thread-safe: concurrent
+  /// first calls build once and all see the result).  Valid for the
+  /// topology's lifetime.
+  [[nodiscard]] const Wiring& wiring() const;
 
   [[nodiscard]] virtual int num_routers() const = 0;
   [[nodiscard]] virtual int radix() const = 0;
@@ -82,6 +102,10 @@ class Topology {
     return router * radix() + out_port;
   }
   [[nodiscard]] int num_channels() const { return num_routers() * radix(); }
+
+ private:
+  mutable std::once_flag wiring_once_;
+  mutable Wiring wiring_;
 };
 
 /// Walks the deterministic route (always the first candidate) from src to

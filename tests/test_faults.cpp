@@ -13,8 +13,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <limits>
 
+#include "analysis/rng.hpp"
 #include "analysis/sampling.hpp"
 #include "harness/thread_pool.hpp"
 #include "mesh/mesh_topology.hpp"
@@ -547,6 +549,66 @@ TEST(WatchdogForensics, StallReportOnDemandIsCheapAndEmptyWhenIdle) {
   EXPECT_TRUE(rep.stalled.empty());
   EXPECT_TRUE(rep.reservations.empty());
   EXPECT_TRUE(rep.deadlock_cycle.empty());
+}
+
+/// The wait-for search as the watchdog first wrote it (recursive), kept
+/// as the reference first_wait_cycle must reproduce cycle for cycle.
+std::vector<sim::MsgId> recursive_first_cycle(
+    const std::vector<std::vector<sim::MsgId>>& waits_on) {
+  std::vector<char> color(waits_on.size(), 0);  // white, grey, black
+  std::vector<sim::MsgId> stack;
+  std::vector<sim::MsgId> found;
+  std::function<bool(sim::MsgId)> visit = [&](sim::MsgId u) {
+    color[static_cast<std::size_t>(u)] = 1;
+    stack.push_back(u);
+    for (const sim::MsgId v : waits_on[static_cast<std::size_t>(u)]) {
+      if (color[static_cast<std::size_t>(v)] == 1) {
+        found.assign(std::find(stack.begin(), stack.end(), v), stack.end());
+        return true;
+      }
+      if (color[static_cast<std::size_t>(v)] == 0 && visit(v)) return true;
+    }
+    stack.pop_back();
+    color[static_cast<std::size_t>(u)] = 2;
+    return false;
+  };
+  for (std::size_t u = 0; u < waits_on.size() && found.empty(); ++u)
+    if (color[u] == 0 && !waits_on[u].empty()) visit(static_cast<sim::MsgId>(u));
+  return found;
+}
+
+TEST(WatchdogForensics, WaitCycleSearchMatchesTheRecursiveSearch) {
+  analysis::Rng rng(1997);
+  int cyclic = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    const auto n = static_cast<std::size_t>(1 + rng.below(12));
+    std::vector<std::vector<sim::MsgId>> waits_on(n);
+    for (auto& out : waits_on)
+      for (std::uint64_t e = rng.below(3); e > 0; --e)
+        out.push_back(static_cast<sim::MsgId>(rng.below(n)));
+    const std::vector<sim::MsgId> want = recursive_first_cycle(waits_on);
+    cyclic += want.empty() ? 0 : 1;
+    EXPECT_EQ(sim::first_wait_cycle(waits_on), want) << "trial " << trial;
+  }
+  EXPECT_GT(cyclic, 200);  // both outcomes are well covered
+  EXPECT_LT(cyclic, 1800);
+}
+
+TEST(WatchdogForensics, WaitCycleSearchHandlesA200kMessageChain) {
+  // One stack frame per message on the wait path would overflow the
+  // thread stack long before 200k messages.
+  constexpr sim::MsgId kN = 200000;
+  std::vector<std::vector<sim::MsgId>> waits_on(static_cast<std::size_t>(kN));
+  for (sim::MsgId i = 0; i + 1 < kN; ++i) waits_on[static_cast<std::size_t>(i)] = {i + 1};
+  EXPECT_TRUE(sim::first_wait_cycle(waits_on).empty());
+  // The tail waits on its predecessor: a two-message cycle at the far end.
+  waits_on.back() = {kN - 2};
+  EXPECT_EQ(sim::first_wait_cycle(waits_on), (std::vector<sim::MsgId>{kN - 2, kN - 1}));
+  // The tail waits on the head: one cycle through every message.
+  waits_on.back() = {0};
+  const std::vector<sim::MsgId> cycle = sim::first_wait_cycle(waits_on);
+  ASSERT_EQ(cycle.size(), static_cast<std::size_t>(kN));
+  for (sim::MsgId i = 0; i < kN; ++i) ASSERT_EQ(cycle[static_cast<std::size_t>(i)], i);
 }
 
 // --- the acceptance scenario --------------------------------------------

@@ -6,8 +6,11 @@
 namespace pcm::sim {
 namespace {
 
+// A FIFO views slots it does not own: each test lends it a local array.
+
 TEST(FlitFifo, StartsEmpty) {
-  FlitFifo f(4);
+  FlitFifo::Slot buf[4];
+  FlitFifo f(buf, 4);
   EXPECT_TRUE(f.empty());
   EXPECT_FALSE(f.full());
   EXPECT_EQ(f.capacity(), 4);
@@ -15,11 +18,13 @@ TEST(FlitFifo, StartsEmpty) {
 }
 
 TEST(FlitFifo, RejectsZeroCapacity) {
-  EXPECT_THROW(FlitFifo(0), std::invalid_argument);
+  FlitFifo::Slot buf[1];
+  EXPECT_THROW(FlitFifo(buf, 0), std::invalid_argument);
 }
 
 TEST(FlitFifo, FifoOrderPreserved) {
-  FlitFifo f(3);
+  FlitFifo::Slot buf[3];
+  FlitFifo f(buf, 3);
   f.push(Flit{1, true, false}, 10);
   f.push(Flit{1, false, false}, 11);
   f.push(Flit{1, false, true}, 12);
@@ -34,7 +39,8 @@ TEST(FlitFifo, FifoOrderPreserved) {
 }
 
 TEST(FlitFifo, WrapsAround) {
-  FlitFifo f(2);
+  FlitFifo::Slot buf[2];
+  FlitFifo f(buf, 2);
   for (int round = 0; round < 5; ++round) {
     f.push(Flit{round, true, false}, round);
     f.push(Flit{round, false, true}, round);
@@ -44,7 +50,8 @@ TEST(FlitFifo, WrapsAround) {
 }
 
 TEST(FlitFifo, CanAcceptUsesStartOfCycleOccupancy) {
-  FlitFifo f(2);
+  FlitFifo::Slot buf[2];
+  FlitFifo f(buf, 2);
   f.push(Flit{1, true, false}, 5);
   f.push(Flit{1, false, true}, 6);
   EXPECT_TRUE(f.full());
@@ -56,7 +63,8 @@ TEST(FlitFifo, CanAcceptUsesStartOfCycleOccupancy) {
 }
 
 TEST(FlitFifo, OverflowAndUnderflowThrow) {
-  FlitFifo f(1);
+  FlitFifo::Slot buf[1];
+  FlitFifo f(buf, 1);
   f.push(Flit{}, 0);
   EXPECT_THROW(f.push(Flit{}, 1), std::logic_error);
   f.pop(0);
