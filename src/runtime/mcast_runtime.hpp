@@ -14,12 +14,12 @@
 // algorithm.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "core/algorithms.hpp"
 #include "core/model.hpp"
 #include "core/multicast_tree.hpp"
-#include "core/opt_tree.hpp"
 #include "obs/recorder.hpp"
 #include "sim/simulator.hpp"
 
@@ -70,7 +70,9 @@ struct McastResult {
   bool complete = true;      ///< every destination received
 };
 
-/// Tunables of the ack/timeout/retransmit + tree-repair protocol.
+/// The retry policy of every reliable protocol (run_reliable and the
+/// reliable stream): three numbers, validated in one place, the
+/// ReliableSends constructor (runtime/reliable_sends.hpp).
 struct FtConfig {
   /// Retransmissions per send before the receiver is declared dead.
   int max_retries = 3;
@@ -78,37 +80,6 @@ struct FtConfig {
   /// exponential backoff in t_hold units: attempt a adds (2^a - 1) holds.
   double timeout_scale = 2.0;
   Time timeout_slack = 128;
-  /// Flight recorder for the send lifecycle (kSendAttempt / kSendAcked,
-  /// slot payload -1 for one-shot multicasts), which
-  /// InvariantAuditor::audit_result replays to check ack epochs.  Not
-  /// owned; nullptr (the default) records nothing.
-  obs::FlightRecorder* recorder = nullptr;
-};
-
-/// The retry-deadline formula of every reliable protocol (run_reliable
-/// and the reliable stream).  An ack is due timeout_scale * t_end(wire) +
-/// timeout_slack after its send op starts, backed off (2^attempt - 1)
-/// holds.  Once acked, a receiver owes its whole interval of n nodes
-/// within the scaled model latency of a multicast among n nodes (from the
-/// repair split table), plus the slack and fuel for one full retry ladder
-/// of single-address messages.
-class RetryDeadlines {
- public:
-  /// `repair` must outlive this object.
-  RetryDeadlines(const FtConfig& ft, const MachineParams& mp, Bytes wire1,
-                 const SplitTable& repair);
-
-  [[nodiscard]] Time ack(Time op_start, Bytes wire, int attempt) const;
-  [[nodiscard]] Time subtree(Time from, int n) const;
-
- private:
-  [[nodiscard]] Time scaled(Time model) const;
-
-  double scale_;
-  Time slack_;
-  MachineParams mp_;
-  const SplitTable& repair_;
-  Time retry_budget_;
 };
 
 class MulticastRuntime {
@@ -122,25 +93,34 @@ class MulticastRuntime {
   [[nodiscard]] Bytes wire_bytes(Bytes payload, int interval_nodes) const;
   [[nodiscard]] int wire_flits(Bytes payload, int interval_nodes) const;
 
+  /// Posts the tree sends of position `pos`, which became active at `at`:
+  /// `ops` holds one next-op time per send engine, each raised to `at`;
+  /// the engines take the sends in turn, each issuing t_hold apart.  Tags
+  /// are tag_base + send index.  Returns the number of sends posted.
+  int post_sends(sim::Simulator& sim, const MulticastTree& tree, int pos,
+                 Bytes payload, Time at, std::span<Time> ops, int tag_base) const;
+
   /// Executes `tree` carrying `payload` bytes on a fresh pass over `sim`
   /// (the simulator must be idle).  `t0` is the source's start time,
   /// which must be >= sim.now().
   McastResult run(sim::Simulator& sim, const MulticastTree& tree, Bytes payload,
                   Time t0 = 0) const;
 
-  /// Fault-tolerant execution of `tree`: the healthy schedule is
-  /// identical to run() (same posts in the same order), but every send is
-  /// tracked with an ack deadline derived from the model's t_end bound
-  /// (scaled, padded, and exponentially backed off in t_hold units; see
-  /// FtConfig).  A send that times out max_retries times declares its
-  /// receiver dead and the *parent re-splits the orphaned chain interval
-  /// over the survivors* with the OPT split rule on the same sorted
-  /// chain, so repair traffic inherits the contention-freedom argument of
-  /// Theorem 1 (sorted sub-chains of a dimension-ordered chain are
-  /// dimension-ordered).  Never throws on missing destinations: reports
-  /// delivered_fraction, retries, repairs, and added_latency instead.
+  /// Fault-tolerant execution of `tree` on the tracked-send core
+  /// (runtime/reliable_sends.hpp): the healthy schedule is identical to
+  /// run(), but every send is tracked with an ack deadline derived from
+  /// the model's t_end bound (see FtConfig).  A send that times out
+  /// max_retries times declares its receiver dead and the *parent
+  /// re-splits the orphaned chain interval over the survivors* with the
+  /// OPT split rule on the same sorted chain, so repair traffic inherits
+  /// Theorem 1's contention-freedom.  Never throws on missing
+  /// destinations: reports delivered_fraction, retries, repairs, and
+  /// added_latency instead.  `recorder` (not owned; nullptr records
+  /// nothing) receives the send lifecycle (kSendAttempt / kSendAcked, slot
+  /// -1), which InvariantAuditor::audit_result replays.
   McastResult run_reliable(sim::Simulator& sim, const MulticastTree& tree,
-                           Bytes payload, FtConfig ft = {}, Time t0 = 0) const;
+                           Bytes payload, FtConfig ft = {}, Time t0 = 0,
+                           obs::FlightRecorder* recorder = nullptr) const;
 
   /// Convenience: build the tree for `alg` and run it.  `shape` is
   /// required for the mesh-tuned algorithms.

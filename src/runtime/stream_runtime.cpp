@@ -4,10 +4,36 @@
 #include <optional>
 #include <stdexcept>
 
-#include "core/opt_tree.hpp"
+#include "runtime/reliable_sends.hpp"
 
 namespace pcm::rt {
 namespace {
+
+// The result fields both paths fill alike before a run ...
+StreamResult open_result(const MulticastTree& tree, TwoParam tp,
+                         const StreamConfig& cfg, int prefix) {
+  const auto k = static_cast<std::size_t>(tree.num_nodes());
+  StreamResult res;
+  res.slots = cfg.slots;
+  res.window_size = cfg.window_size;
+  res.model_slot_latency = model_latency(tree, tp);
+  res.commit_time.assign(static_cast<std::size_t>(cfg.slots), -1);
+  res.delivered_prefix.assign(k, prefix);
+  if (cfg.record_slot_times)
+    res.slot_recv.assign(static_cast<std::size_t>(cfg.slots), std::vector<Time>(k, -1));
+  return res;
+}
+
+// ... and after it (simulator counters count from `base`).
+void close_result(StreamResult& res, const sim::Simulator& sim,
+                  const sim::SimStats& base, int frontier, Time t0) {
+  res.committed = frontier;
+  res.makespan =
+      (frontier > 0 ? res.commit_time[static_cast<std::size_t>(frontier - 1)] : t0) - t0;
+  res.channel_conflicts = sim.stats().channel_conflicts - base.channel_conflicts;
+  res.flit_hops = sim.stats().flit_hops - base.flit_hops;
+  res.sim_cycles = sim.stats().cycles - base.cycles;
+}
 
 // ---------------------------------------------------------------------------
 // Fault-free fast path.
@@ -22,35 +48,20 @@ namespace {
 // the previous slot's commit time).
 // ---------------------------------------------------------------------------
 StreamResult stream_fast(const MulticastRuntime& rtm, sim::Simulator& sim,
-                         const MulticastTree& tree, const StreamConfig& cfg,
-                         Time t0) {
+                         const MulticastTree& tree, TwoParam tp,
+                         const StreamConfig& cfg, Time t0) {
   const MachineParams& mp = rtm.config().machine;
   const int k = tree.num_nodes();
   const int src = tree.chain.source_pos;
-  const int engines = std::max(1, rtm.config().send_engines);
+  const auto engines = static_cast<std::size_t>(std::max(1, rtm.config().send_engines));
   const int n_sends = static_cast<int>(tree.sends.size());
   const int window = cfg.window_size;
   const int slots = cfg.slots;
   const Bytes payload = cfg.bytes;
 
-  StreamResult res;
-  res.slots = slots;
-  res.window_size = window;
-  res.model_slot_latency =
-      model_latency(tree, mp.two_param(rtm.wire_bytes(payload, 1)));
-  res.commit_time.assign(static_cast<std::size_t>(slots), -1);
-  res.delivered_prefix.assign(static_cast<std::size_t>(k), slots);
-  if (cfg.record_slot_times)
-    res.slot_recv.assign(static_cast<std::size_t>(slots),
-                         std::vector<Time>(static_cast<std::size_t>(k), -1));
-
-  const long long base_conflicts = sim.stats().channel_conflicts;
-  const long long base_hops = sim.stats().flit_hops;
-  const Time base_cycles = sim.stats().cycles;
-
-  std::vector<std::vector<Time>> next_op(
-      static_cast<std::size_t>(k),
-      std::vector<Time>(static_cast<std::size_t>(engines), 0));
+  StreamResult res = open_result(tree, tp, cfg, slots);
+  const sim::SimStats base = sim.stats();
+  std::vector<Time> next_op(static_cast<std::size_t>(k) * engines, 0);
 
   struct Ring {
     int remaining = 0;   ///< receivers still missing this slot
@@ -60,26 +71,10 @@ StreamResult stream_fast(const MulticastRuntime& rtm, sim::Simulator& sim,
   int injected = 0;
   int frontier = 0;
 
-  // Identical to run()'s activate, with the slot folded into the tag.
+  // run()'s activate, with the slot folded into the tag.
   auto activate = [&](int slot, int pos, Time at) {
-    auto& ops = next_op[static_cast<std::size_t>(pos)];
-    for (Time& t : ops) t = std::max(t, at);
-    int e = 0;
-    for (int idx : tree.out[static_cast<std::size_t>(pos)]) {
-      const SendEvent& ev = tree.sends[static_cast<std::size_t>(idx)];
-      const int interval = ev.sub_hi - ev.sub_lo + 1;
-      const Bytes wire = rtm.wire_bytes(payload, interval);
-      sim::Message m;
-      m.src = tree.node(ev.sender_pos);
-      m.dst = tree.node(ev.receiver_pos);
-      m.flits = rtm.wire_flits(payload, interval);
-      m.ready_time = ops[static_cast<std::size_t>(e)] + mp.t_send(wire);
-      m.tag = slot * n_sends + idx;
-      sim.post(m);
-      ++res.messages;
-      ops[static_cast<std::size_t>(e)] += mp.t_hold(wire);
-      e = (e + 1) % engines;
-    }
+    const std::span<Time> ops(&next_op[static_cast<std::size_t>(pos) * engines], engines);
+    res.messages += rtm.post_sends(sim, tree, pos, payload, at, ops, slot * n_sends);
   };
 
   // Backpressure: slot s enters the ring only once slot s - window
@@ -128,7 +123,7 @@ StreamResult stream_fast(const MulticastRuntime& rtm, sim::Simulator& sim,
       // Window drained: no CPU owes work beyond the commit time, so
       // resynchronize the op timelines.  This is what pins the window-1
       // stream to N back-to-back run() calls bit-for-bit.
-      for (auto& ops : next_op) std::fill(ops.begin(), ops.end(), Time{0});
+      std::fill(next_op.begin(), next_op.end(), Time{0});
     }
     inject(at);
   });
@@ -142,87 +137,52 @@ StreamResult stream_fast(const MulticastRuntime& rtm, sim::Simulator& sim,
         "StreamRuntime: stream did not drain (install StreamConfig::reliable "
         "when messages can be lost)");
 
-  res.committed = frontier;
-  res.makespan = res.commit_time[static_cast<std::size_t>(slots - 1)] - t0;
-  res.channel_conflicts = sim.stats().channel_conflicts - base_conflicts;
-  res.flit_hops = sim.stats().flit_hops - base_hops;
-  res.sim_cycles = sim.stats().cycles - base_cycles;
+  close_result(res, sim, base, frontier, t0);
   return res;
 }
 
 // ---------------------------------------------------------------------------
-// Reliable path: the fast path's slot ring plus run_reliable's tracked
-// records, ack timeouts with exponential backoff, and subtree deadlines —
-// generalized over slots and epochs.  On a declared-dead receiver the
-// whole group reconfigures: epoch++ closes every open record (their
-// in-flight deliveries become stale acks), the chain is re-split over the
-// survivors, and every injected-but-uncommitted slot is replayed from the
-// source into the new tree.  Commit is defined over survivors, so a dead
-// receiver never wedges the window.
+// Reliable path: a slot ring over the tracked-send core (ReliableSends).
+// A receiver out of retries reconfigures the whole group: epoch++ closes
+// every open record (their in-flight deliveries become stale acks), the
+// chain is re-split over the survivors, and every uncommitted slot is
+// replayed from the source into the new tree.  Commit is defined over
+// survivors, so a dead receiver never wedges the window.
 // ---------------------------------------------------------------------------
 StreamResult stream_reliable(const MulticastRuntime& rtm, sim::Simulator& sim,
                              const MulticastTree& orig, TwoParam tp,
                              const StreamConfig& cfg, Time t0) {
-  const FtConfig& ft = cfg.ft;
-  if (ft.max_retries < 0 || ft.max_retries > 40)
-    throw std::invalid_argument("stream: max_retries out of [0, 40]");
-  if (ft.timeout_scale < 1.0)
-    throw std::invalid_argument("stream: timeout_scale must be >= 1");
-  if (ft.timeout_slack < 0)
-    throw std::invalid_argument("stream: timeout_slack must be >= 0");
-
-  const MachineParams& mp = rtm.config().machine;
+  // All protocol state is keyed by *original* chain positions; the
+  // current tree (rebuilt per epoch) maps into them inside the core.
+  ReliableSends sends(rtm, sim, orig, cfg.bytes, cfg.ft, 0, cfg.slots, cfg.recorder);
   const int k = orig.num_nodes();
   const int src = orig.chain.source_pos;
-  const int engines = std::max(1, rtm.config().send_engines);
   const int window = cfg.window_size;
   const int slots = cfg.slots;
-  const Bytes payload = cfg.bytes;
 
-  StreamResult res;
-  res.slots = slots;
-  res.window_size = window;
-  res.model_slot_latency = model_latency(orig, tp);
-  res.commit_time.assign(static_cast<std::size_t>(slots), -1);
-  res.delivered_prefix.assign(static_cast<std::size_t>(k), 0);
-  if (cfg.record_slot_times)
-    res.slot_recv.assign(static_cast<std::size_t>(slots),
-                         std::vector<Time>(static_cast<std::size_t>(k), -1));
+  StreamResult res = open_result(orig, tp, cfg, 0);
+  const sim::SimStats base = sim.stats();
 
-  const long long base_conflicts = sim.stats().channel_conflicts;
-  const long long base_hops = sim.stats().flit_hops;
-  const Time base_cycles = sim.stats().cycles;
-
+  // A record belongs to the epoch it was issued under; the records of
+  // epoch e start at index epoch_first[e].  The delivery handler rejects
+  // anything older than the current epoch.
   int epoch = 0;
-  // All protocol state is keyed by *original* chain positions; the
-  // current tree (rebuilt per epoch) maps into them via orig_of_cur.
-  std::vector<int> orig_pos_of(
-      static_cast<std::size_t>(sim.topology().num_nodes()), -1);
-  for (int p = 0; p < k; ++p)
-    orig_pos_of[static_cast<std::size_t>(orig.node(p))] = p;
-
-  MulticastTree cur = orig;
-  std::vector<int> orig_of_cur(static_cast<std::size_t>(k));
-  std::vector<int> cur_of_orig(static_cast<std::size_t>(k));
-  for (int p = 0; p < k; ++p) {
-    orig_of_cur[static_cast<std::size_t>(p)] = p;
-    cur_of_orig[static_cast<std::size_t>(p)] = p;
-  }
+  std::vector<std::size_t> epoch_first = {0};
+  auto bump_epoch = [&]() {
+    ++epoch;
+    epoch_first.push_back(sends.size());
+    sends.close_all();
+  };
+  MulticastTree cur;  // the current tree once an epoch rebuilt it
 
   // `acting` is the orig position currently producing the stream; failover
   // reassigns it.  All "source" special cases below key off `acting`, so a
   // successor inherits them wholesale.
   int acting = src;
-  std::vector<char> dead(static_cast<std::size_t>(k), 0);
-  // Evicted-as-unreachable positions (dead[] is also set); a heal may
+  // Evicted-as-unreachable positions (also dead in the core); a heal may
   // clear both and rejoin the position at the then-current epoch.
   std::vector<char> parted(static_cast<std::size_t>(k), 0);
-  // delivered[pos][slot]; the acting source trivially holds every slot.
-  std::vector<std::vector<char>> delivered(
-      static_cast<std::size_t>(k),
-      std::vector<char>(static_cast<std::size_t>(slots), 0));
-  delivered[static_cast<std::size_t>(src)].assign(
-      static_cast<std::size_t>(slots), 1);
+  sends.hold_all(src);  // the acting source trivially holds every slot
 
   // Deterministic lease-based failure detection (heartbeats are modeled
   // against live fault state, see membership.hpp; member index == orig
@@ -231,9 +191,7 @@ StreamResult stream_reliable(const MulticastRuntime& rtm, sim::Simulator& sim,
   const bool hb_on = hb_period > 0;
   std::optional<MembershipService> member;
   if (hb_on) {
-    std::vector<NodeId> nodes(static_cast<std::size_t>(k));
-    for (int p = 0; p < k; ++p) nodes[static_cast<std::size_t>(p)] = orig.node(p);
-    member.emplace(sim, std::move(nodes), cfg.membership);
+    member.emplace(sim, orig.chain.nodes, cfg.membership);
     member->set_recorder(cfg.recorder);
   }
   Time next_hb = hb_on ? t0 + hb_period : kTimeInfinity;
@@ -246,13 +204,11 @@ StreamResult stream_reliable(const MulticastRuntime& rtm, sim::Simulator& sim,
       last_ev = std::max(last_ev, ev.cycle);
     for (const sim::FaultPlan::NodeEvent& ev : sim.fault_plan().node_events)
       last_ev = std::max(last_ev, ev.cycle);
-    heal_horizon =
-        last_ev + hb_period * (cfg.membership.confirm_after + 2);
+    heal_horizon = last_ev + hb_period * (cfg.membership.confirm_after + 2);
   }
 
   struct Ring {
-    int slot = -1;
-    int need = 0;      ///< surviving receivers still missing this slot
+    int need = 0;  ///< surviving receivers still missing this slot
     Time max_done = 0;
   };
   std::vector<Ring> ring(static_cast<std::size_t>(window));
@@ -263,144 +219,17 @@ StreamResult stream_reliable(const MulticastRuntime& rtm, sim::Simulator& sim,
   // retransmitted slot finishes after its successors.
   Time last_commit = t0;
 
-  // One tracked send of one slot; retransmissions reuse the record (and
-  // its tag).  A record belongs to the epoch it was issued under: the
-  // delivery handler rejects anything older than the current epoch.
-  struct Rec {
-    int slot = 0;
-    int epoch = 0;
-    int sender = 0;             ///< orig position
-    int recv = 0;               ///< orig position
-    int recv_cur = -1;          ///< current-tree position (primary forwarding)
-    std::vector<int> interval;  ///< orig positions, ascending, incl recv
-    bool primary = true;
-    int attempt = 0;
-    bool acked = false;
-    bool closed = false;
-    Time ack_deadline = 0;
-    Time subtree_deadline = kTimeInfinity;
-  };
-  std::vector<Rec> recs;
-  // Indices of the records not yet known closed, ascending: new records
-  // are appended, the wait loop drops closed ones as it meets them, and
-  // the epoch transitions close and clear them all.  Visiting only these
-  // keeps each wake-up proportional to the open records, in the same
-  // ascending order a scan of every record would use.
-  std::vector<std::size_t> open_recs;
-  auto close_open_recs = [&]() {
-    for (const std::size_t ri : open_recs) recs[ri].closed = true;
-    open_recs.clear();
-  };
-
-  std::vector<std::vector<Time>> next_op(
-      static_cast<std::size_t>(k),
-      std::vector<Time>(static_cast<std::size_t>(engines), 0));
-  std::vector<int> engine_rr(static_cast<std::size_t>(k), 0);
-
-  const SplitTable repair_table =
-      opt_split_table(tp.t_hold, tp.t_end, std::max(2, k));
-  const RetryDeadlines deadlines(ft, mp, rtm.wire_bytes(payload, 1),
-                                 repair_table);
-
-  auto issue = [&](std::size_t ri, Time base) {
-    Rec& rec = recs[ri];
-    const int n = static_cast<int>(rec.interval.size());
-    const Bytes wire = rtm.wire_bytes(payload, n);
-    const int s = rec.sender;
-    int& e = engine_rr[static_cast<std::size_t>(s)];
-    Time& op =
-        next_op[static_cast<std::size_t>(s)][static_cast<std::size_t>(e)];
-    op = std::max(op, base);
-    sim::Message m;
-    m.src = orig.node(s);
-    m.dst = orig.node(rec.recv);
-    m.flits = rtm.wire_flits(payload, n);
-    m.ready_time = op + mp.t_send(wire);
-    m.tag = static_cast<int>(ri);
-    sim.post(m);
-    ++res.messages;
-    if (cfg.recorder != nullptr)
-      cfg.recorder->record(obs::EventKind::kSendAttempt, op,
-                           static_cast<std::int32_t>(ri), rec.attempt,
-                           rec.recv, rec.slot);
-    rec.ack_deadline = deadlines.ack(op, wire, rec.attempt);
-    op += mp.t_hold(wire);
-    e = (e + 1) % engines;
-  };
-
-  auto new_rec = [&](int slot, int sender, int recv, int recv_cur,
-                     std::vector<int> interval, bool primary, Time base) {
-    Rec rec;
-    rec.slot = slot;
-    rec.epoch = epoch;
-    rec.sender = sender;
-    rec.recv = recv;
-    rec.recv_cur = recv_cur;
-    rec.interval = std::move(interval);
-    rec.primary = primary;
-    recs.push_back(std::move(rec));
-    open_recs.push_back(recs.size() - 1);
-    issue(recs.size() - 1, base);
-  };
-
-  // Orphan re-split over sorted surviving orig positions (the survivor
-  // chain keeps the original chain's relative order, so the Theorem-1
-  // argument carries over exactly as in run_reliable).
-  auto repair_split = [&](int slot, int sender, std::vector<int> list, Time at) {
-    while (!list.empty()) {
-      const int i = static_cast<int>(list.size()) + 1;
-      const int j = repair_table.split(std::min(i, repair_table.size()));
-      if (sender < list.front()) {
-        std::vector<int> child(list.begin() + (j - 1), list.end());
-        const int recv = child.front();
-        list.resize(static_cast<std::size_t>(j - 1));
-        new_rec(slot, sender, recv, cur_of_orig[static_cast<std::size_t>(recv)],
-                std::move(child), false, at);
-      } else {
-        const int m = static_cast<int>(list.size()) - j;
-        std::vector<int> child(list.begin(), list.begin() + m + 1);
-        const int recv = child.back();
-        list.erase(list.begin(), list.begin() + m + 1);
-        new_rec(slot, sender, recv, cur_of_orig[static_cast<std::size_t>(recv)],
-                std::move(child), false, at);
-      }
-    }
-  };
-
-  // Issues the primary sends of current-tree position `cpos` for `slot`;
-  // sends whose receiver already holds the slot (or died) collapse into
-  // repair re-splits of the surviving remainder.
-  auto activate = [&](int slot, int cpos, Time at) {
-    const int opos = orig_of_cur[static_cast<std::size_t>(cpos)];
-    for (Time& t : next_op[static_cast<std::size_t>(opos)]) t = std::max(t, at);
-    engine_rr[static_cast<std::size_t>(opos)] = 0;
-    for (int idx : cur.out[static_cast<std::size_t>(cpos)]) {
-      const SendEvent& ev = cur.sends[static_cast<std::size_t>(idx)];
-      std::vector<int> interval;
-      for (int cp = ev.sub_lo; cp <= ev.sub_hi; ++cp) {
-        const int op = orig_of_cur[static_cast<std::size_t>(cp)];
-        if (!delivered[static_cast<std::size_t>(op)][static_cast<std::size_t>(slot)] &&
-            !dead[static_cast<std::size_t>(op)])
-          interval.push_back(op);
-      }
-      if (interval.empty()) continue;
-      const int recv = orig_of_cur[static_cast<std::size_t>(ev.receiver_pos)];
-      if (!dead[static_cast<std::size_t>(recv)] &&
-          !delivered[static_cast<std::size_t>(recv)][static_cast<std::size_t>(slot)]) {
-        new_rec(slot, opos, recv, ev.receiver_pos, std::move(interval), true, at);
-      } else {
-        std::vector<int> orphan;
-        for (int p : interval)
-          if (p != recv) orphan.push_back(p);
-        if (!orphan.empty()) repair_split(slot, opos, std::move(orphan), at);
-      }
-    }
+  // `p` stops (delta -1) or starts again (+1) gating the commit of every
+  // in-flight slot it lacks.
+  auto regate = [&](int p, int delta) {
+    for (int s = frontier; s < injected; ++s)
+      if (!sends.delivered(p, s))
+        ring[static_cast<std::size_t>(s % window)].need += delta;
   };
 
   auto survivors_count = [&]() {
     int n = 0;
-    for (int p = 0; p < k; ++p)
-      if (p != acting && !dead[static_cast<std::size_t>(p)]) ++n;
+    for (int p = 0; p < k; ++p) n += p != acting && !sends.dead(p);
     return n;
   };
 
@@ -415,20 +244,19 @@ StreamResult stream_reliable(const MulticastRuntime& rtm, sim::Simulator& sim,
         last_commit = std::max(last_commit, rg.max_done);
         res.commit_time[static_cast<std::size_t>(frontier)] = last_commit;
         if (cfg.recorder != nullptr)
-          cfg.recorder->record(obs::EventKind::kSlotCommit, last_commit, frontier,
-                               epoch);
+          cfg.recorder->record(obs::EventKind::kSlotCommit, last_commit, frontier, epoch);
         ++frontier;
       }
       if (injected >= slots || injected - frontier >= window) break;
       const int slot = injected++;
       ring[static_cast<std::size_t>(slot % window)] =
-          Ring{slot, survivors_count(), std::max(at, t0)};
+          Ring{survivors_count(), std::max(at, t0)};
       if (cfg.recorder != nullptr)
         cfg.recorder->record(obs::EventKind::kSlotInject, std::max(at, t0), slot,
                              epoch, acting);
       res.max_window_occupancy =
           std::max(res.max_window_occupancy, injected - frontier);
-      activate(slot, cur.chain.source_pos, std::max(at, t0));
+      sends.activate(slot, sends.tree().chain.source_pos, std::max(at, t0));
     }
   };
 
@@ -438,21 +266,14 @@ StreamResult stream_reliable(const MulticastRuntime& rtm, sim::Simulator& sim,
   auto rebuild = [&](Time now) {
     std::vector<NodeId> surv;
     for (int p = 0; p < k; ++p)
-      if (p != acting && !dead[static_cast<std::size_t>(p)])
-        surv.push_back(orig.node(p));
+      if (p != acting && !sends.dead(p)) surv.push_back(orig.node(p));
     if (!surv.empty()) {
       cur = build_multicast(cfg.alg, orig.node(acting), surv, tp, cfg.shape);
       if (cfg.on_reconfigure) cfg.on_reconfigure(cur);
-      orig_of_cur.assign(static_cast<std::size_t>(cur.num_nodes()), -1);
-      cur_of_orig.assign(static_cast<std::size_t>(k), -1);
-      for (int cp = 0; cp < cur.num_nodes(); ++cp) {
-        const int op = orig_pos_of[static_cast<std::size_t>(cur.node(cp))];
-        orig_of_cur[static_cast<std::size_t>(cp)] = op;
-        cur_of_orig[static_cast<std::size_t>(op)] = cp;
-      }
+      sends.retarget(cur);
       for (int s = frontier; s < injected; ++s)
         if (ring[static_cast<std::size_t>(s % window)].need > 0)
-          activate(s, cur.chain.source_pos, now);
+          sends.activate(s, cur.chain.source_pos, now);
     }
     pump(now);
   };
@@ -463,21 +284,16 @@ StreamResult stream_reliable(const MulticastRuntime& rtm, sim::Simulator& sim,
   // slot from the source into the new tree.  A partitioned eviction is
   // rejoinable; a fail-stop one is permanent.
   auto evict_pos = [&](int dpos, Time now, bool partitioned) {
-    dead[static_cast<std::size_t>(dpos)] = 1;
+    sends.mark_dead(dpos);
     if (partitioned)
       parted[static_cast<std::size_t>(dpos)] = 1;
     else
       res.dead_nodes.push_back(orig.node(dpos));
-    ++epoch;
+    bump_epoch();
     if (cfg.recorder != nullptr)
       cfg.recorder->record(obs::EventKind::kEpochBump, now, epoch, dpos,
                            partitioned ? 1 : 0);
-    close_open_recs();
-    for (int s = frontier; s < injected; ++s) {
-      Ring& rg = ring[static_cast<std::size_t>(s % window)];
-      if (!delivered[static_cast<std::size_t>(dpos)][static_cast<std::size_t>(s)])
-        --rg.need;  // the evicted receiver no longer gates this commit
-    }
+    regate(dpos, -1);
     rebuild(now);
   };
 
@@ -486,7 +302,7 @@ StreamResult stream_reliable(const MulticastRuntime& rtm, sim::Simulator& sim,
   // production.  Returns false when the stream cannot continue (failover
   // disabled or no eligible successor).
   auto do_failover = [&](Time now) {
-    dead[static_cast<std::size_t>(acting)] = 1;
+    sends.mark_dead(acting);
     res.dead_nodes.push_back(orig.node(acting));
     // A deposed source never rejoins: pin it crashed in the detector even
     // when the confirm classified it unreachable.
@@ -496,32 +312,23 @@ StreamResult stream_reliable(const MulticastRuntime& rtm, sim::Simulator& sim,
     int succ = -1;
     int best = -1;
     for (int p = 0; p < k; ++p) {
-      if (p == acting || dead[static_cast<std::size_t>(p)]) continue;
+      if (p == acting || sends.dead(p)) continue;
       if (std::find(plur.begin(), plur.end(), p) == plur.end()) continue;
-      int prefix = 0;
-      while (prefix < slots &&
-             delivered[static_cast<std::size_t>(p)][static_cast<std::size_t>(prefix)])
-        ++prefix;
+      const int prefix = sends.prefix(p);
       if (prefix > best || (prefix == best && orig.node(p) < orig.node(succ))) {
         succ = p;
         best = prefix;
       }
     }
     if (succ < 0) return false;
-    ++epoch;
+    bump_epoch();
     ++res.failovers;
     if (cfg.recorder != nullptr)
       cfg.recorder->record(obs::EventKind::kFailover, now, epoch, succ, best);
-    close_open_recs();
     // The successor stops gating in-flight commits (it regenerates any
     // slot it lacks from its replicated ring / the deterministic payload).
-    for (int s = frontier; s < injected; ++s) {
-      Ring& rg = ring[static_cast<std::size_t>(s % window)];
-      if (!delivered[static_cast<std::size_t>(succ)][static_cast<std::size_t>(s)])
-        --rg.need;
-    }
-    delivered[static_cast<std::size_t>(succ)].assign(
-        static_cast<std::size_t>(slots), 1);
+    regate(succ, -1);
+    sends.hold_all(succ);
     acting = succ;
     rebuild(now);
     return true;
@@ -531,28 +338,18 @@ StreamResult stream_reliable(const MulticastRuntime& rtm, sim::Simulator& sim,
   // replayed through the rebuilt (p-inclusive) tree; committed slots p
   // missed are delta-caught-up with dedicated unicast records.
   auto rejoin_pos = [&](int p, Time now) {
-    dead[static_cast<std::size_t>(p)] = 0;
+    sends.revive(p);
     parted[static_cast<std::size_t>(p)] = 0;
     member->readmit(p);
-    ++epoch;
+    bump_epoch();
     ++res.rejoins;
-    int prefix = 0;
-    while (prefix < slots &&
-           delivered[static_cast<std::size_t>(p)][static_cast<std::size_t>(prefix)])
-      ++prefix;
+    const int prefix = sends.prefix(p);
     if (cfg.recorder != nullptr)
       cfg.recorder->record(obs::EventKind::kRejoin, now, epoch, p, prefix);
-    close_open_recs();
-    for (int s = frontier; s < injected; ++s) {
-      Ring& rg = ring[static_cast<std::size_t>(s % window)];
-      if (!delivered[static_cast<std::size_t>(p)][static_cast<std::size_t>(s)])
-        ++rg.need;  // p gates in-flight commits again
-    }
+    regate(p, +1);
     rebuild(now);
     for (int s = prefix; s < std::min(frontier, slots); ++s)
-      if (!delivered[static_cast<std::size_t>(p)][static_cast<std::size_t>(s)])
-        new_rec(s, acting, p, cur_of_orig[static_cast<std::size_t>(p)], {p},
-                false, now);
+      if (!sends.delivered(p, s)) sends.catch_up(s, acting, p, now);
   };
 
   // One heartbeat sweep: apply the detector's verdicts.  Returns false
@@ -566,17 +363,15 @@ StreamResult stream_reliable(const MulticastRuntime& rtm, sim::Simulator& sim,
       const int p = ev.member;
       switch (ev.kind) {
         case MembershipEvent::Kind::kSuspect:
-          if (!dead[static_cast<std::size_t>(p)]) ++res.suspects;
+          if (!sends.dead(p)) ++res.suspects;
           break;
         case MembershipEvent::Kind::kClear:
           break;
         case MembershipEvent::Kind::kCrashed:
-          if (p == acting) return do_failover(now);
-          if (!dead[static_cast<std::size_t>(p)]) evict_pos(p, now, false);
-          break;
         case MembershipEvent::Kind::kUnreachable:
           if (p == acting) return do_failover(now);
-          if (!dead[static_cast<std::size_t>(p)]) evict_pos(p, now, true);
+          if (!sends.dead(p))
+            evict_pos(p, now, ev.kind == MembershipEvent::Kind::kUnreachable);
           break;
         case MembershipEvent::Kind::kHealed:
           if (cfg.rejoin && parted[static_cast<std::size_t>(p)])
@@ -589,106 +384,53 @@ StreamResult stream_reliable(const MulticastRuntime& rtm, sim::Simulator& sim,
 
   sim.set_delivery_handler([&](const sim::Message& m) {
     if (m.corrupted) return;  // undecodable: the ack timeout retransmits
-    const std::size_t ri = static_cast<std::size_t>(m.tag);
-    // activate/repair_split below grow `recs`; copy everything first.
-    const int slot = recs[ri].slot;
-    const int pos = recs[ri].recv;
-    const int rec_epoch = recs[ri].epoch;
-    const int n = static_cast<int>(recs[ri].interval.size());
-    const Time done = m.delivered + mp.t_recv(rtm.wire_bytes(payload, n));
-    if (rec_epoch < epoch) {
+    const auto ri = static_cast<std::size_t>(m.tag);
+    if (ri < epoch_first.back()) {
       // The group reconfigured while this message was in flight: its
       // world no longer exists.  Reject the ack so old-tree deliveries
       // can never advance new-epoch state.
       ++res.stale_acks;
+      if (cfg.recorder != nullptr) {
+        const auto rec_epoch =
+            std::upper_bound(epoch_first.begin(), epoch_first.end(), ri) -
+            epoch_first.begin() - 1;
+        cfg.recorder->record(obs::EventKind::kStaleAck, sends.done(m),
+                             sends.send(ri).slot, static_cast<int>(rec_epoch),
+                             sends.send(ri).recv);
+      }
+      return;
+    }
+    const auto first = sends.deliver(m, [&](int slot, int pos, Time done) {
+      if (cfg.record_slot_times)
+        res.slot_recv[static_cast<std::size_t>(slot)][static_cast<std::size_t>(pos)] =
+            done;
       if (cfg.recorder != nullptr)
-        cfg.recorder->record(obs::EventKind::kStaleAck, done, slot, rec_epoch,
-                             pos);
-      return;
-    }
-    if (delivered[static_cast<std::size_t>(pos)][static_cast<std::size_t>(slot)]) {
-      ++res.duplicate_deliveries;
-      if (!recs[ri].acked) {
-        recs[ri].acked = true;
-        recs[ri].subtree_deadline = deadlines.subtree(done, n);
-        if (cfg.recorder != nullptr)
-          cfg.recorder->record(obs::EventKind::kSendAcked, done,
-                               static_cast<std::int32_t>(ri),
-                               recs[ri].attempt, pos, slot);
+        cfg.recorder->record(obs::EventKind::kSlotDeliver, done, slot, epoch, pos);
+      if (slot >= frontier) {
+        Ring& rg = ring[static_cast<std::size_t>(slot % window)];
+        --rg.need;
+        rg.max_done = std::max(rg.max_done, done);
       }
-      return;
-    }
-    delivered[static_cast<std::size_t>(pos)][static_cast<std::size_t>(slot)] = 1;
-    if (cfg.record_slot_times)
-      res.slot_recv[static_cast<std::size_t>(slot)][static_cast<std::size_t>(pos)] =
-          done;
-    if (cfg.recorder != nullptr)
-      cfg.recorder->record(obs::EventKind::kSlotDeliver, done, slot, epoch, pos);
-    if (slot >= frontier) {
-      Ring& rg = ring[static_cast<std::size_t>(slot % window)];
-      --rg.need;
-      rg.max_done = std::max(rg.max_done, done);
-    }
-    recs[ri].acked = true;
-    if (cfg.recorder != nullptr)
-      cfg.recorder->record(obs::EventKind::kSendAcked, done,
-                           static_cast<std::int32_t>(ri), recs[ri].attempt,
-                           pos, slot);
-    const bool primary = recs[ri].primary;
-    const int recv_cur = recs[ri].recv_cur;
-    if (n <= 1) {
-      recs[ri].closed = true;
-    } else {
-      recs[ri].subtree_deadline = deadlines.subtree(done, n);
-      if (primary) {
-        activate(slot, recv_cur, done);
-      } else {
-        const std::vector<int> interval = recs[ri].interval;
-        std::vector<int> rest;
-        for (int p : interval)
-          if (p != pos &&
-              !delivered[static_cast<std::size_t>(p)][static_cast<std::size_t>(slot)] &&
-              !dead[static_cast<std::size_t>(p)])
-            rest.push_back(p);
-        if (!rest.empty()) repair_split(slot, pos, std::move(rest), done);
-      }
-    }
-    pump(done);
+    });
+    if (first) pump(*first);
   });
-
-  sim.set_drop_handler([&](const sim::Message& m) {
-    // A fail-stopped sender cannot run its retry ladder; close the record
-    // and let the ancestor's subtree deadline re-cover the interval.
-    if (m.drop_reason != sim::DropReason::kSenderDead) return;
-    recs[static_cast<std::size_t>(m.tag)].closed = true;
-  });
+  sim.set_drop_handler([&](const sim::Message& m) { sends.drop(m); });
 
   pump(t0);
 
-  auto any_parted = [&]() {
-    for (int p = 0; p < k; ++p)
-      if (parted[static_cast<std::size_t>(p)]) return true;
-    return false;
-  };
-
   long guard = 0;
-  long guard_max = 1000 + 64L * (k + slots) * (ft.max_retries + 2);
+  long guard_max = 1000 + 64L * (k + slots) * (cfg.ft.max_retries + 2);
   if (hb_on)
     guard_max +=
         64 + static_cast<long>((heal_horizon - t0) / std::max<Time>(1, hb_period));
   for (;;) {
-    Time horizon = kTimeInfinity;
-    std::erase_if(open_recs, [&](std::size_t ri) { return recs[ri].closed; });
-    for (const std::size_t ri : open_recs) {
-      const Rec& rec = recs[ri];
-      horizon =
-          std::min(horizon, rec.acked ? rec.subtree_deadline : rec.ack_deadline);
-    }
-    if (open_recs.empty()) {
+    Time horizon = sends.horizon();
+    if (sends.idle()) {
       // With rejoin enabled, a drained stream still waits out the heal
       // horizon while evicted-as-unreachable members might come back.
       const bool heal_pending =
-          hb_on && cfg.rejoin && any_parted() && next_hb <= heal_horizon;
+          hb_on && cfg.rejoin && next_hb <= heal_horizon &&
+          std::find(parted.begin(), parted.end(), char{1}) != parted.end();
       if (!heal_pending) {
         if (frontier >= slots || ++guard > guard_max) {
           sim.run_until_idle();  // drain duplicates and purging worms
@@ -724,96 +466,40 @@ StreamResult stream_reliable(const MulticastRuntime& rtm, sim::Simulator& sim,
       continue;  // membership may have closed/reissued records; re-plan
     }
 
-    std::vector<std::size_t> retx;
-    struct Job {
-      int slot;
-      int sender;
-      std::vector<int> list;
-    };
-    std::vector<Job> jobs;
+    // Out of retries: fail-stop presumed.  One death per sweep; the epoch
+    // bump invalidates every other expired record anyway.
     int death = -1;
-    for (const std::size_t ri : open_recs) {
-      Rec& rec = recs[ri];
-      if (rec.closed) continue;
-      if (!rec.acked) {
-        if (delivered[static_cast<std::size_t>(rec.recv)]
-                     [static_cast<std::size_t>(rec.slot)]) {
-          // Served via another record; keep watching the interval.
-          rec.acked = true;
-          rec.subtree_deadline =
-              deadlines.subtree(now, static_cast<int>(rec.interval.size()));
-          continue;
-        }
-        if (now < rec.ack_deadline) continue;
-        if (rec.attempt < ft.max_retries) {
-          retx.push_back(ri);
-        } else {
-          // Out of retries: fail-stop presumed.  One death per sweep; the
-          // epoch bump invalidates every other expired record anyway.
-          death = rec.recv;
-          break;
-        }
-      } else {
-        bool resolved = true;
-        for (int p : rec.interval)
-          if (!delivered[static_cast<std::size_t>(p)]
-                        [static_cast<std::size_t>(rec.slot)] &&
-              !dead[static_cast<std::size_t>(p)]) {
-            resolved = false;
-            break;
-          }
-        if (resolved) {
-          rec.closed = true;
-          continue;
-        }
-        if (now < rec.subtree_deadline) continue;
-        // Receiver is alive but its subtree went quiet: it re-splits what
-        // is left of its own interval.
-        rec.closed = true;
-        std::vector<int> orphan;
-        for (int p : rec.interval)
-          if (p != rec.recv &&
-              !delivered[static_cast<std::size_t>(p)]
-                        [static_cast<std::size_t>(rec.slot)] &&
-              !dead[static_cast<std::size_t>(p)])
-            orphan.push_back(p);
-        if (!orphan.empty()) jobs.push_back({rec.slot, rec.recv, std::move(orphan)});
-      }
-    }
-    if (death >= 0) {
-      // Retry exhaustion alone cannot tell a crash from a cut; when the
-      // detector is on, consult reachability so a partitioned receiver is
-      // evicted rejoinably instead of declared dead forever.
-      bool partitioned = false;
-      if (hb_on) {
-        partitioned =
-            !member->round_trip_reachable(orig.node(acting), orig.node(death));
-        member->evict(death, partitioned);
-      }
-      evict_pos(death, now, partitioned);
+    if (sends.sweep(now, [&](std::size_t ri) {
+          death = sends.send(ri).recv;
+          return false;
+        }))
       continue;
+    // Retry exhaustion alone cannot tell a crash from a cut; when the
+    // detector is on, consult reachability so a partitioned receiver is
+    // evicted rejoinably instead of declared dead forever.
+    bool partitioned = false;
+    if (hb_on) {
+      partitioned =
+          !member->round_trip_reachable(orig.node(acting), orig.node(death));
+      member->evict(death, partitioned);
     }
-    for (std::size_t ri : retx) {
-      ++recs[ri].attempt;
-      ++res.retries;
-      issue(ri, now);
-    }
-    for (Job& job : jobs) repair_split(job.slot, job.sender, std::move(job.list), now);
+    evict_pos(death, now, partitioned);
   }
   sim.set_delivery_handler(nullptr);
   sim.set_drop_handler(nullptr);
 
-  res.committed = frontier;
+  close_result(res, sim, base, frontier, t0);
   res.epoch = epoch;
+  res.messages = sends.counts().messages;
+  res.retries = sends.counts().retries;
+  res.duplicate_deliveries = sends.counts().duplicates;
   long long pairs = 0;
   bool all = true;
   for (int p = 0; p < k; ++p) {
-    const auto& got = delivered[static_cast<std::size_t>(p)];
-    int prefix = 0;
-    while (prefix < slots && got[static_cast<std::size_t>(prefix)]) ++prefix;
+    const int prefix = sends.prefix(p);
     res.delivered_prefix[static_cast<std::size_t>(p)] = prefix;
     if (p == src) continue;  // the original source is not a receiver
-    for (int s = 0; s < slots; ++s) pairs += got[static_cast<std::size_t>(s)];
+    for (int s = 0; s < slots; ++s) pairs += sends.delivered(p, s);
     all = all && prefix == slots;
     if (parted[static_cast<std::size_t>(p)])
       res.unreachable_nodes.push_back(orig.node(p));
@@ -823,13 +509,6 @@ StreamResult stream_reliable(const MulticastRuntime& rtm, sim::Simulator& sim,
       k > 1 ? static_cast<double>(pairs) /
                   (static_cast<double>(k - 1) * static_cast<double>(slots))
             : 1.0;
-  res.makespan =
-      (frontier > 0 ? res.commit_time[static_cast<std::size_t>(frontier - 1)]
-                    : t0) -
-      t0;
-  res.channel_conflicts = sim.stats().channel_conflicts - base_conflicts;
-  res.flit_hops = sim.stats().flit_hops - base_hops;
-  res.sim_cycles = sim.stats().cycles - base_cycles;
   std::sort(res.dead_nodes.begin(), res.dead_nodes.end());
   std::sort(res.unreachable_nodes.begin(), res.unreachable_nodes.end());
   return res;
@@ -868,7 +547,7 @@ StreamResult StreamRuntime::run(sim::Simulator& sim, NodeId source,
       build_multicast(cfg.alg, source, dests, tp, cfg.shape);
   if (cfg.on_reconfigure) cfg.on_reconfigure(tree);
   return cfg.reliable ? stream_reliable(rtm_, sim, tree, tp, cfg, t0)
-                      : stream_fast(rtm_, sim, tree, cfg, t0);
+                      : stream_fast(rtm_, sim, tree, tp, cfg, t0);
 }
 
 }  // namespace pcm::rt

@@ -9,15 +9,13 @@
 // at the t_hold rate by the source's send engine.  Cumulative acks
 // garbage-collect ring entries as the frontier advances.
 //
-// Robustness is first-class (reliable mode): every send is a tracked
-// record with the PR-2 ack-timeout/backoff policy; a receiver that
-// exhausts its retries is declared dead, which *bumps the group epoch*:
-// the chain is re-split over the survivors (the orphan re-split keeps
-// Theorem-1 contention-freedom — sorted sub-chains of a dimension-ordered
-// chain stay dimension-ordered), every unacked slot is replayed into the
-// new tree, and deliveries from messages issued under an older epoch are
-// rejected as stale acks.  Streams never wedge on a dead receiver: the
-// result reports every receiver's contiguous delivered prefix.
+// Robustness is first-class (reliable mode): every send is a record of
+// the tracked-send core run_reliable uses too (runtime/reliable_sends.hpp);
+// a receiver that exhausts its retries *bumps the group epoch*: the chain
+// is re-split over the survivors, every unacked slot is replayed into the
+// new tree, and deliveries of older-epoch messages are rejected as stale
+// acks.  Streams never wedge on a dead receiver: the result reports every
+// receiver's contiguous delivered prefix.
 //
 // The fault-free fast path is handler-driven (no record table, no timeout
 // sweeps) and, at window_size == 1, executes each slot cycle-for-cycle

@@ -413,6 +413,9 @@ void InvariantAuditor::audit_stream(const rt::StreamResult& res,
   // the first kSlotInject, reassigned only by kFailover.  At most one
   // active source per epoch — an inject from anyone else is split brain.
   int producer = -1;
+  // Every position that ever produced: the original source and each
+  // failover successor, deposed or not.
+  std::vector<char> produced(static_cast<std::size_t>(k), 0);
   // Membership sweeps: a kHeartbeat opens a sweep of `b` verdicts, all
   // recorded before the stream applies any.  The stream applies them in
   // order up to a confirm of its acting source; the failover (or halt)
@@ -449,7 +452,10 @@ void InvariantAuditor::audit_stream(const rt::StreamResult& res,
         if (pos < 0 || pos >= k)
           throw InvariantViolation(Invariant::kResultConsistency,
                                    "injection from outside the group", t);
-        if (producer < 0) producer = pos;
+        if (producer < 0) {
+          producer = pos;
+          produced[static_cast<std::size_t>(pos)] = 1;
+        }
         if (pos != producer)
           throw InvariantViolation(
               Invariant::kStreamEpoch,
@@ -607,6 +613,7 @@ void InvariantAuditor::audit_stream(const rt::StreamResult& res,
         // per epoch from here on.
         if (producer >= 0) dead[static_cast<std::size_t>(producer)] = 1;
         producer = pos;
+        produced[static_cast<std::size_t>(pos)] = 1;
         ++failovers_seen;
         break;
       }
@@ -672,8 +679,9 @@ void InvariantAuditor::audit_stream(const rt::StreamResult& res,
     const auto& row = got[static_cast<std::size_t>(p)];
     if (last_slot[static_cast<std::size_t>(p)] < 0) continue;  // source / silent
     // A failover successor's prefix is regenerated, not delivered; its
-    // result row legally exceeds its replayed deliveries.
-    if (failovers_seen > 0 && p == producer) continue;
+    // result row legally exceeds its replayed deliveries, also after a
+    // later failover deposed it.
+    if (produced[static_cast<std::size_t>(p)]) continue;
     // In-order first deliveries are a *healthy-run* promise: an epoch
     // replay delivers newer slots first, a retry ladder races slots that
     // slipped through a blip, and a halted stream's final drain can land

@@ -105,8 +105,7 @@ void run_placement(const rt::MulticastRuntime& rtm, sim::Simulator& sim,
   }
   rt::FtConfig ft;
   ft.max_retries = run.max_retries;
-  ft.recorder = log;
-  out.shot = rtm.run_reliable(sim, tree, run.bytes, ft, sim.now());
+  out.shot = rtm.run_reliable(sim, tree, run.bytes, ft, sim.now(), log);
   if (auditor) {
     auditor->finalize(sim);
     InvariantAuditor::audit_result(out.shot, log->snapshot(), log->events_dropped());

@@ -138,7 +138,7 @@ TEST(CliGolden, FaultsAuditGanttProbe) {
                  "--audit", "--gantt", "--probe", "--engine", "event"},
       ".pcmt");
   EXPECT_EQ(g, (Golden{0, 0x04bdd3c3bcf64e83ULL, 0xcbf29ce484222325ULL,
-                       0x7d63b42f21e59592ULL, 0x1711d920f4009178ULL, 0x5c79f6a7e9538ffbULL}))
+                       0x7d63b42f21e59592ULL, 0x1711d920f4009178ULL, 0x1c7485d2344ccca7ULL}))
       << g;
 }
 

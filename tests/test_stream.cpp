@@ -15,6 +15,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <vector>
 
 #include "analysis/sampling.hpp"
 #include "mesh/mesh_topology.hpp"
@@ -136,6 +138,18 @@ TEST(StreamRuntime, BadConfigsAreRejected) {
   cfg = base_config(&topo->shape(), 1, 1);
   EXPECT_THROW(srt.run(sim, p.source, std::span<const NodeId>{}, cfg),
                std::invalid_argument);
+  // The reliable stream's retry policy is checked where run_reliable's is.
+  cfg.reliable = true;
+  for (const auto& edit : std::vector<std::function<void(rt::FtConfig&)>>{
+           [](rt::FtConfig& ft) { ft.max_retries = -1; },
+           [](rt::FtConfig& ft) { ft.max_retries = 41; },
+           [](rt::FtConfig& ft) { ft.timeout_scale = 0.5; },
+           [](rt::FtConfig& ft) { ft.timeout_slack = -1; }}) {
+    cfg.ft = rt::FtConfig{};
+    edit(cfg.ft);
+    EXPECT_THROW(srt.run(sim, p.source, p.dests, cfg), std::invalid_argument);
+  }
+  cfg = base_config(&topo->shape(), 1, 1);
   // A fault plan without the reliable protocol would silently lose slots;
   // the runtime refuses up front.
   sim::FaultPlan plan;

@@ -304,9 +304,7 @@ TEST(Verify, RealReliableRunTracePassesAudit) {
   plan.node_events.push_back({300, p.dests[5]});
   sim.set_fault_plan(plan);
   obs::FlightRecorder rec(obs::RecorderConfig{obs::kUnbounded});
-  rt::FtConfig ft;
-  ft.recorder = &rec;
-  const rt::McastResult res = rtm.run_reliable(sim, tree, 4096, ft);
+  const rt::McastResult res = rtm.run_reliable(sim, tree, 4096, {}, 0, &rec);
   EXPECT_GT(rec.events_recorded(), 0u);
   // must not throw
   InvariantAuditor::audit_result(res, rec.snapshot(), rec.events_dropped());
@@ -328,9 +326,7 @@ TEST(Verify, AuditRefusesAWrappedRecorder) {
   plan.seed = 3;
   sim.set_fault_plan(plan);
   obs::FlightRecorder rec(obs::RecorderConfig{8});
-  rt::FtConfig ft;
-  ft.recorder = &rec;
-  const rt::McastResult res = rtm.run_reliable(sim, tree, 256, ft);
+  const rt::McastResult res = rtm.run_reliable(sim, tree, 256, {}, 0, &rec);
   ASSERT_GT(rec.events_dropped(), 0u);
   EXPECT_THROW(
       InvariantAuditor::audit_result(res, rec.snapshot(), rec.events_dropped()),
