@@ -1,8 +1,9 @@
 // E10 — Section 6 extension: software multicast on a unidirectional
 // butterfly MIN, where no contention-free node ordering exists.  Compares
 // the untuned OPT tree (caller order), the lexicographic chain, and the
-// temporal-ordering heuristic (local search minimizing predicted
-// channel-window overlaps), plus the binomial baseline.
+// temporal-ordering heuristic (local search minimizing the send pairs
+// whose exact channel holds overlap, as pcmlint finds them), plus the
+// binomial baseline.
 #include "harness/harness.hpp"
 #include "butterfly/butterfly_topology.hpp"
 #include "butterfly/temporal_order.hpp"
@@ -57,7 +58,7 @@ int main(int argc, char** argv) {
       // Independent local-search randomness per placement (RNG substream),
       // identical whether the sweep runs serially or in parallel.
       opts.seed = h.run_seed(i);
-      const auto tuned = butterfly::temporal_order(p.source, p.dests, *topo, tp, opts);
+      const auto tuned = butterfly::temporal_order(p.source, p.dests, *topo, rtm, size, opts);
       run_chain(tuned.chain, opt, s.temporal, &s.blk_temporal);
     });
     Slot sum;

@@ -30,13 +30,14 @@ int main() {
   // Lexicographic chain (the BMIN recipe) — no guarantee here.
   const Chain lex = make_chain(p.source, p.dests, ChainOrder::kLexicographic);
   const int lex_score =
-      butterfly::temporal_conflict_score(lex, table, *topo, tp);
+      butterfly::temporal_conflict_score(lex, table, *topo, runtime, payload);
 
   // Temporal tuning: local search over orderings.
   butterfly::TemporalOrderOptions opts;
   opts.budget = 400;
   opts.seed = 7;
-  const auto tuned = butterfly::temporal_order(p.source, p.dests, *topo, tp, opts);
+  const auto tuned =
+      butterfly::temporal_order(p.source, p.dests, *topo, runtime, payload, opts);
 
   std::cout << "predicted conflicting send pairs: lexicographic=" << lex_score
             << ", temporally tuned=" << tuned.final_conflicts << " ("

@@ -41,19 +41,21 @@ std::string tree_dot(const MulticastTree& tree, const std::string& graph_name) {
   return os.str();
 }
 
-std::string mesh_heatmap(const mesh::MeshTopology& topo, const ChannelTraceRecorder& trace,
-                         Time makespan) {
+std::string mesh_heatmap(const mesh::MeshTopology& topo,
+                         std::span<const obs::TraceEvent> events, Time makespan) {
   const MeshShape& shape = topo.shape();
   if (shape.ndims() != 2)
     throw std::invalid_argument("mesh_heatmap: requires a 2-D mesh");
   if (makespan <= 0) throw std::invalid_argument("mesh_heatmap: makespan must be > 0");
 
-  // Per-router: the busiest outgoing channel's hold time.
+  // Per channel: total held cycles; per router: its busiest output's.
+  std::vector<Time> held(topo.num_channels(), 0);
+  for (const obs::TraceEvent& ev : events)
+    if (ev.event_kind() == obs::EventKind::kRelease)
+      held[topo.channel_id(ev.a, ev.b)] += ev.d;
   std::vector<Time> busy(topo.num_routers(), 0);
-  for (const ChannelUse& u : trace.utilization()) {
-    const int router = u.channel / topo.radix();
-    busy[router] = std::max(busy[router], u.busy);
-  }
+  for (sim::ChannelId c = 0; c < topo.num_channels(); ++c)
+    busy[c / topo.radix()] = std::max(busy[c / topo.radix()], held[c]);
 
   std::ostringstream os;
   os << "channel utilization (0-9, per router's busiest output)\n";

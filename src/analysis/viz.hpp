@@ -3,12 +3,13 @@
 // callers decide where the output goes.
 #pragma once
 
+#include <span>
 #include <string>
 
-#include "analysis/trace.hpp"
 #include "core/model.hpp"
 #include "core/multicast_tree.hpp"
 #include "mesh/mesh_topology.hpp"
+#include "obs/trace_event.hpp"
 
 namespace pcm::analysis {
 
@@ -21,9 +22,11 @@ std::string tree_ascii(const MulticastTree& tree, const TwoParam* tp = nullptr);
 std::string tree_dot(const MulticastTree& tree, const std::string& graph_name = "mcast");
 
 /// ASCII heatmap of a 2-D mesh: one cell per router showing the busiest
-/// adjacent channel's utilization (0-9 scale) relative to `makespan`.
+/// output channel's utilization (0-9 scale) relative to `makespan`.  A
+/// channel's busy time is the sum of its kRelease spans (`d`) in `events`,
+/// a flight-recorder trace of the run; other event kinds are ignored.
 /// Requires a 2-dimensional shape.
-std::string mesh_heatmap(const mesh::MeshTopology& topo, const ChannelTraceRecorder& trace,
-                         Time makespan);
+std::string mesh_heatmap(const mesh::MeshTopology& topo,
+                         std::span<const obs::TraceEvent> events, Time makespan);
 
 }  // namespace pcm::analysis

@@ -1,31 +1,41 @@
 #include "butterfly/temporal_order.hpp"
 
 #include <algorithm>
+#include <climits>
 
 #include "analysis/rng.hpp"
 #include "core/opt_tree.hpp"
+#include "lint/lint.hpp"
 
 namespace pcm::butterfly {
 
 int temporal_conflict_score(const Chain& chain, const SplitTable& table,
-                            const sim::Topology& topo, TwoParam tp, Time per_hop) {
-  const MulticastTree tree = build_chain_split_tree(chain, table);
-  const auto report =
-      analysis::model_conflicts(tree, topo, tp,
-                                analysis::ChannelHold{tp.t_hold, per_hop});
-  return static_cast<int>(report.pairs.size());
+                            const sim::Topology& topo,
+                            const rt::MulticastRuntime& rtm, Bytes payload) {
+  lint::LintOptions opts;
+  opts.max_diagnostics = INT_MAX;
+  opts.check_deadlock = false;
+  opts.keep_schedule = false;
+  const lint::LintReport report =
+      lint::lint_tree(build_chain_split_tree(chain, table), topo, rtm.config(),
+                      sim::SimConfig{}, payload, opts);
+  return static_cast<int>(
+      std::ranges::count(report.diagnostics, lint::DiagKind::kContention,
+                         &lint::LintDiagnostic::kind));
 }
 
 TemporalOrderResult temporal_order(NodeId source, std::span<const NodeId> dests,
-                                   const sim::Topology& topo, TwoParam tp,
+                                   const sim::Topology& topo,
+                                   const rt::MulticastRuntime& rtm, Bytes payload,
                                    TemporalOrderOptions opts) {
   TemporalOrderResult res;
   res.chain = make_chain(source, dests, ChainOrder::kLexicographic);
   const int k = res.chain.size();
+  const TwoParam tp = rtm.config().machine.two_param(rtm.wire_bytes(payload, 1));
   const SplitTable table = opt_split_table(tp.t_hold, tp.t_end, k);
 
   auto score_of = [&](const Chain& c) {
-    return temporal_conflict_score(c, table, topo, tp, opts.per_hop);
+    return temporal_conflict_score(c, table, topo, rtm, payload);
   };
 
   int best = score_of(res.chain);

@@ -80,21 +80,6 @@ std::vector<Time> model_finish_times(const MulticastTree& tree, TwoParam tp) {
   return finish;
 }
 
-std::vector<SendTimes> model_send_times(const MulticastTree& tree, TwoParam tp) {
-  std::vector<SendTimes> times(tree.sends.size());
-  std::function<void(int, Time)> visit = [&](int pos, Time t0) {
-    Time issue = t0;
-    for (int idx : tree.out[pos]) {
-      const SendEvent& ev = tree.sends[idx];
-      times[idx] = SendTimes{issue, issue + tp.t_end};
-      visit(ev.receiver_pos, issue + tp.t_end);
-      issue += tp.t_hold;
-    }
-  };
-  visit(tree.chain.source_pos, 0);
-  return times;
-}
-
 Time model_latency(const MulticastTree& tree, TwoParam tp) {
   const std::vector<Time> finish = model_finish_times(tree, tp);
   Time latest = 0;

@@ -123,14 +123,32 @@ StreamLintReport lint_stream(const MulticastTree& tree,
       rep.busy_node = tree.node(pos);
     }
   }
+
+  // Per-channel state is indexed densely over the channels the plan's
+  // paths use (in first-use order), not over the whole topology:
+  // channels[c] is dense index c's channel id, and hops[first_hop[s] + i]
+  // the dense index of send s's i-th hop.
+  std::vector<sim::ChannelId> channels;
+  std::vector<std::uint32_t> hops;
+  std::vector<size_t> first_hop;
+  first_hop.reserve(plan.size());
   {
-    std::vector<Time> occupancy(static_cast<size_t>(topo.num_channels()), 0);
-    for (const kernel::SendPlan& p : plan)
-      for (sim::ChannelId ch : p.path) {
-        occupancy[static_cast<size_t>(ch)] += p.flits;
-        rep.channel_bound =
-            std::max(rep.channel_bound, occupancy[static_cast<size_t>(ch)]);
+    std::vector<std::int32_t> dense(static_cast<size_t>(topo.num_channels()), -1);
+    std::vector<Time> occupancy;  // flits per slot, per dense channel
+    for (const kernel::SendPlan& p : plan) {
+      first_hop.push_back(hops.size());
+      for (const sim::ChannelId ch : p.path) {
+        std::int32_t& c = dense[static_cast<size_t>(ch)];
+        if (c < 0) {
+          c = static_cast<std::int32_t>(channels.size());
+          channels.push_back(ch);
+          occupancy.push_back(0);
+        }
+        hops.push_back(static_cast<std::uint32_t>(c));
+        occupancy[static_cast<size_t>(c)] += p.flits;
+        rep.channel_bound = std::max(rep.channel_bound, occupancy[static_cast<size_t>(c)]);
       }
+    }
   }
 
   // ---- symbolic replay of stream_fast ------------------------------------
@@ -146,14 +164,14 @@ StreamLintReport lint_stream(const MulticastTree& tree,
   int frontier = 0;
   rep.commit_time.assign(static_cast<size_t>(slots), -1);
 
-  std::vector<ChannelBuffer> buffers(static_cast<size_t>(topo.num_channels()));
+  std::vector<ChannelBuffer> buffers(channels.size());
   std::vector<LintDiagnostic> raw;  // send_a/send_b: tags, send_a begins first
   constexpr size_t kRawPairCap = 4096;  // verdict stays exact; listing capped
   Time now = 0;            // current event time (eviction + clamp floor)
   Time max_lookahead = 0;  // max hold end minus its creation event time
 
-  auto add_hold = [&](sim::ChannelId ch, Time b, Time e, int tag) {
-    ChannelBuffer& buf = buffers[static_cast<size_t>(ch)];
+  auto add_hold = [&](std::uint32_t c, Time b, Time e, int tag) {
+    ChannelBuffer& buf = buffers[c];
     while (buf.head < buf.holds.size() && buf.holds[buf.head].end <= now)
       ++buf.head;
     if (buf.head > 64 && buf.head * 2 > buf.holds.size()) {
@@ -171,7 +189,7 @@ StreamLintReport lint_stream(const MulticastTree& tree,
       LintDiagnostic& d = raw.emplace_back();
       d.send_a = old_first ? h.tag : tag;
       d.send_b = old_first ? tag : h.tag;
-      d.channel = ch;
+      d.channel = channels[c];
       d.overlap_begin = std::max(b, h.begin);
       d.overlap_end = std::min(e, h.end);
     }
@@ -187,10 +205,11 @@ StreamLintReport lint_stream(const MulticastTree& tree,
     for (const kernel::Placement& pl :
          kern.activate(slot, pos, at, tree.out[static_cast<size_t>(pos)], plan)) {
       const kernel::SendPlan& p = plan[static_cast<size_t>(pl.send)];
+      const std::uint32_t* hop = hops.data() + first_hop[static_cast<size_t>(pl.send)];
       const int tag = slot * n_sends + pl.send;
       for (size_t i = 0; i < p.path.size(); ++i) {
         const Time b = kernel::reserve_time(pl.inject_start, i, rd);
-        add_hold(p.path[i], b, b + p.flits, tag);
+        add_hold(hop[i], b, b + p.flits, tag);
       }
     }
   };

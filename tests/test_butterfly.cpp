@@ -88,7 +88,7 @@ TEST(Butterfly, RootChannelIsUnavoidablyShared) {
 
 TEST(TemporalOrder, ReducesModelConflicts) {
   const auto topo = make_butterfly(64);
-  const TwoParam tp{700, 1600};
+  const rt::MulticastRuntime rtm(rt::RuntimeConfig{});
   analysis::Rng rng(5);
   int improved = 0, had_conflicts = 0;
   for (int trial = 0; trial < 4; ++trial) {
@@ -96,7 +96,8 @@ TEST(TemporalOrder, ReducesModelConflicts) {
     TemporalOrderOptions opts;
     opts.budget = 300;
     opts.seed = 17 + trial;
-    const TemporalOrderResult r = temporal_order(p.source, p.dests, *topo, tp, opts);
+    const TemporalOrderResult r =
+        temporal_order(p.source, p.dests, *topo, rtm, 4096, opts);
     EXPECT_LE(r.final_conflicts, r.initial_conflicts);
     if (r.initial_conflicts > 0) ++had_conflicts;
     if (r.final_conflicts < r.initial_conflicts) ++improved;
@@ -110,10 +111,10 @@ TEST(TemporalOrder, ReducesModelConflicts) {
 
 TEST(TemporalOrder, ZeroConflictChainsReturnImmediately) {
   const auto topo = make_butterfly(16);
-  const TwoParam tp{700, 1600};
+  const rt::MulticastRuntime rtm(rt::RuntimeConfig{});
   // Two-node multicast cannot conflict.
   const std::array<NodeId, 1> dests{9};
-  const TemporalOrderResult r = temporal_order(3, dests, *topo, tp);
+  const TemporalOrderResult r = temporal_order(3, dests, *topo, rtm, 4096);
   EXPECT_EQ(r.initial_conflicts, 0);
   EXPECT_EQ(r.final_conflicts, 0);
   EXPECT_EQ(r.moves_tried, 0);
@@ -134,7 +135,7 @@ TEST(TemporalOrder, LowersSimulatedBlockingToo) {
     TemporalOrderOptions opts;
     opts.budget = 300;
     opts.seed = 31 + trial;
-    const auto tuned = temporal_order(p.source, p.dests, *topo, tp, opts);
+    const auto tuned = temporal_order(p.source, p.dests, *topo, rtm, payload, opts);
     sim::Simulator s1(*topo), s2(*topo);
     lex_blocks +=
         rtm.run(s1, build_chain_split_tree(lex, table), payload).channel_conflicts;

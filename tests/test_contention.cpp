@@ -5,15 +5,18 @@
 //   Theorem 2: OPT-min schedules are contention-free on a BMIN with
 //              turnaround routing (and so are U-min schedules).
 //
-// Both the analytical checker (model_conflicts) and the flit-level
-// simulator's conflict counter must agree.  The untuned OPT-tree, by
-// contrast, must show contention for at least some placements — that gap
-// is the paper's motivation.
+// pcmlint's exact interval analysis (lint::lint_tree) and the flit-level
+// simulator's conflict counter, run on the same machine, must both find
+// every such schedule clean.  The untuned OPT-tree, by contrast, must show
+// contention for at least some placements — that gap is the paper's
+// motivation — and there too the static verdict must match the dynamic one.
 #include <gtest/gtest.h>
 
-#include "analysis/contention.hpp"
+#include <string>
+
 #include "analysis/sampling.hpp"
 #include "bmin/bmin_topology.hpp"
+#include "lint/lint.hpp"
 #include "mesh/mesh_topology.hpp"
 #include "runtime/mcast_runtime.hpp"
 
@@ -29,6 +32,21 @@ rt::RuntimeConfig machine() {
   cfg.machine.bytes_per_cycle = 16;
   cfg.machine.nominal_hops = 8;
   return cfg;
+}
+
+/// Runs `tree` both ways on one machine — pcmlint statically, the
+/// simulator dynamically — and returns whether the simulator blocked a
+/// head, after checking the two verdicts agree.
+bool contends(const MulticastTree& tree, const sim::Topology& topo,
+              const rt::MulticastRuntime& rtm, Bytes payload, const std::string& what) {
+  const lint::LintReport report =
+      lint::lint_tree(tree, topo, rtm.config(), sim::SimConfig{}, payload);
+  sim::Simulator sim(topo);
+  const auto res = rtm.run(sim, tree, payload);
+  EXPECT_EQ(report.contention_free, res.channel_conflicts == 0)
+      << what << ": " << res.channel_conflicts << " blocked cycles vs "
+      << report.describe(tree, topo);
+  return res.channel_conflicts != 0;
 }
 
 struct Scenario {
@@ -49,14 +67,9 @@ TEST_P(MeshContentionFree, TunedSchedulesHaveZeroConflicts) {
     for (McastAlgorithm alg : {McastAlgorithm::kOptMesh, McastAlgorithm::kUMesh}) {
       const MulticastTree tree =
           build_multicast(alg, p.source, p.dests, tp, &topo->shape());
-      const auto report = analysis::model_conflicts(tree, *topo, tp);
-      EXPECT_TRUE(report.contention_free())
-          << algorithm_name(alg) << " k=" << k << ": "
-          << report.describe(tree, *topo);
-      sim::Simulator sim(*topo);
-      const auto res = rtm.run(sim, tree, payload);
-      EXPECT_EQ(res.channel_conflicts, 0)
-          << algorithm_name(alg) << " k=" << k << " payload=" << payload;
+      EXPECT_FALSE(contends(tree, *topo, rtm, payload,
+                            std::string(algorithm_name(alg)) + " k=" + std::to_string(k) +
+                                " payload=" + std::to_string(payload)));
     }
   }
 }
@@ -82,14 +95,9 @@ TEST_P(BminContentionFree, TunedSchedulesHaveZeroConflicts) {
   for (const auto& p : placements) {
     for (McastAlgorithm alg : {McastAlgorithm::kOptMin, McastAlgorithm::kUMin}) {
       const MulticastTree tree = build_multicast(alg, p.source, p.dests, tp);
-      const auto report = analysis::model_conflicts(tree, *topo, tp);
-      EXPECT_TRUE(report.contention_free())
-          << algorithm_name(alg) << " k=" << k << ": "
-          << report.describe(tree, *topo);
-      sim::Simulator sim(*topo);
-      const auto res = rtm.run(sim, tree, payload);
-      EXPECT_EQ(res.channel_conflicts, 0)
-          << algorithm_name(alg) << " k=" << k << " payload=" << payload;
+      EXPECT_FALSE(contends(tree, *topo, rtm, payload,
+                            std::string(algorithm_name(alg)) + " k=" + std::to_string(k) +
+                                " payload=" + std::to_string(payload)));
     }
   }
 }
@@ -122,14 +130,15 @@ TEST(UntunedOptTree, ShowsContentionSomewhere) {
 
 TEST(UntunedOptTree, AnalyticalCheckerAgreesItConflicts) {
   const auto topo = mesh::make_mesh2d(16);
-  rt::RuntimeConfig cfg = machine();
-  const TwoParam tp = cfg.machine.two_param(4096);
+  rt::MulticastRuntime rtm(machine());
+  const TwoParam tp = rtm.config().machine.two_param(rtm.wire_bytes(4096, 1));
   const auto placements = analysis::sample_placements(31, 256, 32, 8);
   int conflicting = 0;
-  for (const auto& p : placements) {
+  for (size_t i = 0; i < placements.size(); ++i) {
+    const auto& p = placements[i];
     const MulticastTree tree =
         build_multicast(McastAlgorithm::kOptTree, p.source, p.dests, tp);
-    if (!analysis::model_conflicts(tree, *topo, tp).contention_free()) ++conflicting;
+    if (contends(tree, *topo, rtm, 4096, "placement " + std::to_string(i))) ++conflicting;
   }
   EXPECT_GT(conflicting, 0);
 }
@@ -146,25 +155,33 @@ TEST(Hypercube, UCubeAndOptCubeAreContentionFree) {
     for (McastAlgorithm alg : {McastAlgorithm::kOptMesh, McastAlgorithm::kUMesh}) {
       const MulticastTree tree =
           build_multicast(alg, p.source, p.dests, tp, &topo.shape());
-      EXPECT_TRUE(analysis::model_conflicts(tree, topo, tp).contention_free());
-      sim::Simulator sim(topo);
-      EXPECT_EQ(rtm.run(sim, tree, 2048).channel_conflicts, 0);
+      EXPECT_FALSE(contends(tree, topo, rtm, 2048, std::string(algorithm_name(alg))));
     }
   }
 }
 
-TEST(ConflictReport, DescribeListsPairs) {
+TEST(LintDescribe, NamesBothSendsAndTheChannel) {
   const auto topo = mesh::make_mesh2d(16);
-  const TwoParam tp{100, 1000};
+  rt::MulticastRuntime rtm(machine());
+  const TwoParam tp = rtm.config().machine.two_param(rtm.wire_bytes(4096, 1));
   // Deliberately contending: caller-order chain over a zig-zag placement.
   std::vector<NodeId> dests{255, 1, 254, 2, 253, 3, 252, 4};
   const MulticastTree tree = build_multicast(McastAlgorithm::kOptTree, 128, dests, tp);
-  const auto report = analysis::model_conflicts(tree, *topo, tp);
-  if (!report.contention_free()) {
-    const std::string d = report.describe(tree, *topo);
-    EXPECT_NE(d.find("conflicting send pair"), std::string::npos);
-    EXPECT_NE(d.find("mesh("), std::string::npos);
-  }
+  const lint::LintReport report =
+      lint::lint_tree(tree, *topo, rtm.config(), sim::SimConfig{}, 4096);
+  ASSERT_FALSE(report.contention_free);
+  ASSERT_FALSE(report.diagnostics.empty());
+  const lint::LintDiagnostic& d = report.diagnostics.front();
+  ASSERT_EQ(d.kind, lint::DiagKind::kContention);
+  const auto named = [&](int send) {
+    const SendEvent& ev = tree.sends[static_cast<size_t>(send)];
+    return "send#" + std::to_string(send) + " " + std::to_string(tree.node(ev.sender_pos)) +
+           "->" + std::to_string(tree.node(ev.receiver_pos));
+  };
+  const std::string text = report.describe(tree, *topo);
+  EXPECT_NE(text.find(named(d.send_a)), std::string::npos) << text;
+  EXPECT_NE(text.find(named(d.send_b)), std::string::npos) << text;
+  EXPECT_NE(text.find("mesh("), std::string::npos) << text;
 }
 
 }  // namespace

@@ -134,35 +134,6 @@ TEST(TreeShape, SequentialFanoutIsKMinus1) {
   EXPECT_EQ(check_tree(t), "");
 }
 
-TEST(ModelEval, SendTimesAgreeWithFinishTimes) {
-  // model_send_times is the per-send view of the same traversal as
-  // model_finish_times: a receiver's finish time is its in-edge's
-  // deliver time, sends from one node are spaced t_hold apart starting
-  // at the sender's own finish time, and deliver = issue + t_end.
-  const TwoParam tp{20, 55};
-  for (int k : {2, 3, 7, 16, 33, 64}) {
-    for (int src : {0, k / 2, k - 1}) {
-      const Chain c = identity_chain(k, src);
-      const MulticastTree t = build_chain_split_tree(c, opt_split_table(20, 55, k));
-      const std::vector<Time> finish = model_finish_times(t, tp);
-      const std::vector<SendTimes> times = model_send_times(t, tp);
-      ASSERT_EQ(times.size(), t.sends.size());
-      for (size_t i = 0; i < t.sends.size(); ++i) {
-        EXPECT_EQ(times[i].deliver, times[i].issue + tp.t_end);
-        EXPECT_EQ(times[i].deliver, finish[t.sends[i].receiver_pos]);
-      }
-      for (int pos = 0; pos < t.num_nodes(); ++pos) {
-        const Time activate = pos == c.source_pos ? 0 : finish[pos];
-        for (size_t s = 0; s < t.out[pos].size(); ++s) {
-          EXPECT_EQ(times[t.out[pos][s]].issue,
-                    activate + static_cast<Time>(s) * tp.t_hold)
-              << "k=" << k << " pos=" << pos << " send#" << s;
-        }
-      }
-    }
-  }
-}
-
 TEST(TreeShape, SendsCrossTheSplitBoundaryInIssueOrder) {
   const SplitTable table = opt_split_table(20, 55, 16);
   const MulticastTree t = build_chain_split_tree(identity_chain(16, 5), table);

@@ -5,6 +5,7 @@
 #include <array>
 
 #include "analysis/viz.hpp"
+#include "obs/recorder.hpp"
 #include "runtime/mcast_runtime.hpp"
 
 namespace pcm::analysis {
@@ -52,11 +53,11 @@ TEST(Heatmap, ShowsTrafficAndQuietCells) {
   const auto topo = mesh::make_mesh2d(8);
   rt::MulticastRuntime rtm(rt::RuntimeConfig{});
   sim::Simulator sim(*topo);
-  ChannelTraceRecorder trace(*topo);
+  obs::FlightRecorder trace(obs::RecorderConfig{obs::kUnbounded});
   sim.set_observer(&trace);
   const std::array<NodeId, 5> dests{9, 18, 27, 36, 45};
   rtm.run_algorithm(sim, McastAlgorithm::kOptMesh, 0, dests, 4096, &topo->shape());
-  const std::string map = mesh_heatmap(*topo, trace, sim.now());
+  const std::string map = mesh_heatmap(*topo, trace.snapshot(), sim.now());
   // 8 rows of 8 cells plus the title line.
   EXPECT_EQ(std::count(map.begin(), map.end(), '\n'), 9);
   EXPECT_NE(map.find('.'), std::string::npos);  // some routers untouched
@@ -68,11 +69,9 @@ TEST(Heatmap, ShowsTrafficAndQuietCells) {
 
 TEST(Heatmap, Validation) {
   const auto topo = mesh::make_mesh2d(4);
-  ChannelTraceRecorder trace(*topo);
-  EXPECT_THROW(mesh_heatmap(*topo, trace, 0), std::invalid_argument);
+  EXPECT_THROW(mesh_heatmap(*topo, {}, 0), std::invalid_argument);
   mesh::MeshTopology cube(MeshShape::hypercube(3));
-  ChannelTraceRecorder t2(cube);
-  EXPECT_THROW(mesh_heatmap(cube, t2, 100), std::invalid_argument);
+  EXPECT_THROW(mesh_heatmap(cube, {}, 100), std::invalid_argument);
 }
 
 }  // namespace
