@@ -4,6 +4,8 @@
 // temporal-ordering heuristic (local search minimizing the send pairs
 // whose exact channel holds overlap, as pcmlint finds them), plus the
 // binomial baseline.
+#include <array>
+
 #include "harness/harness.hpp"
 #include "butterfly/butterfly_topology.hpp"
 #include "butterfly/temporal_order.hpp"
@@ -30,55 +32,52 @@ int main(int argc, char** argv) {
     const SplitTable opt = opt_split_table(tp.t_hold, tp.t_end, k);
     const SplitTable bin = binomial_split_table(tp.t_hold, tp.t_end, k);
 
-    // Per-placement result slots, summed in placement order below, so the
-    // output is identical at any --jobs value.
-    struct Slot {
-      double bin = 0, caller = 0, lex = 0, temporal = 0;
-      double blk_caller = 0, blk_lex = 0, blk_temporal = 0;
-    };
-    std::vector<Slot> slots(placements.size());
-    h.parallel_for(placements.size(), [&](std::size_t i) {
-      const auto& p = placements[i];
-      Slot& s = slots[i];
-      auto run_chain = [&](const Chain& chain, const SplitTable& table,
-                           double& lat, double* blk) {
-        sim::Simulator sim(*topo);
-        const auto res = rtm.run(sim, build_chain_split_tree(chain, table), size);
-        lat += static_cast<double>(res.latency);
-        if (blk != nullptr) *blk += static_cast<double>(res.channel_conflicts);
-      };
-      run_chain(make_chain(p.source, p.dests, ChainOrder::kLexicographic), bin,
-                s.bin, nullptr);
-      run_chain(make_chain(p.source, p.dests, ChainOrder::kAsGiven), opt,
-                s.caller, &s.blk_caller);
-      run_chain(make_chain(p.source, p.dests, ChainOrder::kLexicographic), opt,
-                s.lex, &s.blk_lex);
-      butterfly::TemporalOrderOptions opts;
-      opts.budget = 250;
-      // Independent local-search randomness per placement (RNG substream),
-      // identical whether the sweep runs serially or in parallel.
-      opts.seed = h.run_seed(i);
-      const auto tuned = butterfly::temporal_order(p.source, p.dests, *topo, rtm, size, opts);
-      run_chain(tuned.chain, opt, s.temporal, &s.blk_temporal);
-    });
-    Slot sum;
-    for (const Slot& s : slots) {
-      sum.bin += s.bin;
-      sum.caller += s.caller;
-      sum.lex += s.lex;
-      sum.temporal += s.temporal;
-      sum.blk_caller += s.blk_caller;
-      sum.blk_lex += s.blk_lex;
-      sum.blk_temporal += s.blk_temporal;
+    // Four runs per placement, one per column: Binomial(lex), OPT(caller),
+    // OPT(lex) and OPT(temporal); kRunBegin names the algorithm each
+    // chain's order and split rule amount to.  Per-run slots are summed in
+    // placement order below, so the output is identical at any --jobs.
+    constexpr std::array<McastAlgorithm, 4> kChains{
+        McastAlgorithm::kUMin, McastAlgorithm::kOptTree, McastAlgorithm::kOptMin,
+        McastAlgorithm::kOptTree};
+    std::vector<double> lat(kChains.size() * placements.size());
+    std::vector<double> blk(lat.size());
+    h.fan_out().run(
+        lat.size(), [&](std::size_t run) { return RunSpec{topo.get(), kChains[run % 4]}; },
+        [&](std::size_t run, sim::Simulator& sim, obs::FlightRecorder*) {
+          const auto& p = placements[run / 4];
+          Chain chain;
+          if (run % 4 == 1) {
+            chain = make_chain(p.source, p.dests, ChainOrder::kAsGiven);
+          } else if (run % 4 != 3) {
+            chain = make_chain(p.source, p.dests, ChainOrder::kLexicographic);
+          } else {
+            butterfly::TemporalOrderOptions opts;
+            opts.budget = 250;
+            // Independent local-search randomness per placement (RNG
+            // substream), identical whether the sweep runs serially or in
+            // parallel.
+            opts.seed = substream_seed(kSeed, run / 4);
+            chain = butterfly::temporal_order(p.source, p.dests, *topo, rtm, size, opts)
+                        .chain;
+          }
+          const auto res = rtm.run(
+              sim, build_chain_split_tree(chain, run % 4 == 0 ? bin : opt), size);
+          lat[run] = static_cast<double>(res.latency);
+          blk[run] = static_cast<double>(res.channel_conflicts);
+        });
+    std::array<double, 4> lat_sum{}, blk_sum{};
+    for (std::size_t run = 0; run < lat.size(); ++run) {
+      lat_sum[run % 4] += lat[run];
+      blk_sum[run % 4] += blk[run];
     }
     const double n = static_cast<double>(placements.size());
-    t.add_row({std::to_string(k), analysis::Table::num(sum.bin / n, 0),
-               analysis::Table::num(sum.caller / n, 0),
-               analysis::Table::num(sum.lex / n, 0),
-               analysis::Table::num(sum.temporal / n, 0),
-               analysis::Table::num(sum.blk_caller / n, 0),
-               analysis::Table::num(sum.blk_lex / n, 0),
-               analysis::Table::num(sum.blk_temporal / n, 0)});
+    t.add_row({std::to_string(k), analysis::Table::num(lat_sum[0] / n, 0),
+               analysis::Table::num(lat_sum[1] / n, 0),
+               analysis::Table::num(lat_sum[2] / n, 0),
+               analysis::Table::num(lat_sum[3] / n, 0),
+               analysis::Table::num(blk_sum[1] / n, 0),
+               analysis::Table::num(blk_sum[2] / n, 0),
+               analysis::Table::num(blk_sum[3] / n, 0)});
   }
   h.report(t, "Butterfly, 4 KB latency vs nodes (cycles)", "butterfly_temporal.csv");
 

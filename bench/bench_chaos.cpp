@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
     verify::ChaosConfig cc;
     cc.scenarios = scenarios;
     cc.seed = kSeed;
-    cc.jobs = h.jobs();
+    cc.jobs = h.fan_out().jobs();
     cc.max_minimized = 3;
     const verify::ChaosReport rep = verify::run_chaos(cc, &std::cout);
     t.add_row({std::to_string(rep.scenarios), std::to_string(rep.violations),

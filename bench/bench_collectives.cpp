@@ -5,6 +5,8 @@
 // path), so Theorem 1 does not transfer to the upward direction; this
 // bench quantifies how much contention the reversed trees actually see
 // and how reduce/barrier latency compares to the multicast bound.
+#include <numeric>
+
 #include "harness/harness.hpp"
 #include "bmin/bmin_topology.hpp"
 #include "mesh/mesh_topology.hpp"
@@ -26,39 +28,38 @@ void sweep(Harness& h, const sim::Topology& topo, const MeshShape* shape,
     if (k > topo.num_nodes()) break;
     const auto placements =
         analysis::sample_placements(kSeed + k, topo.num_nodes(), k, kPaperReps);
-    // Indexed slots keep the summation in placement order, so the output
-    // is identical at any --jobs value.
-    struct Slot {
-      double mcast = 0, reduce = 0, blk = 0, barrier = 0, model = 0;
+    // Three runs per placement (multicast, reduce, barrier) write indexed
+    // slots, summed in placement order, so the output is identical at any
+    // --jobs value.
+    const std::size_t reps = placements.size();
+    std::vector<double> mcast(reps), reduce(reps), blk(reps), barrier(reps), model(reps);
+    const TwoParam tp = cfg.machine.two_param(coll.multicast().wire_bytes(payload, 1));
+    h.fan_out().run(
+        3 * reps, [&](std::size_t) { return RunSpec{&topo, alg}; },
+        [&](std::size_t run, sim::Simulator& sim, obs::FlightRecorder*) {
+          const std::size_t i = run / 3;
+          const auto& p = placements[i];
+          const MulticastTree tree = build_multicast(alg, p.source, p.dests, tp, shape);
+          if (run % 3 == 0) {
+            mcast[i] = static_cast<double>(coll.multicast().run(sim, tree, payload).latency);
+          } else if (run % 3 == 1) {
+            const rt::ReduceResult r = coll.run_reduce(sim, tree, payload);
+            reduce[i] = static_cast<double>(r.latency);
+            blk[i] = static_cast<double>(r.channel_conflicts);
+            model[i] = static_cast<double>(r.model_latency);
+          } else {
+            barrier[i] = static_cast<double>(coll.run_barrier(sim, tree, payload).latency);
+          }
+        });
+    const auto sum = [](const std::vector<double>& xs) {
+      return std::accumulate(xs.begin(), xs.end(), 0.0);
     };
-    std::vector<Slot> slots(placements.size());
-    h.parallel_for(placements.size(), [&](std::size_t i) {
-      const auto& p = placements[i];
-      Slot& s = slots[i];
-      const TwoParam tp = cfg.machine.two_param(
-          coll.multicast().wire_bytes(payload, 1));
-      const MulticastTree tree = build_multicast(alg, p.source, p.dests, tp, shape);
-      sim::Simulator s1(topo), s2(topo), s3(topo);
-      s.mcast += static_cast<double>(coll.multicast().run(s1, tree, payload).latency);
-      const rt::ReduceResult r = coll.run_reduce(s2, tree, payload);
-      s.reduce += static_cast<double>(r.latency);
-      s.blk += static_cast<double>(r.channel_conflicts);
-      s.model += static_cast<double>(r.model_latency);
-      s.barrier += static_cast<double>(coll.run_barrier(s3, tree, payload).latency);
-    });
-    double mcast = 0, reduce = 0, blk = 0, barrier = 0, model = 0;
-    for (const Slot& s : slots) {
-      mcast += s.mcast;
-      reduce += s.reduce;
-      blk += s.blk;
-      barrier += s.barrier;
-      model += s.model;
-    }
-    const double n = static_cast<double>(placements.size());
-    t.add_row({std::to_string(k), analysis::Table::num(mcast / n, 0),
-               analysis::Table::num(reduce / n, 0), analysis::Table::num(blk / n, 0),
-               analysis::Table::num(barrier / n, 0),
-               analysis::Table::num(reduce / model, 3)});
+    const double n = static_cast<double>(reps);
+    t.add_row({std::to_string(k), analysis::Table::num(sum(mcast) / n, 0),
+               analysis::Table::num(sum(reduce) / n, 0),
+               analysis::Table::num(sum(blk) / n, 0),
+               analysis::Table::num(sum(barrier) / n, 0),
+               analysis::Table::num(sum(reduce) / sum(model), 3)});
   }
   h.report(t, title, csv);
 }

@@ -5,6 +5,8 @@
 // the tuned trees' advantage survives cross-group interference on the
 // 16x16 mesh: G simultaneous 16-node multicasts with random (overlapping)
 // member sets, 4 KB payloads.
+#include <array>
+
 #include "harness/harness.hpp"
 #include "mesh/mesh_topology.hpp"
 
@@ -28,43 +30,39 @@ int main(int argc, char** argv) {
                      "vs solo", "blk/group"});
   double solo_opt = 0, solo_u = 0;
   for (int G : {1, 2, 4, 8}) {
-    // One slot per replication, summed in rep order afterwards, so the
-    // output is identical at any --jobs value.
-    struct Slot {
-      double lat_opt = 0, blk_opt = 0, lat_u = 0, blk_u = 0;
-    };
-    std::vector<Slot> slots(kPaperReps);
-    h.parallel_for(slots.size(), [&](std::size_t rep) {
-      Slot& s = slots[rep];
-      // Hierarchical substream: independent per (G, rep), reproducing the
-      // same placements regardless of execution order.
-      analysis::Rng rng(substream_seed(substream_seed(kSeed, 77 * G), rep));
-      auto run_alg = [&](McastAlgorithm alg, double& lat, double& blk) {
-        analysis::Rng local = rng;  // same placements for both algorithms
-        std::vector<rt::MulticastRuntime::GroupRun> groups;
-        for (int g = 0; g < G; ++g) {
-          const auto p = analysis::sample_placement(local, 256, k);
-          rt::MulticastRuntime::GroupRun gr;
-          gr.tree = build_multicast(alg, p.source, p.dests, tp, &shape);
-          gr.payload = size;
-          groups.push_back(std::move(gr));
-        }
-        sim::Simulator sim(*topo);
-        for (const auto& r : rtm.run_concurrent(sim, std::move(groups))) {
-          lat += static_cast<double>(r.latency);
-          blk += static_cast<double>(r.channel_conflicts);
-        }
-      };
-      run_alg(McastAlgorithm::kOptMesh, s.lat_opt, s.blk_opt);
-      run_alg(McastAlgorithm::kUMesh, s.lat_u, s.blk_u);
-    });
-    double lat_opt = 0, blk_opt = 0, lat_u = 0, blk_u = 0;
-    for (const Slot& s : slots) {
-      lat_opt += s.lat_opt;
-      blk_opt += s.blk_opt;
-      lat_u += s.lat_u;
-      blk_u += s.blk_u;
+    // Two runs per replication (OPT-Mesh, then U-Mesh), each writing its
+    // own slot, summed in rep order afterwards, so the output is identical
+    // at any --jobs value.
+    constexpr std::array<McastAlgorithm, 2> kAlgs{McastAlgorithm::kOptMesh,
+                                                  McastAlgorithm::kUMesh};
+    std::vector<double> lat(kAlgs.size() * kPaperReps), blk(lat.size());
+    h.fan_out().run(
+        lat.size(), [&](std::size_t run) { return RunSpec{topo.get(), kAlgs[run % 2]}; },
+        [&](std::size_t run, sim::Simulator& sim, obs::FlightRecorder*) {
+          // Hierarchical substream: independent per (G, rep), reproducing
+          // the same placements for both algorithms regardless of
+          // execution order.
+          analysis::Rng rng(substream_seed(substream_seed(kSeed, 77 * G), run / 2));
+          std::vector<rt::MulticastRuntime::GroupRun> groups;
+          for (int g = 0; g < G; ++g) {
+            const auto p = analysis::sample_placement(rng, 256, k);
+            rt::MulticastRuntime::GroupRun gr;
+            gr.tree = build_multicast(kAlgs[run % 2], p.source, p.dests, tp, &shape);
+            gr.payload = size;
+            groups.push_back(std::move(gr));
+          }
+          for (const auto& r : rtm.run_concurrent(sim, std::move(groups))) {
+            lat[run] += static_cast<double>(r.latency);
+            blk[run] += static_cast<double>(r.channel_conflicts);
+          }
+        });
+    std::array<double, 2> lat_sum{}, blk_sum{};
+    for (std::size_t run = 0; run < lat.size(); ++run) {
+      lat_sum[run % 2] += lat[run];
+      blk_sum[run % 2] += blk[run];
     }
+    const auto [lat_opt, lat_u] = lat_sum;
+    const auto [blk_opt, blk_u] = blk_sum;
     const double n = static_cast<double>(kPaperReps) * G;
     if (G == 1) {
       solo_opt = lat_opt / n;

@@ -13,6 +13,7 @@
 // Every placement gets its own Simulator and plan; fault decisions are
 // pure hashes, so the curves are bit-identical at any --jobs.  With
 // --faults SPEC an extra table applies that exact plan to every rep.
+#include <functional>
 #include <random>
 
 #include "harness/harness.hpp"
@@ -35,23 +36,6 @@ struct Slot {
   long long dead = 0;
   long long conflicts = 0;
 };
-
-Slot run_rep(const sim::Topology& topo, const MeshShape* shape,
-             const rt::MulticastRuntime& rtm, const analysis::Placement& p,
-             const sim::FaultPlan& plan) {
-  sim::Simulator sim(topo);
-  sim.set_fault_plan(plan);
-  const TwoParam tp = rtm.config().machine.two_param(rtm.wire_bytes(kBytes, 1));
-  const MulticastTree tree =
-      build_multicast(McastAlgorithm::kOptMesh, p.source, p.dests, tp, shape);
-  const rt::McastResult r = rtm.run_reliable(sim, tree, kBytes, rt::FtConfig{});
-  return Slot{r.delivered_fraction,
-              r.latency,
-              r.retries,
-              r.repairs,
-              static_cast<long long>(r.dead_nodes.size()),
-              r.channel_conflicts};
-}
 
 void add_row(analysis::Table& t, const std::string& label,
              std::span<const Slot> slots, double baseline_mean) {
@@ -97,6 +81,28 @@ int main(int argc, char** argv) {
   const TwoParam tp = cfg.machine.two_param(rtm.wire_bytes(kBytes, 1));
   const Time model = opt_split_table(tp.t_hold, tp.t_end, kGroup).latency(kGroup);
 
+  // One reliable OPT-Mesh run per placement under plan_of(i), slots in
+  // placement order.
+  const auto run_plans = [&](const std::function<sim::FaultPlan(std::size_t)>& plan_of) {
+    std::vector<Slot> slots(placements.size());
+    h.fan_out().run(
+        slots.size(),
+        [&](std::size_t) { return RunSpec{topo.get(), McastAlgorithm::kOptMesh}; },
+        [&](std::size_t i, sim::Simulator& sim, obs::FlightRecorder*) {
+          const analysis::Placement& p = placements[i];
+          sim.set_fault_plan(plan_of(i));
+          const rt::McastResult r = rtm.run_reliable(
+              sim, build_multicast(McastAlgorithm::kOptMesh, p.source, p.dests, tp, shape),
+              kBytes, rt::FtConfig{});
+          slots[i] = Slot{r.delivered_fraction,
+                          r.latency,
+                          r.retries,
+                          r.repairs,
+                          static_cast<long long>(r.dead_nodes.size()),
+                          r.channel_conflicts};
+        });
+    return slots;
+  };
   auto sweep = [&](std::span<const Slot> slots) {
     std::vector<double> lat;
     for (const Slot& s : slots) lat.push_back(static_cast<double>(s.latency));
@@ -107,21 +113,18 @@ int main(int argc, char** argv) {
   analysis::Table kills(columns());
   double baseline = -1;
   for (const int n : {0, 1, 2, 4, 8}) {
-    std::vector<sim::FaultPlan> plans(placements.size());
-    for (std::size_t i = 0; i < placements.size(); ++i) {
+    const std::vector<Slot> slots = run_plans([&](std::size_t i) {
       const analysis::Placement& p = placements[i];
       std::mt19937_64 rng(substream_seed(kSeed ^ 0xfa17u, i));
       std::vector<NodeId> victims(p.dests.begin(), p.dests.end());
+      sim::FaultPlan plan;
       for (int j = 0; j < n; ++j) {
         std::uniform_int_distribution<std::size_t> pick(j, victims.size() - 1);
         std::swap(victims[static_cast<std::size_t>(j)], victims[pick(rng)]);
         const Time at = (j + 1) * model / (n + 1);
-        plans[i].node_events.push_back({at, victims[static_cast<std::size_t>(j)]});
+        plan.node_events.push_back({at, victims[static_cast<std::size_t>(j)]});
       }
-    }
-    std::vector<Slot> slots(placements.size());
-    h.parallel_for(placements.size(), [&](std::size_t i) {
-      slots[i] = run_rep(*topo, shape, rtm, placements[i], plans[i]);
+      return plan;
     });
     if (baseline < 0) baseline = sweep(slots);
     add_row(kills, std::to_string(n) + " killed", slots, n == 0 ? -1 : baseline);
@@ -140,13 +143,12 @@ int main(int argc, char** argv) {
                              RateCase{"drop 1e-2", 1e-2, 0.0},
                              RateCase{"corrupt 1e-3", 0.0, 1e-3},
                              RateCase{"corrupt 1e-2", 0.0, 1e-2}}) {
-    std::vector<Slot> slots(placements.size());
-    h.parallel_for(placements.size(), [&](std::size_t i) {
+    const std::vector<Slot> slots = run_plans([&](std::size_t i) {
       sim::FaultPlan plan;
       plan.drop_rate = rc.drop;
       plan.corrupt_rate = rc.corrupt;
       plan.seed = substream_seed(kSeed, i);
-      slots[i] = run_rep(*topo, shape, rtm, placements[i], plan);
+      return plan;
     });
     add_row(rates, rc.label, slots, baseline);
   }
@@ -157,11 +159,8 @@ int main(int argc, char** argv) {
   if (!h.options().faults.empty()) {
     const sim::FaultPlan plan = sim::FaultPlan::parse(h.options().faults);
     analysis::Table custom(columns());
-    std::vector<Slot> slots(placements.size());
-    h.parallel_for(placements.size(), [&](std::size_t i) {
-      slots[i] = run_rep(*topo, shape, rtm, placements[i], plan);
-    });
-    add_row(custom, plan.describe(), slots, baseline);
+    add_row(custom, plan.describe(), run_plans([&](std::size_t) { return plan; }),
+            baseline);
     h.report(custom, "custom fault plan (--faults)", "fault_custom.csv");
   }
 

@@ -76,15 +76,20 @@ int main(int argc, char** argv) {
              std::to_string(tree_depth(u_tree)), cf(u_tree)});
   h.report(t, "Figure 1 latencies (model, cycles)");
 
-  // Flit-level confirmation on the same machine.
-  sim::Simulator s1(*topo), s2(*topo);
-  const auto r_opt = rtm.run(s1, opt_tree, 0);
-  const auto r_u = rtm.run(s2, u_tree, 0);
+  // Flit-level confirmation on the same machine, one run per tree.
+  const std::array<McastAlgorithm, 2> algs{McastAlgorithm::kOptMesh,
+                                           McastAlgorithm::kUMesh};
+  std::array<rt::McastResult, 2> runs;
+  h.fan_out().run(
+      runs.size(), [&](std::size_t i) { return harness::RunSpec{topo.get(), algs[i]}; },
+      [&](std::size_t i, sim::Simulator& sim, obs::FlightRecorder*) {
+        runs[i] = rtm.run(sim, i == 0 ? opt_tree : u_tree, 0);
+      });
   analysis::Table st({"tree", "simulated", "model", "conflicts"});
-  st.add_row({"OPT-Mesh", std::to_string(r_opt.latency),
-              std::to_string(r_opt.model_latency), std::to_string(r_opt.channel_conflicts)});
-  st.add_row({"U-Mesh", std::to_string(r_u.latency), std::to_string(r_u.model_latency),
-              std::to_string(r_u.channel_conflicts)});
+  for (std::size_t i = 0; i < runs.size(); ++i)
+    st.add_row({std::string(algorithm_name(algs[i])), std::to_string(runs[i].latency),
+                std::to_string(runs[i].model_latency),
+                std::to_string(runs[i].channel_conflicts)});
   h.report(st, "Flit-level run of the same trees (cycles)");
 
   std::cout << "\nExpectation (paper): OPT-mesh 130 vs U-mesh 165; both "

@@ -77,28 +77,27 @@ int main(int argc, char** argv) {
 
   std::vector<lint::StreamLintReport> predicted(cells.size());
   std::vector<rt::StreamResult> measured(cells.size());
-  const auto alg_of = [&](std::size_t i) { return cells[i].alg; };
-  h.traced_runs(cells.size(), alg_of, [&](std::size_t i, obs::FlightRecorder* trace) {
-    const Cell& c = cells[i];
-    const analysis::Placement& p = (c.shape != nullptr ? mesh_placements
-                                                       : bmin_placements)
-        [static_cast<std::size_t>(c.rep)];
-    const MulticastTree tree =
-        build_multicast(c.alg, p.source, p.dests, tp, c.shape);
-    predicted[i] =
-        lint::lint_stream(tree, *c.topo, cfg, sim::SimConfig{}, kBytes, kSlots,
-                          c.window);
-    sim::Simulator sim(*c.topo, h.sim_config());
-    sim.set_observer(trace);
-    rt::StreamConfig scfg;
-    scfg.window_size = c.window;
-    scfg.slots = kSlots;
-    scfg.bytes = kBytes;
-    scfg.alg = c.alg;
-    scfg.shape = c.shape;
-    scfg.recorder = trace;
-    measured[i] = srt.run(sim, p.source, p.dests, scfg);
-  });
+  h.fan_out().run(
+      cells.size(), [&](std::size_t i) { return RunSpec{cells[i].topo, cells[i].alg}; },
+      [&](std::size_t i, sim::Simulator& sim, obs::FlightRecorder* trace) {
+        const Cell& c = cells[i];
+        const analysis::Placement& p = (c.shape != nullptr ? mesh_placements
+                                                           : bmin_placements)
+            [static_cast<std::size_t>(c.rep)];
+        const MulticastTree tree =
+            build_multicast(c.alg, p.source, p.dests, tp, c.shape);
+        predicted[i] =
+            lint::lint_stream(tree, *c.topo, cfg, sim::SimConfig{}, kBytes, kSlots,
+                              c.window);
+        rt::StreamConfig scfg;
+        scfg.window_size = c.window;
+        scfg.slots = kSlots;
+        scfg.bytes = kBytes;
+        scfg.alg = c.alg;
+        scfg.shape = c.shape;
+        scfg.recorder = trace;
+        measured[i] = srt.run(sim, p.source, p.dests, scfg);
+      });
 
   analysis::Table t({"topology", "algorithm", "window", "interval",
                      "busy bound", "saturated", "static slots/kcyc",

@@ -115,29 +115,28 @@ void sweep(Harness& h, const sim::Topology& topo, const MeshShape* shape,
 
   std::vector<rt::StreamResult> runs(cases.size());
   std::vector<Time> rec(cases.size());
-  const auto alg_of = [alg](std::size_t) { return alg; };
-  h.traced_runs(cases.size(), alg_of, [&](std::size_t i, obs::FlightRecorder* trace) {
-    const Case& c = cases[i];
-    const analysis::Placement& p = placements[static_cast<std::size_t>(c.rep)];
-    sim::Simulator sim(topo, h.sim_config());
-    sim.set_observer(trace);
-    sim::FaultPlan plan;
-    plan.node_events.push_back({t_fault, victim_node(c.victim, p)});
-    sim.set_fault_plan(plan);
-    rt::StreamConfig scfg;
-    scfg.window_size = kWindow;
-    scfg.slots = kSlots;
-    scfg.bytes = kBytes;
-    scfg.alg = alg;
-    scfg.shape = shape;
-    scfg.reliable = true;
-    scfg.membership.heartbeat_period = c.heartbeat;
-    scfg.failover = true;
-    scfg.rejoin = true;
-    scfg.recorder = trace;
-    runs[i] = srt.run(sim, p.source, p.dests, scfg);
-    rec[i] = recovery_time(runs[i], t_fault);
-  });
+  h.fan_out().run(
+      cases.size(), [&](std::size_t) { return RunSpec{&topo, alg}; },
+      [&](std::size_t i, sim::Simulator& sim, obs::FlightRecorder* trace) {
+        const Case& c = cases[i];
+        const analysis::Placement& p = placements[static_cast<std::size_t>(c.rep)];
+        sim::FaultPlan plan;
+        plan.node_events.push_back({t_fault, victim_node(c.victim, p)});
+        sim.set_fault_plan(plan);
+        rt::StreamConfig scfg;
+        scfg.window_size = kWindow;
+        scfg.slots = kSlots;
+        scfg.bytes = kBytes;
+        scfg.alg = alg;
+        scfg.shape = shape;
+        scfg.reliable = true;
+        scfg.membership.heartbeat_period = c.heartbeat;
+        scfg.failover = true;
+        scfg.rejoin = true;
+        scfg.recorder = trace;
+        runs[i] = srt.run(sim, p.source, p.dests, scfg);
+        rec[i] = recovery_time(runs[i], t_fault);
+      });
 
   analysis::Table t(columns());
   for (std::size_t i = 0; i < cases.size(); i += kReps)

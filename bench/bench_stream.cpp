@@ -100,61 +100,45 @@ int main(int argc, char** argv) {
     for (const int w : kWindows)
       for (int rep = 0; rep < kReps; ++rep) cases.push_back({alg, w, rep});
 
-  // --- fault-free sweep ---------------------------------------------------
-  const auto alg_of = [&](std::size_t i) { return cases[i].alg; };
-  std::vector<rt::StreamResult> clean(cases.size());
-  h.traced_runs(cases.size(), alg_of, [&](std::size_t i, obs::FlightRecorder* trace) {
-    const Case& c = cases[i];
-    const analysis::Placement& p = placements[static_cast<std::size_t>(c.rep)];
-    sim::Simulator sim(*topo, h.sim_config());
-    sim.set_observer(trace);
-    rt::StreamConfig scfg;
-    scfg.window_size = c.window;
-    scfg.slots = kSlotsClean;
-    scfg.bytes = kBytes;
-    scfg.alg = c.alg;
-    scfg.shape = shape;
-    scfg.recorder = trace;
-    clean[i] = srt.run(sim, p.source, p.dests, scfg);
-  });
-  analysis::Table clean_table(columns());
-  for (std::size_t i = 0; i < cases.size(); i += kReps)
-    add_row(clean_table, cases[i].alg, cases[i].window,
-            std::span(clean).subspan(i, kReps));
-  h.report(clean_table, "fault-free stream throughput", "stream_clean.csv");
-
-  // --- faulty sweep: 2 mid-stream kills + 1e-3 drop rate ------------------
-  std::vector<rt::StreamResult> faulty(cases.size());
-  h.traced_runs(cases.size(), alg_of, [&](std::size_t i, obs::FlightRecorder* trace) {
-    const Case& c = cases[i];
-    const analysis::Placement& p = placements[static_cast<std::size_t>(c.rep)];
-    sim::Simulator sim(*topo, h.sim_config());
-    sim.set_observer(trace);
-    sim::FaultPlan plan;
-    // Kills land mid-stream: roughly 1/3 and 2/3 of the way through the
-    // model-rate schedule, far enough apart to force two epoch bumps.
-    const Time span = model * kSlotsFaulty;
-    plan.node_events.push_back({span / 3, p.dests.front()});
-    plan.node_events.push_back({2 * span / 3, p.dests.back()});
-    plan.drop_rate = 1e-3;
-    plan.seed = substream_seed(kSeed ^ 0x57f0u, static_cast<std::uint64_t>(i));
-    sim.set_fault_plan(plan);
-    rt::StreamConfig scfg;
-    scfg.window_size = c.window;
-    scfg.slots = kSlotsFaulty;
-    scfg.bytes = kBytes;
-    scfg.alg = c.alg;
-    scfg.shape = shape;
-    scfg.reliable = true;
-    scfg.recorder = trace;
-    faulty[i] = srt.run(sim, p.source, p.dests, scfg);
-  });
-  analysis::Table faulty_table(columns());
-  for (std::size_t i = 0; i < cases.size(); i += kReps)
-    add_row(faulty_table, cases[i].alg, cases[i].window,
-            std::span(faulty).subspan(i, kReps));
-  h.report(faulty_table, "faulty stream throughput (2 kills + drop 1e-3)",
-           "stream_faulty.csv");
+  // One stream per case, fault-free, then under the reliable protocol
+  // with 2 mid-stream kills and a 1e-3 drop rate.
+  for (const bool faulty : {false, true}) {
+    std::vector<rt::StreamResult> runs(cases.size());
+    h.fan_out().run(
+        cases.size(), [&](std::size_t i) { return RunSpec{topo.get(), cases[i].alg}; },
+        [&](std::size_t i, sim::Simulator& sim, obs::FlightRecorder* trace) {
+          const Case& c = cases[i];
+          const analysis::Placement& p = placements[static_cast<std::size_t>(c.rep)];
+          rt::StreamConfig scfg;
+          scfg.window_size = c.window;
+          scfg.slots = faulty ? kSlotsFaulty : kSlotsClean;
+          scfg.bytes = kBytes;
+          scfg.alg = c.alg;
+          scfg.shape = shape;
+          scfg.reliable = faulty;
+          scfg.recorder = trace;
+          if (faulty) {
+            sim::FaultPlan plan;
+            // Kills land mid-stream: roughly 1/3 and 2/3 of the way through
+            // the model-rate schedule, far enough apart to force two epoch
+            // bumps.
+            const Time span = model * kSlotsFaulty;
+            plan.node_events.push_back({span / 3, p.dests.front()});
+            plan.node_events.push_back({2 * span / 3, p.dests.back()});
+            plan.drop_rate = 1e-3;
+            plan.seed = substream_seed(kSeed ^ 0x57f0u, static_cast<std::uint64_t>(i));
+            sim.set_fault_plan(plan);
+          }
+          runs[i] = srt.run(sim, p.source, p.dests, scfg);
+        });
+    analysis::Table table(columns());
+    for (std::size_t i = 0; i < cases.size(); i += kReps)
+      add_row(table, cases[i].alg, cases[i].window, std::span(runs).subspan(i, kReps));
+    h.report(table,
+             faulty ? "faulty stream throughput (2 kills + drop 1e-3)"
+                    : "fault-free stream throughput",
+             faulty ? "stream_faulty.csv" : "stream_clean.csv");
+  }
 
   std::cout << "\nExpectation: throughput climbs with the window until the\n"
                "source's per-slot critical path saturates (here already at\n"

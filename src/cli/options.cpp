@@ -420,8 +420,8 @@ RunOutcome run_one(const rt::CollectiveRuntime& coll, const CliOptions& opt,
                      r.retries,           r.repairs,
                      static_cast<int>(r.dead_nodes.size())};
   } else {
-    // Reduce and barrier run unaudited and fault-free (parse_args).
-    if (run.trace != nullptr) sim.set_observer(run.trace);
+    // Reduce and barrier run unaudited and fault-free (parse_args); the
+    // trace, if any, is already the simulator's observer.
     const MulticastTree tree = verify::placement_tree(run, coll.multicast());
     if (opt.collective == "reduce") {
       const rt::ReduceResult r = coll.run_reduce(sim, tree, opt.bytes, sim.now());
@@ -608,28 +608,15 @@ int run_cli(const CliOptions& opt, std::ostream& os, std::ostream& err) {
   }
   analysis::Table summary(sum_cols);
   analysis::Table rows(row_cols);
-  harness::ThreadPool pool(opt.jobs);
   double min_delivered = 1.0;
   long long leaps = 0, leaped_cycles = 0;
 
-  // --trace/--metrics: one master trace merged from per-run rings in
-  // placement order (bit-identical at any --jobs).  Off = no recorder
-  // object exists anywhere.
-  std::unique_ptr<obs::FlightRecorder> master;
-  if (!opt.trace.empty() || opt.metrics)
-    master = std::make_unique<obs::FlightRecorder>();
-  std::vector<std::unique_ptr<obs::FlightRecorder>> cur_runs;
-  std::size_t run_counter = 0;
-  auto merge_runs = [&] {
-    for (const auto& run : cur_runs)
-      if (run) master->append(*run);
-    run_counter += cur_runs.size();
-    cur_runs.clear();
-  };
-  auto audit_failure = [&](const verify::InvariantViolation& v) {
-    if (master) merge_runs();
-    return report_violation(opt, v, master.get(), os, err);
-  };
+  // --trace/--metrics: one trace merged from per-run rings in placement
+  // order (bit-identical at any --jobs); an audited run replays its ring,
+  // which therefore never wraps.  Off = no recorder object exists
+  // anywhere.
+  harness::RunFanOut runs(opt.jobs, opt.engine, !opt.trace.empty() || opt.metrics,
+                          opt.audit);
   try {
   for (McastAlgorithm alg : algs) {
     // Each placement gets its own Simulator and an indexed result slot;
@@ -637,28 +624,14 @@ int run_cli(const CliOptions& opt, std::ostream& os, std::ostream& err) {
     // is identical at any --jobs value (fault decisions are pure hashes
     // of per-simulator state, so this holds with --faults too).
     std::vector<RunOutcome> outcomes(placements.size());
-    if (master) {
-      cur_runs.clear();
-      cur_runs.resize(placements.size());
-    }
-    pool.parallel_for(placements.size(), [&](std::size_t i) {
-      sim::Simulator sim(*topo, sim::SimConfig{.engine = opt.engine});
-      obs::FlightRecorder* rec = nullptr;
-      if (master) {
-        // An audited run replays its ring, which therefore never wraps.
-        cur_runs[i] = std::make_unique<obs::FlightRecorder>(obs::RecorderConfig{
-            opt.audit ? obs::kUnbounded : obs::kRunRingCapacity});
-        rec = cur_runs[i].get();
-        rec->record(obs::EventKind::kRunBegin, 0,
-                    static_cast<std::int32_t>(run_counter + i),
-                    static_cast<std::int32_t>(alg));
-      }
-      verify::PlacementRun run = placement_run(opt, alg, shape, placements[i],
-                                               ft ? &*plan : nullptr);
-      run.trace = rec;
-      outcomes[i] = run_one(coll, opt, run, sim);
-    });
-    if (master) merge_runs();
+    runs.run(
+        placements.size(), [&](std::size_t) { return harness::RunSpec{topo.get(), alg}; },
+        [&](std::size_t i, sim::Simulator& sim, obs::FlightRecorder* trace) {
+          verify::PlacementRun run = placement_run(opt, alg, shape, placements[i],
+                                                   ft ? &*plan : nullptr);
+          run.trace = trace;
+          outcomes[i] = run_one(coll, opt, run, sim);
+        });
     std::vector<double> lat, model, delivered;
     long long conflicts = 0, retries = 0, repairs = 0, dead = 0;
     for (size_t i = 0; i < outcomes.size(); ++i) {
@@ -701,7 +674,7 @@ int run_cli(const CliOptions& opt, std::ostream& os, std::ostream& err) {
     summary.add_row(std::move(srow));
   }
   } catch (const verify::InvariantViolation& v) {
-    return audit_failure(v);
+    return report_violation(opt, v, runs.trace(), os, err);
   }
   os << "\n" << summary.to_string();
 
@@ -713,20 +686,20 @@ int run_cli(const CliOptions& opt, std::ostream& os, std::ostream& err) {
                                   ft ? &*plan : nullptr),
                     sim);
     } catch (const verify::InvariantViolation& v) {
-      return audit_failure(v);
+      return report_violation(opt, v, runs.trace(), os, err);
     }
     os << "\nmessage timeline (" << algorithm_name(algs.front()) << ", rep 0):\n"
        << analysis::timeline_gantt(analysis::message_timeline(sim.messages()));
   }
 
-  harness::JsonReport report("pcmcast", pool.jobs());
+  harness::JsonReport report("pcmcast", runs.jobs());
   report.set_meta("engine", harness::engine_name(opt.engine));
   report.set_meta("leaps", std::to_string(leaps));
   report.set_meta("leaped_cycles", std::to_string(leaped_cycles));
   report.set_meta("seed", std::to_string(opt.seed));
   report.add_table("summary", opt.csv, summary);
   report.add_table("per-rep", opt.csv, rows);
-  harness::write_report_tail(cli_tail(opt, rows, master.get()), report, os, err);
+  harness::write_report_tail(cli_tail(opt, rows, runs.trace()), report, os, err);
   if (ft && min_delivered < 1.0 && !opt.allow_partial) {
     os << "pcmcast: partial delivery (min "
        << analysis::Table::num(min_delivered, 4)

@@ -1,8 +1,8 @@
 #include "harness/harness.hpp"
 
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -10,35 +10,33 @@
 #include <stdexcept>
 
 #include "core/model.hpp"
+#include "harness/spec.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "sim/fault.hpp"
 
 namespace pcm::harness {
 
-Options parse_options(std::span<const char* const> args) {
+Options parse_options(std::span<const char* const> args, std::string_view tool) {
+  const auto fail = [&](const std::string& what) {
+    return std::invalid_argument(std::string(tool) + ": " + what);
+  };
   Options opt;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string_view a = args[i];
     auto value = [&]() -> std::string_view {
-      if (i + 1 >= args.size())
-        throw std::invalid_argument("missing value for " + std::string(a));
+      if (i + 1 >= args.size()) throw fail("missing value for " + std::string(a));
       return args[++i];
     };
     if (a == "--help" || a == "-h") {
       opt.help = true;
     } else if (a == "--jobs" || a == "-j") {
-      const std::string_view v = value();
-      int jobs = 0;
-      const auto [ptr, ec] = std::from_chars(v.data(), v.data() + v.size(), jobs);
-      if (ec != std::errc{} || ptr != v.data() + v.size() || jobs < 1)
-        throw std::invalid_argument("--jobs expects a positive integer, got '" +
-                                    std::string(v) + "'");
-      opt.jobs = jobs;
+      // The cap pcmcast and pcmchaos use: every job is a thread.
+      opt.jobs = static_cast<int>(parse_uint_flag(a, value(), 1, 4096, tool));
     } else if (a == "--json") {
       opt.json_path = std::string(value());
       if (opt.json_path.empty() || opt.json_path.substr(0, 2) == "--")
-        throw std::invalid_argument("--json expects a file path");
+        throw fail("--json expects a file path");
     } else if (a == "--engine") {
       const std::string_view v = value();
       if (v == "cycle") {
@@ -46,25 +44,23 @@ Options parse_options(std::span<const char* const> args) {
       } else if (v == "event") {
         opt.engine = sim::EngineKind::kEvent;
       } else {
-        throw std::invalid_argument("--engine expects 'cycle' or 'event', got '" +
-                                    std::string(v) + "'");
+        throw fail("--engine expects 'cycle' or 'event', got '" + std::string(v) + "'");
       }
     } else if (a == "--faults") {
       opt.faults = std::string(value());
       try {
         (void)sim::FaultPlan::parse(opt.faults);
       } catch (const std::exception& e) {
-        throw std::invalid_argument("bad --faults spec: " + std::string(e.what()));
+        throw fail("bad --faults spec: " + std::string(e.what()));
       }
     } else if (a == "--trace") {
       opt.trace_path = std::string(value());
       if (opt.trace_path.empty() || opt.trace_path.substr(0, 2) == "--")
-        throw std::invalid_argument("--trace expects a file path");
+        throw fail("--trace expects a file path");
     } else if (a == "--metrics") {
       opt.metrics = true;
     } else {
-      throw std::invalid_argument("unknown option '" + std::string(a) +
-                                  "' (try --help)");
+      throw fail("unknown option '" + std::string(a) + "' (try --help)");
     }
   }
   return opt;
@@ -93,7 +89,12 @@ std::string bench_usage(const std::string& bench_name) {
          "  --metrics    derive deterministic metrics (occupancy, retry\n"
          "               depth, span histograms) from the trace and report\n"
          "               them (works without --trace)\n"
-         "  --help       this text\n";
+         "  --help       this text\n\n"
+         "Every simulated run goes through one fan-out that honours --engine\n"
+         "and --trace, except in four benches with loops of their own:\n"
+         "bench_scale and bench_lint time the engines serially, bench_chaos\n"
+         "runs pcmchaos's audited sweep, and bench_micro is a Google\n"
+         "Benchmark binary.\n";
 }
 
 // --- JsonReport ---------------------------------------------------------
@@ -253,44 +254,72 @@ void write_report_tail(const ReportTail& tail, JsonReport& report, std::ostream&
   os << "json:    " << tail.json << "\n";
 }
 
+RunFanOut::RunFanOut(int jobs, sim::EngineKind engine, bool traced, bool audit)
+    : pool_(jobs),
+      engine_(engine),
+      ring_capacity_(audit ? obs::kUnbounded : obs::kRunRingCapacity) {
+  if (traced) trace_ = std::make_unique<obs::FlightRecorder>();
+}
+
+void RunFanOut::run(
+    std::size_t n, const std::function<RunSpec(std::size_t)>& spec_of,
+    const std::function<void(std::size_t, sim::Simulator&, obs::FlightRecorder*)>& body) {
+  std::vector<std::unique_ptr<obs::FlightRecorder>> rings(trace_ ? n : 0);
+  std::exception_ptr error;
+  try {
+    pool_.parallel_for(n, [&](std::size_t i) {
+      const RunSpec spec = spec_of(i);
+      sim::Simulator sim(*spec.topo, sim::SimConfig{.engine = engine_});
+      obs::FlightRecorder* ring = nullptr;
+      if (trace_) {
+        rings[i] = std::make_unique<obs::FlightRecorder>(
+            obs::RecorderConfig{ring_capacity_});
+        ring = rings[i].get();
+        ring->record(obs::EventKind::kRunBegin, 0, static_cast<std::int32_t>(runs_ + i),
+                     static_cast<std::int32_t>(spec.alg));
+        sim.set_observer(ring);
+      }
+      body(i, sim, ring);
+    });
+  } catch (...) {
+    error = std::current_exception();
+  }
+  // A ring is missing only for the runs a serial pool never started after
+  // a throw.
+  for (const auto& ring : rings)
+    if (ring) trace_->append(*ring);
+  runs_ += n;
+  if (error) std::rethrow_exception(error);
+}
+
 Harness::Harness(std::string bench_name, const Options& opt)
     : bench_name_(std::move(bench_name)),
       opt_(opt),
-      pool_(opt.jobs),
-      json_(bench_name_, pool_.jobs()),
+      fan_out_(opt.jobs, opt.engine, !opt.trace_path.empty() || opt.metrics),
+      json_(bench_name_, fan_out_.jobs()),
       start_(std::chrono::steady_clock::now()) {
   json_.set_meta("engine", engine_name(opt_.engine));
   json_.set_meta("seed", std::to_string(kSeed));
-  if (!opt_.trace_path.empty() || opt_.metrics)
-    recorder_ = std::make_unique<obs::FlightRecorder>();
 }
 
 namespace {
 
 Options parse_or_exit(const std::string& bench_name, int argc, char** argv) {
   try {
-    const Options opt =
-        parse_options(std::span<const char* const>(argv + 1, argv + argc));
+    const Options opt = parse_options(
+        std::span<const char* const>(argv + 1, argv + argc), bench_name);
     if (opt.help) {
       std::cout << bench_usage(bench_name);
       std::exit(0);
     }
-    if (!opt.json_path.empty()) {
-      // Fail fast: the report is written at exit, far too late to tell
-      // the user their path is bad.
-      std::ofstream probe(opt.json_path, std::ios::app);
-      if (!probe)
-        throw std::runtime_error("cannot open " + opt.json_path + " for writing");
-    }
-    if (!opt.trace_path.empty()) {
-      std::ofstream probe(opt.trace_path, std::ios::app);
-      if (!probe)
-        throw std::runtime_error("cannot open " + opt.trace_path +
-                                 " for writing");
-    }
+    // Fail fast: the report and the trace are written at exit, far too
+    // late to tell the user their path is bad.
+    for (const std::string& path : {opt.json_path, opt.trace_path})
+      if (!path.empty() && !std::ofstream(path, std::ios::app))
+        throw std::runtime_error(bench_name + ": cannot open " + path + " for writing");
     return opt;
   } catch (const std::exception& e) {
-    std::cerr << bench_name << ": " << e.what() << "\n";
+    std::cerr << e.what() << "\n";
     std::exit(2);
   }
 }
@@ -304,7 +333,7 @@ Harness::~Harness() {
   try {
     ReportTail tail;
     tail.tool = bench_name_;
-    tail.recorder = recorder_.get();
+    tail.recorder = fan_out_.trace();
     tail.metrics = opt_.metrics;
     tail.trace = opt_.trace_path;
     tail.json = opt_.json_path;
@@ -321,11 +350,9 @@ Point Harness::run_point(const sim::Topology& topo, const MeshShape* shape,
                          Bytes payload) {
   const std::size_t n = placements.size();
   std::vector<double> lat(n), model(n), conflicts(n);
-  traced_runs(
-      n, [alg](std::size_t) { return alg; },
-      [&](std::size_t i, obs::FlightRecorder* trace) {
-        sim::Simulator sim(topo, sim_config());
-        sim.set_observer(trace);
+  fan_out_.run(
+      n, [&](std::size_t) { return RunSpec{&topo, alg}; },
+      [&](std::size_t i, sim::Simulator& sim, obs::FlightRecorder*) {
         const rt::McastResult res = rtm.run_algorithm(
             sim, alg, placements[i].source, placements[i].dests, payload, shape);
         lat[i] = static_cast<double>(res.latency);
@@ -343,35 +370,13 @@ Point Harness::run_point(const sim::Topology& topo, const MeshShape* shape,
   return pt;
 }
 
-void Harness::traced_runs(
-    std::size_t n, const std::function<McastAlgorithm(std::size_t)>& alg_of,
-    const std::function<void(std::size_t, obs::FlightRecorder*)>& body) {
-  std::vector<std::unique_ptr<obs::FlightRecorder>> runs(recorder_ ? n : 0);
-  pool_.parallel_for(n, [&](std::size_t i) {
-    obs::FlightRecorder* trace = nullptr;
-    if (recorder_) {
-      runs[i] = std::make_unique<obs::FlightRecorder>(
-          obs::RecorderConfig{obs::kRunRingCapacity});
-      trace = runs[i].get();
-      trace->record(obs::EventKind::kRunBegin, 0,
-                    static_cast<std::int32_t>(run_counter_ + i),
-                    static_cast<std::int32_t>(alg_of(i)));
-    }
-    body(i, trace);
-  });
-  if (recorder_) {
-    for (const auto& run : runs) recorder_->append(*run);
-    run_counter_ += n;
-  }
-}
-
 void Harness::preamble(const std::string& what, const rt::RuntimeConfig& cfg,
                        Bytes ref_bytes, int reps) const {
   std::cout << what << "\n"
             << "machine: " << describe(cfg.machine, ref_bytes) << "\n"
             << "reps/point: " << reps << " random placements (seed " << kSeed
             << "), wormhole flit-level simulation\n"
-            << "jobs:    " << jobs() << "\n"
+            << "jobs:    " << fan_out_.jobs() << "\n"
             << "engine:  " << engine_name(opt_.engine) << "\n";
 }
 

@@ -7,23 +7,25 @@
 // are reused across algorithms so series are paired.
 //
 // The harness adds the scale-out layer: placements x algorithm runs fan
-// out across a thread pool (`--jobs N`, default one per hardware thread;
-// `--jobs 1` reproduces the historical serial behaviour exactly), every
-// run gets its own Simulator and, where randomness is needed, its own
-// RNG substream — so results are bit-identical at any job count.  With
+// out across a thread pool (RunFanOut; `--jobs N`, default one per
+// hardware thread; `--jobs 1` reproduces the historical serial behaviour
+// exactly), every run gets its own Simulator on the `--engine` asked for
+// and, where randomness is needed, its own RNG substream — so results are
+// bit-identical at any job count.  With
 // `--json FILE` each bench also emits a machine-readable report (tables
 // + wall-clock) for tracking the perf trajectory across commits.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <iostream>
-#include <span>
-#include <string>
-#include <vector>
-
 #include <memory>
 #include <optional>
+#include <span>
+#include <string_view>
+#include <string>
+#include <vector>
 
 #include "analysis/sampling.hpp"
 #include "analysis/stats.hpp"
@@ -68,8 +70,9 @@ struct Options {
 std::string engine_name(sim::EngineKind engine);
 
 /// Parses bench arguments (excluding argv[0]); throws
-/// std::invalid_argument on unknown options or bad values.
-Options parse_options(std::span<const char* const> args);
+/// std::invalid_argument "<tool>: <what>" on unknown options or bad values.
+Options parse_options(std::span<const char* const> args,
+                      std::string_view tool = "bench");
 
 /// Usage text for a bench binary.
 std::string bench_usage(const std::string& bench_name);
@@ -133,7 +136,47 @@ struct ReportTail {
 void write_report_tail(const ReportTail& tail, JsonReport& report, std::ostream& os,
                        std::ostream& err);
 
-/// Per-bench driver: owns the pool and the JSON report.
+/// One run of a RunFanOut: the topology its Simulator is built on and
+/// the algorithm its kRunBegin marker names.
+struct RunSpec {
+  const sim::Topology* topo = nullptr;
+  McastAlgorithm alg = McastAlgorithm::kOptMesh;
+};
+
+/// The one way the benches and pcmcast's one-shot sweep run simulated
+/// placements: a deterministic fan-out over the thread pool that builds
+/// exactly one Simulator per run, on the engine asked for.  body(i, ...)
+/// must write its results into slot i of caller-owned storage.
+class RunFanOut {
+ public:
+  /// `traced` keeps a merged trace (--trace/--metrics); `audit` makes the
+  /// per-run rings unbounded, because an audit replays them.
+  RunFanOut(int jobs, sim::EngineKind engine, bool traced, bool audit = false);
+
+  /// Runs body(i, sim, trace) for i in [0, n): `sim` is run i's fresh
+  /// Simulator over spec_of(i).topo, `trace` its ring, already `sim`'s
+  /// observer (nullptr when tracing is off).  Each ring opens with a
+  /// kRunBegin marker (a = run index across every call, b =
+  /// spec_of(i).alg); the rings merge into trace() in index order, so it
+  /// is bit-identical at any --jobs.  A body's exception is rethrown
+  /// after that merge.
+  void run(std::size_t n, const std::function<RunSpec(std::size_t)>& spec_of,
+           const std::function<void(std::size_t, sim::Simulator&, obs::FlightRecorder*)>&
+               body);
+
+  [[nodiscard]] int jobs() const { return pool_.jobs(); }
+  /// The merged trace of every run so far; nullptr when tracing is off.
+  [[nodiscard]] obs::FlightRecorder* trace() const { return trace_.get(); }
+
+ private:
+  ThreadPool pool_;
+  sim::EngineKind engine_;
+  std::size_t ring_capacity_;
+  std::unique_ptr<obs::FlightRecorder> trace_;
+  std::size_t runs_ = 0;
+};
+
+/// One per bench binary: owns the run fan-out and the JSON report.
 class Harness {
  public:
   Harness(std::string bench_name, const Options& opt);
@@ -144,17 +187,10 @@ class Harness {
   /// JSON).
   ~Harness();
 
-  [[nodiscard]] ThreadPool& pool() { return pool_; }
-  [[nodiscard]] int jobs() const { return pool_.jobs(); }
+  /// Every simulated run of a bench goes through this fan-out, so each
+  /// honours --engine, --trace and --metrics.
+  [[nodiscard]] RunFanOut& fan_out() { return fan_out_; }
   [[nodiscard]] const Options& options() const { return opt_; }
-
-  /// Simulator configuration honouring --engine; benches with custom run
-  /// loops should construct their Simulators from this.
-  [[nodiscard]] sim::SimConfig sim_config() const {
-    sim::SimConfig cfg;
-    cfg.engine = opt_.engine;
-    return cfg;
-  }
 
   /// Records an extra top-level field in the JSON report.
   void set_meta(const std::string& key, const std::string& value) {
@@ -166,27 +202,6 @@ class Harness {
   Point run_point(const sim::Topology& topo, const MeshShape* shape,
                   const rt::MulticastRuntime& rtm, McastAlgorithm alg,
                   std::span<const analysis::Placement> placements, Bytes payload);
-
-  /// Deterministic fan-out for custom bench loops: body(i) must write its
-  /// results into slot i of caller-owned storage.
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body) {
-    pool_.parallel_for(n, body);
-  }
-
-  /// parallel_for over `n` simulated runs, traced under --trace/--metrics:
-  /// body(i, trace) installs `trace` as its Simulator's observer (nullptr
-  /// when tracing is off, so no recorder exists).  Run i records into its
-  /// own ring, opened by a kRunBegin marker (a = run index across the
-  /// bench, b = alg_of(i)); the rings merge into the bench trace in index
-  /// order, so it is bit-identical at any --jobs.
-  void traced_runs(std::size_t n,
-                   const std::function<McastAlgorithm(std::size_t)>& alg_of,
-                   const std::function<void(std::size_t, obs::FlightRecorder*)>& body);
-
-  /// RNG substream for replication `i` (see substream_seed).
-  [[nodiscard]] std::uint64_t run_seed(std::uint64_t i) const {
-    return substream_seed(kSeed, i);
-  }
 
   /// Prints the experiment preamble: machine parameters at a reference
   /// message size plus the harness configuration, so every output records
@@ -202,11 +217,9 @@ class Harness {
  private:
   std::string bench_name_;
   Options opt_;
-  ThreadPool pool_;
+  RunFanOut fan_out_;
   JsonReport json_;
   std::chrono::steady_clock::time_point start_;
-  std::unique_ptr<obs::FlightRecorder> recorder_;  ///< only under --trace/--metrics
-  std::size_t run_counter_ = 0;  ///< kRunBegin index across traced_runs calls
 };
 
 /// The paper reports message sizes as "0k, 8k, ..., 64k".

@@ -15,9 +15,10 @@
 //
 // Determinism: every event is keyed on simulated time and recorded from
 // single-threaded per-run code, so a run's event sequence is a pure
-// function of the workload.  Fan-out drivers (harness::run_point,
-// pcmcast) give each run its own recorder and append() them in placement
-// order, which makes the merged trace bit-identical at any --jobs value.
+// function of the workload.  The one fan-out (harness::RunFanOut, behind
+// every bench and pcmcast's one-shot sweep) gives each run its own
+// recorder and append()s them in run order, which makes the merged trace
+// bit-identical at any --jobs value.
 // Cross-engine: the event engine fires the same observer callbacks with
 // the same timestamps as the cycle engine while fast-forwarding, and clock
 // jumps are not recorded, so the two engines' traces are byte-identical.

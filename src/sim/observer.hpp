@@ -93,7 +93,8 @@ class SimObserver {
   /// hook this is an *engine* artifact, not a workload observable — when
   /// and how often it fires differs between engines, so observers that
   /// promise cross-engine identical output must not derive events from it
-  /// (the flight recorder only uses it to arm a span flag).
+  /// (the flight recorder records nothing for it and only forwards the
+  /// call to its chained observer).
   virtual void on_fast_forward(Time from, Time to) { (void)from, (void)to; }
 };
 

@@ -11,13 +11,17 @@
 // those compare the delivery/drop handler log instead, and the engine
 // counters prove which path ran: reliable streams with receiver kills,
 // source failover and partitions, corrupt-rate plans, dead senders,
-// horizon cuts, and collisions with admitted paths.  The last section
-// holds the cycle engine's steady-state leap to a one-cycle-at-a-time
-// reference on contended trees, deep pipelines, small and large buffers,
-// two-port NIs, fault plans and cut horizons, down to the flight
-// recorder's bytes on both engines.
+// horizon cuts, and collisions with admitted paths.  The contended
+// workloads the benches put on either engine — overlapping concurrent
+// groups on the mesh, caller-order OPT chains on the butterfly — must
+// match in results and flight-recorder bytes, traced or not.  The last
+// section holds the cycle engine's steady-state leap to a
+// one-cycle-at-a-time reference on contended trees, deep pipelines, small
+// and large buffers, two-port NIs, fault plans and cut horizons, down to
+// the flight recorder's bytes on both engines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <random>
 #include <sstream>
@@ -26,6 +30,7 @@
 
 #include "analysis/sampling.hpp"
 #include "bmin/bmin_topology.hpp"
+#include "butterfly/butterfly_topology.hpp"
 #include "core/algorithms.hpp"
 #include "mesh/mesh_topology.hpp"
 #include "obs/export.hpp"
@@ -691,6 +696,121 @@ TEST(EngineEquiv, ObserverAttachedBetweenRunsSeesTheRest) {
     }
   }
   expect_same_log(logs[0], logs[1]);
+}
+
+// --- contended bench workloads ------------------------------------------
+
+/// One engine's run of a workload: its multicast results, SimStats and,
+/// when traced, the flight recorder's PCMT bytes.
+struct WorkloadCapture {
+  std::vector<rt::McastResult> results;
+  SimStats stats;
+  std::string trace;
+};
+
+using Workload = std::function<std::vector<rt::McastResult>(Simulator&)>;
+
+WorkloadCapture run_workload(const Topology& topo, EngineKind engine, bool traced,
+                             const Workload& drive) {
+  Simulator sim(topo, SimConfig{.engine = engine});
+  obs::FlightRecorder rec(obs::RecorderConfig{obs::kUnbounded});
+  if (traced) sim.set_observer(&rec);
+  WorkloadCapture cap;
+  cap.results = drive(sim);
+  cap.stats = sim.stats();
+  if (traced) {
+    std::ostringstream os;
+    obs::write_binary_trace(os, rec.snapshot(), rec.events_dropped());
+    cap.trace = os.str();
+  }
+  return cap;
+}
+
+/// Both engines, traced (the event engine steps per hop) and untraced (it
+/// may admit worms whole): identical results, SimStats and trace bytes.
+/// Returns the cycle engine's blocked cycles, so callers can show the
+/// workload really contends.
+long long expect_workload_engine_identical(const Topology& topo, const Workload& drive) {
+  long long blocked = 0;
+  for (const bool traced : {true, false}) {
+    SCOPED_TRACE(traced ? "traced" : "untraced");
+    const WorkloadCapture cyc = run_workload(topo, EngineKind::kCycle, traced, drive);
+    const WorkloadCapture evt = run_workload(topo, EngineKind::kEvent, traced, drive);
+    EXPECT_EQ(cyc.results.size(), evt.results.size());
+    for (std::size_t i = 0; i < std::min(cyc.results.size(), evt.results.size()); ++i) {
+      const rt::McastResult& a = cyc.results[i];
+      const rt::McastResult& b = evt.results[i];
+      EXPECT_EQ(a.latency, b.latency) << "result " << i;
+      EXPECT_EQ(a.model_latency, b.model_latency) << "result " << i;
+      EXPECT_EQ(a.channel_conflicts, b.channel_conflicts) << "result " << i;
+      EXPECT_EQ(a.block_cycles, b.block_cycles) << "result " << i;
+      EXPECT_EQ(a.messages, b.messages) << "result " << i;
+      EXPECT_EQ(a.recv_complete, b.recv_complete) << "result " << i;
+    }
+    EXPECT_EQ(cyc.stats.cycles, evt.stats.cycles);
+    EXPECT_EQ(cyc.stats.flit_hops, evt.stats.flit_hops);
+    EXPECT_EQ(cyc.stats.channel_conflicts, evt.stats.channel_conflicts);
+    EXPECT_EQ(cyc.stats.messages_delivered, evt.stats.messages_delivered);
+    EXPECT_EQ(cyc.stats.max_inflight_flits, evt.stats.max_inflight_flits);
+    EXPECT_TRUE(cyc.trace == evt.trace) << "PCMT bytes differ";
+    EXPECT_EQ(traced, !cyc.trace.empty());
+    blocked = cyc.stats.channel_conflicts;
+  }
+  return blocked;
+}
+
+TEST(EngineEquiv, ConcurrentOverlappingGroupsMesh16) {
+  // bench_concurrent_groups at G = 4: four random 16-node groups on the
+  // 16x16 mesh, member sets overlapping across groups, 4 KB each, run at
+  // once by run_concurrent.
+  const auto topo = mesh::make_mesh2d(16);
+  const rt::MulticastRuntime rtm(rt::RuntimeConfig{});
+  const Bytes size = 4096;
+  const TwoParam tp = rtm.config().machine.two_param(rtm.wire_bytes(size, 1));
+  long long blocked = 0;
+  for (const McastAlgorithm alg : {McastAlgorithm::kOptMesh, McastAlgorithm::kUMesh}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE(std::string(algorithm_name(alg)) + " seed " + std::to_string(seed));
+      analysis::Rng rng(seed);
+      std::vector<rt::MulticastRuntime::GroupRun> groups;
+      std::vector<int> membership(256, 0);
+      for (int g = 0; g < 4; ++g) {
+        const analysis::Placement p = analysis::sample_placement(rng, 256, 16);
+        ++membership[static_cast<std::size_t>(p.source)];
+        for (const NodeId d : p.dests) ++membership[static_cast<std::size_t>(d)];
+        groups.push_back({build_multicast(alg, p.source, p.dests, tp, &topo->shape()),
+                          size, 0});
+      }
+      EXPECT_GT(*std::max_element(membership.begin(), membership.end()), 1)
+          << "the groups share no node";
+      blocked += expect_workload_engine_identical(
+          *topo, [&](Simulator& sim) { return rtm.run_concurrent(sim, groups); });
+    }
+  }
+  EXPECT_GT(blocked, 0) << "no cross-group contention exercised";
+}
+
+TEST(EngineEquiv, ButterflyCallerOrderOptChain) {
+  // bench_butterfly_temporal's OPT(caller) column: OPT splits over the
+  // caller-order chain on the 64-node butterfly, where no contention-free
+  // ordering exists.
+  const auto topo = butterfly::make_butterfly(64);
+  const rt::MulticastRuntime rtm(rt::RuntimeConfig{});
+  const Bytes size = 4096;
+  const TwoParam tp = rtm.config().machine.two_param(rtm.wire_bytes(size, 1));
+  long long blocked = 0;
+  for (const int k : {16, 48}) {
+    const SplitTable opt = opt_split_table(tp.t_hold, tp.t_end, k);
+    for (const analysis::Placement& p : analysis::sample_placements(1997 + k, 64, k, 2)) {
+      SCOPED_TRACE("k " + std::to_string(k) + " source " + std::to_string(p.source));
+      const MulticastTree tree = build_chain_split_tree(
+          make_chain(p.source, p.dests, ChainOrder::kAsGiven), opt);
+      blocked += expect_workload_engine_identical(*topo, [&](Simulator& sim) {
+        return std::vector<rt::McastResult>{rtm.run(sim, tree, size)};
+      });
+    }
+  }
+  EXPECT_GT(blocked, 0) << "no contention exercised";
 }
 
 // --- reliable streams on the event engine -------------------------------

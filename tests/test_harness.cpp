@@ -135,9 +135,16 @@ TEST(HarnessOptions, ParseJobsAndJson) {
   const char* argv2[] = {"-h"};
   EXPECT_TRUE(parse_options(std::span<const char* const>(argv2, 1)).help);
 
-  const char* bad1[] = {"--jobs", "0"};
-  EXPECT_THROW(parse_options(std::span<const char* const>(bad1, 2)),
-               std::invalid_argument);
+  // --jobs is a thread count: [1, 4096], the cap pcmcast and pcmchaos use.
+  // Parsing only; no pool is built from these values.
+  for (const char* jobs : {"0", "4097", "-1", "2x"}) {
+    const char* bad[] = {"--jobs", jobs};
+    EXPECT_THROW(parse_options(std::span<const char* const>(bad, 2)),
+                 std::invalid_argument)
+        << jobs;
+  }
+  const char* cap[] = {"--jobs", "4096"};
+  EXPECT_EQ(parse_options(std::span<const char* const>(cap, 2)).jobs, 4096);
   const char* bad2[] = {"--frobnicate"};
   EXPECT_THROW(parse_options(std::span<const char* const>(bad2, 1)),
                std::invalid_argument);
