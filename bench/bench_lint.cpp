@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   const MeshShape* shape = &topo->shape();
   rt::RuntimeConfig cfg;  // Paragon-class defaults (MachineParams::classic)
   rt::MulticastRuntime rtm(cfg);
-  const sim::SimConfig sim_cfg;
+  const sim::SimConfig sim_cfg{.engine = h.options().engine};
 
   h.preamble(
       "E17: static analyzer vs flit simulator, 32-node OPT-Mesh multicast "

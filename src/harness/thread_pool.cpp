@@ -31,7 +31,10 @@ void ThreadPool::drain_batch() {
       (*body_)(i);
     } catch (...) {
       std::lock_guard<std::mutex> lock(mu_);
-      if (!first_error_) first_error_ = std::current_exception();
+      if (!error_ || i < error_index_) {
+        error_ = std::current_exception();
+        error_index_ = i;
+      }
     }
   }
 }
@@ -57,9 +60,17 @@ void ThreadPool::worker_loop() {
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& body) {
   if (n == 0) return;
+  std::exception_ptr err;
   if (workers_.empty() || n == 1) {
-    // Serial fast path: exceptions propagate directly from the body.
-    for (std::size_t i = 0; i < n; ++i) body(i);
+    // Inline: the first exception in index order is the lowest index's.
+    for (std::size_t i = 0; i < n; ++i) {
+      try {
+        body(i);
+      } catch (...) {
+        if (!err) err = std::current_exception();
+      }
+    }
+    if (err) std::rethrow_exception(err);
     return;
   }
   {
@@ -68,18 +79,17 @@ void ThreadPool::parallel_for(std::size_t n,
     batch_size_ = n;
     next_.store(0, std::memory_order_relaxed);
     running_ = workers_.size();
-    first_error_ = nullptr;
+    error_ = nullptr;
     ++generation_;
   }
   cv_start_.notify_all();
   drain_batch();  // the caller is a worker too
-  std::exception_ptr err;
   {
     std::unique_lock<std::mutex> lock(mu_);
     cv_done_.wait(lock, [&] { return running_ == 0; });
     body_ = nullptr;
-    err = first_error_;
-    first_error_ = nullptr;
+    err = std::move(error_);
+    error_ = nullptr;
   }
   if (err) std::rethrow_exception(err);
 }

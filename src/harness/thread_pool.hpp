@@ -34,8 +34,9 @@ class ThreadPool {
 
   /// Runs body(i) for every i in [0, n), distributing indices across the
   /// pool (the calling thread participates).  Blocks until all indices
-  /// finished.  If any body throws, the first exception is rethrown after
-  /// the batch completes; the remaining indices still run.
+  /// finished.  A throwing body does not stop the batch: every index runs,
+  /// then the exception of the lowest throwing index is rethrown, so the
+  /// outcome does not depend on `jobs` or on thread timing.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
 
   /// Resolves the `jobs` option: positive values pass through, <= 0 means
@@ -56,7 +57,8 @@ class ThreadPool {
   std::size_t running_ = 0;      ///< workers still inside the current batch
   std::uint64_t generation_ = 0;
   bool stop_ = false;
-  std::exception_ptr first_error_;
+  std::exception_ptr error_;  ///< the lowest throwing index's exception
+  std::size_t error_index_ = 0;
   int jobs_ = 1;
 };
 

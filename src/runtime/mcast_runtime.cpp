@@ -229,8 +229,10 @@ std::vector<McastResult> MulticastRuntime::run_concurrent(
 
   // Each group's conflicts are its own messages' blocked cycles.
   std::vector<long long> blocked(groups.size(), 0);
-  for (const sim::Message& m : sim.messages().all())
-    if (m.id >= first_msg) blocked[group_of(m.tag)] += m.block_cycles;
+  for (sim::MsgId id = first_msg; id < sim.messages().size(); ++id) {
+    const sim::Message& m = sim.messages().at(id);
+    blocked[group_of(m.tag)] += m.block_cycles;
+  }
   for (size_t g = 0; g < groups.size(); ++g)
     if (close_result(results[g], groups[g].tree, origin + groups[g].start, blocked[g]) !=
         groups[g].tree.num_nodes() - 1)

@@ -7,16 +7,6 @@
 
 namespace pcm::rt {
 
-const char* member_state_name(MemberState s) {
-  switch (s) {
-    case MemberState::kAlive: return "alive";
-    case MemberState::kSuspect: return "suspect";
-    case MemberState::kCrashed: return "crashed";
-    case MemberState::kUnreachable: return "unreachable";
-  }
-  return "?";
-}
-
 MembershipService::MembershipService(const sim::Simulator& sim,
                                      std::vector<NodeId> members,
                                      MembershipConfig cfg)

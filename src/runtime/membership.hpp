@@ -54,8 +54,6 @@ enum class MemberState {
   kUnreachable,  ///< confirmed partition (may heal and rejoin)
 };
 
-[[nodiscard]] const char* member_state_name(MemberState s);
-
 struct MembershipConfig {
   Time heartbeat_period = 0;  ///< cycles between sweeps; 0 disables
   int suspect_after = 2;      ///< missed sweeps before suspicion

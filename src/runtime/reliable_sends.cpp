@@ -63,8 +63,8 @@ void ReliableSends::retarget(const MulticastTree& cur) {
 }
 
 void ReliableSends::track(int slot, int sender, int recv, int recv_cur,
-                          std::vector<int> interval, Time at) {
-  sends_.push_back({slot, sender, recv, recv_cur, std::move(interval)});
+                          Slice interval, Time at) {
+  sends_.push_back({slot, sender, recv, recv_cur, interval});
   open_.push_back(sends_.size() - 1);
   issue(sends_.size() - 1, at);
 }
@@ -73,7 +73,7 @@ void ReliableSends::track(int slot, int sender, int recv, int recv_cur,
 void ReliableSends::issue(std::size_t ri, Time base) {
   const MachineParams& mp = rtm_.config().machine;
   Send& s = sends_[ri];
-  const int n = static_cast<int>(s.interval.size());
+  const int n = s.interval.len;
   const Bytes wire = rtm_.wire_bytes(payload_, n);
   int& e = engine_rr_[static_cast<std::size_t>(s.sender)];
   Time& op = next_op_[static_cast<std::size_t>(s.sender * engines_ + e)];
@@ -97,27 +97,29 @@ void ReliableSends::issue(std::size_t ri, Time base) {
 // Re-splits `list` (sorted owed positions, all on one side of `sender` —
 // orphan intervals never contain their sender) with the OPT table,
 // mirroring the expand() loop of build_chain_split_tree on the virtual
-// chain {sender} ∪ list.
-void ReliableSends::repair_split(int slot, int sender, std::vector<int> list, Time at) {
-  while (!list.empty()) {
-    const int i = static_cast<int>(list.size()) + 1;
+// chain {sender} ∪ list.  Each child's interval is a sub-slice of `list`.
+void ReliableSends::repair_split(int slot, int sender, Slice list, Time at) {
+  while (list.len > 0) {
+    const int i = list.len + 1;
     const int j = repair_.split(std::min(i, repair_.size()));
-    if (sender < list.front()) {
+    Slice child = list;
+    std::size_t recv_at = 0;
+    if (sender < intervals_[list.off]) {
       // Virtual source at the bottom: hand the top i-j positions to their
       // lowest member.
-      std::vector<int> child(list.begin() + (j - 1), list.end());
-      const int recv = child.front();
-      list.resize(static_cast<std::size_t>(j - 1));
-      track(slot, sender, recv, -1, std::move(child), at);
+      child.off += static_cast<std::size_t>(j - 1);
+      child.len -= j - 1;
+      list.len = j - 1;
+      recv_at = child.off;
     } else {
       // Virtual source at the top: hand the bottom i-j positions to their
       // highest member.
-      const int m = static_cast<int>(list.size()) - j;
-      std::vector<int> child(list.begin(), list.begin() + m + 1);
-      const int recv = child.back();
-      list.erase(list.begin(), list.begin() + m + 1);
-      track(slot, sender, recv, -1, std::move(child), at);
+      child.len = list.len - j + 1;
+      list.off += static_cast<std::size_t>(child.len);
+      list.len -= child.len;
+      recv_at = list.off - 1;
     }
+    track(slot, sender, intervals_[recv_at], -1, child, at);
   }
 }
 
@@ -128,18 +130,19 @@ void ReliableSends::activate(int slot, int cpos, Time at) {
   engine_rr_[static_cast<std::size_t>(pos)] = 0;
   for (const int idx : cur_->out[static_cast<std::size_t>(cpos)]) {
     const SendEvent& ev = cur_->sends[static_cast<std::size_t>(idx)];
-    std::vector<int> interval;
+    const std::size_t off = intervals_.size();
     for (int cp = ev.sub_lo; cp <= ev.sub_hi; ++cp) {
       const int p = orig_of_[static_cast<std::size_t>(cp)];
-      if (owed(p, slot)) interval.push_back(p);
+      if (owed(p, slot)) intervals_.push_back(p);
     }
-    if (interval.empty()) continue;
+    const Slice interval = since(off);
+    if (interval.len == 0) continue;
     const int recv = orig_of_[static_cast<std::size_t>(ev.receiver_pos)];
     if (owed(recv, slot)) {
-      track(slot, pos, recv, ev.receiver_pos, std::move(interval), at);
+      track(slot, pos, recv, ev.receiver_pos, interval, at);
     } else {
       ++counts_.repairs;  // the receiver is served or dead: the rest is orphaned
-      repair_split(slot, pos, std::move(interval), at);
+      repair_split(slot, pos, interval, at);
     }
   }
 }
@@ -147,24 +150,25 @@ void ReliableSends::activate(int slot, int cpos, Time at) {
 void ReliableSends::ack(std::size_t ri, Time t) {
   Send& s = sends_[ri];
   s.acked = true;
-  s.subtree_deadline = subtree_due(t, static_cast<int>(s.interval.size()));
+  s.subtree_deadline = subtree_due(t, s.interval.len);
   if (recorder_ != nullptr)
     recorder_->record(obs::EventKind::kSendAcked, t, static_cast<std::int32_t>(ri),
                       s.attempt, s.recv, s.slot);
 }
 
-std::vector<int> ReliableSends::orphans(const Send& s) const {
-  std::vector<int> out;
-  for (const int p : s.interval)
-    if (p != s.recv && owed(p, s.slot)) out.push_back(p);
-  return out;
+ReliableSends::Slice ReliableSends::orphans(const Send& s) {
+  const std::size_t off = intervals_.size();
+  const std::size_t end = s.interval.off + static_cast<std::size_t>(s.interval.len);
+  for (std::size_t k = s.interval.off; k < end; ++k) {
+    const int p = intervals_[k];  // by index: the appends may move the store
+    if (p != s.recv && owed(p, s.slot)) intervals_.push_back(p);
+  }
+  return since(off);
 }
 
-// activate/repair_split grow `sends_`, so `s` dangles once they run; their
-// arguments are read before.
 void ReliableSends::forward(std::size_t ri, Time done) {
   Send& s = sends_[ri];
-  if (s.interval.size() <= 1)
+  if (s.interval.len <= 1)
     s.closed = true;
   else if (s.recv_cur >= 0)
     activate(s.slot, s.recv_cur, done);
@@ -185,10 +189,10 @@ Time ReliableSends::horizon() {
 void ReliableSends::reassign(std::size_t ri, int sender) {
   Send& s = sends_[ri];
   s.closed = true;
-  std::vector<int> orphan = orphans(s);
-  if (orphan.empty()) return;
+  const Slice orphan = orphans(s);
+  if (orphan.len == 0) return;
   ++counts_.repairs;
-  jobs_.push_back({s.slot, sender, std::move(orphan)});
+  jobs_.push_back({s.slot, sender, orphan});
 }
 
 }  // namespace pcm::rt

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/multicast_tree.hpp"
@@ -15,13 +16,20 @@
 #include "obs/recorder.hpp"
 #include "runtime/mcast_runtime.hpp"
 #include "sim/simulator.hpp"
+#include "sim/stable_vector.hpp"
 
 namespace pcm::rt {
 
 class ReliableSends {
  public:
+  /// A run of the interval store: entries off .. off + len - 1.
+  struct Slice {
+    std::size_t off = 0;
+    int len = 0;
+  };
   /// One tracked send.  Retransmissions reuse the record (and its tag:
-  /// the record index); records are append-only, so indices stay stable.
+  /// the record index); records are append-only and never move, so
+  /// indices and references stay valid for this object's lifetime.
   struct Send {
     int slot = 0;
     int sender = 0;             ///< original chain position
@@ -30,7 +38,8 @@ class ReliableSends {
     /// interval comes from the tree, and its first delivery forwards along
     /// the tree); -1 for a repair re-split or a catch-up.
     int recv_cur = -1;
-    std::vector<int> interval;  ///< original positions, ascending, incl recv
+    /// Original positions, ascending, incl recv; read through interval().
+    Slice interval;
     int attempt = 0;
     bool acked = false;
     bool closed = false;
@@ -62,7 +71,8 @@ class ReliableSends {
   void activate(int slot, int cpos, Time at);
   /// Tracks a single-address send of `slot` from `sender` to `recv`.
   void catch_up(int slot, int sender, int recv, Time at) {
-    track(slot, sender, recv, -1, {recv}, at);
+    intervals_.push_back(recv);
+    track(slot, sender, recv, -1, since(intervals_.size() - 1), at);
   }
 
   /// The delivery handler's core.  Skips a corrupted message (the ack
@@ -110,10 +120,16 @@ class ReliableSends {
 
   [[nodiscard]] const Send& send(std::size_t ri) const { return sends_[ri]; }
   [[nodiscard]] std::size_t size() const { return sends_.size(); }
+  /// `s`'s interval.  Intervals share one append-only store, which
+  /// activate, catch_up, deliver and reassign grow: never hold the span
+  /// across one of them.
+  [[nodiscard]] std::span<const int> interval(const Send& s) const {
+    return {intervals_.data() + s.interval.off, static_cast<std::size_t>(s.interval.len)};
+  }
   /// Finish-receive time of delivered message `m`.
   [[nodiscard]] Time done(const sim::Message& m) const {
     const Send& s = sends_[static_cast<std::size_t>(m.tag)];
-    const Bytes wire = rtm_.wire_bytes(payload_, static_cast<int>(s.interval.size()));
+    const Bytes wire = rtm_.wire_bytes(payload_, s.interval.len);
     return m.delivered + rtm_.config().machine.t_recv(wire);
   }
 
@@ -147,7 +163,7 @@ class ReliableSends {
   struct Job {
     int slot;
     int sender;
-    std::vector<int> list;
+    Slice list;
   };
 
   [[nodiscard]] std::size_t cell(int pos, int slot) const {
@@ -158,12 +174,16 @@ class ReliableSends {
   [[nodiscard]] bool owed(int pos, int slot) const {
     return !delivered(pos, slot) && !dead(pos);
   }
-  /// The owed positions of `s`'s interval other than its receiver.
-  [[nodiscard]] std::vector<int> orphans(const Send& s) const;
-  void track(int slot, int sender, int recv, int recv_cur,
-             std::vector<int> interval, Time at);
+  /// The store's entries from `off` to its end.
+  [[nodiscard]] Slice since(std::size_t off) const {
+    return {off, static_cast<int>(intervals_.size() - off)};
+  }
+  /// Appends the owed positions of `s`'s interval other than its
+  /// receiver to the store.
+  Slice orphans(const Send& s);
+  void track(int slot, int sender, int recv, int recv_cur, Slice interval, Time at);
   void issue(std::size_t ri, Time base);
-  void repair_split(int slot, int sender, std::vector<int> list, Time at);
+  void repair_split(int slot, int sender, Slice list, Time at);
   void ack(std::size_t ri, Time t);
   void forward(std::size_t ri, Time done);
   // The retry deadlines.  An ack is due timeout_scale * t_end(wire) +
@@ -203,7 +223,10 @@ class ReliableSends {
   SplitTable repair_;
   Time retry_budget_;
 
-  std::vector<Send> sends_;
+  sim::StableVector<Send> sends_;
+  /// Every record's interval, each a Slice of this store.  Append-only:
+  /// a re-split hands out sub-slices of the list it splits.
+  std::vector<int> intervals_;
   /// Indices of the records not yet known closed, ascending: new records
   /// are appended and horizon() drops closed ones, so a sweep visits the
   /// open records in the order a scan of every record would.
@@ -225,19 +248,18 @@ template <typename OnFirst>
 std::optional<Time> ReliableSends::deliver(const sim::Message& m, OnFirst&& on_first) {
   if (m.corrupted) return std::nullopt;
   const auto ri = static_cast<std::size_t>(m.tag);
-  const int slot = sends_[ri].slot;
-  const int pos = sends_[ri].recv;
+  const Send& s = sends_[ri];
   const Time t = done(m);
-  char& got = delivered_[cell(pos, slot)];
+  char& got = delivered_[cell(s.recv, s.slot)];
   if (got != 0) {
     // A slow earlier attempt (or an overlapping repair) landed after the
     // position was already served.
     ++counts_.duplicates;
-    if (!sends_[ri].acked) ack(ri, t);
+    if (!s.acked) ack(ri, t);
     return std::nullopt;
   }
   got = 1;
-  on_first(slot, pos, t);
+  on_first(s.slot, s.recv, t);
   ack(ri, t);
   forward(ri, t);
   return t;
@@ -251,8 +273,8 @@ bool ReliableSends::sweep(Time now, OnExhausted&& exhausted) {
     Send& s = sends_[ri];
     if (s.closed) continue;
     if (s.acked) {
-      if (std::none_of(s.interval.begin(), s.interval.end(),
-                       [&](int p) { return owed(p, s.slot); }))
+      const std::span<const int> iv = interval(s);
+      if (std::none_of(iv.begin(), iv.end(), [&](int p) { return owed(p, s.slot); }))
         s.closed = true;  // the whole interval is served or dead
       else if (now >= s.subtree_deadline)
         reassign(ri, s.recv);  // the receiver lives, its subtree went quiet
@@ -270,7 +292,7 @@ bool ReliableSends::sweep(Time now, OnExhausted&& exhausted) {
     ++counts_.retries;
     issue(ri, now);
   }
-  for (Job& job : jobs_) repair_split(job.slot, job.sender, std::move(job.list), now);
+  for (const Job& job : jobs_) repair_split(job.slot, job.sender, job.list, now);
   return true;
 }
 

@@ -1,10 +1,11 @@
 // Messages tracked by the flit-level simulator.
 #pragma once
 
-#include <vector>
+#include <cstddef>
 
 #include "core/types.hpp"
 #include "sim/fault.hpp"
+#include "sim/stable_vector.hpp"
 
 namespace pcm::sim {
 
@@ -38,22 +39,28 @@ struct Message {
   [[nodiscard]] bool finished() const { return delivered >= 0 || dropped >= 0; }
 };
 
-/// Dense, append-only message table.
+/// Dense, append-only message table: ids count from 0, and messages sit
+/// in blocks that never move (StableVector), so posting never copies the
+/// ones already stored and a Message& stays valid for the table's
+/// lifetime.
 class MessageTable {
  public:
   MsgId add(Message m) {
-    m.id = static_cast<MsgId>(messages_.size());
+    m.id = size();
     messages_.push_back(m);
     return m.id;
   }
-  [[nodiscard]] Message& at(MsgId id) { return messages_.at(id); }
-  [[nodiscard]] const Message& at(MsgId id) const { return messages_.at(id); }
+  /// Throws std::out_of_range unless 0 <= id < size().
+  [[nodiscard]] Message& at(MsgId id) { return messages_.at(static_cast<std::size_t>(id)); }
+  [[nodiscard]] const Message& at(MsgId id) const {
+    return messages_.at(static_cast<std::size_t>(id));
+  }
   [[nodiscard]] int size() const { return static_cast<int>(messages_.size()); }
-  [[nodiscard]] const std::vector<Message>& all() const { return messages_; }
-  void clear() { messages_.clear(); }
+  /// Every message in id order (begin/end/size).
+  [[nodiscard]] const StableVector<Message>& all() const { return messages_; }
 
  private:
-  std::vector<Message> messages_;
+  StableVector<Message> messages_;
 };
 
 }  // namespace pcm::sim

@@ -1,15 +1,17 @@
 // Allocation budget of the simulator: a counting global operator new pins
 // Simulator construction to the same small number of heap allocations on
-// every topology size, and a contention-free OPT-Mesh run to a small
-// constant number per posted message.  The parameterized model is tuned
-// by evaluating thousands of small multicasts, each on a fresh Simulator,
-// so set-up that grew with the network would dominate the sweep.
+// every topology size, a contention-free OPT-Mesh run to a small constant
+// number per posted message, and a reliable stream to a few per block of
+// messages.  The parameterized model is tuned by evaluating thousands of
+// small multicasts, each on a fresh Simulator, so set-up that grew with
+// the network would dominate the sweep.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <stdexcept>
 #include <vector>
 
 #include "analysis/sampling.hpp"
@@ -17,8 +19,10 @@
 #include "core/algorithms.hpp"
 #include "mesh/mesh_topology.hpp"
 #include "runtime/mcast_runtime.hpp"
+#include "runtime/stream_runtime.hpp"
 #include "sim/pooled_vectors.hpp"
 #include "sim/simulator.hpp"
+#include "sim/stable_vector.hpp"
 
 namespace {
 std::atomic<long long> g_allocations{0};
@@ -110,6 +114,60 @@ TEST(AllocBudget, PooledVectorsKeepListsApartAndReuseTheirBuffer) {
   EXPECT_EQ(as_vector(1), want1);
 }
 
+TEST(StableVector, ElementsNeverMoveAndGrowthAllocatesPerDoubling) {
+  sim::StableVector<int> v;
+  std::vector<const int*> where;
+  where.reserve(1000);
+  // Blocks of 32, 64, 128, ... entries: 1000 entries take 6 blocks, one
+  // allocation each.
+  EXPECT_EQ(allocations_in([&] {
+              for (int i = 0; i < 1000; ++i) where.push_back(&v.push_back(i));
+            }),
+            6);
+  ASSERT_EQ(v.size(), 1000U);
+  // A reference taken before any later block existed still points at its
+  // element.
+  for (std::size_t i = 0; i < where.size(); ++i) {
+    EXPECT_EQ(&v[i], where[i]) << i;
+    EXPECT_EQ(*where[i], static_cast<int>(i));
+  }
+  // Iteration crosses the block boundaries in index order.
+  int want = 0;
+  for (const int x : v) EXPECT_EQ(x, want++);
+  EXPECT_EQ(want, 1000);
+  EXPECT_THROW((void)v.at(1000), std::out_of_range);
+  EXPECT_EQ(v.at(999), 999);
+}
+
+TEST(MessageTable, DenseIdsStableReferencesAndBoundsChecks) {
+  sim::MessageTable table;
+  EXPECT_EQ(table.all().size(), 0U);
+  std::vector<const sim::Message*> where;
+  for (int i = 0; i < 600; ++i) {
+    sim::Message m;
+    m.tag = 1000 + i;
+    EXPECT_EQ(table.add(m), i);  // ids are dense from 0
+    where.push_back(&table.at(i));
+  }
+  ASSERT_EQ(table.size(), 600);
+  // Messages referenced before later blocks existed did not move.
+  for (int i = 0; i < 600; ++i) {
+    EXPECT_EQ(&table.at(i), where[static_cast<std::size_t>(i)]) << i;
+    EXPECT_EQ(where[static_cast<std::size_t>(i)]->id, i);
+  }
+  EXPECT_THROW((void)table.at(-1), std::out_of_range);
+  EXPECT_THROW((void)table.at(table.size()), std::out_of_range);
+  // all() walks every block in id order.
+  ASSERT_EQ(table.all().size(), 600U);
+  int want = 0;
+  for (const sim::Message& msg : table.all()) {
+    EXPECT_EQ(msg.id, want);
+    EXPECT_EQ(msg.tag, 1000 + want);
+    ++want;
+  }
+  EXPECT_EQ(want, 600);
+}
+
 /// Runs an OPT-Mesh multicast the way MulticastRuntime::run does (each
 /// receiver issues its sends when it finishes receiving), from a delivery
 /// handler that allocates nothing itself, so every allocation counted
@@ -178,6 +236,44 @@ TEST(AllocBudget, ContentionFreeRunAllocatesAConstantPerMessage) {
       }
     }
   }
+}
+
+/// A fault-free reliable OPT-Mesh stream of `slots` 64 B slots, window 8,
+/// from a 16-node placement on the 16x16 mesh.  Returns {allocations,
+/// messages} of the whole StreamRuntime::run.
+std::pair<long long, long long> reliable_stream(int slots) {
+  const auto topo = mesh::make_mesh2d(16);
+  (void)topo->wiring();
+  rt::RuntimeConfig rcfg;
+  const rt::MulticastRuntime rtm(rcfg);
+  const rt::StreamRuntime srt(rtm);
+  const analysis::Placement p = analysis::sample_placements(1997, 256, 16, 1).front();
+  rt::StreamConfig cfg;
+  cfg.window_size = 8;
+  cfg.slots = slots;
+  cfg.bytes = 64;
+  cfg.shape = &topo->shape();
+  cfg.reliable = true;
+  sim::Simulator sim(*topo);
+  rt::StreamResult res;
+  const long long n =
+      allocations_in([&] { res = srt.run(sim, p.source, p.dests, cfg); });
+  EXPECT_TRUE(res.complete);
+  EXPECT_EQ(res.retries, 0);
+  return {n, res.messages};
+}
+
+TEST(AllocBudget, ReliableStreamAllocatesPerBlockNotPerMessage) {
+  const auto [short_n, short_msgs] = reliable_stream(64);
+  const auto [long_n, long_msgs] = reliable_stream(512);
+  ASSERT_EQ(long_msgs, 512 * 15);
+  ASSERT_EQ(short_msgs, 64 * 15);
+  // Messages and send records sit in blocks, intervals in one flat store:
+  // nothing is allocated per message.
+  EXPECT_LE(static_cast<double>(long_n) / static_cast<double>(long_msgs), 0.05)
+      << long_n << " allocations for " << long_msgs << " messages";
+  EXPECT_LE(long_n - short_n, (long_msgs - short_msgs) / 64)
+      << short_n << " allocations at 64 slots, " << long_n << " at 512";
 }
 
 }  // namespace

@@ -122,7 +122,7 @@ RunCapture capture(const Topology& topo, SimConfig cfg, EngineKind engine,
   cap.status = sim.run_status();
   cap.cycles = sim.now();
   cap.events = obs.text();
-  cap.messages = sim.messages().all();
+  cap.messages.assign(sim.messages().all().begin(), sim.messages().all().end());
   if (take_stall_report) cap.stall = sim.stall_report().to_string();
   cap.admitted = sim.admitted_worms();
   cap.reentries = sim.reentries();
@@ -1066,7 +1066,7 @@ LeapCapture capture_leap(const Topology& topo, SimConfig cfg, EngineKind engine,
   cap.run.status = sim.run_status();
   cap.run.cycles = sim.now();
   cap.run.events = lines.text();
-  cap.run.messages = sim.messages().all();
+  cap.run.messages.assign(sim.messages().all().begin(), sim.messages().all().end());
   std::ostringstream bytes;
   obs::write_binary_trace(bytes, rec.snapshot(), rec.events_dropped());
   cap.trace = bytes.str();

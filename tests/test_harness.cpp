@@ -62,6 +62,25 @@ TEST(ThreadPool, PropagatesFirstExceptionAfterFinishingBatch) {
   EXPECT_EQ(again.load(), 16);
 }
 
+TEST(ThreadPool, RethrowsLowestIndexExceptionAtEveryJobCount) {
+  for (const int jobs : {1, 4}) {
+    ThreadPool pool(jobs);
+    std::vector<std::atomic<int>> hits(32);
+    try {
+      pool.parallel_for(hits.size(), [&](std::size_t i) {
+        hits[i].fetch_add(1);
+        if (i == 5) throw std::runtime_error("index 5");
+        if (i == 2) throw std::runtime_error("index 2");
+      });
+      ADD_FAILURE() << "jobs " << jobs << ": nothing thrown";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "index 2") << "jobs " << jobs;
+    }
+    for (std::size_t i = 0; i < hits.size(); ++i)
+      EXPECT_EQ(hits[i].load(), 1) << "jobs " << jobs << " index " << i;
+  }
+}
+
 TEST(ThreadPool, ResolveJobs) {
   EXPECT_EQ(ThreadPool::resolve_jobs(3), 3);
   EXPECT_GE(ThreadPool::resolve_jobs(0), 1);
