@@ -59,6 +59,14 @@ class BminTopology final : public sim::Topology {
   void append_path(NodeId src, NodeId dst,
                    std::vector<sim::ChannelId>& out) const override;
 
+  /// Turnaround rank: an up channel at stage s ranks s, a down channel
+  /// 2 * stages - s.  A route climbs stages 0..t-1, then descends stages
+  /// t..0 with t < stages, so its ranks ascend under every up policy.
+  [[nodiscard]] int channel_rank(sim::ChannelId c) const override {
+    const int s = stage_of(c / radix());
+    return c % radix() >= 2 ? s : 2 * stages_ - s;
+  }
+
   /// Channel count of the (deterministic) turnaround path: 2t + 1 where
   /// t = msb_diff(src, dst).
   [[nodiscard]] int path_hops(NodeId src, NodeId dst) const;

@@ -37,6 +37,11 @@ class ButterflyTopology final : public sim::Topology {
              std::vector<int>& candidates) const override;
   [[nodiscard]] std::string channel_name(int router, int out_port) const override;
 
+  /// The stage: every route takes one channel per stage, in stage order.
+  [[nodiscard]] int channel_rank(sim::ChannelId c) const override {
+    return stage_of(c / radix());
+  }
+
   /// Every path crosses all stages plus the ejection channel.
   [[nodiscard]] int path_hops(NodeId, NodeId) const { return stages_; }
 

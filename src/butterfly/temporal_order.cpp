@@ -14,7 +14,6 @@ int temporal_conflict_score(const Chain& chain, const SplitTable& table,
                             const rt::MulticastRuntime& rtm, Bytes payload) {
   lint::LintOptions opts;
   opts.max_diagnostics = INT_MAX;
-  opts.check_deadlock = false;
   opts.keep_schedule = false;
   const lint::LintReport report =
       lint::lint_tree(build_chain_split_tree(chain, table), topo, rtm.config(),

@@ -103,8 +103,7 @@ std::vector<SendWindow> take_windows(Timeline& tl, size_t t, Time rd) {
 
 ForestReport certify(std::span<const TreeRef> members, const sim::Topology& topo,
                      const rt::RuntimeConfig& cfg, const sim::SimConfig& sim_cfg,
-                     int engines, int max_diagnostics, bool check_deadlock,
-                     bool keep_schedules) {
+                     int engines, int max_diagnostics, bool keep_schedules) {
   ForestReport rep;
   rep.trees = static_cast<int>(members.size());
   rep.tree_makespan.assign(members.size(), 0);
@@ -145,13 +144,11 @@ ForestReport certify(std::span<const TreeRef> members, const sim::Topology& topo
     kernel::sweep_holds(holds, max_diagnostics, rep);
   }
 
-  if (check_deadlock) {
-    std::vector<std::span<const sim::ChannelId>> paths;
-    for (const std::vector<SendPlan>& plan : tl.plans)
-      for (const SendPlan& p : plan) paths.emplace_back(p.path);
-    kernel::find_deadlock(paths, max_diagnostics, rep.deadlock_free,
-                          rep.diagnostics);
-  }
+  std::vector<std::span<const sim::ChannelId>> paths;
+  for (const std::vector<SendPlan>& plan : tl.plans)
+    for (const SendPlan& p : plan) paths.emplace_back(p.path);
+  kernel::find_deadlock(topo, paths, max_diagnostics, rep.deadlock_free,
+                        rep.diagnostics);
 
   if (keep_schedules)
     for (size_t t = 0; t < members.size(); ++t)
@@ -179,7 +176,7 @@ LintReport lint_tree(const MulticastTree& tree, const sim::Topology& topo,
   const TreeRef one{&tree, payload, 0};
   ForestReport f = certify({&one, 1}, topo, cfg, sim_cfg,
                            std::max(1, cfg.send_engines), opts.max_diagnostics,
-                           opts.check_deadlock, opts.keep_schedule);
+                           opts.keep_schedule);
   LintReport rep;
   rep.diagnostics = std::move(f.diagnostics);
   if (!f.schedules.empty()) rep.schedule = std::move(f.schedules.front());
@@ -208,7 +205,7 @@ ForestReport lint_forest(std::span<const ForestMember> members,
     refs.push_back(TreeRef{&m.tree, m.payload, m.start});
   }
   return certify(refs, topo, cfg, sim_cfg, 1, opts.max_diagnostics,
-                 opts.check_deadlock, opts.keep_schedules);
+                 opts.keep_schedules);
 }
 
 std::string LintReport::describe(const MulticastTree& tree,

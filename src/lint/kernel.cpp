@@ -269,9 +269,24 @@ std::vector<sim::ChannelId> dependency_cycle(
 
 }  // namespace
 
-void find_deadlock(std::span<const std::span<const sim::ChannelId>> paths,
+bool ranks_ascend(const sim::Topology& topo,
+                  std::span<const std::span<const sim::ChannelId>> paths) {
+  for (const std::span<const sim::ChannelId> path : paths) {
+    int prev = -1;
+    for (const sim::ChannelId c : path) {
+      const int r = topo.channel_rank(c);
+      if (r <= prev) return false;
+      prev = r;
+    }
+  }
+  return true;
+}
+
+void find_deadlock(const sim::Topology& topo,
+                   std::span<const std::span<const sim::ChannelId>> paths,
                    int max_diagnostics, bool& deadlock_free,
                    std::vector<LintDiagnostic>& diags) {
+  if (ranks_ascend(topo, paths)) return;
   std::vector<sim::ChannelId> cycle = dependency_cycle(paths);
   if (cycle.empty()) return;
   deadlock_free = false;

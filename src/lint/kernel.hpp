@@ -171,17 +171,28 @@ struct Hold {
 void sweep_holds(std::span<const Hold> holds, int max_diagnostics,
                  ForestReport& rep);
 
-/// Deterministic DFS for a cycle in the channel-dependency graph of
-/// `paths` (c -> c' when some message traverses c' right after c).  One
+/// Whether every path visits strictly ascending topo.channel_rank values,
+/// all >= 0: one rank per hop and one compare, no allocation.  This is
+/// the Dally–Seitz certificate — under any integer numbering a set of
+/// strictly ascending paths has an acyclic channel-dependency graph.
+bool ranks_ascend(const sim::Topology& topo,
+                  std::span<const std::span<const sim::ChannelId>> paths);
+
+/// Channel-dependency deadlock check of `paths` (c -> c' when some
+/// message traverses c' right after c).  When ranks_ascend certifies the
+/// paths it returns at once.  Otherwise — a topology without a rank, or a
+/// path that does not ascend — it runs a deterministic DFS: one
 /// radix_sort of every hop gives the channels compact ids in ascending
 /// channel order; a counting pass over those ids groups the edges by
 /// source, and each source's short list is sorted and deduplicated.  The
 /// DFS tries roots and out-edges in ascending channel order, so it finds
 /// the loop a DFS over every channel id would, in O(hops) plus the short
-/// per-source sorts whatever the topology size.  On a cycle clears
-/// `deadlock_free` and appends a kDeadlock finding listing the loop,
-/// unless `diags` already holds max_diagnostics.
-void find_deadlock(std::span<const std::span<const sim::ChannelId>> paths,
+/// per-source sorts whatever the topology size.  The certificate never
+/// changes the outcome, only skips a search that finds no loop.  On a
+/// cycle clears `deadlock_free` and appends a kDeadlock finding listing
+/// the loop, unless `diags` already holds max_diagnostics.
+void find_deadlock(const sim::Topology& topo,
+                   std::span<const std::span<const sim::ChannelId>> paths,
                    int max_diagnostics, bool& deadlock_free,
                    std::vector<LintDiagnostic>& diags);
 

@@ -26,11 +26,14 @@
 // periodic forest; one send engine only).  Each activation's sends enter
 // the NI in (ready, post order), the simulator's release order.
 //
-// A separate pass builds the channel-dependency graph of all message
-// paths (edge c_i -> c_{i+1} per consecutive path hop) and reports any
-// cycle: a cyclic channel wait is the classic necessary condition for
-// wormhole deadlock.  Dimension-ordered mesh routing and BMIN turnaround
-// routing are acyclic; custom topologies may not be.
+// A separate pass checks the channel-dependency graph of all message
+// paths (edge c_i -> c_{i+1} per consecutive path hop) for a cycle: a
+// cyclic channel wait is the classic necessary condition for wormhole
+// deadlock.  Dimension-ordered mesh routing, BMIN turnaround routing and
+// butterfly self-routing climb a Dally–Seitz channel numbering
+// (Topology::channel_rank), which certifies their paths in one compare
+// per hop; anything else (custom topologies) gets a graph search that
+// reports the loop.
 #pragma once
 
 #include <span>
@@ -98,7 +101,6 @@ struct LintOptions {
   /// Stop collecting after this many diagnostics (the verdict booleans
   /// still reflect the full analysis).
   int max_diagnostics = 64;
-  bool check_deadlock = true;
   /// Keep the per-send schedule in the report (tests and benches want it;
   /// sweeps screening thousands of trees may drop it to save memory).
   bool keep_schedule = true;
@@ -144,8 +146,8 @@ std::vector<SendWindow> lint_schedule(const MulticastTree& tree,
 
 /// Full static analysis of one tree — lint_forest's certification of a
 /// forest of one, with cfg.send_engines engines per node: structure
-/// check, schedule derivation, pairwise channel-overlap scan, and
-/// (optionally) the channel-dependency-graph deadlock check.
+/// check, schedule derivation, pairwise channel-overlap scan, and the
+/// channel-dependency deadlock check.
 LintReport lint_tree(const MulticastTree& tree, const sim::Topology& topo,
                      const rt::RuntimeConfig& cfg, const sim::SimConfig& sim_cfg,
                      Bytes payload, const LintOptions& opts = {});
@@ -172,7 +174,6 @@ struct ForestMember {
 
 struct ForestOptions {
   int max_diagnostics = 64;
-  bool check_deadlock = true;
   bool keep_schedules = true;
 };
 
@@ -212,7 +213,7 @@ struct ForestReport {
 /// whenever the dynamic run is contention-free, and the earliest static
 /// overlap is the first dynamic block (tests enforce verdict equivalence
 /// on randomized forests).  Then overlap-scans the combined channel holds
-/// and (optionally) checks the union channel-dependency graph for cycles.
+/// and checks the union channel-dependency graph for cycles.
 /// lint_tree is this certification applied to a forest of one.
 ForestReport lint_forest(std::span<const ForestMember> members,
                          const sim::Topology& topo, const rt::RuntimeConfig& cfg,
@@ -258,7 +259,6 @@ Time earliest_clean_offset(const MulticastTree& tree, const sim::Topology& topo,
 
 struct StreamLintOptions {
   int max_diagnostics = 64;
-  bool check_deadlock = true;
 };
 
 struct StreamLintReport {

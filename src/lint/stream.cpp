@@ -360,14 +360,12 @@ StreamLintReport lint_stream(const MulticastTree& tree,
     raw.resize(static_cast<size_t>(opts.max_diagnostics));
   rep.diagnostics = std::move(raw);
 
-  if (opts.check_deadlock) {
-    // The channel-dependency graph is slot-invariant: one slot decides it.
-    std::vector<std::span<const sim::ChannelId>> paths;
-    paths.reserve(plan.size());
-    for (const kernel::SendPlan& p : plan) paths.emplace_back(p.path);
-    kernel::find_deadlock(paths, opts.max_diagnostics, rep.deadlock_free,
-                          rep.diagnostics);
-  }
+  // The channel-dependency graph is slot-invariant: one slot decides it.
+  std::vector<std::span<const sim::ChannelId>> paths;
+  paths.reserve(plan.size());
+  for (const kernel::SendPlan& p : plan) paths.emplace_back(p.path);
+  kernel::find_deadlock(topo, paths, opts.max_diagnostics, rep.deadlock_free,
+                        rep.diagnostics);
   return rep;
 }
 

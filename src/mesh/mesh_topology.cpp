@@ -1,12 +1,16 @@
 #include "mesh/mesh_topology.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 
 namespace pcm::mesh {
 
 MeshTopology::MeshTopology(MeshShape shape, RouteOrder order, int nports)
-    : shape_(std::move(shape)), order_(order), nports_(nports) {
+    : shape_(std::move(shape)),
+      order_(order),
+      nports_(nports),
+      max_side_(shape_.ndims() == 0 ? 0 : std::ranges::max(shape_.dims())) {
   if (nports < 1) throw std::invalid_argument("MeshTopology: nports must be >= 1");
 }
 
@@ -79,6 +83,17 @@ void MeshTopology::append_path(NodeId src, NodeId dst,
     }
   }
   out.push_back(cur * rad + local_port());
+}
+
+int MeshTopology::channel_rank(sim::ChannelId c) const {
+  const int n = shape_.ndims();
+  const int router = c / radix();
+  const int port = c % radix();
+  if (port >= local_port()) return n * max_side_;
+  const int d = port / 2;
+  const int pos = (order_ == RouteOrder::kHighestFirst) ? n - 1 - d : d;
+  const int x = shape_.digit(router, d);
+  return pos * max_side_ + (port % 2 == 1 ? x : shape_.dim(d) - 1 - x);
 }
 
 std::string MeshTopology::channel_name(int router, int out_port) const {

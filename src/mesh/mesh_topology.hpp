@@ -56,6 +56,13 @@ class MeshTopology final : public sim::Topology {
   void append_path(NodeId src, NodeId dst,
                    std::vector<sim::ChannelId>& out) const override;
 
+  /// Dimension-order rank: the dimension's position in the route order
+  /// times the largest side, plus the coordinate along the travel
+  /// direction (x on a d+ channel, side-1-x on a d- channel); ejection
+  /// channels rank highest.  A route crosses its dimensions in route
+  /// order and moves one way along each, so its ranks ascend.
+  [[nodiscard]] int channel_rank(sim::ChannelId c) const override;
+
   /// The XY-routing path length (== Manhattan distance).
   [[nodiscard]] int path_hops(NodeId src, NodeId dst) const {
     return shape_.distance(src, dst);
@@ -67,6 +74,7 @@ class MeshTopology final : public sim::Topology {
   MeshShape shape_;
   RouteOrder order_;
   int nports_;
+  int max_side_;
 };
 
 /// Convenience factory for the paper's square 2-D meshes.

@@ -98,6 +98,18 @@ class Topology {
   /// Appends nothing when src == dst.
   virtual void append_path(NodeId src, NodeId dst, std::vector<ChannelId>& out) const;
 
+  /// Dally–Seitz channel numbering: a closed-form rank >= 0 under which
+  /// every deterministic route (append_path) visits strictly ascending
+  /// ranks, or -1 for "no rank" (the base class).  A set of strictly
+  /// ascending paths cannot close a channel-wait cycle, so the deadlock
+  /// check certifies such a set without building its dependency graph.
+  /// The rank is only that certificate: a missing or wrong rank can cost
+  /// the check its fast path, never change its verdict.
+  [[nodiscard]] virtual int channel_rank(ChannelId c) const {
+    (void)c;
+    return -1;
+  }
+
   [[nodiscard]] ChannelId channel_id(int router, int out_port) const {
     return router * radix() + out_port;
   }

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "analysis/rng.hpp"
 #include "analysis/sampling.hpp"
 #include "bmin/bmin_topology.hpp"
+#include "butterfly/butterfly_topology.hpp"
 #include "cli/options.hpp"
 #include "core/chain.hpp"
 #include "lint/lint.hpp"
@@ -557,6 +559,54 @@ TEST(LintDeadlock, PaperTopologiesAreAcyclic) {
       tree_for(McastAlgorithm::kOptMin, bp[0], rtm, 4096, nullptr, false, 0);
   EXPECT_TRUE(
       lint::lint_tree(btree, btopo, cfg, sim::SimConfig{}, 4096).deadlock_free);
+}
+
+TEST(LintDeadlock, ShippedRoutesAscendInChannelRank) {
+  // Every route of every shipped topology climbs its Dally–Seitz channel
+  // numbering, so the deadlock check certifies shipped schedules in one
+  // compare per hop (the fast path fires; the verdict would not change
+  // without it).  The closed-form append_path must also be the route the
+  // simulator walks.
+  std::vector<std::unique_ptr<sim::Topology>> topos;
+  for (const mesh::RouteOrder order :
+       {mesh::RouteOrder::kHighestFirst, mesh::RouteOrder::kLowestFirst})
+    topos.push_back(std::make_unique<mesh::MeshTopology>(MeshShape::square2d(8), order));
+  topos.push_back(std::make_unique<mesh::MeshTopology>(MeshShape({3, 4, 5})));
+  topos.push_back(std::make_unique<mesh::MeshTopology>(MeshShape::hypercube(6)));
+  topos.push_back(std::make_unique<mesh::MeshTopology>(
+      MeshShape::square2d(6), mesh::RouteOrder::kHighestFirst, 2));
+  for (const int n : {16, 64})
+    for (const bmin::UpPolicy policy :
+         {bmin::UpPolicy::kSourceAddress, bmin::UpPolicy::kDestAddress,
+          bmin::UpPolicy::kAdaptive, bmin::UpPolicy::kRandomHash})
+      topos.push_back(std::make_unique<bmin::BminTopology>(n, policy));
+  for (const int n : {16, 64})
+    topos.push_back(std::make_unique<butterfly::ButterflyTopology>(n));
+
+  long long routes = 0;
+  for (size_t t = 0; t < topos.size(); ++t) {
+    const sim::Topology& topo = *topos[t];
+    std::vector<sim::ChannelId> path;
+    for (NodeId src = 0; src < topo.num_nodes(); ++src)
+      for (NodeId dst = 0; dst < topo.num_nodes(); ++dst) {
+        if (src == dst) continue;
+        path.clear();
+        topo.append_path(src, dst, path);
+        ASSERT_EQ(path, sim::trace_path(topo, src, dst))
+            << "topology " << t << ": " << src << " -> " << dst;
+        int prev = -1;
+        for (const sim::ChannelId c : path) {
+          const int rank = topo.channel_rank(c);
+          ASSERT_GT(rank, prev) << "topology " << t << ": " << src << " -> " << dst
+                                << " descends at "
+                                << topo.channel_name(c / topo.radix(), c % topo.radix());
+          prev = rank;
+        }
+        ++routes;
+      }
+  }
+  EXPECT_EQ(routes, 2 * 64 * 63 + 60 * 59 + 64 * 63 + 36 * 35 +
+                        4 * (16 * 15 + 64 * 63) + 16 * 15 + 64 * 63);
 }
 
 // ---------------------------------------------------------------------------

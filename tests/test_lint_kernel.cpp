@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
+#include <span>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -288,6 +290,39 @@ TEST(LintKernel, SweepMatchesOnCleanAndEmptyInputs) {
   EXPECT_EQ(rep.max_channel_windows, 50);
 }
 
+/// N routers in a unidirectional ring, one node each.  Out-port 0 chases
+/// the ring, out-port 1 is the local ejection channel.  A ranked ring
+/// numbers each channel by its router, so a route ascends unless it
+/// wraps from router n-1 to router 0; an unranked one has no rank.
+class RingTopology final : public sim::Topology {
+ public:
+  explicit RingTopology(int n, bool ranked = false) : n_(n), ranked_(ranked) {}
+  [[nodiscard]] int num_routers() const override { return n_; }
+  [[nodiscard]] int radix() const override { return 2; }
+  [[nodiscard]] int num_nodes() const override { return n_; }
+  [[nodiscard]] sim::PortRef link(int router, int out_port) const override {
+    if (out_port != 0) return {};
+    return sim::PortRef{(router + 1) % n_, 0};
+  }
+  [[nodiscard]] sim::PortRef node_attach(NodeId n) const override {
+    return sim::PortRef{static_cast<int>(n), 1};
+  }
+  [[nodiscard]] NodeId ejector(int router, int out_port) const override {
+    return out_port == 1 ? router : kInvalidNode;
+  }
+  void route(int router, int /*in_port*/, NodeId /*src*/, NodeId dst,
+             std::vector<int>& candidates) const override {
+    candidates.push_back(router == dst ? 1 : 0);
+  }
+  [[nodiscard]] int channel_rank(sim::ChannelId c) const override {
+    return ranked_ ? c / radix() : -1;
+  }
+
+ private:
+  int n_;
+  bool ranked_;
+};
+
 /// Returns whether the graph has a loop.
 bool expect_same_cycle(const std::vector<std::pair<int, int>>& edges,
                        int num_channels) {
@@ -298,7 +333,7 @@ bool expect_same_cycle(const std::vector<std::pair<int, int>>& edges,
   std::vector<std::span<const sim::ChannelId>> paths(hops.begin(), hops.end());
   bool deadlock_free = true;
   std::vector<LintDiagnostic> diags;
-  lint::kernel::find_deadlock(paths, 64, deadlock_free, diags);
+  lint::kernel::find_deadlock(RingTopology(1), paths, 64, deadlock_free, diags);
   EXPECT_EQ(deadlock_free, want.empty());
   if (want.empty()) {
     EXPECT_TRUE(diags.empty());
@@ -343,33 +378,6 @@ TEST(LintKernel, DeadlockSearchMatchesDenseChannelDfs) {
       {{kBmin4096Channels - 1, 0}, {0, kBmin4096Channels - 1}}, kBmin4096Channels));
 }
 
-/// N routers in a unidirectional ring, one node each.  Out-port 0 chases
-/// the ring, out-port 1 is the local ejection channel.
-class RingTopology final : public sim::Topology {
- public:
-  explicit RingTopology(int n) : n_(n) {}
-  [[nodiscard]] int num_routers() const override { return n_; }
-  [[nodiscard]] int radix() const override { return 2; }
-  [[nodiscard]] int num_nodes() const override { return n_; }
-  [[nodiscard]] sim::PortRef link(int router, int out_port) const override {
-    if (out_port != 0) return {};
-    return sim::PortRef{(router + 1) % n_, 0};
-  }
-  [[nodiscard]] sim::PortRef node_attach(NodeId n) const override {
-    return sim::PortRef{static_cast<int>(n), 1};
-  }
-  [[nodiscard]] NodeId ejector(int router, int out_port) const override {
-    return out_port == 1 ? router : kInvalidNode;
-  }
-  void route(int router, int /*in_port*/, NodeId /*src*/, NodeId dst,
-             std::vector<int>& candidates) const override {
-    candidates.push_back(router == dst ? 1 : 0);
-  }
-
- private:
-  int n_;
-};
-
 TEST(LintKernel, RingDependencyLoopIsTheSameChannelLoop) {
   // Sequential chains around rings of 4 and 7 routers whose sends wrap
   // around: the union of their paths closes the ring's channel loop.
@@ -399,6 +407,108 @@ TEST(LintKernel, RingDependencyLoopIsTheSameChannelLoop) {
     EXPECT_EQ(rep.diagnostics.back().cycle,
               ref_dependency_cycle(edges, topo.num_channels()));
   }
+}
+
+/// Expects find_deadlock to report `want` (empty: no loop) on `topo`.
+void expect_cycle(const sim::Topology& topo,
+                  std::span<const std::span<const sim::ChannelId>> paths,
+                  const std::vector<sim::ChannelId>& want) {
+  bool deadlock_free = true;
+  std::vector<LintDiagnostic> diags;
+  lint::kernel::find_deadlock(topo, paths, 64, deadlock_free, diags);
+  EXPECT_EQ(deadlock_free, want.empty());
+  if (want.empty()) {
+    EXPECT_TRUE(diags.empty());
+    return;
+  }
+  ASSERT_EQ(diags.size(), 1U);
+  EXPECT_EQ(diags[0].kind, DiagKind::kDeadlock);
+  EXPECT_EQ(diags[0].cycle, want);
+}
+
+TEST(LintKernel, RankCertificateNeverChangesTheSearch) {
+  // A ranked ring numbers channels by router, so exactly the routes that
+  // wrap from router n-1 to router 0 descend.  Sets of routes that do not
+  // wrap are certified by their ranks alone; a set with a wrapping route
+  // falls back to the search, which must report exactly the dense DFS's
+  // loop (or none).  An unranked ring always searches, with the same
+  // outcome.
+  analysis::Rng rng(27);
+  int certified = 0;
+  int searched = 0;
+  int loops = 0;
+  for (const int n : {4, 7}) {
+    const RingTopology ranked(n, true);
+    const RingTopology rankless(n);
+    for (int round = 0; round < 60; ++round) {
+      std::vector<std::vector<sim::ChannelId>> routes;
+      bool wraps = false;
+      const int count = 1 + static_cast<int>(rng.below(static_cast<std::uint64_t>(2 * n)));
+      for (int r = 0; r < count; ++r) {
+        NodeId src = static_cast<NodeId>(rng.below(static_cast<std::uint64_t>(n)));
+        NodeId dst = static_cast<NodeId>(
+            (src + 1 + static_cast<NodeId>(rng.below(static_cast<std::uint64_t>(n - 1)))) % n);
+        // Even rounds never wrap; odd rounds wrap at least on their first route.
+        if ((round % 2 == 0 && src > dst) || (round % 2 == 1 && r == 0 && src < dst))
+          std::swap(src, dst);
+        wraps |= src > dst;
+        routes.push_back(sim::trace_path(ranked, src, dst));
+      }
+      const std::vector<std::span<const sim::ChannelId>> paths(routes.begin(),
+                                                               routes.end());
+      std::vector<std::pair<int, int>> edges;
+      for (const std::vector<sim::ChannelId>& p : routes)
+        for (std::size_t i = 0; i + 1 < p.size(); ++i) edges.emplace_back(p[i], p[i + 1]);
+      const std::vector<sim::ChannelId> want =
+          ref_dependency_cycle(edges, ranked.num_channels());
+
+      EXPECT_EQ(lint::kernel::ranks_ascend(ranked, paths), !wraps);
+      EXPECT_FALSE(lint::kernel::ranks_ascend(rankless, paths));
+      expect_cycle(ranked, paths, want);
+      expect_cycle(rankless, paths, want);
+      ++(wraps ? searched : certified);
+      loops += want.empty() ? 0 : 1;
+    }
+
+    // Whole schedules: a chain in ring order never wraps, a chain that
+    // strides by 3 does; lint_tree's verdict and loop do not depend on
+    // the rank.
+    for (const int stride : {1, 3}) {
+      MulticastTree tree;
+      tree.chain.nodes.resize(static_cast<std::size_t>(n));
+      for (int i = 0; i < n; ++i)
+        tree.chain.nodes[static_cast<std::size_t>(i)] = stride * i % n;
+      tree.chain.source_pos = 0;
+      tree.out.resize(static_cast<std::size_t>(n));
+      for (int i = 0; i + 1 < n; ++i) {
+        tree.sends.push_back(SendEvent{i, i + 1, 0, i + 1, n - 1});
+        tree.out[static_cast<std::size_t>(i)].push_back(i);
+      }
+      ASSERT_EQ(check_tree(tree), "");
+      const rt::RuntimeConfig cfg;
+      const lint::LintReport a = lint::lint_tree(tree, ranked, cfg, sim::SimConfig{}, 64);
+      const lint::LintReport b = lint::lint_tree(tree, rankless, cfg, sim::SimConfig{}, 64);
+      EXPECT_EQ(a.deadlock_free, stride == 1);
+      EXPECT_EQ(a.deadlock_free, b.deadlock_free);
+      ASSERT_EQ(a.diagnostics.size(), b.diagnostics.size());
+      for (std::size_t i = 0; i < a.diagnostics.size(); ++i) {
+        EXPECT_EQ(a.diagnostics[i].kind, b.diagnostics[i].kind);
+        EXPECT_EQ(a.diagnostics[i].cycle, b.diagnostics[i].cycle);
+      }
+    }
+  }
+  EXPECT_EQ(certified, 60);
+  EXPECT_EQ(searched, 60);
+  EXPECT_GE(loops, 10) << "wrapping rounds must close loops for the fallback to report";
+
+  // Equal ranks are not an ascent: channels 0 and 1 of a ranked ring
+  // both rank 0, and paths {0, 1} and {1, 0} close a two-channel loop.
+  const RingTopology ranked(4, true);
+  const std::array<sim::ChannelId, 2> up{0, 1};
+  const std::array<sim::ChannelId, 2> back{1, 0};
+  const std::array<std::span<const sim::ChannelId>, 2> tie{up, back};
+  EXPECT_FALSE(lint::kernel::ranks_ascend(ranked, tie));
+  expect_cycle(ranked, tie, {0, 1});
 }
 
 TEST(LintKernel, ReservationsStaySortedAndAdmitLikeAFlatList) {
