@@ -26,272 +26,197 @@ namespace pcm::cli {
 namespace {
 
 constexpr long long kMaxInt = std::numeric_limits<int>::max();
+constexpr long long kMaxInt64 = std::numeric_limits<long long>::max();
 
-using harness::parse_int;
 using harness::parse_uint_flag;
+
+/// The five modes of pcmcast/pcmlint, one bit each in a flag's mask.
+enum Mode { kOneShot, kStream, kLint, kLintForest, kLintStream };
+constexpr harness::ModeMask bit(Mode m) { return 1U << m; }
+constexpr harness::ModeMask kDynamic = bit(kOneShot) | bit(kStream);
+constexpr harness::ModeMask kStreams = bit(kStream) | bit(kLintStream);
+constexpr harness::ModeMask kNoForest = harness::kAnyMode & ~bit(kLintForest);
+
+int mode_of(const CliOptions& o) {
+  if (!o.lint) return o.stream > 0 ? kStream : kOneShot;
+  if (!o.forest.empty()) return kLintForest;
+  return o.stream > 0 ? kLintStream : kLint;
+}
 
 }  // namespace
 
-CliOptions parse_args(std::span<const std::string_view> args) {
-  CliOptions opt;
-  for (size_t i = 0; i < args.size(); ++i) {
-    const std::string_view a = args[i];
-    auto value = [&]() -> std::string_view {
-      // A following option is not a value: "--json --probe" is a missing
-      // path, not a file named "--probe".
-      if (i + 1 >= args.size() || args[i + 1].substr(0, 2) == "--")
-        throw std::invalid_argument("pcmcast: missing value for " + std::string(a));
-      return args[++i];
-    };
-    if (a == "--help" || a == "-h") {
-      opt.help = true;
-    } else if (a == "--topology") {
-      opt.topology = std::string(value());
-    } else if (a == "--algorithm") {
-      opt.algorithm = std::string(value());
-    } else if (a == "--nodes") {
-      opt.nodes = static_cast<int>(parse_uint_flag(a, value(), 2, kMaxInt));
-    } else if (a == "--bytes") {
-      opt.bytes = parse_int(a, value());
-    } else if (a == "--reps") {
-      opt.reps = static_cast<int>(parse_uint_flag(a, value(), 1, kMaxInt));
-    } else if (a == "--seed") {
-      opt.seed = static_cast<std::uint64_t>(parse_int(a, value()));
-    } else if (a == "--csv") {
-      opt.csv = std::string(value());
-    } else if (a == "--json") {
-      opt.json = std::string(value());
-    } else if (a == "--trace") {
-      opt.trace = std::string(value());
-    } else if (a == "--metrics") {
-      opt.metrics = true;
-    } else if (a == "--jobs" || a == "-j") {
-      opt.jobs = static_cast<int>(parse_uint_flag(a, value(), 0, 4096));
-    } else if (a == "--engine") {
-      const std::string_view v = value();
-      if (v == "cycle") {
-        opt.engine = sim::EngineKind::kCycle;
-      } else if (v == "event") {
-        opt.engine = sim::EngineKind::kEvent;
-      } else {
-        throw std::invalid_argument(
-            "pcmcast: --engine must be 'cycle' or 'event'");
-      }
-    } else if (a == "--faults") {
-      opt.faults = std::string(value());
-    } else if (a == "--max-retries") {
-      opt.max_retries = static_cast<int>(parse_uint_flag(a, value(), 0, 40));
-    } else if (a == "--source") {
-      opt.source = static_cast<int>(parse_uint_flag(a, value(), 0, kMaxInt));
-    } else if (a == "--dests") {
-      opt.dests = std::string(value());
-    } else if (a == "--forest") {
-      opt.forest = std::string(value());
-    } else if (a == "--offset-search") {
-      opt.offset_search = true;
-    } else if (a == "--stream") {
-      opt.stream = static_cast<int>(parse_uint_flag(a, value(), 1, 1 << 20));
-    } else if (a == "--window") {
-      opt.window = static_cast<int>(parse_uint_flag(a, value(), 1, 1 << 20));
-    } else if (a == "--heartbeat") {
-      opt.heartbeat = static_cast<Time>(parse_uint_flag(a, value(), 1, 1 << 30));
-    } else if (a == "--failover") {
-      opt.failover = true;
-    } else if (a == "--rejoin") {
-      opt.rejoin = true;
-    } else if (a == "--probe") {
-      opt.probe = true;
-    } else if (a == "--compare") {
-      opt.compare = true;
-    } else if (a == "--gantt") {
-      opt.gantt = true;
-    } else if (a == "--audit") {
-      opt.audit = true;
-    } else if (a == "--lint") {
-      opt.lint = true;
-    } else if (a == "--allow-partial") {
-      opt.allow_partial = true;
-    } else if (a == "--shuffle-chain") {
-      opt.shuffle_chain = true;
-    } else if (a == "--collective") {
-      opt.collective = std::string(value());
-    } else {
-      throw std::invalid_argument("pcmcast: unknown option '" + std::string(a) +
-                                  "' (try --help)");
-    }
-  }
-  if (!opt.help) {
-    if (!algorithm_from_name(opt.algorithm))
-      throw std::invalid_argument("pcmcast: unknown algorithm '" + opt.algorithm + "'");
-    if (opt.bytes < 0) throw std::invalid_argument("pcmcast: --bytes must be >= 0");
-    if (opt.collective != "multicast" && opt.collective != "reduce" &&
-        opt.collective != "barrier")
-      throw std::invalid_argument("pcmcast: --collective must be multicast, reduce, "
-                                  "or barrier");
-    if (!opt.faults.empty()) {
-      if (opt.collective != "multicast")
-        throw std::invalid_argument(
-            "pcmcast: --faults requires --collective multicast");
-      try {
-        (void)sim::FaultPlan::parse(opt.faults);
-      } catch (const std::exception& e) {
-        throw std::invalid_argument("pcmcast: bad --faults spec: " +
-                                    std::string(e.what()));
-      }
-    }
-    if ((opt.audit || opt.shuffle_chain) && opt.collective != "multicast")
-      throw std::invalid_argument(
-          "pcmcast: --audit/--shuffle-chain require --collective multicast");
-    if (opt.lint && opt.collective != "multicast")
-      throw std::invalid_argument("pcmcast: --lint requires --collective multicast");
-    if (opt.lint && !opt.faults.empty())
-      throw std::invalid_argument(
-          "pcmcast: --lint is a static analysis; it has no fault model "
-          "(drop --faults)");
-    if (opt.lint && opt.audit)
-      throw std::invalid_argument(
-          "pcmcast: pick one of --lint (static) and --audit (dynamic); the "
-          "equivalence tests run both separately");
-    if (opt.lint && (!opt.trace.empty() || opt.metrics))
-      throw std::invalid_argument(
-          "pcmcast: --lint simulates nothing, so there is no trace to record "
-          "(drop --trace/--metrics)");
-    if (opt.dests.empty() != (opt.source < 0))
-      throw std::invalid_argument(
-          "pcmcast: --source and --dests must be given together");
-    if (opt.window > 0 && opt.stream == 0)
-      throw std::invalid_argument(
-          "pcmcast: --window only applies to streams (add --stream N)");
-    if (opt.heartbeat > 0 && opt.stream == 0)
-      throw std::invalid_argument(
-          "pcmcast: --heartbeat only applies to streams (add --stream N)");
-    if ((opt.failover || opt.rejoin) && opt.heartbeat == 0)
-      throw std::invalid_argument(
-          "pcmcast: --failover/--rejoin need a failure detector "
-          "(add --heartbeat P)");
-    if (opt.stream > 0) {
-      // The static analyzer (lint_stream) accepts sampled placements and
-      // --compare; the dynamic stream driver keeps the stricter contract.
-      if (opt.dests.empty() && !opt.lint)
-        throw std::invalid_argument(
-            "pcmcast: --stream needs an explicit placement (--source and "
-            "--dests)");
-      if (opt.collective != "multicast")
-        throw std::invalid_argument(
-            "pcmcast: --stream requires --collective multicast");
-      if (opt.gantt || opt.shuffle_chain)
-        throw std::invalid_argument(
-            "pcmcast: --stream does not combine with "
-            "--gantt/--shuffle-chain");
-      if (opt.compare && !opt.lint)
-        throw std::invalid_argument(
-            "pcmcast: --stream does not combine with --compare "
-            "(pcmlint --stream --compare ranks the algorithms statically)");
-    }
-    if (opt.lint && (opt.heartbeat > 0 || opt.failover || opt.rejoin))
-      throw std::invalid_argument(
-          "pcmcast: --lint has no membership model (drop "
-          "--heartbeat/--failover/--rejoin)");
-    if (!opt.forest.empty()) {
-      if (!opt.lint)
-        throw std::invalid_argument(
-            "pcmcast: --forest is a static forest certification; add --lint "
-            "(or use pcmlint)");
-      if (opt.stream > 0)
-        throw std::invalid_argument(
-            "pcmcast: pick one of --forest (concurrent trees) and --stream "
-            "(one pipelined tree)");
-      if (!opt.dests.empty() || opt.compare || opt.shuffle_chain)
-        throw std::invalid_argument(
-            "pcmcast: --forest carries its own placements (drop "
-            "--source/--dests/--compare/--shuffle-chain)");
-    }
-    if (opt.offset_search && opt.forest.empty())
-      throw std::invalid_argument(
-          "pcmcast: --offset-search requires --forest");
-  }
-  return opt;
+harness::FlagTable<CliOptions> cli_flags(std::string_view tool) {
+  return {
+    .tool = std::string(tool),
+    .intro = tool == "pcmlint"
+                 ? "pcmlint — static contention and deadlock analysis of multicast\n"
+                   "schedules (pcmcast --lint; no flit is simulated)\n\n"
+                   "usage: pcmlint [options]\n"
+                 : "pcmcast — parameterized-model multicast experiments on a flit-level\n"
+                   "wormhole simulator (IPPS'97 reproduction)\n\n"
+                   "usage: pcmcast [options]\n",
+    .column = 19,
+    .mode_of = mode_of,
+    .mode_names = {"one-shot runs", "--stream", "--lint", "--lint --forest",
+                   "--lint --stream"},
+    .flags = {
+      {.name = "--topology", .metavar = "SPEC", .field = &CliOptions::topology,
+       .help = "mesh:S | hypercube:Q | bmin:N[:source|adaptive|dest|random]\n"
+               "| butterfly:N            (default mesh:16)"},
+      {.name = "--algorithm", .metavar = "NAME", .field = &CliOptions::algorithm,
+       .help = "opt-mesh | u-mesh | opt-min | u-min | opt-tree |\n"
+               "binomial | sequential    (default opt-mesh)"},
+      {.name = "--nodes", .metavar = "K", .field = &CliOptions::nodes, .lo = 2,
+       .hi = kMaxInt, .help = "multicast size incl. source (default 32)"},
+      {.name = "--bytes", .metavar = "B", .field = &CliOptions::bytes, .hi = kMaxInt64,
+       .help = "payload bytes (default 4096)"},
+      {.name = "--reps", .metavar = "R", .field = &CliOptions::reps, .lo = 1,
+       .hi = kMaxInt, .help = "random placements (default 16)"},
+      {.name = "--seed", .metavar = "S", .field = &CliOptions::seed,
+       .lo = std::numeric_limits<long long>::min(), .hi = kMaxInt64,
+       .help = "RNG seed (default 1997)"},
+      {.name = "--collective", .metavar = "KIND", .field = &CliOptions::collective,
+       .help = "multicast | reduce | barrier (default multicast)"},
+      {.name = "--compare", .field = &CliOptions::compare,
+       .modes = bit(kOneShot) | bit(kLint) | bit(kLintStream),
+       .help = "run every algorithm applicable to the topology"},
+      {.name = "--gantt", .field = &CliOptions::gantt,
+       .modes = bit(kOneShot) | bit(kLint) | bit(kLintForest),
+       .help = "print a message timeline for the first rep"},
+      {.name = "--faults", .metavar = "SPEC", .field = &CliOptions::faults,
+       .modes = kDynamic,
+       .help = "inject faults and run the fault-tolerant runtime;\n"
+               "clauses: link:R,P@C | linkup:R,P@C | node:N@C |\n"
+               "drop:RATE | corrupt:RATE | seed:S (';'-separated),\n"
+               "e.g. \"node:42@1500;drop:0.001\" (multicast only)"},
+      {.name = "--max-retries", .metavar = "N", .field = &CliOptions::max_retries,
+       .hi = 40,
+       .help = "retransmissions before a receiver is declared dead\n"
+               "(default 3; only meaningful with --faults)"},
+      {.name = "--allow-partial", .field = &CliOptions::allow_partial,
+       .help = "exit 0 even when a fault run loses destinations\n"
+               "(default: delivered < 100% exits 1)"},
+      {.name = "--audit", .field = &CliOptions::audit, .modes = kDynamic,
+       .help = "run under the invariant auditor (conservation,\n"
+               "channel exclusivity, Thm 1-2 contention freedom,\n"
+               "ack epochs); a violation prints and exits 3"},
+      {.name = "--lint", .field = &CliOptions::lint,
+       .help = "static analysis only: derive every schedule\n"
+               "symbolically and interval-check channel holds\n"
+               "(no flits simulated); diagnostics exit 1, or 3\n"
+               "when a Thm 1-2 guaranteed algorithm is flagged"},
+      {.name = "--forest", .metavar = "SPEC", .field = &CliOptions::forest,
+       .modes = bit(kLintForest),
+       .help = "(with --lint) certify N concurrent trees on a\n"
+               "shared channel timeline; SPEC is ';'-separated\n"
+               "members START:ALG:SRC:D1,D2,... — cross-tree\n"
+               "contention or deadlock names both sends, the\n"
+               "channel, and the overlap window (exit 1)"},
+      {.name = "--offset-search", .field = &CliOptions::offset_search,
+       .modes = bit(kLintForest),
+       .help = "(with --forest) ignore the members' START\n"
+               "values and compute each tree's earliest\n"
+               "contention-free start, admitting in spec order"},
+      {.name = "--source", .metavar = "N", .field = &CliOptions::source, .hi = kMaxInt,
+       .modes = kNoForest, .help = "explicit source node (requires --dests)"},
+      {.name = "--dests", .metavar = "A,B,...", .field = &CliOptions::dests,
+       .modes = kNoForest,
+       .help = "explicit destination list; replaces the sampled\n"
+               "placements (one rep) — chaos reproducers use this"},
+      {.name = "--stream", .metavar = "N", .field = &CliOptions::stream, .lo = 1,
+       .hi = 1 << 20, .modes = kStreams,
+       .help = "stream N back-to-back slots through one tree\n"
+               "(windowed pipelining; needs --source/--dests;\n"
+               "--faults switches on the reliable protocol with\n"
+               "epoch-based recovery); with --lint: derive the\n"
+               "schedule symbolically and report the exact\n"
+               "steady-state pipeline interval instead"},
+      {.name = "--window", .metavar = "W", .field = &CliOptions::window, .lo = 1,
+       .hi = 1 << 20, .modes = kStreams,
+       .help = "slot-ring capacity for --stream (default 8;\n"
+               "1 = stop-and-wait, matches one-shot runs)"},
+      {.name = "--heartbeat", .metavar = "P", .field = &CliOptions::heartbeat, .lo = 1,
+       .hi = 1 << 30, .modes = bit(kStream),
+       .help = "membership lease cadence in cycles for --stream:\n"
+               "a deterministic failure detector suspects, then\n"
+               "confirms, silent members as crashed or unreachable"},
+      {.name = "--failover", .field = &CliOptions::failover, .modes = bit(kStream),
+       .help = "on a confirmed source death elect a successor\n"
+               "(highest committed prefix, ties by node id) and\n"
+               "resume the stream (requires --heartbeat)"},
+      {.name = "--rejoin", .field = &CliOptions::rejoin, .modes = bit(kStream),
+       .help = "re-admit healed (previously partitioned) receivers\n"
+               "at the current epoch with delta catch-up of the\n"
+               "slots they missed (requires --heartbeat)"},
+      {.name = "--shuffle-chain", .field = &CliOptions::shuffle_chain,
+       .modes = bit(kOneShot) | bit(kLint),
+       .help = "self-test: split the --seed-shuffled caller-order\n"
+               "chain instead of the sorted one, deliberately\n"
+               "voiding the contention-freedom precondition"},
+      {.name = "--csv", .metavar = "PATH", .field = &CliOptions::csv,
+       .help = "also write per-rep results as CSV"},
+      {.name = "--json", .metavar = "PATH", .field = &CliOptions::json,
+       .help = "also write a machine-readable JSON report"},
+      {.name = "--trace", .metavar = "PATH", .field = &CliOptions::trace,
+       .modes = kDynamic,
+       .help = "record a flight-recorder trace of every run\n"
+               "(merged in placement order: bit-identical at\n"
+               "any --jobs and across engines); '.json' writes\n"
+               "Chrome trace-event JSON (Perfetto), anything\n"
+               "else the compact binary pcmtrace reads"},
+      {.name = "--metrics", .field = &CliOptions::metrics, .modes = kDynamic,
+       .help = "derive deterministic metrics (channel occupancy,\n"
+               "retry depth, failover latency, slots/kcycle)\n"
+               "from the trace and report them (no --trace needed)"},
+      {.name = "--engine", .metavar = "E", .field = &CliOptions::engine,
+       .help = "simulator kernel: cycle (reference) or event\n"
+               "(event-driven fast-forward; bit-identical\n"
+               "results, much faster on large topologies)"},
+      {.name = "--jobs", .alias = "-j", .metavar = "N", .field = &CliOptions::jobs,
+       .hi = 4096,
+       .help = "fan placements out over N threads\n"
+               "(0 = one per hardware thread, 1 = serial; default 0;\n"
+               "results are identical at any N)"},
+      {.name = "--probe", .field = &CliOptions::probe,
+       .help = "measure (t_hold, t_end) on the network first"},
+    }};
 }
 
-std::string usage() {
-  return "pcmcast — parameterized-model multicast experiments on a flit-level\n"
-         "wormhole simulator (IPPS'97 reproduction)\n\n"
-         "usage: pcmcast [options]\n"
-         "  --topology SPEC    mesh:S | hypercube:Q | bmin:N[:source|adaptive|dest|random]\n"
-         "                     | butterfly:N            (default mesh:16)\n"
-         "  --algorithm NAME   opt-mesh | u-mesh | opt-min | u-min | opt-tree |\n"
-         "                     binomial | sequential    (default opt-mesh)\n"
-         "  --nodes K          multicast size incl. source (default 32)\n"
-         "  --bytes B          payload bytes (default 4096)\n"
-         "  --reps R           random placements (default 16)\n"
-         "  --seed S           RNG seed (default 1997)\n"
-         "  --collective KIND  multicast | reduce | barrier (default multicast)\n"
-         "  --compare          run every algorithm applicable to the topology\n"
-         "  --gantt            print a message timeline for the first rep\n"
-         "  --faults SPEC      inject faults and run the fault-tolerant runtime;\n"
-         "                     clauses: link:R,P@C | linkup:R,P@C | node:N@C |\n"
-         "                     drop:RATE | corrupt:RATE | seed:S (';'-separated),\n"
-         "                     e.g. \"node:42@1500;drop:0.001\" (multicast only)\n"
-         "  --max-retries N    retransmissions before a receiver is declared dead\n"
-         "                     (default 3; only meaningful with --faults)\n"
-         "  --allow-partial    exit 0 even when a fault run loses destinations\n"
-         "                     (default: delivered < 100% exits 1)\n"
-         "  --audit            run under the invariant auditor (conservation,\n"
-         "                     channel exclusivity, Thm 1-2 contention freedom,\n"
-         "                     ack epochs); a violation prints and exits 3\n"
-         "  --lint             static analysis only: derive every schedule\n"
-         "                     symbolically and interval-check channel holds\n"
-         "                     (no flits simulated); diagnostics exit 1, or 3\n"
-         "                     when a Thm 1-2 guaranteed algorithm is flagged\n"
-         "  --forest SPEC      (with --lint) certify N concurrent trees on a\n"
-         "                     shared channel timeline; SPEC is ';'-separated\n"
-         "                     members START:ALG:SRC:D1,D2,... — cross-tree\n"
-         "                     contention or deadlock names both sends, the\n"
-         "                     channel, and the overlap window (exit 1)\n"
-         "  --offset-search    (with --forest) ignore the members' START\n"
-         "                     values and compute each tree's earliest\n"
-         "                     contention-free start, admitting in spec order\n"
-         "  --source N         explicit source node (requires --dests)\n"
-         "  --dests A,B,...    explicit destination list; replaces the sampled\n"
-         "                     placements (one rep) — chaos reproducers use this\n"
-         "  --stream N         stream N back-to-back slots through one tree\n"
-         "                     (windowed pipelining; needs --source/--dests;\n"
-         "                     --faults switches on the reliable protocol with\n"
-         "                     epoch-based recovery); with --lint: derive the\n"
-         "                     schedule symbolically and report the exact\n"
-         "                     steady-state pipeline interval instead\n"
-         "  --window W         slot-ring capacity for --stream (default 8;\n"
-         "                     1 = stop-and-wait, matches one-shot runs)\n"
-         "  --heartbeat P      membership lease cadence in cycles for --stream:\n"
-         "                     a deterministic failure detector suspects, then\n"
-         "                     confirms, silent members as crashed or unreachable\n"
-         "  --failover         on a confirmed source death elect a successor\n"
-         "                     (highest committed prefix, ties by node id) and\n"
-         "                     resume the stream (requires --heartbeat)\n"
-         "  --rejoin           re-admit healed (previously partitioned) receivers\n"
-         "                     at the current epoch with delta catch-up of the\n"
-         "                     slots they missed (requires --heartbeat)\n"
-         "  --shuffle-chain    self-test: split the --seed-shuffled caller-order\n"
-         "                     chain instead of the sorted one, deliberately\n"
-         "                     voiding the contention-freedom precondition\n"
-         "  --csv PATH         also write per-rep results as CSV\n"
-         "  --json PATH        also write a machine-readable JSON report\n"
-         "  --trace PATH       record a flight-recorder trace of every run\n"
-         "                     (merged in placement order: bit-identical at\n"
-         "                     any --jobs and across engines); '.json' writes\n"
-         "                     Chrome trace-event JSON (Perfetto), anything\n"
-         "                     else the compact binary pcmtrace reads\n"
-         "  --metrics          derive deterministic metrics (channel occupancy,\n"
-         "                     retry depth, failover latency, slots/kcycle)\n"
-         "                     from the trace and report them (no --trace needed)\n"
-         "  --engine E         simulator kernel: cycle (reference) or event\n"
-         "                     (event-driven fast-forward; bit-identical\n"
-         "                     results, much faster on large topologies)\n"
-         "  --jobs N           fan placements out over N threads\n"
-         "                     (0 = one per hardware thread, 1 = serial; default 0;\n"
-         "                     results are identical at any N)\n"
-         "  --probe            measure (t_hold, t_end) on the network first\n"
-         "  --help             this text\n";
+CliOptions parse_args(std::span<const std::string_view> args, std::string_view tool) {
+  CliOptions opt = harness::parse_flags(cli_flags(tool), args);
+  if (opt.help) return opt;
+  const auto fail = [&](const std::string& what) { return harness::usage_error(tool, what); };
+  if (!algorithm_from_name(opt.algorithm))
+    throw fail("unknown algorithm '" + opt.algorithm + "'");
+  if (opt.collective != "multicast") {
+    if (opt.collective != "reduce" && opt.collective != "barrier")
+      throw fail("--collective must be multicast, reduce, or barrier");
+    // Reduce and barrier run one-shot, fault-free and unaudited.
+    const std::pair<bool, const char*> multicast_only[] = {
+        {opt.lint, "--lint"},
+        {opt.stream > 0, "--stream"},
+        {!opt.faults.empty(), "--faults"},
+        {opt.audit, "--audit"},
+        {opt.shuffle_chain, "--shuffle-chain"}};
+    for (const auto& [set, flag] : multicast_only)
+      if (set) throw fail(std::string(flag) + " requires --collective multicast");
+  }
+  if (!opt.faults.empty()) {
+    try {
+      (void)sim::FaultPlan::parse(opt.faults);
+    } catch (const std::exception& e) {
+      throw fail("bad --faults spec: " + std::string(e.what()));
+    }
+  }
+  if (opt.dests.empty() != (opt.source < 0))
+    throw fail("--source and --dests must be given together");
+  if ((opt.failover || opt.rejoin) && opt.heartbeat == 0)
+    throw fail("--failover/--rejoin need a failure detector (add --heartbeat P)");
+  // The static analyzer (lint_stream) samples placements; the dynamic
+  // stream driver needs one explicit placement.
+  if (opt.stream > 0 && !opt.lint && opt.dests.empty())
+    throw fail("--stream needs an explicit placement (--source and --dests)");
+  return opt;
 }
 
 namespace {
@@ -558,7 +483,7 @@ int run_cli(const CliOptions& opt, std::ostream& os) {
 
 int run_cli(const CliOptions& opt, std::ostream& os, std::ostream& err) {
   if (opt.help) {
-    os << usage();
+    os << harness::flag_usage(cli_flags());
     return 0;
   }
   if (opt.lint) return run_lint_cli(opt, os);
@@ -916,7 +841,7 @@ int run_lint_stream_cli(const CliOptions& opt, std::ostream& os) {
 
 int run_lint_cli(const CliOptions& opt, std::ostream& os) {
   if (opt.help) {
-    os << usage();
+    os << harness::flag_usage(cli_flags("pcmlint"));
     return 0;
   }
   if (!opt.forest.empty()) return run_lint_forest_cli(opt, os);

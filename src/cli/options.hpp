@@ -1,11 +1,15 @@
-// Command-line surface of the `pcmcast` tool: run any multicast
-// experiment the library supports without writing C++.
+// Command-line surface of the `pcmcast` and `pcmlint` tools: run any
+// multicast experiment the library supports without writing C++.
 //
 //   pcmcast --topology mesh:16 --algorithm opt-mesh --nodes 32
 //           --bytes 4096 --reps 16 --seed 1997 [--csv out.csv] [--probe]
 //
+// Every flag is a row of cli_flags(): its value kind and range, the
+// modes it applies in (one-shot, --stream, --lint, --lint --forest,
+// --lint --stream) and its --help text.  harness::parse_flags parses the
+// table; parse_args adds the checks that relate flags to each other.
 // Kept as a library so the parsing and the experiment driver are unit
-// testable; the binary in tools/ is a thin main().
+// testable; the binaries in tools/ are thin main()s.
 #pragma once
 
 #include <iosfwd>
@@ -14,6 +18,7 @@
 #include <string_view>
 
 #include "core/algorithms.hpp"
+#include "harness/flags.hpp"
 #include "harness/spec.hpp"
 #include "sim/simulator.hpp"
 
@@ -60,18 +65,20 @@ struct CliOptions {
   bool help = false;
 };
 
+/// The flag table of pcmcast, or of pcmlint when `tool` is "pcmlint"
+/// (same flags; its errors and --help name pcmlint).
+harness::FlagTable<CliOptions> cli_flags(std::string_view tool = "pcmcast");
+
 /// Parses argv-style arguments (excluding argv[0]).  Throws
-/// std::invalid_argument with a user-facing message on bad input.
-CliOptions parse_args(std::span<const std::string_view> args);
+/// std::invalid_argument "<tool>: <what>" on bad input.
+CliOptions parse_args(std::span<const std::string_view> args,
+                      std::string_view tool = "pcmcast");
 
 // The spec parsers live in harness/spec.hpp, shared with the chaos
 // harness; re-exported here as part of the CLI surface.
 using harness::algorithm_from_name;
 using harness::make_topology;
 using harness::mesh_shape_of;
-
-/// Usage text.
-std::string usage();
 
 /// Runs the experiment described by `opt` and writes the report to `os`;
 /// diagnostics that must not pollute machine-readable stdout (a trace

@@ -17,84 +17,57 @@
 
 namespace pcm::harness {
 
-Options parse_options(std::span<const char* const> args, std::string_view tool) {
-  const auto fail = [&](const std::string& what) {
-    return std::invalid_argument(std::string(tool) + ": " + what);
-  };
-  Options opt;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string_view a = args[i];
-    auto value = [&]() -> std::string_view {
-      if (i + 1 >= args.size()) throw fail("missing value for " + std::string(a));
-      return args[++i];
-    };
-    if (a == "--help" || a == "-h") {
-      opt.help = true;
-    } else if (a == "--jobs" || a == "-j") {
+FlagTable<Options> bench_flags(const std::string& bench_name) {
+  return {
+    .tool = bench_name,
+    .intro = bench_name + " — IPPS'97 multicast experiment (see EXPERIMENTS.md)\n\n" +
+             "usage: " + bench_name + " [options]\n",
+    .outro = "\nEvery simulated run goes through one fan-out that honours --engine\n"
+             "and --trace, except in four benches with loops of their own:\n"
+             "bench_scale and bench_lint time the engines serially, bench_chaos\n"
+             "runs pcmchaos's audited sweep, and bench_micro is a Google\n"
+             "Benchmark binary.\n",
+    .column = 13,
+    .flags = {
       // The cap pcmcast and pcmchaos use: every job is a thread.
-      opt.jobs = static_cast<int>(parse_uint_flag(a, value(), 1, 4096, tool));
-    } else if (a == "--json") {
-      opt.json_path = std::string(value());
-      if (opt.json_path.empty() || opt.json_path.substr(0, 2) == "--")
-        throw fail("--json expects a file path");
-    } else if (a == "--engine") {
-      const std::string_view v = value();
-      if (v == "cycle") {
-        opt.engine = sim::EngineKind::kCycle;
-      } else if (v == "event") {
-        opt.engine = sim::EngineKind::kEvent;
-      } else {
-        throw fail("--engine expects 'cycle' or 'event', got '" + std::string(v) + "'");
-      }
-    } else if (a == "--faults") {
-      opt.faults = std::string(value());
-      try {
-        (void)sim::FaultPlan::parse(opt.faults);
-      } catch (const std::exception& e) {
-        throw fail("bad --faults spec: " + std::string(e.what()));
-      }
-    } else if (a == "--trace") {
-      opt.trace_path = std::string(value());
-      if (opt.trace_path.empty() || opt.trace_path.substr(0, 2) == "--")
-        throw fail("--trace expects a file path");
-    } else if (a == "--metrics") {
-      opt.metrics = true;
-    } else {
-      throw fail("unknown option '" + std::string(a) + "' (try --help)");
+      {.name = "--jobs", .alias = "-j", .metavar = "N", .field = &Options::jobs, .lo = 1,
+       .hi = 4096,
+       .help = "worker threads for the placement sweep\n"
+               "(default: one per hardware thread; 1 = serial;\n"
+               "results are bit-identical at any job count)"},
+      {.name = "--json", .metavar = "FILE", .field = &Options::json_path, .lo = 1,
+       .help = "also write tables + wall-clock as JSON"},
+      {.name = "--engine", .metavar = "E", .field = &Options::engine,
+       .help = "simulator kernel: 'cycle' (reference) or 'event'\n"
+               "(hybrid event-driven fast-forward; bit-identical\n"
+               "results, much faster on large topologies)"},
+      {.name = "--faults", .metavar = "SPEC", .field = &Options::faults, .lo = 1,
+       .help = "fault plan for fault-aware benches (clauses\n"
+               "link:R,P@C | node:N@C | drop:RATE | corrupt:RATE |\n"
+               "seed:S, ';'-separated); others ignore it"},
+      {.name = "--trace", .metavar = "FILE", .field = &Options::trace_path, .lo = 1,
+       .help = "flight-recorder trace of every run (merged in\n"
+               "placement order; bit-identical at any --jobs and\n"
+               "across engines).  '.json' = Chrome trace-event\n"
+               "JSON (Perfetto), else compact binary (pcmtrace)"},
+      {.name = "--metrics", .field = &Options::metrics,
+       .help = "derive deterministic metrics (occupancy, retry\n"
+               "depth, span histograms) from the trace and report\n"
+               "them (works without --trace)"},
+    }};
+}
+
+Options parse_options(std::span<const char* const> args, std::string_view tool) {
+  const std::vector<std::string_view> views(args.begin(), args.end());
+  Options opt = parse_flags(bench_flags(std::string(tool)), views);
+  if (!opt.faults.empty()) {
+    try {
+      (void)sim::FaultPlan::parse(opt.faults);
+    } catch (const std::exception& e) {
+      throw usage_error(tool, "bad --faults spec: " + std::string(e.what()));
     }
   }
   return opt;
-}
-
-std::string bench_usage(const std::string& bench_name) {
-  return bench_name +
-         " — IPPS'97 multicast experiment (see EXPERIMENTS.md)\n\n"
-         "usage: " +
-         bench_name +
-         " [options]\n"
-         "  --jobs N     worker threads for the placement sweep\n"
-         "               (default: one per hardware thread; 1 = serial;\n"
-         "               results are bit-identical at any job count)\n"
-         "  --json FILE  also write tables + wall-clock as JSON\n"
-         "  --engine E   simulator kernel: 'cycle' (reference) or 'event'\n"
-         "               (hybrid event-driven fast-forward; bit-identical\n"
-         "               results, much faster on large topologies)\n"
-         "  --faults SPEC  fault plan for fault-aware benches (clauses\n"
-         "               link:R,P@C | node:N@C | drop:RATE | corrupt:RATE |\n"
-         "               seed:S, ';'-separated); others ignore it\n"
-         "  --trace FILE flight-recorder trace of every run (merged in\n"
-         "               placement order; bit-identical at any --jobs and\n"
-         "               across engines).  '.json' = Chrome trace-event\n"
-         "               JSON (Perfetto), else compact binary (pcmtrace)\n"
-         "  --metrics    derive deterministic metrics (occupancy, retry\n"
-         "               depth, span histograms) from the trace and report\n"
-         "               them (works without --trace)\n"
-         "  --help       this text\n\n"
-         "Every simulated run goes through one fan-out that honours --engine\n"
-         "and --trace, except in four benches with loops of their own:\n"
-         "bench_scale and bench_lint time the engines serially, bench_chaos\n"
-         "runs pcmchaos's audited sweep, and bench_micro is a Google\n"
-         "Benchmark binary.\n";
 }
 
 // --- JsonReport ---------------------------------------------------------
@@ -309,7 +282,7 @@ Options parse_or_exit(const std::string& bench_name, int argc, char** argv) {
     const Options opt = parse_options(
         std::span<const char* const>(argv + 1, argv + argc), bench_name);
     if (opt.help) {
-      std::cout << bench_usage(bench_name);
+      std::cout << flag_usage(bench_flags(bench_name));
       std::exit(0);
     }
     // Fail fast: the report and the trace are written at exit, far too

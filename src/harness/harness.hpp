@@ -13,7 +13,9 @@
 // and, where randomness is needed, its own RNG substream — so results are
 // bit-identical at any job count.  With
 // `--json FILE` each bench also emits a machine-readable report (tables
-// + wall-clock) for tracking the perf trajectory across commits.
+// + wall-clock) for tracking the perf trajectory across commits.  The
+// bench flags are one harness::FlagTable (bench_flags), parsed and
+// printed by the same code as every other tool's (harness/flags.hpp).
 #pragma once
 
 #include <chrono>
@@ -31,6 +33,7 @@
 #include "analysis/stats.hpp"
 #include "analysis/table.hpp"
 #include "core/algorithms.hpp"
+#include "harness/flags.hpp"
 #include "harness/substream.hpp"
 #include "harness/thread_pool.hpp"
 #include "obs/recorder.hpp"
@@ -49,7 +52,7 @@ struct Point {
   double mean_conflicts = 0;    ///< mean head-blocked cycles per run
 };
 
-/// Command-line surface shared by every bench binary.
+/// Command-line surface shared by every bench binary (see bench_flags).
 struct Options {
   int jobs = 0;           ///< --jobs N; 0 = one per hardware thread
   std::string json_path;  ///< --json FILE; empty = no JSON report
@@ -69,13 +72,15 @@ struct Options {
 /// Canonical spelling for reports ("cycle" / "event").
 std::string engine_name(sim::EngineKind engine);
 
-/// Parses bench arguments (excluding argv[0]); throws
-/// std::invalid_argument "<tool>: <what>" on unknown options or bad values.
+/// The flag table every bench binary parses; `bench_name` prefixes its
+/// errors and heads its --help text.
+FlagTable<Options> bench_flags(const std::string& bench_name);
+
+/// Parses bench arguments (excluding argv[0]) against bench_flags(tool),
+/// then validates the --faults spec; throws std::invalid_argument
+/// "<tool>: <what>" on unknown options or bad values.
 Options parse_options(std::span<const char* const> args,
                       std::string_view tool = "bench");
-
-/// Usage text for a bench binary.
-std::string bench_usage(const std::string& bench_name);
 
 /// Machine-readable result sink: named tables plus run metadata,
 /// serialized as JSON (no external dependencies).

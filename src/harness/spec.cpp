@@ -13,19 +13,13 @@
 
 namespace pcm::harness {
 
-long long parse_int(std::string_view key, std::string_view value,
-                    std::string_view tool) {
+long long parse_uint_flag(std::string_view flag, std::string_view value,
+                          long long lo, long long hi, std::string_view tool) {
   long long out = 0;
   const auto [ptr, ec] = std::from_chars(value.data(), value.data() + value.size(), out);
   if (ec != std::errc{} || ptr != value.data() + value.size())
-    throw std::invalid_argument(std::string(tool) + ": " + std::string(key) +
+    throw std::invalid_argument(std::string(tool) + ": " + std::string(flag) +
                                 " expects an integer, got '" + std::string(value) + "'");
-  return out;
-}
-
-long long parse_uint_flag(std::string_view flag, std::string_view value,
-                          long long lo, long long hi, std::string_view tool) {
-  const long long out = parse_int(flag, value, tool);
   if (out < lo || out > hi)
     throw std::invalid_argument(std::string(tool) + ": " + std::string(flag) +
                                 " must be in [" + std::to_string(lo) + ", " +

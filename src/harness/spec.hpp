@@ -1,7 +1,7 @@
 // Spec strings shared by every command-line surface: topology specs
 // ("mesh:16", "bmin:32:adaptive", ...), algorithm names ("opt-mesh", ...)
-// and range-checked integer fields.  pcmcast/pcmlint parse their flags
-// with these, and the chaos harness builds its scenario topologies and
+// and range-checked integer fields.  Every tool's integer flags parse
+// with parse_uint_flag (harness/flags.hpp), and the chaos harness builds its scenario topologies and
 // writes its `pcmcast` reproducers with the same functions, so a
 // reproducer names exactly the topology and algorithm it ran.
 #pragma once
@@ -16,13 +16,9 @@
 
 namespace pcm::harness {
 
-/// Parses a whole-string base-10 integer; throws std::invalid_argument
-/// "<tool>: <key> expects an integer ..." otherwise.
-long long parse_int(std::string_view key, std::string_view value,
-                    std::string_view tool = "pcmcast");
-
-/// parse_int plus a range check: every range-checked integer fails the
-/// same way, with a message naming `flag` and the accepted [lo, hi].
+/// Parses a whole-string base-10 integer in [lo, hi]: every integer flag
+/// and spec field fails the same way, with a std::invalid_argument
+/// naming `flag` and either "expects an integer" or the accepted range.
 long long parse_uint_flag(std::string_view flag, std::string_view value,
                           long long lo, long long hi,
                           std::string_view tool = "pcmcast");

@@ -109,6 +109,26 @@ TEST(CliParse, HelpSkipsValidation) {
   EXPECT_TRUE(o.help);
 }
 
+TEST(CliParse, PcmlintNamesItself) {
+  // pcmlint parses pcmcast's flags under its own name: every usage error
+  // and its --help say pcmlint.
+  for (const std::vector<std::string_view>& args :
+       {sv({"--lint", "--bogus"}), sv({"--lint", "--audit"}), sv({"--lint", "--nodes"}),
+        sv({"--lint", "--algorithm", "magic"})}) {
+    try {
+      (void)parse_args(args, "pcmlint");
+      ADD_FAILURE() << args.back() << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_TRUE(std::string(e.what()).starts_with("pcmlint: ")) << e.what();
+    }
+  }
+  const CliOptions o = parse_args(sv({"--lint", "--help"}), "pcmlint");
+  std::ostringstream os;
+  EXPECT_EQ(run_lint_cli(o, os), 0);
+  EXPECT_NE(os.str().find("usage: pcmlint [options]"), std::string::npos) << os.str();
+  EXPECT_EQ(os.str().find("pcmcast ["), std::string::npos) << os.str();
+}
+
 TEST(CliAlgorithms, NamesRoundTrip) {
   for (McastAlgorithm a : {McastAlgorithm::kOptMesh, McastAlgorithm::kUMesh,
                            McastAlgorithm::kOptMin, McastAlgorithm::kUMin,

@@ -493,5 +493,28 @@ TEST(PcmtraceCli, IntegerFlagsAreRangeCheckedAndLimitIsExact) {
   }
 }
 
+TEST(PcmtraceCli, CommandsRejectFlagsTheyDoNotTake) {
+  // dump takes --msg/--channel/--cycle-range/--limit, stats takes --json,
+  // diff takes no flags; any other flag is a usage error, and a value
+  // never starts with "--".
+  TempPath tmp("pcmtrace_flags");
+  const std::vector<TraceEvent> evs = {make_event(EventKind::kPost, 10, 0)};
+  write_trace(tmp.path, evs, 0);
+  const std::string& f = tmp.path;
+  TempPath json("pcmtrace_flags_json");
+  for (const std::string& args :
+       {"dump " + f + " --json " + json.path, "diff " + f + " " + f + " --msg 3",
+        "stats " + f + " --cycle-range 0:5", "stats " + f + " --limit 1",
+        "diff " + f + " " + f + " --json " + json.path, "stats " + f + " --json --limit"})
+    EXPECT_EQ(pcmtrace(args).exit_code, 2) << args;
+  EXPECT_FALSE(std::filesystem::exists(json.path));
+  EXPECT_EQ(pcmtrace("dump " + f + " --msg 0 --channel 1,2 --cycle-range 0:5 --limit 1")
+                .exit_code,
+            0);
+  EXPECT_EQ(pcmtrace("diff " + f + " " + f).exit_code, 0);
+  EXPECT_EQ(pcmtrace("stats " + f + " --json " + json.path).exit_code, 0);
+  EXPECT_TRUE(std::filesystem::exists(json.path));
+}
+
 }  // namespace
 }  // namespace pcm::obs

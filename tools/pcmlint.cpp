@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   std::vector<std::string_view> args{"--lint"};
   args.insert(args.end(), argv + 1, argv + argc);
   try {
-    pcm::cli::CliOptions opt = pcm::cli::parse_args(args);
+    const pcm::cli::CliOptions opt = pcm::cli::parse_args(args, "pcmlint");
     return pcm::cli::run_lint_cli(opt, std::cout);
   } catch (const std::exception& e) {
     std::cerr << e.what() << "\n";
