@@ -103,6 +103,8 @@ using obs::TraceEvent;
 enum TraceCommand { kDump, kDiff, kStats };
 constexpr std::string_view kTraceCommands[] = {"dump", "diff", "stats"};
 
+/// The command `o` runs, which is its mode; a missing or unknown command
+/// or a wrong number of trace files is a usage error.
 int trace_command(const TraceOptions& o) {
   for (const TraceCommand c : {kDump, kDiff, kStats}) {
     if (o.operands.empty() || o.operands[0] != kTraceCommands[c]) continue;
