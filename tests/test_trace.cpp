@@ -8,12 +8,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
+#include <initializer_list>
+#include <utility>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "analysis/sampling.hpp"
 #include "bmin/bmin_topology.hpp"
+#include "harness/spec.hpp"
 #include "mesh/mesh_topology.hpp"
 #include "obs/export.hpp"
 #include "obs/recorder.hpp"
@@ -41,8 +46,9 @@ sim::Message mk(NodeId src, NodeId dst, int flits, Time ready = 0) {
 /// One simulator whose hooks feed an unbounded recorder, chained to an
 /// auditor that enforces channel exclusivity on every event.
 struct Traced {
-  Traced(const sim::Topology& topo, sim::EngineKind engine)
-      : sim(topo, sim::SimConfig{.engine = engine}), audit(topo) {
+  Traced(const sim::Topology& topo, sim::EngineKind engine,
+         verify::AuditConfig audit_cfg = {})
+      : sim(topo, sim::SimConfig{.engine = engine}), audit(topo, std::move(audit_cfg)) {
     rec.chain(&audit);
     sim.set_observer(&rec);
   }
@@ -64,6 +70,30 @@ std::vector<TraceEvent> of_kind(const std::vector<TraceEvent>& events, EventKind
                        [k](const TraceEvent& ev) { return ev.event_kind() == k; });
   return out;
 }
+
+/// One cycle a head spent blocked: (cycle, router, in_port, msg).
+using BlockedCycle = std::array<std::int64_t, 4>;
+
+/// Every head-blocked cycle of one run's trace, sorted.
+std::vector<BlockedCycle> blocked_cycles(const std::vector<TraceEvent>& events) {
+  std::vector<BlockedCycle> out;
+  for (const TraceEvent& ev : events)
+    if (ev.event_kind() == EventKind::kBlocked) out.push_back({ev.cycle, ev.a, ev.b, ev.c});
+  std::ranges::sort(out);
+  return out;
+}
+
+/// FNV-1a over the tuples' little-endian bytes, continuing from `h`.
+std::uint64_t fnv(std::uint64_t h, const std::vector<BlockedCycle>& tuples) {
+  for (const BlockedCycle& t : tuples)
+    for (const std::int64_t v : t)
+      for (int i = 0; i < 8; ++i) {
+        h ^= (static_cast<std::uint64_t>(v) >> (8 * i)) & 0xff;
+        h *= 0x100000001b3ULL;
+      }
+  return h;
+}
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
 
 /// "" when every reservation lies on its message's deterministic routing
 /// path (first routing candidate), else a diagnostic.
@@ -132,6 +162,67 @@ TEST(Trace, BlockedHeadsAreRecorded) {
     // The blocked head waits out a streaming worm, so the steady-state
     // leap skips cycles and must replay their on_blocked calls.
     EXPECT_GT(t.sim.leaps(), 0);
+  }
+}
+
+// Every head-blocked cycle, pinned by hash on three contended workloads:
+// a reduced Figure 2 OPT-Tree sweep, OPT-Tree on a BMIN under source,
+// adaptive and random-hash up routing, and a fault run whose waiting worm
+// is purged when its sender dies.  Both engines must reproduce each hash.
+TEST(Trace, BlockedCyclesArePinned) {
+  /// Runs OPT-Tree on each placement and size; returns the chained hash.
+  const auto sweep = [](const sim::Topology& topo, sim::EngineKind engine,
+                        const std::vector<analysis::Placement>& placements,
+                        std::initializer_list<Bytes> sizes) {
+    rt::MulticastRuntime rtm(rt::RuntimeConfig{});
+    std::uint64_t h = kFnvBasis;
+    long long n = 0;
+    for (const Bytes size : sizes) {
+      for (const auto& p : placements) {
+        Traced t(topo, engine);
+        rtm.run_algorithm(t.sim, McastAlgorithm::kOptTree, p.source, p.dests, size,
+                          harness::mesh_shape_of(topo));
+        t.audit.finalize(t.sim);
+        const auto cycles = blocked_cycles(t.rec.snapshot());
+        EXPECT_EQ(static_cast<long long>(cycles.size()), t.sim.stats().channel_conflicts);
+        n += static_cast<long long>(cycles.size());
+        h = fnv(h, cycles);
+      }
+    }
+    EXPECT_GT(n, 0);
+    return h;
+  };
+  for (const sim::EngineKind engine : kEngines) {
+    SCOPED_TRACE(engine_name(engine));
+    const auto mesh16 = mesh::make_mesh2d(16);
+    EXPECT_EQ(sweep(*mesh16, engine, analysis::sample_placements(1997, 256, 32, 4),
+                    {0, 8192, 32768}),
+              0x915af93bf3d45f15ULL);
+    const std::pair<bmin::UpPolicy, std::uint64_t> bmins[] = {
+        {bmin::UpPolicy::kSourceAddress, 0xbc020c3552cc8233ULL},
+        {bmin::UpPolicy::kAdaptive, 0xbc020c3552cc8233ULL},
+        {bmin::UpPolicy::kRandomHash, 0xf07d67eff32481ddULL}};
+    for (const auto& [policy, pinned] : bmins) {
+      const auto topo = bmin::make_bmin(64, policy);
+      EXPECT_EQ(sweep(*topo, engine, analysis::sample_placements(7, 64, 48, 3), {16384}),
+                pinned);
+    }
+
+    const auto mesh4 = mesh::make_mesh2d(4);
+    const MeshShape& s = mesh4->shape();
+    verify::AuditConfig cfg;
+    cfg.plan_known = true;
+    cfg.plan.node_events.push_back({20, s.node_at({0, 0})});
+    Traced t(*mesh4, engine, cfg);
+    t.sim.set_fault_plan(cfg.plan);
+    t.sim.post(mk(s.node_at({0, 0}), s.node_at({0, 3}), 32));
+    t.sim.post(mk(s.node_at({0, 1}), s.node_at({1, 3}), 32));
+    const auto cycles = blocked_cycles(t.run());
+    // Message 0 waits until its sender dies at cycle 20 and it is purged.
+    EXPECT_EQ(t.sim.messages().at(0).dropped, 20);
+    ASSERT_FALSE(cycles.empty());
+    EXPECT_EQ(cycles.back(), (BlockedCycle{19, cycles.back()[1], cycles.back()[2], 0}));
+    EXPECT_EQ(fnv(kFnvBasis, cycles), 0x5d5c9d761dcde6a4ULL);
   }
 }
 
