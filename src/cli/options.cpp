@@ -223,10 +223,10 @@ namespace {
 
 /// Explicit --source/--dests placement (one rep) or --seed-sampled ones;
 /// shared by the dynamic (run_cli) and static (run_lint_cli) drivers.
-std::vector<analysis::Placement> make_placements(const CliOptions& opt,
-                                                 const sim::Topology& topo) {
+std::vector<analysis::Placement> make_placements(const CliOptions& opt, const sim::Topology& topo,
+                                                 std::string_view tool = "pcmcast") {
   if (opt.dests.empty() && opt.nodes > topo.num_nodes())
-    throw std::invalid_argument("pcmcast: --nodes exceeds topology size");
+    throw harness::usage_error(tool, "--nodes exceeds topology size");
   std::vector<analysis::Placement> placements;
   if (!opt.dests.empty()) {
     // Explicit placement (chaos reproducers): one rep, exactly as given.
@@ -235,13 +235,13 @@ std::vector<analysis::Placement> make_placements(const CliOptions& opt,
     std::istringstream is(opt.dests);
     std::string tok;
     while (std::getline(is, tok, ','))
-      p.dests.push_back(static_cast<NodeId>(parse_uint_flag("--dests", tok, 0, kMaxInt)));
-    if (p.dests.empty()) throw std::invalid_argument("pcmcast: empty --dests list");
+      p.dests.push_back(static_cast<NodeId>(parse_uint_flag("--dests", tok, 0, kMaxInt, tool)));
+    if (p.dests.empty()) throw harness::usage_error(tool, "empty --dests list");
     if (p.source < 0 || p.source >= topo.num_nodes())
-      throw std::invalid_argument("pcmcast: --source outside the topology");
+      throw harness::usage_error(tool, "--source outside the topology");
     for (const NodeId d : p.dests)
       if (d >= topo.num_nodes())
-        throw std::invalid_argument("pcmcast: --dests node outside the topology");
+        throw harness::usage_error(tool, "--dests node outside the topology");
     placements.push_back(std::move(p));
     return placements;
   }
@@ -250,8 +250,8 @@ std::vector<analysis::Placement> make_placements(const CliOptions& opt,
 }
 
 /// --compare expands to every algorithm applicable to the topology.
-std::vector<McastAlgorithm> select_algorithms(const CliOptions& opt,
-                                              const MeshShape* shape) {
+std::vector<McastAlgorithm> select_algorithms(const CliOptions& opt, const MeshShape* shape,
+                                              std::string_view tool = "pcmcast") {
   if (opt.compare) {
     if (shape != nullptr)
       return {McastAlgorithm::kOptMesh, McastAlgorithm::kUMesh,
@@ -263,8 +263,7 @@ std::vector<McastAlgorithm> select_algorithms(const CliOptions& opt,
   }
   const auto alg = algorithm_from_name(opt.algorithm);
   if (needs_mesh_shape(*alg) && shape == nullptr)
-    throw std::invalid_argument("pcmcast: " + opt.algorithm +
-                                " requires a mesh/hypercube topology");
+    throw harness::usage_error(tool, opt.algorithm + " requires a mesh/hypercube topology");
   return {*alg};
 }
 
@@ -293,9 +292,10 @@ verify::PlacementRun placement_run(const CliOptions& opt, McastAlgorithm alg,
 
 /// The tail of every CLI report (csv, metrics, trace, json lines).
 harness::ReportTail cli_tail(const CliOptions& opt, const analysis::Table& rows,
-                             const obs::FlightRecorder* recorder) {
+                             const obs::FlightRecorder* recorder,
+                             std::string_view tool = "pcmcast") {
   harness::ReportTail tail;
-  tail.tool = "pcmcast";
+  tail.tool = tool;
   tail.csv = opt.csv;
   tail.csv_rows = &rows;
   tail.recorder = recorder;
@@ -641,7 +641,7 @@ namespace {
 /// algorithm name of each member for reporting.
 std::vector<lint::ForestMember> parse_forest_spec(
     const std::string& spec, const sim::Topology& topo, const MeshShape* shape,
-    TwoParam tp, Bytes payload, std::vector<std::string>* names) {
+    TwoParam tp, Bytes payload, std::vector<std::string>* names, std::string_view tool) {
   std::vector<lint::ForestMember> members;
   std::istringstream groups(spec);
   std::string g;
@@ -652,48 +652,45 @@ std::vector<lint::ForestMember> parse_forest_spec(
     std::string tok;
     while (std::getline(fields, tok, ':')) f.push_back(tok);
     if (f.size() != 4)
-      throw std::invalid_argument("pcmcast: --forest member '" + g +
-                                  "' must be START:ALG:SRC:D1,D2,...");
+      throw harness::usage_error(tool, "--forest member '" + g +
+                                           "' must be START:ALG:SRC:D1,D2,...");
     lint::ForestMember m;
-    m.start = parse_uint_flag("--forest start", f[0], 0, lint::kMaxStartOffset);
+    m.start = parse_uint_flag("--forest start", f[0], 0, lint::kMaxStartOffset, tool);
     const auto alg = algorithm_from_name(f[1]);
     if (!alg)
-      throw std::invalid_argument("pcmcast: --forest unknown algorithm '" +
-                                  f[1] + "'");
+      throw harness::usage_error(tool, "--forest unknown algorithm '" + f[1] + "'");
     if (needs_mesh_shape(*alg) && shape == nullptr)
-      throw std::invalid_argument("pcmcast: --forest algorithm " + f[1] +
-                                  " requires a mesh/hypercube topology");
+      throw harness::usage_error(
+          tool, "--forest algorithm " + f[1] + " requires a mesh/hypercube topology");
     const auto src =
-        static_cast<NodeId>(parse_uint_flag("--forest source", f[2], 0, kMaxInt));
+        static_cast<NodeId>(parse_uint_flag("--forest source", f[2], 0, kMaxInt, tool));
     std::vector<NodeId> dests;
     std::istringstream ds(f[3]);
     while (std::getline(ds, tok, ','))
       dests.push_back(
-          static_cast<NodeId>(parse_uint_flag("--forest dests", tok, 0, kMaxInt)));
+          static_cast<NodeId>(parse_uint_flag("--forest dests", tok, 0, kMaxInt, tool)));
     if (dests.empty())
-      throw std::invalid_argument("pcmcast: --forest member '" + g +
-                                  "' has no destinations");
+      throw harness::usage_error(tool, "--forest member '" + g + "' has no destinations");
     if (src >= topo.num_nodes())
-      throw std::invalid_argument("pcmcast: --forest source outside the topology");
+      throw harness::usage_error(tool, "--forest source outside the topology");
     for (const NodeId d : dests)
       if (d >= topo.num_nodes())
-        throw std::invalid_argument(
-            "pcmcast: --forest destination outside the topology");
+        throw harness::usage_error(tool, "--forest destination outside the topology");
     m.tree = build_multicast(*alg, src, dests, tp, shape);
     m.payload = payload;
     members.push_back(std::move(m));
     names->push_back(f[1]);
   }
   if (members.empty())
-    throw std::invalid_argument("pcmcast: empty --forest spec");
+    throw harness::usage_error(tool, "empty --forest spec");
   return members;
 }
 
 /// `pcmlint --forest SPEC [--offset-search]`: shared-timeline forest
 /// certification (lint_forest), optionally computing each member's
 /// earliest contention-free start first (earliest_clean_offset).
-int run_lint_forest_cli(const CliOptions& opt, std::ostream& os) {
-  const auto topo = make_topology(opt.topology);
+int run_lint_forest_cli(const CliOptions& opt, std::ostream& os, std::string_view tool) {
+  const auto topo = make_topology(opt.topology, tool);
   const MeshShape* shape = mesh_shape_of(*topo);
   const rt::RuntimeConfig cfg;
   const sim::SimConfig sim_cfg;
@@ -701,7 +698,7 @@ int run_lint_forest_cli(const CliOptions& opt, std::ostream& os) {
   const TwoParam tp = cfg.machine.two_param(rtm.wire_bytes(opt.bytes, 1));
   std::vector<std::string> names;
   std::vector<lint::ForestMember> members =
-      parse_forest_spec(opt.forest, *topo, shape, tp, opt.bytes, &names);
+      parse_forest_spec(opt.forest, *topo, shape, tp, opt.bytes, &names, tool);
 
   if (opt.offset_search) {
     // Admit members in spec order: each starts at the earliest offset
@@ -760,7 +757,7 @@ int run_lint_forest_cli(const CliOptions& opt, std::ostream& os) {
   report.set_meta("mode", "forest");
   report.add_table("summary", opt.csv, summary);
   report.add_table("per-tree", opt.csv, rows);
-  harness::write_report_tail(cli_tail(opt, rows, nullptr), report, os, std::cerr);
+  harness::write_report_tail(cli_tail(opt, rows, nullptr, tool), report, os, std::cerr);
   // Cross-tree findings are never a theorem violation — Theorems 1-2
   // speak about one tree in isolation — so a flagged forest exits 1.
   return rep.clean() ? 0 : 1;
@@ -768,12 +765,12 @@ int run_lint_forest_cli(const CliOptions& opt, std::ostream& os) {
 
 /// `pcmlint --stream N [--window W] [--compare]`: steady-state pipeline
 /// analysis (lint_stream) of the windowed streaming schedule.
-int run_lint_stream_cli(const CliOptions& opt, std::ostream& os) {
-  const auto topo = make_topology(opt.topology);
+int run_lint_stream_cli(const CliOptions& opt, std::ostream& os, std::string_view tool) {
+  const auto topo = make_topology(opt.topology, tool);
   const MeshShape* shape = mesh_shape_of(*topo);
-  const std::vector<analysis::Placement> placements = make_placements(opt, *topo);
+  const std::vector<analysis::Placement> placements = make_placements(opt, *topo, tool);
   const analysis::Placement& p = placements.front();
-  const std::vector<McastAlgorithm> algs = select_algorithms(opt, shape);
+  const std::vector<McastAlgorithm> algs = select_algorithms(opt, shape, tool);
   const int window = opt.window > 0 ? opt.window : 8;  // dynamic default
 
   const rt::RuntimeConfig cfg;
@@ -830,7 +827,7 @@ int run_lint_stream_cli(const CliOptions& opt, std::ostream& os) {
   report.set_meta("slots", std::to_string(opt.stream));
   report.set_meta("window", std::to_string(window));
   report.add_table("stream", opt.csv, summary);
-  harness::write_report_tail(cli_tail(opt, summary, nullptr), report, os, std::cerr);
+  harness::write_report_tail(cli_tail(opt, summary, nullptr, tool), report, os, std::cerr);
   if (exit_code == 3)
     os << "pcmlint: GUARANTEE VIOLATION: a Theorem 1-2 algorithm is not "
           "contention-free at window 1\n";
@@ -839,17 +836,17 @@ int run_lint_stream_cli(const CliOptions& opt, std::ostream& os) {
 
 }  // namespace
 
-int run_lint_cli(const CliOptions& opt, std::ostream& os) {
+int run_lint_cli(const CliOptions& opt, std::ostream& os, std::string_view tool) {
   if (opt.help) {
     os << harness::flag_usage(cli_flags("pcmlint"));
     return 0;
   }
-  if (!opt.forest.empty()) return run_lint_forest_cli(opt, os);
-  if (opt.stream > 0) return run_lint_stream_cli(opt, os);
-  const auto topo = make_topology(opt.topology);
+  if (!opt.forest.empty()) return run_lint_forest_cli(opt, os, tool);
+  if (opt.stream > 0) return run_lint_stream_cli(opt, os, tool);
+  const auto topo = make_topology(opt.topology, tool);
   const MeshShape* shape = mesh_shape_of(*topo);
-  const std::vector<analysis::Placement> placements = make_placements(opt, *topo);
-  const std::vector<McastAlgorithm> algs = select_algorithms(opt, shape);
+  const std::vector<analysis::Placement> placements = make_placements(opt, *topo, tool);
+  const std::vector<McastAlgorithm> algs = select_algorithms(opt, shape, tool);
   const int group_size = opt.dests.empty()
                              ? opt.nodes
                              : static_cast<int>(placements.front().dests.size()) + 1;
@@ -916,7 +913,7 @@ int run_lint_cli(const CliOptions& opt, std::ostream& os) {
   report.set_meta("seed", std::to_string(opt.seed));
   report.add_table("summary", opt.csv, summary);
   report.add_table("per-placement", opt.csv, rows);
-  harness::write_report_tail(cli_tail(opt, rows, nullptr), report, os, std::cerr);
+  harness::write_report_tail(cli_tail(opt, rows, nullptr, tool), report, os, std::cerr);
   if (exit_code == 3)
     os << "pcmlint: GUARANTEE VIOLATION: a Theorem 1-2 algorithm is not "
           "contention-free on this input\n";

@@ -120,6 +120,10 @@ int run_cli(const CliOptions& opt, std::ostream& os);
 ///    (lint::lint_stream): exact steady-state pipeline interval, busy-node
 ///    bound, saturation.  Exits 3 only when a guaranteed algorithm is
 ///    flagged at window 1 (the regime audit_stream demands be clean).
-int run_lint_cli(const CliOptions& opt, std::ostream& os);
+///
+/// Run-time errors (an unknown topology, --nodes past its size, a bad
+/// --forest member) are prefixed with `tool`, as parse errors are.
+int run_lint_cli(const CliOptions& opt, std::ostream& os,
+                 std::string_view tool = "pcmcast");
 
 }  // namespace pcm::cli

@@ -136,6 +136,7 @@ std::optional<std::int32_t> msg_of(const TraceEvent& ev) {
     case EventKind::kReserve:
     case EventKind::kRelease:
     case EventKind::kBlocked:
+    case EventKind::kWait:
       return ev.c;
     case EventKind::kViolation:
       return ev.b;
@@ -144,16 +145,13 @@ std::optional<std::int32_t> msg_of(const TraceEvent& ev) {
   }
 }
 
-/// The (router, out-port) channel of a channel-layer event.
+/// The (router, out-port) channel of a reserve or release (--channel
+/// filter); a wait or blocked record names an input port, not a channel.
 std::optional<harness::IntPair> channel_of(const TraceEvent& ev) {
-  switch (ev.event_kind()) {
-    case EventKind::kReserve:
-    case EventKind::kRelease:
-    case EventKind::kBlocked:
-      return harness::IntPair{ev.a, ev.b};
-    default:
-      return std::nullopt;
-  }
+  const EventKind k = ev.event_kind();
+  if (k == EventKind::kReserve || k == EventKind::kRelease)
+    return harness::IntPair{ev.a, ev.b};
+  return std::nullopt;
 }
 
 int run_dump(const TraceOptions& o, std::ostream& os) {

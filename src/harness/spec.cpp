@@ -9,6 +9,7 @@
 
 #include "bmin/bmin_topology.hpp"
 #include "butterfly/butterfly_topology.hpp"
+#include "harness/flags.hpp"
 #include "mesh/mesh_topology.hpp"
 
 namespace pcm::harness {
@@ -42,11 +43,12 @@ std::string algorithm_spec_name(McastAlgorithm alg) {
   return name;
 }
 
-std::unique_ptr<sim::Topology> make_topology(const std::string& spec) {
+std::unique_ptr<sim::Topology> make_topology(const std::string& spec,
+                                             std::string_view tool) {
   std::vector<std::string> params;
   std::istringstream is(spec);
   for (std::string part; std::getline(is, part, ':');) params.push_back(part);
-  if (params.empty()) throw std::invalid_argument("pcmcast: empty topology spec");
+  if (params.empty()) throw usage_error(tool, "empty topology spec");
   const std::string kind = params.front();
   params.erase(params.begin());
   // Sizes are range-checked as long long and only then narrowed, so a
@@ -54,7 +56,7 @@ std::unique_ptr<sim::Topology> make_topology(const std::string& spec) {
   auto size_at = [&](std::size_t i, int fallback, long long hi) {
     if (i >= params.size()) return fallback;
     return static_cast<int>(parse_uint_flag("topology '" + spec + "' size",
-                                            params[i], 1, hi));
+                                            params[i], 1, hi, tool));
   };
   constexpr long long kMaxInt = std::numeric_limits<int>::max();
   if (kind == "mesh" || kind == "hypercube") {
@@ -64,7 +66,7 @@ std::unique_ptr<sim::Topology> make_topology(const std::string& spec) {
       return std::make_unique<mesh::MeshTopology>(
           square ? MeshShape::square2d(n) : MeshShape::hypercube(n));
     } catch (const std::invalid_argument& e) {  // past INT_MAX nodes
-      throw std::invalid_argument("pcmcast: topology '" + spec + "': " + e.what());
+      throw usage_error(tool, "topology '" + spec + "': " + e.what());
     }
   }
   if (kind == "bmin") {
@@ -78,7 +80,7 @@ std::unique_ptr<sim::Topology> make_topology(const std::string& spec) {
       } else if (params[1] == "random") {
         policy = bmin::UpPolicy::kRandomHash;
       } else if (params[1] != "source") {
-        throw std::invalid_argument("pcmcast: unknown bmin policy '" + params[1] + "'");
+        throw usage_error(tool, "unknown bmin policy '" + params[1] + "'");
       }
     }
     return std::make_unique<bmin::BminTopology>(n, policy);
@@ -87,7 +89,7 @@ std::unique_ptr<sim::Topology> make_topology(const std::string& spec) {
     const int n = size_at(0, 64, kMaxInt);
     return std::make_unique<butterfly::ButterflyTopology>(n);
   }
-  throw std::invalid_argument("pcmcast: unknown topology kind '" + kind + "'");
+  throw usage_error(tool, "unknown topology kind '" + kind + "'");
 }
 
 const MeshShape* mesh_shape_of(const sim::Topology& topo) {

@@ -33,10 +33,11 @@ std::string algorithm_spec_name(McastAlgorithm alg);
 /// Topology factory: "mesh:S" (SxS 2-D mesh), "hypercube:Q",
 /// "bmin:N[:source|adaptive|dest|random]", "butterfly:N".  Every size is
 /// range-checked before it is narrowed to int; unknown kinds and bad
-/// parameters throw std::invalid_argument naming the spec.  The returned
-/// topology owns its shape; use mesh_shape_of to obtain the MeshShape
-/// pointer mesh-tuned algorithms need.
-std::unique_ptr<sim::Topology> make_topology(const std::string& spec);
+/// parameters throw std::invalid_argument "<tool>: ..." naming the spec.
+/// The returned topology owns its shape; use mesh_shape_of to obtain the
+/// MeshShape pointer mesh-tuned algorithms need.
+std::unique_ptr<sim::Topology> make_topology(const std::string& spec,
+                                             std::string_view tool = "pcmcast");
 
 /// The MeshShape of a mesh/hypercube topology, or nullptr.
 const MeshShape* mesh_shape_of(const sim::Topology& topo);

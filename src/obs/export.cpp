@@ -140,13 +140,14 @@ void write_chrome_trace(std::ostream& os, std::span<const TraceEvent> events) {
     }
     args << R"("a":)" << ev.a << R"(,"b":)" << ev.b << R"(,"c":)" << ev.c
          << R"(,"d":)" << ev.d;
-    // Layer tracks: sim events on tid 0, runtime on 1, membership on 2,
-    // violations on 3.
+    // Layer tracks: sim events on tid 0 (kWait too, though appended after
+    // the membership kinds), runtime on 1, membership on 2, violations on 3.
     int tid = 0;
     if (ev.kind >= static_cast<std::uint16_t>(EventKind::kSendAttempt))
       tid = 1;
     if (ev.kind >= static_cast<std::uint16_t>(EventKind::kHeartbeat)) tid = 2;
     if (k == EventKind::kViolation) tid = 3;
+    if (k == EventKind::kWait) tid = 0;
     emit_chrome_event(os, first, event_kind_name(k), "i", ev.cycle, 0, 0, tid,
                       args.str());
   }

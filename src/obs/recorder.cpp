@@ -33,6 +33,7 @@ const char* event_kind_name(EventKind k) {
     case EventKind::kConfirmUnreachable: return "confirm_unreachable";
     case EventKind::kHealed: return "healed";
     case EventKind::kViolation: return "violation";
+    case EventKind::kWait: return "wait";
   }
   return "unknown";
 }
@@ -109,7 +110,7 @@ void FlightRecorder::on_release(int router, int out_port, sim::MsgId msg,
 
 void FlightRecorder::on_blocked(int router, int in_port, sim::MsgId msg,
                                 Time t) {
-  record(EventKind::kBlocked, t, router, in_port, msg);
+  record(EventKind::kWait, t, router, in_port, msg);
   if (next_ != nullptr) next_->on_blocked(router, in_port, msg, t);
 }
 

@@ -28,7 +28,8 @@ enum class EventKind : std::uint16_t {
   kReserve = 2,      ///< a=router, b=out_port, c=msg  (opens a channel span)
   kRelease = 3,      ///< a=router, b=out_port, c=msg, d=span cycles
                      ///< (closes the span)
-  kBlocked = 4,      ///< a=router, b=in_port, c=msg   (lost arbitration)
+  kBlocked = 4,      ///< a=router, b=in_port, c=msg: one lost cycle
+                     ///< (read from older traces; no longer written)
   kDeliver = 5,      ///< a=msg, b=src, c=dst, d=corrupted
   kDrop = 6,         ///< a=msg, b=DropReason
   kFaultEvent = 7,   ///< a fault-plan event was applied at `cycle`
@@ -53,6 +54,8 @@ enum class EventKind : std::uint16_t {
   kHealed = 23,      ///< a=member index, b=node
   // --- verification -------------------------------------------------------
   kViolation = 24,   ///< a=Invariant enum value, b=msg, c=router, d=port
+  kWait = 25,        ///< (simulator) a=router, b=in_port, c=msg: a wait starts;
+                     ///< it ends at msg's next kReserve at router a, or kDrop
 };
 
 [[nodiscard]] const char* event_kind_name(EventKind k);

@@ -34,6 +34,7 @@ struct Message {
   Time dropped = -1;        ///< cycle the message was lost to a fault
   DropReason drop_reason = DropReason::kNone;
   bool corrupted = false;   ///< delivered, but the payload is unusable
+  bool waiting = false;     ///< the head lost its last arbitration
 
   /// The message reached a terminal state (delivered or lost).
   [[nodiscard]] bool finished() const { return delivered >= 0 || dropped >= 0; }

@@ -1,8 +1,8 @@
 // Observation hooks for the simulator: channel reservations, releases,
-// and blocked-head events, in commit order.  Observers see the ground
-// truth of wormhole switching (which message held which channel when),
-// which the analysis layer uses for trace recording, utilization
-// accounting, and machine-checking contention-freedom.
+// and the start of each blocked-head wait, in commit order.  Observers
+// see the ground truth of wormhole switching (which message held which
+// channel when), which the analysis layer uses for trace recording,
+// utilization accounting, and machine-checking contention-freedom.
 #pragma once
 
 #include <string>
@@ -70,8 +70,11 @@ class SimObserver {
   /// The reservation ended (tail flit crossed) at cycle `t`.
   virtual void on_release(int router, int out_port, MsgId msg, Time t) = 0;
 
-  /// `msg`'s head requested an output at (router, in_port) but every
-  /// candidate channel was held by another message.
+  /// A wait starts: at cycle `t` `msg`'s head, which had not lost the
+  /// cycle before, requested an output at (router, in_port) but every
+  /// candidate channel was held by another message.  The wait ends at
+  /// `msg`'s next on_reserve at `router` or its on_drop; every cycle of
+  /// it is charged to Message::block_cycles, only the first is reported.
   virtual void on_blocked(int router, int in_port, MsgId msg, Time t) = 0;
 
   /// `msg` was removed from the network by a fault (see Message::drop_

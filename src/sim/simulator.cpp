@@ -363,6 +363,7 @@ void Simulator::arbitrate(int r) {
       if (router.out_holder(q) == -1) {
         router.reserve(p, q);
         quiet_ = false;
+        msg.waiting = false;
         channel_msg_[static_cast<std::size_t>(r) * radix_ + q] = front.msg;
         if (observer_ != nullptr) observer_->on_reserve(r, q, front.msg, cycle_);
         granted = true;
@@ -379,10 +380,12 @@ void Simulator::arbitrate(int r) {
         purge_message(front.msg, reason);
         continue;
       }
-      if (observer_ != nullptr) observer_->on_blocked(r, p, front.msg, cycle_);
       // Every candidate channel is reserved by a different message: this
       // is exactly the wormhole contention the paper's node ordering
-      // eliminates.
+      // eliminates.  The observer hears of the wait once, when it starts.
+      if (!msg.waiting && observer_ != nullptr)
+        observer_->on_blocked(r, p, front.msg, cycle_);
+      msg.waiting = true;
       ++msg.block_cycles;
       ++stats_.channel_conflicts;
     }
@@ -631,8 +634,7 @@ void Simulator::leap(Time max_cycles) {
           leap_fifos_.push_back(&fifo);
         } else {
           if (t - fifo.front_entry() < rd) return;  // residency still pending
-          if (router.assigned_out(p) == -1)
-            leap_blocked_.push_back(LeapBlock{r, p, fifo.front().msg});
+          if (router.assigned_out(p) == -1) leap_blocked_.push_back(fifo.front().msg);
         }
       }
     }
@@ -642,30 +644,8 @@ void Simulator::leap(Time max_cycles) {
   for (FlitFifo* fifo : leap_fifos_) fifo->shift_time(d);
   for (NicEngine* eng : leap_engines_) eng->flits_sent += static_cast<int>(d);
   stats_.flit_hops += d * static_cast<long long>(leap_fifos_.size());
-  for (const LeapBlock& b : leap_blocked_)
-    messages_.at(b.msg).block_cycles += d;
+  for (const MsgId m : leap_blocked_) messages_.at(m).block_cycles += d;
   stats_.channel_conflicts += d * static_cast<long long>(leap_blocked_.size());
-  if (observer_ != nullptr && !leap_blocked_.empty()) {
-    // Replay each skipped cycle's arbitration losses in sweep order:
-    // routers ascending, then ports from that cycle's rotating start
-    // (leap_blocked_ is router-major, ports ascending).
-    for (Time j = 0; j < d; ++j) {
-      for (std::size_t g = 0, end = 0; g < leap_blocked_.size(); g = end) {
-        const int r = leap_blocked_[g].router;
-        while (end < leap_blocked_.size() && leap_blocked_[end].router == r)
-          ++end;
-        const int rr = static_cast<int>((routers_[r].rr_start() + j) % radix_);
-        std::size_t k = g;
-        while (k < end && leap_blocked_[k].port < rr) ++k;
-        for (std::size_t i = k; i < end; ++i)
-          observer_->on_blocked(r, leap_blocked_[i].port, leap_blocked_[i].msg,
-                                cycle_ + j);
-        for (std::size_t i = g; i < k; ++i)
-          observer_->on_blocked(r, leap_blocked_[i].port, leap_blocked_[i].msg,
-                                cycle_ + j);
-      }
-    }
-  }
   for (std::size_t wi = 0; wi < active_words_.size(); ++wi) {
     for (std::uint64_t w = active_words_[wi]; w != 0; w &= w - 1) {
       Router& router =

@@ -16,7 +16,9 @@
 // because every candidate output channel is reserved by another message,
 // the cycle is charged to Message::block_cycles and to
 // SimStats::channel_conflicts.  A schedule is contention-free on a run
-// exactly when channel_conflicts == 0.
+// exactly when channel_conflicts == 0.  The observer hears of each wait
+// once, on its first lost cycle (SimObserver::on_blocked); the wait ends
+// at the head's next grant or at the message's drop.
 //
 // Fast path (see DESIGN.md §6): instead of rescanning every router and NI
 // each cycle, the engine keeps worklist bitmaps of routers with non-zero
@@ -38,8 +40,9 @@
 // pop and one push of body flits, the next cycles are the same cycle
 // shifted in time.  The engine then jumps straight to the first cycle
 // that can differ (next post, fault event, tail injection, or the run's
-// horizon), applying exactly the counters, stamps and on_blocked calls
-// the skipped cycles would have produced.
+// horizon), applying exactly the counters and stamps the skipped cycles
+// would have produced.  It calls no observer: every head that waits
+// through the skipped cycles already reported its wait when it began.
 #pragma once
 
 #include <algorithm>
@@ -412,14 +415,9 @@ class Simulator {
   long long leaps_ = 0;
   long long leaped_cycles_ = 0;
   // leap() scratch, reused across attempts
-  struct LeapBlock {
-    int router;
-    int port;
-    MsgId msg;
-  };
   std::vector<FlitFifo*> leap_fifos_;
   std::vector<NicEngine*> leap_engines_;
-  std::vector<LeapBlock> leap_blocked_;
+  std::vector<MsgId> leap_blocked_;  ///< heads that lose every skipped cycle
   RunStatus run_status_ = RunStatus::kCompleted;
   SimStats stats_;
 };

@@ -110,10 +110,10 @@ void InvariantAuditor::on_deliver(const sim::Message& m, Time t) {
         m.corrupted ? "payload corrupted without a plan decision"
                     : "plan-corrupted payload delivered clean",
         t, m.id);
-  if (cfg_.require_contention_free && led.blocked > 0)
+  if (cfg_.require_contention_free && led.waits > 0)
     throw InvariantViolation(
         Invariant::kContentionFreedom,
-        "delivered message was head-blocked " + std::to_string(led.blocked) +
+        "delivered message was head-blocked " + std::to_string(m.block_cycles) +
             " cycles on a provably contention-free schedule",
         t, m.id);
   led.delivered = true;
@@ -152,7 +152,7 @@ void InvariantAuditor::on_blocked(int router, int in_port, sim::MsgId msg, Time 
   if (led.terminal())
     throw InvariantViolation(Invariant::kChannelExclusivity,
                              "terminal message head-blocked", t, msg, router, in_port);
-  ++led.blocked;
+  ++led.waits;
 }
 
 void InvariantAuditor::on_drop(sim::MsgId msg, sim::DropReason reason, Time t) {
@@ -251,11 +251,13 @@ void InvariantAuditor::finalize(const sim::Simulator& sim) const {
   }
   if (cfg_.require_contention_free) {
     for (std::size_t i = 0; i < msgs_.size(); ++i)
-      if (msgs_[i].delivered && msgs_[i].blocked > 0)
-        throw InvariantViolation(Invariant::kContentionFreedom,
-                                 "delivered message was head-blocked " +
-                                     std::to_string(msgs_[i].blocked) + " cycles",
-                                 -1, static_cast<sim::MsgId>(i));
+      if (msgs_[i].delivered && msgs_[i].waits > 0)
+        throw InvariantViolation(
+            Invariant::kContentionFreedom,
+            "delivered message was head-blocked " +
+                std::to_string(sim.messages().at(static_cast<sim::MsgId>(i)).block_cycles) +
+                " cycles",
+            -1, static_cast<sim::MsgId>(i));
   }
 }
 

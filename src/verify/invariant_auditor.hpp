@@ -169,7 +169,7 @@ class InvariantAuditor final : public sim::SimObserver {
   struct Ledger {
     bool delivered = false;
     bool dropped = false;
-    Time blocked = 0;
+    int waits = 0;  ///< on_blocked calls: waits, not blocked cycles
     [[nodiscard]] bool terminal() const { return delivered || dropped; }
   };
   [[nodiscard]] Ledger& known(sim::MsgId msg, Time t, const char* where);

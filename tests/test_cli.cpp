@@ -6,6 +6,7 @@
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "bmin/bmin_topology.hpp"
 #include "butterfly/butterfly_topology.hpp"
@@ -127,6 +128,32 @@ TEST(CliParse, PcmlintNamesItself) {
   EXPECT_EQ(run_lint_cli(o, os), 0);
   EXPECT_NE(os.str().find("usage: pcmlint [options]"), std::string::npos) << os.str();
   EXPECT_EQ(os.str().find("pcmcast ["), std::string::npos) << os.str();
+}
+
+TEST(CliRun, RunTimeErrorsNameTheTool) {
+  // Errors found after parsing (the topology, the placement, the forest,
+  // the algorithm) name the tool that ran: pcmlint, or pcmcast --lint
+  // through run_cli as the pcmcast binary calls it.
+  const std::pair<std::vector<std::string_view>, const char*> cases[] = {
+      {sv({"--lint", "--topology", "bogus"}), "unknown topology kind 'bogus'"},
+      {sv({"--lint", "--topology", "mesh:4", "--nodes", "99"}),
+       "--nodes exceeds topology size"},
+      {sv({"--lint", "--topology", "mesh:4", "--forest", "0:opt-mesh:0:99"}),
+       "--forest destination outside the topology"},
+      {sv({"--lint", "--topology", "bmin:64", "--algorithm", "opt-mesh"}),
+       "opt-mesh requires a mesh/hypercube topology"}};
+  for (const std::string_view tool : {"pcmlint", "pcmcast"}) {
+    for (const auto& [args, what] : cases) {
+      std::ostringstream os;
+      try {
+        (void)(tool == "pcmlint" ? run_lint_cli(parse_args(args, tool), os, tool)
+                                 : run_cli(parse_args(args), os));
+        ADD_FAILURE() << args.back() << " was accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_EQ(e.what(), std::string(tool) + ": " + what);
+      }
+    }
+  }
 }
 
 TEST(CliAlgorithms, NamesRoundTrip) {

@@ -116,8 +116,8 @@ TEST(CliGolden, Reduce) {
       "reduce", {"--topology", "mesh:8", "--collective", "reduce", "--nodes", "6",
                  "--bytes", "256", "--reps", "2", "--jobs", "1"},
       ".pcmt");
-  EXPECT_EQ(g, (Golden{0, 0xb754a2d445c79650ULL, 0xcbf29ce484222325ULL,
-                       0x8caa1b58333be9aaULL, 0xba3cc9ae38b0d002ULL, 0xe0eaac8b6708014bULL}))
+  EXPECT_EQ(g, (Golden{0, 0x858c1c344bf6ed1cULL, 0xcbf29ce484222325ULL,
+                       0x8b1890b17a3c6438ULL, 0xba3cc9ae38b0d002ULL, 0x539db9335d3ea10eULL}))
       << g;
 }
 
@@ -126,8 +126,8 @@ TEST(CliGolden, Barrier) {
       "barrier", {"--topology", "mesh:8", "--collective", "barrier", "--nodes", "6",
                   "--bytes", "256", "--reps", "2", "--jobs", "1"},
       ".pcmt");
-  EXPECT_EQ(g, (Golden{0, 0xdf6d925dacad9c57ULL, 0xcbf29ce484222325ULL,
-                       0xb760fde35e04936eULL, 0x0906b05e668ef60bULL, 0xfb686f159bb5701cULL}))
+  EXPECT_EQ(g, (Golden{0, 0xb1b02df4a370c4a5ULL, 0xcbf29ce484222325ULL,
+                       0x9ed05871037300acULL, 0x0906b05e668ef60bULL, 0x947941feb7c40d0aULL}))
       << g;
 }
 
@@ -158,8 +158,8 @@ TEST(CliGolden, ShuffledChainAuditViolation) {
       "shuffle", {"--reps", "1", "--seed", "7", "--shuffle-chain", "--audit",
                   "--jobs", "1"},
       ".pcmt");
-  EXPECT_EQ(g, (Golden{3, 0x171b45ed3db6cd9dULL, 0xcbf29ce484222325ULL,
-                       0x0000000000000000ULL, 0x0000000000000000ULL, 0x1beb4f5092012609ULL}))
+  EXPECT_EQ(g, (Golden{3, 0xbe41cba2ec381410ULL, 0xcbf29ce484222325ULL,
+                       0x0000000000000000ULL, 0x0000000000000000ULL, 0x1e149b65f3630cebULL}))
       << g;
 }
 

@@ -1144,7 +1144,7 @@ MulticastTree opt_tree(int nodes, int group, unsigned seed, Bytes payload) {
 
 TEST(EngineLeap, ContendedOptTreeMesh16) {
   // Unsorted chains contend on the mesh: heads block behind streaming
-  // worms, so every leap replays on_blocked in rotating-arbiter order.
+  // worms, so leaps skip cycles of their waits and must charge each one.
   const auto topo = mesh::make_mesh2d(16);
   long long leaped = 0;
   long long conflicts = 0;

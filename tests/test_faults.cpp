@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <limits>
 
 #include "analysis/rng.hpp"
@@ -519,6 +520,40 @@ TEST(WatchdogForensics, TwoWormDeadlockReportsBothWormsAndTheCycle) {
         << "]";
   }
   EXPECT_TRUE(sim.stats().watchdog_fired);
+}
+
+TEST(WatchdogForensics, TraceKeepsTheDeadlockedWormsOpenWaits) {
+  // Each wait is recorded when it starts, so a deadlock's waits, which
+  // never end, are in the trace the watchdog leaves behind.
+  RingTopology topo;
+  for (const sim::EngineKind engine : {sim::EngineKind::kCycle, sim::EngineKind::kEvent}) {
+    SCOPED_TRACE(engine == sim::EngineKind::kCycle ? "cycle" : "event");
+    sim::Simulator sim(topo, sim::SimConfig{.fifo_capacity = 2, .watchdog_cycles = 200,
+                                            .engine = engine});
+    obs::FlightRecorder rec{obs::RecorderConfig{obs::kUnbounded}};
+    sim.set_observer(&rec);
+    sim.post(mk(0, 1, 32));
+    sim.post(mk(1, 0, 32));
+    EXPECT_THROW(sim.run_until_idle(), sim::WatchdogError);
+    const auto events = rec.snapshot();
+    ASSERT_FALSE(events.empty());
+    EXPECT_EQ(events.back().event_kind(), obs::EventKind::kWatchdog);
+    std::vector<obs::TraceEvent> waits;
+    std::ranges::copy_if(events, std::back_inserter(waits), [](const obs::TraceEvent& ev) {
+      return ev.event_kind() == obs::EventKind::kWait;
+    });
+    ASSERT_EQ(waits.size(), 2u);
+    for (const obs::TraceEvent& w : waits) {
+      SCOPED_TRACE("msg " + std::to_string(w.c));
+      EXPECT_EQ(w.a, w.c == 0 ? 1 : 0);  // the head sits at the other router
+      EXPECT_EQ(std::ranges::count_if(events, [&](const obs::TraceEvent& ev) {
+                  return ev.cycle >= w.cycle && ev.c == w.c &&
+                         ev.event_kind() == obs::EventKind::kReserve;
+                }),
+                0);
+      EXPECT_EQ(sim.messages().at(w.c).block_cycles, sim.now() - w.cycle);
+    }
+  }
 }
 
 TEST(WatchdogForensics, StallReportUnderTwoConcurrentGroups) {

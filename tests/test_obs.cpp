@@ -7,7 +7,9 @@
 // contract closes the file.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -175,11 +177,16 @@ TEST(Metrics, PopulateDerivesSpansAndRates) {
 
 // --- end-to-end determinism contracts -------------------------------------
 
+/// A temporary file named after the process, the running test and
+/// `stem`, so concurrent test processes never share one.
 struct TempPath {
-  explicit TempPath(const std::string& stem)
-      : path((std::filesystem::temp_directory_path() /
-              ("pcm_obs_" + stem + ".pcmt"))
-                 .string()) {}
+  explicit TempPath(const std::string& stem) {
+    std::string test = testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::ranges::replace(test, '/', '_');  // parameterized names hold '/'
+    path = (std::filesystem::temp_directory_path() /
+            ("pcm_obs_" + std::to_string(getpid()) + "_" + test + "_" + stem + ".pcmt"))
+               .string();
+  }
   ~TempPath() { std::remove(path.c_str()); }
   std::string path;
 };
@@ -355,14 +362,14 @@ TEST(TraceDeterminism, StreamTraceRecordsSlotLifecycle) {
 // --- the auditor replays the flight recorder -------------------------------
 
 TEST(TraceAudit, AuditedOneShotRunNeverWrapsItsRing) {
-  // ~96 k events in one fault run: more than a per-run ring
+  // ~98 k events in one fault run: more than a per-run ring
   // (kRunRingCapacity) holds, so an unaudited trace would lose its start.
   // An audited run records unbounded and exports every event.
   cli::CliOptions opt;
-  opt.topology = "mesh:16";
+  opt.topology = "mesh:40";
   opt.algorithm = "opt-tree";
-  opt.nodes = 256;
-  opt.bytes = 8192;
+  opt.nodes = 1600;
+  opt.bytes = 256;
   opt.reps = 1;
   opt.faults = "drop:0.002;seed:1";
   opt.allow_partial = true;
@@ -491,6 +498,24 @@ TEST(PcmtraceCli, IntegerFlagsAreRangeCheckedAndLimitIsExact) {
     EXPECT_EQ(event_lines(run.out), std::min<std::size_t>(limit, 5)) << run.out;
     EXPECT_EQ(run.out.find("reached") != std::string::npos, limit < 5) << run.out;
   }
+}
+
+TEST(PcmtraceCli, ChannelFilterKeepsOnlyReservesAndReleases) {
+  // --channel R,P names output port P of router R.  A wait (or an older
+  // trace's blocked record) at router R names input port P, so the filter
+  // leaves it out; --msg still finds it.
+  TempPath tmp("pcmtrace_channel");
+  const std::vector<TraceEvent> evs = {
+      make_event(EventKind::kWait, 5, 3, 0, 7), make_event(EventKind::kBlocked, 5, 3, 0, 7),
+      make_event(EventKind::kReserve, 9, 3, 0, 7),
+      make_event(EventKind::kRelease, 20, 3, 0, 7, 11)};
+  write_trace(tmp.path, evs, 0);
+  const ToolRun run = pcmtrace("dump " + tmp.path + " --channel 3,0");
+  EXPECT_EQ(run.exit_code, 0);
+  EXPECT_EQ(event_lines(run.out), 2u) << run.out;
+  EXPECT_NE(run.out.find("] reserve a=3 b=0 c=7"), std::string::npos) << run.out;
+  EXPECT_NE(run.out.find("] release a=3 b=0 c=7"), std::string::npos) << run.out;
+  EXPECT_EQ(event_lines(pcmtrace("dump " + tmp.path + " --msg 7").out), 4u);
 }
 
 TEST(PcmtraceCli, CommandsRejectFlagsTheyDoNotTake) {

@@ -1,19 +1,19 @@
 // Tests for the flight recorder's channel spans — the ground truth of
 // wormhole switching — and the wormhole invariants they machine-check.
 // Every case runs on both engines: the event engine must fire the same
-// reserve / release / blocked hooks as the cycle engine, including over
-// the steady-state leap it replays.  Channel exclusivity is checked by an
-// InvariantAuditor chained behind the recorder (it throws on a double
-// reservation or a release by a non-holder).
+// reserve / release / wait hooks as the cycle engine, including across
+// the steady-state leaps that skip a wait's cycles.  Channel exclusivity
+// is checked by an InvariantAuditor chained behind the recorder (it
+// throws on a double reservation or a release by a non-holder).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
 #include <initializer_list>
-#include <utility>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/sampling.hpp"
@@ -74,13 +74,34 @@ std::vector<TraceEvent> of_kind(const std::vector<TraceEvent>& events, EventKind
 /// One cycle a head spent blocked: (cycle, router, in_port, msg).
 using BlockedCycle = std::array<std::int64_t, 4>;
 
-/// Every head-blocked cycle of one run's trace, sorted.
+/// Every head-blocked cycle of one run's trace, sorted: each kWait
+/// expands to one tuple per cycle up to its message's next kReserve at
+/// that router or its kDrop, exclusive.  A run's trace holds no kBlocked.
 std::vector<BlockedCycle> blocked_cycles(const std::vector<TraceEvent>& events) {
   std::vector<BlockedCycle> out;
-  for (const TraceEvent& ev : events)
-    if (ev.event_kind() == EventKind::kBlocked) out.push_back({ev.cycle, ev.a, ev.b, ev.c});
+  for (auto it = events.begin(); it != events.end(); ++it) {
+    EXPECT_NE(it->event_kind(), EventKind::kBlocked);
+    if (it->event_kind() != EventKind::kWait) continue;
+    const auto end = std::find_if(it + 1, events.end(), [&](const TraceEvent& ev) {
+      return (ev.event_kind() == EventKind::kReserve && ev.a == it->a && ev.c == it->c) ||
+             (ev.event_kind() == EventKind::kDrop && ev.a == it->c);
+    });
+    EXPECT_NE(end, events.end()) << "wait of msg " << it->c << " never ends";
+    if (end == events.end()) continue;
+    for (Time c = it->cycle; c < end->cycle; ++c) out.push_back({c, it->a, it->b, it->c});
+  }
   std::ranges::sort(out);
   return out;
+}
+
+/// Each message's blocked cycles in `cycles` number its block_cycles, so
+/// they also add up to the run's channel_conflicts.
+void expect_block_cycles(const sim::Simulator& sim, const std::vector<BlockedCycle>& cycles) {
+  std::vector<Time> blocked(static_cast<std::size_t>(sim.messages().size()), 0);
+  for (const BlockedCycle& c : cycles) ++blocked[static_cast<std::size_t>(c[3])];
+  for (const sim::Message& m : sim.messages().all())
+    EXPECT_EQ(blocked[static_cast<std::size_t>(m.id)], m.block_cycles) << "msg " << m.id;
+  EXPECT_EQ(static_cast<long long>(cycles.size()), sim.stats().channel_conflicts);
 }
 
 /// FNV-1a over the tuples' little-endian bytes, continuing from `h`.
@@ -130,7 +151,7 @@ TEST(Trace, SingleMessageHoldsExactlyItsPath) {
       }
     }
     EXPECT_EQ(off_path(*topo, t.sim.messages(), events), "");
-    EXPECT_TRUE(of_kind(events, EventKind::kBlocked).empty());
+    EXPECT_TRUE(of_kind(events, EventKind::kWait).empty());
   }
 }
 
@@ -156,11 +177,15 @@ TEST(Trace, BlockedHeadsAreRecorded) {
     // Same contended pair as the simulator test: shared d1+ column channels.
     t.sim.post(mk(s.node_at({0, 0}), s.node_at({0, 3}), 32));
     t.sim.post(mk(s.node_at({0, 1}), s.node_at({1, 3}), 32));
-    const auto blocks = of_kind(t.run(), EventKind::kBlocked);
-    EXPECT_FALSE(blocks.empty());
-    EXPECT_EQ(static_cast<long long>(blocks.size()), t.sim.stats().channel_conflicts);
+    const auto events = t.run();
+    const auto waits = of_kind(events, EventKind::kWait);
+    EXPECT_FALSE(waits.empty());
+    // One record per wait, and the waits' lengths add up to every
+    // blocked cycle, per message and in total.
+    expect_block_cycles(t.sim, blocked_cycles(events));
+    EXPECT_LT(static_cast<long long>(waits.size()), t.sim.stats().channel_conflicts);
     // The blocked head waits out a streaming worm, so the steady-state
-    // leap skips cycles and must replay their on_blocked calls.
+    // leap skips cycles of the wait; its one record covers them.
     EXPECT_GT(t.sim.leaps(), 0);
   }
 }
@@ -184,7 +209,7 @@ TEST(Trace, BlockedCyclesArePinned) {
                           harness::mesh_shape_of(topo));
         t.audit.finalize(t.sim);
         const auto cycles = blocked_cycles(t.rec.snapshot());
-        EXPECT_EQ(static_cast<long long>(cycles.size()), t.sim.stats().channel_conflicts);
+        expect_block_cycles(t.sim, cycles);
         n += static_cast<long long>(cycles.size());
         h = fnv(h, cycles);
       }
@@ -218,6 +243,7 @@ TEST(Trace, BlockedCyclesArePinned) {
     t.sim.post(mk(s.node_at({0, 0}), s.node_at({0, 3}), 32));
     t.sim.post(mk(s.node_at({0, 1}), s.node_at({1, 3}), 32));
     const auto cycles = blocked_cycles(t.run());
+    expect_block_cycles(t.sim, cycles);
     // Message 0 waits until its sender dies at cycle 20 and it is purged.
     EXPECT_EQ(t.sim.messages().at(0).dropped, 20);
     ASSERT_FALSE(cycles.empty());
@@ -238,7 +264,7 @@ TEST(Trace, TunedMulticastHasSerialHoldsAndNoBlocks) {
                         &topo->shape());
       t.audit.finalize(t.sim);
       const auto events = t.rec.snapshot();
-      EXPECT_TRUE(of_kind(events, EventKind::kBlocked).empty());
+      EXPECT_TRUE(of_kind(events, EventKind::kWait).empty());
       EXPECT_EQ(t.sim.stats().channel_conflicts, 0);
       EXPECT_EQ(off_path(*topo, t.sim.messages(), events), "");
       // 31 messages, each holding path-length channels exactly once.

@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   args.insert(args.end(), argv + 1, argv + argc);
   try {
     const pcm::cli::CliOptions opt = pcm::cli::parse_args(args, "pcmlint");
-    return pcm::cli::run_lint_cli(opt, std::cout);
+    return pcm::cli::run_lint_cli(opt, std::cout, "pcmlint");
   } catch (const std::exception& e) {
     std::cerr << e.what() << "\n";
     return 2;
