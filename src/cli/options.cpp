@@ -363,9 +363,9 @@ RunOutcome run_one(const rt::CollectiveRuntime& coll, const CliOptions& opt,
 }
 
 /// `pcmcast --stream N`: one explicit placement pushed through the
-/// windowed StreamRuntime.  Faults switch on reliable mode; --audit adds
-/// the channel-level auditor plus the replay of the stream's recorded
-/// protocol events (InvariantAuditor::audit_stream).
+/// windowed StreamRuntime.  Faults switch on reliable mode; --audit
+/// replays the recorded stream through the channel-level auditor and the
+/// stream audit (InvariantAuditor::audit_stream).
 int run_stream_cli(const CliOptions& opt, std::ostream& os, std::ostream& err) {
   const auto topo = make_topology(opt.topology);
   const MeshShape* shape = mesh_shape_of(*topo);

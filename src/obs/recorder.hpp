@@ -50,8 +50,9 @@ class FlightRecorder final : public sim::SimObserver {
  public:
   explicit FlightRecorder(RecorderConfig cfg = {});
 
-  /// Forward every sim hook to `next` after recording it (e.g. the
-  /// InvariantAuditor under --audit --trace).  Not owned; nullptr clears.
+  /// Forward every sim hook to `next` after recording it (perfbench's
+  /// fast-forward counter, which also sees the unrecorded
+  /// on_fast_forward).  Not owned; nullptr clears.
   void chain(sim::SimObserver* next) { next_ = next; }
 
   // --- sim::SimObserver hooks -------------------------------------------

@@ -65,200 +65,234 @@ bool guarantees_contention_free(McastAlgorithm alg) {
 }
 
 InvariantAuditor::InvariantAuditor(const sim::Topology& topo, AuditConfig cfg)
-    : topo_(topo), cfg_(std::move(cfg)), radix_(topo.radix()) {
-  holder_.assign(static_cast<std::size_t>(topo.num_routers()) * radix_,
-                 sim::kInvalidMsg);
+    : topo_(topo), cfg_(std::move(cfg)) {}
+
+struct InvariantAuditor::Ledger {
+  struct Msg {
+    bool delivered = false;
+    bool dropped = false;
+    int waits = 0;         ///< kWait records: waits, not blocked cycles
+    int wait_router = -1;  ///< router of the open wait; -1 when none is open
+    Time wait_start = 0;
+    Time blocked = 0;      ///< cycles of the closed waits
+    [[nodiscard]] bool terminal() const { return delivered || dropped; }
+  };
+  std::vector<Msg> msgs;           ///< indexed by (dense) MsgId
+  std::vector<sim::MsgId> holder;  ///< per channel id; kInvalidMsg = free
+  int delivered = 0;
+  int dropped = 0;
+  [[nodiscard]] int pending() const {
+    return static_cast<int>(msgs.size()) - delivered - dropped;
+  }
+  /// The ledger entry of `msg`, which a record at `t` names.
+  Msg& known(sim::MsgId msg, Time t, const char* where) {
+    if (msg < 0 || static_cast<std::size_t>(msg) >= msgs.size())
+      throw InvariantViolation(Invariant::kPhantomDelivery,
+                               std::string(where) + " for a message never posted", t,
+                               msg);
+    return msgs[static_cast<std::size_t>(msg)];
+  }
+};
+
+InvariantAuditor::Ledger InvariantAuditor::replay(std::span<const obs::TraceEvent> events,
+                                                  std::uint64_t dropped) const {
+  using obs::EventKind;
+  require_whole_trace(dropped);
+  const int radix = topo_.radix();
+  Ledger l;
+  l.holder.assign(static_cast<std::size_t>(topo_.num_routers()) * radix,
+                  sim::kInvalidMsg);
+  auto chan = [&](int router, int port) { return topo_.channel_name(router, port); };
+  auto holder = [&](int router, int port) -> sim::MsgId& {
+    return l.holder.at(static_cast<std::size_t>(router) * radix + port);
+  };
+  // Payloads follow obs::EventKind; the records are the simulator's
+  // observer calls in commit order.
+  for (const obs::TraceEvent& ev : events) {
+    const Time t = ev.cycle;
+    switch (ev.event_kind()) {
+      case EventKind::kPost:  // a = msg, d = flits
+        if (ev.a != static_cast<sim::MsgId>(l.msgs.size()))
+          throw InvariantViolation(Invariant::kConservation,
+                                   "post ids must be dense and append-only", t, ev.a);
+        if (ev.d < 1)
+          throw InvariantViolation(Invariant::kConservation,
+                                   "posted message with no flits", t, ev.a);
+        l.msgs.emplace_back();
+        break;
+      case EventKind::kDeliver: {  // a = msg, d = corrupted
+        Ledger::Msg& m = l.known(ev.a, t, "delivery");
+        if (m.terminal())
+          throw InvariantViolation(Invariant::kPhantomDelivery,
+                                   "message delivered twice (or after a drop)", t, ev.a);
+        // Payload integrity: the corrupted flag must be exactly the plan's
+        // pure-hash decision — anything else means the payload hash cannot
+        // match what the sender injected.
+        const bool corrupted = ev.d != 0;
+        if (corrupted != (cfg_.plan_known && sim::plan_corrupts(cfg_.plan, ev.a)))
+          throw InvariantViolation(Invariant::kCorruptionMismatch,
+                                   corrupted ? "payload corrupted without a plan decision"
+                                             : "plan-corrupted payload delivered clean",
+                                   t, ev.a);
+        if (cfg_.require_contention_free && m.waits > 0)
+          throw InvariantViolation(
+              Invariant::kContentionFreedom,
+              "delivered message was head-blocked " + std::to_string(m.blocked) +
+                  " cycles on a provably contention-free schedule",
+              t, ev.a);
+        m.delivered = true;
+        ++l.delivered;
+        break;
+      }
+      case EventKind::kReserve: {  // a = router, b = out port, c = msg
+        Ledger::Msg& m = l.known(ev.c, t, "reservation");
+        if (m.terminal())
+          throw InvariantViolation(Invariant::kChannelExclusivity,
+                                   "terminal message reserved a channel", t, ev.c, ev.a,
+                                   ev.b);
+        sim::MsgId& h = holder(ev.a, ev.b);
+        if (h != sim::kInvalidMsg)
+          throw InvariantViolation(Invariant::kChannelExclusivity,
+                                   chan(ev.a, ev.b) + " reserved while held by msg " +
+                                       std::to_string(h),
+                                   t, ev.c, ev.a, ev.b);
+        h = ev.c;
+        if (m.wait_router == ev.a) {  // the grant ends the open wait
+          m.blocked += t - m.wait_start;
+          m.wait_router = -1;
+        }
+        break;
+      }
+      case EventKind::kRelease: {  // a = router, b = out port, c = msg
+        (void)l.known(ev.c, t, "release");
+        sim::MsgId& h = holder(ev.a, ev.b);
+        if (h != ev.c)
+          throw InvariantViolation(Invariant::kChannelExclusivity,
+                                   chan(ev.a, ev.b) + " released by msg " +
+                                       std::to_string(ev.c) + " but held by msg " +
+                                       std::to_string(h),
+                                   t, ev.c, ev.a, ev.b);
+        h = sim::kInvalidMsg;
+        break;
+      }
+      case EventKind::kWait: {  // a = router, b = in port, c = msg
+        Ledger::Msg& m = l.known(ev.c, t, "blocked event");
+        if (m.terminal())
+          throw InvariantViolation(Invariant::kChannelExclusivity,
+                                   "terminal message head-blocked", t, ev.c, ev.a, ev.b);
+        ++m.waits;
+        m.wait_router = ev.a;
+        m.wait_start = t;
+        break;
+      }
+      case EventKind::kDrop: {  // a = msg, b = DropReason
+        Ledger::Msg& m = l.known(ev.a, t, "drop");
+        const auto reason = static_cast<sim::DropReason>(ev.b);
+        if (m.terminal())
+          throw InvariantViolation(Invariant::kPhantomDrop, "message dropped twice", t,
+                                   ev.a);
+        if (reason == sim::DropReason::kNone)
+          throw InvariantViolation(Invariant::kPhantomDrop, "drop without a reason", t,
+                                   ev.a);
+        if (!cfg_.plan_known)
+          throw InvariantViolation(Invariant::kPhantomDrop,
+                                   std::string("message dropped (") +
+                                       sim::drop_reason_name(reason) +
+                                       ") on a run with no fault plan",
+                                   t, ev.a);
+        // Purge order: every channel the worm held must have been released
+        // before the drop notification.
+        for (std::size_t c = 0; c < l.holder.size(); ++c)
+          if (l.holder[c] == ev.a)
+            throw InvariantViolation(Invariant::kChannelExclusivity,
+                                     "dropped message still holds " +
+                                         chan(static_cast<int>(c) / radix,
+                                              static_cast<int>(c) % radix),
+                                     t, ev.a, static_cast<int>(c) / radix,
+                                     static_cast<int>(c) % radix);
+        m.dropped = true;
+        ++l.dropped;
+        break;
+      }
+      case EventKind::kFaultEvent:
+        if (!cfg_.plan_known)
+          throw InvariantViolation(Invariant::kPhantomDrop,
+                                   "fault event applied on a run with no fault plan", t);
+        break;
+      default:
+        break;
+    }
+  }
+  return l;
 }
 
-std::string InvariantAuditor::chan(int router, int port) const {
-  return topo_.channel_name(router, port);
-}
-
-InvariantAuditor::Ledger& InvariantAuditor::known(sim::MsgId msg, Time t,
-                                                  const char* where) {
-  if (msg < 0 || static_cast<std::size_t>(msg) >= msgs_.size())
-    throw InvariantViolation(Invariant::kPhantomDelivery,
-                             std::string(where) + " for a message never posted", t,
-                             msg);
-  return msgs_[static_cast<std::size_t>(msg)];
-}
-
-void InvariantAuditor::on_post(const sim::Message& m, Time t) {
-  if (m.id != static_cast<sim::MsgId>(msgs_.size()))
+void InvariantAuditor::audit_run(std::span<const obs::TraceEvent> events,
+                                 std::uint64_t dropped, const sim::SimStats& stats,
+                                 bool idle, Time now) const {
+  const Ledger l = replay(events, dropped);
+  // Conservation: injected = delivered + dropped + still-pending, and the
+  // engine's own counters must agree with the independent ledger.
+  if (stats.messages_delivered != l.delivered)
     throw InvariantViolation(Invariant::kConservation,
-                             "post ids must be dense and append-only", t, m.id);
-  if (m.flits < 1)
-    throw InvariantViolation(Invariant::kConservation, "posted message with no flits",
-                             t, m.id);
-  msgs_.emplace_back();
-  ++posted_;
-}
-
-void InvariantAuditor::on_deliver(const sim::Message& m, Time t) {
-  Ledger& led = known(m.id, t, "delivery");
-  if (led.terminal())
-    throw InvariantViolation(Invariant::kPhantomDelivery,
-                             "message delivered twice (or after a drop)", t, m.id);
-  // Payload integrity: the corrupted flag must be exactly the plan's
-  // pure-hash decision — anything else means the payload hash cannot
-  // match what the sender injected.
-  const bool should_corrupt =
-      cfg_.plan_known && sim::plan_corrupts(cfg_.plan, m.id);
-  if (m.corrupted != should_corrupt)
-    throw InvariantViolation(
-        Invariant::kCorruptionMismatch,
-        m.corrupted ? "payload corrupted without a plan decision"
-                    : "plan-corrupted payload delivered clean",
-        t, m.id);
-  if (cfg_.require_contention_free && led.waits > 0)
-    throw InvariantViolation(
-        Invariant::kContentionFreedom,
-        "delivered message was head-blocked " + std::to_string(m.block_cycles) +
-            " cycles on a provably contention-free schedule",
-        t, m.id);
-  led.delivered = true;
-  ++delivered_;
-}
-
-void InvariantAuditor::on_reserve(int router, int out_port, sim::MsgId msg, Time t) {
-  Ledger& led = known(msg, t, "reservation");
-  if (led.terminal())
-    throw InvariantViolation(Invariant::kChannelExclusivity,
-                             "terminal message reserved a channel", t, msg, router,
-                             out_port);
-  sim::MsgId& h = holder_[static_cast<std::size_t>(router) * radix_ + out_port];
-  if (h != sim::kInvalidMsg)
-    throw InvariantViolation(Invariant::kChannelExclusivity,
-                             chan(router, out_port) + " reserved while held by msg " +
-                                 std::to_string(h),
-                             t, msg, router, out_port);
-  h = msg;
-}
-
-void InvariantAuditor::on_release(int router, int out_port, sim::MsgId msg, Time t) {
-  (void)known(msg, t, "release");
-  sim::MsgId& h = holder_[static_cast<std::size_t>(router) * radix_ + out_port];
-  if (h != msg)
-    throw InvariantViolation(Invariant::kChannelExclusivity,
-                             chan(router, out_port) + " released by msg " +
-                                 std::to_string(msg) + " but held by msg " +
-                                 std::to_string(h),
-                             t, msg, router, out_port);
-  h = sim::kInvalidMsg;
-}
-
-void InvariantAuditor::on_blocked(int router, int in_port, sim::MsgId msg, Time t) {
-  Ledger& led = known(msg, t, "blocked event");
-  if (led.terminal())
-    throw InvariantViolation(Invariant::kChannelExclusivity,
-                             "terminal message head-blocked", t, msg, router, in_port);
-  ++led.waits;
-}
-
-void InvariantAuditor::on_drop(sim::MsgId msg, sim::DropReason reason, Time t) {
-  Ledger& led = known(msg, t, "drop");
-  if (led.terminal())
-    throw InvariantViolation(Invariant::kPhantomDrop, "message dropped twice", t, msg);
-  if (reason == sim::DropReason::kNone)
-    throw InvariantViolation(Invariant::kPhantomDrop, "drop without a reason", t, msg);
-  if (!cfg_.plan_known)
-    throw InvariantViolation(Invariant::kPhantomDrop,
-                             std::string("message dropped (") +
-                                 sim::drop_reason_name(reason) +
-                                 ") on a run with no fault plan",
-                             t, msg);
-  // Purge order: every channel the worm held must have been released
-  // before the drop notification.
-  for (std::size_t c = 0; c < holder_.size(); ++c)
-    if (holder_[c] == msg)
+                             "SimStats delivered " +
+                                 std::to_string(stats.messages_delivered) +
+                                 " != ledger " + std::to_string(l.delivered));
+  if (stats.messages_dropped != l.dropped)
+    throw InvariantViolation(Invariant::kConservation,
+                             "SimStats dropped " + std::to_string(stats.messages_dropped) +
+                                 " != ledger " + std::to_string(l.dropped));
+  const int pending = l.pending();
+  if (pending < 0 || (idle && pending != 0))
+    throw InvariantViolation(Invariant::kConservation,
+                             std::to_string(pending) +
+                                 " messages unaccounted for on an idle network");
+  if (!idle) return;
+  const int radix = topo_.radix();
+  for (std::size_t c = 0; c < l.holder.size(); ++c)
+    if (l.holder[c] != sim::kInvalidMsg)
       throw InvariantViolation(Invariant::kChannelExclusivity,
-                               "dropped message still holds " +
-                                   chan(static_cast<int>(c) / radix_,
-                                        static_cast<int>(c) % radix_),
-                               t, msg, static_cast<int>(c) / radix_,
-                               static_cast<int>(c) % radix_);
-  led.dropped = true;
-  ++dropped_;
+                               "channel still reserved on an idle network", now,
+                               l.holder[c], static_cast<int>(c) / radix,
+                               static_cast<int>(c) % radix);
 }
 
-void InvariantAuditor::on_fault_event(Time t) {
-  if (!cfg_.plan_known)
-    throw InvariantViolation(Invariant::kPhantomDrop,
-                             "fault event applied on a run with no fault plan", t);
-  ++fault_events_;
-}
-
-void InvariantAuditor::on_watchdog(const sim::WatchdogReport& report) {
+void InvariantAuditor::audit_partial(std::span<const obs::TraceEvent> events,
+                                     std::uint64_t dropped,
+                                     const sim::WatchdogReport* watchdog) const {
+  Ledger l = replay(events, dropped);
+  if (watchdog == nullptr) return;
   // The forensic report must agree with the ledger: same reservation
   // table, and every stalled message known and non-terminal.
+  const sim::WatchdogReport& report = *watchdog;
+  const int radix = topo_.radix();
   for (const sim::WatchdogReport::Reservation& r : report.reservations) {
-    const std::size_t c = static_cast<std::size_t>(r.router) * radix_ + r.out_port;
-    if (c >= holder_.size() || holder_[c] != r.holder)
+    const std::size_t c = static_cast<std::size_t>(r.router) * radix + r.out_port;
+    if (c >= l.holder.size() || l.holder[c] != r.holder)
       throw InvariantViolation(Invariant::kWatchdogMismatch,
                                "report reservation disagrees with ledger at " +
-                                   chan(r.router, r.out_port),
+                                   topo_.channel_name(r.router, r.out_port),
                                report.cycle, r.holder, r.router, r.out_port);
   }
-  std::size_t held = 0;
-  for (const sim::MsgId h : holder_) held += (h != sim::kInvalidMsg);
+  const std::size_t held = static_cast<std::size_t>(
+      std::ranges::count_if(l.holder, [](sim::MsgId h) { return h != sim::kInvalidMsg; }));
   if (held != report.reservations.size())
     throw InvariantViolation(Invariant::kWatchdogMismatch,
                              "report lists " + std::to_string(report.reservations.size()) +
                                  " reservations, ledger holds " + std::to_string(held),
                              report.cycle);
   for (const sim::WatchdogReport::StalledMessage& s : report.stalled) {
-    Ledger& led = known(s.msg, report.cycle, "watchdog stall entry");
-    if (led.terminal())
+    if (l.known(s.msg, report.cycle, "watchdog stall entry").terminal())
       throw InvariantViolation(Invariant::kWatchdogMismatch,
                                "report lists a terminal message as stalled",
                                report.cycle, s.msg);
   }
-  const int pending = posted_ - delivered_ - dropped_;
+  const int pending = l.pending();
   if (static_cast<int>(report.stalled.size()) != pending)
     throw InvariantViolation(Invariant::kWatchdogMismatch,
                              "report stalls " + std::to_string(report.stalled.size()) +
                                  " messages, ledger has " + std::to_string(pending) +
                                  " pending",
                              report.cycle);
-}
-
-void InvariantAuditor::finalize(const sim::Simulator& sim) const {
-  const sim::SimStats& s = sim.stats();
-  // Conservation: injected = delivered + dropped + still-pending, and the
-  // engine's own counters must agree with the independent ledger.
-  if (s.messages_delivered != delivered_)
-    throw InvariantViolation(Invariant::kConservation,
-                             "SimStats delivered " +
-                                 std::to_string(s.messages_delivered) +
-                                 " != ledger " + std::to_string(delivered_));
-  if (s.messages_dropped != dropped_)
-    throw InvariantViolation(Invariant::kConservation,
-                             "SimStats dropped " + std::to_string(s.messages_dropped) +
-                                 " != ledger " + std::to_string(dropped_));
-  const int pending = posted_ - delivered_ - dropped_;
-  if (pending < 0 || (sim.idle() && pending != 0))
-    throw InvariantViolation(Invariant::kConservation,
-                             std::to_string(pending) +
-                                 " messages unaccounted for on an idle network");
-  if (sim.idle()) {
-    for (std::size_t c = 0; c < holder_.size(); ++c)
-      if (holder_[c] != sim::kInvalidMsg)
-        throw InvariantViolation(Invariant::kChannelExclusivity,
-                                 "channel still reserved on an idle network",
-                                 sim.now(), holder_[c],
-                                 static_cast<int>(c) / radix_,
-                                 static_cast<int>(c) % radix_);
-  }
-  if (cfg_.require_contention_free) {
-    for (std::size_t i = 0; i < msgs_.size(); ++i)
-      if (msgs_[i].delivered && msgs_[i].waits > 0)
-        throw InvariantViolation(
-            Invariant::kContentionFreedom,
-            "delivered message was head-blocked " +
-                std::to_string(sim.messages().at(static_cast<sim::MsgId>(i)).block_cycles) +
-                " cycles",
-            -1, static_cast<sim::MsgId>(i));
-  }
 }
 
 void InvariantAuditor::audit_result(const rt::McastResult& res,

@@ -1,13 +1,15 @@
 // Runtime invariant auditing for the flit-level simulator and the
 // fault-tolerant multicast runtime.
 //
-// The InvariantAuditor is a sim::SimObserver that machine-checks, on
-// every event, the properties the paper's theorems and the simulator's
-// own contracts promise:
+// The InvariantAuditor replays the trace a run recorded: the simulator's
+// events (an obs::FlightRecorder installed as its observer) and the
+// runtime's protocol events, read after the run like `pcmtrace` and
+// `--metrics` read them.  It machine-checks the properties the paper's
+// theorems and the simulator's own contracts promise:
 //
 //   * message conservation   — every posted message ends delivered,
-//     dropped, or still pending; the auditor's own ledger must agree
-//     with SimStats at the end of a run (injected = delivered + dropped
+//     dropped, or still pending; the replayed ledger must agree with
+//     SimStats at the end of a run (injected = delivered + dropped
 //     + purged);
 //   * no phantom delivery    — only posted, non-terminal messages may be
 //     delivered, and a delivery's corrupted flag must match the fault
@@ -19,19 +21,20 @@
 //     ground truth);
 //   * contention freedom     — for schedules built over sorted chains
 //     (OPT-mesh / U-mesh on meshes, OPT-min / U-min on BMINs; Theorems
-//     1–2), no *delivered* message may ever have been head-blocked.
-//     Purged sends to dead nodes are exempt: the theorems only cover
-//     survivor traffic.  Callers should demand this only on fault-free
-//     runs: the disjoint-interval argument covers the healthy schedule,
-//     and a retransmission to a receiver whose own forwards are already
-//     in flight shares that receiver's sub-network, so under faults
-//     head-blocking is legal (chaos found exactly this: U-min + drops);
+//     1–2), no *delivered* message may ever have been head-blocked (a
+//     kWait record).  Purged sends to dead nodes are exempt: the theorems
+//     only cover survivor traffic.  Callers should demand this only on
+//     fault-free runs: the disjoint-interval argument covers the healthy
+//     schedule, and a retransmission to a receiver whose own forwards are
+//     already in flight shares that receiver's sub-network, so under
+//     faults head-blocking is legal (chaos found exactly this: U-min +
+//     drops);
 //   * monotonic ack epochs   — run_reliable's per-record attempt
 //     counters only ever step forward, acks match an issued attempt, and
 //     no record's ack is counted twice (audit_result, replaying the
 //     flight recorder's send lifecycle);
 //   * watchdog consistency   — a WatchdogReport's reservation table and
-//     stalled-message set must agree with the auditor's ledger.
+//     stalled-message set must agree with the ledger replayed up to it.
 //
 // Violations throw InvariantViolation carrying the offending cycle,
 // message, and channel, so a chaos driver can minimize and replay them.
@@ -48,7 +51,6 @@
 #include "runtime/mcast_runtime.hpp"
 #include "runtime/stream_runtime.hpp"
 #include "sim/fault.hpp"
-#include "sim/observer.hpp"
 #include "sim/simulator.hpp"
 #include "sim/topology.hpp"
 
@@ -110,34 +112,31 @@ struct AuditConfig {
   sim::FaultPlan plan;
 };
 
-/// Install with Simulator::set_observer before posting traffic; call
-/// finalize() after the run to execute the end-of-run checks.  One
-/// auditor audits one simulator for its whole lifetime (the ledger is
-/// cumulative across runs, like SimStats).
-class InvariantAuditor final : public sim::SimObserver {
+/// Replays one run's recorded simulator events.  An auditor holds only
+/// the topology (for channel names) and the strictness: each call replays
+/// its events from the first, which must be the simulator's first post.
+/// `events` is everything the run's recorder holds (other kinds are
+/// skipped) and `dropped` its events_dropped(); like the protocol audits
+/// below, a replay throws std::invalid_argument when dropped > 0.
+class InvariantAuditor {
  public:
   InvariantAuditor(const sim::Topology& topo, AuditConfig cfg = {});
 
-  // --- SimObserver hooks (each throws InvariantViolation on failure) ---
-  void on_post(const sim::Message& m, Time t) override;
-  void on_deliver(const sim::Message& m, Time t) override;
-  void on_reserve(int router, int out_port, sim::MsgId msg, Time t) override;
-  void on_release(int router, int out_port, sim::MsgId msg, Time t) override;
-  void on_blocked(int router, int in_port, sim::MsgId msg, Time t) override;
-  void on_drop(sim::MsgId msg, sim::DropReason reason, Time t) override;
-  void on_fault_event(Time t) override;
-  void on_watchdog(const sim::WatchdogReport& report) override;
+  /// Replays a finished run, then runs the end-of-run checks against the
+  /// simulator's `stats`, `idle` and `now`: ledger vs SimStats
+  /// conservation and no channel held while the network is quiescent.
+  void audit_run(std::span<const obs::TraceEvent> events, std::uint64_t dropped,
+                 const sim::SimStats& stats, bool idle, Time now) const;
 
-  /// End-of-run checks: ledger vs SimStats conservation, no channel held
-  /// while the network is quiescent, and (in strict mode) contention
-  /// freedom of every delivered message.  Callable after every run.
-  void finalize(const sim::Simulator& sim) const;
+  /// Replays a run an exception cut short, as far as it got, then checks
+  /// a watchdog expiry's report against the ledger: same reservation
+  /// table, and every stalled message known and pending.
+  void audit_partial(std::span<const obs::TraceEvent> events, std::uint64_t dropped,
+                     const sim::WatchdogReport* watchdog = nullptr) const;
 
-  /// The protocol audits replay the run's flight-recorder trace:
-  /// `events` is everything one run recorded (other kinds are skipped)
-  /// and `dropped` its events_dropped().  Both throw std::invalid_argument
-  /// when dropped > 0 — a wrapped ring is never audited — so record
-  /// audited runs with obs::kUnbounded.
+  /// The protocol audits replay the runtime's records of the same trace
+  /// and take `events` and `dropped` alike: a wrapped ring is never
+  /// audited, so record audited runs with obs::kUnbounded.
 
   /// Checks a run_reliable result for internal consistency: delivered
   /// counts vs recv_complete, delivered_fraction arithmetic, dead-node
@@ -160,30 +159,13 @@ class InvariantAuditor final : public sim::SimObserver {
                            std::span<const obs::TraceEvent> events,
                            std::uint64_t dropped);
 
-  [[nodiscard]] int posted() const { return posted_; }
-  [[nodiscard]] int delivered() const { return delivered_; }
-  [[nodiscard]] int dropped() const { return dropped_; }
-  [[nodiscard]] int fault_events() const { return fault_events_; }
-
  private:
-  struct Ledger {
-    bool delivered = false;
-    bool dropped = false;
-    int waits = 0;  ///< on_blocked calls: waits, not blocked cycles
-    [[nodiscard]] bool terminal() const { return delivered || dropped; }
-  };
-  [[nodiscard]] Ledger& known(sim::MsgId msg, Time t, const char* where);
-  [[nodiscard]] std::string chan(int router, int port) const;
+  struct Ledger;  ///< one replay's message ledger and channel holders
+  [[nodiscard]] Ledger replay(std::span<const obs::TraceEvent> events,
+                              std::uint64_t dropped) const;
 
   const sim::Topology& topo_;
   AuditConfig cfg_;
-  int radix_ = 0;
-  std::vector<Ledger> msgs_;            ///< indexed by (dense) MsgId
-  std::vector<sim::MsgId> holder_;      ///< per channel id; kInvalidMsg = free
-  int posted_ = 0;
-  int delivered_ = 0;
-  int dropped_ = 0;
-  int fault_events_ = 0;
 };
 
 }  // namespace pcm::verify

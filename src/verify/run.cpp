@@ -30,86 +30,95 @@ MulticastTree placement_tree(const PlacementRun& run, const rt::MulticastRuntime
 
 void run_placement(const rt::MulticastRuntime& rtm, sim::Simulator& sim,
                    const PlacementRun& run, PlacementResult& out) {
-  const bool guaranteed = guarantees_contention_free(run.alg);
-  std::optional<InvariantAuditor> auditor;
-  if (run.audit) {
-    AuditConfig acfg;
-    // Theorems 1-2 cover one healthy tree at a time: a retransmission
-    // shares its receiver's sub-network, and with window > 1 consecutive
-    // stream slots legally share channels.
-    acfg.require_contention_free =
-        guaranteed && run.plan == nullptr && (run.slots == 0 || run.window == 1);
-    acfg.plan_known = run.plan != nullptr;
-    if (run.plan != nullptr) acfg.plan = *run.plan;
-    auditor.emplace(sim.topology(), acfg);
-    sim.set_observer(&*auditor);
-  }
-  if (run.trace != nullptr) {
-    run.trace->chain(auditor ? &*auditor : nullptr);
-    sim.set_observer(run.trace);
-  }
-  if (run.plan != nullptr) sim.set_fault_plan(*run.plan);
-
-  // The protocol log the audit replays: the trace when there is one, else
-  // a detached recorder that sees the protocol events only.
+  // An audited run records into one unbounded recorder, the trace when
+  // there is one: the simulator's observer and the runtime's protocol log
+  // at once, which the audit replays after the run.
   std::optional<obs::FlightRecorder> own_log;
   obs::FlightRecorder* log = run.trace;
   if (run.audit && log == nullptr)
     log = &own_log.emplace(obs::RecorderConfig{obs::kUnbounded});
+  if (log != nullptr) sim.set_observer(log);
+  if (run.plan != nullptr) sim.set_fault_plan(*run.plan);
 
-  if (run.slots > 0) {
-    rt::StreamConfig scfg;
-    scfg.window_size = run.window;
-    scfg.slots = run.slots;
-    scfg.bytes = run.bytes;
-    scfg.alg = run.alg;
-    scfg.shape = run.shape;
-    scfg.reliable = run.plan != nullptr || run.heartbeat > 0;
-    scfg.ft.max_retries = run.max_retries;
-    scfg.recorder = log;
-    scfg.membership.heartbeat_period = run.heartbeat;
-    scfg.failover = run.failover;
-    scfg.rejoin = run.rejoin;
-    // Every epoch rebuild re-splits the chain; a guaranteed algorithm must
-    // stay contention-free over any sorted sub-chain, which pcmlint proves
-    // for each adopted tree without simulating a flit.
-    if (run.audit && guaranteed) {
-      scfg.on_reconfigure = [&](const MulticastTree& tree) {
-        lint::LintOptions lopts;
-        lopts.max_diagnostics = 1;
-        lopts.keep_schedule = false;
-        const lint::LintReport lr = lint::lint_tree(
-            tree, sim.topology(), rtm.config(), sim::SimConfig{}, run.bytes, lopts);
-        if (!lr.clean()) {
-          std::string detail = lr.describe(tree, sim.topology());
-          if (const std::size_t nl = detail.find('\n'); nl != std::string::npos)
-            detail.resize(nl);
-          throw InvariantViolation(Invariant::kContentionFreedom,
-                                   "pcmlint rejects an epoch tree: " + detail);
-        }
-      };
+  // The stream, plain or reliable path.
+  auto execute = [&] {
+    if (run.slots > 0) {
+      rt::StreamConfig scfg;
+      scfg.window_size = run.window;
+      scfg.slots = run.slots;
+      scfg.bytes = run.bytes;
+      scfg.alg = run.alg;
+      scfg.shape = run.shape;
+      scfg.reliable = run.plan != nullptr || run.heartbeat > 0;
+      scfg.ft.max_retries = run.max_retries;
+      scfg.recorder = log;
+      scfg.membership.heartbeat_period = run.heartbeat;
+      scfg.failover = run.failover;
+      scfg.rejoin = run.rejoin;
+      // Every epoch rebuild re-splits the chain; a guaranteed algorithm must
+      // stay contention-free over any sorted sub-chain, which pcmlint proves
+      // for each adopted tree without simulating a flit.
+      if (run.audit && guarantees_contention_free(run.alg)) {
+        scfg.on_reconfigure = [&](const MulticastTree& tree) {
+          lint::LintOptions lopts;
+          lopts.max_diagnostics = 1;
+          lopts.keep_schedule = false;
+          const lint::LintReport lr = lint::lint_tree(
+              tree, sim.topology(), rtm.config(), sim::SimConfig{}, run.bytes, lopts);
+          if (!lr.clean()) {
+            std::string detail = lr.describe(tree, sim.topology());
+            if (const std::size_t nl = detail.find('\n'); nl != std::string::npos)
+              detail.resize(nl);
+            throw InvariantViolation(Invariant::kContentionFreedom,
+                                     "pcmlint rejects an epoch tree: " + detail);
+          }
+        };
+      }
+      out.stream = rt::StreamRuntime(rtm).run(sim, run.source, run.dests, scfg, sim.now());
+      return;
     }
-    out.stream = rt::StreamRuntime(rtm).run(sim, run.source, run.dests, scfg, sim.now());
-    if (auditor) {
-      auditor->finalize(sim);
-      InvariantAuditor::audit_stream(out.stream, log->snapshot(), log->events_dropped());
+    const MulticastTree tree = placement_tree(run, rtm);
+    if (run.plan == nullptr) {
+      out.shot = rtm.run(sim, tree, run.bytes, sim.now());
+      return;
     }
+    rt::FtConfig ft;
+    ft.max_retries = run.max_retries;
+    out.shot = rtm.run_reliable(sim, tree, run.bytes, ft, sim.now(), log);
+  };
+  if (!run.audit) {
+    execute();
     return;
   }
 
-  const MulticastTree tree = placement_tree(run, rtm);
-  if (run.plan == nullptr) {
-    out.shot = rtm.run(sim, tree, run.bytes, sim.now());
-    if (auditor) auditor->finalize(sim);
-    return;
+  AuditConfig acfg;
+  // Theorems 1-2 cover one healthy tree at a time: a retransmission
+  // shares its receiver's sub-network, and with window > 1 consecutive
+  // stream slots legally share channels.
+  acfg.require_contention_free = guarantees_contention_free(run.alg) &&
+                                 run.plan == nullptr &&
+                                 (run.slots == 0 || run.window == 1);
+  acfg.plan_known = run.plan != nullptr;
+  if (run.plan != nullptr) acfg.plan = *run.plan;
+  const InvariantAuditor auditor(sim.topology(), std::move(acfg));
+  // A run cut short is replayed as far as it got: a violation found there
+  // happened before the exception, so it is the verdict.  A watchdog's
+  // report must also agree with the replayed ledger.
+  try {
+    execute();
+  } catch (const sim::WatchdogError& e) {
+    auditor.audit_partial(log->snapshot(), log->events_dropped(), &e.report());
+    throw;
+  } catch (...) {
+    auditor.audit_partial(log->snapshot(), log->events_dropped());
+    throw;
   }
-  rt::FtConfig ft;
-  ft.max_retries = run.max_retries;
-  out.shot = rtm.run_reliable(sim, tree, run.bytes, ft, sim.now(), log);
-  if (auditor) {
-    auditor->finalize(sim);
-    InvariantAuditor::audit_result(out.shot, log->snapshot(), log->events_dropped());
-  }
+  const std::vector<obs::TraceEvent> events = log->snapshot();
+  auditor.audit_run(events, log->events_dropped(), sim.stats(), sim.idle(), sim.now());
+  if (run.slots > 0)
+    InvariantAuditor::audit_stream(out.stream, events, log->events_dropped());
+  else if (run.plan != nullptr)
+    InvariantAuditor::audit_result(out.shot, events, log->events_dropped());
 }
 
 }  // namespace pcm::verify

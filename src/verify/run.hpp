@@ -24,7 +24,7 @@ struct PlacementRun {
   std::span<const NodeId> dests;
   Bytes bytes = 1024;
   int max_retries = 3;
-  /// Run under the InvariantAuditor; a violation throws InvariantViolation.
+  /// Audit the recorded run; a violation throws InvariantViolation.
   bool audit = false;
   /// Split the seed-shuffled caller-order chain instead of the sorted one,
   /// deliberately voiding the Theorem 1/2 precondition (one-shot only).
@@ -39,10 +39,9 @@ struct PlacementRun {
   Time heartbeat = 0;  ///< membership lease cadence (streams; 0 = off)
   bool failover = false;
   bool rejoin = false;
-  /// The simulator's observer (in front of the auditor, so a violation's
-  /// trace ends at the offending event) and the protocol log the audit
-  /// replays.  Audited runs need it unbounded.  When null, an audited
-  /// run keeps a detached protocol-only log of its own.
+  /// The simulator's observer and the runtime's protocol log, which an
+  /// audit replays after the run: audited runs need it unbounded.  When
+  /// null, an audited run records into an unbounded recorder of its own.
   obs::FlightRecorder* trace = nullptr;
 };
 
@@ -60,13 +59,16 @@ std::vector<NodeId> shuffle_dests(std::vector<NodeId> dests, std::uint64_t seed)
 /// or its split rule over the shuffled chain under shuffle_chain.
 MulticastTree placement_tree(const PlacementRun& run, const rt::MulticastRuntime& rtm);
 
-/// Executes `run` on the fresh simulator `sim`: installs the auditor
-/// (contention freedom demanded of the guaranteed algorithms on runs
-/// without a plan, streams at window 1 only) and the fault plan, runs the
-/// plain, reliable or stream path, re-certifies every tree a stream
-/// adopts (pcmlint, Theorem 1), then finalizes the auditor and replays
-/// the protocol log.  `out` is filled before the closing audit, so it
-/// keeps the run's figures when that audit throws.
+/// Executes `run` on the fresh simulator `sim`: installs the recorder and
+/// the fault plan, runs the plain, reliable or stream path, re-certifies
+/// every tree a stream adopts (pcmlint, Theorem 1), then replays the
+/// recording through the InvariantAuditor (contention freedom demanded of
+/// the guaranteed algorithms on runs without a plan, streams at window 1
+/// only) and the protocol audit.  A violating run therefore runs to its
+/// end before the audit throws; a run that throws is replayed as far as
+/// it got, and a violation found there is thrown instead.  `out` is
+/// filled before the closing audit, so it keeps the run's figures when
+/// that audit throws.
 void run_placement(const rt::MulticastRuntime& rtm, sim::Simulator& sim,
                    const PlacementRun& run, PlacementResult& out);
 

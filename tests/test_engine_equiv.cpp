@@ -24,7 +24,6 @@
 #include <algorithm>
 #include <functional>
 #include <random>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -43,54 +42,19 @@
 namespace pcm::sim {
 namespace {
 
-/// Records every observer callback as one line, in commit order.  Two
-/// engines are stream-equivalent iff the recorded logs match verbatim.
-class RecordingObserver final : public SimObserver {
- public:
-  void on_post(const Message& m, Time t) override {
-    line() << "post " << m.id << " @" << t;
-  }
-  void on_deliver(const Message& m, Time t) override {
-    line() << "deliver " << m.id << " @" << t << " blk=" << m.block_cycles;
-  }
-  void on_reserve(int r, int q, MsgId msg, Time t) override {
-    line() << "reserve " << r << ":" << q << " m" << msg << " @" << t;
-  }
-  void on_release(int r, int q, MsgId msg, Time t) override {
-    line() << "release " << r << ":" << q << " m" << msg << " @" << t;
-  }
-  void on_blocked(int r, int p, MsgId msg, Time t) override {
-    line() << "blocked " << r << ":" << p << " m" << msg << " @" << t;
-  }
-  void on_drop(MsgId msg, DropReason reason, Time t) override {
-    line() << "drop m" << msg << " r" << static_cast<int>(reason) << " @" << t;
-  }
-  void on_fault_event(Time t) override { line() << "fault @" << t; }
-  void on_watchdog(const WatchdogReport& rep) override {
-    line() << "watchdog @" << rep.cycle << " stalled=" << rep.stalled_cycles;
-  }
-
-  [[nodiscard]] std::string text() const { return os_.str(); }
-
- private:
-  std::ostringstream& line() {
-    os_ << '\n';
-    return os_;
-  }
-  std::ostringstream os_;
-};
-
 struct RunCapture {
   SimStats stats;
   RunStatus status = RunStatus::kCompleted;
   Time cycles = 0;
-  std::string events;
+  std::vector<obs::TraceEvent> events;  ///< the flight recorder's records
   std::vector<Message> messages;
   std::string stall;
   // Engine counters: which path the event engine took (not compared).
   long long admitted = 0;
   long long reentries = 0;
   long long event_cycles = 0;
+  long long leaps = 0;
+  long long leaped_cycles = 0;
   long long materialized[kMaterializationKinds] = {};
   [[nodiscard]] long long materializations(Materialization why) const {
     return materialized[static_cast<int>(why)];
@@ -99,50 +63,49 @@ struct RunCapture {
 
 /// Runs `drive` on a fresh simulator under `engine` and captures every
 /// observable.  `drive` posts traffic and calls run_until_idle itself.
-/// With `observe` the log holds every observer callback; without, it
-/// holds the delivery and drop handler calls (unless `drive` installs
-/// its own handlers), and the event engine may admit worms whole.
+/// With `observe` a flight recorder is the observer and records every
+/// callback; without, the delivery and drop handlers feed its hooks
+/// (unless `drive` installs its own handlers), and the event engine may
+/// admit worms whole.
 RunCapture capture(const Topology& topo, SimConfig cfg, EngineKind engine,
                    const std::function<void(Simulator&)>& drive,
                    bool take_stall_report = false, bool observe = true) {
   cfg.engine = engine;
   Simulator sim(topo, cfg);
-  RecordingObserver obs;
+  obs::FlightRecorder rec(obs::RecorderConfig{obs::kUnbounded});
   if (observe) {
-    sim.set_observer(&obs);
+    sim.set_observer(&rec);
   } else {
     sim.set_delivery_handler(
-        [&](const Message& m) { obs.on_deliver(m, sim.now()); });
+        [&](const Message& m) { rec.on_deliver(m, sim.now()); });
     sim.set_drop_handler(
-        [&](const Message& m) { obs.on_drop(m.id, m.drop_reason, sim.now()); });
+        [&](const Message& m) { rec.on_drop(m.id, m.drop_reason, sim.now()); });
   }
   drive(sim);
   RunCapture cap;
   cap.stats = sim.stats();
   cap.status = sim.run_status();
   cap.cycles = sim.now();
-  cap.events = obs.text();
+  cap.events = rec.snapshot();
   cap.messages.assign(sim.messages().all().begin(), sim.messages().all().end());
   if (take_stall_report) cap.stall = sim.stall_report().to_string();
   cap.admitted = sim.admitted_worms();
   cap.reentries = sim.reentries();
   cap.event_cycles = sim.event_cycles();
+  cap.leaps = sim.leaps();
+  cap.leaped_cycles = sim.leaped_cycles();
   for (int k = 0; k < kMaterializationKinds; ++k)
     cap.materialized[k] = sim.materializations(static_cast<Materialization>(k));
   return cap;
 }
 
-/// Equal event logs; on a mismatch reports the first differing line
-/// rather than gtest's full diff, which is quadratic on long logs.
-void expect_same_log(const std::string& a, const std::string& b) {
-  if (a == b) return;
-  std::size_t i = 0;
-  while (i < a.size() && i < b.size() && a[i] == b[i]) ++i;
-  const std::size_t line = i == 0 ? 0 : a.rfind('\n', i - 1);
-  const std::size_t from = line == std::string::npos ? 0 : line;
-  ADD_FAILURE() << "event logs differ at byte " << i << " (sizes " << a.size()
-                << " vs " << b.size() << "):\n  want:" << a.substr(from, 160)
-                << "\n  got: " << b.substr(from, 160);
+/// Equal traces, record for record; a mismatch reports the first
+/// differing record rather than gtest's full diff.
+void expect_same_log(const std::vector<obs::TraceEvent>& a,
+                     const std::vector<obs::TraceEvent>& b) {
+  const obs::TraceDiff d = obs::diff_traces(a, b);
+  EXPECT_TRUE(d.identical) << "traces differ at record " << d.first_divergence << ": "
+                           << d.detail;
 }
 
 void expect_equivalent(const RunCapture& cyc, const RunCapture& evt) {
@@ -555,7 +518,12 @@ TEST(EngineEquiv, DeadSenderPostReleasedInEventMode) {
         },
         false, observe);
     if (!observe) {
-      EXPECT_LT(evt.events.find("deliver 2 "), evt.events.find("drop m1 "));
+      auto at = [&](obs::EventKind k, int msg) {
+        return std::ranges::find_if(evt.events, [&](const obs::TraceEvent& ev) {
+          return ev.event_kind() == k && ev.a == msg;
+        });
+      };
+      EXPECT_LT(at(obs::EventKind::kDeliver, 2), at(obs::EventKind::kDrop, 1));
     }
     EXPECT_EQ(evt.stats.fault_events, 1);
     EXPECT_EQ(evt.stats.messages_dropped, 2);
@@ -678,18 +646,18 @@ TEST(EngineEquiv, ObserverAttachedBetweenRunsSeesTheRest) {
   // Admitted worms produce no per-hop events, so attaching an observer
   // mid-flight hands them to the cycle engine first.
   const auto topo = mesh::make_mesh2d(8);
-  std::string logs[2];
+  std::vector<obs::TraceEvent> logs[2];
   for (const EngineKind engine : {EngineKind::kCycle, EngineKind::kEvent}) {
     SimConfig cfg;
     cfg.engine = engine;
     Simulator sim(*topo, cfg);
-    RecordingObserver obs;
+    obs::FlightRecorder rec(obs::RecorderConfig{obs::kUnbounded});
     sim.post(mk(0, 63, 100));
     sim.post(mk(9, 54, 40, 5));
     sim.run_until_idle(30);
-    sim.set_observer(&obs);
+    sim.set_observer(&rec);
     sim.run_until_idle();
-    logs[engine == EngineKind::kCycle ? 0 : 1] = obs.text();
+    logs[engine == EngineKind::kCycle ? 0 : 1] = rec.snapshot();
     if (engine == EngineKind::kEvent) {
       EXPECT_EQ(sim.admitted_worms(), 2);
       EXPECT_EQ(sim.materializations(Materialization::kBail), 1);
@@ -701,11 +669,11 @@ TEST(EngineEquiv, ObserverAttachedBetweenRunsSeesTheRest) {
 // --- contended bench workloads ------------------------------------------
 
 /// One engine's run of a workload: its multicast results, SimStats and,
-/// when traced, the flight recorder's PCMT bytes.
+/// when traced, the flight recorder's records.
 struct WorkloadCapture {
   std::vector<rt::McastResult> results;
   SimStats stats;
-  std::string trace;
+  std::vector<obs::TraceEvent> trace;
 };
 
 using Workload = std::function<std::vector<rt::McastResult>(Simulator&)>;
@@ -718,11 +686,7 @@ WorkloadCapture run_workload(const Topology& topo, EngineKind engine, bool trace
   WorkloadCapture cap;
   cap.results = drive(sim);
   cap.stats = sim.stats();
-  if (traced) {
-    std::ostringstream os;
-    obs::write_binary_trace(os, rec.snapshot(), rec.events_dropped());
-    cap.trace = os.str();
-  }
+  cap.trace = rec.snapshot();
   return cap;
 }
 
@@ -752,7 +716,7 @@ long long expect_workload_engine_identical(const Topology& topo, const Workload&
     EXPECT_EQ(cyc.stats.channel_conflicts, evt.stats.channel_conflicts);
     EXPECT_EQ(cyc.stats.messages_delivered, evt.stats.messages_delivered);
     EXPECT_EQ(cyc.stats.max_inflight_flits, evt.stats.max_inflight_flits);
-    EXPECT_TRUE(cyc.trace == evt.trace) << "PCMT bytes differ";
+    expect_same_log(cyc.trace, evt.trace);
     EXPECT_EQ(traced, !cyc.trace.empty());
     blocked = cyc.stats.channel_conflicts;
   }
@@ -1042,39 +1006,6 @@ using Drain = std::function<void(Simulator&)>;
 constexpr Time kLeapTestHorizon = 2000000;
 void run_whole(Simulator& sim) { sim.run_until_idle(kLeapTestHorizon); }
 
-struct LeapCapture {
-  RunCapture run;
-  std::string trace;  ///< FlightRecorder binary export
-  long long leaps = 0;
-  long long leaped_cycles = 0;
-};
-
-/// Runs `drive` (which posts traffic and drains with the Drain it is
-/// given) under a flight recorder chained to the line recorder.
-LeapCapture capture_leap(const Topology& topo, SimConfig cfg, EngineKind engine,
-                         const std::function<void(Simulator&, const Drain&)>& drive,
-                         const Drain& drain) {
-  cfg.engine = engine;
-  Simulator sim(topo, cfg);
-  RecordingObserver lines;
-  obs::FlightRecorder rec(obs::RecorderConfig{std::size_t{1} << 18});
-  rec.chain(&lines);
-  sim.set_observer(&rec);
-  drive(sim, drain);
-  LeapCapture cap;
-  cap.run.stats = sim.stats();
-  cap.run.status = sim.run_status();
-  cap.run.cycles = sim.now();
-  cap.run.events = lines.text();
-  cap.run.messages.assign(sim.messages().all().begin(), sim.messages().all().end());
-  std::ostringstream bytes;
-  obs::write_binary_trace(bytes, rec.snapshot(), rec.events_dropped());
-  cap.trace = bytes.str();
-  cap.leaps = sim.leaps();
-  cap.leaped_cycles = sim.leaped_cycles();
-  return cap;
-}
-
 /// Checks a single run_until_idle() — cycle engine, and event engine
 /// handing over to it — against the stepped reference; returns the
 /// cycle engine's leaped cycles so callers can insist the leap ran.
@@ -1082,15 +1013,15 @@ long long expect_leap_exact(
     const Topology& topo, SimConfig cfg,
     const std::function<void(Simulator&, const Drain&)>& drive,
     const Drain& whole = run_whole) {
-  const LeapCapture ref =
-      capture_leap(topo, cfg, EngineKind::kCycle, drive, run_stepwise);
+  const RunCapture ref = capture(topo, cfg, EngineKind::kCycle,
+                                 [&](Simulator& sim) { drive(sim, run_stepwise); });
   EXPECT_EQ(ref.leaps, 0);
   long long leaped = 0;
   for (const EngineKind engine : {EngineKind::kCycle, EngineKind::kEvent}) {
     SCOPED_TRACE(engine == EngineKind::kCycle ? "cycle" : "event");
-    const LeapCapture got = capture_leap(topo, cfg, engine, drive, whole);
-    expect_equivalent(ref.run, got.run);
-    EXPECT_TRUE(ref.trace == got.trace) << "flight recorder bytes differ";
+    const RunCapture got =
+        capture(topo, cfg, engine, [&](Simulator& sim) { drive(sim, whole); });
+    expect_equivalent(ref, got);
     if (engine == EngineKind::kCycle) leaped = got.leaped_cycles;
   }
   return leaped;

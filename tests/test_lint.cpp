@@ -23,6 +23,7 @@
 #include "core/chain.hpp"
 #include "lint/lint.hpp"
 #include "mesh/mesh_topology.hpp"
+#include "obs/recorder.hpp"
 #include "runtime/mcast_runtime.hpp"
 #include "runtime/stream_runtime.hpp"
 #include "sim/simulator.hpp"
@@ -37,32 +38,15 @@ using lint::LintDiagnostic;
 using lint::LintReport;
 using lint::SendWindow;
 
-/// Records every channel-level event so lint windows can be checked
-/// against the simulator's ground truth, cycle for cycle.
-class EventRecorder final : public sim::SimObserver {
- public:
-  explicit EventRecorder(int radix) : radix_(radix) {}
-  struct Ev {
-    sim::ChannelId ch;
-    sim::MsgId msg;
-    Time t;
-  };
-  std::vector<Ev> reserves, releases;
-  std::vector<Ev> blocked;  ///< ch is the *input* channel here
-
-  void on_reserve(int router, int out_port, sim::MsgId msg, Time t) override {
-    reserves.push_back(Ev{router * radix_ + out_port, msg, t});
-  }
-  void on_release(int router, int out_port, sim::MsgId msg, Time t) override {
-    releases.push_back(Ev{router * radix_ + out_port, msg, t});
-  }
-  void on_blocked(int router, int in_port, sim::MsgId msg, Time t) override {
-    blocked.push_back(Ev{router * radix_ + in_port, msg, t});
-  }
-
- private:
-  int radix_;
-};
+/// The records of one kind in a recorder's trace, grouped by message
+/// (the message is field c of reserves, releases and waits).
+std::map<sim::MsgId, std::vector<obs::TraceEvent>> by_msg(
+    const std::vector<obs::TraceEvent>& events, obs::EventKind kind) {
+  std::map<sim::MsgId, std::vector<obs::TraceEvent>> out;
+  for (const obs::TraceEvent& ev : events)
+    if (ev.event_kind() == kind) out[ev.c].push_back(ev);
+  return out;
+}
 
 MulticastTree tree_for(McastAlgorithm alg, const analysis::Placement& p,
                        const rt::MulticastRuntime& rtm, Bytes payload,
@@ -99,7 +83,7 @@ void expect_schedule_matches_sim(const sim::Topology& topo,
       lint::lint_schedule(tree, topo, cfg, sim_cfg, payload, 0);
 
   sim::Simulator sim(topo, sim_cfg);
-  EventRecorder rec(topo.radix());
+  obs::FlightRecorder rec(obs::RecorderConfig{obs::kUnbounded});
   sim.set_observer(&rec);
   const rt::McastResult r = rtm.run(sim, tree, payload, 0);
   ASSERT_EQ(r.channel_conflicts, 0) << "fidelity needs an uncontended run";
@@ -120,30 +104,26 @@ void expect_schedule_matches_sim(const sim::Topology& topo,
   // message must be exactly (path[i], reserve[i]) and the release must
   // come flits-1 cycles later (the channel frees *after* that cycle, so
   // the hold window is [reserve, reserve + flits)).
-  std::map<sim::MsgId, std::vector<EventRecorder::Ev>> by_msg;
-  for (const EventRecorder::Ev& e : rec.reserves) by_msg[e.msg].push_back(e);
+  const std::vector<obs::TraceEvent> events = rec.snapshot();
+  auto reserves = by_msg(events, obs::EventKind::kReserve);
+  auto releases = by_msg(events, obs::EventKind::kRelease);
   for (const sim::Message& m : sim.messages().all()) {
     const SendWindow& w = windows.at(static_cast<size_t>(m.tag));
-    const std::vector<EventRecorder::Ev>& evs = by_msg[m.id];
-    ASSERT_EQ(evs.size(), w.path.size()) << "send " << m.tag;
-    for (size_t i = 0; i < evs.size(); ++i) {
-      EXPECT_EQ(evs[i].ch, w.path[i]) << "send " << m.tag << " hop " << i;
-      EXPECT_EQ(evs[i].t, w.reserve[i]) << "send " << m.tag << " hop " << i;
-    }
-  }
-  std::map<sim::MsgId, std::vector<EventRecorder::Ev>> rel_by_msg;
-  for (const EventRecorder::Ev& e : rec.releases) rel_by_msg[e.msg].push_back(e);
-  for (const sim::Message& m : sim.messages().all()) {
-    const SendWindow& w = windows.at(static_cast<size_t>(m.tag));
-    const std::vector<EventRecorder::Ev>& evs = rel_by_msg[m.id];
-    ASSERT_EQ(evs.size(), w.path.size()) << "send " << m.tag;
-    for (size_t i = 0; i < evs.size(); ++i) {
-      EXPECT_EQ(evs[i].ch, w.path[i]) << "send " << m.tag << " hop " << i;
-      EXPECT_EQ(evs[i].t, w.reserve[i] + w.flits - 1)
+    const std::vector<obs::TraceEvent>& res = reserves[m.id];
+    const std::vector<obs::TraceEvent>& rel = releases[m.id];
+    ASSERT_EQ(res.size(), w.path.size()) << "send " << m.tag;
+    ASSERT_EQ(rel.size(), w.path.size()) << "send " << m.tag;
+    for (size_t i = 0; i < w.path.size(); ++i) {
+      EXPECT_EQ(topo.channel_id(res[i].a, res[i].b), w.path[i])
+          << "send " << m.tag << " hop " << i;
+      EXPECT_EQ(res[i].cycle, w.reserve[i]) << "send " << m.tag << " hop " << i;
+      EXPECT_EQ(topo.channel_id(rel[i].a, rel[i].b), w.path[i])
+          << "send " << m.tag << " hop " << i;
+      EXPECT_EQ(rel[i].cycle, w.reserve[i] + w.flits - 1)
           << "send " << m.tag << " hop " << i;
     }
   }
-  EXPECT_TRUE(rec.blocked.empty());
+  EXPECT_TRUE(by_msg(events, obs::EventKind::kWait).empty());
 }
 
 TEST(LintFidelity, OptMeshWindowsMatchSimulator) {
@@ -267,28 +247,28 @@ TEST(LintGolden, ShuffledChainOptMeshFlagsTheDynamicPair) {
   // must be exactly the statically predicted pair, at exactly the
   // predicted first overlap cycle, wanting the predicted channel.
   sim::Simulator sim(topo);
-  EventRecorder rec(topo.radix());
+  obs::FlightRecorder rec(obs::RecorderConfig{obs::kUnbounded});
   sim.set_observer(&rec);
   const rt::McastResult r = rtm.run(sim, tree, 4096, 0);
   ASSERT_GT(r.channel_conflicts, 0);
-  ASSERT_FALSE(rec.blocked.empty());
-  const EventRecorder::Ev& b = rec.blocked.front();
-  EXPECT_EQ(b.t, first.overlap_begin);
-  EXPECT_EQ(sim.messages().at(b.msg).tag, first.send_b);
+  const std::vector<obs::TraceEvent> events = rec.snapshot();
+  const auto b = std::ranges::find_if(events, [](const obs::TraceEvent& ev) {
+    return ev.event_kind() == obs::EventKind::kWait;
+  });
+  ASSERT_NE(b, events.end());
+  EXPECT_EQ(b->cycle, first.overlap_begin);
+  EXPECT_EQ(sim.messages().at(b->c).tag, first.send_b);
 
-  // --audit parity: the auditor's contention-freedom violation names a
-  // message the static analyzer flagged too.
-  sim::Simulator audited(topo);
+  // --audit parity: the auditor's contention-freedom violation, replayed
+  // from the same run, names a message the static analyzer flagged too.
   verify::AuditConfig acfg;
   acfg.require_contention_free = true;
-  verify::InvariantAuditor auditor(audited.topology(), acfg);
-  audited.set_observer(&auditor);
   try {
-    (void)rtm.run(audited, tree, 4096, 0);
-    auditor.finalize(audited);
+    verify::InvariantAuditor(topo, acfg)
+        .audit_run(events, 0, sim.stats(), sim.idle(), sim.now());
     FAIL() << "auditor should have objected to the shuffled chain";
   } catch (const verify::InvariantViolation& v) {
-    const int flagged_send = audited.messages().at(v.msg()).tag;
+    const int flagged_send = sim.messages().at(v.msg()).tag;
     bool statically_flagged = false;
     for (const LintDiagnostic& d : rep.diagnostics)
       if (d.send_a == flagged_send || d.send_b == flagged_send)

@@ -13,12 +13,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "analysis/sampling.hpp"
 #include "cli/options.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
@@ -26,6 +28,7 @@
 #include "runtime/stream_runtime.hpp"
 #include "sim/fault.hpp"
 #include "verify/invariant_auditor.hpp"
+#include "verify/run.hpp"
 
 namespace pcm::obs {
 namespace {
@@ -33,14 +36,8 @@ namespace {
 TraceEvent make_event(EventKind k, Time cycle, std::int32_t a = 0,
                       std::int32_t b = 0, std::int32_t c = 0,
                       std::int32_t d = 0) {
-  TraceEvent ev;
-  ev.cycle = cycle;
-  ev.kind = static_cast<std::uint16_t>(k);
-  ev.a = a;
-  ev.b = b;
-  ev.c = c;
-  ev.d = d;
-  return ev;
+  return {.cycle = cycle, .a = a, .b = b, .c = c, .d = d,
+          .kind = static_cast<std::uint16_t>(k)};
 }
 
 // --- ring buffer ----------------------------------------------------------
@@ -324,17 +321,37 @@ INSTANTIATE_TEST_SUITE_P(Workloads, TraceEngines,
                          [](const auto& p) { return p.param; });
 
 TEST(TraceDeterminism, TracingDoesNotPerturbResults) {
-  const cli::CliOptions opt = fig2_options();
-  std::ostringstream plain, err;
-  ASSERT_EQ(cli::run_cli(opt, plain, err), 0);
-
-  TempPath tmp("onoff");
-  std::string traced_out;
-  (void)run_traced(opt, tmp.path, &traced_out);
-  // Identical stdout except the trailing "trace:" status line.
-  const std::size_t cut = traced_out.find("trace:   ");
-  ASSERT_NE(cut, std::string::npos);
-  EXPECT_EQ(traced_out.substr(0, cut), plain.str());
+  // Identical stdout with and without --trace, except the trace's own
+  // "trace:" status line: on fig2, and under --audit (which replays the
+  // same recording either way) on a violating sweep and a clean fault
+  // run, serial and fanned out.
+  const std::pair<int, std::vector<std::string>> cases[] = {
+      {0, {"--topology", "mesh:8", "--algorithm", "opt-mesh", "--nodes", "16", "--reps", "2"}},
+      {3, {"--reps", "8", "--seed", "7", "--shuffle-chain", "--audit"}},
+      {0, {"--topology", "mesh:8", "--nodes", "8", "--bytes", "512", "--reps", "2",
+           "--faults", "node:3@300;drop:0.001;seed:1", "--audit", "--gantt", "--probe",
+           "--engine", "event"}}};
+  auto report = [](std::vector<std::string> args, int exit_code) {
+    const std::vector<std::string_view> views(args.begin(), args.end());
+    std::ostringstream os, err;
+    EXPECT_EQ(cli::run_cli(cli::parse_args(views), os, err), exit_code);
+    std::string out;
+    std::istringstream in(os.str());
+    for (std::string line; std::getline(in, line);)
+      if (!line.starts_with("trace:")) out += line + "\n";
+    return out;
+  };
+  for (const auto& [exit_code, args] : cases) {
+    for (const char* jobs : {"1", "3"}) {
+      SCOPED_TRACE(args[1] + " --jobs " + jobs);
+      std::vector<std::string> run = args;
+      run.insert(run.end(), {"--jobs", jobs});
+      const std::string plain = report(run, exit_code);
+      TempPath tmp(std::string("jobs") + jobs);
+      run.insert(run.end(), {"--trace", tmp.path});
+      EXPECT_EQ(report(run, exit_code), plain);
+    }
+  }
 }
 
 TEST(TraceDeterminism, StreamTraceRecordsSlotLifecycle) {
@@ -382,11 +399,54 @@ TEST(TraceAudit, AuditedOneShotRunNeverWrapsItsRing) {
   EXPECT_EQ(out.find("dropped by ring wrap"), std::string::npos) << out;
 }
 
+/// "clean" when `audit` passes, else its violation's what().
+std::string verdict_of(const std::function<void()>& audit) {
+  try {
+    audit();
+  } catch (const verify::InvariantViolation& v) {
+    return v.what();
+  }
+  return "clean";
+}
+
+/// Audits `run` on `topology` in-process through run_placement into an
+/// unbounded ring, then writes the ring to a PCMT file and reads it back.
+/// The run and the channel replay of the ring and of the file with `cfg`
+/// all reach `verdict` ("clean" or what()).  Returns the file's records
+/// and the run's result.
+std::pair<std::vector<TraceEvent>, verify::PlacementResult> expect_file_equals_memory(
+    const std::string& topology, verify::PlacementRun run, const verify::AuditConfig& cfg,
+    const std::string& verdict) {
+  const auto topo = cli::make_topology(topology);
+  sim::Simulator sim(*topo);
+  FlightRecorder ring(RecorderConfig{kUnbounded});
+  run.shape = cli::mesh_shape_of(*topo);
+  run.audit = true;
+  run.trace = &ring;
+  verify::PlacementResult res;
+  EXPECT_EQ(verdict_of([&] {
+              verify::run_placement(rt::MulticastRuntime{rt::RuntimeConfig{}}, sim, run, res);
+            }),
+            verdict);
+  TempPath tmp("replay");
+  write_trace(tmp.path, ring.snapshot(), ring.events_dropped());
+  std::ifstream f(tmp.path, std::ios::binary);
+  const TraceFile tf = read_binary_trace(f);
+  const verify::InvariantAuditor auditor(*topo, cfg);
+  for (const std::vector<TraceEvent>& events : {ring.snapshot(), tf.events})
+    EXPECT_EQ(verdict_of([&] {
+                auditor.audit_run(events, tf.dropped, sim.stats(), sim.idle(), sim.now());
+              }),
+              verdict);
+  return {tf.events, res};
+}
+
 TEST(TraceAudit, PostMortemAuditFromAFileMatchesTheInMemoryAudit) {
   // A mid-stream source kill under failover, traced by pcmcast --audit
-  // --trace; the same stream rerun in-process gives the StreamResult.
-  // audit_stream over the file's events must reach the in-memory verdict:
-  // clean for the real result, the same violation for a doctored one.
+  // --trace and rerun in-process (audited into a ring).  The file holds
+  // the ring's records after its run marker, and audit_stream over the
+  // file must reach the in-memory verdict: clean for the real result,
+  // the same violation for a doctored one.
   cli::CliOptions opt;
   opt.topology = "mesh:8";
   opt.source = 0;
@@ -402,48 +462,94 @@ TEST(TraceAudit, PostMortemAuditFromAFileMatchesTheInMemoryAudit) {
   const TraceFile tf = run_traced(opt, tmp.path);
   ASSERT_EQ(tf.dropped, 0u);
 
-  const auto topo = cli::make_topology(opt.topology);
-  const rt::MulticastRuntime rtm{rt::RuntimeConfig{}};
-  rt::StreamConfig scfg;
-  scfg.window_size = opt.window;
-  scfg.slots = opt.stream;
-  scfg.bytes = opt.bytes;
-  scfg.shape = cli::mesh_shape_of(*topo);
-  scfg.reliable = true;
-  scfg.membership.heartbeat_period = opt.heartbeat;
-  scfg.failover = true;
-  FlightRecorder rec(RecorderConfig{kUnbounded});
-  scfg.recorder = &rec;
-  sim::Simulator sim(*topo);
-  sim.set_fault_plan(sim::FaultPlan::parse(opt.faults));
+  const sim::FaultPlan plan = sim::FaultPlan::parse(opt.faults);
   const std::vector<NodeId> dests = {9, 18, 27, 36};
-  rt::StreamResult res = rt::StreamRuntime(rtm).run(sim, 0, dests, scfg);
+  verify::PlacementRun run;
+  run.dests = dests;
+  run.bytes = opt.bytes;
+  run.slots = opt.stream;
+  run.window = opt.window;
+  run.heartbeat = opt.heartbeat;
+  run.failover = true;
+  run.plan = &plan;
+  verify::AuditConfig cfg;
+  cfg.plan_known = true;
+  cfg.plan = plan;
+  auto [ring, placed] = expect_file_equals_memory(opt.topology, run, cfg, "clean");
+  rt::StreamResult& res = placed.stream;
   ASSERT_EQ(res.failovers, 1);
+  ASSERT_FALSE(tf.events.empty());
+  EXPECT_EQ(std::vector<TraceEvent>(tf.events.begin() + 1, tf.events.end()), ring);
 
-  // The file carries the run marker and the simulator's events as well;
-  // its protocol events are exactly the in-memory recorder's.
-  std::vector<TraceEvent> protocol;
-  for (const TraceEvent& ev : tf.events)
-    if (ev.kind >= static_cast<std::uint16_t>(EventKind::kSendAttempt) &&
-        ev.kind <= static_cast<std::uint16_t>(EventKind::kHealed))
-      protocol.push_back(ev);
-  EXPECT_EQ(protocol, rec.snapshot());
-
-  using verify::InvariantAuditor;
-  EXPECT_NO_THROW(InvariantAuditor::audit_stream(res, rec.snapshot(), 0));
-  EXPECT_NO_THROW(InvariantAuditor::audit_stream(res, tf.events, tf.dropped));
-  ++res.stale_acks;
   auto verdict = [&](std::span<const TraceEvent> events) {
-    try {
-      InvariantAuditor::audit_stream(res, events, 0);
-    } catch (const verify::InvariantViolation& v) {
-      return std::string(v.what());
-    }
-    return std::string("clean");
+    return verdict_of([&] { verify::InvariantAuditor::audit_stream(res, events, 0); });
   };
-  const std::string in_memory = verdict(rec.snapshot());
+  EXPECT_EQ(verdict(ring), "clean");
+  EXPECT_EQ(verdict(tf.events), "clean");
+  ++res.stale_acks;
+  const std::string in_memory = verdict(ring);
   EXPECT_NE(in_memory.find("stale-ack count"), std::string::npos) << in_memory;
   EXPECT_EQ(verdict(tf.events), in_memory);
+}
+
+TEST(TraceAudit, ChannelReplayOfAFileMatchesTheInMemoryReplay) {
+  // The shuffled-chain violation: msg 18 waits at cycle 5206 and is
+  // granted at 5319, so the replay counts 113 blocked cycles.
+  const analysis::Placement p = analysis::sample_placements(7, 256, 32, 1)[0];
+  verify::PlacementRun run;
+  run.source = p.source;
+  run.dests = p.dests;
+  run.bytes = 4096;
+  run.shuffle_chain = true;
+  run.shuffle_seed = 7;
+  verify::AuditConfig strict;
+  strict.require_contention_free = true;
+  expect_file_equals_memory(
+      "mesh:16", run, strict,
+      "invariant violation [contention-freedom]: delivered message was head-blocked "
+      "113 cycles on a provably contention-free schedule (cycle 5581, msg 18)");
+
+  // A clean fault run: node 3 dies under a 20 % drop rate, so the trace
+  // holds purges of its worms and flit-fault drops.
+  const sim::FaultPlan plan = sim::FaultPlan::parse("node:3@300;drop:0.2;seed:1");
+  const std::vector<NodeId> dests = {1, 2, 3, 9, 10, 11, 18, 19, 20, 27, 36, 45};
+  run = verify::PlacementRun{};
+  run.dests = dests;
+  run.bytes = 512;
+  run.plan = &plan;
+  verify::AuditConfig cfg;
+  cfg.plan_known = true;
+  cfg.plan = plan;
+  const std::vector<TraceEvent> events =
+      expect_file_equals_memory("mesh:8", run, cfg, "clean").first;
+  for (const sim::DropReason why : {sim::DropReason::kNodeDead, sim::DropReason::kFlitFault})
+    EXPECT_TRUE(std::ranges::any_of(events, [&](const TraceEvent& ev) {
+      return ev.event_kind() == EventKind::kDrop && ev.b == static_cast<int>(why);
+    })) << sim::drop_reason_name(why);
+
+  // Doctored records: a held channel reserved again, a delivery of an id
+  // never posted, and a file that lost records to ring wrap (refused,
+  // never audited).
+  const auto topo = cli::make_topology("mesh:8");
+  const verify::InvariantAuditor auditor(*topo, cfg);
+  std::vector<TraceEvent> doctored = events;
+  const auto first = std::ranges::find_if(
+      doctored, [](const TraceEvent& ev) { return ev.event_kind() == EventKind::kReserve; });
+  ASSERT_NE(first, doctored.end());
+  doctored.insert(first + 1, *first);
+  EXPECT_TRUE(verdict_of([&] { auditor.audit_partial(doctored, 0); })
+                  .starts_with("invariant violation [channel-exclusivity]: mesh"));
+  doctored = events;
+  const auto posts =
+      std::ranges::count(events, static_cast<std::uint16_t>(EventKind::kPost), &TraceEvent::kind);
+  doctored.push_back(make_event(EventKind::kDeliver, 0, static_cast<std::int32_t>(posts)));
+  EXPECT_TRUE(verdict_of([&] { auditor.audit_partial(doctored, 0); })
+                  .starts_with("invariant violation [phantom-delivery]: delivery for a "
+                               "message never posted"));
+  std::stringstream wrapped;
+  write_binary_trace(wrapped, events, 1);
+  const TraceFile tf = read_binary_trace(wrapped);
+  EXPECT_THROW(auditor.audit_partial(tf.events, tf.dropped), std::invalid_argument);
 }
 
 // --- pcmtrace's flag contract ----------------------------------------------

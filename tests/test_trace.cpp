@@ -2,9 +2,10 @@
 // wormhole switching — and the wormhole invariants they machine-check.
 // Every case runs on both engines: the event engine must fire the same
 // reserve / release / wait hooks as the cycle engine, including across
-// the steady-state leaps that skip a wait's cycles.  Channel exclusivity
-// is checked by an InvariantAuditor chained behind the recorder (it
-// throws on a double reservation or a release by a non-holder).
+// the steady-state leaps that skip a wait's cycles.  Every run's trace
+// is then replayed through the InvariantAuditor (it throws on a double
+// reservation, a release by a non-holder or a ledger that disagrees with
+// SimStats).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -43,20 +44,21 @@ sim::Message mk(NodeId src, NodeId dst, int flits, Time ready = 0) {
   return m;
 }
 
-/// One simulator whose hooks feed an unbounded recorder, chained to an
-/// auditor that enforces channel exclusivity on every event.
+/// One simulator whose hooks feed an unbounded recorder; run() replays
+/// the recording through an auditor that enforces channel exclusivity
+/// on every event.
 struct Traced {
   Traced(const sim::Topology& topo, sim::EngineKind engine,
          verify::AuditConfig audit_cfg = {})
       : sim(topo, sim::SimConfig{.engine = engine}), audit(topo, std::move(audit_cfg)) {
-    rec.chain(&audit);
     sim.set_observer(&rec);
   }
-  /// Runs to idle, runs the auditor's end-of-run checks, returns the trace.
+  /// Runs to idle, replays the trace with the end-of-run checks, returns it.
   std::vector<TraceEvent> run() {
     sim.run_until_idle();
-    audit.finalize(sim);
-    return rec.snapshot();
+    std::vector<TraceEvent> events = rec.snapshot();
+    audit.audit_run(events, rec.events_dropped(), sim.stats(), sim.idle(), sim.now());
+    return events;
   }
 
   sim::Simulator sim;
@@ -207,8 +209,7 @@ TEST(Trace, BlockedCyclesArePinned) {
         Traced t(topo, engine);
         rtm.run_algorithm(t.sim, McastAlgorithm::kOptTree, p.source, p.dests, size,
                           harness::mesh_shape_of(topo));
-        t.audit.finalize(t.sim);
-        const auto cycles = blocked_cycles(t.rec.snapshot());
+        const auto cycles = blocked_cycles(t.run());
         expect_block_cycles(t.sim, cycles);
         n += static_cast<long long>(cycles.size());
         h = fnv(h, cycles);
@@ -262,8 +263,7 @@ TEST(Trace, TunedMulticastHasSerialHoldsAndNoBlocks) {
       Traced t(*topo, engine);
       rtm.run_algorithm(t.sim, McastAlgorithm::kOptMesh, p.source, p.dests, 4096,
                         &topo->shape());
-      t.audit.finalize(t.sim);
-      const auto events = t.rec.snapshot();
+      const auto events = t.run();
       EXPECT_TRUE(of_kind(events, EventKind::kWait).empty());
       EXPECT_EQ(t.sim.stats().channel_conflicts, 0);
       EXPECT_EQ(off_path(*topo, t.sim.messages(), events), "");
@@ -287,7 +287,7 @@ TEST(Trace, BminAdaptivePathsSkipPathCheck) {
     t.sim.post(mk(0, 31, 16));
     t.sim.post(mk(1, 30, 16));
     // Adaptive routing may diverge from the first-candidate path, so only
-    // exclusivity applies: the chained auditor throws on an overlap.
+    // exclusivity applies: the replay throws on an overlap.
     std::vector<TraceEvent> events;
     EXPECT_NO_THROW(events = t.run());
     EXPECT_EQ(t.sim.stats().messages_delivered, 2);
@@ -356,9 +356,11 @@ TEST(Trace, ClearResets) {
     EXPECT_TRUE(t.rec.snapshot().empty());
     EXPECT_EQ(t.rec.events_recorded(), 0u);
     // A cleared recorder records the next run from scratch: the same
-    // message again gives the same spans.
+    // message again gives the same spans.  (Its trace starts past the
+    // first post, so it is not replayed.)
     t.sim.post(mk(0, 5, 4, t.sim.now()));
-    const auto releases = of_kind(t.run(), EventKind::kRelease);
+    t.sim.run_until_idle();
+    const auto releases = of_kind(t.rec.snapshot(), EventKind::kRelease);
     const auto before = of_kind(first, EventKind::kRelease);
     ASSERT_EQ(releases.size(), before.size());
     for (size_t i = 0; i < releases.size(); ++i) EXPECT_EQ(releases[i].d, before[i].d);

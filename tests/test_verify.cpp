@@ -5,15 +5,17 @@
 //   * the algorithm's split rule over a *shuffled* (caller-order) chain
 //     on the 16x16 mesh violates contention freedom — and the auditor
 //     says so;
-//   * fabricated phantom deliveries, double drops, channel-exclusivity
-//     breaches, and double-counted acks are each caught with the right
-//     Invariant tag, and a wrapped recorder is refused, never audited;
+//   * fabricated traces (phantom deliveries and drops, corruption,
+//     channel-exclusivity breaches, watchdog mismatches, double-counted
+//     acks) are each caught with the right Invariant tag, and a wrapped
+//     recorder is refused, never audited;
 //   * the chaos sweep is bit-deterministic at any thread fan-out and
 //     clean on the current builders;
 //   * the minimizer shrinks a known-bad scenario to a reproducer that
 //     replays (and still fails) under `pcmcast --audit`.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <sstream>
 #include <string>
@@ -30,18 +32,28 @@
 namespace pcm {
 namespace {
 
-using verify::AuditConfig;
 using verify::Invariant;
 using verify::InvariantAuditor;
 using verify::InvariantViolation;
 
-sim::Message mk_msg(sim::MsgId id, NodeId src = 0, NodeId dst = 1, int flits = 4) {
-  sim::Message m;
-  m.id = id;
-  m.src = src;
-  m.dst = dst;
-  m.flits = flits;
-  return m;
+/// One trace record as the flight recorder writes it (obs::EventKind
+/// gives each kind's payload).
+obs::TraceEvent make_event(obs::EventKind kind, Time t, int a = 0, int b = 0,
+                           int c = 0, int d = 0) {
+  return {.cycle = t, .a = a, .b = b, .c = c, .d = d,
+          .kind = static_cast<std::uint16_t>(kind)};
+}
+obs::TraceEvent post(sim::MsgId msg) {
+  return make_event(obs::EventKind::kPost, 0, msg, 0, 1, 4);
+}
+obs::TraceEvent deliver(Time t, sim::MsgId msg, bool corrupted = false) {
+  return make_event(obs::EventKind::kDeliver, t, msg, 0, 1, corrupted ? 1 : 0);
+}
+obs::TraceEvent reserve(Time t, int router, int port, sim::MsgId msg) {
+  return make_event(obs::EventKind::kReserve, t, router, port, msg);
+}
+obs::TraceEvent release(Time t, int router, int port, sim::MsgId msg) {
+  return make_event(obs::EventKind::kRelease, t, router, port, msg);
 }
 
 Invariant catch_invariant(const std::function<void()>& f) {
@@ -98,17 +110,24 @@ TEST(Verify, ZeroFaultGoldenScenariosPassStrictAudit) {
 
 TEST(Verify, AuditorLedgerMatchesSimStats) {
   const auto topo = mesh::make_mesh2d(8);
-  InvariantAuditor auditor(*topo);
   sim::Simulator sim(*topo);
-  sim.set_observer(&auditor);
+  obs::FlightRecorder log(obs::RecorderConfig{obs::kUnbounded});
+  sim.set_observer(&log);
   const rt::MulticastRuntime rtm{rt::RuntimeConfig{}};
   const analysis::Placement p = analysis::sample_placements(3, 64, 12, 1)[0];
   (void)rtm.run_algorithm(sim, McastAlgorithm::kOptMesh, p.source, p.dests, 512,
                           &topo->shape());
-  auditor.finalize(sim);
-  EXPECT_EQ(auditor.posted(), 11);
-  EXPECT_EQ(auditor.delivered(), sim.stats().messages_delivered);
-  EXPECT_EQ(auditor.dropped(), 0);
+  const std::vector<obs::TraceEvent> events = log.snapshot();
+  EXPECT_EQ(std::ranges::count(events, static_cast<std::uint16_t>(obs::EventKind::kPost),
+                               &obs::TraceEvent::kind),
+            11);
+  const InvariantAuditor auditor(*topo);
+  auditor.audit_run(events, 0, sim.stats(), sim.idle(), sim.now());
+  // The replayed ledger, not the engine's counters, is the reference.
+  sim::SimStats off = sim.stats();
+  ++off.messages_delivered;
+  EXPECT_EQ(catch_invariant([&] { auditor.audit_run(events, 0, off, true, sim.now()); }),
+            Invariant::kConservation);
 }
 
 // --- the shuffled-chain violation ----------------------------------------
@@ -140,70 +159,67 @@ TEST(Verify, ShuffledChainOnMesh16ViolatesContentionFreedom) {
 
 // --- fabricated event-stream violations ----------------------------------
 
-TEST(Verify, PhantomDeliveryCaught) {
+/// The invariant a replay of `events` on the 4x4 mesh breaks.
+Invariant replay_verdict(const std::vector<obs::TraceEvent>& events,
+                         const verify::AuditConfig& cfg = {},
+                         const sim::WatchdogReport* watchdog = nullptr) {
   const auto topo = mesh::make_mesh2d(4);
-  InvariantAuditor a(*topo);
+  return catch_invariant(
+      [&] { InvariantAuditor(*topo, cfg).audit_partial(events, 0, watchdog); });
+}
+
+TEST(Verify, PhantomDeliveryCaught) {
   // Delivery of a message never posted.
-  EXPECT_EQ(catch_invariant([&] { a.on_deliver(mk_msg(0), 10); }),
-            Invariant::kPhantomDelivery);
+  EXPECT_EQ(replay_verdict({deliver(10, 0)}), Invariant::kPhantomDelivery);
   // Delivery twice.
-  a.on_post(mk_msg(0), 0);
-  a.on_deliver(mk_msg(0), 10);
-  EXPECT_EQ(catch_invariant([&] { a.on_deliver(mk_msg(0), 11); }),
+  EXPECT_EQ(replay_verdict({post(0), deliver(10, 0), deliver(11, 0)}),
             Invariant::kPhantomDelivery);
 }
 
 TEST(Verify, CorruptionMismatchCaught) {
-  const auto topo = mesh::make_mesh2d(4);
-  InvariantAuditor a(*topo);  // no plan known: nothing may corrupt
-  a.on_post(mk_msg(0), 0);
-  sim::Message m = mk_msg(0);
-  m.corrupted = true;
-  EXPECT_EQ(catch_invariant([&] { a.on_deliver(m, 5); }),
+  // No plan known: nothing may corrupt.
+  EXPECT_EQ(replay_verdict({post(0), deliver(5, 0, /*corrupted=*/true)}),
             Invariant::kCorruptionMismatch);
 }
 
 TEST(Verify, PhantomDropCaught) {
-  const auto topo = mesh::make_mesh2d(4);
-  InvariantAuditor a(*topo);  // healthy run: any drop is a violation
-  a.on_post(mk_msg(0), 0);
-  EXPECT_EQ(catch_invariant([&] { a.on_drop(0, sim::DropReason::kNodeDead, 5); }),
+  // Healthy run: any drop is a violation.
+  EXPECT_EQ(replay_verdict({post(0), make_event(obs::EventKind::kDrop, 5, 0,
+                                         static_cast<int>(sim::DropReason::kNodeDead))}),
             Invariant::kPhantomDrop);
 }
 
 TEST(Verify, ChannelExclusivityCaught) {
-  const auto topo = mesh::make_mesh2d(4);
-  InvariantAuditor a(*topo);
-  a.on_post(mk_msg(0), 0);
-  a.on_post(mk_msg(1), 0);
-  a.on_reserve(2, 1, 0, 3);
+  auto held_then = [](const obs::TraceEvent& next) {
+    return std::vector<obs::TraceEvent>{post(0), post(1), reserve(3, 2, 1, 0), next};
+  };
   // Double reservation by another message.
-  EXPECT_EQ(catch_invariant([&] { a.on_reserve(2, 1, 1, 4); }),
-            Invariant::kChannelExclusivity);
+  EXPECT_EQ(replay_verdict(held_then(reserve(4, 2, 1, 1))), Invariant::kChannelExclusivity);
   // Release by a non-holder.
-  EXPECT_EQ(catch_invariant([&] { a.on_release(2, 1, 1, 5); }),
+  EXPECT_EQ(replay_verdict(held_then(release(5, 2, 1, 1))), Invariant::kChannelExclusivity);
+  // The holder may release.
+  const auto topo = mesh::make_mesh2d(4);
+  EXPECT_NO_THROW(InvariantAuditor(*topo).audit_partial(held_then(release(6, 2, 1, 0)), 0));
+  // A fault purges a worm only after releasing every channel it held.
+  const obs::TraceEvent purge = make_event(obs::EventKind::kDrop, 6, 0,
+                                           static_cast<int>(sim::DropReason::kNodeDead));
+  EXPECT_EQ(replay_verdict(held_then(purge), {.plan_known = true, .plan = {}}),
             Invariant::kChannelExclusivity);
-  a.on_release(2, 1, 0, 6);  // the holder may release
 }
 
 TEST(Verify, WatchdogReportMismatchCaught) {
-  const auto topo = mesh::make_mesh2d(4);
-  InvariantAuditor a(*topo);
-  a.on_post(mk_msg(0), 0);  // one pending message
-  sim::WatchdogReport rep;  // ...that the report fails to list
+  sim::WatchdogReport rep;  // one pending message the report fails to list
   rep.cycle = 100;
-  EXPECT_EQ(catch_invariant([&] { a.on_watchdog(rep); }),
-            Invariant::kWatchdogMismatch);
+  EXPECT_EQ(replay_verdict({post(0)}, {}, &rep), Invariant::kWatchdogMismatch);
 }
 
 TEST(Verify, ViolationCarriesStructuredFields) {
   const auto topo = mesh::make_mesh2d(4);
-  InvariantAuditor a(*topo);
-  a.on_post(mk_msg(0), 0);
-  a.on_post(mk_msg(1), 0);
-  a.on_reserve(2, 1, 0, 3);
   try {
-    a.on_reserve(2, 1, 1, 4);
+    InvariantAuditor(*topo).audit_partial(
+        std::vector<obs::TraceEvent>{post(0), post(1), reserve(3, 2, 1, 0),
+                                     reserve(4, 2, 1, 1)},
+        0);
     FAIL() << "expected InvariantViolation";
   } catch (const InvariantViolation& v) {
     EXPECT_EQ(v.invariant(), Invariant::kChannelExclusivity);
@@ -229,21 +245,11 @@ rt::McastResult healthy_two_node_result() {
 
 // One send-lifecycle record as run_reliable writes it to the flight
 // recorder: a = record, b = attempt, c = receiver position, d = -1.
-obs::TraceEvent send_event(obs::EventKind kind, Time t, int rec, int attempt) {
-  obs::TraceEvent ev;
-  ev.cycle = t;
-  ev.a = rec;
-  ev.b = attempt;
-  ev.c = 1;
-  ev.d = -1;
-  ev.kind = static_cast<std::uint16_t>(kind);
-  return ev;
+obs::TraceEvent issue(Time t, int record, int attempt) {
+  return make_event(obs::EventKind::kSendAttempt, t, record, attempt, 1, -1);
 }
-obs::TraceEvent issue(Time t, int rec, int attempt) {
-  return send_event(obs::EventKind::kSendAttempt, t, rec, attempt);
-}
-obs::TraceEvent ack(Time t, int rec, int attempt) {
-  return send_event(obs::EventKind::kSendAcked, t, rec, attempt);
+obs::TraceEvent ack(Time t, int record, int attempt) {
+  return make_event(obs::EventKind::kSendAcked, t, record, attempt, 1, -1);
 }
 
 Invariant audit_result_verdict(const rt::McastResult& res,
@@ -381,33 +387,6 @@ TEST(Chaos, MinimizeRejectsCleanScenarios) {
   EXPECT_THROW((void)verify::minimize(s), std::invalid_argument);
 }
 
-TEST(Chaos, MinimizerShrinksToReplayableRepro) {
-  const verify::MinimizeResult mr = verify::minimize(shuffled_mesh16_scenario());
-  EXPECT_GT(mr.runs, 1);
-  EXPECT_GT(mr.removed, 0);
-  EXPECT_LT(mr.scenario.dests.size(), 31u);
-  EXPECT_NE(mr.violation.find("contention-freedom"), std::string::npos);
-  // Local minimum: it still violates...
-  const verify::ScenarioOutcome out = verify::run_scenario(mr.scenario);
-  ASSERT_TRUE(out.violated);
-  // ...and the serialized command replays it under `pcmcast --audit`,
-  // exit code 3 (the audit-violation code).
-  const std::string cmd = verify::repro_command(mr.scenario);
-  EXPECT_NE(cmd.find("--shuffle-chain"), std::string::npos);
-  EXPECT_NE(cmd.find("--audit"), std::string::npos);
-  std::vector<std::string> tokens;
-  std::istringstream is(cmd);
-  for (std::string tok; is >> tok;) tokens.push_back(tok);
-  ASSERT_EQ(tokens.front(), "pcmcast");
-  std::vector<std::string_view> args(tokens.begin() + 1, tokens.end());
-  const cli::CliOptions opt = cli::parse_args(args);
-  std::ostringstream os;
-  EXPECT_EQ(cli::run_cli(opt, os), 3);
-  EXPECT_NE(os.str().find("AUDIT VIOLATION"), std::string::npos);
-}
-
-// --- replay fidelity -----------------------------------------------------
-
 /// Runs a repro_command line through pcmcast's parser and driver.
 int replay(const std::string& cmd, std::string* out) {
   std::vector<std::string> tokens;
@@ -424,6 +403,27 @@ int replay(const std::string& cmd, std::string* out) {
   *out = os.str();
   return code;
 }
+
+TEST(Chaos, MinimizerShrinksToReplayableRepro) {
+  const verify::MinimizeResult mr = verify::minimize(shuffled_mesh16_scenario());
+  EXPECT_GT(mr.runs, 1);
+  EXPECT_GT(mr.removed, 0);
+  EXPECT_LT(mr.scenario.dests.size(), 31u);
+  EXPECT_NE(mr.violation.find("contention-freedom"), std::string::npos);
+  // Local minimum: it still violates...
+  const verify::ScenarioOutcome out = verify::run_scenario(mr.scenario);
+  ASSERT_TRUE(out.violated);
+  // ...and the serialized command replays it under `pcmcast --audit`,
+  // exit code 3 (the audit-violation code).
+  const std::string cmd = verify::repro_command(mr.scenario);
+  EXPECT_NE(cmd.find("--shuffle-chain"), std::string::npos);
+  EXPECT_NE(cmd.find("--audit"), std::string::npos);
+  std::string text;
+  EXPECT_EQ(replay(cmd, &text), 3);
+  EXPECT_NE(text.find("AUDIT VIOLATION"), std::string::npos);
+}
+
+// --- replay fidelity -----------------------------------------------------
 
 TEST(Chaos, ReproCommandsReplayThroughPcmcast) {
   // Every reproducer must exit as its scenario ran: 3 on a violation, 1
