@@ -1,7 +1,6 @@
 #include "verify/chaos.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <memory>
 #include <ostream>
 #include <sstream>
@@ -23,19 +22,6 @@ std::string first_line(const std::string& text) {
   return nl == std::string::npos ? text : text.substr(0, nl);
 }
 
-/// One-shot and forest scenarios draw half their trees from the optimal
-/// sorted-chain builder, 3 in 10 from the U-variant, the rest OPT-Tree.
-McastAlgorithm pick_algorithm(analysis::Rng& rng, bool is_mesh) {
-  const std::uint64_t pick = rng.below(10);
-  if (pick >= 8) return McastAlgorithm::kOptTree;
-  if (is_mesh) return pick < 5 ? McastAlgorithm::kOptMesh : McastAlgorithm::kUMesh;
-  return pick < 5 ? McastAlgorithm::kOptMin : McastAlgorithm::kUMin;
-}
-
-/// The topologies one-shot and forest scenarios draw from.
-constexpr const char* kTopologies[] = {"mesh:4",  "mesh:8",  "mesh:8",
-                                       "mesh:16", "bmin:32", "bmin:64"};
-
 }  // namespace
 
 ChaosScenario make_scenario(std::uint64_t root_seed, int index) {
@@ -43,12 +29,23 @@ ChaosScenario make_scenario(std::uint64_t root_seed, int index) {
       harness::substream_seed(root_seed, static_cast<std::uint64_t>(index)));
   ChaosScenario s;
   s.index = index;
+  static constexpr const char* kTopologies[] = {"mesh:4",  "mesh:8", "mesh:8",
+                                                "mesh:16", "bmin:32", "bmin:64"};
   s.topology = kTopologies[rng.below(6)];
   const std::unique_ptr<sim::Topology> topo = harness::make_topology(s.topology);
   const int n = topo->num_nodes();
   const bool is_mesh = harness::mesh_shape_of(*topo) != nullptr;
 
-  s.alg = pick_algorithm(rng, is_mesh);
+  const std::uint64_t pick = rng.below(10);
+  if (is_mesh) {
+    s.alg = pick < 5   ? McastAlgorithm::kOptMesh
+            : pick < 8 ? McastAlgorithm::kUMesh
+                       : McastAlgorithm::kOptTree;
+  } else {
+    s.alg = pick < 5   ? McastAlgorithm::kOptMin
+            : pick < 8 ? McastAlgorithm::kUMin
+                       : McastAlgorithm::kOptTree;
+  }
 
   const int kmax = std::min(n, 32);
   const int k = 2 + static_cast<int>(rng.below(static_cast<std::uint64_t>(kmax - 1)));
@@ -95,6 +92,8 @@ ForestScenario make_forest_scenario(std::uint64_t root_seed, int index) {
                                             static_cast<std::uint64_t>(index)));
   ForestScenario s;
   s.index = index;
+  static constexpr const char* kTopologies[] = {"mesh:4",  "mesh:8", "mesh:8",
+                                                "mesh:16", "bmin:32", "bmin:64"};
   s.topology = kTopologies[rng.below(6)];
   const std::unique_ptr<sim::Topology> topo = harness::make_topology(s.topology);
   const int n = topo->num_nodes();
@@ -107,7 +106,16 @@ ForestScenario make_forest_scenario(std::uint64_t root_seed, int index) {
     // Mostly the Theorem-guaranteed algorithms: their trees are clean in
     // isolation, so any forest diagnostic is genuinely cross-tree (or
     // CPU-sharing induced) — the interesting verdicts to differential-test.
-    grp.alg = pick_algorithm(rng, is_mesh);
+    const std::uint64_t pick = rng.below(10);
+    if (is_mesh) {
+      grp.alg = pick < 5   ? McastAlgorithm::kOptMesh
+                : pick < 8 ? McastAlgorithm::kUMesh
+                           : McastAlgorithm::kOptTree;
+    } else {
+      grp.alg = pick < 5   ? McastAlgorithm::kOptMin
+                : pick < 8 ? McastAlgorithm::kUMin
+                           : McastAlgorithm::kOptTree;
+    }
     const int kmax = std::min(n, 16);
     const int k =
         2 + static_cast<int>(rng.below(static_cast<std::uint64_t>(kmax - 1)));
@@ -126,9 +134,9 @@ ChaosScenario make_stream_scenario(std::uint64_t root_seed, int index) {
                                             static_cast<std::uint64_t>(index)));
   ChaosScenario s;
   s.index = index;
-  static constexpr const char* kStreamTopologies[] = {"mesh:4", "mesh:8", "mesh:8",
-                                                      "bmin:32"};
-  s.topology = kStreamTopologies[rng.below(4)];
+  static constexpr const char* kTopologies[] = {"mesh:4", "mesh:8", "mesh:8",
+                                                "bmin:32"};
+  s.topology = kTopologies[rng.below(4)];
   const std::unique_ptr<sim::Topology> topo = harness::make_topology(s.topology);
   const int n = topo->num_nodes();
   const bool is_mesh = harness::mesh_shape_of(*topo) != nullptr;
@@ -260,54 +268,99 @@ MinimizeResult minimize(const ChaosScenario& s) {
   mr.violation = base.violation;
 
   // Greedy one-at-a-time removal to a fixpoint: cheap, deterministic, and
-  // ample for the handful-of-events plans the generator produces.  Each
-  // move edits a copy and is kept when the copy still violates.
-  bool changed = true;
-  auto shrink = [&](const std::function<void(ChaosScenario&)>& move) {
-    ChaosScenario c = mr.scenario;
-    move(c);
-    const ScenarioOutcome o = attempt(c);
-    if (!o.violated) return false;
+  // ample for the handful-of-events plans the generator produces.
+  auto accept = [&](ChaosScenario&& c, const ScenarioOutcome& o) {
     mr.scenario = std::move(c);
     mr.violation = o.violation;
     ++mr.removed;
-    changed = true;
-    return true;
   };
-  auto erase_at = [](auto& v, std::size_t i) {
-    v.erase(v.begin() + static_cast<std::ptrdiff_t>(i));
-  };
+  bool changed = true;
   while (changed) {
     changed = false;
-    for (std::size_t i = mr.scenario.plan.node_events.size(); i-- > 0;)
-      shrink([&](ChaosScenario& c) { erase_at(c.plan.node_events, i); });
-    for (std::size_t i = mr.scenario.plan.link_events.size(); i-- > 0;)
-      shrink([&](ChaosScenario& c) { erase_at(c.plan.link_events, i); });
-    for (std::size_t i = mr.scenario.plan.cut_events.size(); i-- > 0;)
-      shrink([&](ChaosScenario& c) { erase_at(c.plan.cut_events, i); });
+    for (std::size_t i = mr.scenario.plan.node_events.size(); i-- > 0;) {
+      ChaosScenario c = mr.scenario;
+      c.plan.node_events.erase(c.plan.node_events.begin() +
+                               static_cast<std::ptrdiff_t>(i));
+      if (const ScenarioOutcome o = attempt(c); o.violated) {
+        accept(std::move(c), o);
+        changed = true;
+      }
+    }
+    for (std::size_t i = mr.scenario.plan.link_events.size(); i-- > 0;) {
+      ChaosScenario c = mr.scenario;
+      c.plan.link_events.erase(c.plan.link_events.begin() +
+                               static_cast<std::ptrdiff_t>(i));
+      if (const ScenarioOutcome o = attempt(c); o.violated) {
+        accept(std::move(c), o);
+        changed = true;
+      }
+    }
+    for (std::size_t i = mr.scenario.plan.cut_events.size(); i-- > 0;) {
+      ChaosScenario c = mr.scenario;
+      c.plan.cut_events.erase(c.plan.cut_events.begin() +
+                              static_cast<std::ptrdiff_t>(i));
+      if (const ScenarioOutcome o = attempt(c); o.violated) {
+        accept(std::move(c), o);
+        changed = true;
+      }
+    }
     // Membership off is one move: heartbeat, failover, and rejoin stand
     // or fall together (the flags are invalid without a cadence).
     if (mr.scenario.heartbeat > 0) {
-      shrink([](ChaosScenario& c) {
-        c.heartbeat = 0;
-        c.failover = false;
-        c.rejoin = false;
-      });
+      ChaosScenario c = mr.scenario;
+      c.heartbeat = 0;
+      c.failover = false;
+      c.rejoin = false;
+      if (const ScenarioOutcome o = attempt(c); o.violated) {
+        accept(std::move(c), o);
+        changed = true;
+      }
     }
-    if (mr.scenario.plan.drop_rate > 0)
-      shrink([](ChaosScenario& c) { c.plan.drop_rate = 0; });
-    if (mr.scenario.plan.corrupt_rate > 0)
-      shrink([](ChaosScenario& c) { c.plan.corrupt_rate = 0; });
-    for (std::size_t i = mr.scenario.dests.size(); i-- > 0 && mr.scenario.dests.size() > 1;)
-      shrink([&](ChaosScenario& c) { erase_at(c.dests, i); });
+    if (mr.scenario.plan.drop_rate > 0) {
+      ChaosScenario c = mr.scenario;
+      c.plan.drop_rate = 0;
+      if (const ScenarioOutcome o = attempt(c); o.violated) {
+        accept(std::move(c), o);
+        changed = true;
+      }
+    }
+    if (mr.scenario.plan.corrupt_rate > 0) {
+      ChaosScenario c = mr.scenario;
+      c.plan.corrupt_rate = 0;
+      if (const ScenarioOutcome o = attempt(c); o.violated) {
+        accept(std::move(c), o);
+        changed = true;
+      }
+    }
+    for (std::size_t i = mr.scenario.dests.size(); i-- > 0;) {
+      if (mr.scenario.dests.size() <= 1) break;
+      ChaosScenario c = mr.scenario;
+      c.dests.erase(c.dests.begin() + static_cast<std::ptrdiff_t>(i));
+      if (const ScenarioOutcome o = attempt(c); o.violated) {
+        accept(std::move(c), o);
+        changed = true;
+      }
+    }
     // Streaming scenarios also shrink along the stream axis: shorter
     // streams and a window of 1 make one-line reproducers far cheaper.
-    for (const int cand : {1, mr.scenario.stream_len / 2})
-      if (cand >= 1 && cand < mr.scenario.stream_len &&
-          shrink([&](ChaosScenario& c) { c.stream_len = cand; }))
+    for (const int cand : {1, mr.scenario.stream_len / 2}) {
+      if (cand < 1 || cand >= mr.scenario.stream_len) continue;
+      ChaosScenario c = mr.scenario;
+      c.stream_len = cand;
+      if (const ScenarioOutcome o = attempt(c); o.violated) {
+        accept(std::move(c), o);
+        changed = true;
         break;
-    if (mr.scenario.stream_window > 1)
-      shrink([](ChaosScenario& c) { c.stream_window = 1; });
+      }
+    }
+    if (mr.scenario.stream_window > 1) {
+      ChaosScenario c = mr.scenario;
+      c.stream_window = 1;
+      if (const ScenarioOutcome o = attempt(c); o.violated) {
+        accept(std::move(c), o);
+        changed = true;
+      }
+    }
   }
   return mr;
 }

@@ -36,8 +36,14 @@ namespace {
 TraceEvent make_event(EventKind k, Time cycle, std::int32_t a = 0,
                       std::int32_t b = 0, std::int32_t c = 0,
                       std::int32_t d = 0) {
-  return {.cycle = cycle, .a = a, .b = b, .c = c, .d = d,
-          .kind = static_cast<std::uint16_t>(k)};
+  TraceEvent ev;
+  ev.cycle = cycle;
+  ev.kind = static_cast<std::uint16_t>(k);
+  ev.a = a;
+  ev.b = b;
+  ev.c = c;
+  ev.d = d;
+  return ev;
 }
 
 // --- ring buffer ----------------------------------------------------------

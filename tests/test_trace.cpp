@@ -356,11 +356,15 @@ TEST(Trace, ClearResets) {
     EXPECT_TRUE(t.rec.snapshot().empty());
     EXPECT_EQ(t.rec.events_recorded(), 0u);
     // A cleared recorder records the next run from scratch: the same
-    // message again gives the same spans.  (Its trace starts past the
-    // first post, so it is not replayed.)
+    // message again gives the same spans.  Both halves together replay
+    // as one run: msg 0, then msg 1.
     t.sim.post(mk(0, 5, 4, t.sim.now()));
     t.sim.run_until_idle();
-    const auto releases = of_kind(t.rec.snapshot(), EventKind::kRelease);
+    const auto second = t.rec.snapshot();
+    std::vector<TraceEvent> both = first;
+    both.insert(both.end(), second.begin(), second.end());
+    t.audit.audit_run(both, 0, t.sim.stats(), t.sim.idle(), t.sim.now());
+    const auto releases = of_kind(second, EventKind::kRelease);
     const auto before = of_kind(first, EventKind::kRelease);
     ASSERT_EQ(releases.size(), before.size());
     for (size_t i = 0; i < releases.size(); ++i) EXPECT_EQ(releases[i].d, before[i].d);

@@ -387,6 +387,33 @@ TEST(Chaos, MinimizeRejectsCleanScenarios) {
   EXPECT_THROW((void)verify::minimize(s), std::invalid_argument);
 }
 
+TEST(Chaos, MinimizerShrinksToReplayableRepro) {
+  const verify::MinimizeResult mr = verify::minimize(shuffled_mesh16_scenario());
+  EXPECT_GT(mr.runs, 1);
+  EXPECT_GT(mr.removed, 0);
+  EXPECT_LT(mr.scenario.dests.size(), 31u);
+  EXPECT_NE(mr.violation.find("contention-freedom"), std::string::npos);
+  // Local minimum: it still violates...
+  const verify::ScenarioOutcome out = verify::run_scenario(mr.scenario);
+  ASSERT_TRUE(out.violated);
+  // ...and the serialized command replays it under `pcmcast --audit`,
+  // exit code 3 (the audit-violation code).
+  const std::string cmd = verify::repro_command(mr.scenario);
+  EXPECT_NE(cmd.find("--shuffle-chain"), std::string::npos);
+  EXPECT_NE(cmd.find("--audit"), std::string::npos);
+  std::vector<std::string> tokens;
+  std::istringstream is(cmd);
+  for (std::string tok; is >> tok;) tokens.push_back(tok);
+  ASSERT_EQ(tokens.front(), "pcmcast");
+  std::vector<std::string_view> args(tokens.begin() + 1, tokens.end());
+  const cli::CliOptions opt = cli::parse_args(args);
+  std::ostringstream os;
+  EXPECT_EQ(cli::run_cli(opt, os), 3);
+  EXPECT_NE(os.str().find("AUDIT VIOLATION"), std::string::npos);
+}
+
+// --- replay fidelity -----------------------------------------------------
+
 /// Runs a repro_command line through pcmcast's parser and driver.
 int replay(const std::string& cmd, std::string* out) {
   std::vector<std::string> tokens;
@@ -403,27 +430,6 @@ int replay(const std::string& cmd, std::string* out) {
   *out = os.str();
   return code;
 }
-
-TEST(Chaos, MinimizerShrinksToReplayableRepro) {
-  const verify::MinimizeResult mr = verify::minimize(shuffled_mesh16_scenario());
-  EXPECT_GT(mr.runs, 1);
-  EXPECT_GT(mr.removed, 0);
-  EXPECT_LT(mr.scenario.dests.size(), 31u);
-  EXPECT_NE(mr.violation.find("contention-freedom"), std::string::npos);
-  // Local minimum: it still violates...
-  const verify::ScenarioOutcome out = verify::run_scenario(mr.scenario);
-  ASSERT_TRUE(out.violated);
-  // ...and the serialized command replays it under `pcmcast --audit`,
-  // exit code 3 (the audit-violation code).
-  const std::string cmd = verify::repro_command(mr.scenario);
-  EXPECT_NE(cmd.find("--shuffle-chain"), std::string::npos);
-  EXPECT_NE(cmd.find("--audit"), std::string::npos);
-  std::string text;
-  EXPECT_EQ(replay(cmd, &text), 3);
-  EXPECT_NE(text.find("AUDIT VIOLATION"), std::string::npos);
-}
-
-// --- replay fidelity -----------------------------------------------------
 
 TEST(Chaos, ReproCommandsReplayThroughPcmcast) {
   // Every reproducer must exit as its scenario ran: 3 on a violation, 1
