@@ -83,9 +83,9 @@ void BminTopology::route(int router, int in_port, NodeId src, NodeId dst,
   throw std::logic_error("BminTopology::route: unknown up policy");
 }
 
-void BminTopology::append_path(NodeId src, NodeId dst,
+bool BminTopology::append_path(NodeId src, NodeId dst,
                                std::vector<sim::ChannelId>& out) const {
-  if (src == dst) return;
+  if (src == dst) return true;
   // Climb along the first up candidate of the policy (adaptive routing's
   // first preference is the source-address port) until the switch covers
   // dst, then descend selecting bit_i(dst); the stage-0 down port is the
@@ -117,6 +117,7 @@ void BminTopology::append_path(NodeId src, NodeId dst,
     --i;
   }
   out.push_back(channel_id(router_at(0, j), bit(dst, 0)));
+  return true;
 }
 
 std::string BminTopology::channel_name(int router, int out_port) const {

@@ -56,7 +56,7 @@ class BminTopology final : public sim::Topology {
   /// Closed-form turnaround path enumeration (no per-hop route()
   /// dispatch); follows the first up candidate of the policy and ends
   /// with the stage-0 ejection channel at dst.
-  void append_path(NodeId src, NodeId dst,
+  bool append_path(NodeId src, NodeId dst,
                    std::vector<sim::ChannelId>& out) const override;
 
   /// Turnaround rank: an up channel at stage s ranks s, a down channel

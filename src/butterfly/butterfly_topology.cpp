@@ -41,6 +41,19 @@ void ButterflyTopology::route(int router, int /*in_port*/, NodeId /*src*/, NodeI
   candidates.push_back((dst >> (stages_ - 1 - i)) & 1);
 }
 
+bool ButterflyTopology::append_path(NodeId src, NodeId dst,
+                                    std::vector<sim::ChannelId>& out) const {
+  if (src == dst) return true;
+  int wire = shuffle(static_cast<int>(src));  // stage 0's in-wire
+  for (int i = 0; i < stages_; ++i) {
+    const int q = (dst >> (stages_ - 1 - i)) & 1;
+    const int j = wire >> 1;
+    out.push_back(channel_id(router_at(i, j), q));
+    wire = shuffle(2 * j + q);
+  }
+  return true;
+}
+
 std::string ButterflyTopology::channel_name(int router, int out_port) const {
   std::ostringstream os;
   os << "bfly(s" << stage_of(router) << ",#" << index_of(router) << ").o" << out_port;

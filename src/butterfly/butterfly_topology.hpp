@@ -37,6 +37,12 @@ class ButterflyTopology final : public sim::Topology {
              std::vector<int>& candidates) const override;
   [[nodiscard]] std::string channel_name(int router, int out_port) const override;
 
+  /// Closed-form destination-tag path (no per-hop route() dispatch): the
+  /// stage-i switch on the shuffled wire takes out-port bit q-1-i of dst,
+  /// and the last stage's out-port is the ejection channel at dst.
+  bool append_path(NodeId src, NodeId dst,
+                   std::vector<sim::ChannelId>& out) const override;
+
   /// The stage: every route takes one channel per stage, in stage order.
   [[nodiscard]] int channel_rank(sim::ChannelId c) const override {
     return stage_of(c / radix());

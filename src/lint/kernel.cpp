@@ -43,8 +43,10 @@ std::vector<SendPlan> plan_sends(const MulticastTree& tree,
     p.t_send = mp.t_send(wire);
     p.t_hold = mp.t_hold(wire);
     p.t_recv = mp.t_recv(wire);
-    topo.append_path(tree.node(ev.sender_pos), tree.node(ev.receiver_pos),
-                     p.path);
+    const NodeId from = tree.node(ev.sender_pos);
+    const NodeId to = tree.node(ev.receiver_pos);
+    // A route that stops short throws trace_path's diagnostic.
+    if (!topo.append_path(from, to, p.path)) p.path = sim::trace_path(topo, from, to);
   }
   return plan;
 }

@@ -7,8 +7,9 @@
 // message's exact uncontended flit-level timeline from the PCM timing
 // model (software issue, NI injection, per-hop channel reservation and
 // release), expands each hop to its channel via the topology's routing
-// function (Topology::append_path — the same XY / turnaround enumeration
-// the simulator follows), and interval-overlap-checks the channel
+// function (Topology::append_path — the same XY / turnaround /
+// destination-tag enumeration the simulator follows, and the event
+// engine's admission path), and interval-overlap-checks the channel
 // reservations.  A clean report is a *proof* of contention-freedom for
 // deterministic routing: by induction over cycles the simulator then
 // follows this exact timeline, so no head flit ever finds a channel

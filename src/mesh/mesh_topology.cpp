@@ -60,9 +60,9 @@ void MeshTopology::route(int router, int /*in_port*/, NodeId /*src*/, NodeId dst
   for (int p = 0; p < nports_; ++p) candidates.push_back(local_port() + p);
 }
 
-void MeshTopology::append_path(NodeId src, NodeId dst,
+bool MeshTopology::append_path(NodeId src, NodeId dst,
                                std::vector<sim::ChannelId>& out) const {
-  if (src == dst) return;
+  if (src == dst) return true;
   const int n = shape_.ndims();
   const int rad = radix();
   int cur = src;
@@ -83,6 +83,7 @@ void MeshTopology::append_path(NodeId src, NodeId dst,
     }
   }
   out.push_back(cur * rad + local_port());
+  return true;
 }
 
 int MeshTopology::channel_rank(sim::ChannelId c) const {

@@ -53,7 +53,7 @@ class MeshTopology final : public sim::Topology {
 
   /// Closed-form dimension-ordered path enumeration (no per-hop route()
   /// dispatch); ends with ejection channel local0, the first candidate.
-  void append_path(NodeId src, NodeId dst,
+  bool append_path(NodeId src, NodeId dst,
                    std::vector<sim::ChannelId>& out) const override;
 
   /// Dimension-order rank: the dimension's position in the route order

@@ -151,6 +151,12 @@ std::vector<TraceEvent> FlightRecorder::snapshot() const {
   return out;
 }
 
+std::span<const TraceEvent> FlightRecorder::events(std::vector<TraceEvent>& scratch) const {
+  if (head_ == 0) return ring_;
+  scratch = snapshot();
+  return scratch;
+}
+
 void FlightRecorder::append(const FlightRecorder& run) {
   const std::size_t n = run.ring_.size();
   const std::size_t start = n < run.capacity_ ? 0 : run.head_;

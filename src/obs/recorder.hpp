@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "obs/trace_event.hpp"
@@ -73,6 +74,11 @@ class FlightRecorder final : public sim::SimObserver {
 
   /// Events currently in the ring, oldest first.
   [[nodiscard]] std::vector<TraceEvent> snapshot() const;
+
+  /// The same events read in place while the oldest sits at the front of
+  /// the ring (always, until it wraps); a wrapped ring is snapshot() into
+  /// `scratch`.  Valid until the next record, append or clear.
+  [[nodiscard]] std::span<const TraceEvent> events(std::vector<TraceEvent>& scratch) const;
 
   /// Events ever recorded / overwritten by ring wrap-around.
   [[nodiscard]] std::uint64_t events_recorded() const { return recorded_; }

@@ -222,7 +222,7 @@ bool EventEngine::commit_arbitrations(Time t) {
           materialize(t, Materialization::kBail);  // transfer() throws verbatim
           return false;
         }
-        if (sim_.faults_active_ && plan_drops(sim_.plan_, w.id, d.router)) {
+        if (sim_.faults_active_ && sim_.drops_(w.id, d.router)) {
           // The head is mangled crossing the link in this cycle's transfer
           // phase; the cycle engine purges the worm there.
           materialize(t, Materialization::kDrop);
@@ -383,18 +383,19 @@ bool EventEngine::try_admit(int wi, Time t0) {
   // Hop k's window is [a_k, a_k + F - 1] with a_k = t0 + (k + 1) R: the
   // lint kernel's reserve[i].  With every window free, the head wins its
   // first candidate at each a_k whatever the sweep order, since any other
-  // head taking that channel would hold an overlapping window.  The first
-  // candidate is the only one tried: a skipped one would make the grant
-  // depend on same-cycle competitors.
+  // head taking that channel would hold an overlapping window.  The path
+  // is the first-candidate route, whole from one append_path call: a
+  // skipped candidate would make the grant depend on same-cycle
+  // competitors.  A path that stops short or leaves the head's router
+  // keeps the worm on the per-hop path.
+  path_.clear();
+  if (!sim_.topo_.append_path(m.src, m.dst, path_)) return false;
   ++stamp_;
   PortRef at = w.head_at;
   Time a = t0 + r_;
-  for (;;) {
-    cand_.clear();
-    sim_.topo_.route(at.router, at.port, m.src, m.dst, cand_);
-    if (cand_.empty()) break;
-    const int q = cand_.front();
-    const int cid = at.router * radix + q;
+  for (const ChannelId cid : path_) {
+    const int q = cid - at.router * radix;
+    if (q < 0 || q >= radix) break;  // not the router the head is at
     const auto c = static_cast<std::size_t>(cid);
     // A revisited channel (a routing loop) would overlap itself.
     if (seen_[c] == stamp_ || !window_clear(cid, a, a + span)) break;
@@ -407,7 +408,7 @@ bool EventEngine::try_admit(int wi, Time t0) {
     }
     const PortRef d = sim_.link_[c];
     if (!d.valid()) break;
-    if (sim_.faults_active_ && plan_drops(sim_.plan_, w.id, d.router)) break;
+    if (sim_.faults_active_ && sim_.drops_(w.id, d.router)) break;
     at = d;
     a += r_;
   }

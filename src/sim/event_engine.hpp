@@ -209,6 +209,7 @@ class EventEngine {
   /// Per router: pending (cycle, delta) steps, ascending cycle.
   PooledVectors<std::pair<Time, int>> rr_steps_;
   PooledVectors<Window> windows_;  ///< per channel id: live hold windows
+  std::vector<ChannelId> path_;  ///< try_admit scratch: the worm's route
   std::vector<unsigned> seen_;  ///< per channel id: last try_admit stamp
   unsigned stamp_ = 0;
   int admitted_live_ = 0;  ///< live worms with precomputed paths

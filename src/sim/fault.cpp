@@ -36,13 +36,6 @@ double parse_rate(const std::string& clause, std::string_view v) {
   return out;
 }
 
-/// splitmix64 finalizer (same mixer the harness substreams use).
-std::uint64_t mix(std::uint64_t z) {
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 // Decision-family salts: one per rate so drop and corrupt decisions for
 // the same message never correlate.
 constexpr std::uint64_t kDropSalt = 1;
@@ -77,11 +70,11 @@ const char* drop_reason_name(DropReason r) {
 
 double fault_uniform(std::uint64_t seed, std::uint64_t salt, std::uint64_t a,
                      std::uint64_t b) {
-  const std::uint64_t h =
-      mix(mix(seed + 0x9e3779b97f4a7c15ULL) ^ mix(salt) ^
-          mix(a * 0xff51afd7ed558ccdULL + b + 0x2545f4914f6cdd1dULL));
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
+  return fault_hash::uniform(fault_hash::key(seed, salt), a, b);
 }
+
+DropTest::DropTest(const FaultPlan& plan)
+    : rate_(plan.drop_rate), key_(fault_hash::key(plan.seed, kDropSalt)) {}
 
 FaultPlan FaultPlan::parse(const std::string& spec) {
   FaultPlan plan;

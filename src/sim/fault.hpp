@@ -131,6 +131,49 @@ struct FaultPlan {
 /// The plan's per-hop drop decision for `msg` entering `downstream_router`.
 [[nodiscard]] bool plan_drops(const FaultPlan& plan, int msg, int downstream_router);
 
+/// The hash behind fault_uniform, split at its per-plan half so a hot
+/// per-decision test folds the seed and the decision family once.
+namespace fault_hash {
+
+/// splitmix64 finalizer (same mixer the harness substreams use).
+constexpr std::uint64_t mix(std::uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+/// The per-plan half: the seed and a decision family's salt.
+constexpr std::uint64_t key(std::uint64_t seed, std::uint64_t salt) {
+  return mix(seed + 0x9e3779b97f4a7c15ULL) ^ mix(salt);
+}
+
+/// fault_uniform(seed, salt, a, b) for `k` == key(seed, salt).
+constexpr double uniform(std::uint64_t k, std::uint64_t a, std::uint64_t b) {
+  return static_cast<double>(
+             mix(k ^ mix(a * 0xff51afd7ed558ccdULL + b + 0x2545f4914f6cdd1dULL)) >> 11) *
+         0x1.0p-53;
+}
+
+}  // namespace fault_hash
+
+/// plan_drops() for one plan with the plan's half of the hash folded
+/// once: the per-hop test both engines make whenever a head crosses a
+/// link.  Bit-equal to plan_drops (tests pin it).
+class DropTest {
+ public:
+  DropTest() = default;  ///< drops nothing
+  explicit DropTest(const FaultPlan& plan);
+  [[nodiscard]] bool operator()(int msg, int downstream_router) const {
+    return rate_ > 0 &&
+           fault_hash::uniform(key_, static_cast<std::uint64_t>(msg),
+                               static_cast<std::uint64_t>(downstream_router)) < rate_;
+  }
+
+ private:
+  double rate_ = 0.0;
+  std::uint64_t key_ = 0;
+};
+
 /// Deterministic per-decision hash mapped to [0, 1).  `salt` separates
 /// decision families (drop vs corrupt), `a`/`b` identify the decision
 /// point (message id, router, ...).

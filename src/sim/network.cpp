@@ -33,37 +33,68 @@ const Wiring& Topology::wiring() const {
   return wiring_;
 }
 
-void Topology::append_path(NodeId src, NodeId dst, std::vector<ChannelId>& out) const {
-  const std::vector<ChannelId> path = trace_path(*this, src, dst);
-  out.insert(out.end(), path.begin(), path.end());
+namespace {
+
+/// How a first-candidate walk ended; every end but kEjected is a routing
+/// defect trace_path reports.
+enum class WalkEnd { kEjected, kLoop, kNoRoute, kWrongNode, kUnwired };
+
+struct Walk {
+  WalkEnd end;
+  PortRef at;  ///< input port of the last router visited
+  int q = -1;  ///< out-port taken there (-1: none)
+};
+
+/// Appends the deterministic route (first candidate at every hop) from src
+/// to dst to `out`, the channel that stopped it included.
+Walk walk_route(const Topology& topo, NodeId src, NodeId dst,
+                std::vector<ChannelId>& out) {
+  std::vector<int> candidates;
+  Walk w{WalkEnd::kEjected, topo.node_attach(src)};
+  const std::size_t base = out.size();
+  const auto hop_limit = static_cast<std::size_t>(4 * topo.num_routers() + 8);
+  while (true) {
+    if (out.size() - base > hop_limit) return {WalkEnd::kLoop, w.at};
+    candidates.clear();
+    topo.route(w.at.router, w.at.port, src, dst, candidates);
+    if (candidates.empty()) return {WalkEnd::kNoRoute, w.at};
+    w.q = candidates.front();
+    out.push_back(topo.channel_id(w.at.router, w.q));
+    const NodeId ej = topo.ejector(w.at.router, w.q);
+    if (ej == dst) return w;
+    if (ej != kInvalidNode) return {WalkEnd::kWrongNode, w.at, w.q};
+    const PortRef next = topo.link(w.at.router, w.q);
+    if (!next.valid()) return {WalkEnd::kUnwired, w.at, w.q};
+    w.at = next;
+  }
+}
+
+}  // namespace
+
+bool Topology::append_path(NodeId src, NodeId dst, std::vector<ChannelId>& out) const {
+  return src == dst || walk_route(*this, src, dst, out).end == WalkEnd::kEjected;
 }
 
 std::vector<ChannelId> trace_path(const Topology& topo, NodeId src, NodeId dst) {
   if (src == dst) return {};
   std::vector<ChannelId> path;
-  std::vector<int> candidates;
-  PortRef cur = topo.node_attach(src);
-  const int hop_limit = 4 * topo.num_routers() + 8;
-  while (true) {
-    if (static_cast<int>(path.size()) > hop_limit)
+  const Walk w = walk_route(topo, src, dst, path);
+  switch (w.end) {
+    case WalkEnd::kEjected:
+      return path;
+    case WalkEnd::kLoop:
       throw std::runtime_error("trace_path: routing loop from " + std::to_string(src) +
                                " to " + std::to_string(dst));
-    candidates.clear();
-    topo.route(cur.router, cur.port, src, dst, candidates);
-    if (candidates.empty())
+    case WalkEnd::kNoRoute:
       throw std::runtime_error("trace_path: no route at " +
-                               topo.channel_name(cur.router, cur.port));
-    const int q = candidates.front();
-    path.push_back(topo.channel_id(cur.router, q));
-    if (topo.ejector(cur.router, q) == dst) return path;
-    if (topo.ejector(cur.router, q) != kInvalidNode)
+                               topo.channel_name(w.at.router, w.at.port));
+    case WalkEnd::kWrongNode:
       throw std::runtime_error("trace_path: ejected at wrong node");
-    const PortRef next = topo.link(cur.router, q);
-    if (!next.valid())
+    case WalkEnd::kUnwired:
       throw std::runtime_error("trace_path: routed onto unwired channel " +
-                               topo.channel_name(cur.router, q));
-    cur = next;
+                               topo.channel_name(w.at.router, w.q));
   }
+  return path;
 }
 
 std::string check_topology(const Topology& topo, bool exhaustive) {

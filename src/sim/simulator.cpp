@@ -165,6 +165,7 @@ void Simulator::set_fault_plan(FaultPlan plan) {
                    [](const auto& a, const auto& b) { return a.cycle < b.cycle; });
   faults_active_ = !plan.empty();
   plan_ = std::move(plan);
+  drops_ = DropTest(plan_);
   next_link_event_ = 0;
   next_node_event_ = 0;
   ++liveness_version_;
@@ -439,7 +440,7 @@ void Simulator::transfer(int r) {
                      .c_str(),
                  cycle_, fifo.front().msg));
     if (faults_active_ && fifo.front().head &&
-        plan_drops(plan_, fifo.front().msg, d.router)) {
+        drops_(fifo.front().msg, d.router)) {
       // The head is mangled crossing this link; the whole worm is lost
       // (wormhole switching cannot deliver a headless body).
       purge_message(fifo.front().msg, DropReason::kFlitFault);

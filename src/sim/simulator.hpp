@@ -374,6 +374,7 @@ class Simulator {
   // --- fault state ---
   bool faults_active_ = false;  ///< non-empty plan installed
   FaultPlan plan_;              ///< link/node events sorted by cycle
+  DropTest drops_;              ///< plan_'s per-hop drop decision
   std::size_t next_link_event_ = 0;
   std::size_t next_node_event_ = 0;
   std::vector<char> channel_dead_;  ///< per channel id (link events)

@@ -90,13 +90,18 @@ class Topology {
 
   /// Appends the channels of the deterministic route (first candidate at
   /// every hop, ejection channel included) from src to dst — the path the
-  /// simulator takes on an uncontended run.  The base implementation
-  /// walks route() hop by hop; topologies with closed-form routing (mesh
-  /// dimension-order, BMIN turnaround) override it to skip the per-hop
-  /// virtual dispatch, which is the static analyzer's hot loop.
-  /// Overrides must agree with the generic walk (tests enforce this).
-  /// Appends nothing when src == dst.
-  virtual void append_path(NodeId src, NodeId dst, std::vector<ChannelId>& out) const;
+  /// simulator takes on an uncontended run — and returns whether it ejects
+  /// at dst.  It is the static analyzer's hot loop and the event engine's
+  /// whole-worm admission path (one call per admitted worm), so the walk
+  /// must be the same from every attach port of src.  The base
+  /// implementation walks route() hop by hop and never throws: it stops,
+  /// returning false, at a missing candidate, an unwired channel, an
+  /// ejection at another node or the hop limit (trace_path names the
+  /// defect).  Topologies with closed-form routing (mesh dimension-order,
+  /// BMIN turnaround, butterfly destination tag) override it to skip the
+  /// per-hop virtual dispatch; overrides must agree with the generic walk
+  /// (tests enforce this).  Appends nothing when src == dst.
+  virtual bool append_path(NodeId src, NodeId dst, std::vector<ChannelId>& out) const;
 
   /// Dally–Seitz channel numbering: a closed-form rank >= 0 under which
   /// every deterministic route (append_path) visits strictly ascending
@@ -122,7 +127,9 @@ class Topology {
 
 /// Walks the deterministic route (always the first candidate) from src to
 /// dst and returns the traversed channel ids, ejection channel included.
-/// Throws std::runtime_error on routing loops (> 4 * num_routers hops).
+/// Throws std::runtime_error where the base append_path stops short:
+/// routing loops (> 4 * num_routers hops), a missing candidate, an
+/// unwired channel or an ejection at another node.
 std::vector<ChannelId> trace_path(const Topology& topo, NodeId src, NodeId dst);
 
 /// Structural validation: every wired channel's reverse lookup is

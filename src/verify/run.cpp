@@ -1,6 +1,7 @@
 #include "verify/run.hpp"
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -103,17 +104,19 @@ void run_placement(const rt::MulticastRuntime& rtm, sim::Simulator& sim,
   const InvariantAuditor auditor(sim.topology(), std::move(acfg));
   // A run cut short is replayed as far as it got: a violation found there
   // happened before the exception, so it is the verdict.  A watchdog's
-  // report must also agree with the replayed ledger.
+  // report must also agree with the replayed ledger.  The replay reads the
+  // recording in place; only a bounded trace that wrapped is copied.
+  std::vector<obs::TraceEvent> wrapped_copy;
   try {
     execute();
   } catch (const sim::WatchdogError& e) {
-    auditor.audit_partial(log->snapshot(), log->events_dropped(), &e.report());
+    auditor.audit_partial(log->events(wrapped_copy), log->events_dropped(), &e.report());
     throw;
   } catch (...) {
-    auditor.audit_partial(log->snapshot(), log->events_dropped());
+    auditor.audit_partial(log->events(wrapped_copy), log->events_dropped());
     throw;
   }
-  const std::vector<obs::TraceEvent> events = log->snapshot();
+  const std::span<const obs::TraceEvent> events = log->events(wrapped_copy);
   auditor.audit_run(events, log->events_dropped(), sim.stats(), sim.idle(), sim.now());
   if (run.slots > 0)
     InvariantAuditor::audit_stream(out.stream, events, log->events_dropped());

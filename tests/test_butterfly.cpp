@@ -36,6 +36,25 @@ TEST(Butterfly, EveryPathCrossesAllStages) {
   }
 }
 
+TEST(Butterfly, ClosedFormPathMatchesGenericWalk) {
+  // The destination-tag closed form in append_path (the lint kernel's and
+  // the event engine's admission path) must reproduce the route()-driven
+  // walk channel for channel on every (src, dst) pair.
+  for (const int n : {8, 64}) {
+    const auto topo = make_butterfly(n);
+    for (NodeId s = 0; s < n; ++s)
+      for (NodeId d = 0; d < n; ++d) {
+        std::vector<sim::ChannelId> fast;
+        EXPECT_TRUE(topo->append_path(s, d, fast));
+        if (s == d) {
+          EXPECT_TRUE(fast.empty());
+          continue;
+        }
+        EXPECT_EQ(fast, sim::trace_path(*topo, s, d)) << n << ": " << s << "->" << d;
+      }
+  }
+}
+
 TEST(Butterfly, PathsAreUnique) {
   // Destination-tag routing: a single candidate everywhere.
   const auto topo = make_butterfly(16);

@@ -666,6 +666,128 @@ TEST(EngineEquiv, ObserverAttachedBetweenRunsSeesTheRest) {
   expect_same_log(logs[0], logs[1]);
 }
 
+// --- admission coverage: contention-free runs admit every worm ---------
+//
+// A route the engine cannot follow (one that leaves the head's router or
+// never ejects) keeps the worm on the per-hop path with every output
+// unchanged, so only the admission count shows it.
+
+/// Both engines unobserved; returns the event run's admitted worm count
+/// after checking it against the messages posted.
+long long expect_all_admitted(const Topology& topo,
+                              const std::function<void(Simulator&)>& drive) {
+  const RunCapture evt = run_both_unobserved(topo, SimConfig{}, drive);
+  EXPECT_EQ(evt.stats.channel_conflicts, 0);
+  EXPECT_EQ(evt.admitted, static_cast<long long>(evt.messages.size()));
+  EXPECT_EQ(evt.reentries, 0);
+  return evt.admitted;
+}
+
+TEST(EngineEquiv, AdmissionCoversOptMeshOneShotsOnEveryAttachPort) {
+  // One engine: Theorem 1 holds and every worm is admitted.  Two engines
+  // on a two-port NI send concurrently from one node, which the one-port
+  // schedule does not plan for, so heads collide; the worms that still
+  // get through whole leave through attach port 0 or 1, and their count
+  // pins that a port-1 path starts at the head too.
+  const auto places = analysis::sample_placements(5, 256, 32, 3);
+  for (const int engines : {1, 2}) {
+    SCOPED_TRACE(::testing::Message() << engines << " send engines");
+    const mesh::MeshTopology topo(MeshShape::square2d(16),
+                                  mesh::RouteOrder::kHighestFirst, engines);
+    rt::RuntimeConfig rcfg;
+    rcfg.send_engines = engines;
+    std::vector<long long> admitted;
+    for (const auto& p : places) {
+      const auto drive = [&](Simulator& sim) {
+        rt::MulticastRuntime rtm(rcfg);
+        rtm.run_algorithm(sim, McastAlgorithm::kOptMesh, p.source, p.dests, 4096,
+                          &topo.shape());
+      };
+      admitted.push_back(engines == 1
+                             ? expect_all_admitted(topo, drive)
+                             : run_both_unobserved(topo, SimConfig{}, drive).admitted);
+    }
+    const std::vector<long long> want =
+        engines == 1 ? std::vector<long long>{31, 31, 31} : std::vector<long long>{4, 15, 6};
+    EXPECT_EQ(admitted, want);
+  }
+}
+
+TEST(EngineEquiv, AdmissionCoversOptMinOnBmin128) {
+  const auto topo = bmin::make_bmin(128);
+  long long admitted = 0;
+  for (const auto& p : analysis::sample_placements(7, 128, 64, 3))
+    admitted += expect_all_admitted(*topo, [&](Simulator& sim) {
+      rt::MulticastRuntime rtm(rt::RuntimeConfig{});
+      rtm.run_algorithm(sim, McastAlgorithm::kOptMin, p.source, p.dests, 4096);
+    });
+  EXPECT_EQ(admitted, 3 * 63);
+}
+
+TEST(EngineEquiv, AdmissionCoversAWindow8OptMeshStream) {
+  const auto topo = mesh::make_mesh2d(16);
+  const auto p = analysis::sample_placements(1997, 256, 16, 1)[0];
+  rt::StreamConfig c;
+  c.window_size = 8;
+  c.slots = 50;
+  c.bytes = 64;
+  c.alg = McastAlgorithm::kOptMesh;
+  c.shape = &topo->shape();
+  EXPECT_EQ(expect_all_admitted(*topo,
+                                [&](Simulator& sim) {
+                                  const rt::MulticastRuntime rtm(rt::RuntimeConfig{});
+                                  (void)rt::StreamRuntime(rtm).run(sim, p.source,
+                                                                   p.dests, c);
+                                }),
+            50 * 15);
+}
+
+/// Three routers in a line, one node each; out-port 0 goes left, 1
+/// right, 2 ejects.  A node's second NI port attaches (on in-port 3) to
+/// the router two to its right, wrapping, so node 1's is on router 0.
+/// append_path walks from attach port 0 only: it misses a port-1 head.
+class CrossAttachLine final : public Topology {
+ public:
+  [[nodiscard]] int num_routers() const override { return 3; }
+  [[nodiscard]] int radix() const override { return 4; }
+  [[nodiscard]] int num_nodes() const override { return 3; }
+  [[nodiscard]] int ports_per_node() const override { return 2; }
+  [[nodiscard]] PortRef link(int router, int out_port) const override {
+    if (out_port == 0 && router > 0) return PortRef{router - 1, 1};
+    if (out_port == 1 && router < 2) return PortRef{router + 1, 0};
+    return {};
+  }
+  [[nodiscard]] PortRef node_attach(NodeId n) const override {
+    return PortRef{static_cast<int>(n), 2};
+  }
+  [[nodiscard]] PortRef node_attach_port(NodeId n, int p) const override {
+    return p == 0 ? node_attach(n) : PortRef{(static_cast<int>(n) + 2) % 3, 3};
+  }
+  [[nodiscard]] NodeId ejector(int router, int out_port) const override {
+    return out_port == 2 ? router : kInvalidNode;
+  }
+  void route(int router, int, NodeId, NodeId dst, std::vector<int>& c) const override {
+    c.push_back(dst < router ? 0 : dst > router ? 1 : 2);
+  }
+};
+
+TEST(EngineEquiv, AdmissionRefusesAPathThatMissesTheHead) {
+  // Node 1's two NI engines pull at once.  The port-0 worm to node 2
+  // follows append_path and is admitted.  The port-1 worm to node 0 sits
+  // on router 0, where its append_path (router 1's left channel, then
+  // router 0's ejection) does not start, so it keeps the per-hop path and
+  // ejects at once.
+  const CrossAttachLine topo;
+  const RunCapture evt = run_both_unobserved(topo, SimConfig{}, [](Simulator& sim) {
+    sim.post(mk(1, 2, 6));
+    sim.post(mk(1, 0, 6));
+    sim.run_until_idle();
+  });
+  EXPECT_EQ(evt.stats.messages_delivered, 2);
+  EXPECT_EQ(evt.stats.flit_hops, 2 * 6 + 6);
+  EXPECT_EQ(evt.admitted, 1);
+}
+
 // --- contended bench workloads ------------------------------------------
 
 /// One engine's run of a workload: its multicast results, SimStats and,

@@ -16,6 +16,7 @@
 #include <functional>
 #include <iterator>
 #include <limits>
+#include <vector>
 
 #include "analysis/rng.hpp"
 #include "analysis/sampling.hpp"
@@ -189,6 +190,35 @@ TEST(FaultPlan, HashIsDeterministicAndUniform) {
     sum += u;
   }
   EXPECT_NEAR(sum / 1000.0, 0.5, 0.05);
+}
+
+TEST(FaultPlan, DropTestIsPlanDropsBitForBit) {
+  // The engines fold the plan's half of the drop hash once per simulator
+  // (DropTest); every decision must still equal plan_drops, over the
+  // whole unsigned seed range.
+  analysis::Rng rng(2026);
+  std::vector<std::uint64_t> seeds = {0, 1, std::uint64_t{1} << 63,
+                                      std::numeric_limits<std::uint64_t>::max()};
+  for (int i = 0; i < 12; ++i) seeds.push_back(rng.next());
+  long long drops_at_low_rate = 0;
+  for (const double rate : {0.0, 1e-3, 1.0}) {
+    for (const std::uint64_t seed : seeds) {
+      sim::FaultPlan plan;
+      plan.drop_rate = rate;
+      plan.seed = seed;
+      const sim::DropTest drops(plan);
+      for (int k = 0; k < 4000; ++k) {
+        const int msg = static_cast<int>(rng.below(std::uint64_t{1} << 31));
+        const int router = static_cast<int>(rng.below(std::uint64_t{1} << 16));
+        const bool want = sim::plan_drops(plan, msg, router);
+        ASSERT_EQ(drops(msg, router), want)
+            << "rate " << rate << " seed " << seed << " msg " << msg << " router " << router;
+        if (rate == 1e-3 && want) ++drops_at_low_rate;
+      }
+    }
+  }
+  EXPECT_GT(drops_at_low_rate, 0);  // the 1e-3 rate decides both ways
+  EXPECT_FALSE(sim::DropTest{}(0, 0));
 }
 
 // --- zero-fault golden guard --------------------------------------------

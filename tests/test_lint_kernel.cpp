@@ -9,6 +9,8 @@
 #include <array>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -509,6 +511,41 @@ TEST(LintKernel, RankCertificateNeverChangesTheSearch) {
   const std::array<std::span<const sim::ChannelId>, 2> tie{up, back};
   EXPECT_FALSE(lint::kernel::ranks_ascend(ranked, tie));
   expect_cycle(ranked, tie, {0, 1});
+}
+
+/// Two routers chasing each other: no route ever ejects.
+class LoopTopology final : public sim::Topology {
+ public:
+  [[nodiscard]] int num_routers() const override { return 2; }
+  [[nodiscard]] int radix() const override { return 2; }
+  [[nodiscard]] int num_nodes() const override { return 2; }
+  [[nodiscard]] sim::PortRef link(int router, int out_port) const override {
+    if (out_port != 0) return {};
+    return sim::PortRef{1 - router, 0};
+  }
+  [[nodiscard]] sim::PortRef node_attach(NodeId n) const override {
+    return sim::PortRef{static_cast<int>(n), 1};
+  }
+  [[nodiscard]] NodeId ejector(int, int) const override { return kInvalidNode; }
+  void route(int, int, NodeId, NodeId, std::vector<int>& c) const override {
+    c.push_back(0);
+  }
+};
+
+TEST(LintKernel, UnroutableSendThrowsTheWalksDiagnostic) {
+  // The base append_path stops short without throwing; the kernel then
+  // raises trace_path's diagnostic, the lint's error for such a route.
+  MulticastTree tree;
+  tree.chain.nodes = {0, 1};
+  tree.chain.source_pos = 0;
+  tree.sends = {SendEvent{0, 1, 0, 1, 1}};
+  tree.out = {{0}, {}};
+  try {
+    (void)lint::kernel::plan_sends(tree, LoopTopology{}, rt::RuntimeConfig{}, 64);
+    ADD_FAILURE() << "expected plan_sends to throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "trace_path: routing loop from 0 to 1");
+  }
 }
 
 TEST(LintKernel, ReservationsStaySortedAndAdmitLikeAFlatList) {

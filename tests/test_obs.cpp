@@ -16,6 +16,7 @@
 #include <functional>
 #include <fstream>
 #include <iterator>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -58,6 +59,21 @@ TEST(Recorder, RingKeepsNewestAndCountsDrops) {
   ASSERT_EQ(evs.size(), 4u);
   // Oldest-first: records 3..6 survive the wrap.
   for (int i = 0; i < 4; ++i) EXPECT_EQ(evs[static_cast<std::size_t>(i)].a, i + 3);
+}
+
+TEST(Recorder, EventsReadInPlaceUntilTheRingWraps) {
+  // The audit replays events() instead of a snapshot() copy: the same
+  // records, oldest first, without a copy until the ring wraps.
+  FlightRecorder rec(RecorderConfig{4});
+  std::vector<TraceEvent> copy;
+  for (int i = 0; i < 7; ++i) {
+    rec.record(EventKind::kPost, i, i);
+    const std::span<const TraceEvent> evs = rec.events(copy);
+    const std::vector<TraceEvent> want = rec.snapshot();
+    ASSERT_EQ(evs.size(), want.size());
+    for (std::size_t k = 0; k < evs.size(); ++k) EXPECT_EQ(evs[k].a, want[k].a) << i;
+    EXPECT_EQ(copy.empty(), i < 4) << "copied at record " << i;
+  }
 }
 
 TEST(Recorder, AppendMergesOldestFirstAndPropagatesDrops) {

@@ -3,6 +3,10 @@
 // topologies, which also documents the minimal Topology contract.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "mesh/mesh_topology.hpp"
 #include "sim/simulator.hpp"
 
@@ -108,6 +112,36 @@ TEST(SimErrors, CheckTopologyFlagsBrokenStubs) {
   EXPECT_NE(check_topology(BrokenLinkTopology{}, /*exhaustive=*/true), "");
   EXPECT_NE(check_topology(NoRouteTopology{}, /*exhaustive=*/true), "");
   EXPECT_NE(check_topology(RingTopology{}, /*exhaustive=*/true), "");  // loops
+}
+
+TEST(SimErrors, BaseWalkStopsShortWithoutThrowing) {
+  // The base append_path is the event engine's admission path where a
+  // topology has no closed form: a routing defect ends the walk with
+  // "not ejected" (the worm keeps the per-hop path), and trace_path names
+  // the defect for check_topology and the lint.
+  const auto expect_what = [](const Topology& topo, const std::string& want) {
+    try {
+      (void)trace_path(topo, 0, 1);
+      ADD_FAILURE() << "expected trace_path to throw " << want;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), want);
+    }
+  };
+  std::vector<ChannelId> path;
+  EXPECT_FALSE(RingTopology{}.append_path(0, 1, path));  // the hop limit
+  EXPECT_EQ(path.size(), std::size_t{4 * 2 + 8 + 1});
+  expect_what(RingTopology{}, "trace_path: routing loop from 0 to 1");
+  path.clear();
+  EXPECT_FALSE(NoRouteTopology{}.append_path(0, 1, path));
+  EXPECT_TRUE(path.empty());
+  expect_what(NoRouteTopology{}, "trace_path: no route at r0.p0");
+  EXPECT_FALSE(BrokenLinkTopology{}.append_path(0, 1, path));
+  EXPECT_EQ(path, std::vector<ChannelId>{0});  // the unwired channel itself
+  expect_what(BrokenLinkTopology{}, "trace_path: routed onto unwired channel r0.p0");
+  // A self-send routes nowhere and is no defect.
+  path.clear();
+  EXPECT_TRUE(RingTopology{}.append_path(1, 1, path));
+  EXPECT_TRUE(path.empty());
 }
 
 TEST(SimErrors, MaxCyclesBoundsTheRun) {
