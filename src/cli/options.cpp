@@ -80,8 +80,7 @@ harness::FlagTable<CliOptions> cli_flags(std::string_view tool) {
       {.name = "--compare", .field = &CliOptions::compare,
        .modes = bit(kOneShot) | bit(kLint) | bit(kLintStream),
        .help = "run every algorithm applicable to the topology"},
-      {.name = "--gantt", .field = &CliOptions::gantt,
-       .modes = bit(kOneShot) | bit(kLint) | bit(kLintForest),
+      {.name = "--gantt", .field = &CliOptions::gantt, .modes = bit(kOneShot),
        .help = "print a message timeline for the first rep"},
       {.name = "--faults", .metavar = "SPEC", .field = &CliOptions::faults,
        .modes = kDynamic,
@@ -177,7 +176,7 @@ harness::FlagTable<CliOptions> cli_flags(std::string_view tool) {
        .help = "fan placements out over N threads\n"
                "(0 = one per hardware thread, 1 = serial; default 0;\n"
                "results are identical at any N)"},
-      {.name = "--probe", .field = &CliOptions::probe,
+      {.name = "--probe", .field = &CliOptions::probe, .modes = kDynamic,
        .help = "measure (t_hold, t_end) on the network first"},
     }};
 }

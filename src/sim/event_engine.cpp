@@ -30,11 +30,9 @@ void EventEngine::reset() {
   const Time now = sim_.cycle_;
   for (std::size_t r = 0; r < rr_.size(); ++r) {
     RrAcct& a = rr_[r];
-    a.accum = sim_.routers_[r].rr_start();
-    a.since = now;
-    a.refcnt = 0;
+    a = RrAcct{sim_.routers_[r].rr_start(), now, now};
   }
-  rr_steps_.reset(rr_.size());
+  rr_spill_.reset(rr_.size());
   windows_.reset(sim_.channel_msg_.size());
   admitted_live_ = 0;
   settled_ = now - 1;
@@ -255,7 +253,7 @@ bool EventEngine::commit_arbitrations(Time t) {
     } else {
       w.head_at = sim_.link_[static_cast<std::size_t>(cid)];
       sched(t + r_, Ev::kArb, wi);
-      rr_step(w.head_at.router, t + 1, +1);
+      rr_post(w.head_at.router, t + 1, t + r_ + w.flits);
     }
   }
   return true;
@@ -277,12 +275,11 @@ void EventEngine::commit_xfers(Time t) {
     const Hop& h = w.hops[static_cast<std::size_t>(k)];
     if (!w.admitted) {
       // An admitted worm's only entry is its delivery; it never marked
-      // its channels held and posted its arbiter steps at admission.
+      // its channels held.
       sim_.channel_msg_[static_cast<std::size_t>(h.router) * sim_.radix_ +
                         h.out_port] = kInvalidMsg;
       if (sim_.observer_ != nullptr)
         sim_.observer_->on_release(h.router, h.out_port, w.id, t);
-      rr_step(h.router, t + 1, -1);
     }
     if (w.ejecting && k == static_cast<int>(w.hops.size()) - 1) {
       if (w.admitted) --admitted_live_;
@@ -369,7 +366,7 @@ void EventEngine::do_pulls(NodeId n, Time t) {
     sched(t + m.flits - 1, Ev::kInjectDone, wi);
     if (!try_admit(wi, t)) {
       sched(t + r_, Ev::kArb, wi);
-      rr_step(w.head_at.router, t + 1, +1);
+      rr_post(w.head_at.router, t + 1, t + r_ + w.flits);
     }
   }
 }
@@ -419,8 +416,7 @@ bool EventEngine::try_admit(int wi, Time t0) {
   Time begin = t0 + 1;  // a_{-1} + 1
   for (const Hop& h : w.hops) {
     add_window(h.router * radix + h.out_port, h.reserve, h.reserve + span);
-    rr_step(h.router, begin, +1);
-    rr_step(h.router, h.reserve + w.flits, -1);
+    rr_post(h.router, begin, h.reserve + w.flits);
     begin = h.reserve + 1;
   }
   w.admitted = true;
@@ -464,35 +460,74 @@ void EventEngine::recheck_nic_busy(NodeId n) {
   }
 }
 
-void EventEngine::rr_flush(int router, Time upto) {
-  const auto r = static_cast<std::size_t>(router);
-  RrAcct& a = rr_[r];
-  const std::span<const std::pair<Time, int>> steps = rr_steps_.view(r);
-  std::size_t i = 0;
-  for (; i < steps.size() && steps[i].first <= upto; ++i) {
-    if (a.refcnt > 0) a.accum += steps[i].first - a.since;
-    a.since = steps[i].first;
-    a.refcnt += steps[i].second;
+void EventEngine::rr_post(int router, Time b, Time e) {
+  RrAcct& a = rr_[static_cast<std::size_t>(router)];
+  if (b >= a.b && b <= a.e) {  // meets the newest segment: extend it
+    a.e = std::max(a.e, e);
+    return;
   }
-  rr_steps_.erase_front(r, i);
-  if (a.refcnt > 0) a.accum += upto - a.since;
-  a.since = upto;
+  if (b > a.e) {
+    // A later segment becomes the newest.  The old one folds into accum
+    // once it is over (no later post or read reaches back into it), and
+    // otherwise waits in the list.
+    const Segment old{a.b, a.e};
+    a.b = b;
+    a.e = e;
+    if (old.e <= sim_.cycle_)
+      a.accum += old.e - old.b;
+    else
+      rr_merge(router, old.b, old.e);
+    return;
+  }
+  rr_merge(router, b, e);
 }
 
-void EventEngine::rr_step(int router, Time at, int delta) {
+void EventEngine::rr_merge(int router, Time b, Time e) {
   const auto r = static_cast<std::size_t>(router);
-  // Folding in the steps already past keeps the pending list short.
-  if (rr_steps_.size(r) >= 16 && rr_steps_.view(r).front().first <= sim_.cycle_)
-    rr_flush(router, sim_.cycle_);
-  const std::span<const std::pair<Time, int>> steps = rr_steps_.view(r);
-  std::size_t i = steps.size();
-  while (i > 0 && steps[i - 1].first > at) --i;
-  rr_steps_.insert(r, i, {at, delta});
+  // Segments over by now only wait for a read; shed them as the list grows.
+  if (rr_spill_.size(r) >= 16) (void)rr_bumps(router, sim_.cycle_);
+  RrAcct& a = rr_[r];
+  const std::span<Segment> s = rr_spill_.view(r);
+  std::size_t i = s.size();
+  while (i > 0 && s[i - 1].e >= b) --i;
+  std::size_t j = i;
+  for (; j < s.size() && s[j].b <= e; ++j) {
+    b = std::min(b, s[j].b);
+    e = std::max(e, s[j].e);
+  }
+  if (j == s.size() && e >= a.b) {  // reaches the newest segment
+    a.b = b;
+    a.e = std::max(a.e, e);
+    rr_spill_.truncate(r, i);
+  } else if (j == i) {
+    rr_spill_.insert(r, i, Segment{b, e});
+  } else {
+    s[i] = Segment{b, e};
+    std::copy(s.begin() + static_cast<std::ptrdiff_t>(j), s.end(),
+              s.begin() + static_cast<std::ptrdiff_t>(i) + 1);
+    rr_spill_.truncate(r, s.size() - (j - i - 1));
+  }
 }
 
 long long EventEngine::rr_bumps(int router, Time at) {
-  rr_flush(router, at);
-  return rr_[static_cast<std::size_t>(router)].accum;
+  // Posts start after the current cycle and reads come at or after it, so
+  // cycles before `at` are final once counted.
+  const auto r = static_cast<std::size_t>(router);
+  RrAcct& a = rr_[r];
+  const std::span<Segment> s = rr_spill_.view(r);
+  std::size_t i = 0;
+  for (; i < s.size() && s[i].e <= at; ++i) a.accum += s[i].e - s[i].b;
+  if (i < s.size() && s[i].b < at) {
+    a.accum += at - s[i].b;
+    s[i].b = at;
+  }
+  if (i > 0) rr_spill_.erase_front(r, i);
+  if (a.b < at) {
+    const Time cut = std::min(a.e, at);
+    a.accum += cut - a.b;
+    a.b = cut;
+  }
+  return a.accum;
 }
 
 void EventEngine::settle_window(Time upto) {

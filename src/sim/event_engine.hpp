@@ -121,15 +121,26 @@ class EventEngine {
 
   /// Rotating-arbiter reconstruction: the cycle engine bumps rr_start
   /// once per cycle a router has non-zero activity, and a laminar worm
-  /// contributes activity to hop k's router exactly over
-  /// [a_{k-1} + 1, a_k + F - 1].  A refcount over these intervals, fed
-  /// by time-ordered steps that may lie in the future (an admitted worm
-  /// posts all of its steps at once), yields the bump count at any cycle.
-  /// The pending steps live in rr_steps_, one list per router.
+  /// keeps hop k's router active exactly over [a_{k-1} + 1, a_k + F).  In
+  /// event mode a head wins at a_k = a_{k-1} + R or the engine
+  /// materializes, so the whole interval is known once the head reaches
+  /// the router (an admitted worm knows every hop's at its NI pull), and
+  /// it starts after the cycle it is posted at.  A router's activity not
+  /// yet counted is the union of these intervals, kept as disjoint
+  /// half-open segments: the newest inline here, earlier ones in
+  /// rr_spill_.  A post mostly extends the newest segment or replaces it,
+  /// folding it into `accum` once it is over.  The bump count at a cycle
+  /// is `accum` plus the segment cycles before it.
   struct RrAcct {
-    long long accum = 0;  ///< active cycles before `since`
-    Time since = 0;
-    int refcnt = 0;
+    long long accum = 0;  ///< active cycles folded out of the segments
+    Time b = 0;           ///< newest segment [b, e); empty when b == e
+    Time e = 0;
+  };
+
+  /// A router's activity segment [b, e) (half-open).
+  struct Segment {
+    Time b;
+    Time e;
   };
 
   /// A channel's hold window [start, end] (reserve through release) of a
@@ -168,10 +179,13 @@ class EventEngine {
   void do_pulls(NodeId n, Time t);
   void recheck_nic_busy(NodeId n);
 
-  void rr_flush(int router, Time upto);
-  /// Schedules a refcount step of `delta` at cycle `at` (> now).
-  void rr_step(int router, Time at, int delta);
-  [[nodiscard]] long long rr_bumps(int router, Time at);
+  /// Adds activity [b, e) at `router`; b is after the current cycle.
+  void rr_post(int router, Time b, Time e);
+  /// rr_post's slow path: [b, e) starts before the newest segment.
+  void rr_merge(int router, Time b, Time e);
+  /// Folds the activity before cycle `at` (>= now) into accum and returns
+  /// the router's bump count at `at`.
+  long long rr_bumps(int router, Time at);
 
   /// Walks a freshly pulled worm's whole path; when every hop's window
   /// is free, commits it as admitted and returns true.
@@ -206,8 +220,8 @@ class EventEngine {
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> calendar_;
   std::vector<Time> eng_free_from_;  ///< per node * ports_per_node + engine
   std::vector<RrAcct> rr_;           ///< per router
-  /// Per router: pending (cycle, delta) steps, ascending cycle.
-  PooledVectors<std::pair<Time, int>> rr_steps_;
+  /// Per router: pending segments before the inline one, ascending.
+  PooledVectors<Segment> rr_spill_;
   PooledVectors<Window> windows_;  ///< per channel id: live hold windows
   std::vector<ChannelId> path_;  ///< try_admit scratch: the worm's route
   std::vector<unsigned> seen_;  ///< per channel id: last try_admit stamp

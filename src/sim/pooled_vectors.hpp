@@ -1,14 +1,15 @@
 // Many short vectors sharing one buffer.
 //
-// The event engine keeps a small ordered list per router (arbiter steps)
-// and per channel (hold windows).  One std::vector each would regrow
-// 1 -> 2 -> 4 ... for every router and channel a run touches.  Here every
-// list is a contiguous segment of one shared buffer, with a power-of-two
-// capacity; a full segment moves to one twice its size and its old space
-// goes on a free list for that size.  A run's allocations then depend on
-// the peak number of live entries, not on the number of lists, and
-// reset() keeps the buffer for the next run.  Spans returned by view()
-// are invalidated by the next insert.
+// The event engine keeps a small ordered list per router (the arbiter
+// activity segments that precede the router's newest one, which it keeps
+// inline) and per channel (hold windows).  One std::vector each would
+// regrow 1 -> 2 -> 4 ... for every router and channel a run touches.  Here
+// every list is a contiguous segment of one shared buffer, with a
+// power-of-two capacity; a full segment moves to one twice its size and
+// its old space goes on a free list for that size.  A run's allocations
+// then depend on the peak number of live entries, not on the number of
+// lists, and reset() keeps the buffer for the next run.  Spans returned
+// by view() are invalidated by the next insert.
 #pragma once
 
 #include <algorithm>

@@ -112,12 +112,12 @@ const std::vector<std::vector<std::string>> kCliMatrix = {
       "...............xxxxxxxxx........",
       "..........x..xxxxxxxxxxxx.......",
       "...............xxxxxxxxx........",
-      "...............xxxxxxxxx........",
+      "..............xxxxxxxxxx........",
       ".......x......xxxxxxxxxx........",
       "...............xxxxxxxxx........",
       "...............xxxxxxxxx........",
       ".......x......xxxxxxxxxx........",
-      ".......x..x..x..xxx.xxxx...xx...",
+      ".......x.xx..x..xxx.xxxx...xx..x",
       ".xxxxxxxxxxxxx.xxxxxxxxxxxxxxxxx",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
       ".xxxxxxxxxxxxxxxxx.xxxxxxxxxxxxx",
@@ -134,7 +134,7 @@ const std::vector<std::vector<std::string>> kCliMatrix = {
       "..............xxxxxxxxxx........",
       "...............xxxxxxxxx........",
       "...............xxxxxxxxx........",
-      "...............xxxxxxxxx........",
+      "..............xxxxxxxxxx........",
     },
     {  // --stream
       "................................",
@@ -151,7 +151,7 @@ const std::vector<std::vector<std::string>> kCliMatrix = {
       ".......xxx.....xx.....xxx.......",
       ".......xxx.....xx.....xxx.......",
       ".......xxx....xxx.....xxx.......",
-      ".......x.xx..x.xx....xxxx..xx...",
+      ".......x.xx..x.xx....xxxx..xx..x",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
       ".......xxx.....xx.....xxx.......",
@@ -168,109 +168,109 @@ const std::vector<std::vector<std::string>> kCliMatrix = {
       ".......xxx....xxx.....xxx.......",
       ".......xxx.....xx.....xxx.......",
       ".......xxx.....xx.....xxx.......",
-      ".......xxx.....xx.....xxx.......",
+      ".......xxx....xxx.....xxx.......",
     },
     {  // --lint
       "................................",
-      ".......x..x..x..xxx.xxxx...xx...",
-      ".......x..x..x..xxx.xxxx...xx...",
-      ".......x..x..x..xxx.xxxx...xx...",
-      ".......x..x..x..xxx.xxxx...xx...",
-      ".......x..x..x..xxx.xxxx...xx...",
-      ".......x..x..x..xxx.xxxx...xx...",
+      ".......x.xx..x..xxx.xxxx...xx..x",
+      ".......x.xx..x..xxx.xxxx...xx..x",
+      ".......x.xx..x..xxx.xxxx...xx..x",
+      ".......x.xx..x..xxx.xxxx...xx..x",
+      ".......x.xx..x..xxx.xxxx...xx..x",
+      ".......x.xx..x..xxx.xxxx...xx..x",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
-      ".......x..x..x.xxxx.xxxx...xx...",
-      ".......x..x..x..xxxxxxxx...xx...",
+      ".......x.xx..x.xxxx.xxxx...xx..x",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
-      ".......x..x..x..xxx.xxxx...xx...",
-      ".......x..x..x..xxx.xxxx...xx...",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
-      ".......x..x..x..xxx.xxxx...xx...",
-      ".......xx.x..x...xxxxxxxx..xx...",
+      ".......x.xx..x..xxx.xxxx...xx..x",
+      ".......x.xx..x..xxx.xxxx...xx..x",
+      ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
+      ".......x.xx..x..xxx.xxxx...xx..x",
+      ".......xxxx..x...xxxxxxxx..xx..x",
       ".xxxxxxxxxxxxxx.xxxxxxxxxxxxxxxx",
       ".xxxxxxxxxxxxxxxxx.xxxxxxxxxxxxx",
       ".xxxxxxxxxxxxxxxx.xxxxxxxxxxxxxx",
-      ".......x.xx..x.xxxx..xxxx..xx...",
+      ".......x.xx..x.xxxx..xxxx..xx..x",
       ".xxxxxxxxxxxxxxxxxx.xxxxxxxxxxxx",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
-      ".......x..x..x.xxxxxxxxx...xx...",
-      ".......x..x..x..xxx.xxxx...xx...",
-      ".......x..x..x..xxx.xxxx...xx...",
+      ".......x.xx..x.xxxxxxxxx...xx..x",
+      ".......x.xx..x..xxx.xxxx...xx..x",
+      ".......x.xx..x..xxx.xxxx...xx..x",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
-      ".......x..x..x..xxx.xxxx...xx...",
-      ".......x..x..x..xxx.xxxx...xx...",
-      ".......x..x..x..xxx.xxxx...xx...",
+      ".......x.xx..x..xxx.xxxx...xx..x",
+      ".......x.xx..x..xxx.xxxx...xx..x",
+      ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
     },
     {  // --lint --forest
       "................................",
-      ".......xx.x..x...xxxxxxxx..xx...",
-      ".......xx.x..x...xxxxxxxx..xx...",
-      ".......xx.x..x...xxxxxxxx..xx...",
-      ".......xx.x..x...xxxxxxxx..xx...",
-      ".......xx.x..x...xxxxxxxx..xx...",
-      ".......xx.x..x...xxxxxxxx..xx...",
-      ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
-      ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
-      ".......xx.x..x...xxxxxxxx..xx...",
-      ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
-      ".......xx.x..x...xxxxxxxx..xx...",
-      ".......xx.x..x...xxxxxxxx..xx...",
-      ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
-      ".......xx.x..x...xxxxxxxx..xx...",
-      ".......xx.x..x...xxxxxxxx..xx...",
-      ".......xx.x..x...xxxxxxxx..xx...",
+      ".......xxxx..x...xxxxxxxx..xx..x",
+      ".......xxxx..x...xxxxxxxx..xx..x",
+      ".......xxxx..x...xxxxxxxx..xx..x",
+      ".......xxxx..x...xxxxxxxx..xx..x",
+      ".......xxxx..x...xxxxxxxx..xx..x",
+      ".......xxxx..x...xxxxxxxx..xx..x",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
+      ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
+      ".......xxxx..x...xxxxxxxx..xx..x",
+      ".......xxxx..x...xxxxxxxx..xx..x",
+      ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
+      ".......xxxx..x...xxxxxxxx..xx..x",
+      ".......xxxx..x...xxxxxxxx..xx..x",
+      ".......xxxx..x...xxxxxxxx..xx..x",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
-      ".......xx.x..x...xxxxxxxx..xx...",
-      ".......xx.x..x...xxxxxxxx..xx...",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
-      ".......xx.x..x...xxxxxxxx..xx...",
-      ".......xx.x..x...xxxxxxxx..xx...",
-      ".......xx.x..x...xxxxxxxx..xx...",
+      ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
+      ".......xxxx..x...xxxxxxxx..xx..x",
+      ".......xxxx..x...xxxxxxxx..xx..x",
+      ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
+      ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
+      ".......xxxx..x...xxxxxxxx..xx..x",
+      ".......xxxx..x...xxxxxxxx..xx..x",
+      ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
     },
     {  // --lint --stream
       "................................",
-      ".......x.xx..x.xxxx..xxxx..xx...",
-      ".......x.xx..x.xxxx..xxxx..xx...",
-      ".......x.xx..x.xxxx..xxxx..xx...",
-      ".......x.xx..x.xxxx..xxxx..xx...",
-      ".......x.xx..x.xxxx..xxxx..xx...",
-      ".......x.xx..x.xxxx..xxxx..xx...",
+      ".......x.xx..x.xxxx..xxxx..xx..x",
+      ".......x.xx..x.xxxx..xxxx..xx..x",
+      ".......x.xx..x.xxxx..xxxx..xx..x",
+      ".......x.xx..x.xxxx..xxxx..xx..x",
+      ".......x.xx..x.xxxx..xxxx..xx..x",
+      ".......x.xx..x.xxxx..xxxx..xx..x",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
-      ".......x.xx..x.xxxx..xxxx..xx...",
+      ".......x.xx..x.xxxx..xxxx..xx..x",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
-      ".......x.xx..x.xxxx..xxxx..xx...",
-      ".......x.xx..x.xxxx..xxxx..xx...",
+      ".......x.xx..x.xxxx..xxxx..xx..x",
+      ".......x.xx..x.xxxx..xxxx..xx..x",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
-      ".......x.xx..x.xxxx..xxxx..xx...",
+      ".......x.xx..x.xxxx..xxxx..xx..x",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
       ".xxxxxxxxxxxxxxxxx.xxxxxxxxxxxxx",
       ".xxxxxxxxxxxxxxxx.xxxxxxxxxxxxxx",
-      ".......x.xx..x.xxxx..xxxx..xx...",
-      ".......x.xx..x.xxxx..xxxx..xx...",
+      ".......x.xx..x.xxxx..xxxx..xx..x",
+      ".......x.xx..x.xxxx..xxxx..xx..x",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
-      ".......x.xx..x.xxxx..xxxx..xx...",
-      ".......x.xx..x.xxxx..xxxx..xx...",
+      ".......x.xx..x.xxxx..xxxx..xx..x",
+      ".......x.xx..x.xxxx..xxxx..xx..x",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
-      ".......x.xx..x.xxxx..xxxx..xx...",
-      ".......x.xx..x.xxxx..xxxx..xx...",
-      ".......x.xx..x.xxxx..xxxx..xx...",
+      ".......x.xx..x.xxxx..xxxx..xx..x",
+      ".......x.xx..x.xxxx..xxxx..xx..x",
+      ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
     },
 };
 

@@ -11,7 +11,11 @@
 // those compare the delivery/drop handler log instead, and the engine
 // counters prove which path ran: reliable streams with receiver kills,
 // source failover and partitions, corrupt-rate plans, dead senders,
-// horizon cuts, and collisions with admitted paths.  The contended
+// horizon cuts, and collisions with admitted paths.  A seeded sweep of
+// windowed streams under cross traffic, follow-up posts and link faults
+// (mesh and BMIN, router delays 1-3, one- and two-port NIs) makes the
+// event engine rebuild rotating-arbiter positions mid-flight, and two
+// small cases pin the segment merge and fold rules.  The contended
 // workloads the benches put on either engine — overlapping concurrent
 // groups on the mesh, caller-order OPT chains on the butterfly — must
 // match in results and flight-recorder bytes, traced or not.  The last
@@ -24,6 +28,7 @@
 #include <algorithm>
 #include <functional>
 #include <random>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -1052,6 +1057,215 @@ TEST(EngineEquiv, ReliableStreamCorruptRate) {
   const auto [quiet, observed] = stream_both(*topo, plan, c, p);
   EXPECT_GT(quiet.stats.messages_corrupted, 0);
   EXPECT_EQ(quiet.reentries, 0) << "corruption alone never hands over";
+}
+
+// --- arbiter activity segments ------------------------------------------
+
+/// A `window`-slot stream of `alg`'s tree (each receive posts the
+/// receiver's sends, as the stream runtime's fast path does) under seeded
+/// unicast cross traffic.  Delivered cross messages post follow-ups at
+/// now() while worms are live, and odd seeds take a link down and up
+/// under the stream: admitted and per-hop worms share routers, heads meet,
+/// and the event engine materializes mid-flight.  `ports` is the
+/// runtime's send engines per node.
+void segment_traffic(Simulator& sim, const MulticastTree& tree, int ports, int window,
+                     unsigned seed) {
+  constexpr int kSlots = 6;
+  constexpr Bytes kPayload = 64;
+  constexpr int kCross = 1 << 20;  // tags from here on: cross traffic
+  rt::RuntimeConfig rcfg;
+  rcfg.send_engines = ports;
+  const rt::MulticastRuntime rtm(rcfg);
+  const int n_sends = static_cast<int>(tree.sends.size());
+  const auto engines = static_cast<std::size_t>(ports);
+  std::vector<Time> ops(static_cast<std::size_t>(tree.num_nodes()) * engines, 0);
+  auto activate = [&](int slot, int pos, Time at) {
+    (void)rtm.post_sends(sim, tree, pos, kPayload, at,
+                         std::span<Time>(&ops[static_cast<std::size_t>(pos) * engines],
+                                         engines),
+                         slot * n_sends);
+  };
+  std::vector<int> missing(kSlots, tree.num_nodes() - 1);
+  int injected = 0;
+  int frontier = 0;
+  auto inject = [&](Time at) {
+    while (injected < kSlots && injected - frontier < window)
+      activate(injected++, tree.chain.source_pos, at);
+  };
+  const Topology& topo = sim.topology();
+  std::mt19937 rng(seed);
+  const int nodes = topo.num_nodes();
+  std::uniform_int_distribution<int> node(0, nodes - 1);
+  std::uniform_int_distribution<int> flits(1, 24);
+  int cross = 0;
+  auto post_cross = [&](Time ready) {
+    const NodeId src = node(rng);
+    NodeId dst = node(rng);
+    if (dst == src) dst = (dst + 1) % nodes;
+    Message m = mk(src, dst, flits(rng), ready);
+    m.tag = kCross + cross++;
+    sim.post(m);
+  };
+  if (seed % 2 == 1) {
+    std::uniform_int_distribution<int> router(0, topo.num_routers() - 1);
+    std::uniform_int_distribution<int> port(0, topo.radix() - 1);
+    std::uniform_int_distribution<Time> when(20, 600);
+    int r = router(rng);
+    int p = port(rng);
+    while (!topo.link(r, p).valid()) {
+      r = router(rng);
+      p = port(rng);
+    }
+    const Time down = when(rng);
+    FaultPlan plan;
+    plan.link_events.push_back(FaultPlan::LinkEvent{down, r, p, false});
+    plan.link_events.push_back(FaultPlan::LinkEvent{down + 80, r, p, true});
+    sim.set_fault_plan(plan);
+  }
+  sim.set_delivery_handler([&](const Message& m) {
+    if (m.tag >= kCross) {
+      if (cross < 48) post_cross(sim.now());
+      return;
+    }
+    const int slot = m.tag / n_sends;
+    activate(slot, tree.sends[static_cast<std::size_t>(m.tag % n_sends)].receiver_pos,
+             sim.now());
+    if (--missing[static_cast<std::size_t>(slot)] > 0) return;
+    while (frontier < injected && missing[static_cast<std::size_t>(frontier)] == 0)
+      ++frontier;
+    inject(sim.now());
+  });
+  std::uniform_int_distribution<Time> ready(0, 1500);
+  for (int i = 0; i < 24; ++i) post_cross(ready(rng));
+  inject(0);
+  sim.run_until_idle();
+  sim.set_delivery_handler(nullptr);
+}
+
+/// Engine counters summed over a sweep.
+struct SegmentSweep {
+  long long admitted = 0;
+  long long per_hop = 0;  ///< worms that took the per-hop path
+  long long materialized[kMaterializationKinds] = {};
+};
+
+/// Runs every (alg, router_delay, window, seed) case on `topo` under both
+/// engines, observed and not; counts the unobserved runs, where worms are
+/// admitted whole.
+void sweep_segments(SegmentSweep& sum, const Topology& topo, int ports,
+                    const MeshShape* shape, int group) {
+  const bool mesh = shape != nullptr;
+  rt::RuntimeConfig rcfg;
+  rcfg.send_engines = ports;
+  const rt::MulticastRuntime rtm(rcfg);
+  const TwoParam tp = rtm.config().machine.two_param(rtm.wire_bytes(64, 1));
+  for (const McastAlgorithm alg :
+       mesh ? std::vector<McastAlgorithm>{McastAlgorithm::kOptMesh, McastAlgorithm::kUMesh}
+            : std::vector<McastAlgorithm>{McastAlgorithm::kOptMin, McastAlgorithm::kUMin}) {
+    for (const Time delay : {Time{1}, Time{2}, Time{3}}) {
+      for (const int window : {1, 8}) {
+        for (unsigned seed = 1; seed <= 4; ++seed) {
+          SCOPED_TRACE(::testing::Message()
+                       << algorithm_name(alg) << " ports " << ports << " delay " << delay
+                       << " window " << window << " seed " << seed);
+          const auto p = analysis::sample_placements(seed, topo.num_nodes(), group, 1)[0];
+          const MulticastTree tree = build_multicast(alg, p.source, p.dests, tp, shape);
+          SimConfig cfg;
+          cfg.router_delay = delay;
+          const auto drive = [&](Simulator& sim) {
+            segment_traffic(sim, tree, ports, window, seed);
+          };
+          // Observed, every worm takes the per-hop path and more heads meet.
+          (void)run_both(topo, cfg, drive);
+          const RunCapture evt = run_both_unobserved(topo, cfg, drive);
+          sum.admitted += evt.admitted;
+          sum.per_hop += static_cast<long long>(evt.messages.size()) - evt.admitted;
+          for (int k = 0; k < kMaterializationKinds; ++k)
+            sum.materialized[k] += evt.materialized[k];
+        }
+      }
+    }
+  }
+}
+
+void expect_mixed(const SegmentSweep& sum) {
+  EXPECT_GT(sum.admitted, 0);
+  EXPECT_GT(sum.per_hop, 0);
+  EXPECT_GT(sum.materialized[static_cast<int>(Materialization::kContention)], 0);
+  EXPECT_GT(sum.materialized[static_cast<int>(Materialization::kFaultEvent)], 0);
+}
+
+TEST(EngineEquiv, ArbiterSegmentsMesh8) {
+  SegmentSweep sum;
+  for (const int ports : {1, 2}) {
+    const mesh::MeshTopology topo(MeshShape::square2d(8), mesh::RouteOrder::kHighestFirst,
+                                  ports);
+    sweep_segments(sum, topo, ports, &topo.shape(), 12);
+  }
+  expect_mixed(sum);
+}
+
+TEST(EngineEquiv, ArbiterSegmentsMesh16) {
+  SegmentSweep sum;
+  for (const int ports : {1, 2}) {
+    const mesh::MeshTopology topo(MeshShape::square2d(16), mesh::RouteOrder::kHighestFirst,
+                                  ports);
+    sweep_segments(sum, topo, ports, &topo.shape(), 16);
+  }
+  expect_mixed(sum);
+}
+
+TEST(EngineEquiv, ArbiterSegmentsBmin64) {
+  // The BMIN attaches one NI port per node.
+  SegmentSweep sum;
+  const auto topo = bmin::make_bmin(64);
+  sweep_segments(sum, *topo, 1, nullptr, 12);
+  expect_mixed(sum);
+}
+
+TEST(EngineEquiv, ArbiterSegmentsTouchThenATie) {
+  // Two 8-flit worms 0 -> 3 from one NI, both admitted: with router_delay
+  // 1 the second one's activity at each row-0 router starts the cycle the
+  // first one's ends, so the two segments touch.  A 1-flit worm 1 -> 3
+  // pulled at 9 meets the second head at router 1 at cycle 10, both for
+  // the east channel, and the cycle engine settles the tie from router
+  // 1's rotating start, which must count the first worm's 8 cycles there.
+  const auto topo = mesh::make_mesh2d(4);
+  for (const bool observe : {false, true}) {
+    SCOPED_TRACE(observe ? "observed" : "unobserved");
+    const RunCapture evt = run_both(
+        *topo, SimConfig{},
+        [](Simulator& sim) {
+          sim.post(mk(0, 3, 8));
+          sim.post(mk(0, 3, 8));
+          sim.post(mk(1, 3, 1, 9));
+          sim.run_until_idle();
+        },
+        false, observe);
+    EXPECT_EQ(evt.admitted, observe ? 0 : 2);
+    EXPECT_EQ(evt.materializations(Materialization::kContention), 1);
+  }
+}
+
+TEST(EngineEquiv, ArbiterSegmentsRunningSegmentWaits) {
+  // router_delay 2.  Worm 5 -> 11 is still crossing routers 9 and 10 when
+  // worm 1 -> 11 is admitted at cycle 16 and posts its own, later
+  // activity there.  A collision materializes at 17, so those two
+  // routers' rotating starts must count the first worm's cycles before
+  // 17 only; counting its segments whole changes the replayed deliveries.
+  const auto topo = mesh::make_mesh2d(4);
+  SimConfig cfg;
+  cfg.router_delay = 2;
+  const RunCapture evt = run_both_unobserved(*topo, cfg, [](Simulator& sim) {
+    sim.post(mk(10, 11, 28, 21));
+    sim.post(mk(5, 11, 5, 9));
+    sim.post(mk(3, 11, 10, 11));
+    sim.post(mk(1, 11, 21, 16));
+    sim.post(mk(13, 2, 1, 17));
+    sim.run_until_idle();
+  });
+  EXPECT_EQ(evt.admitted, 2);
+  EXPECT_EQ(evt.materializations(Materialization::kContention), 1);
 }
 
 // --- watchdog: the deadlocked-ring regression (satellite fix) ----------
