@@ -89,10 +89,11 @@ harness::FlagTable<CliOptions> cli_flags(std::string_view tool) {
                "drop:RATE | corrupt:RATE | seed:S (';'-separated),\n"
                "e.g. \"node:42@1500;drop:0.001\" (multicast only)"},
       {.name = "--max-retries", .metavar = "N", .field = &CliOptions::max_retries,
-       .hi = 40,
+       .hi = 40, .modes = kDynamic,
        .help = "retransmissions before a receiver is declared dead\n"
                "(default 3; only meaningful with --faults)"},
       {.name = "--allow-partial", .field = &CliOptions::allow_partial,
+       .modes = kDynamic,
        .help = "exit 0 even when a fault run loses destinations\n"
                "(default: delivered < 100% exits 1)"},
       {.name = "--audit", .field = &CliOptions::audit, .modes = kDynamic,
@@ -168,15 +169,16 @@ harness::FlagTable<CliOptions> cli_flags(std::string_view tool) {
                "retry depth, failover latency, slots/kcycle)\n"
                "from the trace and report them (no --trace needed)"},
       {.name = "--engine", .metavar = "E", .field = &CliOptions::engine,
+       .modes = kDynamic,
        .help = "simulator kernel: cycle (reference) or event\n"
                "(event-driven fast-forward; bit-identical\n"
                "results, much faster on large topologies)"},
       {.name = "--jobs", .alias = "-j", .metavar = "N", .field = &CliOptions::jobs,
-       .hi = 4096,
+       .hi = 4096, .modes = kDynamic,
        .help = "fan placements out over N threads\n"
                "(0 = one per hardware thread, 1 = serial; default 0;\n"
                "results are identical at any N)"},
-      {.name = "--probe", .field = &CliOptions::probe, .modes = kDynamic,
+      {.name = "--probe", .field = &CliOptions::probe, .modes = bit(kOneShot),
        .help = "measure (t_hold, t_end) on the network first"},
     }};
 }

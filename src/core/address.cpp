@@ -48,14 +48,6 @@ int MeshShape::distance(NodeId a, NodeId b) const {
   return dist;
 }
 
-bool MeshShape::dim_less(NodeId a, NodeId b) const {
-  for (int d = ndims() - 1; d >= 0; --d) {
-    const int da = digit(a, d), db = digit(b, d);
-    if (da != db) return da < db;
-  }
-  return false;  // equal
-}
-
 int msb_diff(NodeId a, NodeId b) {
   unsigned x = static_cast<unsigned>(a) ^ static_cast<unsigned>(b);
   int p = -1;

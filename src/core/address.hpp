@@ -48,7 +48,9 @@ class MeshShape {
   /// delta_j(a) < delta_j(b) and delta_i(a) == delta_i(b) for all i > j.
   /// Equivalently: compare digit vectors lexicographically from the
   /// highest dimension down.  Strict version returns a <d b and a != b.
-  [[nodiscard]] bool dim_less(NodeId a, NodeId b) const;
+  /// Node ids are mixed-radix with dimension 0 fastest, so for nodes
+  /// inside the mesh this is plain numeric order.
+  [[nodiscard]] bool dim_less(NodeId a, NodeId b) const { return a < b; }
 
  private:
   std::vector<int> dims_;

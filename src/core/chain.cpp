@@ -39,8 +39,8 @@ Chain make_chain(NodeId source, std::span<const NodeId> dests, ChainOrder order,
       for (NodeId x : c.nodes)
         if (!shape->contains(x))
           throw std::out_of_range("make_chain: node outside the mesh");
-      std::sort(c.nodes.begin(), c.nodes.end(),
-                [shape](NodeId a, NodeId b) { return shape->dim_less(a, b); });
+      // Inside the mesh <d is numeric order (MeshShape::dim_less).
+      std::sort(c.nodes.begin(), c.nodes.end());
       break;
     }
   }

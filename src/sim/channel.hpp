@@ -70,6 +70,10 @@ class FlitFifo {
   [[nodiscard]] const Flit& at(int i) const {
     return slots_[(head_ + i) % capacity_].flit;
   }
+  /// Arrival cycle of the flit at logical index `i`; for digests only.
+  [[nodiscard]] Time entry_at(int i) const {
+    return slots_[(head_ + i) % capacity_].entry;
+  }
 
   /// Removes every flit of `msg` (they form one contiguous segment under
   /// the wormhole invariant, but this handles any layout), preserving the

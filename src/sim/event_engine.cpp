@@ -530,6 +530,20 @@ long long EventEngine::rr_bumps(int router, Time at) {
   return a.accum;
 }
 
+int EventEngine::rr_position(int router) const {
+  // rr_bumps(router, now) without folding.
+  const Time at = sim_.cycle_;
+  const auto r = static_cast<std::size_t>(router);
+  const RrAcct& a = rr_[r];
+  long long n = a.accum;
+  for (const Segment& s : rr_spill_.view(r)) {
+    if (s.b >= at) break;
+    n += std::min(s.e, at) - s.b;
+  }
+  if (a.b < at) n += std::min(a.e, at) - a.b;
+  return static_cast<int>(n % sim_.radix_);
+}
+
 void EventEngine::settle_window(Time upto) {
   while (settled_ < upto) {
     // No event lies in (settled_, upto], so the injecting worm set is

@@ -88,6 +88,10 @@ class EventEngine {
   /// for the router state to be inspectable).
   [[nodiscard]] bool live() const { return !live_.empty(); }
 
+  /// The rotating-arbiter position `router` has at the current cycle (what
+  /// materialization would restore), without folding the accounting.
+  [[nodiscard]] int rr_position(int router) const;
+
   /// After a materializing advance(): the count of trailing progress-free
   /// cycles the reference engine would have accumulated, so the caller
   /// can seed its watchdog stall counter bit-identically.

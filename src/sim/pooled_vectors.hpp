@@ -35,6 +35,10 @@ class PooledVectors {
     const Seg& s = segs_[l];
     return {store_.data() + s.off, s.size};
   }
+  [[nodiscard]] std::span<const T> view(std::size_t l) const {
+    const Seg& s = segs_[l];
+    return {store_.data() + s.off, s.size};
+  }
   [[nodiscard]] std::size_t size(std::size_t l) const { return segs_[l].size; }
 
   /// Inserts `v` at index `i` of list `l`, shifting the tail up.

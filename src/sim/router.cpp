@@ -13,6 +13,8 @@ static_assert(std::is_trivially_destructible_v<Router> &&
               std::is_trivially_destructible_v<FlitFifo::Slot>);
 
 RouterArena::RouterArena(int routers, int radix, int fifo_capacity) {
+  if (radix > 64)
+    throw std::invalid_argument("RouterArena: radix above 64 (held-output mask)");
   const auto nr = static_cast<std::size_t>(routers);
   const std::size_t ports = nr * static_cast<std::size_t>(radix);
   const std::size_t nslots = ports * static_cast<std::size_t>(fifo_capacity);
@@ -50,7 +52,7 @@ void Router::reserve(int in_port, int out_port) {
   in_assigned_[in_port] = out_port;
   out_holder_[out_port] = in_port;
   ++activity_;
-  ++held_;
+  held_ |= std::uint64_t{1} << out_port;
   --pending_;  // the input's front head is now assigned
 }
 
@@ -60,7 +62,7 @@ void Router::release(int in_port, int out_port) {
   in_assigned_[in_port] = -1;
   out_holder_[out_port] = -1;
   --activity_;
-  --held_;
+  held_ &= ~(std::uint64_t{1} << out_port);
   // Anything still buffered on the freed input is the next message's head
   // (wormhole invariant), so the input re-enters the arbitration set.
   if (!in_[in_port].empty()) ++pending_;
@@ -71,13 +73,12 @@ int Router::purge_msg(MsgId msg) {
   for (int p = 0; p < radix_; ++p) removed += in_[p].remove_msg(msg);
   if (removed == 0) return 0;
   // Recount rather than patch: removal can expose a new front (or empty a
-  // FIFO entirely), and the counters are cheap to rebuild exactly.
-  activity_ = held_;
+  // FIFO entirely).  Held and parked outputs are untouched, so activity
+  // loses exactly the removed flits.
+  activity_ -= removed;
   pending_ = 0;
-  for (int p = 0; p < radix_; ++p) {
-    activity_ += in_[p].size();
+  for (int p = 0; p < radix_; ++p)
     if (!in_[p].empty() && in_assigned_[p] == -1) ++pending_;
-  }
   return removed;
 }
 

@@ -19,14 +19,16 @@
 //                  wormhole invariant that flit is always a head, so this
 //                  counts exactly the inputs arbitration could serve;
 //   * held():      outputs currently reserved, i.e. the switch traversals
-//                  transfer could perform.
+//                  transfer could perform (held_mask(): which ones).
 //
 // A Router is a view: its input FIFOs, their slots and its two port tables
 // live in a RouterArena, one allocation for every router of a network, so
 // building a simulator costs the same few allocations at any size.
 #pragma once
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
 
@@ -51,13 +53,29 @@ class Router {
   [[nodiscard]] int assigned_out(int port) const noexcept {
     return in_assigned_[port];
   }
-  /// Input currently holding output `port`, or -1.
+  /// Input currently holding output `port`, -1 when free, or below -1
+  /// while the output is parked.
   [[nodiscard]] int out_holder(int port) const noexcept {
     return out_holder_[port];
   }
 
   void reserve(int in_port, int out_port);
   void release(int in_port, int out_port);
+
+  /// Per-worm leap (Simulator): a parked output stays reserved — no other
+  /// head can win it — but drops out of held(), and its out_holder() reads
+  /// below -1, so the transfer sweep skips it.  unpark() restores it.
+  void park(int out_port) noexcept {
+    out_holder_[out_port] = -2 - out_holder_[out_port];
+    held_ &= ~(std::uint64_t{1} << out_port);
+  }
+  void unpark(int out_port) noexcept {
+    out_holder_[out_port] = -2 - out_holder_[out_port];
+    held_ |= std::uint64_t{1} << out_port;
+  }
+  [[nodiscard]] bool parked(int out_port) const noexcept {
+    return out_holder_[out_port] < -1;
+  }
 
   /// Buffers an arriving flit on `port` (injection or upstream transfer).
   void accept(int port, const Flit& f, Time now) {
@@ -89,11 +107,13 @@ class Router {
   [[nodiscard]] int activity() const noexcept { return activity_; }
   /// Unassigned inputs with a (head) flit at the front.
   [[nodiscard]] int pending() const noexcept { return pending_; }
-  /// Reserved output channels.
-  [[nodiscard]] int held() const noexcept { return held_; }
+  /// Reserved output channels, parked ones excluded.
+  [[nodiscard]] int held() const noexcept { return std::popcount(held_); }
+  /// Bit q set while output q is held and not parked (radix <= 64).
+  [[nodiscard]] std::uint64_t held_mask() const noexcept { return held_; }
 
   /// Fault path: removes every buffered flit of `msg` from all inputs and
-  /// recomputes the worklist counters from first principles.  The caller
+  /// recounts the pending inputs.  The caller
   /// must release any reservations held by `msg` (the router does not
   /// track reservation ownership) *before* purging.  Returns the number
   /// of flits removed.
@@ -107,7 +127,7 @@ class Router {
   int rr_start_ = 0;
   int activity_ = 0;
   int pending_ = 0;
-  int held_ = 0;
+  std::uint64_t held_ = 0;
 };
 
 /// Storage for every router of one network in a single allocation: the

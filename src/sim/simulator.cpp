@@ -217,6 +217,7 @@ Time Simulator::run_until_idle(Time max_cycles) {
     event_ = std::make_unique<EventEngine>(*this);
     event_mode_ = true;
   }
+  horizon_ = max_cycles;
   Time stalled = 0;
   while (!idle() && cycle_ < max_cycles) {
     if (event_ && !event_mode_ && network_quiescent()) {
@@ -266,6 +267,7 @@ Time Simulator::run_until_idle(Time max_cycles) {
     if (quiet_ && progress_ && cfg_.router_delay >= 1) leap(max_cycles);
   }
   if (event_mode_) event_->finish_run();
+  settle_worms(kTimeInfinity);  // the horizon, or a truncated run
   stats_.cycles = cycle_;
   stats_.undelivered = undelivered_;
   run_status_ = idle() ? RunStatus::kCompleted : RunStatus::kTruncated;
@@ -397,9 +399,12 @@ void Simulator::arbitrate(int r) {
 void Simulator::transfer(int r) {
   Router& router = routers_[r];
   const int base = r * radix_;
-  for (int q = 0; q < radix_; ++q) {
+  // Held outputs in ascending order; parked ones are not in the mask.  A
+  // purge below may release a later one: it then reads as free.
+  for (std::uint64_t held = router.held_mask(); held != 0; held &= held - 1) {
+    const int q = std::countr_zero(held);
     const int p = router.out_holder(q);
-    if (p == -1) continue;
+    if (p < 0) continue;
     FlitFifo& fifo = router.in(p);
     if (fifo.empty()) continue;  // wormhole bubble: channel held, no flit yet
     if (cycle_ - fifo.front_entry() < cfg_.router_delay) continue;
@@ -430,6 +435,9 @@ void Simulator::transfer(int r) {
         --undelivered_;
         delivered_now_.push_back(flit.msg);
         if (observer_ != nullptr) observer_->on_deliver(msg, cycle_);
+      } else if (flit.head && messages_.at(flit.msg).inject_done < 0) {
+        // The worm now holds its whole path: a per-worm leap candidate.
+        leap_candidates_.push_back(flit.msg);
       }
       continue;
     }
@@ -473,6 +481,8 @@ void Simulator::inject(NodeId n) {
       queue.pop();
       eng.flits_sent = 0;
       quiet_ = false;
+    } else if (eng.leaping) {
+      continue;  // a multi-port NI's leaping engine
     }
     Message& msg = messages_.at(eng.active);
     const PortRef a = attach_[base + e];
@@ -505,6 +515,7 @@ void Simulator::inject(NodeId n) {
 }
 
 void Simulator::step() {
+  if (cycle_ >= worm_wake_) settle_worms(cycle_);
   if (faults_active_) apply_due_faults();
   release_due_posts();
 
@@ -555,7 +566,7 @@ void Simulator::step() {
         clear_router_active(wi, bit);
         continue;
       }
-      if (router.held() > 0) transfer(r);
+      if (router.held_mask() != 0) transfer(r);
     }
   }
 
@@ -569,6 +580,13 @@ void Simulator::step() {
       inject(static_cast<NodeId>((wi << 6) | static_cast<unsigned>(bit)));
     }
   }
+
+  if (!leap_candidates_.empty()) start_worm_leaps();
+  // A leaping worm moves flits every cycle, as far as the watchdog knows.
+  // Its in-flight count stays in inflight_flits_ (one flit leaves, one
+  // enters, each cycle), so the peak a step samples is unchanged: see
+  // DESIGN.md §6.1.
+  if (live_worms_ > 0) progress_ = true;
 
   ++cycle_;
   notify_finished();
@@ -587,6 +605,7 @@ void Simulator::leap(Time max_cycles) {
   Time d = max_cycles - cycle_;
   if (!posts_.empty()) d = std::min(d, posts_.top().ready - cycle_);
   d = std::min(d, next_fault_cycle() - cycle_);
+  d = std::min(d, worm_wake_ - cycle_);  // a leaping worm's tail
   if (d < 2) return;  // a one-cycle leap costs a scan to save one step
 
   // Injecting engines stream body flits until a tail is due; checked
@@ -599,7 +618,7 @@ void Simulator::leap(Time max_cycles) {
           (wi << 6) | static_cast<unsigned>(std::countr_zero(w));
       for (std::size_t e = 0; e < ports; ++e) {
         NicEngine& eng = nic_engines_[n * ports + e];
-        if (eng.active == kInvalidMsg) continue;
+        if (eng.active == kInvalidMsg || eng.leaping) continue;
         const PortRef a = attach_[n * ports + e];
         const FlitFifo& fifo = routers_[a.router].in(a.port);
         if (fifo.empty() || fifo.back_entry() != t) continue;  // backed up
@@ -627,6 +646,9 @@ void Simulator::leap(Time max_cycles) {
           if (popped) return;  // drained: the next cycle differs
           continue;
         }
+        // A leaping worm's FIFOs stream; their stamps are its anchor's.
+        const int q = router.assigned_out(p);
+        if (q != -1 && router.parked(q)) continue;
         if (popped != (fifo.back_entry() == t)) return;  // filling/draining
         if (popped) {
           // Consecutive arrivals make the shifted state exact; size >= rd
@@ -635,12 +657,12 @@ void Simulator::leap(Time max_cycles) {
           leap_fifos_.push_back(&fifo);
         } else {
           if (t - fifo.front_entry() < rd) return;  // residency still pending
-          if (router.assigned_out(p) == -1) leap_blocked_.push_back(fifo.front().msg);
+          if (q == -1) leap_blocked_.push_back(fifo.front().msg);
         }
       }
     }
   }
-  if (leap_fifos_.empty()) return;
+  if (leap_fifos_.empty() && live_worms_ == 0) return;
 
   for (FlitFifo* fifo : leap_fifos_) fifo->shift_time(d);
   for (NicEngine* eng : leap_engines_) eng->flits_sent += static_cast<int>(d);
@@ -658,6 +680,109 @@ void Simulator::leap(Time max_cycles) {
   cycle_ += d;
   ++leaps_;
   leaped_cycles_ += d;
+}
+
+void Simulator::start_worm_leaps() {
+  if (cfg_.router_delay < 1) {
+    leap_candidates_.clear();  // flits may cross several routers a cycle
+    return;
+  }
+  const Time bound = std::min(horizon_, next_fault_cycle());
+  std::size_t keep = 0;
+  for (const MsgId id : leap_candidates_)
+    if (!try_worm_leap(id, bound)) leap_candidates_[keep++] = id;
+  leap_candidates_.resize(keep);
+}
+
+bool Simulator::try_worm_leap(MsgId id, Time bound) {
+  // Called at the end of cycle t, before the clock moves.  The worm's
+  // head has been consumed, so it holds every channel from its attach
+  // FIFO to its ejection channel, and each FIFO on that path is written
+  // by it alone (the NI engine, or the upstream channel it holds).  If
+  // each one streamed at t — the steady-state leap's test — the worm
+  // repeats t shifted in time, whatever the rest of the network does,
+  // until its tail leaves the NI: its ejection takes a flit every cycle,
+  // and no other message can reach its FIFOs or its channels.
+  const Message& m = messages_.at(id);
+  if (m.finished() || m.inject_done >= 0) return true;
+  const Time t = cycle_;
+  const auto ports = static_cast<std::size_t>(ports_per_node_);
+  const std::size_t node = static_cast<std::size_t>(m.src);
+  std::size_t engine = node * ports;
+  while (nic_engines_[engine].active != id)
+    if (++engine == (node + 1) * ports) return true;
+  NicEngine& eng = nic_engines_[engine];
+  const Time tail_at = t + m.flits - eng.flits_sent;
+  if (tail_at - (t + 1) < 2) return true;  // only gets nearer
+  const Time wake = std::min(tail_at, bound);
+  if (wake - (t + 1) < 2) return false;
+
+  if (live_worms_ == worms_.size()) worms_.emplace_back();
+  LeapingWorm& w = worms_[live_worms_];
+  w.hops.clear();
+  const Time rd = cfg_.router_delay;
+  PortRef at = attach_[engine];
+  for (;;) {
+    const Router& router = routers_[at.router];
+    const FlitFifo& fifo = router.in(at.port);
+    // One pop and one push at t of consecutive body flits; a push at t
+    // leaves size < capacity, and size >= router_delay keeps every next
+    // front eligible.
+    if (fifo.empty() || fifo.last_pop() != t || fifo.back_entry() != t ||
+        fifo.size() < rd || !fifo.body_run_ending(t))
+      return false;
+    const int q = router.assigned_out(at.port);
+    w.hops.push_back(WormHop{at.router, at.port, q});
+    const std::size_t c = static_cast<std::size_t>(at.router) * radix_ + q;
+    if (eject_[c] != kInvalidNode) break;
+    at = link_[c];
+  }
+
+  for (const WormHop& h : w.hops) routers_[h.router].park(h.out_port);
+  eng.leaping = true;
+  // A one-port NI has nothing else to do until the tail: out of the sweep.
+  if (ports == 1) nic_words_[node >> 6] &= ~(1ULL << (node & 63));
+  w.msg = id;
+  w.engine = engine;
+  w.anchor = t;
+  w.tail_at = tail_at;
+  w.wake = wake;
+  worm_wake_ = std::min(worm_wake_, wake);
+  ++live_worms_;
+  return true;
+}
+
+void Simulator::settle_worms(Time due) {
+  worm_wake_ = kTimeInfinity;
+  for (std::size_t i = 0; i < live_worms_;) {
+    LeapingWorm& w = worms_[i];
+    if (w.wake > due) {
+      worm_wake_ = std::min(worm_wake_, w.wake);
+      ++i;
+      continue;
+    }
+    // The skipped cycles each popped one flit from every FIFO on the path,
+    // pushed one into each, and injected one: the anchor's state shifted.
+    const Time d = cycle_ - 1 - w.anchor;
+    for (const WormHop& h : w.hops) {
+      Router& router = routers_[h.router];
+      router.in(h.in_port).shift_time(d);
+      router.unpark(h.out_port);
+    }
+    NicEngine& eng = nic_engines_[w.engine];
+    eng.flits_sent += static_cast<int>(d);
+    eng.leaping = false;
+    if (ports_per_node_ == 1) nic_words_[w.engine >> 6] |= 1ULL << (w.engine & 63);
+    const long long hops = d * static_cast<long long>(w.hops.size());
+    stats_.flit_hops += hops;
+    if (d > 0) {
+      ++worm_leaps_;
+      worm_leaped_hops_ += hops;
+    }
+    // Cut short (horizon, fault event, an outside read): it may leap again.
+    if (cycle_ < w.tail_at) leap_candidates_.push_back(w.msg);
+    std::swap(worms_[i], worms_[--live_worms_]);
+  }
 }
 
 void Simulator::apply_due_faults() {
@@ -723,7 +848,7 @@ void Simulator::purge_message(MsgId id, DropReason reason) {
       const int r = static_cast<int>((wi << 6) |
                                      static_cast<unsigned>(std::countr_zero(w)));
       Router& router = routers_[static_cast<std::size_t>(r)];
-      if (router.held() == 0) continue;
+      if (router.held_mask() == 0) continue;
       for (int q = 0; q < radix_; ++q) {
         const std::size_t c = static_cast<std::size_t>(r) * radix_ + q;
         if (channel_msg_[c] != id) continue;
@@ -767,6 +892,7 @@ WatchdogReport Simulator::stall_report(Time stalled_cycles) const {
   // only realizes state the simulation already owns.)
   if (event_mode_ && event_->live())
     const_cast<Simulator*>(this)->event_->bail_out();
+  const_cast<Simulator*>(this)->settle_worms(kTimeInfinity);
   WatchdogReport rep;
   rep.cycle = cycle_;
   rep.stalled_cycles = stalled_cycles;
@@ -808,6 +934,53 @@ WatchdogReport Simulator::stall_report(Time stalled_cycles) const {
   rep.deadlock_cycle = first_wait_cycle(waits_on);
   rep.channel_occupancy = stall_dump();
   return rep;
+}
+
+std::uint64_t Simulator::microstate_digest(bool pop_stamps) const {
+  if (event_mode_ && event_->live())
+    throw std::logic_error(
+        "microstate_digest: live event-mode worms (materialize with stall_report)");
+  const_cast<Simulator*>(this)->settle_worms(kTimeInfinity);
+  std::uint64_t h = 14695981039346656037ULL;  // FNV-1a, 8 bytes per value
+  const auto mix = [&h](long long v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= static_cast<std::uint64_t>(v >> (8 * i)) & 0xffU;
+      h *= 1099511628211ULL;
+    }
+  };
+  for (int r = 0; r < static_cast<int>(routers_.size()); ++r) {
+    const Router& router = routers_[r];
+    mix(event_mode_ ? event_->rr_position(r) : router.rr_start());
+    mix(router.activity());
+    mix(router.pending());
+    mix(static_cast<long long>(router.held_mask()));
+    for (int p = 0; p < radix_; ++p) {
+      mix(router.assigned_out(p));
+      mix(router.out_holder(p));
+      const FlitFifo& fifo = router.in(p);
+      mix(fifo.size());
+      for (int i = 0; i < fifo.size(); ++i) {
+        const Flit& f = fifo.at(i);
+        mix(f.msg);
+        mix(static_cast<int>(f.head) | static_cast<int>(f.tail) << 1);
+        mix(fifo.entry_at(i));
+      }
+      if (pop_stamps) mix(fifo.last_pop());
+    }
+  }
+  for (const MsgId holder : channel_msg_) mix(holder);
+  for (std::size_t n = 0; n < nic_queues_.size(); ++n) {
+    for (int e = 0; e < ports_per_node_; ++e) {
+      const NicEngine& eng = nic_engines_[n * ports_per_node_ + e];
+      mix(eng.active);
+      // The count is reset at the next pull, so only an active one counts.
+      if (eng.active != kInvalidMsg) mix(eng.flits_sent);
+    }
+    const std::span<const MsgId> queued = nic_queues_[n].queued();
+    mix(static_cast<long long>(queued.size()));
+    for (const MsgId id : queued) mix(id);
+  }
+  return h;
 }
 
 std::string Simulator::stall_dump() const {

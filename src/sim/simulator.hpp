@@ -43,6 +43,16 @@
 // horizon), applying exactly the counters and stamps the skipped cycles
 // would have produced.  It calls no observer: every head that waits
 // through the skipped cycles already reported its wait when it began.
+//
+// Per-worm leap (DESIGN.md §6.1): a worm whose head has been consumed at
+// its ejection channel holds its whole path, and only it writes the FIFOs
+// on it.  Once every one of them streams (the steady-state leap's test,
+// applied to this worm alone) while its tail is still in the NI, the worm
+// leaves the transfer and injection sweeps: its outputs are parked, and
+// its FIFO stamps, NI flit counter and flit hops advance in closed form
+// while everything else keeps stepping.  It returns to flit state at its
+// tail injection, at the next fault event, at the run horizon, and
+// whenever its FIFOs are read from outside a step.
 #pragma once
 
 #include <algorithm>
@@ -243,6 +253,23 @@ class Simulator {
   /// every workload observable stays bit-identical.
   [[nodiscard]] long long leaps() const { return leaps_; }
   [[nodiscard]] long long leaped_cycles() const { return leaped_cycles_; }
+  /// Per-worm leaps that skipped at least one cycle, and the flit hops
+  /// they applied in closed form instead of stepping.  Engine-internal,
+  /// like leaps().
+  [[nodiscard]] long long worm_leaps() const { return worm_leaps_; }
+  [[nodiscard]] long long worm_leaped_hops() const { return worm_leaped_hops_; }
+
+  /// FNV-1a digest of the flit-level microstate: every router's rotating
+  /// arbiter position, port tables and counters, each channel's holder,
+  /// every FIFO's flits with their entry stamps (and, with `pop_stamps`,
+  /// its last-pop stamp), and every NI's engines and queue.  Leaping
+  /// worms are first returned to flit state, as stall_report() does.  In
+  /// event mode the arbiter positions come from the event engine's
+  /// accounting; live worms must be materialized first (stall_report()),
+  /// or this throws std::logic_error.  The event engine keeps no pop
+  /// stamps (nothing reads one after the cycle it was written in), so a
+  /// digest compared across engines passes `pop_stamps = false`.
+  [[nodiscard]] std::uint64_t microstate_digest(bool pop_stamps = true) const;
 
   /// Event-engine counters, kept out of SimStats for the same reason:
   /// hand-offs to the cycle engine by trigger, returns to event mode,
@@ -259,6 +286,23 @@ class Simulator {
   struct NicEngine {
     MsgId active = kInvalidMsg;
     int flits_sent = 0;
+    bool leaping = false;  ///< `active` streams in closed form (worm leap)
+  };
+
+  /// A per-worm leap in progress: the worm's path from its attach FIFO to
+  /// its ejection channel, and the end-of-cycle state it was parked at.
+  struct WormHop {
+    int router;
+    int in_port;
+    int out_port;
+  };
+  struct LeapingWorm {
+    MsgId msg = kInvalidMsg;
+    std::size_t engine = 0;  ///< node * ports_per_node + engine index
+    Time anchor = 0;   ///< last cycle the worm was stepped
+    Time tail_at = 0;  ///< cycle its NI injects the tail
+    Time wake = 0;     ///< cycle it must be back in flit state
+    std::vector<WormHop> hops;  ///< reused across leaps of this slot
   };
 
   /// An NI's released messages awaiting an engine, FIFO: a vector read
@@ -315,6 +359,14 @@ class Simulator {
   /// Called after a quiet step(): jumps the clock over the steady
   /// streaming cycles that follow, if the network is in such a state.
   void leap(Time max_cycles);
+  /// End of a step: starts a per-worm leap for each candidate whose path
+  /// streams; drops candidates that can no longer leap.
+  void start_worm_leaps();
+  /// True when candidate `id` is done with: it leaps now, or never will.
+  bool try_worm_leap(MsgId id, Time bound);
+  /// Returns every leaping worm whose wake is at or before `due` to flit
+  /// state as of the end of cycle now() - 1 (a cycle boundary).
+  void settle_worms(Time due);
   /// Moves due posts into their NI queues (dropping a dead sender's);
   /// appends each queued post's source to `released` when given.
   void release_due_posts(std::vector<NodeId>* released = nullptr);
@@ -415,6 +467,16 @@ class Simulator {
   bool quiet_ = false;
   long long leaps_ = 0;
   long long leaped_cycles_ = 0;
+  long long worm_leaps_ = 0;
+  long long worm_leaped_hops_ = 0;
+  Time horizon_ = kTimeInfinity;  ///< max_cycles of the current run
+  // Per-worm leap state: worms whose head has been consumed while their
+  // tail is still in the NI, and the worms leaping ([0, live_worms_) of
+  // worms_; later slots are spare, their hop vectors kept for reuse).
+  std::vector<MsgId> leap_candidates_;
+  std::vector<LeapingWorm> worms_;
+  std::size_t live_worms_ = 0;
+  Time worm_wake_ = kTimeInfinity;  ///< earliest wake of a leaping worm
   // leap() scratch, reused across attempts
   std::vector<FlitFifo*> leap_fifos_;
   std::vector<NicEngine*> leap_engines_;

@@ -1,6 +1,9 @@
 // Tests for mesh addressing, the dimension-order relation, and bit helpers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/address.hpp"
 
 namespace pcm {
@@ -81,13 +84,24 @@ TEST(DimLess, IsATotalStrictOrder) {
   }
 }
 
-TEST(DimLess, OnHypercubeEqualsNumericOrder) {
-  // delta digits of a side-2 mesh are address bits, so <d coincides with
-  // binary value order — the reason U-cube and U-min share machinery.
-  const MeshShape h = MeshShape::hypercube(5);
-  for (NodeId a = 0; a < 32; ++a)
-    for (NodeId b = 0; b < 32; ++b)
-      EXPECT_EQ(h.dim_less(a, b), a < b) << a << " vs " << b;
+TEST(DimLess, EqualsNumericOrderOnEveryShape) {
+  // Node ids are mixed-radix with dimension 0 fastest, so comparing digit
+  // vectors from the highest dimension down is comparing the ids; on a
+  // side-2 mesh the digits are address bits, which is why U-cube and
+  // U-min share machinery.
+  for (const MeshShape& s : {MeshShape::square2d(6), MeshShape({3, 4}),
+                             MeshShape({4, 4, 4}), MeshShape::hypercube(5)}) {
+    for (NodeId a = 0; a < s.num_nodes(); ++a) {
+      const std::vector<int> ca = s.coords(a);
+      for (NodeId b = 0; b < s.num_nodes(); ++b) {
+        const std::vector<int> cb = s.coords(b);
+        const bool lex = std::lexicographical_compare(ca.rbegin(), ca.rend(),
+                                                      cb.rbegin(), cb.rend());
+        EXPECT_EQ(s.dim_less(a, b), lex) << a << " vs " << b;
+        EXPECT_EQ(lex, a < b) << a << " vs " << b;
+      }
+    }
+  }
 }
 
 TEST(MsbDiff, Basics) {

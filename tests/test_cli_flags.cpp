@@ -114,10 +114,10 @@ const std::vector<std::vector<std::string>> kCliMatrix = {
       "...............xxxxxxxxx........",
       "..............xxxxxxxxxx........",
       ".......x......xxxxxxxxxx........",
-      "...............xxxxxxxxx........",
-      "...............xxxxxxxxx........",
+      "..............xxxxxxxxxx........",
+      "..............xxxxxxxxxx........",
       ".......x......xxxxxxxxxx........",
-      ".......x.xx..x..xxx.xxxx...xx..x",
+      ".......x.xxxxx..xxx.xxxx...xxxxx",
       ".xxxxxxxxxxxxx.xxxxxxxxxxxxxxxxx",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
       ".xxxxxxxxxxxxxxxxx.xxxxxxxxxxxxx",
@@ -132,96 +132,86 @@ const std::vector<std::vector<std::string>> kCliMatrix = {
       "...............xxxxxxxxx........",
       "..............xxxxxxxxxx........",
       "..............xxxxxxxxxx........",
-      "...............xxxxxxxxx........",
-      "...............xxxxxxxxx........",
+      "..............xxxxxxxxxx........",
+      "..............xxxxxxxxxx........",
       "..............xxxxxxxxxx........",
     },
     {  // --stream
       "................................",
-      ".......xxx.....xx.....xxx.......",
-      ".......xxx.....xx.....xxx.......",
-      ".......xxx.....xx.....xxx.......",
-      ".......xxx.....xx.....xxx.......",
-      ".......xxx.....xx.....xxx.......",
-      ".......xxx.....xx.....xxx.......",
+      ".......xxx.....xx.....xxx......x",
+      ".......xxx.....xx.....xxx......x",
+      ".......xxx.....xx.....xxx......x",
+      ".......xxx.....xx.....xxx......x",
+      ".......xxx.....xx.....xxx......x",
+      ".......xxx.....xx.....xxx......x",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
       ".xxxxxxxxxxxxx.xxxxxxxxxxxxxxxxx",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
-      ".......xxx....xxx.....xxx.......",
-      ".......xxx.....xx.....xxx.......",
-      ".......xxx.....xx.....xxx.......",
-      ".......xxx....xxx.....xxx.......",
-      ".......x.xx..x.xx....xxxx..xx..x",
+      ".......xxx....xxx.....xxx......x",
+      ".......xxx....xxx.....xxx......x",
+      ".......xxx....xxx.....xxx......x",
+      ".......xxx....xxx.....xxx......x",
+      ".......x.xxxxx.xx....xxxx..xxxxx",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
-      ".......xxx.....xx.....xxx.......",
-      ".......xxx.....xx.....xxx.......",
-      ".......xxx.....xx.....xxx.......",
-      ".......xxx.....xx.....xxx.......",
-      ".......xxx....xxx.......x.......",
+      ".......xxx.....xx.....xxx......x",
+      ".......xxx.....xx.....xxx......x",
+      ".......xxx.....xx.....xxx......x",
+      ".......xxx.....xx.....xxx......x",
+      ".......xxx....xxx.......x......x",
       ".xxxxxxxxxxxxxxxxxxxx.xxxxxxxxxx",
       ".xxxxxxxxxxxxxxxxxxxx.xxxxxxxxxx",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
-      ".......xxx.....xx.....xxx.......",
-      ".......xxx.....xx.....xxx.......",
-      ".......xxx....xxx.....xxx.......",
-      ".......xxx....xxx.....xxx.......",
-      ".......xxx.....xx.....xxx.......",
-      ".......xxx.....xx.....xxx.......",
-      ".......xxx....xxx.....xxx.......",
+      ".......xxx.....xx.....xxx......x",
+      ".......xxx.....xx.....xxx......x",
+      ".......xxx....xxx.....xxx......x",
+      ".......xxx....xxx.....xxx......x",
+      ".......xxx....xxx.....xxx......x",
+      ".......xxx....xxx.....xxx......x",
+      ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
     },
     {  // --lint
       "................................",
-      ".......x.xx..x..xxx.xxxx...xx..x",
-      ".......x.xx..x..xxx.xxxx...xx..x",
-      ".......x.xx..x..xxx.xxxx...xx..x",
-      ".......x.xx..x..xxx.xxxx...xx..x",
-      ".......x.xx..x..xxx.xxxx...xx..x",
-      ".......x.xx..x..xxx.xxxx...xx..x",
+      ".......x.xxxxx..xxx.xxxx...xxxxx",
+      ".......x.xxxxx..xxx.xxxx...xxxxx",
+      ".......x.xxxxx..xxx.xxxx...xxxxx",
+      ".......x.xxxxx..xxx.xxxx...xxxxx",
+      ".......x.xxxxx..xxx.xxxx...xxxxx",
+      ".......x.xxxxx..xxx.xxxx...xxxxx",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
-      ".......x.xx..x.xxxx.xxxx...xx..x",
+      ".......x.xxxxx.xxxx.xxxx...xxxxx",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
-      ".......x.xx..x..xxx.xxxx...xx..x",
-      ".......x.xx..x..xxx.xxxx...xx..x",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
-      ".......x.xx..x..xxx.xxxx...xx..x",
-      ".......xxxx..x...xxxxxxxx..xx..x",
+      ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
+      ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
+      ".......x.xxxxx..xxx.xxxx...xxxxx",
+      ".......xxxxxxx...xxxxxxxx..xxxxx",
       ".xxxxxxxxxxxxxx.xxxxxxxxxxxxxxxx",
       ".xxxxxxxxxxxxxxxxx.xxxxxxxxxxxxx",
       ".xxxxxxxxxxxxxxxx.xxxxxxxxxxxxxx",
-      ".......x.xx..x.xxxx..xxxx..xx..x",
+      ".......x.xxxxx.xxxx..xxxx..xxxxx",
       ".xxxxxxxxxxxxxxxxxx.xxxxxxxxxxxx",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
-      ".......x.xx..x.xxxxxxxxx...xx..x",
-      ".......x.xx..x..xxx.xxxx...xx..x",
-      ".......x.xx..x..xxx.xxxx...xx..x",
+      ".......x.xxxxx.xxxxxxxxx...xxxxx",
+      ".......x.xxxxx..xxx.xxxx...xxxxx",
+      ".......x.xxxxx..xxx.xxxx...xxxxx",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
-      ".......x.xx..x..xxx.xxxx...xx..x",
-      ".......x.xx..x..xxx.xxxx...xx..x",
+      ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
+      ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
     },
     {  // --lint --forest
       "................................",
-      ".......xxxx..x...xxxxxxxx..xx..x",
-      ".......xxxx..x...xxxxxxxx..xx..x",
-      ".......xxxx..x...xxxxxxxx..xx..x",
-      ".......xxxx..x...xxxxxxxx..xx..x",
-      ".......xxxx..x...xxxxxxxx..xx..x",
-      ".......xxxx..x...xxxxxxxx..xx..x",
-      ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
-      ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
-      ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
-      ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
-      ".......xxxx..x...xxxxxxxx..xx..x",
-      ".......xxxx..x...xxxxxxxx..xx..x",
-      ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
-      ".......xxxx..x...xxxxxxxx..xx..x",
-      ".......xxxx..x...xxxxxxxx..xx..x",
-      ".......xxxx..x...xxxxxxxx..xx..x",
+      ".......xxxxxxx...xxxxxxxx..xxxxx",
+      ".......xxxxxxx...xxxxxxxx..xxxxx",
+      ".......xxxxxxx...xxxxxxxx..xxxxx",
+      ".......xxxxxxx...xxxxxxxx..xxxxx",
+      ".......xxxxxxx...xxxxxxxx..xxxxx",
+      ".......xxxxxxx...xxxxxxxx..xxxxx",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
@@ -229,47 +219,57 @@ const std::vector<std::vector<std::string>> kCliMatrix = {
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
+      ".......xxxxxxx...xxxxxxxx..xxxxx",
+      ".......xxxxxxx...xxxxxxxx..xxxxx",
+      ".......xxxxxxx...xxxxxxxx..xxxxx",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
-      ".......xxxx..x...xxxxxxxx..xx..x",
-      ".......xxxx..x...xxxxxxxx..xx..x",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
-      ".......xxxx..x...xxxxxxxx..xx..x",
-      ".......xxxx..x...xxxxxxxx..xx..x",
+      ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
+      ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
+      ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
+      ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
+      ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
+      ".......xxxxxxx...xxxxxxxx..xxxxx",
+      ".......xxxxxxx...xxxxxxxx..xxxxx",
+      ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
+      ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
+      ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
+      ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
     },
     {  // --lint --stream
       "................................",
-      ".......x.xx..x.xxxx..xxxx..xx..x",
-      ".......x.xx..x.xxxx..xxxx..xx..x",
-      ".......x.xx..x.xxxx..xxxx..xx..x",
-      ".......x.xx..x.xxxx..xxxx..xx..x",
-      ".......x.xx..x.xxxx..xxxx..xx..x",
-      ".......x.xx..x.xxxx..xxxx..xx..x",
+      ".......x.xxxxx.xxxx..xxxx..xxxxx",
+      ".......x.xxxxx.xxxx..xxxx..xxxxx",
+      ".......x.xxxxx.xxxx..xxxx..xxxxx",
+      ".......x.xxxxx.xxxx..xxxx..xxxxx",
+      ".......x.xxxxx.xxxx..xxxx..xxxxx",
+      ".......x.xxxxx.xxxx..xxxx..xxxxx",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
-      ".......x.xx..x.xxxx..xxxx..xx..x",
+      ".......x.xxxxx.xxxx..xxxx..xxxxx",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
-      ".......x.xx..x.xxxx..xxxx..xx..x",
-      ".......x.xx..x.xxxx..xxxx..xx..x",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
-      ".......x.xx..x.xxxx..xxxx..xx..x",
+      ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
+      ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
+      ".......x.xxxxx.xxxx..xxxx..xxxxx",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
       ".xxxxxxxxxxxxxxxxx.xxxxxxxxxxxxx",
       ".xxxxxxxxxxxxxxxx.xxxxxxxxxxxxxx",
-      ".......x.xx..x.xxxx..xxxx..xx..x",
-      ".......x.xx..x.xxxx..xxxx..xx..x",
+      ".......x.xxxxx.xxxx..xxxx..xxxxx",
+      ".......x.xxxxx.xxxx..xxxx..xxxxx",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
-      ".......x.xx..x.xxxx..xxxx..xx..x",
-      ".......x.xx..x.xxxx..xxxx..xx..x",
+      ".......x.xxxxx.xxxx..xxxx..xxxxx",
+      ".......x.xxxxx.xxxx..xxxx..xxxxx",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
-      ".......x.xx..x.xxxx..xxxx..xx..x",
-      ".......x.xx..x.xxxx..xxxx..xx..x",
+      ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
+      ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
       ".xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
     },
 };
