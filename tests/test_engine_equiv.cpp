@@ -1750,24 +1750,25 @@ TEST(EngineWormLeap, ObservedRunTraceBytes) {
 }
 
 TEST(EngineWormLeap, LowerNiInjectsAfterALeapingWormsEjection) {
-  // Worm 40 -> 47 streams along row 5 and leaps.  Worms from node 0
-  // (a lower NI) and node 56 (a higher one) turn east at router 40 and
-  // block behind it, filling their paths flit by flit: the run's
-  // in-flight peak is set by their injections while the long worm
-  // leaps.  The reference ejects the leaping worm's flit in the transfer
-  // sweep, injects node 0's flit, then the leaping worm's, then node
-  // 56's; the peak must come out the same.
+  // Worms 40 -> 47 (row 5) and 8 -> 15 (row 1) stream and leap.  The
+  // worm from node 0 climbs column 0, turns east at router 40 and blocks
+  // behind the first, filling its six FIFOs flit by flit: its last
+  // injection sets the run's in-flight peak while both others leap.  In
+  // that cycle the reference ejects one flit of each leaping worm in the
+  // transfer sweep, then injects node 0's flit, node 8's and node 40's.
+  // The 8 -> 15 worm is delivered long before the blocked worm moves
+  // again, so no later cycle reaches that peak.
   const auto topo = mesh::make_mesh2d(8);
   const RunCapture got =
       expect_worm_leaps(*topo, SimConfig{}, [](Simulator& sim, const Drain& d) {
         sim.post(mk(40, 47, 3000));
-        sim.post(mk(0, 47, 300, 500));
-        sim.post(mk(56, 46, 300, 700));
+        sim.post(mk(0, 47, 300, 100));
+        sim.post(mk(8, 15, 600));
         d(sim);
       });
-  // The blocked worms' flits in flight, on top of the streaming worm's.
   EXPECT_GT(got.stats.max_inflight_flits, 30);
   EXPECT_GT(got.messages[1].block_cycles, 1000);
+  EXPECT_LT(got.messages[2].delivered, got.messages[0].delivered);
 }
 
 // --- microstate oracle ---------------------------------------------------
