@@ -22,7 +22,10 @@
 // section holds the cycle engine's steady-state leap to a
 // one-cycle-at-a-time reference on contended trees, deep pipelines, small
 // and large buffers, two-port NIs, fault plans and cut horizons, down to
-// the flight recorder's bytes on both engines.
+// the flight recorder's bytes on both engines.  Pinned microstate
+// sequences hold the cycle engine's full flit-level state, arbiter
+// positions included, after every single step of seven contended runs to
+// hashes recorded from the eagerly swept engine.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -1376,8 +1379,9 @@ long long expect_leap_exact(const Topology& topo, SimConfig cfg,
 /// MulticastRuntime::run's schedule — posts, t_hold spacing per send
 /// engine, receive-triggered activation — with the simulator drained by
 /// `drain` instead of one run_until_idle().
+/// A positive `flits` overrides every message's wire length.
 void drive_tree(Simulator& sim, const Drain& drain, const MulticastTree& tree,
-                Bytes payload, int engines) {
+                Bytes payload, int engines, int flits = 0) {
   const rt::MulticastRuntime rtm(rt::RuntimeConfig{});
   const MachineParams& mp = rtm.config().machine;
   std::vector<std::vector<Time>> next_op(
@@ -1393,7 +1397,7 @@ void drive_tree(Simulator& sim, const Drain& drain, const MulticastTree& tree,
       Message m;
       m.src = tree.node(ev.sender_pos);
       m.dst = tree.node(ev.receiver_pos);
-      m.flits = rtm.wire_flits(payload, interval);
+      m.flits = flits > 0 ? flits : rtm.wire_flits(payload, interval);
       m.ready_time = ops[e] + mp.t_send(rtm.wire_bytes(payload, interval));
       m.tag = idx;
       sim.post(m);
@@ -1402,6 +1406,7 @@ void drive_tree(Simulator& sim, const Drain& drain, const MulticastTree& tree,
     }
   };
   sim.set_delivery_handler([&](const Message& m) {
+    if (m.tag < 0) return;  // cross traffic posted beside the tree
     const SendEvent& ev = tree.sends.at(static_cast<std::size_t>(m.tag));
     const int interval = ev.sub_hi - ev.sub_lo + 1;
     activate(ev.receiver_pos,
@@ -1909,6 +1914,177 @@ TEST(EngineEquiv, MicrostateRandomMesh4) {
       }
       d(sim);
     }, 8);
+  }
+}
+
+// --- pinned microstate sequences ---------------------------------------
+
+/// FNV-1a over a sequence of clocks and microstate digests.
+struct DigestChain {
+  std::uint64_t h = 14695981039346656037ULL;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffU;
+      h *= 1099511628211ULL;
+    }
+  }
+  void add(const Simulator& s) {
+    add(static_cast<std::uint64_t>(s.now()));
+    add(s.microstate_digest());
+  }
+};
+
+/// The cycle engine's microstate after every single step, and at
+/// `points` cut horizons of one run with both leaps on.
+struct MicrostateSequence {
+  std::uint64_t stepped = 0;
+  std::uint64_t cut = 0;
+};
+
+MicrostateSequence microstate_sequence(
+    const Topology& topo, SimConfig cfg,
+    const std::function<void(Simulator&, const Drain&)>& drive, int points = 12) {
+  Time span = 0;
+  {
+    Simulator sim(topo, cfg);
+    drive(sim, [&](Simulator& s) {
+      run_whole(s);
+      span = s.now();
+    });
+  }
+  MicrostateSequence seq;
+  DigestChain stepped;
+  {
+    Simulator sim(topo, cfg);
+    drive(sim, [&](Simulator& s) {
+      while (!s.idle()) {
+        s.run_until_idle(s.now() + 1);
+        stepped.add(s);
+      }
+    });
+  }
+  seq.stepped = stepped.h;
+  DigestChain cut;
+  {
+    Simulator sim(topo, cfg);
+    drive(sim, [&](Simulator& s) {
+      for (int i = 1; i <= points; ++i) {
+        s.run_until_idle(span * i / (points + 1) + 7 * i);
+        if (s.idle()) break;
+        cut.add(s);
+      }
+      run_whole(s);
+      cut.add(s);
+    });
+  }
+  seq.cut = cut.h;
+  return seq;
+}
+
+TEST(EngineEquiv, PinnedMicrostateSequences) {
+  // Every router's rotating arbiter start, port tables, FIFO contents and
+  // stamps, and every NI, after each cycle of contended runs: recorded
+  // from the eagerly bumped, fully swept cycle engine, so any later
+  // engine must reproduce them step for step.
+  struct Case {
+    const char* name;
+    std::function<MicrostateSequence()> run;
+    std::uint64_t stepped;
+    std::uint64_t cut;
+  };
+  const auto tree_case = [](const Topology& topo, SimConfig cfg, const MulticastTree& tree,
+                            Bytes payload, int engines, int flits = 0) {
+    return microstate_sequence(topo, cfg, [&](Simulator& sim, const Drain& d) {
+      drive_tree(sim, d, tree, payload, engines, flits);
+      EXPECT_GT(sim.stats().channel_conflicts, 0);
+    });
+  };
+  const auto mesh16 = mesh::make_mesh2d(16);
+  const auto mesh8 = mesh::make_mesh2d(8);
+  const auto bmin128 = bmin::make_bmin(128, bmin::UpPolicy::kAdaptive);
+  const mesh::MeshTopology two_port(MeshShape::square2d(8), mesh::RouteOrder::kHighestFirst,
+                                    2);
+  SimConfig delay2;
+  delay2.router_delay = 2;
+  SimConfig delay3;
+  delay3.router_delay = 3;
+  // MicrostateFaultRun's plan, plus three worms that climb columns 2, 4
+  // and 5 and block behind the 0 -> 63 worm on the top row (their
+  // upstream hops stand still): a link cut under the first one's standing
+  // hops, a kill of the second one's destination, and a kill of the third
+  // one's source.
+  FaultPlan plan;
+  plan.node_events.push_back(FaultPlan::NodeEvent{900, 56});
+  plan.node_events.push_back(FaultPlan::NodeEvent{700, 5});
+  plan.node_events.push_back(FaultPlan::NodeEvent{800, 61});
+  plan.link_events.push_back(FaultPlan::LinkEvent{1500, 9, 1, false});
+  plan.link_events.push_back(FaultPlan::LinkEvent{2100, 9, 1, true});
+  plan.link_events.push_back(FaultPlan::LinkEvent{600, 18, 3, false});
+  plan.drop_rate = 0.05;
+  plan.seed = 3;
+  const std::vector<Case> cases = {
+      {"mesh16 opt-tree k256 4KB",
+       [&] { return tree_case(*mesh16, SimConfig{}, opt_tree(256, 256, 1997, 4096), 4096, 1); },
+       0x9c42af1e27d81ae8ULL, 0x47504c048b736319ULL},
+      {"bmin128 adaptive opt-tree",
+       [&] { return tree_case(*bmin128, SimConfig{}, opt_tree(128, 64, 9, 16384), 16384, 1); },
+       0x1b5fab640bb40d9ULL, 0x2c7d06d4d7d6fad9ULL},
+      {"mesh8 router_delay 2",
+       [&] { return tree_case(*mesh8, delay2, opt_tree(64, 64, 3, 4096), 4096, 1); },
+       0x314447d178408fcbULL, 0x8085019f2b9e94d2ULL},
+      {"mesh8 router_delay 3",
+       [&] { return tree_case(*mesh8, delay3, opt_tree(64, 64, 3, 4096), 4096, 1); },
+       0x1e9d07938d2e460bULL, 0xe13b8d5d8e4be86ULL},
+      {"mesh8 two-port NI",
+       [&] { return tree_case(two_port, SimConfig{}, opt_tree(64, 64, 13, 8192), 8192, 2); },
+       0x613d621c8b7bcfe2ULL, 0xfb062d3b508f71d8ULL},
+      {"mesh8 single-flit multicast behind blocked heads",
+       [&] {
+         const MulticastTree tree = opt_tree(64, 64, 17, 0);
+         return microstate_sequence(*mesh8, SimConfig{}, [&](Simulator& sim, const Drain& d) {
+           // Long worms hold every row's channels, both ways, while the
+           // tree's one-flit sends cross them.
+           for (int row = 0; row < 8; ++row) {
+             sim.post(mk(8 * row, 8 * row + 7, 3000, 10 * row));
+             sim.post(mk(8 * row + 7, 8 * row, 3000, 10 * row));
+           }
+           drive_tree(sim, d, tree, 0, 1, 1);
+           // One-flit sends queue behind the blocked ones from their NI.
+           int held_up = 0;
+           for (const Message& m : sim.messages().all())
+             held_up += m.flits == 1 && m.delivered - m.inject_start > 100 ? 1 : 0;
+           EXPECT_GT(held_up, 5);
+         });
+       },
+       0x6e9044584512e3a7ULL, 0x7361e4716f18b6efULL},
+      {"mesh8 faults under standing worms",
+       [&] {
+         return microstate_sequence(*mesh8, SimConfig{}, [&](Simulator& sim, const Drain& d) {
+           sim.set_fault_plan(plan);
+           sim.post(mk(0, 63, 3000));
+           sim.post(mk(7, 56, 2500));
+           sim.post(mk(8, 15, 2500));
+           sim.post(mk(2, 61, 300, 100));
+           sim.post(mk(4, 61, 300, 100));
+           sim.post(mk(5, 62, 300, 100));
+           for (int i = 0; i < 12; ++i) sim.post(mk(16 + i, 47 - i, 30, 200 * i + 150));
+           d(sim);
+           const auto& m = sim.messages();
+           EXPECT_EQ(m.at(3).dropped, 600);
+           EXPECT_EQ(m.at(3).drop_reason, DropReason::kLinkDown);
+           EXPECT_EQ(m.at(4).drop_reason, DropReason::kNodeDead);
+           EXPECT_EQ(m.at(5).dropped, 700);
+           EXPECT_EQ(m.at(5).drop_reason, DropReason::kSenderDead);
+           for (const MsgId id : {3, 4, 5}) EXPECT_GT(m.at(id).block_cycles, 400) << id;
+         });
+       },
+       0x951b2e9bc4dfdb1aULL, 0xd87a1f18a1576bfULL},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const MicrostateSequence got = c.run();
+    EXPECT_EQ(got.stepped, c.stepped) << std::hex << "0x" << got.stepped;
+    EXPECT_EQ(got.cut, c.cut) << std::hex << "0x" << got.cut;
   }
 }
 
