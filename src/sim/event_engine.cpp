@@ -21,17 +21,16 @@ void EventEngine::reenter() {
 
 void EventEngine::reset() {
   // A quiescent network holds no flits and no reservations, so the only
-  // cycle-engine state the closed forms need is each arbiter's position.
+  // cycle-engine state the closed forms need is each arbiter's position:
+  // every router is drained, its start folded into its anchor, which the
+  // accounting below advances.
   calendar_ = {};  // materialize() leaves the entries it abandoned
   worms_.clear();
   live_.clear();
   free_worms_.clear();
   std::fill(eng_free_from_.begin(), eng_free_from_.end(), Time{0});
   const Time now = sim_.cycle_;
-  for (std::size_t r = 0; r < rr_.size(); ++r) {
-    RrAcct& a = rr_[r];
-    a = RrAcct{sim_.routers_[r].rr_start(), now, now};
-  }
+  std::fill(rr_.begin(), rr_.end(), RrAcct{now, now});
   rr_spill_.reset(rr_.size());
   windows_.reset(sim_.channel_msg_.size());
   admitted_live_ = 0;
@@ -162,8 +161,7 @@ bool EventEngine::commit_arbitrations(Time t) {
     std::size_t j = i;
     while (j < arbs_.size() && worms_[arbs_[j]].head_at.router == router) ++j;
     // The sweep start only orders several heads at one router.
-    const int rr0 =
-        j - i > 1 ? static_cast<int>(rr_bumps(router, t) % radix) : 0;
+    const int rr0 = j - i > 1 ? rr_start_at(router, t) : 0;
     for (int s = 0; s < radix; ++s) {
       const int p = (rr0 + s) % radix;
       int wi = -1;
@@ -467,14 +465,14 @@ void EventEngine::rr_post(int router, Time b, Time e) {
     return;
   }
   if (b > a.e) {
-    // A later segment becomes the newest.  The old one folds into accum
-    // once it is over (no later post or read reaches back into it), and
-    // otherwise waits in the list.
+    // A later segment becomes the newest.  The old one folds into the
+    // anchor once it is over (no later post or read reaches back into
+    // it), and otherwise waits in the list.
     const Segment old{a.b, a.e};
     a.b = b;
     a.e = e;
     if (old.e <= sim_.cycle_)
-      a.accum += old.e - old.b;
+      sim_.routers_[static_cast<std::size_t>(router)].rr_advance(old.e - old.b);
     else
       rr_merge(router, old.b, old.e);
     return;
@@ -485,7 +483,7 @@ void EventEngine::rr_post(int router, Time b, Time e) {
 void EventEngine::rr_merge(int router, Time b, Time e) {
   const auto r = static_cast<std::size_t>(router);
   // Segments over by now only wait for a read; shed them as the list grows.
-  if (rr_spill_.size(r) >= 16) (void)rr_bumps(router, sim_.cycle_);
+  if (rr_spill_.size(r) >= 16) (void)rr_start_at(router, sim_.cycle_);
   RrAcct& a = rr_[r];
   const std::span<Segment> s = rr_spill_.view(r);
   std::size_t i = s.size();
@@ -509,33 +507,36 @@ void EventEngine::rr_merge(int router, Time b, Time e) {
   }
 }
 
-long long EventEngine::rr_bumps(int router, Time at) {
+int EventEngine::rr_start_at(int router, Time at) {
   // Posts start after the current cycle and reads come at or after it, so
   // cycles before `at` are final once counted.
   const auto r = static_cast<std::size_t>(router);
   RrAcct& a = rr_[r];
   const std::span<Segment> s = rr_spill_.view(r);
+  long long n = 0;
   std::size_t i = 0;
-  for (; i < s.size() && s[i].e <= at; ++i) a.accum += s[i].e - s[i].b;
+  for (; i < s.size() && s[i].e <= at; ++i) n += s[i].e - s[i].b;
   if (i < s.size() && s[i].b < at) {
-    a.accum += at - s[i].b;
+    n += at - s[i].b;
     s[i].b = at;
   }
   if (i > 0) rr_spill_.erase_front(r, i);
   if (a.b < at) {
     const Time cut = std::min(a.e, at);
-    a.accum += cut - a.b;
+    n += cut - a.b;
     a.b = cut;
   }
-  return a.accum;
+  Router& rt = sim_.routers_[r];
+  rt.rr_advance(n);
+  return rt.rr_anchor();
 }
 
 int EventEngine::rr_position(int router) const {
-  // rr_bumps(router, now) without folding.
+  // rr_start_at(router, now) without folding.
   const Time at = sim_.cycle_;
   const auto r = static_cast<std::size_t>(router);
   const RrAcct& a = rr_[r];
-  long long n = a.accum;
+  long long n = sim_.routers_[r].rr_anchor();
   for (const Segment& s : rr_spill_.view(r)) {
     if (s.b >= at) break;
     n += std::min(s.e, at) - s.b;
@@ -709,8 +710,12 @@ void EventEngine::materialize(Time at, Materialization why) {
   }
   for (int r = 0; r < static_cast<int>(sim_.routers_.size()); ++r) {
     Router& router = sim_.routers_[static_cast<std::size_t>(r)];
-    router.set_rr_start(static_cast<int>(rr_bumps(r, at) % sim_.radix_));
-    if (router.activity() > 0) sim_.mark_router_active(r);
+    (void)rr_start_at(r, at);  // the anchor: the start at `at`
+    if (router.activity() == 0) continue;
+    router.rr_resume(at);
+    Simulator::mark(sim_.active_words_, r);
+    if (router.pending() > 0) Simulator::mark(sim_.pending_words_, r);
+    if (router.movable_mask() != 0) Simulator::mark(sim_.xfer_words_, r);
   }
   sim_.inflight_flits_ = static_cast<int>(inflight_);
   sim_.cycle_ = at;

@@ -123,8 +123,8 @@ class EventEngine {
     long long hops_settled = 0;  ///< flit pops already added to stats_
   };
 
-  /// Rotating-arbiter reconstruction: the cycle engine bumps rr_start
-  /// once per cycle a router has non-zero activity, and a laminar worm
+  /// Rotating-arbiter reconstruction: the cycle engine rotates a router's
+  /// start once per cycle it has non-zero activity, and a laminar worm
   /// keeps hop k's router active exactly over [a_{k-1} + 1, a_k + F).  In
   /// event mode a head wins at a_k = a_{k-1} + R or the engine
   /// materializes, so the whole interval is known once the head reaches
@@ -133,11 +133,12 @@ class EventEngine {
   /// yet counted is the union of these intervals, kept as disjoint
   /// half-open segments: the newest inline here, earlier ones in
   /// rr_spill_.  A post mostly extends the newest segment or replaces it,
-  /// folding it into `accum` once it is over.  The bump count at a cycle
-  /// is `accum` plus the segment cycles before it.
+  /// folding it into the router's anchor (Router::rr_advance) once it is
+  /// over: in event mode every router is drained, so the anchor is the
+  /// one record of its position, shared with the cycle engine.  The start
+  /// at a cycle is the anchor plus the segment cycles before it.
   struct RrAcct {
-    long long accum = 0;  ///< active cycles folded out of the segments
-    Time b = 0;           ///< newest segment [b, e); empty when b == e
+    Time b = 0;  ///< newest segment [b, e); empty when b == e
     Time e = 0;
   };
 
@@ -187,9 +188,9 @@ class EventEngine {
   void rr_post(int router, Time b, Time e);
   /// rr_post's slow path: [b, e) starts before the newest segment.
   void rr_merge(int router, Time b, Time e);
-  /// Folds the activity before cycle `at` (>= now) into accum and returns
-  /// the router's bump count at `at`.
-  long long rr_bumps(int router, Time at);
+  /// Folds the activity before cycle `at` (>= now) into the router's
+  /// anchor and returns its rotating start at `at`.
+  int rr_start_at(int router, Time at);
 
   /// Walks a freshly pulled worm's whole path; when every hop's window
   /// is free, commits it as admitted and returns true.

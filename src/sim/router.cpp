@@ -63,6 +63,7 @@ void Router::release(int in_port, int out_port) {
   out_holder_[out_port] = -1;
   --activity_;
   held_ &= ~(std::uint64_t{1} << out_port);
+  standing_ &= ~(std::uint64_t{1} << out_port);
   // Anything still buffered on the freed input is the next message's head
   // (wormhole invariant), so the input re-enters the arbitration set.
   if (!in_[in_port].empty()) ++pending_;

@@ -10,7 +10,10 @@
 //     minimum router residency (`router_delay`).
 //
 // Arbitration is rotating-priority over inputs, which is starvation-free
-// for the bounded traffic the multicast runtime generates.
+// for the bounded traffic the multicast runtime generates.  The start
+// advances by one every cycle the router is active; it is kept lazily, as
+// the position it had when it last became active and that cycle, so an
+// active router costs nothing per cycle until it arbitrates.
 //
 // Besides the channel state the router maintains three counters the
 // simulator's worklists key on:
@@ -19,7 +22,9 @@
 //                  wormhole invariant that flit is always a head, so this
 //                  counts exactly the inputs arbitration could serve;
 //   * held():      outputs currently reserved, i.e. the switch traversals
-//                  transfer could perform (held_mask(): which ones).
+//                  transfer could perform (held_mask(): which ones);
+//   * movable_mask(): the held outputs that are not standing, the ones
+//                  transfer visits.
 //
 // A Router is a view: its input FIFOs, their slots and its two port tables
 // live in a RouterArena, one allocation for every router of a network, so
@@ -77,12 +82,24 @@ class Router {
     return out_holder_[out_port] < -1;
   }
 
-  /// Buffers an arriving flit on `port` (injection or upstream transfer).
+  /// Standing hop (Simulator): a held output whose downstream FIFO is full
+  /// behind a head that lost arbitration cannot move before that head's
+  /// grant.  It stays reserved and in held_mask(), but leaves
+  /// movable_mask() until wake().
+  void stand(int out_port) noexcept { standing_ |= std::uint64_t{1} << out_port; }
+  void wake(int out_port) noexcept { standing_ &= ~(std::uint64_t{1} << out_port); }
+  [[nodiscard]] bool standing(int out_port) const noexcept {
+    return (standing_ >> out_port & 1U) != 0;
+  }
+
+  /// Buffers an arriving flit on `port` (injection or upstream transfer,
+  /// both after the cycle's arbitration: a router this activates rotates
+  /// from the next cycle on).
   void accept(int port, const Flit& f, Time now) {
     FlitFifo& fifo = in_[port];
     if (fifo.empty() && in_assigned_[port] == -1) ++pending_;
     fifo.push(f, now);
-    ++activity_;
+    if (activity_++ == 0) rr_since_ = now + 1;
   }
   /// Removes and returns the front flit of `port`; the port must be
   /// assigned (wormhole flits only advance along reserved paths).
@@ -91,15 +108,27 @@ class Router {
     return in_[port].pop(now);
   }
 
-  /// Rotating arbitration start index; call bump() after each cycle that
-  /// performed arbitration so priority rotates.
-  [[nodiscard]] int rr_start() const noexcept { return rr_start_; }
-  [[gnu::always_inline]] void bump() noexcept {
-    if (++rr_start_ == radix()) rr_start_ = 0;
+  /// Rotating arbitration start at cycle `now`: the start advances once
+  /// per cycle the router is active, from its anchor at the cycle it
+  /// became active.  A drained router keeps its anchor.
+  [[nodiscard]] int rr_start(Time now) const noexcept {
+    return activity_ == 0
+               ? rr_anchor_
+               : static_cast<int>((rr_anchor_ + (now - rr_since_)) % radix_);
   }
-  /// Event-engine materialization only: restores the priority the rotating
-  /// arbiter would have after the reconstructed bump history.
-  void set_rr_start(int s) noexcept { rr_start_ = s; }
+  /// The simulator calls this once the router has drained: `end` is the
+  /// first cycle it is not active in.
+  void rr_fold(Time end) noexcept {
+    rr_anchor_ = static_cast<int>((rr_anchor_ + (end - rr_since_)) % radix_);
+  }
+  /// Event engine: a drained router's start, advanced by the `cycles` of
+  /// activity it accounts for in closed form.
+  [[nodiscard]] int rr_anchor() const noexcept { return rr_anchor_; }
+  void rr_advance(long long cycles) noexcept {
+    rr_anchor_ = static_cast<int>((rr_anchor_ + cycles) % radix_);
+  }
+  /// Event-engine materialization: the router rotates from cycle `since`.
+  void rr_resume(Time since) noexcept { rr_since_ = since; }
 
   /// Number of flits buffered across all inputs plus held outputs; the
   /// simulator drops routers whose activity reaches zero from its
@@ -111,6 +140,10 @@ class Router {
   [[nodiscard]] int held() const noexcept { return std::popcount(held_); }
   /// Bit q set while output q is held and not parked (radix <= 64).
   [[nodiscard]] std::uint64_t held_mask() const noexcept { return held_; }
+  /// held_mask() without the standing outputs.
+  [[nodiscard]] std::uint64_t movable_mask() const noexcept {
+    return held_ & ~standing_;
+  }
 
   /// Fault path: removes every buffered flit of `msg` from all inputs and
   /// recounts the pending inputs.  The caller
@@ -124,10 +157,12 @@ class Router {
   int* in_assigned_ = nullptr;
   int* out_holder_ = nullptr;
   int radix_ = 0;
-  int rr_start_ = 0;
+  int rr_anchor_ = 0;
+  Time rr_since_ = 0;
   int activity_ = 0;
   int pending_ = 0;
   std::uint64_t held_ = 0;
+  std::uint64_t standing_ = 0;
 };
 
 /// Storage for every router of one network in a single allocation: the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -114,7 +115,10 @@ Simulator::Simulator(const Topology& topo, SimConfig cfg)
   memo_cands_ = std::make_unique_for_overwrite<int[]>(channels * radix_);
 
   active_words_.resize((routers_.size() + 63) / 64, 0);
+  pending_words_.resize(active_words_.size(), 0);
+  xfer_words_.resize(active_words_.size(), 0);
   nic_words_.resize((nodes + 63) / 64, 0);
+  standing_head_.resize(channels, kInvalidMsg);
 
   channel_dead_.assign(channels, 0);
   node_dead_.assign(nodes, 0);
@@ -324,7 +328,7 @@ void Simulator::notify_finished() {
 
 void Simulator::arbitrate(int r) {
   Router& router = routers_[r];
-  for (int i = 0, p = router.rr_start(); i < radix_;
+  for (int i = 0, p = router.rr_start(cycle_); i < radix_;
        ++i, p = p + 1 == radix_ ? 0 : p + 1) {
     if (router.assigned_out(p) != -1) continue;
     const FlitFifo& fifo = router.in(p);
@@ -365,8 +369,14 @@ void Simulator::arbitrate(int r) {
       any_live = true;
       if (router.out_holder(q) == -1) {
         router.reserve(p, q);
+        mark(xfer_words_, r);
         quiet_ = false;
-        msg.waiting = false;
+        if (msg.waiting) {
+          // Hops standing behind this head may move from this cycle's
+          // transfer sweep on.
+          msg.waiting = false;
+          if (!standing_.empty()) wake_standing(front.msg);
+        }
         channel_msg_[static_cast<std::size_t>(r) * radix_ + q] = front.msg;
         if (observer_ != nullptr) observer_->on_reserve(r, q, front.msg, cycle_);
         granted = true;
@@ -393,18 +403,18 @@ void Simulator::arbitrate(int r) {
       ++stats_.channel_conflicts;
     }
   }
-  router.bump();
 }
 
 void Simulator::transfer(int r) {
   Router& router = routers_[r];
   const int base = r * radix_;
-  // Held outputs in ascending order; parked ones are not in the mask.  A
-  // purge below may release a later one: it then reads as free.
-  for (std::uint64_t held = router.held_mask(); held != 0; held &= held - 1) {
-    const int q = std::countr_zero(held);
+  // Movable outputs in ascending order; parked and standing ones are not
+  // in the mask.  It is re-read past each output: a purge below may
+  // release a later one, or wake a standing one.
+  std::uint64_t movable = router.movable_mask();
+  for (int q = 0; movable != 0; movable = router.movable_mask() & (~1ULL << q)) {
+    q = std::countr_zero(movable);
     const int p = router.out_holder(q);
-    if (p < 0) continue;
     FlitFifo& fifo = router.in(p);
     if (fifo.empty()) continue;  // wormhole bubble: channel held, no flit yet
     if (cycle_ - fifo.front_entry() < cfg_.router_delay) continue;
@@ -418,10 +428,12 @@ void Simulator::transfer(int r) {
       }
       const Flit flit = router.take(p, cycle_);
       --inflight_flits_;
+      ++step_ejected_;
       ++stats_.flit_hops;
       progress_ = true;
       if (flit.tail) {
         router.release(p, q);
+        if (router.pending() > 0) mark(pending_words_, r);
         quiet_ = false;
         channel_msg_[static_cast<std::size_t>(base) + q] = kInvalidMsg;
         if (observer_ != nullptr) observer_->on_release(r, q, flit.msg, cycle_);
@@ -455,19 +467,78 @@ void Simulator::transfer(int r) {
       continue;
     }
     Router& down = routers_[d.router];
-    if (!down.in(d.port).can_accept(cycle_)) continue;
+    const FlitFifo& next = down.in(d.port);
+    if (!next.can_accept(cycle_)) {
+      if (next.full()) stand_if_blocked(r, q, d);
+      continue;
+    }
     const Flit flit = router.take(p, cycle_);
     down.accept(d.port, flit, cycle_);
-    mark_router_active(d.router);
+    mark(active_words_, d.router);
+    if (flit.head) mark(pending_words_, d.router);
     ++stats_.flit_hops;
     progress_ = true;
     if (flit.tail) {
       router.release(p, q);
+      if (router.pending() > 0) mark(pending_words_, r);
       quiet_ = false;
       channel_msg_[static_cast<std::size_t>(base) + q] = kInvalidMsg;
       if (observer_ != nullptr) observer_->on_release(r, q, flit.msg, cycle_);
     }
   }
+  retire_if_drained(r);
+}
+
+void Simulator::stand_if_blocked(int r, int q, PortRef d) {
+  // The full FIFO pops only through its front.  An unassigned front is a
+  // head; if it lost arbitration it leaves only on its grant.  An assigned
+  // front whose hop stands waits on that hop's head.  Either way nothing
+  // here moves before that grant, or a purge, and both wake the hop.
+  const Router& down = routers_[d.router];
+  const int next = down.assigned_out(d.port);
+  MsgId head;
+  if (next == -1) {
+    head = down.in(d.port).front().msg;
+    if (!messages_.at(head).waiting) return;
+  } else {
+    if (!down.standing(next)) return;
+    head = standing_head_[static_cast<std::size_t>(d.router) * radix_ + next];
+  }
+  routers_[r].stand(q);
+  standing_head_[static_cast<std::size_t>(r) * radix_ + q] = head;
+  standing_.push_back(StandingHop{head, r, q});
+}
+
+void Simulator::wake_standing(MsgId head) {
+  for (std::size_t i = 0; i < standing_.size();) {
+    const StandingHop h = standing_[i];
+    if (h.head != head) {
+      ++i;
+      continue;
+    }
+    routers_[h.router].wake(h.out_port);
+    mark(xfer_words_, h.router);
+    standing_[i] = standing_.back();
+    standing_.pop_back();
+  }
+}
+
+void Simulator::wake_all_standing() {
+  for (const StandingHop& h : standing_) {
+    routers_[h.router].wake(h.out_port);
+    mark(xfer_words_, h.router);
+  }
+  standing_.clear();
+}
+
+void Simulator::retire_if_drained(int r) {
+  if (routers_[r].activity() != 0) return;
+  std::uint64_t& word = active_words_[static_cast<std::size_t>(r) >> 6];
+  const std::uint64_t bit = 1ULL << (r & 63);
+  if ((word & bit) == 0) return;
+  word &= ~bit;
+  // Rotated through this cycle iff the arbitration sweep had reached it.
+  routers_[r].rr_fold(cycle_ + (r <= arb_reached_ ? 1 : 0));
 }
 
 void Simulator::inject(NodeId n) {
@@ -497,8 +568,10 @@ void Simulator::inject(NodeId n) {
       quiet_ = false;
     }
     router.accept(a.port, flit, cycle_);
-    mark_router_active(a.router);
+    mark(active_words_, a.router);
+    if (flit.head) mark(pending_words_, a.router);
     ++inflight_flits_;
+    ++step_injected_;
     stats_.max_inflight_flits = std::max(stats_.max_inflight_flits, inflight_flits_);
     ++eng.flits_sent;
     progress_ = true;
@@ -515,58 +588,42 @@ void Simulator::inject(NodeId n) {
 }
 
 void Simulator::step() {
+  step_injected_ = 0;
+  step_ejected_ = 0;
   if (cycle_ >= worm_wake_) settle_worms(cycle_);
   if (faults_active_) apply_due_faults();
   release_due_posts();
 
-  // Arbitration sweep: only routers on the active worklist, in ascending
-  // index order (identical to the full scan — reservations never activate
-  // other routers, so a per-word snapshot is exact).  Routers that drained
-  // since their last visit are dropped lazily, exactly when the full scan
-  // would have started skipping them.
+  // Arbitration sweep: routers with a pending head, ascending, as the
+  // full scan visits them.  Every active router rotates this cycle
+  // without being touched (Router::rr_start).  A purge may raise a later
+  // router's pending count, so the word is re-read past each router.
   const std::size_t rwords = active_words_.size();
   for (std::size_t wi = 0; wi < rwords; ++wi) {
-    std::uint64_t w = active_words_[wi];
-    while (w != 0) {
-      const int bit = std::countr_zero(w);
-      w &= w - 1;
-      const int r = static_cast<int>((wi << 6) | static_cast<unsigned>(bit));
-      Router& router = routers_[r];
-      if (router.activity() == 0) {
-        clear_router_active(wi, bit);
-        continue;
-      }
-      // The rotating priority advances every active cycle whether or not
-      // any head is waiting (matching the full-scan behaviour); the port
-      // sweep itself only runs when an unassigned head exists.
-      if (router.pending() > 0) {
-        arbitrate(r);
-      } else {
-        router.bump();
-      }
+    for (std::uint64_t w = pending_words_[wi]; w != 0;
+         w = pending_words_[wi] & (~1ULL << std::countr_zero(w))) {
+      const int r = static_cast<int>((wi << 6) |
+                                     static_cast<unsigned>(std::countr_zero(w)));
+      arb_reached_ = r;
+      if (routers_[r].pending() > 0) arbitrate(r);
+      if (routers_[r].pending() == 0)
+        pending_words_[wi] &= ~(1ULL << std::countr_zero(w));
     }
   }
+  arb_reached_ = std::numeric_limits<int>::max();
 
-  // Transfer sweep: re-read each word so routers activated *forward* by a
-  // same-cycle push are still visited this cycle, as in the full scan
-  // (they cannot move their fresh flit when router_delay >= 1, but with
-  // router_delay == 0 the full scan forwards them immediately — keep
-  // that).  Routers activated *backward* wait for the next cycle, again
-  // as in the full scan.
+  // Transfer sweep: routers with a movable output, ascending.  With
+  // router_delay == 0 a flit pushed forward is forwarded again in the
+  // same sweep, as in the full scan, because its router already held the
+  // output.  Re-read past each router: a purge may wake a standing hop.
   for (std::size_t wi = 0; wi < rwords; ++wi) {
-    std::uint64_t done = 0;
-    while (true) {
-      const std::uint64_t w = active_words_[wi] & ~done;
-      if (w == 0) break;
-      const int bit = std::countr_zero(w);
-      done |= 1ULL << bit;
-      const int r = static_cast<int>((wi << 6) | static_cast<unsigned>(bit));
-      Router& router = routers_[r];
-      if (router.activity() == 0) {
-        clear_router_active(wi, bit);
-        continue;
-      }
-      if (router.held_mask() != 0) transfer(r);
+    for (std::uint64_t w = xfer_words_[wi]; w != 0;
+         w = xfer_words_[wi] & (~1ULL << std::countr_zero(w))) {
+      const int r = static_cast<int>((wi << 6) |
+                                     static_cast<unsigned>(std::countr_zero(w)));
+      if (routers_[r].movable_mask() != 0) transfer(r);
+      if (routers_[r].movable_mask() == 0)
+        xfer_words_[wi] &= ~(1ULL << std::countr_zero(w));
     }
   }
 
@@ -588,6 +645,7 @@ void Simulator::step() {
   // DESIGN.md §6.1.
   if (live_worms_ > 0) progress_ = true;
 
+  arb_reached_ = -1;
   ++cycle_;
   notify_finished();
 }
@@ -607,6 +665,10 @@ void Simulator::leap(Time max_cycles) {
   d = std::min(d, next_fault_cycle() - cycle_);
   d = std::min(d, worm_wake_ - cycle_);  // a leaping worm's tail
   if (d < 2) return;  // a one-cycle leap costs a scan to save one step
+  // Every FIFO pops once and pushes once, so the network holds as many
+  // flits after t as before: a step that filled or drained it fails here
+  // without a scan.
+  if (step_injected_ != step_ejected_) return;
 
   // Injecting engines stream body flits until a tail is due; checked
   // first because short messages fail here most often.
@@ -638,7 +700,6 @@ void Simulator::leap(Time max_cycles) {
       const int r = static_cast<int>((wi << 6) |
                                      static_cast<unsigned>(std::countr_zero(w)));
       Router& router = routers_[r];
-      if (router.activity() == 0) continue;
       for (int p = 0; p < radix_; ++p) {
         FlitFifo& fifo = router.in(p);
         const bool popped = fifo.last_pop() == t;
@@ -669,15 +730,7 @@ void Simulator::leap(Time max_cycles) {
   stats_.flit_hops += d * static_cast<long long>(leap_fifos_.size());
   for (const MsgId m : leap_blocked_) messages_.at(m).block_cycles += d;
   stats_.channel_conflicts += d * static_cast<long long>(leap_blocked_.size());
-  for (std::size_t wi = 0; wi < active_words_.size(); ++wi) {
-    for (std::uint64_t w = active_words_[wi]; w != 0; w &= w - 1) {
-      Router& router =
-          routers_[(wi << 6) | static_cast<unsigned>(std::countr_zero(w))];
-      if (router.activity() > 0)
-        router.set_rr_start(static_cast<int>((router.rr_start() + d) % radix_));
-    }
-  }
-  cycle_ += d;
+  cycle_ += d;  // every active router's arbiter rotates with the clock
   ++leaps_;
   leaped_cycles_ += d;
 }
@@ -768,6 +821,7 @@ void Simulator::settle_worms(Time due) {
       Router& router = routers_[h.router];
       router.in(h.in_port).shift_time(d);
       router.unpark(h.out_port);
+      mark(xfer_words_, h.router);
     }
     NicEngine& eng = nic_engines_[w.engine];
     eng.flits_sent += static_cast<int>(d);
@@ -838,6 +892,9 @@ void Simulator::purge_message(MsgId id, DropReason reason) {
   Message& msg = messages_.at(id);
   if (msg.finished()) return;
   quiet_ = false;
+  // A purge can change any FIFO a standing hop waits on: every one goes
+  // back to the transfer sweep, which parks it again if it still stands.
+  wake_all_standing();
   // Only routers with activity hold channels or flits, and every one of
   // them is on the active worklist; ascending router/port order keeps the
   // on_release sequence of a full channel scan.
@@ -858,12 +915,16 @@ void Simulator::purge_message(MsgId id, DropReason reason) {
       }
     }
   }
-  // 2. Remove its buffered flits everywhere.
+  // 2. Remove its buffered flits everywhere.  Releases and removals may
+  //    expose heads (pending) or drain a router.
   for (std::size_t wi = 0; wi < active_words_.size(); ++wi) {
     for (std::uint64_t w = active_words_[wi]; w != 0; w &= w - 1) {
-      Router& router =
-          routers_[(wi << 6) | static_cast<unsigned>(std::countr_zero(w))];
+      const int r = static_cast<int>((wi << 6) |
+                                     static_cast<unsigned>(std::countr_zero(w)));
+      Router& router = routers_[static_cast<std::size_t>(r)];
       if (router.activity() > 0) inflight_flits_ -= router.purge_msg(id);
+      if (router.pending() > 0) mark(pending_words_, r);
+      retire_if_drained(r);
     }
   }
   // 3. Detach it from the source NI (mid-injection or still queued).
@@ -950,7 +1011,7 @@ std::uint64_t Simulator::microstate_digest(bool pop_stamps) const {
   };
   for (int r = 0; r < static_cast<int>(routers_.size()); ++r) {
     const Router& router = routers_[r];
-    mix(event_mode_ ? event_->rr_position(r) : router.rr_start());
+    mix(event_mode_ ? event_->rr_position(r) : router.rr_start(cycle_));
     mix(router.activity());
     mix(router.pending());
     mix(static_cast<long long>(router.held_mask()));

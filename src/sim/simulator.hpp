@@ -21,13 +21,19 @@
 // at the head's next grant or at the message's drop.
 //
 // Fast path (see DESIGN.md §6): instead of rescanning every router and NI
-// each cycle, the engine keeps worklist bitmaps of routers with non-zero
-// activity and NIs with outstanding sends, reads the topology's shared
-// wiring tables (Topology::wiring(), built once per topology) instead of
-// calling it virtually, and memoizes each input port's routing
-// candidates while the same head flit waits there.  All of this is
-// observationally equivalent to the naive full scan: per-cycle event
-// order, conflict counters, and observer callbacks are bit-identical.
+// each cycle, the engine keeps worklist bitmaps of routers with a pending
+// head (arbitration), routers with a movable held output (transfer), NIs
+// with outstanding sends (injection), and routers with non-zero activity
+// (leaps and purges).  Arbiter rotation is lazy: a router's rotating
+// start is a function of the clock while it is active, folded when it
+// drains.  Hops standing still behind a head that lost arbitration leave
+// the transfer sweep until that head's grant.  The engine reads the
+// topology's shared wiring tables (Topology::wiring(), built once per
+// topology) instead of calling it virtually, and memoizes each input
+// port's routing candidates while the same head flit waits there.  All of
+// this is observationally equivalent to the naive full scan: per-cycle
+// event order, conflict counters, arbiter positions, and observer
+// callbacks are bit-identical.
 //
 // Set-up cost: every router, input FIFO, FIFO slot and port table sits in
 // one RouterArena, and the NI engines in one flat array, so construction
@@ -74,8 +80,8 @@ namespace pcm::sim {
 
 /// Which engine drives run_until_idle (DESIGN.md §6.5).
 ///
-/// kCycle is the golden reference: every active router is ticked every
-/// cycle.  kEvent is the hybrid event-driven kernel: while worm flow is
+/// kCycle is the golden reference: a cycle-by-cycle step of the flit
+/// level (with closed-form leaps over cycles it proves repeat).  kEvent is the hybrid event-driven kernel: while worm flow is
 /// laminar (every head wins arbitration the first cycle it is eligible)
 /// all reserve/release/delivery times are closed-form affine functions of
 /// the injection start, so the engine only touches the event calendar.
@@ -289,6 +295,13 @@ class Simulator {
     bool leaping = false;  ///< `active` streams in closed form (worm leap)
   };
 
+  /// A hop standing behind the waiting head `head`.
+  struct StandingHop {
+    MsgId head;
+    int router;
+    int out_port;
+  };
+
   /// A per-worm leap in progress: the worm's path from its attach FIFO to
   /// its ejection channel, and the end-of-cycle state it was parked at.
   struct WormHop {
@@ -375,6 +388,16 @@ class Simulator {
   void arbitrate(int r);
   void transfer(int r);
   void inject(NodeId n);
+  /// Transfer found hop (r, q)'s downstream FIFO `d` full: parks the hop
+  /// as standing if that FIFO cannot pop before a waiting head's grant.
+  void stand_if_blocked(int r, int q, PortRef d);
+  /// Returns the hops standing behind `head` (or every standing hop) to
+  /// the transfer sweep.
+  void wake_standing(MsgId head);
+  void wake_all_standing();
+  /// Folds a drained router's arbiter position and drops it from the
+  /// active worklist (no-op while it is active or already folded).
+  void retire_if_drained(int r);
   [[nodiscard]] bool network_quiescent() const;
   [[nodiscard]] bool nic_busy(NodeId n) const;
   [[nodiscard]] std::span<NicEngine> nic_engines(NodeId n) {
@@ -395,12 +418,9 @@ class Simulator {
     return ej != kInvalidNode && node_dead_[static_cast<std::size_t>(ej)];
   }
 
-  [[gnu::always_inline]] void mark_router_active(int r) noexcept {
-    active_words_[static_cast<std::size_t>(r) >> 6] |= 1ULL << (r & 63);
-  }
-  [[gnu::always_inline]] void clear_router_active(std::size_t word,
-                                                  int bit) noexcept {
-    active_words_[word] &= ~(1ULL << bit);
+  [[gnu::always_inline]] static void mark(std::vector<std::uint64_t>& words,
+                                          int r) noexcept {
+    words[static_cast<std::size_t>(r) >> 6] |= 1ULL << (r & 63);
   }
 
   friend class EventEngine;
@@ -444,9 +464,19 @@ class Simulator {
   std::unique_ptr<int[]> memo_cands_;
   std::vector<int> route_scratch_;  ///< Topology::route output, reused
 
-  // --- worklists ---
-  std::vector<std::uint64_t> active_words_;  ///< routers with activity() > 0
-  std::vector<std::uint64_t> nic_words_;     ///< NIs with queued/active sends
+  // --- worklists (a set bit may be stale; a clear bit never is) ---
+  std::vector<std::uint64_t> active_words_;   ///< exactly: activity() > 0
+  std::vector<std::uint64_t> pending_words_;  ///< routers with pending() > 0
+  std::vector<std::uint64_t> xfer_words_;     ///< movable_mask() != 0
+  std::vector<std::uint64_t> nic_words_;      ///< NIs with queued/active sends
+  /// The router the arbitration sweep has reached this cycle: -1 before
+  /// it, INT_MAX after.  A router drained at or before this index was
+  /// still rotated this cycle.
+  int arb_reached_ = -1;
+
+  // --- standing hops (see stand_if_blocked) ---
+  std::vector<StandingHop> standing_;
+  std::vector<MsgId> standing_head_;  ///< per channel id, while standing
 
   // --- hybrid event engine (cfg_.engine == kEvent only) ---
   std::unique_ptr<EventEngine> event_;  ///< lazily created on the first run
@@ -469,6 +499,10 @@ class Simulator {
   long long leaped_cycles_ = 0;
   long long worm_leaps_ = 0;
   long long worm_leaped_hops_ = 0;
+  // Flits injected and ejected by the current step; a leap needs them
+  // equal (every touched FIFO pops once and pushes once).
+  int step_injected_ = 0;
+  int step_ejected_ = 0;
   Time horizon_ = kTimeInfinity;  ///< max_cycles of the current run
   // Per-worm leap state: worms whose head has been consumed while their
   // tail is still in the NI, and the worms leaping ([0, live_worms_) of
