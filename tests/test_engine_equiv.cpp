@@ -2088,5 +2088,38 @@ TEST(EngineEquiv, PinnedMicrostateSequences) {
   }
 }
 
+TEST(EngineEquiv, PurgeAheadOfAStandingWorm) {
+  // Worm 3 -> 27 holds router 27's ejection channel.  The one-flit
+  // message 24 -> 27 waits for it at router 27's west input, and worm
+  // 25 -> 31 runs along row 3 into the same FIFO behind it: its hops
+  // back up and stand behind the one-flit head.  Node 27 dies at 500, so
+  // that head is purged, not granted; the purge must return the standing
+  // hops to the transfer sweep, or the worm behind never moves again.
+  const auto topo = mesh::make_mesh2d(8);
+  FaultPlan plan;
+  plan.node_events.push_back(FaultPlan::NodeEvent{500, 27});
+  SimConfig cfg;
+  cfg.watchdog_cycles = 5000;
+  const auto drive = [&](Simulator& sim, const Drain& d) {
+    sim.set_fault_plan(plan);
+    sim.post(mk(3, 27, 3000));
+    sim.post(mk(24, 27, 1, 50));
+    sim.post(mk(25, 31, 400, 60));
+    d(sim);
+  };
+  {
+    // A wedged worm trips the watchdog in one whole run; the stepwise
+    // reference below restarts its stall count at every step.
+    Simulator sim(*topo, cfg);
+    ASSERT_NO_THROW(drive(sim, run_whole));
+    ASSERT_EQ(sim.run_status(), RunStatus::kCompleted);
+  }
+  const RunCapture got = leap_exact(*topo, cfg, drive);
+  ASSERT_EQ(got.messages.size(), 3U);
+  EXPECT_EQ(got.messages[1].dropped, 500);
+  EXPECT_EQ(got.messages[1].drop_reason, DropReason::kNodeDead);
+  EXPECT_GT(got.messages[2].delivered, 500);
+}
+
 }  // namespace
 }  // namespace pcm::sim
