@@ -14,8 +14,9 @@ set -eu
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
 WORK=${1:-$(mktemp -d)}
 mkdir -p "$WORK/src"
-# The tracked files as they stand, uncommitted edits included.
-(cd "$ROOT" && git ls-files -z | tar --null -T - -cf -) | tar -xf - -C "$WORK/src"
+# The tracked files as they stand, uncommitted edits included; -m stamps
+# them now, so a reused WORKDIR rebuilds what a last mutant left behind.
+(cd "$ROOT" && git ls-files -z | tar --null -T - -cf -) | tar -xmf - -C "$WORK/src"
 cmake -S "$WORK/src" -B "$WORK/build" -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 exec python3 - "$ROOT/tests/mutations.txt" "$WORK" <<'PY'
 import os, subprocess, sys
